@@ -1,10 +1,11 @@
 # Build / verification entry points. `make ci` is the pre-merge gate: it
-# vets, runs the full suite, race-checks the concurrent machinery, and
-# smoke-runs the streaming benchmarks so they cannot bit-rot.
+# vets, runs the full suite, race-checks the concurrent machinery,
+# fingerprints the whole figure matrix, and smoke-runs the streaming
+# benchmarks and the load generator so they cannot bit-rot.
 
 GO ?= go
 
-.PHONY: all build vet lint test race race-full bench bench-scaling bench-smoke bench-dedup bench-analytics bench-traffic ci
+.PHONY: all build vet lint test race race-full golden bench bench-scaling bench-smoke bench-traffic benchmark ci
 
 all: build
 
@@ -39,6 +40,12 @@ race:
 race-full:
 	$(GO) test -race ./...
 
+# Fingerprint every mode of the figure matrix (model, wire, fused, mirror,
+# cluster, dedup, live) at two worker counts; exits non-zero when any
+# wire-path or live mode diverges from its reference.
+golden:
+	$(GO) run ./cmd/goldencheck -workers 1,4
+
 # Full benchmark sweep (slow).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
@@ -49,35 +56,17 @@ bench-scaling:
 	$(GO) test -run '^$$' -bench AnalyzeStoreWorkers -benchmem .
 	$(GO) test -run '^$$' -bench IndexObserveParallel -benchmem ./internal/dedup
 
-# One-iteration pass over the streaming/fused benchmarks: catches benchmark
-# bit-rot in CI without paying the full bench cost. The cluster sweep also
-# emits BENCH_cluster.json — the machine-readable throughput-scaling
-# record (nodes, pulls/s, bytes/s, hit ratio, latency percentiles); the
-# dedup sweep exercises the dedup-vs-plain comparison at a small scale
-# (the committed BENCH_dedup.json is regenerated by `make bench-dedup`);
-# the analytics sweep prices the live-analytics ingest tee against a plain
-# push path (the committed BENCH_analytics.json comes from
-# `make bench-analytics`).
+# One-iteration pass over the streaming/fused benchmarks plus one short
+# trafficsim run per dispatch loop (open, closed): catches benchmark bit-rot in CI without paying the full
+# bench cost. Smoke runs write nowhere (-json /dev/null), so the target
+# leaves `git status` clean; the committed BENCH_traffic.json changes only
+# through `make bench-traffic`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'DownloadStreaming|FusedPipeline' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'CacheHitServe|CacheMissFill' -benchtime=1x -benchmem ./internal/cache
 	$(GO) test -run '^$$' -bench 'DedupPutStream$$|DedupGet$$' -benchtime=1x -benchmem ./internal/dedupstore
-	$(GO) run ./cmd/loadgen -cluster 1,4 -pulls 300 -workers 16 -json BENCH_cluster.json
-	$(GO) run ./cmd/loadgen -dedup -dedup-scale 0.001 -pulls 300 -workers 16 -json /dev/null
-	$(GO) run ./cmd/loadgen -analytics -analytics-scale 0.0002 -workers 16 -json /dev/null
 	$(GO) run ./cmd/trafficsim -scenarios flash-crowd -rates 120 -n 150 -scale 0.002 -json /dev/null
-
-# Regenerate the committed dedup storage-backend record (BENCH_dedup.json):
-# plain vs dedup backends over synth.DedupSweepSpec, savings, pull
-# throughput, latency percentiles, and reconstruction-cache hit ratio.
-bench-dedup:
-	$(GO) run ./cmd/loadgen -dedup -dedup-scale 0.01 -pulls 2000 -workers 8 -json BENCH_dedup.json
-
-# Regenerate the committed live-analytics cost record (BENCH_analytics.json):
-# hooked vs plain push throughput over the same wire population, and
-# /analytics query latency percentiles under the live push storm.
-bench-analytics:
-	$(GO) run ./cmd/loadgen -analytics -analytics-scale 0.0005 -workers 8 -query-workers 4 -json BENCH_analytics.json
+	$(GO) run ./cmd/trafficsim -scenarios flash-crowd -arrivals closed -workers 8 -n 150 -scale 0.002 -json /dev/null
 
 # Regenerate the committed open-loop tail-latency record
 # (BENCH_traffic.json): the scenario × rate sweep with
@@ -90,7 +79,12 @@ bench-traffic:
 		-rates 60,120,240 -n 400 -scale 0.003 -node-bw 2097152 \
 		-slo-p99 500ms -slo-errors 0.01 \
 		-search pull-storm -search-lo 40 -search-hi 600 -search-iters 5 \
-		-compare pull-storm -compare-workers 8 \
+		-compare pull-storm -workers 8 \
 		-json BENCH_traffic.json
 
-ci: lint test race bench-smoke
+# The repository's one gated benchmark (BENCHMARK.json): four fixed
+# workloads, each in its own process; see bench/README.md.
+benchmark:
+	bash bench/run.sh
+
+ci: lint test race golden bench-smoke

@@ -1,34 +1,34 @@
-// Command goldencheck fingerprints a reproduction run: for every requested
-// (mode, workers) combination it executes the full study at a fixed seed
-// and prints a SHA-256 over the rendered figures. Identical fingerprints
-// across worker counts and across code versions certify that refactors of
-// the orchestration layer left the science bit-identical.
+// Command goldencheck fingerprints a reproduction run: for every mode of
+// the matrix and every requested worker count it executes the full study
+// at a fixed seed and prints a SHA-256 over the rendered figures.
+// Identical fingerprints across worker counts and across code versions
+// certify that refactors of the orchestration layer left the science
+// bit-identical.
 //
 // Usage:
 //
 //	goldencheck [-scale 0.0001] [-model-scale 0.0002] [-seed 0] [-workers 1,4,8]
-//	            [-mirror] [-cluster] [-dedup] [-live] [-live-churn 0.3]
 //
-// -mirror adds two wire configurations that pull through the caching
-// mirror (cold cache and pre-warmed cache); -cluster adds two that pull
-// through the sharded registry cluster's router (one node, and four nodes
-// at two replicas); -dedup adds two whose registry stores onto the
-// file-deduplicating backend (two-phase and fused), proving every pull
-// reconstructs the exact wire bytes from the content pool. Every
-// wire-path variant at the same scale must render the exact bytes of the
+// The matrix always runs whole. Beside the model run it holds nine
+// wire-path modes — direct two-phase and fused, through the caching
+// mirror (cold and pre-warmed cache), through the sharded cluster's
+// router (one node, and four nodes at two replicas), and from the
+// file-deduplicating storage backend (two-phase and fused), where every
+// pull reconstructs the exact wire bytes from the content pool. Every
+// wire-path mode at the same scale must render the exact bytes of the
 // direct wire run — goldencheck verifies this itself and exits non-zero
 // on any divergence.
 //
-// -live adds two resident-service configurations: images pushed over HTTP
+// The last two modes are resident-service runs: images pushed over HTTP
 // into the live-analytics registry, figures rendered from the
 // incrementally maintained index (no batch pass), once without churn and
-// once with a -live-churn fraction of the population deleted and
-// re-pushed mid-run. Each live run's figures are checked against a batch
-// AnalyzeStore pass over the registry the run left behind, the churned
-// run against the churn-free one, and all live runs across worker counts
-// against each other; any divergence exits non-zero. The live figure set
-// has no crawl/download inputs (no tabM/fig25), so it fingerprints in its
-// own reference group, not against the wire runs.
+// once with liveChurn of the population deleted and re-pushed mid-run.
+// Each live run's figures are checked against a batch AnalyzeStore pass
+// over the registry the run left behind, the churned run against the
+// churn-free one, and all live runs across worker counts against each
+// other; any divergence exits non-zero. The live figure set has no
+// crawl/download inputs (no tabM/fig25), so it fingerprints in its own
+// reference group, not against the wire runs.
 package main
 
 import (
@@ -43,17 +43,19 @@ import (
 	"repro/internal/core"
 )
 
+const (
+	// mirrorBytes is the mirror modes' cache byte budget.
+	mirrorBytes = 8 << 20
+	// liveChurn is the fraction of the population the churned live run
+	// deletes and re-pushes.
+	liveChurn = 0.3
+)
+
 func main() {
 	scale := flag.Float64("scale", 0.0001, "wire/fused dataset scale")
 	modelScale := flag.Float64("model-scale", 0.0002, "model dataset scale")
 	seed := flag.Int64("seed", 0, "dataset seed override (0 = spec default)")
 	workersList := flag.String("workers", "1,4,8", "comma-separated worker counts")
-	withMirror := flag.Bool("mirror", false, "also fingerprint wire runs pulled through the caching mirror (cold + warm)")
-	mirrorBytes := flag.Int64("mirror-bytes", 8<<20, "mirror cache byte budget for -mirror runs")
-	withCluster := flag.Bool("cluster", false, "also fingerprint wire runs pulled through the sharded cluster router (1 node and 4 nodes/2 replicas)")
-	withDedup := flag.Bool("dedup", false, "also fingerprint wire runs served from the file-deduplicating storage backend (two-phase + fused)")
-	withLive := flag.Bool("live", false, "also fingerprint live resident-service runs (incremental index vs batch reference, churn-free + churned)")
-	liveChurn := flag.Float64("live-churn", 0.3, "fraction of the population deleted and re-pushed in the churned -live run")
 	flag.Parse()
 
 	var workers []int
@@ -83,30 +85,14 @@ func main() {
 		{name: "model", scale: *modelScale},
 		{name: "wire", wire: true, scale: *scale},
 		{name: "fused", wire: true, fused: true, scale: *scale},
-	}
-	if *withMirror {
-		modes = append(modes,
-			mode{name: "mirror-cold", wire: true, scale: *scale, mirrorBytes: *mirrorBytes},
-			mode{name: "mirror-warm", wire: true, scale: *scale, mirrorBytes: *mirrorBytes, mirrorWarm: true},
-		)
-	}
-	if *withCluster {
-		modes = append(modes,
-			mode{name: "cluster-n1", wire: true, scale: *scale, nodes: 1, replicas: 1},
-			mode{name: "cluster-n4", wire: true, scale: *scale, nodes: 4, replicas: 2},
-		)
-	}
-	if *withDedup {
-		modes = append(modes,
-			mode{name: "dedup", wire: true, scale: *scale, dedup: true},
-			mode{name: "dedup-fused", wire: true, fused: true, scale: *scale, dedup: true},
-		)
-	}
-	if *withLive {
-		modes = append(modes,
-			mode{name: "live", live: true, scale: *scale},
-			mode{name: "live-churn", live: true, scale: *scale, churn: *liveChurn},
-		)
+		{name: "mirror-cold", wire: true, scale: *scale, mirrorBytes: mirrorBytes},
+		{name: "mirror-warm", wire: true, scale: *scale, mirrorBytes: mirrorBytes, mirrorWarm: true},
+		{name: "cluster-n1", wire: true, scale: *scale, nodes: 1, replicas: 1},
+		{name: "cluster-n4", wire: true, scale: *scale, nodes: 4, replicas: 2},
+		{name: "dedup", wire: true, scale: *scale, dedup: true},
+		{name: "dedup-fused", wire: true, fused: true, scale: *scale, dedup: true},
+		{name: "live", live: true, scale: *scale},
+		{name: "live-churn", live: true, scale: *scale, churn: liveChurn},
 	}
 
 	// Every wire-path mode must render byte-identical figures; the direct

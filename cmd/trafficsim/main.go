@@ -1,17 +1,19 @@
-// Command trafficsim drives open-loop workloads against self-provisioned
-// serving stacks and reports coordinated-omission-safe tail latency
-// against declared SLOs — the methodology companion to loadgen's
-// closed-loop sweeps.
+// Command trafficsim is the repository's load generator: it drives
+// popularity-skewed workloads against self-provisioned serving stacks —
+// or, with the replay scenario, against a deployment that is already
+// running — and reports coordinated-omission-safe tail latency against
+// declared SLOs.
 //
 // Usage:
 //
-//	trafficsim [-scenarios pull-storm,mixed,flash-crowd,slow-clients,hierarchy] \
-//	           [-rates 60,120,240] [-arrivals poisson|constant|burst] \
+//	trafficsim [-scenarios pull-storm,mixed,flash-crowd,slow-clients,hierarchy,replay] \
+//	           [-rates 60,120,240] [-arrivals poisson|constant|burst|closed] [-workers 8] \
 //	           [-n 400] [-scale 0.003] [-seed 1] [-timeout 30s] \
 //	           [-slo-p99 500ms] [-slo-errors 0.01] \
 //	           [-search pull-storm] [-search-lo 40] [-search-hi 600] [-search-iters 5] \
-//	           [-compare pull-storm] [-compare-workers 8] [-compare-rate 0] \
+//	           [-compare pull-storm] [-compare-rate 0] \
 //	           [-nodes 2] [-replicas 2] [-node-bw 262144] [-slow-read-bps 131072] \
+//	           [-registry http://localhost:5000] [-search-url http://localhost:5001] \
 //	           [-json BENCH_traffic.json]
 //
 // Each scenario × rate cell provisions a fresh stack (cluster, registry,
@@ -21,11 +23,20 @@
 // (dispatch → completion, what a closed-loop generator would claim). The
 // SLO verdict binds the Latency view.
 //
+// -scenarios replay provisions nothing: it pages the Hub search API at
+// -search-url for repository names and pull counts and pulls from
+// -registry, which may be a hubregistry, a cmd/mirror in front of one, or
+// a cmd/router over several.
+//
+// -arrivals closed replaces the schedule by -workers clients that each
+// send their next request when the previous one returns; -rates is then
+// unused and each scenario runs once. Its latency is service time only.
+//
 // -search runs a bisection for the maximum offered rate whose run still
 // meets the SLO; every probe is a fresh, hermetic run. -compare runs the
-// named scenario closed-loop (worker pool) and open-loop at -compare-rate
-// (1.5x the searched capacity when 0) to put a number on what coordinated
-// omission hides at overload.
+// named scenario closed-loop (-workers clients) and open-loop at
+// -compare-rate (1.5x the searched capacity when 0) to put a number on
+// what coordinated omission hides at overload.
 package main
 
 import (
@@ -42,9 +53,10 @@ import (
 )
 
 func main() {
-	scenarios := flag.String("scenarios", "pull-storm,mixed,flash-crowd,slow-clients", "comma-separated scenario sweep (pull-storm, mixed, flash-crowd, slow-clients, hierarchy)")
+	scenarios := flag.String("scenarios", "pull-storm,mixed,flash-crowd,slow-clients", "comma-separated scenario sweep (pull-storm, mixed, flash-crowd, slow-clients, hierarchy, replay)")
 	rates := flag.String("rates", "60,120,240", "comma-separated mean offered rates (requests/s) per scenario")
-	arrivals := flag.String("arrivals", "poisson", "arrival process: poisson, constant, or burst")
+	arrivals := flag.String("arrivals", "poisson", "arrival process: poisson, constant, burst, or closed (-workers clients, no schedule)")
+	workers := flag.Int("workers", 8, "closed-loop client count for -arrivals closed and -compare")
 	burstRatio := flag.Float64("burst-ratio", 8, "burst-to-base rate ratio for -arrivals burst")
 	burstPeriod := flag.Duration("burst-period", 10*time.Second, "square-wave period for -arrivals burst")
 	burstDuty := flag.Float64("burst-duty", 0.2, "burst fraction of each period for -arrivals burst")
@@ -60,18 +72,20 @@ func main() {
 	searchHi := flag.Float64("search-hi", 600, "search bracket high rate")
 	searchIters := flag.Int("search-iters", 5, "bisection steps after the bracket endpoints")
 	compare := flag.String("compare", "", "run this scenario closed-loop vs open-loop at overload")
-	compareWorkers := flag.Int("compare-workers", 8, "closed-loop worker count for -compare")
 	compareRate := flag.Float64("compare-rate", 0, "open-loop rate for -compare (0 = 1.5x the -search result)")
 	nodes := flag.Int("nodes", 2, "cluster nodes for pull-storm and slow-clients")
 	replicas := flag.Int("replicas", 2, "cluster replication factor")
 	nodeBW := flag.Int64("node-bw", 256<<10, "per-node egress pacing in bytes/s for pull-storm (0 = unpaced); pins capacity so overload rates are reproducible")
 	slowReadBPS := flag.Int64("slow-read-bps", 128<<10, "per-client read throttle for slow-clients")
+	regURL := flag.String("registry", "http://localhost:5000", "replay: base URL pulls go to (registry, mirror, or router)")
+	searchURL := flag.String("search-url", "http://localhost:5001", "replay: Hub search API base URL the population comes from")
 	jsonPath := flag.String("json", "", "write the bench document to this file as JSON")
 	flag.Parse()
 
 	slo := trafficsim.SLO{Percentile: *sloPct, Latency: *sloP99, MaxErrorRate: *sloErrors}
 	spec := trafficsim.ArrivalSpec{
 		Kind:       *arrivals,
+		Workers:    *workers,
 		BurstRatio: *burstRatio,
 		Period:     *burstPeriod,
 		Duty:       *burstDuty,
@@ -88,6 +102,8 @@ func main() {
 			return &trafficsim.PullStorm{Nodes: *nodes, Replicas: *replicas, NodeBandwidth: *nodeBW}, nil
 		case "slow-clients":
 			return &trafficsim.SlowClients{Nodes: 1, ReadBytesPerS: *slowReadBPS}, nil
+		case "replay":
+			return &trafficsim.Replay{Registry: *regURL, Search: *searchURL}, nil
 		default:
 			return trafficsim.NewScenario(name)
 		}
@@ -96,13 +112,19 @@ func main() {
 	out := trafficsim.BenchReport{Scale: *scale, Seed: *seed, Requests: *n, SLO: slo.String()}
 	ctx := context.Background()
 
-	var rateList []float64
-	for _, tok := range strings.Split(*rates, ",") {
-		r, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
-		if err != nil || r <= 0 {
-			fatal(fmt.Errorf("bad -rates entry %q", tok))
+	// Closed loop has no schedule to sweep: each scenario runs once.
+	rateList := []float64{0}
+	if spec.Kind != "closed" {
+		rateList = nil
+		for _, tok := range strings.Split(*rates, ",") {
+			r, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
+			if err != nil || r <= 0 {
+				fatal(fmt.Errorf("bad -rates entry %q", tok))
+			}
+			rateList = append(rateList, r)
 		}
-		rateList = append(rateList, r)
+	} else if *search != "" || *compare != "" {
+		fatal(fmt.Errorf("-search and -compare need an open-loop -arrivals process"))
 	}
 
 	if *scenarios != "" {
@@ -166,7 +188,7 @@ func main() {
 		}
 		opt := baseOpt
 		opt.Arrivals = spec
-		cmp, closed, open, err := trafficsim.CompareClosedOpen(ctx, sc, opt, *compareWorkers, rate)
+		cmp, closed, open, err := trafficsim.CompareClosedOpen(ctx, sc, opt, *workers, rate)
 		if err != nil {
 			fatal(err)
 		}
@@ -175,7 +197,7 @@ func main() {
 			trafficsim.NewRunReport(*compare+"/closed-loop", trafficsim.ArrivalSpec{Kind: "closed"}, closed, &slo),
 			trafficsim.NewRunReport(*compare+"/open-loop", spec.WithRate(rate), open, &slo))
 		fmt.Printf("%s closed-loop (%d workers) p99=%.1fms vs open-loop @ %.0f/s p99=%.1fms (%.1fx) — the gap is what coordinated omission hides\n",
-			*compare, *compareWorkers, cmp.ClosedP99MS, rate, cmp.OpenP99MS, cmp.RatioOpenToClosed)
+			*compare, *workers, cmp.ClosedP99MS, rate, cmp.OpenP99MS, cmp.RatioOpenToClosed)
 	}
 
 	if *jsonPath != "" {
@@ -200,6 +222,13 @@ func printRun(r trafficsim.RunReport) {
 	}
 	fmt.Printf("%-12s %8s %6.0f/s: %d/%d ok (%d err, %d timeout) in %.1fs, %.0f req/s goodput\n",
 		r.Scenario, r.Arrivals, r.RatePerS, r.Completed, r.Requests, r.Errors, r.Timeouts, r.WallS, r.GoodputPerS)
+	if r.Arrivals == "closed" {
+		// No schedule to measure from: a lagging client sends its next
+		// request late and that queueing never reaches the histogram.
+		fmt.Printf("  service ms (closed loop, coordinated omission applies): p50=%.1f p99=%.1f p99.9=%.1f max=%.1f%s\n",
+			r.Service.P50, r.Service.P99, r.Service.P999, r.Service.Max, verdict)
+		return
+	}
 	fmt.Printf("  latency ms (CO-safe): p50=%.1f p99=%.1f p99.9=%.1f max=%.1f | service p99=%.1f%s\n",
 		r.Latency.P50, r.Latency.P99, r.Latency.P999, r.Latency.Max, r.Service.P99, verdict)
 }

@@ -18,7 +18,7 @@ import (
 
 // MaxIdlePerHost is the idle keep-alive connection bound per host, sized
 // to comfortably exceed the worker fan-out any one component points at a
-// single host (engine default 8, loadgen up to dozens): every worker gets
+// single host (engine default 8, trafficsim closed-loop clients up to dozens): every worker gets
 // a persistent connection back instead of contending for two.
 const MaxIdlePerHost = 64
 

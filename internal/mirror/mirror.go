@@ -181,6 +181,12 @@ func (m *Mirror) writeManifest(w http.ResponseWriter, req *http.Request, d diges
 // serveBlob handles GET/HEAD <name>/blobs/<digest> with single-range
 // support, serving hits from the cache and filling misses from the origin
 // while the client streams.
+//
+// Contract: admission of a ranged miss is asynchronous to the response.
+// The client receives its full Content-Length as soon as the range has
+// been copied and must not wait for the tail; the deferred drainClose
+// reads the rest of the blob into the cache afterwards. A caller that
+// needs the blob resident (a test, a warm-up) polls Cache.Contains.
 func (m *Mirror) serveBlob(w http.ResponseWriter, req *http.Request, name, ref string) {
 	d, err := digest.Parse(ref)
 	if err != nil {
@@ -238,7 +244,7 @@ func (m *Mirror) serveBlob(w http.ResponseWriter, req *http.Request, name, ref s
 	}
 	// On a miss the reader is a tee feeding the cache, so the skipped
 	// prefix and the tail past the range must still be read, not seeked:
-	// drainClose consumes the tail, completing admission of the full blob.
+	// drainClose consumes the tail after the response is complete.
 	if start > 0 {
 		if _, err := io.CopyN(io.Discard, rc, start); err != nil {
 			return
@@ -249,7 +255,9 @@ func (m *Mirror) serveBlob(w http.ResponseWriter, req *http.Request, name, ref s
 
 // drainClose consumes whatever is left of a cache reader before closing
 // it. For miss-fill tees this completes admission of the whole blob even
-// when the client asked for a sub-range.
+// when the client asked for a sub-range. It runs deferred, after the
+// handler's last write, so admission may land after the client has seen
+// the end of its response.
 func drainClose(rc io.ReadCloser) {
 	io.Copy(io.Discard, rc)
 	rc.Close()

@@ -16,7 +16,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"time"
 
 	"repro/internal/stats"
 )
@@ -137,36 +136,6 @@ func Trace(pulls []int64, n int, seed int64) ([]int, error) {
 			}
 		}
 		out[j] = lo
-	}
-	return out, nil
-}
-
-// TimedEvent is one arrival of an open-loop workload.
-type TimedEvent struct {
-	// At is the arrival time as an offset from the trace start.
-	At time.Duration
-	// Repo indexes the pulled repository.
-	Repo int
-}
-
-// PoissonTrace synthesizes an open-loop pull workload: popularity-weighted
-// repository choices with exponential inter-arrival times at ratePerSec.
-// Open-loop replay (dispatch at the stamped time regardless of completion)
-// measures queueing behaviour that closed-loop replay hides.
-func PoissonTrace(pulls []int64, n int, ratePerSec float64, seed int64) ([]TimedEvent, error) {
-	if ratePerSec <= 0 {
-		return nil, errors.New("popularity: rate must be positive")
-	}
-	repos, err := Trace(pulls, n, seed)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed ^ 0x706f6973)) // "pois"
-	out := make([]TimedEvent, n)
-	var t float64
-	for i := range out {
-		t += rng.ExpFloat64() / ratePerSec
-		out[i] = TimedEvent{At: time.Duration(t * float64(time.Second)), Repo: repos[i]}
 	}
 	return out, nil
 }

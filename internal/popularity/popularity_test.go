@@ -107,47 +107,6 @@ func TestTraceErrors(t *testing.T) {
 	}
 }
 
-func TestPoissonTrace(t *testing.T) {
-	pulls := []int64{100, 1}
-	events, err := PoissonTrace(pulls, 10_000, 50, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 10_000 {
-		t.Fatalf("events = %d", len(events))
-	}
-	// Timestamps strictly increase.
-	for i := 1; i < len(events); i++ {
-		if events[i].At <= events[i-1].At {
-			t.Fatal("timestamps not increasing")
-		}
-	}
-	// Mean rate ≈ 50/s: total duration ≈ 200s.
-	total := events[len(events)-1].At.Seconds()
-	if total < 160 || total > 260 {
-		t.Fatalf("10k events at 50/s spanned %.1fs, want ~200s", total)
-	}
-	// Popularity respected.
-	hot := 0
-	for _, e := range events {
-		if e.Repo == 0 {
-			hot++
-		}
-	}
-	if float64(hot)/float64(len(events)) < 0.95 {
-		t.Fatalf("hot repo share %.3f, want ~0.99", float64(hot)/float64(len(events)))
-	}
-}
-
-func TestPoissonTraceErrors(t *testing.T) {
-	if _, err := PoissonTrace([]int64{1}, 10, 0, 1); err == nil {
-		t.Error("zero rate accepted")
-	}
-	if _, err := PoissonTrace(nil, 10, 5, 1); err == nil {
-		t.Error("empty population accepted")
-	}
-}
-
 func TestLRUBasics(t *testing.T) {
 	c := NewLRU(100)
 	if c.Access(1, 60) {

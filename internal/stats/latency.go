@@ -160,10 +160,8 @@ func (h *Hist) Quantile(q float64) time.Duration {
 // P returns Quantile(p/100): P(99.9) is the 99.9th percentile.
 func (h *Hist) P(p float64) time.Duration { return h.Quantile(p / 100) }
 
-// LatencySummary is the one JSON latency shape every bench writer emits
-// (BENCH_cluster.json, BENCH_dedup.json, BENCH_analytics.json,
-// BENCH_traffic.json), replacing the per-command copy-pasted percentile
-// structs. All values are milliseconds.
+// LatencySummary is the JSON latency shape of the bench record
+// (BENCH_traffic.json). All values are milliseconds.
 type LatencySummary struct {
 	Count int64   `json:"count"`
 	P50   float64 `json:"p50"`

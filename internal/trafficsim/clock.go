@@ -1,14 +1,15 @@
-// Package trafficsim is the open-loop workload engine behind the repo's
-// tail-latency measurements: requests are dispatched on a pre-committed
-// arrival schedule (Poisson, constant-rate, square-wave bursts) instead of
-// waiting for the previous response, so queueing delay under overload is
-// measured rather than silently absorbed — the coordinated-omission
-// correction a closed-loop generator like the original loadgen cannot
-// make. Per-request latency is recorded from the *intended* start time to
-// completion into a mergeable log-bucketed histogram (internal/stats), and
-// declared SLOs (p99 ≤ target, bounded error rate) turn each run into a
-// pass/fail verdict; a bisection search finds the maximum sustainable
-// throughput under an SLO.
+// Package trafficsim is the repo's one load engine, open-loop first:
+// requests are dispatched on a pre-committed arrival schedule (Poisson,
+// constant-rate, square-wave bursts) instead of waiting for the previous
+// response, so queueing delay under overload is measured rather than
+// silently absorbed — the coordinated-omission correction a closed-loop
+// generator cannot make. (Closed loop is kept as one more arrival mode,
+// for comparison and for "how fast can N clients go".) Per-request
+// latency is recorded from the *intended* start time to completion into a
+// mergeable log-bucketed histogram (internal/stats), and declared SLOs
+// (p99 ≤ target, bounded error rate) turn each run into a pass/fail
+// verdict; a bisection search finds the maximum sustainable throughput
+// under an SLO.
 //
 // The paper's dataset-scale findings motivate the scenario set: Zipf
 // popularity skew makes pull storms and cache hierarchies the interesting

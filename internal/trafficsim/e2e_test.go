@@ -3,9 +3,13 @@ package trafficsim
 import (
 	"context"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/hubapi"
+	"repro/internal/registry"
 	"repro/internal/serve"
 )
 
@@ -124,5 +128,88 @@ func TestScenarioSmoke(t *testing.T) {
 				t.Fatalf("%s: empty result", sc.Name())
 			}
 		})
+	}
+}
+
+// TestReplayExternalDeployment points the replay scenario at a registry
+// and a Hub search API it did not provision (here: a materialized
+// registry and hubapi server on the test's own group, reached only by
+// URL), once closed-loop and once on a Poisson schedule. Every traced
+// pull must succeed and move exactly the traced images' layer bytes, and
+// private or untagged repositories must never be traced.
+func TestReplayExternalDeployment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("e2e: real servers")
+	}
+	ctx := context.Background()
+	env := Env{Scale: 0.001, Seed: 5, Requests: 120}
+	pop, err := newPopulation(&env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pop.names) == len(pop.repos) {
+		t.Fatal("population has no private or untagged repository to filter out")
+	}
+
+	g := &serve.Group{}
+	defer func() {
+		if err := g.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	regSrv := &serve.Server{Name: "registry", Handler: pop.reg}
+	// The index repeats entries, like the real Hub search.
+	hubSrv := &serve.Server{Name: "search", Handler: hubapi.NewServer(pop.repos, 1.4, 9, 0)}
+	for _, srv := range []*serve.Server{regSrv, hubSrv} {
+		if err := g.Start(srv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc := &Replay{Registry: regSrv.URL(), Search: hubSrv.URL()}
+
+	// The deployment's pullable set, seen only through its two URLs, is
+	// the in-process filter's: no private, no untagged, no duplicates.
+	client := &registry.Client{Base: sc.Registry}
+	names, weights, err := sc.pullable(ctx, client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]string(nil), pop.names...)
+	sort.Strings(want)
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("replay traces %d repositories, the deployment has %d pullable", len(names), len(want))
+	}
+
+	// Expected payload: the declared layer sizes of every traced image.
+	trace, err := env.trace(weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantBytes int64
+	for _, idx := range trace {
+		m, _, err := client.ManifestContext(ctx, names[idx], "latest")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range m.Layers {
+			wantBytes += l.Size
+		}
+	}
+
+	for _, spec := range []ArrivalSpec{
+		{Kind: "closed", Workers: 4},
+		{Kind: "poisson", Rate: 200},
+	} {
+		res, err := Execute(ctx, sc, Options{Env: env, Arrivals: spec, Timeout: 20 * time.Second})
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Kind, err)
+		}
+		if res.Completed != int64(res.Requests) || res.Errors+res.Timeouts != 0 {
+			t.Errorf("%s: %d of %d completed, %d errors, %d timeouts",
+				spec.Kind, res.Completed, res.Requests, res.Errors, res.Timeouts)
+		}
+		if res.Bytes != wantBytes {
+			t.Errorf("%s: moved %d bytes, traced images hold %d", spec.Kind, res.Bytes, wantBytes)
+		}
 	}
 }

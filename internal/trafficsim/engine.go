@@ -23,9 +23,10 @@ type Op func(ctx context.Context) (int64, error)
 // time spent waiting for a slot still counts against the server.
 const DefaultMaxOutstanding = 4096
 
-// Config describes one open-loop run.
+// Config describes one run. Run needs every required field; RunClosed
+// has no schedule and ignores Arrivals and MaxOutstanding.
 type Config struct {
-	// Arrivals is the schedule generator (required).
+	// Arrivals is the schedule generator (required for Run).
 	Arrivals Arrivals
 	// Requests is the number of arrivals to dispatch (required).
 	Requests int
@@ -121,17 +122,49 @@ func (rec *recorder) record(scheduled, dispatched, done time.Time, n int64, err 
 	rec.service.Record(done.Sub(dispatched))
 }
 
-func (rec *recorder) result() *Result {
+// runOp executes one op under the per-request timeout and records its
+// outcome. scheduled is the intended arrival; closed-loop callers, which
+// have no schedule, pass the zero time and are charged from dispatch.
+func (rec *recorder) runOp(ctx context.Context, clk Clock, timeout time.Duration, scheduled time.Time, op Op) {
+	opctx := ctx
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		opctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	dispatched := clk.Now()
+	if scheduled.IsZero() {
+		scheduled = dispatched
+	}
+	n, err := op(opctx)
+	done := clk.Now()
+	// A timeout is the op's own deadline expiring, not the whole run
+	// being cancelled.
+	timedOut := err != nil && ctx.Err() == nil &&
+		(errors.Is(err, context.DeadlineExceeded) || errors.Is(opctx.Err(), context.DeadlineExceeded))
+	rec.record(scheduled, dispatched, done, n, err, timedOut)
+}
+
+// result closes the run: counts so far plus the wall time from start to
+// the last completion.
+func (rec *recorder) result(clk Clock, start time.Time, requests, dispatched int) *Result {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	lat, svc := rec.latency, rec.service
+	wall := rec.last.Sub(start)
+	if wall <= 0 {
+		wall = clk.Now().Sub(start)
+	}
 	return &Result{
-		Completed: rec.completed,
-		Errors:    rec.errors,
-		Timeouts:  rec.timeouts,
-		Bytes:     rec.bytes,
-		Latency:   &lat,
-		Service:   &svc,
+		Requests:   requests,
+		Dispatched: dispatched,
+		Completed:  rec.completed,
+		Errors:     rec.errors,
+		Timeouts:   rec.timeouts,
+		Bytes:      rec.bytes,
+		Wall:       wall,
+		Latency:    &lat,
+		Service:    &svc,
 	}
 }
 
@@ -153,9 +186,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		maxOut = DefaultMaxOutstanding
 	}
 	slots := sema.NewWeighted(int64(maxOut))
-	rec := &recorder{}
 	start := clk.Now()
-	rec.last = start
+	rec := &recorder{last: start}
 
 	var wg sync.WaitGroup
 	dispatched := 0
@@ -178,54 +210,34 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		go func(scheduled time.Time, op Op) {
 			defer wg.Done()
 			defer slots.Release(1)
-			opctx := ctx
-			var cancel context.CancelFunc
-			if cfg.Timeout > 0 {
-				opctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
-				defer cancel()
-			}
-			dispatchedAt := clk.Now()
-			n, err := op(opctx)
-			done := clk.Now()
-			// A timeout is the op's own deadline expiring, not the whole
-			// run being cancelled.
-			timedOut := err != nil && ctx.Err() == nil &&
-				(errors.Is(err, context.DeadlineExceeded) || errors.Is(opctx.Err(), context.DeadlineExceeded))
-			rec.record(scheduled, dispatchedAt, done, n, err, timedOut)
+			rec.runOp(ctx, clk, cfg.Timeout, scheduled, op)
 		}(scheduled, op)
 	}
 	wg.Wait()
-
-	res := rec.result()
-	res.Requests = cfg.Requests
-	res.Dispatched = dispatched
-	res.Wall = rec.last.Sub(start)
-	if res.Wall <= 0 {
-		res.Wall = clk.Now().Sub(start)
-	}
-	return res, runErr
+	return rec.result(clk, start, cfg.Requests, dispatched), runErr
 }
 
-// RunClosed executes the same ops closed-loop: a fixed worker pool where
-// each client issues its next request only after the previous response —
-// the methodology the original loadgen uses. There is no arrival
+// RunClosed executes the same ops closed-loop: workers clients, each
+// issuing its next request only after the previous response — the
+// arrival mode ArrivalSpec{Kind: "closed"} selects. There is no arrival
 // schedule, so Latency and Service coincide (per-request service time):
 // the queueing a lagging client *would* have induced open-loop is
 // coordinated-omitted, which is precisely the distortion Run exists to
-// correct. Kept as the comparison baseline.
-func RunClosed(ctx context.Context, workers, requests int, opFor func(i int) Op, clk Clock) (*Result, error) {
-	if opFor == nil || requests <= 0 {
+// correct. Kept as the comparison baseline and as the replay client for
+// "how fast can N clients go".
+func RunClosed(ctx context.Context, workers int, cfg Config) (*Result, error) {
+	if cfg.Op == nil || cfg.Requests <= 0 {
 		return nil, errors.New("trafficsim: RunClosed needs Op and positive Requests")
 	}
 	if workers <= 0 {
 		return nil, fmt.Errorf("trafficsim: RunClosed needs positive workers, got %d", workers)
 	}
+	clk := cfg.Clock
 	if clk == nil {
 		clk = SystemClock
 	}
-	rec := &recorder{}
 	start := clk.Now()
-	rec.last = start
+	rec := &recorder{last: start}
 
 	work := make(chan int)
 	var wg sync.WaitGroup
@@ -234,16 +246,13 @@ func RunClosed(ctx context.Context, workers, requests int, opFor func(i int) Op,
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				began := clk.Now()
-				n, err := opFor(i)(ctx)
-				done := clk.Now()
-				rec.record(began, began, done, n, err, false)
+				rec.runOp(ctx, clk, cfg.Timeout, time.Time{}, cfg.Op(i))
 			}
 		}()
 	}
 	dispatched := 0
 dispatch:
-	for i := 0; i < requests; i++ {
+	for i := 0; i < cfg.Requests; i++ {
 		select {
 		case work <- i:
 			dispatched++
@@ -253,13 +262,5 @@ dispatch:
 	}
 	close(work)
 	wg.Wait()
-
-	res := rec.result()
-	res.Requests = requests
-	res.Dispatched = dispatched
-	res.Wall = rec.last.Sub(start)
-	if res.Wall <= 0 {
-		res.Wall = clk.Now().Sub(start)
-	}
-	return res, ctx.Err()
+	return rec.result(clk, start, cfg.Requests, dispatched), ctx.Err()
 }

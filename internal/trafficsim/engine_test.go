@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // The engine tests run on VirtualClock — no wall-clock sleeps — and pin
@@ -19,7 +21,7 @@ func TestRecorderAttribution(t *testing.T) {
 	// Scheduled at t=0, dispatched 40ms late (queueing), finished 10ms
 	// after dispatch: latency must charge the full 50ms, service only 10ms.
 	rec.record(base, base.Add(40*time.Millisecond), base.Add(50*time.Millisecond), 128, nil, false)
-	res := rec.result()
+	res := rec.result(SystemClock, base, 3, 3)
 	if got := res.Latency.Max(); got != 50*time.Millisecond {
 		t.Errorf("latency = %v, want 50ms (scheduled → done)", got)
 	}
@@ -33,7 +35,7 @@ func TestRecorderAttribution(t *testing.T) {
 	// Failures split into errors vs timeouts and record no latency.
 	rec.record(base, base, base.Add(time.Millisecond), 0, errors.New("boom"), false)
 	rec.record(base, base, base.Add(time.Millisecond), 0, context.DeadlineExceeded, true)
-	res = rec.result()
+	res = rec.result(SystemClock, base, 3, 3)
 	if res.Errors != 1 || res.Timeouts != 1 {
 		t.Errorf("errors=%d timeouts=%d, want 1/1", res.Errors, res.Timeouts)
 	}
@@ -168,10 +170,10 @@ func TestRunConfigValidation(t *testing.T) {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
-	if _, err := RunClosed(context.Background(), 0, 1, op, nil); err == nil {
+	if _, err := RunClosed(context.Background(), 0, Config{Requests: 1, Op: op}); err == nil {
 		t.Error("RunClosed accepted zero workers")
 	}
-	if _, err := RunClosed(context.Background(), 1, 0, op, nil); err == nil {
+	if _, err := RunClosed(context.Background(), 1, Config{Op: op}); err == nil {
 		t.Error("RunClosed accepted zero requests")
 	}
 }
@@ -179,9 +181,13 @@ func TestRunConfigValidation(t *testing.T) {
 func TestRunClosedVirtualClock(t *testing.T) {
 	clk := NewVirtualClock(time.Unix(0, 0))
 	const n = 50
-	res, err := RunClosed(context.Background(), 4, n, func(i int) Op {
-		return func(ctx context.Context) (int64, error) { return 2, nil }
-	}, clk)
+	res, err := RunClosed(context.Background(), 4, Config{
+		Requests: n,
+		Clock:    clk,
+		Op: func(i int) Op {
+			return func(ctx context.Context) (int64, error) { return 2, nil }
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +197,73 @@ func TestRunClosedVirtualClock(t *testing.T) {
 	// Closed-loop has no schedule: both views must be identical counts.
 	if res.Latency.N() != res.Service.N() {
 		t.Fatalf("closed-loop latency n=%d != service n=%d", res.Latency.N(), res.Service.N())
+	}
+}
+
+// fixedOps is a scenario that provisions nothing: request i moves i+1
+// bytes, every seventh fails, every eleventh runs into its deadline.
+type fixedOps struct{}
+
+func (fixedOps) Name() string { return "fixed" }
+
+func (fixedOps) Setup(ctx context.Context, g *serve.Group, env *Env) (func(i int) Op, error) {
+	return func(i int) Op {
+		return func(ctx context.Context) (int64, error) {
+			switch {
+			case i%7 == 0:
+				return 0, errors.New("boom")
+			case i%11 == 0:
+				return 0, context.DeadlineExceeded
+			}
+			return int64(i + 1), nil
+		}
+	}, nil
+}
+
+// TestExecuteClosedArrivals: closed loop is an arrival mode. Execute with
+// ArrivalSpec{Kind: "closed"} is RunClosed over the scenario's ops — the
+// counts the removed Options.Closed path produced — and the open-loop
+// kinds account for the same ops identically, so CompareClosedOpen's two
+// legs differ in nothing but when requests are sent.
+func TestExecuteClosedArrivals(t *testing.T) {
+	const n = 80
+	opt := Options{
+		Env:     Env{Requests: n, Clock: NewVirtualClock(time.Unix(0, 0))},
+		Timeout: time.Second,
+	}
+	opFor, _ := fixedOps{}.Setup(context.Background(), nil, &opt.Env)
+	want, err := RunClosed(context.Background(), 4, Config{Requests: n, Op: opFor, Clock: opt.Env.Clock, Timeout: opt.Timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Errors != 12 || want.Timeouts != 6 || want.Completed != n-18 {
+		t.Fatalf("RunClosed counts: %d ok, %d errors, %d timeouts", want.Completed, want.Errors, want.Timeouts)
+	}
+
+	for _, spec := range []ArrivalSpec{
+		{Kind: "closed", Workers: 4},
+		{Kind: "constant", Rate: 1000},
+	} {
+		opt.Arrivals = spec
+		got, err := Execute(context.Background(), fixedOps{}, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Kind, err)
+		}
+		if got.Requests != want.Requests || got.Dispatched != want.Dispatched ||
+			got.Completed != want.Completed || got.Errors != want.Errors ||
+			got.Timeouts != want.Timeouts || got.Bytes != want.Bytes {
+			t.Errorf("%s: got %d/%d dispatched, %d ok, %d err, %d timeout, %d bytes; want %d/%d, %d, %d, %d, %d",
+				spec.Kind, got.Dispatched, got.Requests, got.Completed, got.Errors, got.Timeouts, got.Bytes,
+				want.Dispatched, want.Requests, want.Completed, want.Errors, want.Timeouts, want.Bytes)
+		}
+		if got.Latency.N() != want.Completed || got.Service.N() != want.Completed {
+			t.Errorf("%s: histograms hold %d/%d samples, want %d", spec.Kind, got.Latency.N(), got.Service.N(), want.Completed)
+		}
+	}
+
+	opt.Arrivals = ArrivalSpec{Kind: "closed"}
+	if _, err := Execute(context.Background(), fixedOps{}, opt); err == nil {
+		t.Error("Execute accepted closed arrivals with zero workers")
 	}
 }
 

@@ -11,14 +11,18 @@ import (
 
 // ArrivalSpec names an arrival process and its knobs, decoupled from the
 // seeded stream so one spec can be instantiated per run. Kind is
-// "poisson", "constant", or "burst"; Rate is the *mean* offered rate in
-// all three cases — for "burst" the base and burst rates are derived so
-// the square wave's time-average equals Rate, keeping rate sweeps
-// comparable across arrival shapes.
+// "poisson", "constant", "burst", or "closed". Rate is the *mean* offered
+// rate of the three open-loop kinds — for "burst" the base and burst
+// rates are derived so the square wave's time-average equals Rate,
+// keeping rate sweeps comparable across arrival shapes. "closed" has no
+// schedule: Workers clients each send their next request when the
+// previous one returns, and Rate is unused.
 type ArrivalSpec struct {
 	Kind string
 	// Rate is the mean offered arrivals per second.
 	Rate float64
+	// Workers is the client count for Kind "closed".
+	Workers int
 	// BurstRatio is burst-to-base rate ratio for Kind "burst" (default 8).
 	BurstRatio float64
 	// Period is the square-wave period for Kind "burst" (default 10s).
@@ -35,7 +39,7 @@ func (s ArrivalSpec) WithRate(rate float64) ArrivalSpec {
 	return s
 }
 
-// Build instantiates the process over the given seeded stream.
+// Build instantiates an open-loop process over the given seeded stream.
 func (s ArrivalSpec) Build(env *Env) (Arrivals, error) {
 	switch s.Kind {
 	case "", "poisson":
@@ -60,7 +64,7 @@ func (s ArrivalSpec) Build(env *Env) (Arrivals, error) {
 		base := s.Rate / (duty*ratio + 1 - duty)
 		return NewSquareWave(base, ratio*base, period, duty, env.rng(seedArrive))
 	default:
-		return nil, fmt.Errorf("trafficsim: unknown arrival kind %q (want poisson, constant, or burst)", s.Kind)
+		return nil, fmt.Errorf("trafficsim: unknown arrival kind %q (want poisson, constant, or burst; closed has no schedule to build)", s.Kind)
 	}
 }
 
@@ -78,10 +82,6 @@ type Options struct {
 	MaxOutstanding int
 	// ShutdownTimeout bounds the post-run drain (default 30s).
 	ShutdownTimeout time.Duration
-	// Closed switches to the closed-loop baseline with Workers clients
-	// instead of the open-loop schedule (comparison runs only).
-	Closed  bool
-	Workers int
 }
 
 // Execute provisions the scenario on a fresh serve.Group, runs the
@@ -108,28 +108,19 @@ func Execute(ctx context.Context, sc Scenario, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("trafficsim: %s setup: %w", sc.Name(), err)
 	}
 
+	cfg := Config{
+		Requests:       opt.Env.Requests,
+		Op:             opFor,
+		Clock:          opt.Env.Clock,
+		Timeout:        opt.Timeout,
+		MaxOutstanding: opt.MaxOutstanding,
+	}
 	var res *Result
 	var runErr error
-	if opt.Closed {
-		workers := opt.Workers
-		if workers <= 0 {
-			workers = 8
-		}
-		res, runErr = RunClosed(ctx, workers, opt.Env.Requests, opFor, opt.Env.clock())
-	} else {
-		arrivals, err := opt.Arrivals.Build(&opt.Env)
-		if err != nil {
-			_ = shutdown()
-			return nil, err
-		}
-		res, runErr = Run(ctx, Config{
-			Arrivals:       arrivals,
-			Requests:       opt.Env.Requests,
-			Op:             opFor,
-			Clock:          opt.Env.Clock,
-			Timeout:        opt.Timeout,
-			MaxOutstanding: opt.MaxOutstanding,
-		})
+	if opt.Arrivals.Kind == "closed" {
+		res, runErr = RunClosed(ctx, opt.Arrivals.Workers, cfg)
+	} else if cfg.Arrivals, runErr = opt.Arrivals.Build(&opt.Env); runErr == nil {
+		res, runErr = Run(ctx, cfg)
 	}
 	if err := shutdown(); err != nil && runErr == nil {
 		runErr = fmt.Errorf("trafficsim: %s shutdown: %w", sc.Name(), err)
@@ -183,9 +174,9 @@ func NewRunReport(scenario string, spec ArrivalSpec, r *Result, slo *SLO) RunRep
 	return rep
 }
 
-// NewScenario returns a scenario by its Name with default knobs — the
-// registry both cmd/trafficsim and the loadgen bridge resolve -scenario
-// flags against.
+// NewScenario returns a self-provisioning scenario by its Name with
+// default knobs — what cmd/trafficsim resolves -scenarios entries
+// against. Replay is not listed: it needs deployment addresses.
 func NewScenario(name string) (Scenario, error) {
 	switch name {
 	case "pull-storm":
@@ -234,19 +225,18 @@ type Comparison struct {
 }
 
 // CompareClosedOpen runs the scenario twice — closed-loop with the given
-// worker count, then open-loop at ratePerS — and reports both p99s. Each
-// leg is freshly provisioned.
+// worker count, then on opt's open-loop arrival process at ratePerS — and
+// reports both p99s. The legs differ only in their ArrivalSpec; each is
+// freshly provisioned.
 func CompareClosedOpen(ctx context.Context, sc Scenario, opt Options, workers int, ratePerS float64) (*Comparison, *Result, *Result, error) {
 	closedOpt := opt
-	closedOpt.Closed = true
-	closedOpt.Workers = workers
+	closedOpt.Arrivals = ArrivalSpec{Kind: "closed", Workers: workers}
 	closed, err := Execute(ctx, sc, closedOpt)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 
 	openOpt := opt
-	openOpt.Closed = false
 	openOpt.Arrivals = opt.Arrivals.WithRate(ratePerS)
 	open, err := Execute(ctx, sc, openOpt)
 	if err != nil {

@@ -44,6 +44,11 @@ func (e *Env) rng(offset int64) *rand.Rand {
 	return rand.New(rand.NewSource(e.Seed + offset))
 }
 
+// trace pre-computes a popularity-weighted repository choice per request.
+func (e *Env) trace(weights []int64) ([]int, error) {
+	return popularity.Trace(weights, e.Requests, e.Seed+seedTrace)
+}
+
 // Seed offsets: one stream per concern, disjoint from the synth
 // generator's own offsets (which derive from spec.Seed directly).
 const (
@@ -72,9 +77,8 @@ type population struct {
 }
 
 // newPopulation generates and materializes the synthetic Hub at the env's
-// scale and collects the pullable (public, latest-tagged) repositories —
-// the same filter every loadgen sweep applies, so traces only contain
-// requests that must succeed.
+// scale and collects the pullable (public, latest-tagged) repositories,
+// so traces only contain requests that must succeed.
 func newPopulation(env *Env) (*population, error) {
 	spec := synth.MaterializeSpec(env.Scale)
 	if env.Seed != 0 {
@@ -108,11 +112,6 @@ func newPopulation(env *Env) (*population, error) {
 		return nil, fmt.Errorf("trafficsim: no pullable repositories at scale %g", env.Scale)
 	}
 	return p, nil
-}
-
-// trace pre-computes a popularity-weighted repository choice per request.
-func (p *population) trace(env *Env) ([]int, error) {
-	return popularity.Trace(p.weights, env.Requests, env.Seed+seedTrace)
 }
 
 // pullImage fetches a repository's latest manifest and streams every

@@ -3,13 +3,16 @@ package trafficsim
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/analytics"
 	"repro/internal/blobstore"
 	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/digest"
+	"repro/internal/hubapi"
 	"repro/internal/manifest"
 	"repro/internal/mirror"
 	"repro/internal/registry"
@@ -39,32 +42,20 @@ func (s *PullStorm) Setup(ctx context.Context, g *serve.Group, env *Env) (func(i
 	if err != nil {
 		return nil, err
 	}
-	client, err := launchCluster(g, pop, s.Nodes, s.Replicas, s.NodeBandwidth)
+	_, client, err := launchCluster(g, pop, s.Nodes, s.Replicas, s.NodeBandwidth)
 	if err != nil {
 		return nil, err
 	}
-	trace, err := pop.trace(env)
-	if err != nil {
-		return nil, err
-	}
-	clk := env.clock()
-	return func(i int) Op {
-		repo := pop.names[trace[i]]
-		return func(ctx context.Context) (int64, error) {
-			return pullImage(ctx, client, clk, repo, 0)
-		}
-	}, nil
+	return tracePulls(env, pop.names, pop.weights, client, 0)
 }
 
-// launchCluster mounts an n-node cluster seeded with the population and
-// returns a client on its router. The router cache is pinned to
-// coalescing-only so runs measure the nodes, not the router's memory.
-func launchCluster(g *serve.Group, pop *population, nodes, replicas int, nodeBW int64) (*registry.Client, error) {
+// launchCluster mounts an n-node cluster (2 when nodes <= 0) seeded with
+// the population and returns it with a client on its router. The router
+// cache is pinned to coalescing-only so runs measure the nodes, not the
+// router's memory.
+func launchCluster(g *serve.Group, pop *population, nodes, replicas int, nodeBW int64) (*cluster.Cluster, *registry.Client, error) {
 	if nodes <= 0 {
 		nodes = 2
-	}
-	if replicas <= 0 {
-		replicas = 2
 	}
 	c, err := cluster.Launch(g, cluster.Config{
 		Nodes:         nodes,
@@ -73,12 +64,29 @@ func launchCluster(g *serve.Group, pop *population, nodes, replicas int, nodeBW 
 		CacheBytes:    -1,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := c.Seed(pop.reg, pop.repos); err != nil {
+		return nil, nil, err
+	}
+	return c, &registry.Client{Base: c.RouterURL(), HTTP: c.RouterClient()}, nil
+}
+
+// tracePulls is the op source the pull-only scenarios share: request i
+// pulls the repository the popularity-weighted trace picks for it,
+// reading blobs at readBPS bytes/s (0 = unthrottled).
+func tracePulls(env *Env, names []string, weights []int64, client *registry.Client, readBPS int64) (func(i int) Op, error) {
+	trace, err := env.trace(weights)
+	if err != nil {
 		return nil, err
 	}
-	return &registry.Client{Base: c.RouterURL(), HTTP: c.RouterClient()}, nil
+	clk := env.clock()
+	return func(i int) Op {
+		repo := names[trace[i]]
+		return func(ctx context.Context) (int64, error) {
+			return pullImage(ctx, client, clk, repo, readBPS)
+		}
+	}, nil
 }
 
 // MixedPushPull drives a read/write mix against one registry whose write
@@ -144,7 +152,7 @@ func (s *MixedPushPull) Setup(ctx context.Context, g *serve.Group, env *Env) (fu
 	client := clientFor(srv)
 	client.Token = "trafficsim"
 
-	trace, err := pop.trace(env)
+	trace, err := env.trace(pop.weights)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +307,7 @@ func (s *FlashCrowd) Setup(ctx context.Context, g *serve.Group, env *Env) (func(
 	}
 	client := clientFor(mir)
 
-	trace, err := pop.trace(env)
+	trace, err := env.trace(pop.weights)
 	if err != nil {
 		return nil, err
 	}
@@ -405,19 +413,9 @@ func (s *SlowClients) Setup(ctx context.Context, g *serve.Group, env *Env) (func
 	}
 	var client *registry.Client
 	if s.Nodes > 1 {
-		c, err := cluster.Launch(g, cluster.Config{
-			Nodes:      s.Nodes,
-			Replicas:   s.Replicas,
-			CacheBytes: -1,
-		})
-		if err != nil {
+		if s.Cluster, client, err = launchCluster(g, pop, s.Nodes, s.Replicas, 0); err != nil {
 			return nil, err
 		}
-		if err := c.Seed(pop.reg, pop.repos); err != nil {
-			return nil, err
-		}
-		s.Cluster = c
-		client = &registry.Client{Base: c.RouterURL(), HTTP: c.RouterClient()}
 	} else {
 		srv := &serve.Server{Name: "registry", Handler: pop.reg}
 		if err := g.Start(srv); err != nil {
@@ -425,17 +423,7 @@ func (s *SlowClients) Setup(ctx context.Context, g *serve.Group, env *Env) (func
 		}
 		client = clientFor(srv)
 	}
-	trace, err := pop.trace(env)
-	if err != nil {
-		return nil, err
-	}
-	clk := env.clock()
-	return func(i int) Op {
-		repo := pop.names[trace[i]]
-		return func(ctx context.Context) (int64, error) {
-			return pullImage(ctx, client, clk, repo, bps)
-		}
-	}, nil
+	return tracePulls(env, pop.names, pop.weights, client, bps)
 }
 
 // Hierarchy is the two-level mirror tree: clients pull from edge mirrors,
@@ -498,7 +486,7 @@ func (s *Hierarchy) Setup(ctx context.Context, g *serve.Group, env *Env) (func(i
 		clients[e] = clientFor(edge)
 	}
 
-	trace, err := pop.trace(env)
+	trace, err := env.trace(pop.weights)
 	if err != nil {
 		return nil, err
 	}
@@ -510,4 +498,79 @@ func (s *Hierarchy) Setup(ctx context.Context, g *serve.Group, env *Env) (func(i
 			return pullImage(ctx, client, clk, repo, 0)
 		}
 	}, nil
+}
+
+// Replay drives the popularity trace at a deployment that is already
+// running — a registry, a pull-through mirror in front of one, or a
+// cluster router: anything that serves the Registry v2 pull API at
+// Registry. It is the one scenario that provisions nothing; Env.Scale is
+// unused because the population is whatever the deployment's Hub search
+// API lists.
+type Replay struct {
+	// Registry is the base URL pulls are sent to.
+	Registry string
+	// Search is the Hub search API base URL (hubregistry -search-addr)
+	// the repository names and pull-count weights come from.
+	Search string
+}
+
+// Name implements Scenario.
+func (s *Replay) Name() string { return "replay" }
+
+// Setup implements Scenario. It mounts nothing on g.
+func (s *Replay) Setup(ctx context.Context, g *serve.Group, env *Env) (func(i int) Op, error) {
+	client := &registry.Client{Base: s.Registry}
+	names, weights, err := s.pullable(ctx, client)
+	if err != nil {
+		return nil, err
+	}
+	return tracePulls(env, names, weights, client, 0)
+}
+
+// pullable pages the search API for every repository and its pull count
+// (the index repeats entries; the first occurrence wins) and keeps those
+// whose latest manifest resolves through client — the filter
+// newPopulation applies in-process, so every traced request must
+// succeed. Names come back sorted: the trace depends only on the
+// population, not on the index's page order.
+func (s *Replay) pullable(ctx context.Context, client *registry.Client) ([]string, []int64, error) {
+	hub := &hubapi.Client{Base: s.Search}
+	var listed []hubapi.Result
+	for page := 1; ; page++ {
+		p, err := hub.SearchPageContext(ctx, "/", page, hubapi.DefaultPageSize)
+		if err != nil {
+			return nil, nil, err
+		}
+		listed = append(listed, p.Results...)
+		if p.Next == "" {
+			break
+		}
+	}
+	officials, err := hub.OfficialsContext(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	listed = append(listed, officials...)
+	sort.SliceStable(listed, func(a, b int) bool { return listed[a].RepoName < listed[b].RepoName })
+
+	var names []string
+	var weights []int64
+	for i, r := range listed {
+		if i > 0 && listed[i-1].RepoName == r.RepoName {
+			continue
+		}
+		_, _, err := client.ManifestContext(ctx, r.RepoName, "latest")
+		if errors.Is(err, registry.ErrNotFound) || errors.Is(err, registry.ErrUnauthorized) {
+			continue // untagged or private: a pull could only fail
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("probing %s:latest: %w", r.RepoName, err)
+		}
+		names = append(names, r.RepoName)
+		weights = append(weights, max(r.PullCount, 1))
+	}
+	if len(names) == 0 {
+		return nil, nil, fmt.Errorf("no pullable repositories listed at %s resolve at %s", s.Search, s.Registry)
+	}
+	return names, weights, nil
 }
