@@ -2,9 +2,13 @@
 // batch study's figures, maintained live by the registry's write path and
 // served from a query API.
 //
-// A Live instance implements registry.Ingest. Blob uploads tee their
-// verified bytes through the fused-pipeline walker as they cross the wire
-// (analyzer.WalkLayerReader — no second read of the blob); manifest tags
+// A Live instance implements registry.Ingest. Blob uploads are analyzed in
+// the pass that stores them — over a store that decomposes layers
+// (dedupstore) by observing the store's own walk, member by member
+// (BlobMembers); over a plain store by teeing the verified bytes through
+// the fused-pipeline walker as they cross the wire (BlobStream,
+// analyzer.WalkLayerReader). Either way there is no second read of the
+// blob, and both feed analyzer.LayerAccumulator. Manifest tags
 // and deletes adjust a reference-counted image/layer table; and a sharded
 // dedup census (dedup.Index) is maintained incrementally — ObserveLayer
 // when a layer's reference count rises from zero, RemoveLayer when it
@@ -30,8 +34,9 @@
 //     pipeline uses (images sorted by repo, layers numbered first-seen in
 //     manifest order, observations already key-sorted per layer).
 //  3. Identical walk bytes. The tee hands the walker the same verified
-//     bytes the store keeps, so per-layer profiles (FLS, CLS, depths,
-//     classified types) match a store re-walk byte for byte.
+//     bytes the store keeps, and a decomposing store reports the members
+//     of the very blob it commits, so per-layer profiles (FLS, CLS,
+//     depths, classified types) match a store re-walk byte for byte.
 //
 // Walked layers are retained even at reference count zero: a delete
 // followed by a re-push reuses the cached walk, and the census round-trip
@@ -59,8 +64,10 @@ import (
 	"repro/internal/dedup"
 	"repro/internal/digest"
 	"repro/internal/manifest"
+	"repro/internal/registry"
 	"repro/internal/report"
 	"repro/internal/stats"
+	"repro/internal/tarutil"
 )
 
 // layerEntry is the live state of one unique layer digest. profile and
@@ -83,8 +90,8 @@ type imageEntry struct {
 
 // IngestStats counts write-path activity the service observed.
 type IngestStats struct {
-	BlobsWalked    int64 `json:"blobs_walked"`    // wire-teed walks that verified clean
-	WalkErrors     int64 `json:"walk_errors"`     // non-layer blobs (configs, manifests) and aborted uploads
+	BlobsWalked    int64 `json:"blobs_walked"`    // uploads analyzed in flight (store-reported members or byte tee) that verified clean
+	WalkErrors     int64 `json:"walk_errors"`     // uploads that yielded no walk: non-layer blobs (configs, manifests), aborted uploads, re-uploads a decomposing store drained
 	FallbackWalks  int64 `json:"fallback_walks"`  // layers walked from the store (not seen on the wire)
 	ManifestEvents int64 `json:"manifest_events"` // tag creations/moves applied
 	TagDeletes     int64 `json:"tag_deletes"`     // tag removals applied
@@ -128,10 +135,11 @@ func New(store blobstore.Store, repos []manifest.Repository) *Live {
 
 func imageKey(repo, tag string) string { return repo + "\n" + tag }
 
-// BlobStream implements registry.Ingest: walk the upload as it streams
-// past. Every blob crosses here — configs and manifests fail the tar walk
-// and are counted, not recorded. The stream is always drained
-// (WalkLayerReader's contract), so the upload never stalls on the tee.
+// BlobStream implements registry.Ingest for stores that keep blobs whole:
+// walk the upload as it streams past. Every blob crosses here — configs
+// and manifests fail the tar walk and are counted, not recorded. The
+// stream is always drained (WalkLayerReader's contract), so the upload
+// never stalls on the tee.
 func (l *Live) BlobStream(d digest.Digest, r io.Reader) {
 	wl, err := analyzer.WalkLayerReader(d, r)
 	if err != nil {
@@ -139,9 +147,52 @@ func (l *Live) BlobStream(d digest.Digest, r io.Reader) {
 		return
 	}
 	l.walked.Add(1)
+	l.recordWalk(wl)
+}
+
+// BlobMembers implements registry.Ingest for stores that decompose the
+// layers they ingest: the store's own gunzip, tar walk and per-file
+// SHA-256 feed the same accumulator WalkLayerReader drives, so the layer
+// is inflated once, not twice.
+func (l *Live) BlobMembers(d digest.Digest) registry.UploadObserver {
+	return &memberWalk{live: l, acc: analyzer.NewLayerAccumulator(d)}
+}
+
+// memberWalk is one upload watched through the store's walk. What it
+// accumulates stays provisional until End; an upload that never gets
+// there (a config, a rejected body, a blob the store drained because it
+// already had it) is dropped and counted like a failed byte walk.
+type memberWalk struct {
+	live  *Live
+	acc   *analyzer.LayerAccumulator
+	ended bool
+}
+
+func (m *memberWalk) Dir(e tarutil.Entry) { m.acc.Dir(e) }
+
+func (m *memberWalk) File(e tarutil.Entry, sum digest.Digest, head []byte) {
+	m.acc.File(e, sum.Key64(), head)
+}
+
+func (m *memberWalk) End(wireBytes int64) {
+	m.ended = true
+	m.live.walked.Add(1)
+	m.live.recordWalk(m.acc.Finish(wireBytes))
+}
+
+func (m *memberWalk) Close() {
+	if !m.ended {
+		m.live.walkErrors.Add(1)
+	}
+}
+
+// recordWalk retains a verified walk result; the first one for a digest
+// wins (the bytes, hence the results, are identical).
+func (l *Live) recordWalk(wl *analyzer.WalkedLayer) {
+	p := wl.Profile()
 	l.mu.Lock()
-	if _, ok := l.layers[d]; !ok {
-		l.layers[d] = &layerEntry{profile: wl.Profile(), files: wl.Files(), seq: -1}
+	if _, ok := l.layers[p.Digest]; !ok {
+		l.layers[p.Digest] = &layerEntry{profile: p, files: wl.Files(), seq: -1}
 	}
 	l.mu.Unlock()
 }
@@ -240,11 +291,7 @@ func (l *Live) ensureWalked(ld digest.Digest) {
 		return
 	}
 	l.fallbackWalks.Add(1)
-	l.mu.Lock()
-	if _, ok := l.layers[ld]; !ok {
-		l.layers[ld] = &layerEntry{profile: wl.Profile(), files: wl.Files(), seq: -1}
-	}
-	l.mu.Unlock()
+	l.recordWalk(wl)
 }
 
 // refLocked adds one image reference to a layer, rolling it into the

@@ -5,8 +5,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/analyzer"
@@ -23,25 +26,80 @@ type env struct {
 	ds     *synth.Dataset
 	reg    *registry.Registry
 	live   *Live
+	store  *countingStore
+	hook   *countingIngest
 	srv    *httptest.Server
 	client *registry.Client
 }
 
+// countingStore and countingIngest decorate the way bench/trace.go does:
+// they embed the interface and override only the methods they count, so
+// the upload's io.Reader and every other call pass through untouched.
+// Whatever lets the store and the hook share one walk has to survive that.
+type countingStore struct {
+	blobstore.Store
+	gets atomic.Int64
+}
+
+func (s *countingStore) Get(d digest.Digest) (io.ReadCloser, int64, error) {
+	s.gets.Add(1)
+	return s.Store.Get(d)
+}
+
+type countingIngest struct {
+	registry.Ingest
+	mu       sync.Mutex
+	streamed map[digest.Digest]int // byte-tee calls per digest
+}
+
+func (h *countingIngest) BlobStream(d digest.Digest, r io.Reader) {
+	h.mu.Lock()
+	if h.streamed == nil {
+		h.streamed = make(map[digest.Digest]int)
+	}
+	h.streamed[d]++
+	h.mu.Unlock()
+	h.Ingest.BlobStream(d, r)
+}
+
+// streams returns how many uploads took the byte tee, and how many of
+// those were of the given digests.
+func (h *countingIngest) streams(of ...digest.Digest) (total, matching int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, n := range h.streamed {
+		total += n
+	}
+	for _, d := range of {
+		matching += h.streamed[d]
+	}
+	return total, matching
+}
+
 func newEnv(t *testing.T, scale float64) *env {
+	return newEnvOn(t, scale, blobstore.NewMemory())
+}
+
+// newEnvOn is newEnv over a chosen backing store.
+func newEnvOn(t *testing.T, scale float64, backing blobstore.Store) *env {
 	t.Helper()
 	ds, err := synth.Generate(synth.MaterializeSpec(scale))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := registry.New(blobstore.NewMemory())
+	store := &countingStore{Store: backing}
+	reg := registry.New(store)
 	live := New(reg.Blobs(), synth.Repositories(ds))
-	reg.SetIngest(live)
+	hook := &countingIngest{Ingest: live}
+	reg.SetIngest(hook)
 	srv := httptest.NewServer(reg)
 	t.Cleanup(srv.Close)
 	return &env{
 		ds:     ds,
 		reg:    reg,
 		live:   live,
+		store:  store,
+		hook:   hook,
 		srv:    srv,
 		client: &registry.Client{Base: srv.URL, Token: "push-test"},
 	}

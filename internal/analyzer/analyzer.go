@@ -420,9 +420,21 @@ func analyze(ctx context.Context, store blobstore.Store, images []downloader.Ima
 	return res, nil
 }
 
-// hasherPool recycles SHA-256 states across walked layers; walkLayer
-// resets one pooled hasher per file instead of allocating one.
-var hasherPool = sync.Pool{New: func() any { return digest.NewHasher() }}
+// walkScratch is the per-walk working memory of a byte walk: the
+// classification prefix, the hashing copy buffer and a SHA-256 state.
+// Pooled as one unit — as locals the two arrays escape to the heap through
+// the walk callback, 36 KiB per layer walked.
+type walkScratch struct {
+	prefix  [classifyPrefix]byte
+	copyBuf [32 << 10]byte
+	h       *digest.Hasher
+}
+
+var scratchPool = sync.Pool{New: func() any { return &walkScratch{h: digest.NewHasher()} }}
+
+// classifyPrefix is how much of a file filetype.Classify gets to see:
+// every magic offset is below 4 KiB.
+const classifyPrefix = 4096
 
 // walkLayer decompresses and walks one layer blob from the store. The blob
 // is fetched exactly once: tarutil.WalkAuto sniffs the gzip magic through a
@@ -459,7 +471,7 @@ func (c *countReader) Read(p []byte) (int, error) {
 // were verified end to end.
 func WalkLayerReader(ld digest.Digest, r io.Reader) (*WalkedLayer, error) {
 	cr := &countReader{r: r}
-	wl, walkErr := walkReader(ld, cr)
+	acc, walkErr := walkReader(ld, cr)
 	// Drain: trailing bytes (tar padding the walker does not consume)
 	// complete the CLS count, and a teed stream reaches its verdict.
 	_, drainErr := io.Copy(io.Discard, cr)
@@ -469,65 +481,106 @@ func WalkLayerReader(ld digest.Digest, r io.Reader) (*WalkedLayer, error) {
 	if drainErr != nil {
 		return nil, drainErr
 	}
-	wl.profile.CLS = cr.n
-	return wl, nil
+	return acc.Finish(cr.n), nil
 }
 
-func walkReader(ld digest.Digest, rc io.Reader) (*WalkedLayer, error) {
-	wl := &WalkedLayer{profile: LayerProfile{Digest: ld}}
-	dirs := make(map[string]bool)
-	maxDepth := 0
-
-	// Per-file memory is bounded and reused: classification needs only a
-	// prefix (every magic offset is below 4 KiB), the content digest
-	// streams through a pooled hasher, and io.CopyBuffer avoids a fresh
-	// 32 KiB copy buffer per file.
-	var prefix [4096]byte
-	var copyBuf [32 << 10]byte
-	h := hasherPool.Get().(*digest.Hasher)
-	defer hasherPool.Put(h)
+// walkReader is the byte-walking front end of LayerAccumulator: it
+// inflates and tar-walks rc, hashes each member and hands the accumulator
+// what a decomposing store would have reported.
+func walkReader(ld digest.Digest, rc io.Reader) (*LayerAccumulator, error) {
+	acc := NewLayerAccumulator(ld)
+	sc := scratchPool.Get().(*walkScratch)
+	defer scratchPool.Put(sc)
 
 	walkFn := func(e tarutil.Entry, content io.Reader) error {
-		// Census directories: explicit entries and implied parents.
-		addParents(dirs, e)
-		if e.Depth > maxDepth {
-			maxDepth = e.Depth
-		}
 		if e.IsDir {
+			acc.Dir(e)
 			return nil
 		}
-		wl.profile.FileCount++
-		wl.profile.FLS += e.Size
-		head := prefix[:0:len(prefix)]
-		h.Reset()
+		// Per-file memory is bounded: classification needs only a prefix
+		// and the content digest streams through the pooled hasher.
+		head := sc.prefix[:0]
+		sc.h.Reset()
 		if content != nil {
-			n, err := io.ReadFull(content, prefix[:])
+			n, err := io.ReadFull(content, sc.prefix[:])
 			if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 				return fmt.Errorf("reading %s: %w", e.Name, err)
 			}
-			head = prefix[:n]
-			h.Write(head)
+			head = sc.prefix[:n]
+			sc.h.Write(head)
 			// onlyReader hides tar.Reader's WriterTo, whose internal
 			// io.Copy would allocate a fresh buffer per file and defeat
 			// copyBuf.
-			if _, err := io.CopyBuffer(h, onlyReader{content}, copyBuf[:]); err != nil {
+			if _, err := io.CopyBuffer(sc.h, onlyReader{content}, sc.copyBuf[:]); err != nil {
 				return fmt.Errorf("hashing %s: %w", e.Name, err)
 			}
 		}
-		wl.files = append(wl.files, dedup.FileObs{
-			Key:  h.Key64(),
-			Size: e.Size,
-			Type: filetype.Classify(e.Name, head),
-		})
+		acc.File(e, sc.h.Key64(), head)
 		return nil
 	}
 
 	if err := tarutil.WalkAuto(rc, walkFn); err != nil {
 		return nil, err
 	}
-	wl.profile.DirCount = int32(len(dirs))
-	wl.profile.MaxDepth = int32(maxDepth)
-	return wl, nil
+	return acc, nil
+}
+
+// LayerAccumulator folds the members of one layer into its WalkedLayer:
+// directory census (explicit entries and implied parents), maximum depth,
+// FLS, and one classified dedup.FileObs per file. It is the only place
+// that turns members into a profile; it does not care who walked the
+// bytes — this package's walkReader, or a store that decomposes the layer
+// anyway and reports each member as it goes (blobstore.MemberObserver).
+type LayerAccumulator struct {
+	wl       *WalkedLayer
+	dirs     map[string]bool
+	maxDepth int
+}
+
+// NewLayerAccumulator starts the accumulation for layer ld.
+func NewLayerAccumulator(ld digest.Digest) *LayerAccumulator {
+	return &LayerAccumulator{
+		wl:   &WalkedLayer{profile: LayerProfile{Digest: ld}},
+		dirs: make(map[string]bool),
+	}
+}
+
+// Dir records a directory entry.
+func (a *LayerAccumulator) Dir(e tarutil.Entry) { a.place(e) }
+
+// File records any other entry. key is the 64-bit prefix of the content's
+// SHA-256 (digest.Hasher.Key64 and digest.Digest.Key64 agree); head is the
+// content's leading bytes, of which at most the classification prefix is
+// looked at, and is not retained.
+func (a *LayerAccumulator) File(e tarutil.Entry, key uint64, head []byte) {
+	a.place(e)
+	if len(head) > classifyPrefix {
+		head = head[:classifyPrefix]
+	}
+	a.wl.profile.FileCount++
+	a.wl.profile.FLS += e.Size
+	a.wl.files = append(a.wl.files, dedup.FileObs{
+		Key:  key,
+		Size: e.Size,
+		Type: filetype.Classify(e.Name, head),
+	})
+}
+
+// place censuses the entry's directories and depth.
+func (a *LayerAccumulator) place(e tarutil.Entry) {
+	addParents(a.dirs, e)
+	if e.Depth > a.maxDepth {
+		a.maxDepth = e.Depth
+	}
+}
+
+// Finish seals the layer with its compressed size (the wire bytes of the
+// whole blob) and returns it. The accumulator must not be used afterwards.
+func (a *LayerAccumulator) Finish(cls int64) *WalkedLayer {
+	a.wl.profile.CLS = cls
+	a.wl.profile.DirCount = int32(len(a.dirs))
+	a.wl.profile.MaxDepth = int32(a.maxDepth)
+	return a.wl
 }
 
 // onlyReader strips every optional interface (WriterTo in particular) off

@@ -75,12 +75,7 @@ func NewMemory() *Memory {
 // Put implements Store.
 func (m *Memory) Put(content []byte) (digest.Digest, error) {
 	d := digest.FromBytes(content)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.blobs[d]; !ok {
-		m.blobs[d] = append([]byte(nil), content...)
-		m.bytes += int64(len(content))
-	}
+	m.put(d, content)
 	return d, nil
 }
 
@@ -89,8 +84,19 @@ func (m *Memory) PutVerified(want digest.Digest, content []byte) error {
 	if digest.FromBytes(content) != want {
 		return fmt.Errorf("%w: want %s", ErrDigestMismatch, want)
 	}
-	_, err := m.Put(content)
-	return err
+	m.put(want, content)
+	return nil
+}
+
+// put stores content under d, which the caller has computed from it: each
+// exported entry point hashes exactly once.
+func (m *Memory) put(d digest.Digest, content []byte) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.blobs[d]; !ok {
+		m.blobs[d] = append([]byte(nil), content...)
+		m.bytes += int64(len(content))
+	}
 }
 
 // copyBufPool recycles the chunk buffers used by streaming ingest, so the
@@ -299,24 +305,9 @@ func (d *Disk) path(dg digest.Digest) string {
 // Put implements Store.
 func (d *Disk) Put(content []byte) (digest.Digest, error) {
 	dg := digest.FromBytes(content)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.sizes[dg]; ok {
-		return dg, nil
+	if err := d.put(dg, content); err != nil {
+		return "", err
 	}
-	p := d.path(dg)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return "", fmt.Errorf("blobstore: creating shard: %w", err)
-	}
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, content, 0o644); err != nil {
-		return "", fmt.Errorf("blobstore: writing blob: %w", err)
-	}
-	if err := os.Rename(tmp, p); err != nil {
-		return "", fmt.Errorf("blobstore: committing blob: %w", err)
-	}
-	d.sizes[dg] = int64(len(content))
-	d.bytes += int64(len(content))
 	return dg, nil
 }
 
@@ -325,8 +316,31 @@ func (d *Disk) PutVerified(want digest.Digest, content []byte) error {
 	if digest.FromBytes(content) != want {
 		return fmt.Errorf("%w: want %s", ErrDigestMismatch, want)
 	}
-	_, err := d.Put(content)
-	return err
+	return d.put(want, content)
+}
+
+// put writes content under dg, which the caller has computed from it: each
+// exported entry point hashes exactly once.
+func (d *Disk) put(dg digest.Digest, content []byte) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if _, ok := d.sizes[dg]; ok {
+		return nil
+	}
+	p := d.path(dg)
+	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+		return fmt.Errorf("blobstore: creating shard: %w", err)
+	}
+	tmp := p + ".tmp"
+	if err := os.WriteFile(tmp, content, 0o644); err != nil {
+		return fmt.Errorf("blobstore: writing blob: %w", err)
+	}
+	if err := os.Rename(tmp, p); err != nil {
+		return fmt.Errorf("blobstore: committing blob: %w", err)
+	}
+	d.sizes[dg] = int64(len(content))
+	d.bytes += int64(len(content))
+	return nil
 }
 
 // PutStream implements Store: bytes stream through the SHA-256 hasher into

@@ -15,7 +15,10 @@
 //     buffering one file at a time (pooled), never the whole layer.
 //     Concurrent pushes of the same blob coalesce (singleflight), and
 //     duplicate files across concurrent pushes coalesce again inside the
-//     lock-striped pool.
+//     lock-striped pool. The walk is observable: a reader that carries a
+//     blobstore.MemberObserver is told of every member and of the commit,
+//     so the live analytics census is fed from this pass instead of
+//     gunzipping and hashing the layer again.
 //   - Get reconstructs the wire blob on read: the tar is reassembled from
 //     pooled file contents (re-gzipped when the original was
 //     gzip-framed) and streamed through an io.Pipe. An optional
@@ -256,6 +259,14 @@ func (s *Store) PutVerified(want digest.Digest, content []byte) error {
 // pool as it is read — one pooled file buffer of look-back, never the
 // whole layer. Concurrent puts of the same digest coalesce: one writer
 // decomposes, the rest drain-and-verify their own streams.
+//
+// When r carries a blobstore.MemberObserver the decomposition reports each
+// member to it, so a second consumer of the layer's contents (the live
+// analytics census) rides this walk instead of inflating the blob again.
+// Only the put that commits the blob as a recipe reaches End; a rejected
+// upload reports members but no End, a put that finds the blob stored or
+// coalesces onto another flight claims the observer and reports nothing,
+// and a raw blob never asks for it.
 func (s *Store) PutStream(want digest.Digest, r io.Reader) (int64, error) {
 	return s.put(want, r, nil)
 }
@@ -268,13 +279,13 @@ func (s *Store) put(want digest.Digest, r io.Reader, fallback []byte) (int64, er
 		s.mu.Lock()
 		if _, ok := s.blobs[want]; ok {
 			s.mu.Unlock()
-			return blobstore.DrainVerify(want, r)
+			return drainStored(want, r)
 		}
 		if f, ok := s.flights[want]; ok {
 			s.mu.Unlock()
 			<-f.done
 			if f.err == nil {
-				return blobstore.DrainVerify(want, r)
+				return drainStored(want, r)
 			}
 			// The winner failed; retry as the next winner with our own
 			// (still unconsumed) stream.
@@ -297,6 +308,14 @@ func (s *Store) put(want digest.Digest, r io.Reader, fallback []byte) (int64, er
 	}
 }
 
+// drainStored consumes and verifies a stream whose blob the store already
+// holds. Claiming the stream's observer, with nothing to report, tells its
+// carrier that this duplicate needs no walk of its own.
+func drainStored(want digest.Digest, r io.Reader) (int64, error) {
+	blobstore.ObserverOf(r)
+	return blobstore.DrainVerify(want, r)
+}
+
 // countReader counts the wire bytes of a put as they stream past.
 type countReader struct {
 	r io.Reader
@@ -311,6 +330,8 @@ func (c *countReader) Read(p []byte) (int, error) {
 
 // ingest classifies the blob from its first bytes — gzip-framed tar, plain
 // tar, or raw (manifests, configs) — and stores it down the matching path.
+// The sniff stays within blobstore.SniffLen, so a tar is announced to the
+// stream's observer in time and a raw blob leaves it unclaimed.
 func (s *Store) ingest(want digest.Digest, r io.Reader) (int64, error) {
 	cr := &countReader{r: r}
 	h := digest.NewHasher()
@@ -322,10 +343,10 @@ func (s *Store) ingest(want digest.Digest, r io.Reader) (int64, error) {
 	}()
 
 	if magic, _ := br.Peek(len(gzipMagic)); string(magic) == gzipMagic {
-		return s.ingestTar(want, cr, h, br, true)
+		return s.ingestTar(want, cr, h, br, true, blobstore.ObserverOf(r))
 	}
 	if hdr, _ := br.Peek(512); isTarHeader(hdr) {
-		return s.ingestTar(want, cr, h, br, false)
+		return s.ingestTar(want, cr, h, br, false, blobstore.ObserverOf(r))
 	}
 	return s.ingestRaw(want, br)
 }
@@ -349,8 +370,9 @@ func (s *Store) ingestRaw(want digest.Digest, r io.Reader) (int64, error) {
 // file is buffered once (pooled), hashed, and pooled; the recipe commits
 // only after the wire digest checks out and a reassembly through a hasher
 // proves the recipe reproduces the exact wire bytes. Any failure releases
-// the references the walk took.
-func (s *Store) ingestTar(want digest.Digest, cr *countReader, h *digest.Hasher, br *bufio.Reader, gz bool) (int64, error) {
+// the references the walk took. obs, when non-nil, is told of every member
+// as it is pooled and of the commit.
+func (s *Store) ingestTar(want digest.Digest, cr *countReader, h *digest.Hasher, br *bufio.Reader, gz bool, obs blobstore.MemberObserver) (int64, error) {
 	rec := &Recipe{Gzip: gz}
 	var added []digest.Digest
 	fail := func(err error) (int64, error) {
@@ -388,6 +410,9 @@ func (s *Store) ingestTar(want digest.Digest, cr *countReader, h *digest.Hasher,
 	walkErr := tarutil.Walk(src, func(e tarutil.Entry, content io.Reader) error {
 		if e.IsDir {
 			rec.Entries = append(rec.Entries, RecipeEntry{Name: e.Name, Dir: true})
+			if obs != nil {
+				obs.Dir(e)
+			}
 			return nil
 		}
 		fbuf.Reset()
@@ -407,6 +432,9 @@ func (s *Store) ingestTar(want digest.Digest, cr *countReader, h *digest.Hasher,
 		rec.Entries = append(rec.Entries, RecipeEntry{Name: e.Name, Size: e.Size, Content: fd})
 		logical += e.Size
 		files++
+		if obs != nil {
+			obs.File(e, fd, fbuf.Bytes())
+		}
 		return nil
 	})
 	// Consume what the walk left behind — gzip trailers, archive padding —
@@ -450,6 +478,9 @@ func (s *Store) ingestTar(want digest.Digest, cr *countReader, h *digest.Hasher,
 	s.recipeBytes += int64(len(z))
 	s.instances += files
 	s.mu.Unlock()
+	if obs != nil {
+		obs.End(cr.n)
+	}
 	return cr.n, nil
 }
 

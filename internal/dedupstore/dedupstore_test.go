@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -618,5 +619,77 @@ func TestRoundTripMaterializedLayers(t *testing.T) {
 		if got := readBlob(t, s, key); !bytes.Equal(got, blob) {
 			t.Fatalf("layer %d not byte-identical after reassembly", i)
 		}
+	}
+}
+
+// observedReader carries a recording MemberObserver the way the registry's
+// upload reader does, and notes whether the store asked for it.
+type observedReader struct {
+	io.Reader
+	asked bool
+	calls []string
+}
+
+func (o *observedReader) MemberObserver() blobstore.MemberObserver {
+	o.asked = true
+	return o
+}
+func (o *observedReader) Dir(e tarutil.Entry) { o.calls = append(o.calls, "dir "+e.Name) }
+func (o *observedReader) File(e tarutil.Entry, sum digest.Digest, head []byte) {
+	o.calls = append(o.calls, fmt.Sprintf("file %s %s %q", e.Name, sum.Short(), head))
+}
+func (o *observedReader) End(wireBytes int64) {
+	o.calls = append(o.calls, fmt.Sprint("end ", wireBytes))
+}
+
+// TestPutStreamReportsMembers: the decomposition tells an observer carried
+// on the reader exactly what it wrote into the recipe — in order, with each
+// file's content digest and bytes — and End only when the blob commits.
+func TestPutStreamReportsMembers(t *testing.T) {
+	s := New(NewMemoryPool(0))
+	blob := buildLayer(t, map[string]string{"a.txt": "alpha", "b.txt": "beta"})
+	d := digest.FromBytes(blob)
+	want := []string{
+		"dir app/",
+		fmt.Sprintf("file app/a.txt %s %q", digest.FromString("alpha").Short(), "alpha"),
+		fmt.Sprintf("file app/b.txt %s %q", digest.FromString("beta").Short(), "beta"),
+	}
+
+	// Rejected upload: members were reported, End was not, nothing stays.
+	bad := &observedReader{Reader: bytes.NewReader(blob)}
+	if _, err := s.PutStream(digest.FromString("other"), bad); !errors.Is(err, blobstore.ErrDigestMismatch) {
+		t.Fatalf("mismatched put: %v, want ErrDigestMismatch", err)
+	}
+	if fmt.Sprint(bad.calls) != fmt.Sprint(want) {
+		t.Fatalf("rejected put reported %q, want %q and no End", bad.calls, want)
+	}
+	if st := s.Stats(); st.UniqueFiles != 0 || st.Layers != 0 {
+		t.Fatalf("rejected put left %d pooled files, %d layers", st.UniqueFiles, st.Layers)
+	}
+
+	good := &observedReader{Reader: bytes.NewReader(blob)}
+	if _, err := s.PutStream(d, good); err != nil {
+		t.Fatal(err)
+	}
+	if full := append(want, fmt.Sprint("end ", len(blob))); fmt.Sprint(good.calls) != fmt.Sprint(full) {
+		t.Fatalf("committed put reported %q, want %q", good.calls, full)
+	}
+
+	// A duplicate is drained: the observer is claimed, nothing is reported.
+	dup := &observedReader{Reader: bytes.NewReader(blob)}
+	if _, err := s.PutStream(d, dup); err != nil {
+		t.Fatal(err)
+	}
+	if !dup.asked || len(dup.calls) != 0 {
+		t.Fatalf("duplicate put: asked=%v, reported %q; want claimed and silent", dup.asked, dup.calls)
+	}
+
+	// A raw blob is none of the observer's business.
+	raw := &observedReader{Reader: strings.NewReader(`{"architecture":"amd64"}`)}
+	if _, err := s.PutStream(digest.FromString(`{"architecture":"amd64"}`), raw); err != nil {
+		t.Fatal(err)
+	}
+	if raw.asked {
+		t.Fatal("raw blob: the store claimed the observer")
 	}
 }

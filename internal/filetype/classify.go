@@ -240,9 +240,29 @@ func classifyContentMarkers(data []byte) (Type, bool) {
 }
 
 func hasHTMLMarker(b []byte) bool {
-	lower := bytes.ToLower(b)
-	return bytes.HasPrefix(lower, []byte("<!doctype html")) ||
-		bytes.HasPrefix(lower, []byte("<html"))
+	return hasPrefixFoldASCII(b, "<!doctype html") || hasPrefixFoldASCII(b, "<html")
+}
+
+// hasPrefixFoldASCII reports whether b starts with the lower-case ASCII
+// marker, ignoring the case of ASCII letters. Only len(marker) bytes are
+// looked at — lower-casing the whole sniffed prefix to test its first 14
+// bytes cost an allocation per text file. It agrees with bytes.ToLower +
+// bytes.HasPrefix for any marker without 'k' or 'i': those are the only
+// ASCII letters a non-ASCII rune (U+212A, U+0130) lower-cases to.
+func hasPrefixFoldASCII(b []byte, marker string) bool {
+	if len(b) < len(marker) {
+		return false
+	}
+	for i := 0; i < len(marker); i++ {
+		c := b[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != marker[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // looksLikeJSON is a cheap structural sniff: starts with '{', contains a

@@ -142,3 +142,48 @@ func TestClassifySniffWindowBounded(t *testing.T) {
 		t.Fatalf("huge text file classified as %s", got)
 	}
 }
+
+// TestHTMLMarkerMatchesLowercasedPrefix pins hasHTMLMarker to the function
+// it replaced — lower-case the whole sniffed prefix, then compare — on the
+// inputs where an ASCII-only fold could disagree with a Unicode one.
+func TestHTMLMarkerMatchesLowercasedPrefix(t *testing.T) {
+	old := func(b []byte) bool {
+		lower := bytes.ToLower(b)
+		return bytes.HasPrefix(lower, []byte("<!doctype html")) ||
+			bytes.HasPrefix(lower, []byte("<html"))
+	}
+	long := append([]byte("<HtMl lang=\"en\">"), bytes.Repeat([]byte("Ünïcode body \xff "), 200)...)
+	cases := []struct {
+		name string
+		in   []byte
+		want bool
+	}{
+		{"lower doctype", []byte("<!doctype html>\n<html>"), true},
+		{"upper doctype", []byte("<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.01//EN\">"), true},
+		{"mixed doctype", []byte("<!DocType Html>"), true},
+		{"lower html", []byte("<html><body>"), true},
+		{"mixed html", []byte("<hTmL>"), true},
+		{"exactly the marker", []byte("<HTML"), true},
+		{"long mixed with non-ASCII after", long, true},
+		{"invalid UTF-8 after the marker", []byte("<html\xff\xfe>"), true},
+		{"empty", nil, false},
+		{"short", []byte("<htm"), false},
+		{"short doctype", []byte("<!doctype htm"), false},
+		{"other doctype", []byte("<!doctype svg>"), false},
+		{"not markup", []byte("hello <html>"), false},
+		{"invalid UTF-8 before the marker", []byte("\xff<html>"), false},
+		{"invalid UTF-8 inside the marker", []byte("<ht\xffml>"), false},
+		{"non-ASCII before the marker", []byte("é<html>"), false},
+		{"kelvin sign folds to ASCII k", []byte("<!doctype htmlK"), true},
+		{"dotted capital I folds to ASCII i", []byte("<İhtml>"), false},
+		{"fullwidth letters", []byte("<ｈｔｍｌ>"), false},
+	}
+	for _, c := range cases {
+		if got := hasHTMLMarker(c.in); got != c.want {
+			t.Errorf("%s: hasHTMLMarker = %v, want %v", c.name, got, c.want)
+		}
+		if got, ref := hasHTMLMarker(c.in), old(c.in); got != ref {
+			t.Errorf("%s: hasHTMLMarker = %v, lower-cased prefix compare = %v", c.name, got, ref)
+		}
+	}
+}

@@ -1,26 +1,33 @@
 package registry
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/blobstore"
 	"repro/internal/digest"
 	"repro/internal/manifest"
+	"repro/internal/tarutil"
 )
 
 // recordingIngest captures every hook event for assertions.
 type recordingIngest struct {
 	mu      sync.Mutex
-	blobs   map[digest.Digest]string // digest -> hex sha256 of the streamed bytes
-	errs    map[digest.Digest]error  // digest -> stream error (nil = clean EOF)
-	tagged  []string                 // "repo:tag@digest[,nil-manifest]"
-	deleted []string                 // "repo:tag@digest"
+	blobs   map[digest.Digest]string   // digest -> hex sha256 of the streamed bytes
+	errs    map[digest.Digest]error    // digest -> stream error (nil = clean EOF)
+	members map[digest.Digest][]string // digest -> member-path calls; nil = decline BlobMembers
+	tagged  []string                   // "repo:tag@digest[,nil-manifest]"
+	deleted []string                   // "repo:tag@digest"
 }
 
 func newRecordingIngest() *recordingIngest {
@@ -42,6 +49,75 @@ func (ri *recordingIngest) BlobStream(d digest.Digest, r io.Reader) {
 	ri.errs[d] = nil
 	ri.blobs[d] = hex.EncodeToString(h.Sum(nil))
 }
+
+// BlobMembers declines unless the test armed members: the recorder wants
+// bytes, so uploads reach BlobStream whatever the store could have
+// reported.
+func (ri *recordingIngest) BlobMembers(d digest.Digest) UploadObserver {
+	if ri.members == nil {
+		return nil
+	}
+	return &recordingObserver{ri: ri, d: d}
+}
+
+// recordingObserver logs the member path's calls as "digest:event".
+type recordingObserver struct {
+	ri *recordingIngest
+	d  digest.Digest
+}
+
+func (o *recordingObserver) log(ev string) {
+	o.ri.mu.Lock()
+	defer o.ri.mu.Unlock()
+	o.ri.members[o.d] = append(o.ri.members[o.d], ev)
+}
+
+func (o *recordingObserver) Dir(e tarutil.Entry) { o.log("dir " + e.Name) }
+func (o *recordingObserver) File(e tarutil.Entry, sum digest.Digest, head []byte) {
+	o.log("file " + e.Name + " " + string(head))
+}
+func (o *recordingObserver) End(wireBytes int64) { o.log(fmt.Sprint("end ", wireBytes)) }
+func (o *recordingObserver) Close()              { o.log("close") }
+
+// reportingStore stands in for a decomposing store behind a decorator: it
+// announces through the reader, stores the bytes in the embedded store,
+// and reports one member plus the commit when the put succeeded.
+type reportingStore struct{ blobstore.Store }
+
+func (s *reportingStore) PutStream(want digest.Digest, r io.Reader) (int64, error) {
+	obs := blobstore.ObserverOf(r)
+	n, err := s.Store.PutStream(want, r)
+	if obs != nil && err == nil {
+		obs.File(tarutil.Entry{Name: "f"}, want, []byte("head"))
+		obs.End(n)
+	}
+	return n, err
+}
+
+// sniffingStore reads its sniffing allowance first, the way dedupstore
+// classifies a stream, and only then announces — or does not.
+type sniffingStore struct {
+	blobstore.Store
+	announce bool
+}
+
+func (s *sniffingStore) PutStream(want digest.Digest, r io.Reader) (int64, error) {
+	br := bufio.NewReader(r)
+	br.Peek(blobstore.SniffLen)
+	var obs blobstore.MemberObserver
+	if s.announce {
+		obs = blobstore.ObserverOf(r)
+	}
+	n, err := s.Store.PutStream(want, br)
+	if obs != nil && err == nil {
+		obs.End(n)
+	}
+	return n, err
+}
+
+// embeddingStore forwards everything, reader included, the way a tracing
+// decorator does.
+type embeddingStore struct{ blobstore.Store }
 
 func (ri *recordingIngest) ManifestTagged(repo, tag string, d digest.Digest, m *manifest.Manifest) {
 	ri.mu.Lock()
@@ -112,6 +188,113 @@ func TestIngestTeeRejectedUpload(t *testing.T) {
 	}
 	if serr := ri.errs[wrong]; serr == nil {
 		t.Fatal("hook stream for rejected upload ended in clean EOF, want error")
+	}
+}
+
+// TestIngestMemberPath: when the store announces that it reports members
+// — here from behind an embedding decorator, so only the reader can carry
+// the announcement — the hook gets the member path and no byte stream;
+// End arrives only for a committed upload, Close always and last.
+func TestIngestMemberPath(t *testing.T) {
+	reg := New(&embeddingStore{&reportingStore{blobstore.NewMemory()}})
+	reg.CreateRepo("alice/app", false)
+	ri := newRecordingIngest()
+	ri.members = make(map[digest.Digest][]string)
+	reg.SetIngest(ri)
+	srv := httptest.NewServer(reg)
+	defer srv.Close()
+	c := &Client{Base: srv.URL}
+
+	blob := []byte("a blob the store decomposes")
+	d, err := c.PushBlob("alice/app", blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := digest.FromString("not the content")
+	resp, err := http.Post(srv.URL+"/v2/alice/app/blobs/uploads/?digest="+wrong.String(), "application/octet-stream", strings.NewReader("actual content"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("mismatched digest upload status %d, want 400", resp.StatusCode)
+	}
+
+	ri.mu.Lock()
+	defer ri.mu.Unlock()
+	if len(ri.errs) != 0 {
+		t.Fatalf("BlobStream ran %d times beside the member path", len(ri.errs))
+	}
+	if got, want := ri.members[d], []string{"file f head", fmt.Sprint("end ", len(blob)), "close"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("committed upload: member calls %q, want %q", got, want)
+	}
+	if got, want := ri.members[wrong], []string{"close"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("rejected upload: member calls %q, want %q", got, want)
+	}
+}
+
+// TestIngestDeclinedMembersTakeByteTee: a hook that returns nil from
+// BlobMembers still sees every upload, as bytes, even over a store that
+// offered to report.
+func TestIngestDeclinedMembersTakeByteTee(t *testing.T) {
+	reg := New(&reportingStore{blobstore.NewMemory()})
+	reg.CreateRepo("alice/app", false)
+	ri := newRecordingIngest()
+	reg.SetIngest(ri)
+	srv := httptest.NewServer(reg)
+	defer srv.Close()
+
+	blob := []byte("bytes for a hook that wants bytes")
+	d, err := (&Client{Base: srv.URL}).PushBlob("alice/app", blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ri.mu.Lock()
+	defer ri.mu.Unlock()
+	sum := sha256.Sum256(blob)
+	if serr, ok := ri.errs[d]; !ok || serr != nil || ri.blobs[d] != hex.EncodeToString(sum[:]) {
+		t.Fatalf("declining hook: stream present=%v err=%v, bytes match=%v", ok, serr, ri.blobs[d] == hex.EncodeToString(sum[:]))
+	}
+}
+
+// TestIngestSniffThenDecide: a store may look at the head of the stream
+// before it announces. If it then announces, no byte stream starts; if it
+// does not, the tee starts late and must still carry every byte — for
+// blobs shorter than, exactly at, and beyond the sniffing allowance.
+func TestIngestSniffThenDecide(t *testing.T) {
+	for _, announce := range []bool{true, false} {
+		reg := New(&embeddingStore{&sniffingStore{Store: blobstore.NewMemory(), announce: announce}})
+		reg.CreateRepo("alice/app", false)
+		ri := newRecordingIngest()
+		ri.members = make(map[digest.Digest][]string)
+		reg.SetIngest(ri)
+		srv := httptest.NewServer(reg)
+		c := &Client{Base: srv.URL}
+		for _, size := range []int{0, 10, blobstore.SniffLen, blobstore.SniffLen + 1, 100_000} {
+			blob := make([]byte, size)
+			for i := range blob {
+				blob[i] = byte(i*13 + size)
+			}
+			d, err := c.PushBlob("alice/app", blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ri.mu.Lock()
+			serr, streamed := ri.errs[d]
+			if announce {
+				if want := []string{fmt.Sprint("end ", size), "close"}; streamed || !reflect.DeepEqual(ri.members[d], want) {
+					t.Errorf("announcing store, %d bytes: streamed=%v, member calls %q, want %q", size, streamed, ri.members[d], want)
+				}
+			} else {
+				sum := sha256.Sum256(blob)
+				if !streamed || serr != nil || ri.blobs[d] != hex.EncodeToString(sum[:]) || len(ri.members[d]) != 0 {
+					t.Errorf("silent store, %d bytes: streamed=%v err=%v exact=%v member calls %q",
+						size, streamed, serr, ri.blobs[d] == hex.EncodeToString(sum[:]), ri.members[d])
+				}
+			}
+			ri.mu.Unlock()
+		}
+		srv.Close()
 	}
 }
 

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -75,18 +76,19 @@ func (r *Registry) serveBlobUpload(w http.ResponseWriter, req *http.Request, nam
 	// Stream the upload straight into the store: bytes hash on the way to
 	// disk and no full-blob buffer materializes server-side. Oversized
 	// bodies are truncated by the limit and then rejected by the digest.
-	// With an ingest hook installed the same bytes tee into the analytics
-	// walker as they cross the wire (the fused-pipeline discipline: no
-	// second read); the store's verdict closes the tee, so the hook sees a
-	// clean end-of-stream only for verified uploads, and the response
-	// waits for the walk so a client push is durable-and-analyzed.
+	// With an ingest hook installed the upload is analyzed in the same
+	// pass (see Ingest): a decomposing store reports the members it walks,
+	// any other store's bytes tee into the hook as they cross the wire.
+	// The hook learns of a committed layer only for verified uploads, and
+	// the response waits for it, so a client push is durable-and-analyzed.
 	src := io.Reader(io.LimitReader(req.Body, maxBlobSize))
-	finish := func(error) {}
 	if hook := r.ingestHook(); hook != nil {
-		src, finish = teeToIngest(hook, want, src)
+		up := &ingestUpload{hook: hook, d: want, src: src}
+		_, err = r.blobs.PutStream(want, up)
+		up.finish(err)
+	} else {
+		_, err = r.blobs.PutStream(want, src)
 	}
-	_, err = r.blobs.PutStream(want, src)
-	finish(err)
 	if err != nil {
 		if errors.Is(err, blobstore.ErrDigestMismatch) {
 			WriteError(w, http.StatusBadRequest, "DIGEST_INVALID", "content does not match digest")
@@ -203,7 +205,7 @@ func (c *Client) PushBlob(name string, content []byte) (digest.Digest, error) {
 func (c *Client) PushBlobContext(ctx context.Context, name string, content []byte) (digest.Digest, error) {
 	d := digest.FromBytes(content)
 	u := fmt.Sprintf("%s/v2/%s/blobs/uploads/?digest=%s", c.Base, name, url.QueryEscape(d.String()))
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, strings.NewReader(string(content)))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(content))
 	if err != nil {
 		return "", fmt.Errorf("registry client: building upload: %w", err)
 	}
@@ -239,7 +241,7 @@ func (c *Client) PushManifestContext(ctx context.Context, name, tag string, m *m
 		return "", err
 	}
 	u := fmt.Sprintf("%s/v2/%s/manifests/%s", c.Base, name, url.PathEscape(tag))
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, u, strings.NewReader(string(raw)))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPut, u, bytes.NewReader(raw))
 	if err != nil {
 		return "", fmt.Errorf("registry client: building manifest put: %w", err)
 	}

@@ -155,3 +155,74 @@ func TestQuickRangeReassembly(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// getCountingStore counts blob opens.
+type getCountingStore struct {
+	blobstore.Store
+	gets int
+}
+
+func (s *getCountingStore) Get(d digest.Digest) (io.ReadCloser, int64, error) {
+	s.gets++
+	return s.Store.Get(d)
+}
+
+// TestBlobHeadNeverOpensTheBlob: HEAD is answered from Stat — on a
+// reconstructing backend an open is a recipe inflate and a goroutine —
+// with exactly the headers and status the GET sends, ranges included.
+func TestBlobHeadNeverOpensTheBlob(t *testing.T) {
+	store := &getCountingStore{Store: blobstore.NewMemory()}
+	reg := New(store)
+	reg.CreateRepo("r/blob", false)
+	d, err := reg.PushBlob(make([]byte, 10_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(reg)
+	defer srv.Close()
+
+	do := func(method, ref, rng string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+"/v2/r/blob/blobs/"+ref, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rng != "" {
+			req.Header.Set("Range", rng)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+	missing := digest.FromString("never stored")
+	cases := []struct {
+		name, ref, rng string
+		status         int
+	}{
+		{"whole blob", d.String(), "", http.StatusOK},
+		{"suffix range", d.String(), "bytes=4000-", http.StatusPartialContent},
+		{"closed range", d.String(), "bytes=100-199", http.StatusPartialContent},
+		{"unsatisfiable range", d.String(), "bytes=20000-", http.StatusRequestedRangeNotSatisfiable},
+		{"unknown blob", missing.String(), "", http.StatusNotFound},
+	}
+	for _, c := range cases {
+		get := do(http.MethodGet, c.ref, c.rng)
+		before := store.gets
+		head := do(http.MethodHead, c.ref, c.rng)
+		if store.gets != before {
+			t.Errorf("%s: HEAD opened the blob %d times", c.name, store.gets-before)
+		}
+		if head.StatusCode != c.status || get.StatusCode != c.status {
+			t.Errorf("%s: HEAD %d, GET %d, want %d", c.name, head.StatusCode, get.StatusCode, c.status)
+		}
+		for _, h := range []string{"Docker-Content-Digest", "Accept-Ranges", "Content-Length", "Content-Range", "Content-Type"} {
+			if hv, gv := head.Header.Get(h), get.Header.Get(h); hv != gv {
+				t.Errorf("%s: %s is %q on HEAD, %q on GET", c.name, h, hv, gv)
+			}
+		}
+	}
+}

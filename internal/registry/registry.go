@@ -399,7 +399,17 @@ func (r *Registry) serveBlob(w http.ResponseWriter, req *http.Request, ref strin
 		WriteError(w, http.StatusBadRequest, "DIGEST_INVALID", "invalid digest")
 		return
 	}
-	rc, size, err := r.blobs.Get(d)
+	// HEAD is answered from Stat: opening the blob is not free on every
+	// backend (dedupstore starts reconstructing it), and a push probes
+	// every blob of the image this way first.
+	head := req.Method == http.MethodHead
+	var rc io.ReadCloser
+	var size int64
+	if head {
+		size, err = r.blobs.Stat(d)
+	} else {
+		rc, size, err = r.blobs.Get(d)
+	}
 	if errors.Is(err, blobstore.ErrNotFound) {
 		WriteError(w, http.StatusNotFound, "BLOB_UNKNOWN", "blob unknown to registry")
 		return
@@ -408,7 +418,9 @@ func (r *Registry) serveBlob(w http.ResponseWriter, req *http.Request, ref strin
 		WriteError(w, http.StatusInternalServerError, "UNKNOWN", "storage backend error")
 		return
 	}
-	defer rc.Close()
+	if !head {
+		defer rc.Close()
+	}
 	w.Header().Set("Docker-Content-Digest", d.String())
 	w.Header().Set("Accept-Ranges", "bytes")
 
@@ -427,7 +439,7 @@ func (r *Registry) serveBlob(w http.ResponseWriter, req *http.Request, ref strin
 		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", start, start+length-1, size))
 		w.WriteHeader(http.StatusPartialContent)
 	}
-	if req.Method == http.MethodHead {
+	if head {
 		return
 	}
 	if start > 0 {
