@@ -33,15 +33,15 @@ test:
 # Race-check the packages with concurrent machinery. Kept narrower than
 # ./... so the gate stays fast enough to run on every change.
 race:
-	$(GO) test -race ./internal/core ./internal/dedup ./internal/analyzer ./internal/tarutil ./internal/stats ./internal/blobstore ./internal/sema ./internal/httpx ./internal/downloader ./internal/registry ./internal/pipeline ./internal/engine ./internal/serve ./internal/cache ./internal/mirror ./internal/cluster ./internal/dedupstore ./internal/analytics ./internal/trafficsim
+	$(GO) test -race ./internal/core ./internal/dedup ./internal/analyzer ./internal/tarutil ./internal/stats ./internal/blobstore ./internal/sema ./internal/httpx ./internal/downloader ./internal/registry ./internal/pipeline ./internal/engine ./internal/serve ./internal/cache ./internal/mirror ./internal/cluster ./internal/topology ./internal/dedupstore ./internal/analytics ./internal/trafficsim
 
 # Race-check everything, including the root package's streaming
 # benchmarks' fixtures (slower; not part of `make ci`).
 race-full:
 	$(GO) test -race ./...
 
-# Fingerprint every mode of the figure matrix (model, wire, fused, mirror,
-# cluster, dedup, live) at two worker counts; exits non-zero when any
+# Fingerprint every row of the figure matrix (model, wire, fused, mirror,
+# cluster, dedup, live, live over dedup) at two worker counts; exits non-zero when any
 # wire-path or live mode diverges from its reference.
 golden:
 	$(GO) run ./cmd/goldencheck -workers 1,4

@@ -155,7 +155,7 @@ func BenchmarkFig29_DedupSource(b *testing.B)        { benchFigure(b, report.Fig
 // over the full wire pipeline (crawl, download, classify failures).
 func BenchmarkTabM_Methodology(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := repro.Run(repro.Options{Scale: 0.00005, Wire: true, Workers: 8})
+		res, err := repro.Run(repro.Options{Scale: 0.00005, Workers: 8, Topology: &repro.Topology{}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func BenchmarkPipelineModel(b *testing.B) {
 
 func BenchmarkPipelineWire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := repro.Run(repro.Options{Scale: 0.0001, Wire: true, Workers: 8}); err != nil {
+		if _, err := repro.Run(repro.Options{Scale: 0.0001, Workers: 8, Topology: &repro.Topology{}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -382,7 +382,7 @@ func BenchmarkAblation_IndexPresize(b *testing.B) {
 				return err
 			}
 		}
-		return idx.Freeze()
+		return idx.Seal()
 	}
 	b.Run("grow", func(b *testing.B) {
 		b.ReportAllocs()

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments [-scale 0.002] [-seed N] [-wire] [-workers 8] [-markdown]
+//	experiments [-scale 0.002] [-seed N] [-wire | -fused] [-workers 8] [-markdown]
 //
 // Model mode (default) reproduces the statistics at scale; -wire runs the
 // full crawl/download/analyze pipeline over real tarballs served by an
@@ -31,7 +31,7 @@ func main() {
 	scale := flag.Float64("scale", 0.002, "dataset scale (1.0 = the paper's 457,627 repositories)")
 	seed := flag.Int64("seed", 0, "override dataset seed (0 = default)")
 	wire := flag.Bool("wire", false, "run the full HTTP pipeline over materialized tarballs")
-	fused := flag.Bool("fused", false, "fuse download+analysis into one streaming pass (requires -wire)")
+	fused := flag.Bool("fused", false, "fuse download+analysis into one streaming pass (a wire run: implies -wire)")
 	workers := flag.Int("workers", 8, "pipeline parallelism")
 	markdown := flag.Bool("markdown", false, "emit EXPERIMENTS.md-style markdown")
 	cache := flag.Bool("cache", true, "run the registry cache simulation (future-work extension)")
@@ -40,31 +40,21 @@ func main() {
 	plots := flag.Bool("plots", false, "render ASCII CDF plots for the headline distributions")
 	flag.Parse()
 
-	if *fused && !*wire {
-		fmt.Fprintln(os.Stderr, "experiments: -fused requires -wire")
-		os.Exit(2)
+	opts := repro.Options{Scale: *scale, Seed: *seed, Workers: *workers}
+	mode := "model"
+	switch {
+	case *fused:
+		opts.Topology, mode = &repro.Topology{Acquire: repro.Fused}, "wire+fused"
+	case *wire:
+		opts.Topology, mode = &repro.Topology{}, "wire"
 	}
-
 	start := time.Now()
-	res, err := repro.Run(repro.Options{
-		Scale:   *scale,
-		Seed:    *seed,
-		Wire:    *wire,
-		Workers: *workers,
-		Fused:   *fused,
-	})
+	res, err := repro.Run(opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 
-	mode := "model"
-	if *wire {
-		mode = "wire"
-		if *fused {
-			mode = "wire+fused"
-		}
-	}
 	fmt.Printf("# Docker Hub dataset reproduction — mode=%s scale=%g (%s)\n",
 		mode, *scale, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("# repos=%d images=%d layers=%d files=%d uncompressed=%s compressed=%s\n\n",
@@ -93,7 +83,7 @@ func main() {
 	if *ext {
 		runPullLatency(res)
 		runVersionAnalysis(res)
-		if *wire {
+		if opts.Topology != nil {
 			runDedupStore(res)
 		}
 	}

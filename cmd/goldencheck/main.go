@@ -19,14 +19,15 @@
 // direct wire run — goldencheck verifies this itself and exits non-zero
 // on any divergence.
 //
-// The last two modes are resident-service runs: images pushed over HTTP
+// The last three modes are resident-service runs: images pushed over HTTP
 // into the live-analytics registry, figures rendered from the
-// incrementally maintained index (no batch pass), once without churn and
-// once with liveChurn of the population deleted and re-pushed mid-run.
-// Each live run's figures are checked against a batch AnalyzeStore pass
-// over the registry the run left behind, the churned run against the
-// churn-free one, and all live runs across worker counts against each
-// other; any divergence exits non-zero. The live figure set has no
+// incrementally maintained index (no batch pass) — without churn, with
+// liveChurn of the population deleted and re-pushed mid-run, and over the
+// deduplicating store, where the index observes the store's own one-pass
+// walk instead of a byte tee. Each live run's figures are checked against
+// a batch AnalyzeStore pass over the registry the run left behind and
+// all live runs, across modes and worker counts, against each other; any
+// divergence exits non-zero. The live figure set has no
 // crawl/download inputs (no tabM/fig25), so it fingerprints in its own
 // reference group, not against the wire runs.
 package main
@@ -41,6 +42,7 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/topology"
 )
 
 const (
@@ -68,31 +70,24 @@ func main() {
 		workers = append(workers, n)
 	}
 
-	type mode struct {
-		name        string
-		wire        bool
-		fused       bool
-		scale       float64
-		mirrorBytes int64
-		mirrorWarm  bool
-		nodes       int
-		replicas    int
-		dedup       bool
-		live        bool
-		churn       float64
-	}
-	modes := []mode{
-		{name: "model", scale: *modelScale},
-		{name: "wire", wire: true, scale: *scale},
-		{name: "fused", wire: true, fused: true, scale: *scale},
-		{name: "mirror-cold", wire: true, scale: *scale, mirrorBytes: mirrorBytes},
-		{name: "mirror-warm", wire: true, scale: *scale, mirrorBytes: mirrorBytes, mirrorWarm: true},
-		{name: "cluster-n1", wire: true, scale: *scale, nodes: 1, replicas: 1},
-		{name: "cluster-n4", wire: true, scale: *scale, nodes: 4, replicas: 2},
-		{name: "dedup", wire: true, scale: *scale, dedup: true},
-		{name: "dedup-fused", wire: true, fused: true, scale: *scale, dedup: true},
-		{name: "live", live: true, scale: *scale},
-		{name: "live-churn", live: true, scale: *scale, churn: liveChurn},
+	// Each row is a name and the topology the study stands up (nil: the
+	// model study, which has none).
+	modes := []struct {
+		name string
+		topo *repro.Topology
+	}{
+		{"model", nil},
+		{"wire", &repro.Topology{}},
+		{"fused", &repro.Topology{Acquire: repro.Fused}},
+		{"mirror-cold", &repro.Topology{MirrorBytes: mirrorBytes}},
+		{"mirror-warm", &repro.Topology{MirrorBytes: mirrorBytes, MirrorWarm: true}},
+		{"cluster-n1", &repro.Topology{Nodes: 1, Replicas: 1}},
+		{"cluster-n4", &repro.Topology{Nodes: 4, Replicas: 2}},
+		{"dedup", &repro.Topology{Storage: repro.Dedup}},
+		{"dedup-fused", &repro.Topology{Storage: repro.Dedup, Acquire: repro.Fused}},
+		{"live", &repro.Topology{Acquire: repro.LivePush, Ingest: true}},
+		{"live-churn", &repro.Topology{Acquire: repro.LivePush, Ingest: true, Churn: liveChurn}},
+		{"live-dedup", &repro.Topology{Acquire: repro.LivePush, Ingest: true, Storage: repro.Dedup}},
 	}
 
 	// Every wire-path mode must render byte-identical figures; the direct
@@ -104,46 +99,39 @@ func main() {
 	diverged := false
 	for _, mode := range modes {
 		for _, w := range workers {
-			res, err := repro.Run(repro.Options{
-				Scale:            mode.scale,
-				Seed:             *seed,
-				Wire:             mode.wire,
-				Fused:            mode.fused,
-				Workers:          w,
-				MirrorCacheBytes: mode.mirrorBytes,
-				MirrorWarm:       mode.mirrorWarm,
-				ClusterNodes:     mode.nodes,
-				ClusterReplicas:  mode.replicas,
-				DedupStorage:     mode.dedup,
-				Live:             mode.live,
-				LiveChurn:        mode.churn,
-			})
+			opts := repro.Options{Scale: *scale, Seed: *seed, Workers: w, Topology: mode.topo}
+			if mode.topo == nil {
+				opts.Scale = *modelScale
+			}
+			res, err := repro.Run(opts)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "goldencheck: %s w=%d: %v\n", mode.name, w, err)
 				os.Exit(1)
 			}
-			h := sha256.New()
-			for _, fig := range res.Figures {
-				fmt.Fprintln(h, fig.String())
-			}
-			sum := fmt.Sprintf("%x", h.Sum(nil))
+			sum := fingerprint(res.Figures)
 			extra := ""
-			if res.MirrorStats != nil {
-				extra = fmt.Sprintf(" cache-hit=%.3f", res.MirrorStats.HitRatio())
+			topo := repro.Topology{}
+			var st topology.Stats
+			if mode.topo != nil {
+				topo, st = *mode.topo, res.Stack.Stats()
 			}
-			if res.ClusterStats != nil {
+			if topo.MirrorBytes > 0 {
+				extra = fmt.Sprintf(" cache-hit=%.3f", st.Mirror.HitRatio())
+			}
+			if topo.Nodes > 0 {
 				var blobGets int64
-				for _, ns := range res.ClusterStats {
+				for _, ns := range st.Nodes {
 					blobGets += ns.Registry.BlobGets
 				}
-				extra += fmt.Sprintf(" nodes=%d node-blob-gets=%d", len(res.ClusterStats), blobGets)
+				extra += fmt.Sprintf(" nodes=%d node-blob-gets=%d", len(st.Nodes), blobGets)
 			}
-			if res.DedupStats != nil {
-				extra += fmt.Sprintf(" dedup-savings=%.2fx", res.DedupStats.SavingsRatio())
+			if topo.Storage == repro.Dedup {
+				extra += fmt.Sprintf(" dedup-savings=%.2fx", st.Origin.Dedup.SavingsRatio())
 			}
-			if mode.live {
+			live := topo.Acquire == repro.LivePush
+			if live {
 				extra += fmt.Sprintf(" walked=%d deletes=%d",
-					res.IngestStats.BlobsWalked, res.IngestStats.TagDeletes)
+					st.Origin.Ingest.BlobsWalked, st.Origin.Ingest.TagDeletes)
 				// The incremental index against a fresh batch pass over the
 				// registry this very run left behind — the core claim.
 				batch, err := core.LiveBatchFigures(res, w)
@@ -151,11 +139,7 @@ func main() {
 					fmt.Fprintf(os.Stderr, "goldencheck: %s w=%d batch reference: %v\n", mode.name, w, err)
 					os.Exit(1)
 				}
-				bh := sha256.New()
-				for _, fig := range batch {
-					fmt.Fprintln(bh, fig.String())
-				}
-				if fmt.Sprintf("%x", bh.Sum(nil)) != sum {
+				if fingerprint(batch) != sum {
 					extra += "  << DIVERGES from batch reference"
 					diverged = true
 				}
@@ -166,7 +150,7 @@ func main() {
 					diverged = true
 				}
 			}
-			if mode.wire {
+			if mode.topo != nil && !live {
 				if ref, ok := wireRef[w]; !ok {
 					wireRef[w] = sum
 				} else if sum != ref {
@@ -182,4 +166,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "goldencheck: wire-path fingerprints diverged")
 		os.Exit(1)
 	}
+}
+
+// fingerprint hashes the rendered figures.
+func fingerprint(figs []repro.Figure) string {
+	h := sha256.New()
+	for _, fig := range figs {
+		fmt.Fprintln(h, fig.String())
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }

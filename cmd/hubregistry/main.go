@@ -31,21 +31,19 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"syscall"
 	"time"
 
-	"io"
-
-	"repro/internal/analytics"
 	"repro/internal/blobstore"
 	"repro/internal/core"
 	"repro/internal/dedupstore"
 	"repro/internal/hubapi"
-	"repro/internal/registry"
 	"repro/internal/serve"
+	"repro/internal/topology"
 )
 
 func main() {
@@ -71,72 +69,55 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var store blobstore.Store = disk
+	// The hub state installs after the ingest hook, so its tag
+	// registrations backfill the live index with fallback walks over the
+	// stored blobs.
+	topo := topology.Topology{Ingest: *withAnalytics}
+	site := topology.Site{
+		Addr: *addr, MaxInFlight: *maxInFlight, DrainTimeout: *drain,
+		Store: disk, Repos: st.Repos, Fill: st.Install,
+	}
 	switch *storage {
 	case "plain":
 	case "dedup":
-		pool, err := dedupstore.NewDiskPool(filepath.Join(*data, "dedup-pool"), 0)
-		if err != nil {
+		topo.Storage = topology.Dedup
+		if site.Pool, err = dedupstore.NewDiskPool(filepath.Join(*data, "dedup-pool"), 0); err != nil {
 			fatal(err)
 		}
-		dedup := dedupstore.NewWithConfig(pool, dedupstore.Config{CacheBytes: 64 << 20})
-		if err := reingest(dedup, disk); err != nil {
-			fatal(err)
-		}
-		st := dedup.Stats()
-		fmt.Printf("hubregistry: dedup backend holds %d blobs in %.1f MiB physical (%.2fx over %.1f MiB logical)\n",
-			dedup.Len(), float64(st.PhysicalBytes())/(1<<20), st.SavingsRatio(),
-			float64(st.LogicalBytes)/(1<<20))
-		store = dedup
 	default:
 		fmt.Fprintf(os.Stderr, "hubregistry: unknown -storage %q (want plain or dedup)\n", *storage)
 		os.Exit(2)
 	}
-	reg := registry.New(store)
-	var live *analytics.Live
-	if *withAnalytics {
-		// Installed before the hub state so the tag registrations below
-		// backfill the live index with fallback walks over the stored blobs.
-		live = analytics.New(store, st.Repos)
-		reg.SetIngest(live)
-	}
-	if err := st.Install(reg); err != nil {
-		fatal(err)
-	}
-	search := hubapi.NewServer(st.Repos, 634412.0/457627.0, st.Seed, 0)
-
 	group := &serve.Group{}
-	regSrv := &serve.Server{
-		Name: "registry", Addr: *addr, Handler: reg,
-		MaxInFlight: *maxInFlight, DrainTimeout: *drain,
-	}
-	searchSrv := &serve.Server{
-		Name: "search", Addr: *searchAddr, Handler: search,
-		MaxInFlight: *maxInFlight, DrainTimeout: *drain,
-	}
-	if err := group.Start(regSrv); err != nil {
+	stack, err := topology.Provision(group, topo, site)
+	if err != nil {
 		fatal(err)
 	}
-	if err := group.Start(searchSrv); err != nil {
-		group.Shutdown(context.Background())
-		fatal(err)
+	origin := stack.Origin
+	if dedup := origin.Dedup; dedup != nil {
+		st := dedup.Stats()
+		fmt.Printf("hubregistry: dedup backend holds %d blobs in %.1f MiB physical (%.2fx over %.1f MiB logical)\n",
+			dedup.Len(), float64(st.PhysicalBytes())/(1<<20), st.SavingsRatio(),
+			float64(st.LogicalBytes)/(1<<20))
 	}
-	if live != nil {
-		liveSrv := &serve.Server{
-			Name: "analytics", Addr: *analyticsAddr, Handler: live.Handler(),
-			MaxInFlight: *maxInFlight, DrainTimeout: *drain,
-		}
-		if err := group.Start(liveSrv); err != nil {
-			group.Shutdown(context.Background())
+	// The two services beside the registry on addresses of their own: the
+	// Hub search API, and the analytics API (the stack also serves it
+	// under /analytics/ on the registry's address).
+	start := func(name, addr string, h http.Handler) *serve.Server {
+		srv := &serve.Server{Name: name, Addr: addr, Handler: h, MaxInFlight: *maxInFlight, DrainTimeout: *drain}
+		if err := group.Start(srv); err != nil {
 			fatal(err)
 		}
+		return srv
+	}
+	if live := origin.Live; live != nil {
 		ist := live.Stats()
 		fmt.Printf("hubregistry: analytics on %s (epoch %d; startup backfill walked %d layers, %d skipped)\n",
-			liveSrv.URL(), live.Epoch(), ist.FallbackWalks, ist.SkippedLayers)
+			start("analytics", *analyticsAddr, live.Handler()).URL(), live.Epoch(), ist.FallbackWalks, ist.SkippedLayers)
 	}
-
+	searchSrv := start("search", *searchAddr, hubapi.NewServer(st.Repos, 634412.0/457627.0, st.Seed, 0))
 	fmt.Printf("hubregistry: %d repos, %d blobs; registry on %s, search on %s\n",
-		len(st.Repos), store.Len(), regSrv.URL(), searchSrv.URL())
+		len(st.Repos), origin.Registry.Blobs().Len(), stack.URL, searchSrv.URL())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -144,27 +125,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Println("hubregistry: drained and stopped")
-}
-
-// reingest decomposes every materialized blob into the dedup backend, one
-// blob at a time (PutVerified needs the bytes in hand so blobs that do not
-// reassemble bit-identically can fall back to verbatim storage).
-func reingest(dst *dedupstore.Store, src blobstore.Store) error {
-	for _, d := range src.Digests() {
-		rc, _, err := src.Get(d)
-		if err != nil {
-			return err
-		}
-		b, err := io.ReadAll(rc)
-		rc.Close()
-		if err != nil {
-			return err
-		}
-		if err := dst.PutVerified(d, b); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func fatal(err error) {

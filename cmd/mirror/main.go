@@ -31,9 +31,8 @@ import (
 
 	"repro/internal/blobstore"
 	"repro/internal/cache"
-	"repro/internal/mirror"
-	"repro/internal/registry"
 	"repro/internal/serve"
+	"repro/internal/topology"
 )
 
 func main() {
@@ -50,31 +49,23 @@ func main() {
 		os.Exit(2)
 	}
 
-	client := &registry.Client{Base: *origin}
-	if err := client.Ping(); err != nil {
-		fatal(fmt.Errorf("origin %s unreachable: %w", *origin, err))
+	site := topology.Site{
+		Addr: *addr, Origin: *origin, CacheShards: *shards,
+		MaxInFlight: *maxInFlight, DrainTimeout: *drain,
 	}
-
-	var store blobstore.Store = blobstore.NewMemory()
 	if *cacheDir != "" {
 		var err error
-		store, err = blobstore.NewDisk(*cacheDir)
-		if err != nil {
+		if site.CacheStore, err = blobstore.NewDisk(*cacheDir); err != nil {
 			fatal(err)
 		}
 	}
-	c := cache.NewSharded(store, *cacheBytes, *shards)
-
-	srv := &serve.Server{
-		Name: "mirror", Addr: *addr, Handler: mirror.New(client, c),
-		MaxInFlight: *maxInFlight, DrainTimeout: *drain,
-	}
 	group := &serve.Group{}
-	if err := group.Start(srv); err != nil {
+	stack, err := topology.Provision(group, topology.Topology{MirrorBytes: *cacheBytes}, site)
+	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("mirror: fronting %s on %s, cache budget %d bytes (%d stripes)\n",
-		*origin, srv.URL(), *cacheBytes, *shards)
+		*origin, stack.URL, *cacheBytes, *shards)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -82,7 +73,7 @@ func main() {
 		fatal(err)
 	}
 
-	stats := c.Stats()
+	stats := stack.Mirror.Stats()
 	out, _ := json.MarshalIndent(struct {
 		cache.Stats
 		HitRatio float64 `json:"hit_ratio"`

@@ -29,27 +29,23 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/blobstore"
 	"repro/internal/cache"
 	"repro/internal/cluster"
-	"repro/internal/httpx"
-	"repro/internal/mirror"
-	"repro/internal/registry"
 	"repro/internal/serve"
+	"repro/internal/topology"
 )
 
 func main() {
 	nodesList := flag.String("nodes", "", "comma-separated registry node base URLs (required)")
-	replicas := flag.Int("replicas", cluster.DefaultReplicas, "replica owners per key (capped at the node count)")
+	replicas := flag.Int("replicas", topology.DefaultReplicas, "replica owners per key (capped at the node count)")
 	addr := flag.String("addr", ":5200", "router listen address")
-	cacheBytes := flag.Int64("cache-bytes", cluster.DefaultRouterCacheBytes, "coalescing-cache byte budget")
+	cacheBytes := flag.Int64("cache-bytes", topology.DefaultRouterCacheBytes, "coalescing-cache byte budget")
 	vnodes := flag.Int("vnodes", cluster.DefaultVirtualNodes, "virtual points per node on the hash ring")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrent requests (0 = unlimited)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
@@ -59,42 +55,27 @@ func main() {
 		os.Exit(2)
 	}
 
-	ring := cluster.NewRing(*vnodes)
-	nodeHTTP := &http.Client{Transport: httpx.NewTransport()}
-	clients := make(map[string]*registry.Client)
+	var urls []string
 	for _, tok := range strings.Split(*nodesList, ",") {
-		url := strings.TrimRight(strings.TrimSpace(tok), "/")
-		if url == "" {
-			continue
+		if url := strings.TrimRight(strings.TrimSpace(tok), "/"); url != "" {
+			urls = append(urls, url)
 		}
-		client := &registry.Client{Base: url, HTTP: nodeHTTP}
-		if err := client.Ping(); err != nil {
-			fatal(fmt.Errorf("node %s unreachable: %w", url, err))
-		}
-		ring.Add(url)
-		clients[url] = client
 	}
-	if ring.Len() == 0 {
+	if len(urls) == 0 {
 		fmt.Fprintln(os.Stderr, "router: -nodes listed no usable URLs")
 		os.Exit(2)
 	}
-	r := *replicas
-	if r > ring.Len() {
-		r = ring.Len()
-	}
-
-	c := cache.New(blobstore.NewMemory(), *cacheBytes)
-	fan := cluster.NewFanout(ring, r, clients)
-	srv := &serve.Server{
-		Name: "router", Addr: *addr, Handler: mirror.New(fan, c),
-		MaxInFlight: *maxInFlight, DrainTimeout: *drain,
-	}
-	srv.OnShutdown(nodeHTTP.CloseIdleConnections)
 	group := &serve.Group{}
-	if err := group.Start(srv); err != nil {
+	stack, err := topology.Provision(group,
+		topology.Topology{Nodes: len(urls), Replicas: *replicas},
+		topology.Site{
+			Addr: *addr, NodeURLs: urls, VirtualNodes: *vnodes, RouterCacheBytes: *cacheBytes,
+			MaxInFlight: *maxInFlight, DrainTimeout: *drain,
+		})
+	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("router: %d nodes, %d replicas, serving on %s\n", ring.Len(), r, srv.URL())
+	fmt.Printf("router: %d nodes, %d replicas, serving on %s\n", len(urls), min(*replicas, len(urls)), stack.URL)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -102,7 +83,7 @@ func main() {
 		fatal(err)
 	}
 
-	stats := c.Stats()
+	stats := stack.Router.Stats()
 	out, _ := json.MarshalIndent(struct {
 		cache.Stats
 		HitRatio float64 `json:"hit_ratio"`

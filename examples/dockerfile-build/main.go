@@ -19,18 +19,18 @@ import (
 	"repro/internal/digest"
 	"repro/internal/downloader"
 	"repro/internal/imagebuild"
-	"repro/internal/registry"
 	"repro/internal/serve"
+	"repro/internal/topology"
 )
 
 func main() {
-	reg := registry.New(blobstore.NewMemory())
-	srv := &serve.Server{Name: "registry", Handler: reg}
-	if err := srv.Start(); err != nil {
+	group := &serve.Group{}
+	stack, err := topology.Provision(group, topology.Topology{}, topology.Site{})
+	if err != nil {
 		log.Fatal(err)
 	}
-	defer srv.Shutdown(context.Background())
-	client := &registry.Client{Base: srv.URL()}
+	defer group.Shutdown(context.Background())
+	reg, client := stack.Origin.Registry, stack.Client
 	builder := &imagebuild.Builder{Resolver: imagebuild.ClientResolver(client)}
 
 	// Two base images (think debian and alpine) so no single base layer

@@ -14,21 +14,21 @@ import (
 	"repro/internal/blobstore"
 	"repro/internal/downloader"
 	"repro/internal/manifest"
-	"repro/internal/registry"
 	"repro/internal/report"
 	"repro/internal/serve"
 	"repro/internal/tarutil"
+	"repro/internal/topology"
 )
 
 func main() {
-	reg := registry.New(blobstore.NewMemory())
-	reg.CreateRepo("demo/app", false)
-	srv := &serve.Server{Name: "registry", Handler: reg}
-	if err := srv.Start(); err != nil {
+	group := &serve.Group{}
+	stack, err := topology.Provision(group, topology.Topology{}, topology.Site{})
+	if err != nil {
 		log.Fatal(err)
 	}
-	defer srv.Shutdown(context.Background())
-	client := &registry.Client{Base: srv.URL()}
+	defer group.Shutdown(context.Background())
+	reg, client := stack.Origin.Registry, stack.Client
+	reg.CreateRepo("demo/app", false)
 
 	// --- build: a layer tarball, the way docker build would.
 	var layer bytes.Buffer

@@ -16,7 +16,7 @@ func main() {
 	// Wire mode serves the registry + search API over loopback HTTP and
 	// runs the crawler and downloader against it. Layer bytes are real,
 	// so keep the scale small.
-	res, err := repro.Run(repro.Options{Scale: 0.0002, Wire: true, Workers: 8})
+	res, err := repro.Run(repro.Options{Scale: 0.0002, Workers: 8, Topology: &repro.Topology{}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func main() {
 		dl.UniqueLayers, report.FormatBytes(float64(dl.Bytes)), dl.SkippedLayers)
 
 	fmt.Println("— registry-side accounting")
-	st := res.Registry.Stats()
+	st := res.Stack.Stats().Origin.Registry
 	fmt.Printf("  manifests served: %d, blobs served: %d (%s), auth denials: %d\n\n",
 		st.ManifestGets, st.BlobGets, report.FormatBytes(float64(st.BlobBytes)), st.AuthDenied)
 

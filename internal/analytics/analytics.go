@@ -356,16 +356,6 @@ func (l *Live) Stats() IngestStats {
 	}
 }
 
-// SetRepos installs the repository population used by the crawl-side
-// figures. Call before serving queries; later calls invalidate the
-// memoized snapshot.
-func (l *Live) SetRepos(repos []manifest.Repository) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.repos = repos
-	l.bumpLocked()
-}
-
 // Snapshot returns a consistent, immutable view of the current epoch.
 // Snapshots are memoized: repeated calls between writes share one clone,
 // and the expensive figure render inside it is computed at most once.

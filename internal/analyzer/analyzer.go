@@ -125,7 +125,7 @@ func AnalyzeModel(d *synth.Dataset) (*Result, error) {
 			return nil, err
 		}
 	}
-	if err := res.Index.Freeze(); err != nil {
+	if err := res.Index.Seal(); err != nil {
 		return nil, err
 	}
 
@@ -390,7 +390,7 @@ func analyze(ctx context.Context, store blobstore.Store, images []downloader.Ima
 	if int(next) != len(layerDigests) {
 		return nil, fmt.Errorf("analyzer: internal: %d of %d layers analyzed", next, len(layerDigests))
 	}
-	if err := res.Index.Freeze(); err != nil {
+	if err := res.Index.Seal(); err != nil {
 		return nil, err
 	}
 

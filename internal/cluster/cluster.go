@@ -5,287 +5,46 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
-	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/analytics"
 	"repro/internal/blobstore"
-	"repro/internal/cache"
-	"repro/internal/dedupstore"
 	"repro/internal/digest"
-	"repro/internal/engine"
-	"repro/internal/httpx"
 	"repro/internal/manifest"
 	"repro/internal/mirror"
 	"repro/internal/registry"
-	"repro/internal/serve"
 )
-
-// DefaultReplicas is the replication factor when Config.Replicas <= 0:
-// two copies of everything, the minimum that lets one node drain with
-// zero failed requests.
-const DefaultReplicas = 2
-
-// DefaultRouterCacheBytes is the router's coalescing-cache budget when
-// Config.CacheBytes is 0. The cache exists mainly for singleflight — one
-// inter-node fetch per concurrently-requested blob — so it is deliberately
-// small next to a real working set.
-const DefaultRouterCacheBytes = 64 << 20
-
-// Config sizes a Cluster.
-type Config struct {
-	// Nodes is the registry node count (must be >= 1).
-	Nodes int
-	// Replicas is the copies kept of each blob/manifest/tag
-	// (DefaultReplicas when <= 0; capped at Nodes).
-	Replicas int
-	// VirtualNodes is the ring's per-node point count
-	// (DefaultVirtualNodes when <= 0).
-	VirtualNodes int
-	// CacheBytes is the router's coalescing-cache budget
-	// (DefaultRouterCacheBytes when 0). Negative disables admission
-	// entirely — concurrent identical fetches still coalesce, but every
-	// pull streams from a node — so benchmarks measure the nodes rather
-	// than the router's memory.
-	CacheBytes int64
-	// NodeBandwidth, when positive, paces each node's response writes to
-	// this many bytes/second — a stand-in for per-machine egress capacity,
-	// so aggregate pull throughput scales with node count even when every
-	// node shares one host.
-	NodeBandwidth int64
-	// MaxInFlight bounds concurrent requests per node (0 = unlimited).
-	MaxInFlight int
-	// Now is the pacer's clock seam (engine.SystemNow when nil); tests
-	// inject a fake clock to drive virtual-time pacing.
-	Now func() time.Time
-	// DrainTimeout bounds graceful node shutdown (serve default when 0).
-	DrainTimeout time.Duration
-	// DedupStorage puts each node's registry on its own file-deduplicating
-	// backend instead of a plain blob store: seeded layers decompose into
-	// the node's content pool and reconstruct bit-identically on every
-	// pull. Node bytes served are unchanged — only what the node stores.
-	DedupStorage bool
-	// LiveAnalytics hooks an always-on analytics service onto each node's
-	// write path: pushed layer bytes are analyzed in flight and every node
-	// serves its own /analytics/ query API next to /v2/. Serving behavior
-	// is unchanged — the hook only observes.
-	LiveAnalytics bool
-}
-
-// node is one registry member: its own store, its own listener.
-type node struct {
-	id    string // base URL once started; the ring member ID
-	reg   *registry.Registry
-	dedup *dedupstore.Store // non-nil with Config.DedupStorage
-	live  *analytics.Live   // non-nil with Config.LiveAnalytics
-	srv   *serve.Server
-}
-
-// Cluster is a horizontally sharded registry: N nodes, an R-replica
-// placement ring, and a stateless router fronting them.
-type Cluster struct {
-	cfg    Config
-	ring   *Ring
-	nodes  []*node
-	fan    *Fanout
-	cache  *cache.Cache
-	router *serve.Server
-}
-
-// Launch starts cfg.Nodes registry nodes plus the router, all mounted on
-// g (so the caller's one Shutdown drains the whole cluster).
-func Launch(g *serve.Group, cfg Config) (*Cluster, error) {
-	if cfg.Nodes < 1 {
-		return nil, fmt.Errorf("cluster: need at least 1 node, got %d", cfg.Nodes)
-	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = DefaultReplicas
-	}
-	if cfg.Replicas > cfg.Nodes {
-		cfg.Replicas = cfg.Nodes
-	}
-	switch {
-	case cfg.CacheBytes == 0:
-		cfg.CacheBytes = DefaultRouterCacheBytes
-	case cfg.CacheBytes < 0:
-		// A one-byte budget admits nothing: every blob is larger than the
-		// cache, so fills stream through uncached (still coalesced).
-		cfg.CacheBytes = 1
-	}
-
-	c := &Cluster{cfg: cfg, ring: NewRing(cfg.VirtualNodes)}
-	// One tuned client shared by every per-node origin client: the router
-	// fans out to all nodes, so connection reuse across them matters.
-	nodeHTTP := &http.Client{Transport: httpx.NewTransport()}
-	clients := make(map[string]*registry.Client, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
-		n := &node{}
-		if cfg.DedupStorage {
-			n.dedup = dedupstore.NewWithConfig(dedupstore.NewMemoryPool(0),
-				dedupstore.Config{CacheBytes: 32 << 20})
-			n.reg = registry.New(n.dedup)
-		} else {
-			n.reg = registry.New(blobstore.NewMemory())
-		}
-		var h http.Handler = n.reg
-		if cfg.LiveAnalytics {
-			// Per-node live index over the node's own store; repository
-			// metadata arrives via SetRepos once the caller knows it (Seed).
-			n.live = analytics.New(n.reg.Blobs(), nil)
-			n.reg.SetIngest(n.live)
-			mux := http.NewServeMux()
-			mux.Handle("/analytics/", n.live.Handler())
-			mux.Handle("/", n.reg)
-			h = mux
-		}
-		if cfg.NodeBandwidth > 0 {
-			h = paced(h, newPacer(cfg.NodeBandwidth, cfg.Now))
-		}
-		n.srv = &serve.Server{
-			Name:         fmt.Sprintf("node%d", i),
-			Handler:      h,
-			MaxInFlight:  cfg.MaxInFlight,
-			DrainTimeout: cfg.DrainTimeout,
-		}
-		// Never-used connections in the fan-out client's idle pool (dial
-		// races leave some) look in-flight to a node and stall its drain;
-		// drop them the moment any node begins shutting down.
-		n.srv.OnShutdown(nodeHTTP.CloseIdleConnections)
-		if err := g.Start(n.srv); err != nil {
-			return nil, err
-		}
-		n.id = n.srv.URL()
-		c.ring.Add(n.id)
-		clients[n.id] = &registry.Client{Base: n.id, HTTP: nodeHTTP}
-		c.nodes = append(c.nodes, n)
-	}
-
-	c.fan = NewFanout(c.ring, cfg.Replicas, clients)
-	c.cache = cache.New(blobstore.NewMemory(), cfg.CacheBytes)
-	c.router = &serve.Server{
-		Name:         "router",
-		Handler:      mirror.New(c.fan, c.cache),
-		MaxInFlight:  cfg.MaxInFlight,
-		DrainTimeout: cfg.DrainTimeout,
-	}
-	if err := g.Start(c.router); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// RouterURL returns the router's base URL — the single registry endpoint
-// clients talk to.
-func (c *Cluster) RouterURL() string { return c.router.URL() }
-
-// RouterClient returns a client with a dedicated transport for talking to
-// the router. Its idle connections are discarded when the router shuts
-// down, so a cluster teardown is never stalled by the client's pool.
-func (c *Cluster) RouterClient() *http.Client {
-	client := c.router.Client()
-	c.router.OnShutdown(client.CloseIdleConnections)
-	return client
-}
-
-// Nodes returns the node count.
-func (c *Cluster) Nodes() int { return len(c.nodes) }
-
-// Replicas returns the effective replication factor.
-func (c *Cluster) Replicas() int { return c.cfg.Replicas }
-
-// NodeRegistry exposes node i's registry, for tests asserting placement
-// and per-node serving counters.
-func (c *Cluster) NodeRegistry(i int) *registry.Registry { return c.nodes[i].reg }
-
-// NodeLive exposes node i's live analytics service (nil unless the
-// cluster was launched with Config.LiveAnalytics).
-func (c *Cluster) NodeLive(i int) *analytics.Live { return c.nodes[i].live }
-
-// NodeURL returns node i's base URL — both its registry (/v2/) and, with
-// live analytics, its query API (/analytics/) serve there.
-func (c *Cluster) NodeURL(i int) string { return c.nodes[i].id }
-
-// NodeStats is one node's serving counters.
-type NodeStats struct {
-	ID       string         `json:"id"`
-	Registry registry.Stats `json:"registry"`
-	// Dedup is the node's storage accounting when the cluster runs on the
-	// deduplicating backend (nil otherwise).
-	Dedup *dedupstore.Stats `json:"dedup,omitempty"`
-	// Ingest is the node's live-analytics counters when the cluster runs
-	// with the always-on hook (nil otherwise).
-	Ingest *analytics.IngestStats `json:"ingest,omitempty"`
-}
-
-// Stats snapshots every node's counters.
-func (c *Cluster) Stats() []NodeStats {
-	out := make([]NodeStats, len(c.nodes))
-	for i, n := range c.nodes {
-		out[i] = NodeStats{ID: n.id, Registry: n.reg.Stats()}
-		if n.dedup != nil {
-			st := n.dedup.Stats()
-			out[i].Dedup = &st
-		}
-		if n.live != nil {
-			st := n.live.Stats()
-			out[i].Ingest = &st
-		}
-	}
-	return out
-}
-
-// CacheStats snapshots the router's coalescing-cache counters.
-func (c *Cluster) CacheStats() cache.Stats { return c.cache.Stats() }
-
-// DrainNode gracefully shuts node i down: its listener closes, in-flight
-// requests complete, and from then on the router's fan-out falls through
-// to the node's replicas. The ring is left unchanged — the node is
-// drained, not decommissioned — so placement of the remaining copies is
-// undisturbed.
-func (c *Cluster) DrainNode(ctx context.Context, i int) error {
-	if i < 0 || i >= len(c.nodes) {
-		return fmt.Errorf("cluster: no node %d", i)
-	}
-	return c.nodes[i].srv.Shutdown(ctx)
-}
 
 // repoKey is the ring key for repository-scoped state (tags, by-tag
 // manifest serving). The prefix keeps it from ever colliding with a
 // digest key ("sha256:...").
 func repoKey(name string) string { return "repo/" + name }
 
-// Seed distributes a materialized registry across the cluster:
+// Seed distributes a filled registry across nodes (keyed by ring member
+// ID) by ring ownership:
 //
 //   - repository metadata (name, privacy) is replicated to every node,
 //     because any node may be asked to authorize a blob or manifest GET;
-//   - every blob (layers and manifest blobs alike) is copied to the R
-//     owners of its digest;
+//   - every blob (layers and manifest blobs alike) is copied to the R =
+//     replicas ring owners of its digest;
 //   - tags land on the R owners of their repository key, together with
 //     the manifest blob they point at, so a by-tag manifest GET routed by
 //     repository resolves entirely on-node.
-func (c *Cluster) Seed(src *registry.Registry, repos []manifest.Repository) error {
+func Seed(ring *Ring, replicas int, nodes map[string]*registry.Registry, src *registry.Registry, repos []manifest.Repository) error {
 	private := make(map[string]bool, len(repos))
 	for i := range repos {
 		private[repos[i].Name] = repos[i].Private
 	}
-	for _, n := range c.nodes {
-		if n.live != nil {
-			n.live.SetRepos(repos)
-		}
-	}
 	names := src.Repos()
 	for _, name := range names {
-		for _, n := range c.nodes {
-			n.reg.CreateRepo(name, private[name])
+		for _, n := range nodes {
+			n.CreateRepo(name, private[name])
 		}
 	}
 
 	store := src.Blobs()
 	for _, d := range store.Digests() {
-		for _, owner := range c.ring.Owners(d.String(), c.cfg.Replicas) {
-			if err := c.copyBlob(store, d, owner); err != nil {
+		for _, owner := range ring.Owners(d.String(), replicas) {
+			if err := copyBlob(store, d, owner, nodes[owner]); err != nil {
 				return err
 			}
 		}
@@ -296,17 +55,17 @@ func (c *Cluster) Seed(src *registry.Registry, repos []manifest.Repository) erro
 		if err != nil {
 			return err
 		}
-		owners := c.ring.Owners(repoKey(name), c.cfg.Replicas)
+		owners := ring.Owners(repoKey(name), replicas)
 		for _, tag := range tags {
 			md, err := src.ResolveTag(name, tag)
 			if err != nil {
 				return err
 			}
 			for _, owner := range owners {
-				if err := c.copyBlob(store, md, owner); err != nil {
+				if err := copyBlob(store, md, owner, nodes[owner]); err != nil {
 					return err
 				}
-				if err := c.nodeByID(owner).reg.SetTag(name, tag, md); err != nil {
+				if err := nodes[owner].SetTag(name, tag, md); err != nil {
 					return err
 				}
 			}
@@ -315,10 +74,10 @@ func (c *Cluster) Seed(src *registry.Registry, repos []manifest.Repository) erro
 	return nil
 }
 
-// copyBlob streams one blob from the source store into owner's store
+// copyBlob streams one blob from the source store into owner's registry
 // (skipping blobs the owner already holds).
-func (c *Cluster) copyBlob(store blobstore.Store, d digest.Digest, owner string) error {
-	dst := c.nodeByID(owner).reg.Blobs()
+func copyBlob(store blobstore.Store, d digest.Digest, owner string, node *registry.Registry) error {
+	dst := node.Blobs()
 	if dst.Has(d) {
 		return nil
 	}
@@ -331,15 +90,6 @@ func (c *Cluster) copyBlob(store blobstore.Store, d digest.Digest, owner string)
 		return fmt.Errorf("cluster: seeding %s to %s: %w", d.Short(), owner, err)
 	}
 	return nil
-}
-
-func (c *Cluster) nodeByID(id string) *node {
-	for _, n := range c.nodes {
-		if n.id == id {
-			return n
-		}
-	}
-	panic("cluster: unknown node " + id) // ring members are exactly c.nodes
 }
 
 // Fanout is the router's mirror.Origin: it resolves each request's owner
@@ -448,67 +198,4 @@ func (f *Fanout) BlobStatContext(ctx context.Context, name string, d digest.Dige
 	return fanout(f, d.String(), func(c *registry.Client) (int64, error) {
 		return c.BlobStatContext(ctx, name, d)
 	})
-}
-
-// pacer rations a node's egress to a fixed byte rate using virtual-time
-// reservations: each write books the interval its bytes occupy at the
-// target rate and sleeps until its reservation ends. All of a node's
-// connections share one pacer, so the node's *aggregate* rate is capped —
-// the shape of a machine's NIC, which is what makes pull throughput scale
-// with node count in a single-host study.
-type pacer struct {
-	bps int64
-	// now is the clock seam (engine.SystemNow in production); the pacer
-	// books reservations against it, so tests can drive virtual time.
-	now func() time.Time
-
-	mu   sync.Mutex
-	next time.Time
-}
-
-func newPacer(bps int64, now func() time.Time) *pacer {
-	if now == nil {
-		now = engine.SystemNow
-	}
-	return &pacer{bps: bps, now: now}
-}
-
-// reserve books n bytes and returns how long the caller must wait before
-// its write is "on the wire".
-func (p *pacer) reserve(n int) time.Duration {
-	d := time.Duration(float64(n) / float64(p.bps) * float64(time.Second))
-	now := p.now()
-	p.mu.Lock()
-	if p.next.Before(now) {
-		p.next = now
-	}
-	p.next = p.next.Add(d)
-	wait := p.next.Sub(now)
-	p.mu.Unlock()
-	return wait
-}
-
-// paced wraps a handler so response bodies drain at the pacer's rate.
-func paced(h http.Handler, p *pacer) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		h.ServeHTTP(&pacedWriter{w: w, p: p, ctx: req.Context()}, req)
-	})
-}
-
-type pacedWriter struct {
-	w   http.ResponseWriter
-	p   *pacer
-	ctx context.Context
-}
-
-func (pw *pacedWriter) Header() http.Header  { return pw.w.Header() }
-func (pw *pacedWriter) WriteHeader(code int) { pw.w.WriteHeader(code) }
-
-func (pw *pacedWriter) Write(b []byte) (int, error) {
-	if wait := pw.p.reserve(len(b)); wait > 0 {
-		if err := engine.SleepContext(pw.ctx, wait); err != nil {
-			return 0, err
-		}
-	}
-	return pw.w.Write(b)
 }

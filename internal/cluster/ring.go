@@ -1,7 +1,8 @@
 // Package cluster shards the registry horizontally: a consistent-hash
-// ring places blobs and by-digest manifests across N registry nodes (each
-// on the serve chassis), content is written to R owner nodes, and a
-// stateless Registry-v2 router fans reads across the replicas — the
+// ring places blobs and by-digest manifests across N registry nodes,
+// Seed writes content to its R owner nodes, and Fanout is the origin a
+// stateless Registry-v2 router reads the replicas through (the nodes and
+// the router themselves are mounted by internal/topology) — the
 // "millions of users" serving architecture the single hubregistry process
 // cannot reach. The paper's workload is Docker Hub scale (§I: millions of
 // repositories pulled by millions of clients); one listener over one blob

@@ -4,21 +4,22 @@
 // from.
 //
 // A study is a stage graph executed by the engine runner over a shared
-// State — two entry points assemble the two analysis paths from one stage
-// set:
+// State. Study.Topology picks the graph:
 //
-//   - RunModel: generate → analyze → dedup-growth → report; the synthetic
-//     Hub is profiled in model mode, the statistical reproduction path
-//     used at scale.
-//   - RunWire: generate → materialize → serve → crawl → download →
-//     analyze → report; real layer tarballs are served from an in-process
-//     registry through the serve chassis and the actual bytes are
-//     crawled, downloaded, and analyzed — the full methodology
-//     reproduction (§III). Fused mode swaps the download and analyze
-//     stages for the single fused download+analyze stage.
+//   - nil (model): generate → analyze → dedup-growth → report; the
+//     synthetic Hub is profiled from its metadata, the statistical
+//     reproduction path used at scale.
+//   - a Topology pulled TwoPhase or Fused (wire): generate → provision →
+//     crawl → download → analyze → report; real layer tarballs are served
+//     from the provisioned stack and the actual bytes are crawled,
+//     downloaded and analyzed — the full methodology reproduction (§III).
+//     Fused swaps download and analyze for the one download+analyze
+//     stage; MirrorWarm adds a warm-up pull after the crawl.
+//   - a Topology acquired by LivePush (live): generate → provision →
+//     live-push → [churn] → live-report → report; see live.go.
 //
-// Both have Context variants; cancelling the context winds the run down
-// mid-stage and returns the context's error.
+// What "the provisioned stack" is — storage backend, ingest hook, front
+// tier — is internal/topology's business, not a stage's.
 package core
 
 import (
@@ -26,24 +27,20 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/analytics"
 	"repro/internal/analyzer"
-	"repro/internal/cache"
-	"repro/internal/cluster"
 	"repro/internal/crawler"
 	"repro/internal/dedup"
-	"repro/internal/dedupstore"
 	"repro/internal/downloader"
 	"repro/internal/engine"
-	"repro/internal/registry"
 	"repro/internal/report"
 	"repro/internal/synth"
+	"repro/internal/topology"
 )
 
 // Study configures a reproduction run.
 type Study struct {
 	// Spec is the synthetic Hub specification (synth.DefaultSpec(scale)
-	// for model runs, synth.MaterializeSpec(scale) for wire runs).
+	// for model runs, synth.MaterializeSpec(scale) otherwise).
 	Spec synth.Spec
 	// Workers bounds pipeline parallelism (crawler pages, downloads,
 	// layer walks). Non-positive resolves to engine.DefaultWorkers.
@@ -52,37 +49,9 @@ type Study struct {
 	// dedup-growth curve (default 4 plus the full dataset, like the
 	// paper). 0 keeps the default; negative disables the growth analysis.
 	GrowthSamples int
-	// Fused runs download and analysis as one fused pass (wire mode only):
-	// every layer is walked while it streams off the wire instead of in a
-	// second pass over the store.
-	Fused bool
-	// MirrorCacheBytes, when positive, interposes a pull-through caching
-	// mirror between the downloader and the registry (wire mode only); the
-	// value is the cache's byte budget. Figures stay bit-identical — the
-	// mirror re-serves origin bytes verbatim.
-	MirrorCacheBytes int64
-	// MirrorWarm pre-pulls every crawled repository through the mirror
-	// before the measured download stage, so it runs against a warm cache.
-	MirrorWarm bool
-	// ClusterNodes, when positive, shards the materialized registry
-	// across that many nodes behind a consistent-hash router (wire mode
-	// only); the study pulls through the router. Figures stay
-	// bit-identical to a direct wire run.
-	ClusterNodes int
-	// ClusterReplicas is the copies kept of each blob/tag in cluster mode
-	// (cluster.DefaultReplicas when 0, capped at ClusterNodes).
-	ClusterReplicas int
-	// DedupStorage materializes the registry onto the file-deduplicating
-	// storage backend (wire mode only): layers decompose into a shared
-	// content pool on push and reconstruct bit-identically on every pull.
-	// In cluster mode each node's registry gets its own dedup backend too.
-	// Figures stay bit-identical to a plain-backend wire run.
-	DedupStorage bool
-	// LiveChurn, in live mode (RunLive), deletes and re-pushes this
-	// fraction of the tagged population before reporting, exercising the
-	// live index's rollup path. Figures must come out identical to a
-	// churn-free run.
-	LiveChurn float64
+	// Topology is the registry the study stands up and how it acquires
+	// its bytes from it; nil runs the model study, which has no registry.
+	Topology *topology.Topology
 }
 
 // Result is everything a study produces.
@@ -96,28 +65,15 @@ type Result struct {
 	// execution order.
 	Stages []engine.StageResult
 
-	// Wire-mode extras (nil in model mode).
+	// Crawl and Download are the pull pipeline's results (nil in model and
+	// live runs).
 	Crawl    *crawler.Result
 	Download *downloader.Result
-	Registry *registry.Registry
-	// MirrorStats snapshots the pull-through cache's counters at the end
-	// of a mirrored run (nil when no mirror was configured).
-	MirrorStats *cache.Stats
-	// ClusterStats snapshots each cluster node's serving counters and
-	// RouterStats the router's coalescing-cache counters at the end of a
-	// clustered run (nil/empty when no cluster was configured).
-	ClusterStats []cluster.NodeStats
-	RouterStats  *cache.Stats
-	// DedupStats snapshots the deduplicating backend's storage accounting
-	// at the end of a dedup-storage run (nil otherwise).
-	DedupStats *dedupstore.Stats
-	// Analytics is the live analytics service of a live-mode run (nil
-	// otherwise). Its registry stays queryable in-process after the run's
-	// servers shut down — goldencheck's batch reference reads it.
-	Analytics *analytics.Live
-	// IngestStats snapshots the live service's ingest counters at the end
-	// of a live run (nil otherwise).
-	IngestStats *analytics.IngestStats
+	// Stack is what the study provisioned (nil in model runs). Its
+	// servers are shut down, but its registries, stores, caches and live
+	// index stay readable: Stack.Stats() is the run's serving counters,
+	// and goldencheck's batch reference reads Stack.Origin.
+	Stack *topology.Stack
 }
 
 // Env builds the study's shared run environment.
@@ -125,49 +81,39 @@ func (s *Study) Env() *engine.Env {
 	return &engine.Env{Workers: s.Workers, Seed: s.Spec.Seed}
 }
 
-// RunModel generates the dataset and analyzes it in model mode.
-func (s *Study) RunModel() (*Result, error) {
-	return s.RunModelContext(context.Background())
-}
-
-// RunModelContext is RunModel with cancellation.
-func (s *Study) RunModelContext(ctx context.Context) (*Result, error) {
-	stages := []engine.Stage[*State]{stageGenerate, stageAnalyzeModel}
-	if s.GrowthSamples >= 0 {
-		stages = append(stages, stageGrowth)
+// Run executes the study; cancelling ctx winds it down mid-stage, drains
+// the servers it mounted, and returns ctx's error.
+func (s *Study) Run(ctx context.Context) (*Result, error) {
+	if s.Topology != nil {
+		if err := s.Topology.Validate(); err != nil {
+			return nil, err
+		}
 	}
-	stages = append(stages, stageReport)
-	return s.run(ctx, stages)
-}
-
-// RunWire materializes the dataset into an in-process registry, serves the
-// registry and Hub search API through the serve chassis, and runs the full
-// crawl → download → analyze pipeline against the wire.
-func (s *Study) RunWire() (*Result, error) {
-	return s.RunWireContext(context.Background())
-}
-
-// RunWireContext is RunWire with cancellation: when ctx is done, in-flight
-// transfers abort, the servers drain, and the run returns ctx's error.
-func (s *Study) RunWireContext(ctx context.Context) (*Result, error) {
-	stages := []engine.Stage[*State]{stageGenerate, newMaterializeStage(s.DedupStorage), stageServe}
-	if s.ClusterNodes > 0 {
-		stages = append(stages, newClusterStage(s.ClusterNodes, s.ClusterReplicas, s.DedupStorage))
+	stages := []engine.Stage[*State]{stageGenerate}
+	switch t := s.Topology; {
+	case t == nil:
+		stages = append(stages, stageAnalyzeModel)
+		if s.GrowthSamples >= 0 {
+			stages = append(stages, stageGrowth)
+		}
+	case t.Acquire == topology.LivePush:
+		stages = append(stages, stageProvision, stageLivePush)
+		if t.Churn > 0 {
+			stages = append(stages, stageLiveChurn)
+		}
+		stages = append(stages, stageLiveReport)
+	default:
+		stages = append(stages, stageProvision, stageCrawl)
+		if t.MirrorWarm {
+			stages = append(stages, stageMirrorWarm)
+		}
+		if t.Acquire == topology.Fused {
+			stages = append(stages, stageFused)
+		} else {
+			stages = append(stages, stageDownload, stageAnalyze)
+		}
 	}
-	if s.MirrorCacheBytes > 0 {
-		stages = append(stages, newMirrorStage(s.MirrorCacheBytes))
-	}
-	stages = append(stages, stageCrawl)
-	if s.MirrorCacheBytes > 0 && s.MirrorWarm {
-		stages = append(stages, stageMirrorWarm)
-	}
-	if s.Fused {
-		stages = append(stages, stageFused)
-	} else {
-		stages = append(stages, stageDownload, stageAnalyze)
-	}
-	stages = append(stages, stageReport)
-	return s.run(ctx, stages)
+	return s.run(ctx, append(stages, stageReport))
 }
 
 // run executes a stage graph over fresh state and folds the state into a
@@ -175,7 +121,7 @@ func (s *Study) RunWireContext(ctx context.Context) (*Result, error) {
 // gracefully — whether the run succeeded, failed, or was cancelled.
 func (s *Study) run(ctx context.Context, stages []engine.Stage[*State]) (*Result, error) {
 	env := s.Env()
-	st := &State{Env: env, Spec: s.Spec, GrowthSamples: s.GrowthSamples}
+	st := &State{Env: env, Spec: s.Spec, GrowthSamples: s.GrowthSamples, Topology: s.Topology}
 	runner := &engine.Runner[*State]{Env: env, Stages: stages}
 
 	stageResults, err := runner.Run(ctx, st)
@@ -191,7 +137,7 @@ func (s *Study) run(ctx context.Context, stages []engine.Stage[*State]) (*Result
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
+	return &Result{
 		Dataset:  st.Dataset,
 		Analysis: st.Analysis,
 		Source:   st.Source,
@@ -199,27 +145,8 @@ func (s *Study) run(ctx context.Context, stages []engine.Stage[*State]) (*Result
 		Stages:   stageResults,
 		Crawl:    st.Crawl,
 		Download: st.Download,
-		Registry: st.Registry,
-	}
-	if st.MirrorCache != nil {
-		stats := st.MirrorCache.Stats()
-		res.MirrorStats = &stats
-	}
-	if st.Cluster != nil {
-		res.ClusterStats = st.Cluster.Stats()
-		stats := st.Cluster.CacheStats()
-		res.RouterStats = &stats
-	}
-	if st.DedupStore != nil {
-		stats := st.DedupStore.Stats()
-		res.DedupStats = &stats
-	}
-	if st.Analytics != nil {
-		res.Analytics = st.Analytics
-		stats := st.Analytics.Stats()
-		res.IngestStats = &stats
-	}
-	return res, nil
+		Stack:    st.Stack,
+	}, nil
 }
 
 // DedupGrowth reproduces Fig. 25: dedup ratios over nested random layer
@@ -277,7 +204,7 @@ func DedupGrowth(d *synth.Dataset, samples int) ([]report.GrowthPoint, error) {
 				return nil, err
 			}
 		}
-		if err := idx.Freeze(); err != nil {
+		if err := idx.Seal(); err != nil {
 			return nil, err
 		}
 		r := idx.Ratios()

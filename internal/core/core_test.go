@@ -9,14 +9,30 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/synth"
+	"repro/internal/topology"
 )
 
-func TestRunModelProducesAllFigures(t *testing.T) {
-	st := &Study{Spec: synth.DefaultSpec(0.0005)}
-	res, err := st.RunModel()
+// study builds a Study at 4 workers; a nil topo is the model study.
+func study(spec synth.Spec, topo *topology.Topology) *Study {
+	return &Study{Spec: spec, Workers: 4, Topology: topo}
+}
+
+// run executes the study to completion.
+func run(t *testing.T, s *Study) *Result {
+	t.Helper()
+	res, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+// wire is the plain wire topology: one registry, served directly, pulled
+// in two phases.
+func wire() *topology.Topology { return &topology.Topology{} }
+
+func TestRunModelProducesAllFigures(t *testing.T) {
+	res := run(t, study(synth.DefaultSpec(0.0005), nil))
 	// Model mode: every figure except the wire-only methodology table.
 	wantIDs := []string{
 		"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
@@ -51,11 +67,7 @@ func TestRunModelProducesAllFigures(t *testing.T) {
 }
 
 func TestRunModelGrowthDisabled(t *testing.T) {
-	st := &Study{Spec: synth.DefaultSpec(0.0002), GrowthSamples: -1}
-	res, err := st.RunModel()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, &Study{Spec: synth.DefaultSpec(0.0002), GrowthSamples: -1})
 	if len(res.Source.Growth) != 0 {
 		t.Fatal("growth computed despite being disabled")
 	}
@@ -67,11 +79,7 @@ func TestRunModelGrowthDisabled(t *testing.T) {
 }
 
 func TestRunWireFullPipeline(t *testing.T) {
-	st := &Study{Spec: synth.MaterializeSpec(0.0001), Workers: 4}
-	res, err := st.RunWire()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, study(synth.MaterializeSpec(0.0001), wire()))
 	if res.Crawl == nil || res.Download == nil {
 		t.Fatal("wire run missing crawl/download results")
 	}
@@ -104,16 +112,10 @@ func TestRunWireFullPipeline(t *testing.T) {
 
 func TestWireAndModelAgreeOnDedup(t *testing.T) {
 	spec := synth.MaterializeSpec(0.0001)
-	model, err := (&Study{Spec: spec, GrowthSamples: -1}).RunModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire, err := (&Study{Spec: spec, Workers: 4}).RunWire()
-	if err != nil {
-		t.Fatal(err)
-	}
+	model := run(t, &Study{Spec: spec, GrowthSamples: -1})
+	wired := run(t, study(spec, wire()))
 	mr := model.Analysis.Index.Ratios()
-	wr := wire.Analysis.Index.Ratios()
+	wr := wired.Analysis.Index.Ratios()
 	if mr.TotalFiles != wr.TotalFiles || mr.UniqueFiles != wr.UniqueFiles {
 		t.Errorf("dedup counts disagree: model %d/%d wire %d/%d",
 			mr.TotalFiles, mr.UniqueFiles, wr.TotalFiles, wr.UniqueFiles)
@@ -158,10 +160,7 @@ func TestDedupGrowthEmptyDataset(t *testing.T) {
 }
 
 func TestStageResultsRecorded(t *testing.T) {
-	res, err := (&Study{Spec: synth.DefaultSpec(0.0002)}).RunModel()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, study(synth.DefaultSpec(0.0002), nil))
 	want := []string{"generate", "analyze", "dedup-growth", "report"}
 	if len(res.Stages) != len(want) {
 		t.Fatalf("model stages = %v, want %v", stageNames(res.Stages), want)
@@ -178,22 +177,23 @@ func TestStageResultsRecorded(t *testing.T) {
 		}
 	}
 
-	wire, err := (&Study{Spec: synth.MaterializeSpec(0.0001), Workers: 4}).RunWire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantWire := []string{"generate", "materialize", "serve", "crawl", "download", "analyze", "report"}
-	if got := stageNames(wire.Stages); !equalStrings(got, wantWire) {
-		t.Fatalf("wire stages = %v, want %v", got, wantWire)
-	}
-
-	fused, err := (&Study{Spec: synth.MaterializeSpec(0.0001), Workers: 4, Fused: true}).RunWire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantFused := []string{"generate", "materialize", "serve", "crawl", "download+analyze", "report"}
-	if got := stageNames(fused.Stages); !equalStrings(got, wantFused) {
-		t.Fatalf("fused stages = %v, want %v", got, wantFused)
+	// Whatever the topology stands up is one provision stage; only the
+	// acquisition path changes the graph.
+	spec := synth.MaterializeSpec(0.0001)
+	for _, c := range []struct {
+		topo topology.Topology
+		want []string
+	}{
+		{topology.Topology{},
+			[]string{"generate", "provision", "crawl", "download", "analyze", "report"}},
+		{topology.Topology{Acquire: topology.Fused},
+			[]string{"generate", "provision", "crawl", "download+analyze", "report"}},
+		{topology.Topology{Nodes: 2, MirrorBytes: 8 << 20, MirrorWarm: true},
+			[]string{"generate", "provision", "crawl", "mirror-warm", "download", "analyze", "report"}},
+	} {
+		if got := stageNames(run(t, study(spec, &c.topo)).Stages); !equalStrings(got, c.want) {
+			t.Errorf("%+v: stages = %v, want %v", c.topo, got, c.want)
+		}
 	}
 }
 
@@ -222,25 +222,16 @@ func equalStrings(a, b []string) bool {
 // into the science.
 func TestWireFiguresWorkerInvariant(t *testing.T) {
 	spec := synth.MaterializeSpec(0.0001)
-	render := func(workers int, fused bool) string {
-		res, err := (&Study{Spec: spec, Workers: workers, Fused: fused}).RunWire()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		for _, f := range res.Figures {
-			b.WriteString(f.String())
-			b.WriteByte('\n')
-		}
-		return b.String()
+	render := func(workers int, acquire topology.Acquire) string {
+		return figureText(run(t, &Study{Spec: spec, Workers: workers, Topology: &topology.Topology{Acquire: acquire}}))
 	}
-	base := render(1, false)
+	base := render(1, topology.TwoPhase)
 	for _, workers := range []int{4, 8} {
-		if got := render(workers, false); got != base {
+		if got := render(workers, topology.TwoPhase); got != base {
 			t.Errorf("wire figures differ between 1 and %d workers", workers)
 		}
 	}
-	if got := render(4, true); got != base {
+	if got := render(4, topology.Fused); got != base {
 		t.Error("fused figures differ from two-phase figures")
 	}
 }
@@ -253,11 +244,11 @@ func TestRunCancelledMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	s := &Study{Spec: synth.MaterializeSpec(0.0001), Workers: 4}
+	s := study(synth.MaterializeSpec(0.0001), wire())
 	env := s.Env()
-	st := &State{Env: env, Spec: s.Spec}
+	st := &State{Env: env, Spec: s.Spec, Topology: s.Topology}
 	runner := &engine.Runner[*State]{Env: env, Stages: []engine.Stage[*State]{
-		stageGenerate, newMaterializeStage(false), stageServe, stageCrawl,
+		stageGenerate, stageProvision, stageCrawl,
 		engine.NewStage("cancel", func(ctx context.Context, st *State) error {
 			cancel()
 			return nil
@@ -279,7 +270,7 @@ func TestRunCancelledMidRun(t *testing.T) {
 		}
 	}
 	if st.Servers == nil {
-		t.Fatal("serve stage never ran")
+		t.Fatal("provision stage never ran")
 	}
 	if err := st.Servers.Shutdown(context.Background()); err != nil {
 		t.Fatalf("server drain after cancellation: %v", err)
@@ -291,7 +282,7 @@ func TestRunCancelledMidRun(t *testing.T) {
 func TestRunWireContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := (&Study{Spec: synth.MaterializeSpec(0.0001)}).RunWireContext(ctx)
+	_, err := study(synth.MaterializeSpec(0.0001), wire()).Run(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

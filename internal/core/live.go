@@ -2,88 +2,33 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 
 	"repro/internal/analytics"
 	"repro/internal/analyzer"
-	"repro/internal/blobstore"
-	"repro/internal/digest"
 	"repro/internal/engine"
 	"repro/internal/manifest"
 	"repro/internal/registry"
 	"repro/internal/report"
-	"repro/internal/serve"
 	"repro/internal/synth"
 )
 
 // Live mode: the study's registry runs as a resident service with the
-// always-on analytics hook on its write path. Instead of materializing
-// into the store and analyzing afterwards, every image is pushed over
-// HTTP — the ingest tee walks layer bytes as they cross the wire — and
-// the figures come from the incrementally maintained live index, not a
-// batch pass. An optional churn stage deletes and re-pushes a fraction
-// of the population first, exercising the rollup path the batch study
-// never has.
-
-// RunLive generates the dataset, serves a live registry + analytics
-// stack, pushes the population over the wire, and reports from the live
-// index.
-func (s *Study) RunLive() (*Result, error) {
-	return s.RunLiveContext(context.Background())
-}
-
-// RunLiveContext is RunLive with cancellation.
-func (s *Study) RunLiveContext(ctx context.Context) (*Result, error) {
-	stages := []engine.Stage[*State]{stageGenerate, stageServeLive, stageLivePush}
-	if s.LiveChurn > 0 {
-		stages = append(stages, newLiveChurnStage(s.LiveChurn))
-	}
-	stages = append(stages, stageLiveReport, stageReport)
-	return s.run(ctx, stages)
-}
-
-// stageServeLive mounts an empty registry with the analytics service
-// hooked onto its write path, plus the analytics query API, on the serve
-// chassis. Unlike stageServe, there is nothing materialized yet: content
-// arrives over the wire in the push stage.
-var stageServeLive = engine.NewStage("serve-live", func(ctx context.Context, st *State) error {
-	st.Registry = registry.New(blobstore.NewMemory())
-	st.Analytics = analytics.New(st.Registry.Blobs(), synth.Repositories(st.Dataset))
-	st.Registry.SetIngest(st.Analytics)
-
-	st.Servers = &serve.Group{}
-	reg := &serve.Server{
-		Name:         "registry",
-		Handler:      st.Registry,
-		MaxInFlight:  st.Env.MaxInFlight,
-		DrainTimeout: st.Env.DrainTimeout,
-	}
-	if err := st.Servers.Start(reg); err != nil {
-		return err
-	}
-	api := &serve.Server{
-		Name:         "analytics",
-		Handler:      st.Analytics.Handler(),
-		MaxInFlight:  st.Env.MaxInFlight,
-		DrainTimeout: st.Env.DrainTimeout,
-	}
-	if err := st.Servers.Start(api); err != nil {
-		return err
-	}
-	st.RegistryURL = reg.URL()
-	st.AnalyticsURL = api.URL()
-	st.HTTP = reg.Client()
-	return nil
-})
+// always-on analytics hook on its write path (Topology.Ingest). Instead of
+// materializing into the store and analyzing afterwards, every image is
+// pushed over HTTP — the hook analyzes layer bytes in flight — and the
+// figures come from the incrementally maintained live index, not a batch
+// pass. An optional churn stage deletes and re-pushes a fraction of the
+// population first, exercising the rollup path the batch study never has.
 
 // liveClient is the push client for the live stages. The token
 // authorizes writes to private repositories; the live study pushes the
 // whole population, not just the publicly pullable part.
 func (st *State) liveClient() *registry.Client {
-	return &registry.Client{Base: st.RegistryURL, HTTP: st.HTTP, Token: "live-study"}
+	c := *st.Stack.Client
+	c.Token = "live-study"
+	return &c
 }
 
 // stageLivePush drives the dataset through the wire write path: every
@@ -105,7 +50,7 @@ var stageLivePush = engine.NewStage("live-push", func(ctx context.Context, st *S
 	var repos []repoPush
 	for ri := range d.Repos {
 		r := &d.Repos[ri]
-		st.Registry.CreateRepo(r.Name, r.Private)
+		st.Stack.Origin.Registry.CreateRepo(r.Name, r.Private)
 		if r.Downloadable() {
 			repos = append(repos, repoPush{r.Name, synth.ImageID(r.Image)})
 		}
@@ -126,6 +71,9 @@ var stageLivePush = engine.NewStage("live-push", func(ctx context.Context, st *S
 			}
 		}
 	}
+	// descs[l] is written by the one worker that pushes layer l and read
+	// after the barrier.
+	descs := make([]manifest.Descriptor, len(d.Layers))
 	err := runParallel(ctx, st.Env.WorkerCount(), len(layers), func(ctx context.Context, i int) error {
 		lp := layers[i]
 		blob, err := synth.RenderLayer(d, lp.id)
@@ -135,116 +83,79 @@ var stageLivePush = engine.NewStage("live-push", func(ctx context.Context, st *S
 		if _, err := client.PushBlobContext(ctx, lp.repo, blob); err != nil {
 			return fmt.Errorf("pushing layer %d: %w", lp.id, err)
 		}
+		descs[lp.id] = synth.LayerDescriptor(blob)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 
-	// Phase 2: configs and manifests.
+	// Phase 2: configs and manifests; synth.BuildImage makes the live
+	// registry content-identical to a materialized one.
 	return runParallel(ctx, st.Env.WorkerCount(), len(repos), func(ctx context.Context, i int) error {
 		rp := repos[i]
-		if _, err := pushLiveImage(ctx, client, d, rp.name, rp.imgID); err != nil {
+		ids := d.ImageLayers(rp.imgID)
+		layers := make([]manifest.Descriptor, len(ids)) // never nil: [] and null marshal differently
+		for j, l := range ids {
+			layers[j] = descs[l]
+		}
+		cfg, m, err := synth.BuildImage(synth.Created(rp.imgID), layers)
+		if err == nil {
+			_, err = client.PushBlobContext(ctx, rp.name, cfg)
+		}
+		if err == nil {
+			_, err = client.PushManifestContext(ctx, rp.name, "latest", m)
+		}
+		if err != nil {
 			return fmt.Errorf("pushing %s: %w", rp.name, err)
 		}
 		return nil
 	})
 })
 
-// pushLiveImage uploads one image's config and manifest over the wire
-// (its layers are already stored), using the same config recipe as
-// synth.Materialize so a live registry is content-identical to a
-// materialized one.
-func pushLiveImage(ctx context.Context, client *registry.Client, d *synth.Dataset, repo string, imgID synth.ImageID) (*manifest.Manifest, error) {
-	cfg, err := json.Marshal(manifest.Config{
-		Architecture: "amd64",
-		OS:           "linux",
-		Created:      fmt.Sprintf("2017-05-%02dT00:00:00Z", 1+int(imgID)%30),
-	})
-	if err != nil {
-		return nil, err
-	}
-	cfgDg, err := client.PushBlobContext(ctx, repo, cfg)
-	if err != nil {
-		return nil, err
-	}
-	layers := d.ImageLayers(imgID)
-	descs := make([]manifest.Descriptor, len(layers))
-	for j, l := range layers {
-		blob, err := synth.RenderLayer(d, l)
-		if err != nil {
-			return nil, err
-		}
-		descs[j] = manifest.Descriptor{
-			MediaType: manifest.MediaTypeLayer,
-			Size:      int64(len(blob)),
-			Digest:    digest.FromBytes(blob),
-		}
-	}
-	m, err := manifest.New(manifest.Descriptor{
-		MediaType: manifest.MediaTypeConfig,
-		Size:      int64(len(cfg)),
-		Digest:    cfgDg,
-	}, descs)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := client.PushManifestContext(ctx, repo, "latest", m); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// newLiveChurnStage deletes and re-pushes a deterministic random
-// fraction of the tagged population over the wire: every churned repo's
-// latest tag is DELETEd (the live index rolls the image back out) and
+// stageLiveChurn deletes and re-pushes a deterministic random fraction
+// (Topology.Churn) of the tagged population over the wire: every churned
+// repo's latest tag is DELETEd (the live index rolls the image back out) and
 // its manifest re-PUT (the index re-admits it from the still-stored
 // walks). A correct rollup leaves the final figures identical to a
 // churn-free run.
-func newLiveChurnStage(frac float64) engine.Stage[*State] {
-	return engine.NewStage("churn", func(ctx context.Context, st *State) error {
-		client := st.liveClient()
-		var names []string
-		for ri := range st.Dataset.Repos {
-			r := &st.Dataset.Repos[ri]
-			if r.Downloadable() {
-				names = append(names, r.Name)
-			}
+var stageLiveChurn = engine.NewStage("churn", func(ctx context.Context, st *State) error {
+	frac := st.Topology.Churn
+	client := st.liveClient()
+	var names []string
+	for ri := range st.Dataset.Repos {
+		r := &st.Dataset.Repos[ri]
+		if r.Downloadable() {
+			names = append(names, r.Name)
 		}
-		if len(names) == 0 {
-			return nil
-		}
-		k := int(frac*float64(len(names)) + 0.5)
-		if k < 1 {
-			k = 1
-		}
-		if k > len(names) {
-			k = len(names)
-		}
-		perm := st.Env.RNG(1109).Perm(len(names))
-		for _, pi := range perm[:k] {
-			name := names[pi]
-			m, err := registryManifest(st.Registry, name, "latest")
-			if err != nil {
-				return fmt.Errorf("churning %s: %w", name, err)
-			}
-			if err := client.DeleteManifestContext(ctx, name, "latest"); err != nil {
-				return fmt.Errorf("churn delete %s: %w", name, err)
-			}
-			if _, err := client.PushManifestContext(ctx, name, "latest", m); err != nil {
-				return fmt.Errorf("churn re-push %s: %w", name, err)
-			}
-		}
+	}
+	if len(names) == 0 {
 		return nil
-	})
-}
+	}
+	k := min(max(int(frac*float64(len(names))+0.5), 1), len(names))
+	perm := st.Env.RNG(1109).Perm(len(names))
+	for _, pi := range perm[:k] {
+		name := names[pi]
+		m, _, err := client.ManifestContext(ctx, name, "latest")
+		if err != nil {
+			return fmt.Errorf("churning %s: %w", name, err)
+		}
+		if err := client.DeleteManifestContext(ctx, name, "latest"); err != nil {
+			return fmt.Errorf("churn delete %s: %w", name, err)
+		}
+		if _, err := client.PushManifestContext(ctx, name, "latest", m); err != nil {
+			return fmt.Errorf("churn re-push %s: %w", name, err)
+		}
+	}
+	return nil
+})
 
 // stageLiveReport renders the analysis from the live index's current
 // snapshot — no batch pass over the store. stageReport then assembles
 // the same figure source a model run uses (no crawl/download stats: the
 // study never pulled anything).
 var stageLiveReport = engine.NewStage("live-report", func(ctx context.Context, st *State) error {
-	res, err := st.Analytics.Snapshot().Result()
+	res, err := st.Stack.Origin.Live.Snapshot().Result()
 	if err != nil {
 		return fmt.Errorf("rendering live analysis: %w", err)
 	}
@@ -255,14 +166,15 @@ var stageLiveReport = engine.NewStage("live-report", func(ctx context.Context, s
 // LiveBatchFigures renders the reference figures for a live run the slow
 // way: enumerate the registry's surviving images, batch-analyze their
 // stored bytes, and render. A correct live index makes this
-// bit-identical to the run's own Figures — goldencheck -live asserts
+// bit-identical to the run's own Figures — goldencheck's live rows assert
 // exactly that.
 func LiveBatchFigures(res *Result, workers int) ([]report.Figure, error) {
-	images, err := analytics.RegistryImages(res.Registry)
+	reg := res.Stack.Origin.Registry
+	images, err := analytics.RegistryImages(reg)
 	if err != nil {
 		return nil, err
 	}
-	ana, err := analyzer.AnalyzeStore(res.Registry.Blobs(), images, workers)
+	ana, err := analyzer.AnalyzeStore(reg.Blobs(), images, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -270,25 +182,6 @@ func LiveBatchFigures(res *Result, workers int) ([]report.Figure, error) {
 		Analysis: ana,
 		Repos:    synth.Repositories(res.Dataset),
 	}), nil
-}
-
-// registryManifest loads and parses a tagged manifest from the
-// registry's store.
-func registryManifest(reg *registry.Registry, name, tag string) (*manifest.Manifest, error) {
-	dg, err := reg.ResolveTag(name, tag)
-	if err != nil {
-		return nil, err
-	}
-	rc, _, err := reg.Blobs().Get(dg)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := io.ReadAll(rc)
-	rc.Close()
-	if err != nil {
-		return nil, err
-	}
-	return manifest.Unmarshal(raw)
 }
 
 // runParallel fans fn over n indices across the given workers, stopping

@@ -8,7 +8,13 @@ import (
 
 	"repro/internal/report"
 	"repro/internal/synth"
+	"repro/internal/topology"
 )
+
+// live is the live-service topology, optionally with churn.
+func live(churn float64) *topology.Topology {
+	return &topology.Topology{Acquire: topology.LivePush, Ingest: true, Churn: churn}
+}
 
 func figFingerprint(figs []report.Figure) string {
 	h := sha256.New()
@@ -20,29 +26,40 @@ func figFingerprint(figs []report.Figure) string {
 
 // TestRunLiveMatchesBatch: a live run's figures — rendered from the
 // incrementally maintained index, never a batch pass — must be
-// bit-identical to batch-analyzing the registry the run left behind.
+// bit-identical to batch-analyzing the registry the run left behind, on
+// the plain store and on the deduplicating one.
 func TestRunLiveMatchesBatch(t *testing.T) {
-	st := &Study{Spec: synth.MaterializeSpec(0.0002), Workers: 4}
-	res, err := st.RunLive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Analytics == nil || res.IngestStats == nil {
-		t.Fatal("live run missing analytics service/stats")
-	}
-	if res.IngestStats.BlobsWalked == 0 {
-		t.Fatal("no blobs walked on the wire")
-	}
-	if res.IngestStats.FallbackWalks != 0 || res.IngestStats.SkippedLayers != 0 {
-		t.Fatalf("degraded ingest: %+v", res.IngestStats)
-	}
-	live := figFingerprint(res.Figures)
-	batch, err := LiveBatchFigures(res, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := figFingerprint(batch); got != live {
-		t.Fatalf("live run != batch reference:\n live %s\nbatch %s", live, got)
+	plain := ""
+	for _, storage := range []topology.Storage{topology.Plain, topology.Dedup} {
+		topo := live(0)
+		topo.Storage = storage
+		res := run(t, study(synth.MaterializeSpec(0.0002), topo))
+		if res.Stack.Origin.Live == nil {
+			t.Fatal("live run missing analytics service")
+		}
+		ingest := res.Stack.Stats().Origin.Ingest
+		if ingest.BlobsWalked == 0 {
+			t.Fatal("no blobs walked on the wire")
+		}
+		if ingest.FallbackWalks != 0 || ingest.SkippedLayers != 0 {
+			t.Fatalf("degraded ingest: %+v", ingest)
+		}
+		got := figFingerprint(res.Figures)
+		batch, err := LiveBatchFigures(res, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref := figFingerprint(batch); ref != got {
+			t.Fatalf("storage %d: live run != batch reference:\n live %s\nbatch %s", storage, got, ref)
+		}
+		// The store under the registry must be invisible to the index:
+		// over dedupstore the census observes the store's own walk, over
+		// a plain store the byte tee, and the figures agree.
+		if plain == "" {
+			plain = got
+		} else if got != plain {
+			t.Fatalf("live figures over dedup storage differ from plain: %s vs %s", got, plain)
+		}
 	}
 }
 
@@ -50,17 +67,9 @@ func TestRunLiveMatchesBatch(t *testing.T) {
 // population mid-run must leave the final figures identical to a
 // churn-free run — the rollup path is exact, not approximate.
 func TestRunLiveChurnInvariant(t *testing.T) {
-	plain := &Study{Spec: synth.MaterializeSpec(0.0002), Workers: 4}
-	base, err := plain.RunLive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	churned := &Study{Spec: synth.MaterializeSpec(0.0002), Workers: 4, LiveChurn: 0.3}
-	got, err := churned.RunLive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.IngestStats.TagDeletes == 0 {
+	base := run(t, study(synth.MaterializeSpec(0.0002), live(0)))
+	got := run(t, study(synth.MaterializeSpec(0.0002), live(0.3)))
+	if got.Stack.Stats().Origin.Ingest.TagDeletes == 0 {
 		t.Fatal("churn stage deleted nothing")
 	}
 	if figFingerprint(got.Figures) != figFingerprint(base.Figures) {
@@ -79,16 +88,12 @@ func TestRunLiveChurnInvariant(t *testing.T) {
 // live figure set matches model mode's shape minus growth (no batch
 // pass, no crawl/download → no tabM, no fig25).
 func TestRunLiveStageGraph(t *testing.T) {
-	st := &Study{Spec: synth.MaterializeSpec(0.0001), Workers: 2, LiveChurn: 0.5}
-	res, err := st.RunLive()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, &Study{Spec: synth.MaterializeSpec(0.0001), Workers: 2, Topology: live(0.5)})
 	var names []string
 	for _, sr := range res.Stages {
 		names = append(names, sr.Name)
 	}
-	want := []string{"generate", "serve-live", "live-push", "churn", "live-report", "report"}
+	want := []string{"generate", "provision", "live-push", "churn", "live-report", "report"}
 	if len(names) != len(want) {
 		t.Fatalf("stages %v, want %v", names, want)
 	}

@@ -3,83 +3,59 @@ package core
 import (
 	"context"
 	"fmt"
-	"net/http"
 
-	"repro/internal/analytics"
 	"repro/internal/analyzer"
 	"repro/internal/blobstore"
-	"repro/internal/cache"
-	"repro/internal/cluster"
 	"repro/internal/crawler"
-	"repro/internal/dedupstore"
 	"repro/internal/downloader"
 	"repro/internal/engine"
 	"repro/internal/hubapi"
-	"repro/internal/mirror"
 	"repro/internal/pipeline"
 	"repro/internal/registry"
 	"repro/internal/report"
 	"repro/internal/serve"
 	"repro/internal/synth"
+	"repro/internal/topology"
 )
 
 // State is the shared run state the stage graph mutates: each stage reads
 // what earlier stages produced and fills in its own outputs. Model, wire,
-// and fused runs are different graphs over this one state type.
+// and live runs are different graphs over this one state type.
 type State struct {
-	// Env is the shared run environment (workers, seed, limits).
+	// Env is the shared run environment (workers, seed).
 	Env *engine.Env
 
 	// Inputs, set by Study before the run.
 	Spec          synth.Spec
 	GrowthSamples int
+	Topology      *topology.Topology
 
 	// Dataset is the generated synthetic Hub (stage generate).
 	Dataset *synth.Dataset
-	// Registry holds the materialized image population (stage materialize).
-	Registry *registry.Registry
-	// Servers owns the mounted HTTP services (stage serve); HTTP,
-	// RegistryURL and SearchURL are how later stages reach them.
-	Servers     *serve.Group
-	HTTP        *http.Client
-	RegistryURL string
-	SearchURL   string
+	// Servers owns the mounted HTTP services and Stack is the registry
+	// endpoint among them (stage provision); Search is the Hub search API
+	// beside it.
+	Servers *serve.Group
+	Stack   *topology.Stack
+	Search  *hubapi.Client
 	// Sink receives downloaded layer blobs (stages download / fused).
 	Sink blobstore.Store
-	// OriginURL preserves the registry's direct URL when stage mirror or
-	// stage cluster repoints RegistryURL; MirrorCache is the mirror's
-	// cache (stage mirror).
-	OriginURL   string
-	MirrorCache *cache.Cache
-	// Cluster is the sharded registry cluster when the study runs against
-	// one (stage cluster).
-	Cluster *cluster.Cluster
-	// DedupStore is the deduplicating backend under the registry when the
-	// study materializes into one (stage materialize with dedup storage).
-	DedupStore *dedupstore.Store
-	// Analytics is the live analytics service hooked onto the registry's
-	// write path, and AnalyticsURL its query API (stage serve-live).
-	Analytics    *analytics.Live
-	AnalyticsURL string
 
 	// Outputs.
 	Crawl    *crawler.Result
 	Download *downloader.Result
-	Pipeline *pipeline.Result
 	Analysis *analyzer.Result
 	Growth   []report.GrowthPoint
 	Source   *report.Source
 	Figures  []report.Figure
 }
 
-// newDownloader builds the study's downloader against the served registry
-// and gives it a fresh memory sink.
-func (st *State) newDownloader() *downloader.Downloader {
-	st.Sink = blobstore.NewMemory()
+// newDownloader builds a downloader against the provisioned endpoint.
+func (st *State) newDownloader(sink blobstore.Store) *downloader.Downloader {
 	return &downloader.Downloader{
-		Client:  &registry.Client{Base: st.RegistryURL, HTTP: st.HTTP},
+		Client:  st.Stack.Client,
 		Workers: st.Env.WorkerCount(),
-		Store:   st.Sink,
+		Store:   sink,
 		Seed:    st.Env.Seed,
 	}
 }
@@ -94,125 +70,45 @@ var stageGenerate = engine.NewStage("generate", func(ctx context.Context, st *St
 	return nil
 })
 
-// newMaterializeStage builds the stage that renders the dataset's images
-// into an in-process registry as real gzip-compressed layer tarballs.
-// With dedup set, the registry sits on the file-deduplicating backend
-// instead of a plain blob store: every layer decomposes into the shared
-// content pool on the way in and reconstructs bit-identically on every
-// pull, so the figures must not move.
-func newMaterializeStage(dedup bool) engine.Stage[*State] {
-	return engine.NewStage("materialize", func(ctx context.Context, st *State) error {
-		var store blobstore.Store = blobstore.NewMemory()
-		if dedup {
-			st.DedupStore = dedupstore.NewWithConfig(dedupstore.NewMemoryPool(0),
-				dedupstore.Config{CacheBytes: 32 << 20})
-			store = st.DedupStore
-		}
-		st.Registry = registry.New(store)
-		if _, err := synth.Materialize(st.Dataset, st.Registry); err != nil {
-			return fmt.Errorf("materializing: %w", err)
-		}
-		return nil
-	})
-}
-
-// stageServe mounts the registry and the Hub search API on the serve
-// chassis. The servers outlive the stage; Study shuts the group down when
+// stageProvision stands the study's topology up on the serve chassis and
+// mounts the Hub search API beside it. A pulled study's registry is
+// materialized with the dataset's images as real gzip-compressed layer
+// tarballs; a LivePush study's starts empty, the content arrives over the
+// wire. The servers outlive the stage; Study shuts the group down when
 // the run ends (normally or not).
-var stageServe = engine.NewStage("serve", func(ctx context.Context, st *State) error {
+var stageProvision = engine.NewStage("provision", func(ctx context.Context, st *State) error {
 	st.Servers = &serve.Group{}
-
-	reg := &serve.Server{
-		Name:         "registry",
-		Handler:      st.Registry,
-		MaxInFlight:  st.Env.MaxInFlight,
-		DrainTimeout: st.Env.DrainTimeout,
+	repos := synth.Repositories(st.Dataset)
+	site := topology.Site{Repos: repos}
+	if st.Topology.Acquire != topology.LivePush {
+		site.Fill = func(reg *registry.Registry) error {
+			_, err := synth.Materialize(st.Dataset, reg)
+			return err
+		}
 	}
-	if err := st.Servers.Start(reg); err != nil {
+	stack, err := topology.Provision(st.Servers, *st.Topology, site)
+	if err != nil {
 		return err
 	}
+	st.Stack = stack
+
 	search := &serve.Server{
 		Name: "search",
-		Handler: hubapi.NewServer(synth.Repositories(st.Dataset),
+		Handler: hubapi.NewServer(repos,
 			st.Dataset.Spec.CrawlDupFactor, st.Dataset.Spec.Seed, 0),
-		MaxInFlight:  st.Env.MaxInFlight,
-		DrainTimeout: st.Env.DrainTimeout,
 	}
 	if err := st.Servers.Start(search); err != nil {
 		return err
 	}
-
-	st.RegistryURL = reg.URL()
-	st.SearchURL = search.URL()
-	st.HTTP = reg.Client()
+	st.Search = &hubapi.Client{Base: search.URL(), HTTP: search.Client()}
 	return nil
 })
-
-// newMirrorStage builds the stage that interposes a pull-through caching
-// mirror between the downloader and the registry: it mounts the mirror on
-// the run's serve group and repoints RegistryURL at it, so every later
-// stage pulls through the cache. The figures must stay bit-identical to a
-// direct wire run — the mirror re-serves origin bytes verbatim.
-func newMirrorStage(cacheBytes int64) engine.Stage[*State] {
-	return engine.NewStage("mirror", func(ctx context.Context, st *State) error {
-		st.MirrorCache = cache.New(blobstore.NewMemory(), cacheBytes)
-		origin := &registry.Client{Base: st.RegistryURL, HTTP: st.HTTP}
-		srv := &serve.Server{
-			Name:         "mirror",
-			Handler:      mirror.New(origin, st.MirrorCache),
-			MaxInFlight:  st.Env.MaxInFlight,
-			DrainTimeout: st.Env.DrainTimeout,
-		}
-		if err := st.Servers.Start(srv); err != nil {
-			return err
-		}
-		st.OriginURL = st.RegistryURL
-		st.RegistryURL = srv.URL()
-		st.HTTP = srv.Client()
-		return nil
-	})
-}
-
-// newClusterStage shards the materialized registry across a consistent-
-// hash cluster and repoints the study at its router: node servers and the
-// router mount on the run's serve group, every blob/manifest/tag is
-// seeded onto its R ring owners, and later stages pull through the
-// router's replica fan-out. The figures must stay bit-identical to a
-// direct wire run — the router re-serves node bytes verbatim and maps
-// errors to the same taxonomy (401 private, 404 missing).
-func newClusterStage(nodes, replicas int, dedup bool) engine.Stage[*State] {
-	return engine.NewStage("cluster", func(ctx context.Context, st *State) error {
-		c, err := cluster.Launch(st.Servers, cluster.Config{
-			Nodes:        nodes,
-			Replicas:     replicas,
-			MaxInFlight:  st.Env.MaxInFlight,
-			DrainTimeout: st.Env.DrainTimeout,
-			DedupStorage: dedup,
-		})
-		if err != nil {
-			return err
-		}
-		if err := c.Seed(st.Registry, synth.Repositories(st.Dataset)); err != nil {
-			return err
-		}
-		st.Cluster = c
-		st.OriginURL = st.RegistryURL
-		st.RegistryURL = c.RouterURL()
-		st.HTTP = c.RouterClient()
-		return nil
-	})
-}
 
 // stageMirrorWarm pre-warms the mirror cache by pulling every crawled
 // repository once (bytes discarded) before the measured download, so the
 // study's download stage runs against a warm cache.
 var stageMirrorWarm = engine.NewStage("mirror-warm", func(ctx context.Context, st *State) error {
-	dl := &downloader.Downloader{
-		Client:  &registry.Client{Base: st.RegistryURL, HTTP: st.HTTP},
-		Workers: st.Env.WorkerCount(),
-		Store:   blobstore.NewMemory(),
-	}
-	if _, err := dl.RunContext(ctx, st.Crawl.Repos); err != nil {
+	if _, err := st.newDownloader(blobstore.NewMemory()).RunContext(ctx, st.Crawl.Repos); err != nil {
 		return fmt.Errorf("warming mirror: %w", err)
 	}
 	return ctx.Err()
@@ -220,10 +116,7 @@ var stageMirrorWarm = engine.NewStage("mirror-warm", func(ctx context.Context, s
 
 // stageCrawl pages through the search API and deduplicates the entries.
 var stageCrawl = engine.NewStage("crawl", func(ctx context.Context, st *State) error {
-	cr := &crawler.Crawler{
-		Client:  &hubapi.Client{Base: st.SearchURL, HTTP: st.HTTP},
-		Workers: st.Env.WorkerCount(),
-	}
+	cr := &crawler.Crawler{Client: st.Search, Workers: st.Env.WorkerCount()}
 	res, err := cr.RunContext(ctx)
 	if err != nil {
 		return fmt.Errorf("crawling: %w", err)
@@ -235,8 +128,8 @@ var stageCrawl = engine.NewStage("crawl", func(ctx context.Context, st *State) e
 // stageDownload pulls every crawled repository's latest image into the
 // sink, deduplicating shared layers on the wire.
 var stageDownload = engine.NewStage("download", func(ctx context.Context, st *State) error {
-	dl := st.newDownloader()
-	res, err := dl.RunContext(ctx, st.Crawl.Repos)
+	st.Sink = blobstore.NewMemory()
+	res, err := st.newDownloader(st.Sink).RunContext(ctx, st.Crawl.Repos)
 	if err != nil {
 		return fmt.Errorf("downloading: %w", err)
 	}
@@ -263,12 +156,10 @@ var stageAnalyze = engine.NewStage("analyze", func(ctx context.Context, st *Stat
 // stageFused replaces download+analyze with the fused pass: every layer is
 // walked while it streams off the wire.
 var stageFused = engine.NewStage("download+analyze", func(ctx context.Context, st *State) error {
-	dl := st.newDownloader()
-	res, err := pipeline.RunEnv(ctx, st.Env, dl, st.Crawl.Repos)
+	res, err := pipeline.RunEnv(ctx, st.Env, st.newDownloader(blobstore.NewMemory()), st.Crawl.Repos)
 	if err != nil {
 		return fmt.Errorf("fused download+analyze: %w", err)
 	}
-	st.Pipeline = res
 	st.Download = res.Download
 	st.Analysis = res.Analysis
 	return nil

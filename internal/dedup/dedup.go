@@ -24,7 +24,7 @@
 //     is commutative (instance counts, distinct-layer counts, max refs),
 //     so the frozen census is identical regardless of ingestion order.
 //
-// The two protocols must not be mixed on one Index. After Freeze (or once
+// The two protocols must not be mixed on one Index. After Seal (or once
 // feeding has quiesced) all read methods are safe for concurrent use.
 package dedup
 
@@ -126,15 +126,12 @@ func NewIndexSized(uniqueHint int) *Index {
 var (
 	ErrNotInLayer = errors.New("dedup: Observe outside BeginLayer/EndLayer")
 	// ErrSealed reports feeding into a census whose lifecycle has ended:
-	// Seal (or its legacy spelling Freeze) declared the census complete, so
+	// Seal declared the census complete, so
 	// further Observe/ObserveLayer/RemoveLayer calls are a protocol bug in
 	// the caller. Incremental maintenance belongs on an unsealed index —
 	// the live-analytics path never seals; the batch path seals exactly
 	// once after its single feeding pass.
-	ErrSealed = errors.New("dedup: census is sealed (Seal/Freeze already declared feeding complete; use an unsealed index for incremental updates)")
-	// ErrFrozen is the historical name for ErrSealed, kept so existing
-	// errors.Is checks on the batch path keep matching.
-	ErrFrozen = ErrSealed
+	ErrSealed = errors.New("dedup: census is sealed (Seal already declared feeding complete; use an unsealed index for incremental updates)")
 )
 
 // BeginLayer starts feeding one layer's instances. refs is the number of
@@ -260,12 +257,8 @@ func (x *Index) Seal() error {
 	return nil
 }
 
-// Freeze is the historical spelling of Seal, kept for the batch pipeline
-// and its tests.
-func (x *Index) Freeze() error { return x.Seal() }
-
 // forEach visits every census record. It takes no locks: callers must be
-// past Freeze or otherwise quiescent.
+// past Seal or otherwise quiescent.
 func (x *Index) forEach(fn func(key uint64, rec *fileRec)) {
 	for i := range x.shards {
 		for k, rec := range x.shards[i].files {

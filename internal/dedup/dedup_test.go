@@ -39,7 +39,7 @@ func feed(t *testing.T, layers [][]obs, refs []int32) *Index {
 			t.Fatal(err)
 		}
 	}
-	if err := x.Freeze(); err != nil {
+	if err := x.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	return x
@@ -76,7 +76,7 @@ func TestRatios(t *testing.T) {
 
 func TestRatiosEmpty(t *testing.T) {
 	x := NewIndex()
-	x.Freeze()
+	x.Seal()
 	r := x.Ratios()
 	if r.CountRatio != 0 || r.CapacityRatio != 0 || r.UniqueFrac != 0 {
 		t.Fatalf("empty ratios nonzero: %+v", r)
@@ -95,13 +95,13 @@ func TestProtocolErrors(t *testing.T) {
 	if err := x.BeginLayer(1); err == nil {
 		t.Error("nested BeginLayer accepted")
 	}
-	if err := x.Freeze(); err == nil {
-		t.Error("Freeze with open layer accepted")
+	if err := x.Seal(); err == nil {
+		t.Error("Seal with open layer accepted")
 	}
 	x.EndLayer()
-	x.Freeze()
+	x.Seal()
 	if err := x.BeginLayer(1); err == nil {
-		t.Error("BeginLayer after Freeze accepted")
+		t.Error("BeginLayer after Seal accepted")
 	}
 }
 
@@ -248,7 +248,7 @@ func TestQuickAccountingInvariants(t *testing.T) {
 			x.Observe(uint64(k), int64(k)*7+size%1, filetype.ASCIIText)
 		}
 		x.EndLayer()
-		x.Freeze()
+		x.Seal()
 		r := x.Ratios()
 		if r.UniqueFiles > r.TotalFiles || r.UniqueBytes > r.TotalBytes {
 			return false
@@ -332,7 +332,7 @@ func TestObserveLayerMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := seq.Freeze(); err != nil {
+	if err := seq.Seal(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -357,7 +357,7 @@ func TestObserveLayerMatchesSequential(t *testing.T) {
 	}
 	close(work)
 	wg.Wait()
-	if err := conc.Freeze(); err != nil {
+	if err := conc.Seal(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -394,9 +394,9 @@ func TestObserveLayerErrors(t *testing.T) {
 	if err := x.ObserveLayer(-1, 1, nil); err == nil {
 		t.Error("negative layer accepted")
 	}
-	x.Freeze()
-	if err := x.ObserveLayer(0, 1, []FileObs{{Key: 1, Size: 1}}); err != ErrFrozen {
-		t.Errorf("ObserveLayer after Freeze = %v, want ErrFrozen", err)
+	x.Seal()
+	if err := x.ObserveLayer(0, 1, []FileObs{{Key: 1, Size: 1}}); err != ErrSealed {
+		t.Errorf("ObserveLayer after Seal = %v, want ErrSealed", err)
 	}
 }
 
@@ -416,7 +416,7 @@ func TestObserveLayerDuplicatesWithinLayer(t *testing.T) {
 	if err := x.ObserveLayer(1, 2, []FileObs{{Key: 7, Size: 10, Type: filetype.ASCIIText}}); err != nil {
 		t.Fatal(err)
 	}
-	x.Freeze()
+	x.Seal()
 	if got := x.Instances(); got != 4 {
 		t.Fatalf("instances = %d, want 4", got)
 	}

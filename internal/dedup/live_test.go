@@ -156,9 +156,9 @@ func TestRemoveLayerErrors(t *testing.T) {
 		t.Error("removal of never-observed key accepted")
 	}
 	x = NewIndex()
-	x.Freeze()
+	x.Seal()
 	if err := x.RemoveLayer([]FileObs{{Key: 1, Size: 1}}); !errors.Is(err, ErrSealed) {
-		t.Errorf("RemoveLayer after Freeze = %v, want ErrSealed", err)
+		t.Errorf("RemoveLayer after Seal = %v, want ErrSealed", err)
 	}
 	// Double removal underflows and reports, leaving totals clamped.
 	x = NewIndex()
@@ -177,32 +177,31 @@ func TestRemoveLayerErrors(t *testing.T) {
 	}
 }
 
-// TestSealedLifecycle: the lifecycle error is descriptive, reachable via
-// both spellings, and Freeze keeps its historical protocol behaviour.
+// TestSealedLifecycle: the lifecycle error is descriptive and Seal
+// refuses an open layer.
 func TestSealedLifecycle(t *testing.T) {
 	x := NewIndex()
 	if err := x.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	err := x.BeginLayer(1)
-	if !errors.Is(err, ErrSealed) || !errors.Is(err, ErrFrozen) {
+	if !errors.Is(err, ErrSealed) {
 		t.Fatalf("BeginLayer after Seal = %v", err)
 	}
 	if !strings.Contains(err.Error(), "sealed") || !strings.Contains(err.Error(), "unsealed index") {
 		t.Fatalf("lifecycle error not descriptive: %q", err)
 	}
-	// Freeze shim: same semantics.
 	y := NewIndex()
 	y.BeginLayer(1)
-	if err := y.Freeze(); err == nil || !strings.Contains(err.Error(), "layer open") {
-		t.Fatalf("Freeze with open layer = %v", err)
+	if err := y.Seal(); err == nil || !strings.Contains(err.Error(), "layer open") {
+		t.Fatalf("Seal with open layer = %v", err)
 	}
 	y.EndLayer()
-	if err := y.Freeze(); err != nil {
+	if err := y.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if err := y.ObserveLayer(0, 1, []FileObs{{Key: 1, Size: 1}}); !errors.Is(err, ErrFrozen) {
-		t.Fatalf("ObserveLayer after Freeze = %v, want ErrFrozen", err)
+	if err := y.ObserveLayer(0, 1, []FileObs{{Key: 1, Size: 1}}); !errors.Is(err, ErrSealed) {
+		t.Fatalf("ObserveLayer after Seal = %v, want ErrSealed", err)
 	}
 }
 

@@ -48,12 +48,6 @@ type Env struct {
 	// Now is the clock seam (time.Now when nil); the runner stamps stage
 	// wall times through it so engine tests can use a fake clock.
 	Now func() time.Time
-	// MaxInFlight bounds concurrent requests per served endpoint when the
-	// study mounts HTTP services (0 = unlimited).
-	MaxInFlight int
-	// DrainTimeout bounds graceful server shutdown (the serve chassis
-	// default applies when 0).
-	DrainTimeout time.Duration
 }
 
 // WorkerCount resolves the environment's worker bound.

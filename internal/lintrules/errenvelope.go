@@ -15,6 +15,7 @@ var envelopePkgs = []string{
 	"internal/registry",
 	"internal/mirror",
 	"internal/cluster",
+	"internal/topology",
 }
 
 // ErrEnvelope forbids plain-text error responses — http.Error,

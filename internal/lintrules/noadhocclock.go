@@ -18,6 +18,7 @@ var deterministicPkgs = []string{
 	"internal/analytics",
 	"internal/synth",
 	"internal/cluster",
+	"internal/topology",
 	"internal/dedupstore",
 	"internal/trafficsim",
 }

@@ -52,10 +52,8 @@ type Server struct {
 }
 
 // OnShutdown registers f to run when Shutdown begins, before the drain
-// completes (http.Server.RegisterOnShutdown semantics). The cluster uses
-// this to discard client-side idle connections into a draining node:
-// connections the client dialed but never used look in-flight to the
-// server and would otherwise stall the drain for seconds.
+// completes (http.Server.RegisterOnShutdown semantics). Client uses it to
+// discard client-side idle connections into a draining server.
 func (s *Server) OnShutdown(f func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -121,11 +119,16 @@ func (s *Server) URL() string {
 	return "http://" + s.ln.Addr().String()
 }
 
-// Client returns an HTTP client with a dedicated transport (tuned like
-// httpx.NewTransport), so shutting the service down can also discard the
-// client's idle keep-alive connections instead of waiting on them.
+// Client returns a new HTTP client with a dedicated transport (tuned like
+// httpx.NewTransport) whose idle keep-alive connections are discarded
+// when the service begins shutting down. Connections a client dialed but
+// never used (dial races leave some in its pool) look in-flight to the
+// server for a grace of seconds and would otherwise hold the drain that
+// long.
 func (s *Server) Client() *http.Client {
-	return &http.Client{Transport: httpx.NewTransport()}
+	c := &http.Client{Transport: httpx.NewTransport()}
+	s.OnShutdown(c.CloseIdleConnections)
+	return c
 }
 
 // Shutdown gracefully stops the service: the listener closes to new

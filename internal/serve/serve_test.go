@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -224,5 +225,77 @@ func TestStartErrors(t *testing.T) {
 	}
 	if srv.URL() == "" {
 		t.Fatal("URL empty after Start")
+	}
+}
+
+// TestClientIdleConnectionsDoNotDelayShutdown: a connection the client
+// dialed but never sent a request on sits in its idle pool and looks
+// brand-new (not idle) to the server, which grants such connections
+// seconds of grace before a drain may close them. The client Server hands
+// out drops its pool when the shutdown begins, so the drain is immediate.
+func TestClientIdleConnectionsDoNotDelayShutdown(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	srv := &Server{
+		Name: "spare-conn",
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if req.URL.Path == "/hold" {
+				close(entered)
+				<-release
+			}
+		}),
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	client := srv.Client()
+
+	// Reproduce the dial race deterministically: the second request's
+	// dial is held back until the request has been served on the first
+	// connection, so the connection it yields has no taker and is pooled
+	// unused.
+	tr := client.Transport.(*http.Transport)
+	var dialer net.Dialer
+	gate := make(chan struct{})
+	dialed := make(chan struct{})
+	var dials atomic.Int32
+	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		if dials.Add(1) == 1 {
+			return dialer.DialContext(ctx, network, addr)
+		}
+		<-gate
+		c, err := dialer.DialContext(ctx, network, addr)
+		close(dialed)
+		return c, err
+	}
+	get := func(path string) error {
+		resp, err := client.Get(srv.URL() + path)
+		if err == nil {
+			resp.Body.Close()
+		}
+		return err
+	}
+	held := make(chan error, 1)
+	go func() { held <- get("/hold") }()
+	<-entered // connection 1 is busy
+	second := make(chan error, 1)
+	go func() { second <- get("/") }() // no idle connection: starts dial 2
+	time.Sleep(50 * time.Millisecond)  // let request 2 queue behind its dial
+	close(release)
+	for _, c := range []chan error{held, second} {
+		if err := <-c; err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(gate)
+	<-dialed
+	time.Sleep(100 * time.Millisecond) // let the server accept it and the transport pool it
+
+	start := time.Now()
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Fatalf("shutdown took %v with one never-used client connection pooled", el)
 	}
 }

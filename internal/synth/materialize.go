@@ -75,18 +75,6 @@ func MaterializeWithPolicy(d *Dataset, reg *registry.Registry, uncompressedUnder
 			continue
 		}
 		imgID := ImageID(r.Image)
-		cfg, err := json.Marshal(manifest.Config{
-			Architecture: "amd64",
-			OS:           "linux",
-			Created:      fmt.Sprintf("2017-05-%02dT00:00:00Z", 1+int(imgID)%30),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("synth: config for image %d: %w", imgID, err)
-		}
-		cfgDg, err := reg.PushBlob(cfg)
-		if err != nil {
-			return nil, err
-		}
 		layers := d.ImageLayers(imgID)
 		descs := make([]manifest.Descriptor, len(layers))
 		for j, l := range layers {
@@ -96,13 +84,12 @@ func MaterializeWithPolicy(d *Dataset, reg *registry.Registry, uncompressedUnder
 				Digest:    mat.LayerDigests[l],
 			}
 		}
-		m, err := manifest.New(manifest.Descriptor{
-			MediaType: manifest.MediaTypeConfig,
-			Size:      int64(len(cfg)),
-			Digest:    cfgDg,
-		}, descs)
+		cfg, m, err := BuildImage(Created(imgID), descs)
 		if err != nil {
-			return nil, fmt.Errorf("synth: manifest for image %d: %w", imgID, err)
+			return nil, fmt.Errorf("synth: image %d: %w", imgID, err)
+		}
+		if _, err := reg.PushBlob(cfg); err != nil {
+			return nil, err
 		}
 		md, err := reg.PushManifest(r.Name, "latest", m)
 		if err != nil {
@@ -111,6 +98,36 @@ func MaterializeWithPolicy(d *Dataset, reg *registry.Registry, uncompressedUnder
 		mat.ManifestDigests[imgID] = md
 	}
 	return mat, nil
+}
+
+// BuildImage renders an image's config blob and the manifest naming it and the
+// given layers. Every path that puts an image into a registry —
+// Materialize in process, the live study and the traffic scenarios over
+// the wire — builds it here, so equal inputs yield the same manifest
+// digest whichever way the image arrives. The caller stores cfg before
+// the manifest.
+func BuildImage(created string, layers []manifest.Descriptor) (cfg []byte, m *manifest.Manifest, err error) {
+	cfg, err = json.Marshal(manifest.Config{Architecture: "amd64", OS: "linux", Created: created})
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err = manifest.New(manifest.Descriptor{
+		MediaType: manifest.MediaTypeConfig,
+		Size:      int64(len(cfg)),
+		Digest:    digest.FromBytes(cfg),
+	}, layers)
+	return cfg, m, err
+}
+
+// Created is a dataset image's build date, spread over the paper's crawl
+// month.
+func Created(img ImageID) string {
+	return fmt.Sprintf("2017-05-%02dT00:00:00Z", 1+int(img)%30)
+}
+
+// LayerDescriptor describes a rendered layer blob for a manifest.
+func LayerDescriptor(blob []byte) manifest.Descriptor {
+	return manifest.Descriptor{MediaType: manifest.MediaTypeLayer, Size: int64(len(blob)), Digest: digest.FromBytes(blob)}
 }
 
 // RenderLayer builds the gzip-compressed tarball for one layer. The byte

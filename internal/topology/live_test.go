@@ -1,4 +1,4 @@
-package cluster
+package topology
 
 import (
 	"crypto/sha256"
@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/analytics"
 	"repro/internal/analyzer"
-	"repro/internal/digest"
 	"repro/internal/manifest"
 	"repro/internal/registry"
 	"repro/internal/report"
@@ -36,30 +35,13 @@ func pushWireImage(client *registry.Client, d *synth.Dataset, repo string, imgID
 		if _, err := client.PushBlob(repo, blob); err != nil {
 			return nil, fmt.Errorf("layer %d: %w", l, err)
 		}
-		descs[j] = manifest.Descriptor{
-			MediaType: manifest.MediaTypeLayer,
-			Size:      int64(len(blob)),
-			Digest:    digest.FromBytes(blob),
-		}
+		descs[j] = synth.LayerDescriptor(blob)
 	}
-	cfg, err := json.Marshal(manifest.Config{
-		Architecture: "amd64",
-		OS:           "linux",
-		Created:      fmt.Sprintf("2017-05-%02dT00:00:00Z", 1+int(imgID)%30),
-	})
+	cfg, m, err := synth.BuildImage(synth.Created(imgID), descs)
 	if err != nil {
 		return nil, err
 	}
-	cfgDg, err := client.PushBlob(repo, cfg)
-	if err != nil {
-		return nil, err
-	}
-	m, err := manifest.New(manifest.Descriptor{
-		MediaType: manifest.MediaTypeConfig,
-		Size:      int64(len(cfg)),
-		Digest:    cfgDg,
-	}, descs)
-	if err != nil {
+	if _, err := client.PushBlob(repo, cfg); err != nil {
 		return nil, err
 	}
 	if _, err := client.PushManifest(repo, "latest", m); err != nil {
@@ -90,17 +72,15 @@ func TestNodeLiveConcurrentChurnMatchesBatch(t *testing.T) {
 
 	g := &serve.Group{}
 	defer g.Shutdown(t.Context())
-	c, err := Launch(g, Config{Nodes: 3, Replicas: 2, LiveAnalytics: true})
+	c, err := Provision(g, Topology{Nodes: 3, Replicas: 2, Ingest: true}, Site{Repos: repos})
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := c.NodeRegistry(0)
-	live := c.NodeLive(0)
+	node, live := c.Nodes[0].Registry, c.Nodes[0].Live
 	if live == nil {
 		t.Fatal("live analytics not wired onto node")
 	}
-	live.SetRepos(repos)
-	client := &registry.Client{Base: c.NodeURL(0), Token: "cluster-live"}
+	client := &registry.Client{Base: c.Nodes[0].URL, Token: "cluster-live"}
 
 	type push struct {
 		name  string
@@ -210,12 +190,12 @@ func TestNodeLiveConcurrentChurnMatchesBatch(t *testing.T) {
 func TestNodeServesAnalyticsAPI(t *testing.T) {
 	g := &serve.Group{}
 	defer g.Shutdown(t.Context())
-	c, err := Launch(g, Config{Nodes: 1, LiveAnalytics: true})
+	c, err := Provision(g, Topology{Nodes: 1, Ingest: true}, Site{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range []string{"/v2/", "/analytics/summary"} {
-		resp, err := http.Get(c.NodeURL(0) + path)
+		resp, err := http.Get(c.Nodes[0].URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +205,7 @@ func TestNodeServesAnalyticsAPI(t *testing.T) {
 			t.Fatalf("GET %s: %d %s", path, resp.StatusCode, body)
 		}
 	}
-	resp, err := http.Get(c.NodeURL(0) + "/analytics/summary")
+	resp, err := http.Get(c.Nodes[0].URL + "/analytics/summary")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,12 +218,12 @@ func TestNodeServesAnalyticsAPI(t *testing.T) {
 	if sum.Images != 0 || sum.Epoch != 0 {
 		t.Fatalf("fresh node summary: %+v", sum)
 	}
-	// Without LiveAnalytics the path does not exist.
-	c2, err := Launch(g, Config{Nodes: 1})
+	// Without Ingest the path does not exist.
+	c2, err := Provision(g, Topology{Nodes: 1}, Site{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Get(c2.NodeURL(0) + "/analytics/summary")
+	resp, err = http.Get(c2.Nodes[0].URL + "/analytics/summary")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +232,7 @@ func TestNodeServesAnalyticsAPI(t *testing.T) {
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("plain node serves /analytics/")
 	}
-	if c.NodeLive(0) == nil || c2.NodeLive(0) != nil {
-		t.Fatal("NodeLive wiring wrong")
+	if c.Nodes[0].Live == nil || c2.Nodes[0].Live != nil {
+		t.Fatal("node Live wiring wrong")
 	}
 }

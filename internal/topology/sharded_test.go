@@ -1,4 +1,4 @@
-package cluster
+package topology
 
 import (
 	"bytes"
@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blobstore"
 	"repro/internal/digest"
 	"repro/internal/manifest"
 	"repro/internal/registry"
@@ -64,53 +63,44 @@ func blobOfSize(seed, size int) []byte {
 	return b
 }
 
-// seededCluster stands up a source registry with n public images (plus a
-// private repo and a repo with no latest tag), launches a cluster, and
-// seeds it.
-func seededCluster(t *testing.T, cfg Config, n int) (*registry.Registry, []image, *Cluster) {
+// seededCluster provisions a sharded stack whose origin holds n public
+// images plus a private repo and a repo with no latest tag, all placed on
+// the nodes.
+func seededCluster(t *testing.T, topo Topology, site Site, n int) ([]image, *Stack) {
 	t.Helper()
-	src := registry.New(blobstore.NewMemory())
 	images := make([]image, n)
-	for i := range images {
-		images[i] = pushImage(t, src, fmt.Sprintf("user%d/app", i), blobOfSize(i, 8<<10), false)
+	site.Repos = []manifest.Repository{{Name: "corp/secret", Private: true}}
+	site.Fill = func(src *registry.Registry) error {
+		for i := range images {
+			images[i] = pushImage(t, src, fmt.Sprintf("user%d/app", i), blobOfSize(i, 8<<10), false)
+		}
+		pushImage(t, src, "corp/secret", blobOfSize(999, 4<<10), true)
+		src.CreateRepo("user/untagged", false)
+		return nil
 	}
-	pushImage(t, src, "corp/secret", blobOfSize(999, 4<<10), true)
-	src.CreateRepo("user/untagged", false)
-
 	var g serve.Group
 	t.Cleanup(func() {
 		if err := g.Shutdown(context.Background()); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	c, err := Launch(&g, cfg)
+	s, err := Provision(&g, topo, site)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var repos []manifest.Repository
-	for _, name := range src.Repos() {
-		repos = append(repos, manifest.Repository{Name: name, Private: name == "corp/secret"})
-	}
-	if err := c.Seed(src, repos); err != nil {
-		t.Fatal(err)
-	}
-	return src, images, c
-}
-
-// routerClient returns a registry client speaking to the cluster router.
-func routerClient(c *Cluster) *registry.Client {
-	return &registry.Client{Base: c.RouterURL(), HTTP: c.RouterClient()}
+	return images, s
 }
 
 // Seeding must place every blob on exactly R nodes and every tag on the
 // R owners of its repository key — no fewer (durability) and no more
 // (storage would not shard).
 func TestClusterSeedPlacement(t *testing.T) {
-	src, _, c := seededCluster(t, Config{Nodes: 4, Replicas: 2}, 8)
+	_, c := seededCluster(t, Topology{Nodes: 4, Replicas: 2}, Site{}, 8)
+	src := c.Origin.Registry
 	for _, d := range src.Blobs().Digests() {
 		copies := 0
-		for i := 0; i < c.Nodes(); i++ {
-			if c.NodeRegistry(i).Blobs().Has(d) {
+		for _, n := range c.Nodes {
+			if n.Registry.Blobs().Has(d) {
 				copies++
 			}
 		}
@@ -126,8 +116,8 @@ func TestClusterSeedPlacement(t *testing.T) {
 			t.Fatal(err)
 		}
 		holders := 0
-		for i := 0; i < c.Nodes(); i++ {
-			if got, err := c.NodeRegistry(i).Tags(name); err == nil && len(got) == len(tags) && len(tags) > 0 {
+		for _, n := range c.Nodes {
+			if got, err := n.Registry.Tags(name); err == nil && len(got) == len(tags) && len(tags) > 0 {
 				holders++
 			}
 		}
@@ -138,8 +128,8 @@ func TestClusterSeedPlacement(t *testing.T) {
 	// Storage must actually shard: with R=2 of N=4, each node should hold
 	// roughly half the bytes, and certainly not all of them.
 	total := src.Blobs().TotalBytes()
-	for i := 0; i < c.Nodes(); i++ {
-		if got := c.NodeRegistry(i).Blobs().TotalBytes(); got >= total {
+	for i, n := range c.Nodes {
+		if got := n.Registry.Blobs().TotalBytes(); got >= total {
 			t.Errorf("node %d holds %d bytes >= full corpus %d — not sharded", i, got, total)
 		}
 	}
@@ -150,8 +140,8 @@ func TestClusterSeedPlacement(t *testing.T) {
 // against their digest — and the study's failure taxonomy (401 private,
 // 404 missing tag) must classify identically to a single registry.
 func TestClusterByteParityAndErrorTaxonomy(t *testing.T) {
-	src, images, c := seededCluster(t, Config{Nodes: 4, Replicas: 2}, 8)
-	rc := routerClient(c)
+	images, c := seededCluster(t, Topology{Nodes: 4, Replicas: 2}, Site{}, 8)
+	src, rc := c.Origin.Registry, c.Client
 	ctx := context.Background()
 	for _, img := range images {
 		raw, d, err := rc.ManifestRawContext(ctx, img.repo, "latest")
@@ -201,9 +191,9 @@ func TestClusterByteParityAndErrorTaxonomy(t *testing.T) {
 // inter-node fetch: the router's singleflight cache admits while the
 // first client streams and every waiter is served from it.
 func TestClusterColdPullsCoalesce(t *testing.T) {
-	_, images, c := seededCluster(t, Config{Nodes: 4, Replicas: 2}, 1)
+	images, c := seededCluster(t, Topology{Nodes: 4, Replicas: 2}, Site{}, 1)
 	img := images[0]
-	rc := routerClient(c)
+	rc := c.Client
 
 	const pulls = 16
 	var wg sync.WaitGroup
@@ -225,14 +215,15 @@ func TestClusterColdPullsCoalesce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	st := c.Stats()
 	var nodeGets int64
-	for _, s := range c.Stats() {
+	for _, s := range st.Nodes {
 		nodeGets += s.Registry.BlobGets
 	}
 	if nodeGets != 1 {
 		t.Fatalf("16 concurrent cold pulls caused %d node blob fetches, want 1", nodeGets)
 	}
-	if cs := c.CacheStats(); cs.Misses != 1 {
+	if cs := st.Router; cs.Misses != 1 {
 		t.Fatalf("router cache recorded %d misses, want 1", cs.Misses)
 	}
 }
@@ -241,12 +232,12 @@ func TestClusterColdPullsCoalesce(t *testing.T) {
 // request: in-flight responses complete under the drain grace, and every
 // subsequent request falls through to the surviving replica.
 func TestClusterDrainUnderLoadZeroFailures(t *testing.T) {
-	// CacheBytes < 0 pins the router cache to 1 MiB; with 24 images of
-	// 8 KiB everything still fits, so push traffic to the nodes by
-	// disabling hits where it matters: the by-tag manifest path always
-	// revalidates against a node, exercising fall-through on every pull.
-	_, images, c := seededCluster(t, Config{Nodes: 3, Replicas: 2, DrainTimeout: 5 * time.Second}, 24)
-	rc := routerClient(c)
+	// With 24 images of 8 KiB everything fits the router cache; traffic
+	// still reaches the nodes where it matters: the by-tag manifest path
+	// always revalidates against a node, exercising fall-through on every
+	// pull.
+	images, c := seededCluster(t, Topology{Nodes: 3, Replicas: 2}, Site{DrainTimeout: 5 * time.Second}, 24)
+	rc := c.Client
 	ctx := context.Background()
 
 	const workers = 4
@@ -282,7 +273,7 @@ func TestClusterDrainUnderLoadZeroFailures(t *testing.T) {
 	}
 
 	time.Sleep(50 * time.Millisecond) // let load build
-	if err := c.DrainNode(ctx, 1); err != nil {
+	if err := c.Nodes[1].Drain(ctx); err != nil {
 		t.Errorf("drain: %v", err)
 	}
 	time.Sleep(200 * time.Millisecond) // keep pulling against the drained cluster
@@ -299,7 +290,7 @@ func TestClusterDrainUnderLoadZeroFailures(t *testing.T) {
 
 // The pacer must cap a node's aggregate egress near the configured rate.
 func TestPacerCapsRate(t *testing.T) {
-	p := newPacer(1<<20, nil) // 1 MiB/s, system clock
+	p := newPacer(1 << 20) // 1 MiB/s
 	start := time.Now()
 	var wg sync.WaitGroup
 	var slept atomic.Int64

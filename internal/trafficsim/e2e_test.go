@@ -11,6 +11,7 @@ import (
 	"repro/internal/hubapi"
 	"repro/internal/registry"
 	"repro/internal/serve"
+	"repro/internal/topology"
 )
 
 // TestSlowClientDrainE2E is the end-to-end drain check: slow clients hold
@@ -39,8 +40,8 @@ func TestSlowClientDrainE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Cluster == nil {
-		t.Fatal("SlowClients with Nodes=3 exposed no cluster")
+	if len(sc.Stack.Nodes) != 3 {
+		t.Fatalf("SlowClients with Nodes=3 provisioned %d nodes", len(sc.Stack.Nodes))
 	}
 
 	arrivals, err := NewPoisson(80, rand.New(rand.NewSource(env.Seed+seedArrive)))
@@ -53,7 +54,7 @@ func TestSlowClientDrainE2E(t *testing.T) {
 	drained := make(chan error, 1)
 	go func() {
 		time.Sleep(400 * time.Millisecond)
-		drained <- sc.Cluster.DrainNode(ctx, 1)
+		drained <- sc.Stack.Nodes[1].Drain(ctx)
 	}()
 
 	res, err := Run(ctx, Config{
@@ -102,7 +103,7 @@ func TestScenarioSmoke(t *testing.T) {
 		t.Skip("e2e: real servers")
 	}
 	scenarios := []Scenario{
-		&MixedPushPull{PushFraction: 0.3, LiveAnalytics: true},
+		&MixedPushPull{PushFraction: 0.3},
 		&FlashCrowd{HerdFraction: 0.75},
 		&Hierarchy{Edges: 2},
 	}
@@ -143,29 +144,25 @@ func TestReplayExternalDeployment(t *testing.T) {
 	}
 	ctx := context.Background()
 	env := Env{Scale: 0.001, Seed: 5, Requests: 120}
-	pop, err := newPopulation(&env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pop.names) == len(pop.repos) {
-		t.Fatal("population has no private or untagged repository to filter out")
-	}
-
 	g := &serve.Group{}
 	defer func() {
 		if err := g.Shutdown(ctx); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
 	}()
-	regSrv := &serve.Server{Name: "registry", Handler: pop.reg}
+	pop, stack, err := provision(g, &env, topology.Topology{}, topology.Site{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pop.names) == len(pop.repos) {
+		t.Fatal("population has no private or untagged repository to filter out")
+	}
 	// The index repeats entries, like the real Hub search.
 	hubSrv := &serve.Server{Name: "search", Handler: hubapi.NewServer(pop.repos, 1.4, 9, 0)}
-	for _, srv := range []*serve.Server{regSrv, hubSrv} {
-		if err := g.Start(srv); err != nil {
-			t.Fatal(err)
-		}
+	if err := g.Start(hubSrv); err != nil {
+		t.Fatal(err)
 	}
-	sc := &Replay{Registry: regSrv.URL(), Search: hubSrv.URL()}
+	sc := &Replay{Registry: stack.URL, Search: hubSrv.URL()}
 
 	// The deployment's pullable set, seen only through its two URLs, is
 	// the in-process filter's: no private, no untagged, no duplicates.

@@ -182,7 +182,7 @@ func NewScenario(name string) (Scenario, error) {
 	case "pull-storm":
 		return &PullStorm{}, nil
 	case "mixed":
-		return &MixedPushPull{LiveAnalytics: true}, nil
+		return &MixedPushPull{}, nil
 	case "flash-crowd":
 		return &FlashCrowd{}, nil
 	case "slow-clients":

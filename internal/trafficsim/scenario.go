@@ -7,12 +7,12 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/blobstore"
 	"repro/internal/manifest"
 	"repro/internal/popularity"
 	"repro/internal/registry"
 	"repro/internal/serve"
 	"repro/internal/synth"
+	"repro/internal/topology"
 )
 
 // Env is the shared provisioning environment scenarios build under: one
@@ -66,19 +66,18 @@ type Scenario interface {
 	Setup(ctx context.Context, g *serve.Group, env *Env) (func(i int) Op, error)
 }
 
-// population is one materialized synthetic Hub: the source registry plus
-// the pullable repository universe and its popularity weights.
+// population is one synthetic Hub: the dataset, its repository metadata,
+// and the pullable repository universe with its popularity weights.
 type population struct {
 	ds      *synth.Dataset
-	reg     *registry.Registry
 	repos   []manifest.Repository
 	names   []string
 	weights []int64
 }
 
-// newPopulation generates and materializes the synthetic Hub at the env's
-// scale and collects the pullable (public, latest-tagged) repositories,
-// so traces only contain requests that must succeed.
+// newPopulation generates the synthetic Hub at the env's scale and
+// collects the pullable (public, latest-tagged) repositories, so traces
+// only contain requests that must succeed.
 func newPopulation(env *Env) (*population, error) {
 	spec := synth.MaterializeSpec(env.Scale)
 	if env.Seed != 0 {
@@ -88,30 +87,49 @@ func newPopulation(env *Env) (*population, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := registry.New(blobstore.NewMemory())
-	if _, err := synth.Materialize(ds, reg); err != nil {
-		return nil, err
-	}
-	p := &population{ds: ds, reg: reg, repos: synth.Repositories(ds)}
-	repos := p.repos
-	for i := range repos {
-		if repos[i].Private {
+	p := &population{ds: ds, repos: synth.Repositories(ds)}
+	for i := range ds.Repos {
+		if !ds.Repos[i].Downloadable() {
 			continue
 		}
-		if _, err := reg.ResolveTag(repos[i].Name, "latest"); err != nil {
-			continue
-		}
-		w := repos[i].PullCount
-		if w < 1 {
-			w = 1
-		}
-		p.names = append(p.names, repos[i].Name)
-		p.weights = append(p.weights, w)
+		p.names = append(p.names, p.repos[i].Name)
+		p.weights = append(p.weights, max(p.repos[i].PullCount, 1))
 	}
 	if len(p.names) == 0 {
 		return nil, fmt.Errorf("trafficsim: no pullable repositories at scale %g", env.Scale)
 	}
 	return p, nil
+}
+
+// provision generates the env's population and stands it up behind
+// topology t: the stack's origin is materialized with every image (then
+// extra, when set, adds the scenario's own content) before anything is
+// served. site.Repos lists repositories beyond the population's.
+func provision(g *serve.Group, env *Env, t topology.Topology, site topology.Site, extra func(*registry.Registry) error) (*population, *topology.Stack, error) {
+	p, err := newPopulation(env)
+	if err != nil {
+		return nil, nil, err
+	}
+	site.Repos = append(append([]manifest.Repository(nil), p.repos...), site.Repos...)
+	site.Fill = func(reg *registry.Registry) error {
+		if _, err := synth.Materialize(p.ds, reg); err != nil || extra == nil {
+			return err
+		}
+		return extra(reg)
+	}
+	stack, err := topology.Provision(g, t, site)
+	return p, stack, err
+}
+
+// sharded is provision on an n-node cluster (2 when nodes <= 0) behind
+// its router. The router cache is pinned to coalescing-only so runs
+// measure the nodes, not the router's memory.
+func sharded(g *serve.Group, env *Env, nodes, replicas int, nodeBW int64) (*population, *topology.Stack, error) {
+	if nodes <= 0 {
+		nodes = 2
+	}
+	return provision(g, env, topology.Topology{Nodes: nodes, Replicas: replicas},
+		topology.Site{NodeBandwidth: nodeBW, RouterCacheBytes: -1}, nil)
 }
 
 // pullImage fetches a repository's latest manifest and streams every
@@ -165,14 +183,4 @@ func throttledDiscard(ctx context.Context, clk Clock, r io.Reader, bps int64) (i
 			return total, err
 		}
 	}
-}
-
-// clientFor builds a registry client over a served endpoint with a
-// dedicated tuned transport whose idle connections are discarded on that
-// server's shutdown — the drain-friendly wiring the cluster tier
-// established.
-func clientFor(srv *serve.Server) *registry.Client {
-	hc := srv.Client()
-	srv.OnShutdown(hc.CloseIdleConnections)
-	return &registry.Client{Base: srv.URL(), HTTP: hc}
 }

@@ -2,22 +2,16 @@ package trafficsim
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
 
-	"repro/internal/analytics"
-	"repro/internal/blobstore"
-	"repro/internal/cache"
-	"repro/internal/cluster"
-	"repro/internal/digest"
 	"repro/internal/hubapi"
 	"repro/internal/manifest"
-	"repro/internal/mirror"
 	"repro/internal/registry"
 	"repro/internal/serve"
 	"repro/internal/synth"
+	"repro/internal/topology"
 )
 
 // PullStorm is the Zipf-skewed pull storm: the popularity-weighted trace
@@ -38,38 +32,11 @@ func (s *PullStorm) Name() string { return "pull-storm" }
 
 // Setup implements Scenario.
 func (s *PullStorm) Setup(ctx context.Context, g *serve.Group, env *Env) (func(i int) Op, error) {
-	pop, err := newPopulation(env)
+	pop, stack, err := sharded(g, env, s.Nodes, s.Replicas, s.NodeBandwidth)
 	if err != nil {
 		return nil, err
 	}
-	_, client, err := launchCluster(g, pop, s.Nodes, s.Replicas, s.NodeBandwidth)
-	if err != nil {
-		return nil, err
-	}
-	return tracePulls(env, pop.names, pop.weights, client, 0)
-}
-
-// launchCluster mounts an n-node cluster (2 when nodes <= 0) seeded with
-// the population and returns it with a client on its router. The router
-// cache is pinned to coalescing-only so runs measure the nodes, not the
-// router's memory.
-func launchCluster(g *serve.Group, pop *population, nodes, replicas int, nodeBW int64) (*cluster.Cluster, *registry.Client, error) {
-	if nodes <= 0 {
-		nodes = 2
-	}
-	c, err := cluster.Launch(g, cluster.Config{
-		Nodes:         nodes,
-		Replicas:      replicas,
-		NodeBandwidth: nodeBW,
-		CacheBytes:    -1,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := c.Seed(pop.reg, pop.repos); err != nil {
-		return nil, nil, err
-	}
-	return c, &registry.Client{Base: c.RouterURL(), HTTP: c.RouterClient()}, nil
+	return tracePulls(env, pop.names, pop.weights, stack.Client, 0)
 }
 
 // tracePulls is the op source the pull-only scenarios share: request i
@@ -90,16 +57,13 @@ func tracePulls(env *Env, names []string, weights []int64, client *registry.Clie
 }
 
 // MixedPushPull drives a read/write mix against one registry whose write
-// path feeds the always-on analytics ingest tee: pulls follow the Zipf
+// path feeds the always-on analytics ingest hook: pulls follow the Zipf
 // trace while a fraction of arrivals push fresh images (new layer blob,
 // config, manifest) — the update traffic that invalidates nothing for
 // pullers but costs the tee its walk.
 type MixedPushPull struct {
 	// PushFraction is the share of arrivals that are pushes (default 0.2).
 	PushFraction float64
-	// LiveAnalytics hooks the ingest tee onto the write path (default
-	// true via NewMixedPushPull; zero value means plain).
-	LiveAnalytics bool
 }
 
 // Name implements Scenario.
@@ -107,12 +71,10 @@ func (s *MixedPushPull) Name() string { return "mixed" }
 
 // pushJob is one pre-rendered image upload.
 type pushJob struct {
-	repo   string
-	layer  []byte
-	layerD digest.Digest
-	cfg    []byte
-	cfgD   digest.Digest
-	m      *manifest.Manifest
+	repo  string
+	layer []byte
+	cfg   []byte
+	m     *manifest.Manifest
 }
 
 // Setup implements Scenario.
@@ -121,11 +83,6 @@ func (s *MixedPushPull) Setup(ctx context.Context, g *serve.Group, env *Env) (fu
 	if frac <= 0 {
 		frac = 0.2
 	}
-	pop, err := newPopulation(env)
-	if err != nil {
-		return nil, err
-	}
-
 	// Fresh push payloads: layers rendered from a sibling dataset at a
 	// different seed, so the bytes are valid gzipped layer tars (the
 	// ingest tee walks them) with digests the registry has never seen.
@@ -137,19 +94,17 @@ func (s *MixedPushPull) Setup(ctx context.Context, g *serve.Group, env *Env) (fu
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range pushRepos {
-		pop.reg.CreateRepo(r.Name, false)
-	}
-	if s.LiveAnalytics {
-		live := analytics.New(pop.reg.Blobs(), append(append([]manifest.Repository(nil), pop.repos...), pushRepos...))
-		pop.reg.SetIngest(live)
-	}
-
-	srv := &serve.Server{Name: "registry", Handler: pop.reg}
-	if err := g.Start(srv); err != nil {
+	pop, stack, err := provision(g, env, topology.Topology{Ingest: true}, topology.Site{Repos: pushRepos},
+		func(reg *registry.Registry) error {
+			for _, r := range pushRepos {
+				reg.CreateRepo(r.Name, false)
+			}
+			return nil
+		})
+	if err != nil {
 		return nil, err
 	}
-	client := clientFor(srv)
+	client := *stack.Client
 	client.Token = "trafficsim"
 
 	trace, err := env.trace(pop.weights)
@@ -191,23 +146,31 @@ func (s *MixedPushPull) Setup(ctx context.Context, g *serve.Group, env *Env) (fu
 		}
 		repo := pop.names[trace[i]]
 		return func(ctx context.Context) (int64, error) {
-			return pullImage(ctx, client, clk, repo, 0)
+			return pullImage(ctx, &client, clk, repo, 0)
 		}
 	}, nil
+}
+
+// payload generates the sibling dataset fresh pushes take their layers
+// from: the population's spec at a seed offset, so the bytes are valid
+// gzipped layer tars with digests the population does not hold.
+func payload(env *Env) (*synth.Dataset, error) {
+	spec := synth.MaterializeSpec(env.Scale)
+	spec.Seed = env.Seed + seedPayload
+	ds, err := synth.Generate(spec)
+	if err == nil && len(ds.Layers) == 0 {
+		err = fmt.Errorf("trafficsim: payload dataset has no layers at scale %g", env.Scale)
+	}
+	return ds, err
 }
 
 // renderPushJobs renders n fresh single-layer images under sim/push-*
 // repositories. Layer content comes from a payload dataset generated at a
 // seed offset, cycled when n exceeds its layer count.
 func renderPushJobs(env *Env, n int) ([]pushJob, []manifest.Repository, error) {
-	spec := synth.MaterializeSpec(env.Scale)
-	spec.Seed = env.Seed + seedPayload
-	ds, err := synth.Generate(spec)
+	ds, err := payload(env)
 	if err != nil {
 		return nil, nil, err
-	}
-	if len(ds.Layers) == 0 {
-		return nil, nil, fmt.Errorf("trafficsim: payload dataset has no layers at scale %g", env.Scale)
 	}
 	jobs := make([]pushJob, n)
 	repos := make([]manifest.Repository, n)
@@ -216,33 +179,12 @@ func renderPushJobs(env *Env, n int) ([]pushJob, []manifest.Repository, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		cfg, err := json.Marshal(manifest.Config{
-			Architecture: "amd64",
-			OS:           "linux",
-			Created:      fmt.Sprintf("2019-03-%02dT00:00:00Z", 1+k%28),
-		})
+		cfg, m, err := synth.BuildImage(fmt.Sprintf("2019-03-%02dT00:00:00Z", 1+k%28),
+			[]manifest.Descriptor{synth.LayerDescriptor(layer)})
 		if err != nil {
 			return nil, nil, err
 		}
-		j := pushJob{
-			repo:   fmt.Sprintf("sim/push-%04d", k),
-			layer:  layer,
-			layerD: digest.FromBytes(layer),
-			cfg:    cfg,
-			cfgD:   digest.FromBytes(cfg),
-		}
-		j.m, err = manifest.New(manifest.Descriptor{
-			MediaType: manifest.MediaTypeConfig,
-			Size:      int64(len(cfg)),
-			Digest:    j.cfgD,
-		}, []manifest.Descriptor{{
-			MediaType: manifest.MediaTypeLayer,
-			Size:      int64(len(layer)),
-			Digest:    j.layerD,
-		}})
-		if err != nil {
-			return nil, nil, err
-		}
+		j := pushJob{repo: fmt.Sprintf("sim/push-%04d", k), layer: layer, cfg: cfg, m: m}
 		jobs[k] = j
 		repos[k] = manifest.Repository{Name: j.repo}
 	}
@@ -282,30 +224,16 @@ func (s *FlashCrowd) Setup(ctx context.Context, g *serve.Group, env *Env) (func(
 		budget = 256 << 20
 	}
 
-	pop, err := newPopulation(env)
-	if err != nil {
-		return nil, err
-	}
 	// The freshly pushed image: layers the origin (and therefore the
 	// mirror) has never served, registered under a brand-new tag moments
 	// before the herd arrives.
 	const hotRepo = "hot/new"
-	if err := pushHotImage(pop, env, hotRepo, hotLayers); err != nil {
+	pop, stack, err := provision(g, env, topology.Topology{MirrorBytes: budget}, topology.Site{},
+		func(reg *registry.Registry) error { return pushHotImage(reg, env, hotRepo, hotLayers) })
+	if err != nil {
 		return nil, err
 	}
-
-	origin := &serve.Server{Name: "origin", Handler: pop.reg}
-	if err := g.Start(origin); err != nil {
-		return nil, err
-	}
-	mir := &serve.Server{
-		Name:    "mirror",
-		Handler: mirror.New(clientFor(origin), cache.New(blobstore.NewMemory(), budget)),
-	}
-	if err := g.Start(mir); err != nil {
-		return nil, err
-	}
-	client := clientFor(mir)
+	client := stack.Client
 
 	trace, err := env.trace(pop.weights)
 	if err != nil {
@@ -331,53 +259,32 @@ func (s *FlashCrowd) Setup(ctx context.Context, g *serve.Group, env *Env) (func(
 
 // pushHotImage registers a fresh image (layers from the payload dataset)
 // in the origin registry under repo:latest.
-func pushHotImage(pop *population, env *Env, repo string, layers int) error {
-	spec := synth.MaterializeSpec(env.Scale)
-	spec.Seed = env.Seed + seedPayload
-	ds, err := synth.Generate(spec)
+func pushHotImage(reg *registry.Registry, env *Env, repo string, layers int) error {
+	ds, err := payload(env)
 	if err != nil {
 		return err
 	}
-	if len(ds.Layers) < layers {
-		layers = len(ds.Layers)
-	}
-	if layers == 0 {
-		return fmt.Errorf("trafficsim: payload dataset has no layers at scale %g", env.Scale)
-	}
+	layers = min(layers, len(ds.Layers))
 	descs := make([]manifest.Descriptor, layers)
 	for j := 0; j < layers; j++ {
 		blob, err := synth.RenderLayer(ds, synth.LayerID(j))
 		if err != nil {
 			return err
 		}
-		d, err := pop.reg.PushBlob(blob)
-		if err != nil {
+		if _, err := reg.PushBlob(blob); err != nil {
 			return err
 		}
-		descs[j] = manifest.Descriptor{
-			MediaType: manifest.MediaTypeLayer,
-			Size:      int64(len(blob)),
-			Digest:    d,
-		}
+		descs[j] = synth.LayerDescriptor(blob)
 	}
-	cfg, err := json.Marshal(manifest.Config{Architecture: "amd64", OS: "linux", Created: "2019-03-01T00:00:00Z"})
+	cfg, m, err := synth.BuildImage("2019-03-01T00:00:00Z", descs)
 	if err != nil {
 		return err
 	}
-	cfgD, err := pop.reg.PushBlob(cfg)
-	if err != nil {
+	if _, err := reg.PushBlob(cfg); err != nil {
 		return err
 	}
-	m, err := manifest.New(manifest.Descriptor{
-		MediaType: manifest.MediaTypeConfig,
-		Size:      int64(len(cfg)),
-		Digest:    cfgD,
-	}, descs)
-	if err != nil {
-		return err
-	}
-	pop.reg.CreateRepo(repo, false)
-	_, err = pop.reg.PushManifest(repo, "latest", m)
+	reg.CreateRepo(repo, false)
+	_, err = reg.PushManifest(repo, "latest", m)
 	return err
 }
 
@@ -393,9 +300,9 @@ type SlowClients struct {
 	// ReadBytesPerS throttles each client's blob reads (default 128 KiB/s).
 	ReadBytesPerS int64
 
-	// Cluster is the backing cluster after Setup when Nodes > 1 (the
-	// drain e2e reaches in to drain a member mid-run).
-	Cluster *cluster.Cluster
+	// Stack is what Setup provisioned (the drain e2e reaches in to drain
+	// a node mid-run).
+	Stack *topology.Stack
 }
 
 // Name implements Scenario.
@@ -407,23 +314,17 @@ func (s *SlowClients) Setup(ctx context.Context, g *serve.Group, env *Env) (func
 	if bps <= 0 {
 		bps = 128 << 10
 	}
-	pop, err := newPopulation(env)
+	var pop *population
+	var err error
+	if s.Nodes > 1 {
+		pop, s.Stack, err = sharded(g, env, s.Nodes, s.Replicas, 0)
+	} else {
+		pop, s.Stack, err = provision(g, env, topology.Topology{}, topology.Site{}, nil)
+	}
 	if err != nil {
 		return nil, err
 	}
-	var client *registry.Client
-	if s.Nodes > 1 {
-		if s.Cluster, client, err = launchCluster(g, pop, s.Nodes, s.Replicas, 0); err != nil {
-			return nil, err
-		}
-	} else {
-		srv := &serve.Server{Name: "registry", Handler: pop.reg}
-		if err := g.Start(srv); err != nil {
-			return nil, err
-		}
-		client = clientFor(srv)
-	}
-	return tracePulls(env, pop.names, pop.weights, client, bps)
+	return tracePulls(env, pop.names, pop.weights, s.Stack.Client, bps)
 }
 
 // Hierarchy is the two-level mirror tree: clients pull from edge mirrors,
@@ -459,31 +360,19 @@ func (s *Hierarchy) Setup(ctx context.Context, g *serve.Group, env *Env) (func(i
 		regionalBudget = 256 << 20
 	}
 
-	pop, err := newPopulation(env)
+	// Origin behind the regional mirror is one stack; each edge is a
+	// mirror-only stack whose origin is the regional tier's URL.
+	pop, regional, err := provision(g, env, topology.Topology{MirrorBytes: regionalBudget}, topology.Site{}, nil)
 	if err != nil {
 		return nil, err
 	}
-	origin := &serve.Server{Name: "origin", Handler: pop.reg}
-	if err := g.Start(origin); err != nil {
-		return nil, err
-	}
-	regional := &serve.Server{
-		Name:    "regional",
-		Handler: mirror.New(clientFor(origin), cache.New(blobstore.NewMemory(), regionalBudget)),
-	}
-	if err := g.Start(regional); err != nil {
-		return nil, err
-	}
 	clients := make([]*registry.Client, edges)
-	for e := 0; e < edges; e++ {
-		edge := &serve.Server{
-			Name:    fmt.Sprintf("edge%d", e),
-			Handler: mirror.New(clientFor(regional), cache.New(blobstore.NewMemory(), edgeBudget)),
-		}
-		if err := g.Start(edge); err != nil {
+	for e := range clients {
+		edge, err := topology.Provision(g, topology.Topology{MirrorBytes: edgeBudget}, topology.Site{Origin: regional.URL})
+		if err != nil {
 			return nil, err
 		}
-		clients[e] = clientFor(edge)
+		clients[e] = edge.Client
 	}
 
 	trace, err := env.trace(pop.weights)

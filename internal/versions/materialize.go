@@ -2,7 +2,6 @@ package versions
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 
@@ -30,14 +29,6 @@ func MaterializeHistory(d *synth.Dataset, h *History, mat *synth.Materialized, r
 
 	for _, chain := range h.Chains {
 		repo := d.Repos[chain.Repo].Name
-		cfg, err := json.Marshal(manifest.Config{Architecture: "amd64", OS: "linux"})
-		if err != nil {
-			return err
-		}
-		cfgDg, err := reg.PushBlob(cfg)
-		if err != nil {
-			return err
-		}
 		for vi := range chain.Versions {
 			v := &chain.Versions[vi]
 			descs := make([]manifest.Descriptor, len(v.Layers))
@@ -56,23 +47,20 @@ func MaterializeHistory(d *synth.Dataset, h *History, mat *synth.Materialized, r
 						if err != nil {
 							return fmt.Errorf("versions: rendering old layer %#x: %w", l.Key, err)
 						}
-						dg, err := reg.PushBlob(blob)
-						if err != nil {
+						if _, err := reg.PushBlob(blob); err != nil {
 							return err
 						}
-						desc = manifest.Descriptor{
-							MediaType: manifest.MediaTypeLayer,
-							Size:      int64(len(blob)),
-							Digest:    dg,
-						}
+						desc = synth.LayerDescriptor(blob)
 						oldBlobs[l.Key] = desc
 					}
 					descs[j] = desc
 				}
 			}
-			m, err := manifest.New(manifest.Descriptor{
-				MediaType: manifest.MediaTypeConfig, Size: int64(len(cfg)), Digest: cfgDg,
-			}, descs)
+			// Every version shares the one undated config blob.
+			cfg, m, err := synth.BuildImage("", descs)
+			if err == nil {
+				_, err = reg.PushBlob(cfg)
+			}
 			if err != nil {
 				return fmt.Errorf("versions: manifest for %s v%d: %w", repo, vi+1, err)
 			}

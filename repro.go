@@ -3,20 +3,23 @@
 // a statistically calibrated synthetic Docker Hub, regenerating every table
 // and figure of the paper's evaluation.
 //
-// The facade offers three run modes:
+// The facade offers three run modes, selected by Options.Topology:
 //
-//   - Model mode analyzes the synthetic Hub's metadata directly and scales
-//     to millions of file instances; it is the statistical reproduction
-//     path (figures 3–29).
-//   - Wire mode materializes real gzip-compressed layer tarballs into an
-//     in-process Docker Registry v2 server, then crawls the Hub search
-//     API, downloads every latest-tag image over HTTP, and analyzes the
-//     actual bytes — the methodology reproduction (§III).
-//   - Live mode runs the study as a resident service: images are pushed
-//     over HTTP into a registry whose write path feeds an always-on
-//     incremental analytics index, and the figures render from the live
-//     index — bit-identical to a batch pass over the same bytes, even
-//     through delete/re-push churn.
+//   - Model mode (no Topology) analyzes the synthetic Hub's metadata
+//     directly and scales to millions of file instances; it is the
+//     statistical reproduction path (figures 3–29).
+//   - Wire mode (a Topology, pulled TwoPhase or Fused) materializes real
+//     gzip-compressed layer tarballs into an in-process Docker Registry
+//     v2 stack — plain or deduplicating storage, served directly, through
+//     a caching mirror or through a sharded cluster's router — then
+//     crawls the Hub search API, downloads every latest-tag image over
+//     HTTP, and analyzes the actual bytes — the methodology reproduction
+//     (§III). Every such stack renders bit-identical figures.
+//   - Live mode (a Topology acquired by LivePush) runs the study as a
+//     resident service: images are pushed over HTTP into a registry whose
+//     write path feeds an always-on incremental analytics index, and the
+//     figures render from the live index — bit-identical to a batch pass
+//     over the same bytes, even through delete/re-push churn.
 //
 // Quick start:
 //
@@ -37,69 +40,45 @@ import (
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/synth"
+	"repro/internal/topology"
 )
 
 // Options configures a reproduction run.
 type Options struct {
 	// Scale multiplies the paper's entity counts (457,627 repositories,
 	// 1,792,609 layers, 5.28 B files at 1.0). Model runs typically use
-	// 0.0005–0.01; wire runs 0.0001–0.001. Required.
+	// 0.0005–0.01; wire and live runs 0.0001–0.001. Required.
 	Scale float64
 	// Seed overrides the default dataset seed (the paper's crawl date)
 	// when non-zero.
 	Seed int64
-	// Wire selects the full HTTP pipeline over materialized tarballs
-	// instead of model-mode analysis.
-	Wire bool
 	// Workers bounds pipeline parallelism (default 8).
 	Workers int
 	// GrowthSamples controls the Fig. 25 dedup-growth curve: 0 = default
 	// (4 nested samples plus the full dataset), negative = skip.
 	GrowthSamples int
-	// Fused fuses download and analysis into one streaming pass (wire mode
-	// only): layers are walked as they cross the wire instead of in a
-	// second pass over the store. Results are identical to the two-phase
-	// pipeline.
-	Fused bool
-	// MirrorCacheBytes, when positive, interposes a pull-through caching
-	// mirror (internal/mirror) between the downloader and the registry
-	// (wire mode only); the value is the cache's byte budget. The run's
-	// figures are bit-identical to a direct wire run, and the resulting
-	// cache counters land in Result.MirrorStats.
-	MirrorCacheBytes int64
-	// MirrorWarm pre-pulls every crawled repository through the mirror
-	// before the measured download, so it runs against a warm cache.
-	MirrorWarm bool
-	// ClusterNodes, when positive, shards the materialized registry
-	// across that many nodes behind a consistent-hash router
-	// (internal/cluster) and pulls through it (wire mode only). Figures
-	// are bit-identical to a direct wire run; per-node serving counters
-	// land in Result.ClusterStats.
-	ClusterNodes int
-	// ClusterReplicas is the copies kept of each blob/tag in cluster mode
-	// (2 when 0, capped at ClusterNodes).
-	ClusterReplicas int
-	// DedupStorage materializes the registry onto the file-deduplicating
-	// storage backend (internal/dedupstore) instead of a plain blob store
-	// (wire mode only): layers decompose into a shared content pool on
-	// push and reconstruct bit-identically on every pull. Figures are
-	// bit-identical to a plain-backend wire run; the backend's storage
-	// accounting lands in Result.DedupStats.
-	DedupStorage bool
-	// Live runs the study as a resident service instead of a batch
-	// pipeline: the registry serves with the always-on analytics hook on
-	// its write path, every image is pushed over HTTP (layer bytes are
-	// analyzed in flight by the ingest tee), and the figures render from
-	// the incrementally maintained live index — no batch analysis pass.
-	// The live service lands in Result.Analytics, its ingest counters in
-	// Result.IngestStats. Mutually exclusive with Wire and the wire-only
-	// options.
-	Live bool
-	// LiveChurn, with Live, deletes and re-pushes this fraction of the
-	// tagged population before reporting, exercising the live index's
-	// exact rollup path. Figures are identical to a churn-free run.
-	LiveChurn float64
+	// Topology is the registry stack the study stands up and how it
+	// acquires its bytes from it: &Topology{} is the plain wire pipeline,
+	// &Topology{Acquire: Fused} its one-pass form, &Topology{Acquire:
+	// LivePush, Ingest: true} the live service. Nil runs the model study,
+	// which has no registry. What the stack served and stored lands in
+	// Result.Stack.
+	Topology *Topology
 }
+
+// Topology re-exports the registry-stack description; see its fields for
+// the storage, ingest, front-tier and acquisition axes and Validate for
+// the combinations that cannot work.
+type Topology = topology.Topology
+
+// The enumerated Topology values.
+const (
+	Plain    = topology.Plain
+	Dedup    = topology.Dedup
+	TwoPhase = topology.TwoPhase
+	Fused    = topology.Fused
+	LivePush = topology.LivePush
+)
 
 // Result re-exports the study outcome.
 type Result = core.Result
@@ -122,46 +101,18 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 	if opts.Scale <= 0 {
 		return nil, errors.New("repro: Options.Scale must be positive")
 	}
-	if opts.Live {
-		if opts.Wire {
-			return nil, errors.New("repro: Options.Live and Options.Wire are mutually exclusive")
-		}
-		if opts.Fused || opts.MirrorCacheBytes > 0 || opts.ClusterNodes > 0 || opts.DedupStorage {
-			return nil, errors.New("repro: Options.Live does not combine with wire-pipeline options (Fused, Mirror*, Cluster*, DedupStorage)")
-		}
-	}
-	if opts.LiveChurn != 0 && !opts.Live {
-		return nil, errors.New("repro: Options.LiveChurn requires Options.Live")
-	}
-	if opts.LiveChurn < 0 || opts.LiveChurn > 1 {
-		return nil, errors.New("repro: Options.LiveChurn must be in [0, 1]")
-	}
-	var spec synth.Spec
-	if opts.Wire || opts.Live {
+	spec := synth.DefaultSpec(opts.Scale)
+	if opts.Topology != nil {
 		spec = synth.MaterializeSpec(opts.Scale)
-	} else {
-		spec = synth.DefaultSpec(opts.Scale)
 	}
 	if opts.Seed != 0 {
 		spec.Seed = opts.Seed
 	}
 	study := &core.Study{
-		Spec:             spec,
-		Workers:          opts.Workers,
-		GrowthSamples:    opts.GrowthSamples,
-		Fused:            opts.Fused,
-		MirrorCacheBytes: opts.MirrorCacheBytes,
-		MirrorWarm:       opts.MirrorWarm,
-		ClusterNodes:     opts.ClusterNodes,
-		ClusterReplicas:  opts.ClusterReplicas,
-		DedupStorage:     opts.DedupStorage,
-		LiveChurn:        opts.LiveChurn,
+		Spec:          spec,
+		Workers:       opts.Workers,
+		GrowthSamples: opts.GrowthSamples,
+		Topology:      opts.Topology,
 	}
-	if opts.Live {
-		return study.RunLiveContext(ctx)
-	}
-	if opts.Wire {
-		return study.RunWireContext(ctx)
-	}
-	return study.RunModelContext(ctx)
+	return study.Run(ctx)
 }

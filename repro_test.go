@@ -39,11 +39,11 @@ func TestRunModelSmall(t *testing.T) {
 }
 
 func TestRunWireSmall(t *testing.T) {
-	res, err := repro.Run(repro.Options{Scale: 0.0001, Wire: true, Workers: 4})
+	res, err := repro.Run(repro.Options{Scale: 0.0001, Workers: 4, Topology: &repro.Topology{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Crawl == nil || res.Download == nil || res.Registry == nil {
+	if res.Crawl == nil || res.Download == nil || res.Stack == nil {
 		t.Fatal("wire run missing pipeline results")
 	}
 	if res.Download.Stats.Downloaded == 0 {
@@ -52,7 +52,7 @@ func TestRunWireSmall(t *testing.T) {
 }
 
 func TestRunWireStageAccounting(t *testing.T) {
-	res, err := repro.Run(repro.Options{Scale: 0.0001, Wire: true, Workers: 4})
+	res, err := repro.Run(repro.Options{Scale: 0.0001, Workers: 4, Topology: &repro.Topology{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +76,10 @@ func TestRunWireStageAccounting(t *testing.T) {
 func TestRunContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, wire := range []bool{false, true} {
-		_, err := repro.RunContext(ctx, repro.Options{Scale: 0.0001, Wire: wire})
+	for _, topo := range []*repro.Topology{nil, {}} {
+		_, err := repro.RunContext(ctx, repro.Options{Scale: 0.0001, Topology: topo})
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("wire=%v: err = %v, want context.Canceled", wire, err)
+			t.Errorf("topology %v: err = %v, want context.Canceled", topo, err)
 		}
 	}
 }
@@ -95,7 +95,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := repro.RunContext(ctx, repro.Options{Scale: 0.0005, Wire: true, Workers: 4})
+	_, err := repro.RunContext(ctx, repro.Options{Scale: 0.0005, Workers: 4, Topology: &repro.Topology{}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -126,15 +126,16 @@ func TestRunSeedOverride(t *testing.T) {
 }
 
 func TestRunLiveSmall(t *testing.T) {
-	res, err := repro.Run(repro.Options{Scale: 0.0001, Live: true, LiveChurn: 0.25, Workers: 4})
+	res, err := repro.Run(repro.Options{Scale: 0.0001, Workers: 4,
+		Topology: &repro.Topology{Acquire: repro.LivePush, Ingest: true, Churn: 0.25}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Analytics == nil || res.IngestStats == nil || res.Registry == nil {
+	if res.Stack == nil || res.Stack.Origin.Live == nil {
 		t.Fatal("live run missing analytics results")
 	}
-	if res.IngestStats.BlobsWalked == 0 || res.IngestStats.TagDeletes == 0 {
-		t.Fatalf("live run ingest counters: %+v", res.IngestStats)
+	if ingest := res.Stack.Stats().Origin.Ingest; ingest.BlobsWalked == 0 || ingest.TagDeletes == 0 {
+		t.Fatalf("live run ingest counters: %+v", ingest)
 	}
 	if len(res.Figures) == 0 {
 		t.Fatal("live run rendered no figures")
@@ -144,20 +145,33 @@ func TestRunLiveSmall(t *testing.T) {
 	}
 }
 
+// TestRunLiveOptionValidation: every combination that cannot work is
+// refused before any work is done. The first rows were rejected by hand
+// in RunContext before Topology; the rest ran a different study than the
+// options said and reported success (a warm-up with no mirror to warm,
+// replicas of no nodes), or pushed into a registry with no index to
+// report from.
 func TestRunLiveOptionValidation(t *testing.T) {
-	bad := []repro.Options{
-		{Scale: 0.0001, Live: true, Wire: true},
-		{Scale: 0.0001, Live: true, Fused: true},
-		{Scale: 0.0001, Live: true, ClusterNodes: 2},
-		{Scale: 0.0001, Live: true, DedupStorage: true},
-		{Scale: 0.0001, Live: true, MirrorCacheBytes: 1 << 20},
-		{Scale: 0.0001, LiveChurn: 0.5},
-		{Scale: 0.0001, Live: true, LiveChurn: 1.5},
-		{Scale: 0.0001, Live: true, LiveChurn: -0.1},
+	live := func(t repro.Topology) repro.Topology {
+		t.Acquire, t.Ingest = repro.LivePush, true
+		return t
 	}
-	for i, opts := range bad {
-		if _, err := repro.Run(opts); err == nil {
-			t.Errorf("options %d (%+v) accepted", i, opts)
+	bad := []repro.Topology{
+		live(repro.Topology{Nodes: 2}),
+		live(repro.Topology{MirrorBytes: 1 << 20}),
+		{Churn: 0.5},
+		live(repro.Topology{Churn: 1.5}),
+		live(repro.Topology{Churn: -0.1}),
+		{MirrorWarm: true},
+		{Replicas: 2},
+		{Acquire: repro.Fused, Churn: 0.5},
+		{Acquire: repro.LivePush},
+		{Nodes: -1},
+		{MirrorBytes: -1},
+	}
+	for i, topo := range bad {
+		if _, err := repro.Run(repro.Options{Scale: 0.0001, Topology: &topo}); err == nil {
+			t.Errorf("topology %d (%+v) accepted", i, topo)
 		}
 	}
 }
