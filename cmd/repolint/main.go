@@ -4,8 +4,8 @@
 // the repository's determinism, transport, and context conventions:
 // `make lint` runs it over ./... so a bare time.Now in a deterministic
 // package, a global math/rand draw, a stray http.DefaultClient, a
-// dropped context, or a plain-text handler error fails CI instead of
-// waiting for review to notice.
+// dropped context, a plain-text handler error, or a bare io.Copy into a
+// response fails CI instead of waiting for review to notice.
 //
 // Usage:
 //

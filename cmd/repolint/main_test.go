@@ -23,10 +23,11 @@ func TestBadModuleFails(t *testing.T) {
 		"nodefaultclient",
 		"ctxpropagate",
 		"errenvelope",
+		"bodycopy",
 		"internal/core/clock.go",
 		"internal/mirror/handler.go",
 		"internal/synth/synth.go",
-		"repolint: 5 violation(s), 1 suppressed",
+		"repolint: 6 violation(s), 1 suppressed",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q\nstdout:\n%s", want, got)
@@ -54,7 +55,7 @@ func TestListFlag(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0\nstderr:\n%s", code, errb.String())
 	}
-	for _, rule := range []string{"noadhocclock", "noglobalrand", "nodefaultclient", "ctxpropagate", "errenvelope"} {
+	for _, rule := range []string{"noadhocclock", "noglobalrand", "nodefaultclient", "ctxpropagate", "errenvelope", "bodycopy"} {
 		if !strings.Contains(out.String(), rule) {
 			t.Errorf("-list output missing %s:\n%s", rule, out.String())
 		}

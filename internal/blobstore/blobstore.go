@@ -114,6 +114,25 @@ type onlyWriter struct{ w io.Writer }
 
 func (o onlyWriter) Write(p []byte) (int, error) { return o.w.Write(p) }
 
+// CopyBody streams a blob body to dst — the one copy loop behind every HTTP
+// response that carries a blob or manifest. A source that can push itself
+// (memReader, *os.File, the dedup store's reconstructing reader, the cache's
+// fill tee) does so straight into dst, keeping sendfile and the one-Write
+// memory hit; anything else is copied through a pooled buffer with dst's
+// ReaderFrom hidden, because an http.ResponseWriter's ReadFrom ends in
+// net.genericReadFrom, which allocates a fresh 32 KiB buffer per response
+// for every source that is not an *os.File. Ranged responses pass an
+// io.LimitReader and take the pooled-buffer path.
+func CopyBody(dst io.Writer, src io.Reader) (int64, error) {
+	if wt, ok := src.(io.WriterTo); ok {
+		return wt.WriteTo(dst)
+	}
+	bp := copyBufPool.Get().(*[]byte)
+	n, err := io.CopyBuffer(onlyWriter{dst}, src, *bp)
+	copyBufPool.Put(bp)
+	return n, err
+}
+
 // DrainVerify consumes r to EOF through a hasher and checks the digest —
 // the ingest path for blobs that are already stored, where content
 // addressing makes a second copy pointless but the caller's stream (often a

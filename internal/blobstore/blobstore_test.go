@@ -441,3 +441,56 @@ func TestDiskPutStreamLeavesNoTempFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// readFromSpy is a destination whose ReadFrom must never run: it stands
+// for the http.ResponseWriter, whose ReadFrom allocates per response.
+type readFromSpy struct {
+	bytes.Buffer
+	writes, readFroms int
+}
+
+func (s *readFromSpy) Write(p []byte) (int, error) { s.writes++; return s.Buffer.Write(p) }
+func (s *readFromSpy) ReadFrom(r io.Reader) (int64, error) {
+	s.readFroms++
+	return s.Buffer.ReadFrom(r)
+}
+
+// TestCopyBody: a source that can push itself does (one Write for a memory
+// blob), any other shape — a bounded range, a reader with nothing but Read
+// — is copied without touching the destination's ReadFrom, and all of them
+// deliver the right bytes and count.
+func TestCopyBody(t *testing.T) {
+	m := NewMemory()
+	content := bytes.Repeat([]byte("0123456789abcdef"), 10_000)
+	d, _ := m.Put(content)
+	open := func() io.ReadCloser {
+		rc, _, err := m.Get(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rc
+	}
+	cases := []struct {
+		name       string
+		src        io.Reader
+		want       []byte
+		wantWrites int // 0: any number
+	}{
+		{"pushes itself", open(), content, 1},
+		{"bounded range", io.LimitReader(open(), 1000), content[:1000], 0},
+		{"plain reader", struct{ io.Reader }{open()}, content, 0},
+	}
+	for _, c := range cases {
+		var dst readFromSpy
+		n, err := CopyBody(&dst, c.src)
+		if err != nil || n != int64(len(c.want)) || !bytes.Equal(dst.Bytes(), c.want) {
+			t.Errorf("%s: copied %d bytes, %v; want %d", c.name, n, err, len(c.want))
+		}
+		if dst.readFroms != 0 {
+			t.Errorf("%s: the destination's ReadFrom ran", c.name)
+		}
+		if c.wantWrites != 0 && dst.writes != c.wantWrites {
+			t.Errorf("%s: %d writes, want %d", c.name, dst.writes, c.wantWrites)
+		}
+	}
+}

@@ -13,6 +13,11 @@
 //     digest concurrently, exactly one upstream fetch runs; the winner
 //     streams the body to its client while teeing it into admission, and
 //     the others wait for that outcome and then serve from the cache.
+//   - A fill whose declared size exceeds its stripe's budget can never be
+//     admitted, so it is not teed at all: the winner gets the origin body
+//     as is, the flight ends at once, and callers that were waiting on it
+//     each run their own fill instead of queueing behind a stream they
+//     would have to repeat anyway.
 //   - Upstream 404s are negative-cached (bounded per stripe), so repeated
 //     requests for a missing digest do not hammer the origin.
 //   - Every event is counted: hits, misses, coalesced waiters, negative
@@ -424,7 +429,8 @@ func (c *Cache) admit(sh *shard, d digest.Digest, size int64) {
 // once no matter how many callers miss concurrently. The Miss winner's
 // reader streams the origin body while teeing it into digest-verified
 // admission — the caller MUST read it to EOF (or Close it, aborting the
-// fill) for the admission and waiting coalesced callers to resolve.
+// fill) for the admission and waiting coalesced callers to resolve. The
+// reader is also an io.WriterTo, which is the cheaper way to drain it.
 // Upstream 404s (fill errors wrapping ErrUpstreamNotFound) are negative-
 // cached and returned.
 func (c *Cache) GetOrFill(ctx context.Context, d digest.Digest, fill FillFunc) (io.ReadCloser, int64, Outcome, error) {
@@ -495,7 +501,8 @@ func (c *Cache) finishFlight(sh *shard, d digest.Digest, f *flight, err error) {
 
 // runFill executes the winner's side of a singleflight miss: fetch the
 // origin body and return it wrapped in a tee that feeds digest-verified
-// admission as the caller reads.
+// admission as the caller reads — or bare, when the origin already says it
+// is too large for the stripe.
 func (c *Cache) runFill(ctx context.Context, sh *shard, d digest.Digest, f *flight, fill FillFunc) (io.ReadCloser, int64, Outcome, error) {
 	c.misses.Add(1)
 	c.inflight.Add(1)
@@ -506,6 +513,14 @@ func (c *Cache) runFill(ctx context.Context, sh *shard, d digest.Digest, f *flig
 		}
 		c.finishFlight(sh, d, f, err)
 		return nil, 0, Miss, err
+	}
+	if size > sh.capacity {
+		// Buffering, hashing and storing the stream only to delete it again
+		// buys nothing. The n > capacity check below stays as the guard for
+		// an origin that under-declares.
+		c.rejected.Add(1)
+		c.finishFlight(sh, d, f, nil)
+		return body, size, Miss, nil
 	}
 
 	pr, pw := io.Pipe()
@@ -565,6 +580,39 @@ func (t *teeCloser) Read(p []byte) (int, error) {
 		// Admission finishes (or aborts) before the caller sees the end of
 		// the stream, so a follow-up request cannot race the flight table.
 		<-t.admitted
+	}
+	return n, err
+}
+
+// WriteTo implements io.WriterTo: the body pushes itself (or is copied
+// through a pooled buffer) into w, and every chunk w accepted goes to
+// admission too. A body that writes in large pieces — the dedup store's
+// reconstructing reader — so costs one pipe rendezvous per piece instead of
+// one per Read. As with Read, admission has finished or aborted by the time
+// this returns.
+func (t *teeCloser) WriteTo(w io.Writer) (int64, error) {
+	n, err := blobstore.CopyBody(teeWriter{w: w, pw: t.pw}, t.body)
+	if err == nil {
+		t.pw.Close()
+	} else {
+		t.pw.CloseWithError(err)
+	}
+	<-t.admitted
+	return n, err
+}
+
+// teeWriter is the push-side tee: what w accepts is also written to the
+// admission pipe. As in Read, a failed pipe write only means the blob will
+// not be cached.
+type teeWriter struct {
+	w  io.Writer
+	pw *io.PipeWriter
+}
+
+func (t teeWriter) Write(p []byte) (int, error) {
+	n, err := t.w.Write(p)
+	if n > 0 {
+		t.pw.Write(p[:n])
 	}
 	return n, err
 }

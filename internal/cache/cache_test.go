@@ -494,3 +494,222 @@ func TestLRUOrdering(t *testing.T) {
 		}
 	}
 }
+
+// countingStore counts the admission traffic a cache sends its store.
+type countingStore struct {
+	blobstore.Store
+	putStreams, deletes atomic.Int64
+}
+
+func (c *countingStore) PutStream(d digest.Digest, r io.Reader) (int64, error) {
+	c.putStreams.Add(1)
+	return c.Store.PutStream(d, r)
+}
+
+func (c *countingStore) Delete(d digest.Digest) error {
+	c.deletes.Add(1)
+	return c.Store.Delete(d)
+}
+
+// TestDeclaredOversizeIsNeverTeed: a fill that says up front it is bigger
+// than its stripe is handed through bare — the store never sees it — and
+// concurrent callers each get correct bytes instead of queueing behind a
+// stream none of them could reuse.
+func TestDeclaredOversizeIsNeverTeed(t *testing.T) {
+	store := &countingStore{Store: blobstore.NewMemory()}
+	c := NewSharded(store, 16<<10, 1)
+	content, d := blobOfSize(11, 64<<10)
+
+	const callers = 8
+	var wg sync.WaitGroup
+	errs := make([]error, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rc, size, out, err := c.GetOrFill(context.Background(), d, bytesFill(content, nil))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer rc.Close()
+			got, err := io.ReadAll(rc)
+			switch {
+			case err != nil:
+				errs[i] = err
+			case out != Miss || size != int64(len(content)) || !bytes.Equal(got, content):
+				errs[i] = fmt.Errorf("outcome %v, size %d, %d bytes read", out, size, len(got))
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("caller %d: %v", i, err)
+		}
+	}
+	if p, del := store.putStreams.Load(), store.deletes.Load(); p != 0 || del != 0 {
+		t.Errorf("store saw %d PutStream and %d Delete calls for a blob it can never hold, want none", p, del)
+	}
+	st := c.Stats()
+	if st.Rejected != callers || st.Misses != callers || st.Entries != 0 || st.Inflight != 0 {
+		t.Errorf("stats = %+v, want %d rejected misses, nothing admitted or in flight", st, callers)
+	}
+}
+
+// TestUnderDeclaredOversizeStillRejected: an origin that declares less than
+// it sends passes the up-front check, and the post-hoc one catches it.
+func TestUnderDeclaredOversizeStillRejected(t *testing.T) {
+	store := &countingStore{Store: blobstore.NewMemory()}
+	c := NewSharded(store, 16<<10, 1)
+	content, d := blobOfSize(12, 64<<10)
+	for _, declared := range []int64{-1, 1 << 10} {
+		fill := func(ctx context.Context) (io.ReadCloser, int64, error) {
+			return io.NopCloser(bytes.NewReader(content)), declared, nil
+		}
+		rc, _, _, err := c.GetOrFill(context.Background(), d, fill)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mustReadAll(t, rc); !bytes.Equal(got, content) {
+			t.Fatalf("declared %d: wrong bytes", declared)
+		}
+		if c.Contains(d) || store.Has(d) {
+			t.Fatalf("declared %d: a %d-byte blob was admitted to a %d-byte stripe", declared, len(content), 16<<10)
+		}
+	}
+	if st := c.Stats(); st.Rejected != 2 || st.Used != 0 {
+		t.Fatalf("stats = %+v, want 2 rejected, nothing admitted", st)
+	}
+}
+
+// chunkedBody is a fill body that pushes itself in fixed-size writes, as
+// the dedup store's reconstructing reader does.
+type chunkedBody struct {
+	io.Reader
+	content []byte
+	chunk   int
+	writes  int
+}
+
+func (b *chunkedBody) WriteTo(w io.Writer) (int64, error) {
+	var n int64
+	for off := 0; off < len(b.content); off += b.chunk {
+		end := min(off+b.chunk, len(b.content))
+		m, err := w.Write(b.content[off:end])
+		b.writes++
+		n += int64(m)
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+func (b *chunkedBody) Close() error { return nil }
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct {
+	n   int
+	err error
+}
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		n := w.n
+		w.n = 0
+		return n, w.err
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestFillThroughWriteTo: draining a miss with WriteTo delegates to the
+// body's own WriteTo, admits the blob before the caller sees the end, and
+// admits nothing when the destination fails part-way.
+func TestFillThroughWriteTo(t *testing.T) {
+	c := New(blobstore.NewMemory(), 1<<20)
+	content, d := blobOfSize(13, 96<<10)
+	newBody := func() *chunkedBody {
+		return &chunkedBody{Reader: bytes.NewReader(content), content: content, chunk: 32 << 10}
+	}
+	fillWith := func(b *chunkedBody) FillFunc {
+		return func(ctx context.Context) (io.ReadCloser, int64, error) { return b, int64(len(content)), nil }
+	}
+
+	// A destination that fails: the error surfaces, nothing is admitted,
+	// and the flight is over.
+	body := newBody()
+	rc, _, _, err := c.GetOrFill(context.Background(), d, fillWith(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errGone := errors.New("client went away")
+	if _, err := rc.(io.WriterTo).WriteTo(&failAfter{n: 40 << 10, err: errGone}); !errors.Is(err, errGone) {
+		t.Fatalf("WriteTo = %v, want the destination's error", err)
+	}
+	rc.Close()
+	if c.Contains(d) {
+		t.Fatal("a fill abandoned part-way was admitted")
+	}
+	if st := c.Stats(); st.Inflight != 0 || st.FillErrors != 1 {
+		t.Fatalf("stats = %+v, want the failed fill counted and no flight left", st)
+	}
+
+	// A destination that takes it all: admitted by the time WriteTo
+	// returns, through the body's own WriteTo.
+	body = newBody()
+	rc, _, out, err := c.GetOrFill(context.Background(), d, fillWith(body))
+	if err != nil || out != Miss {
+		t.Fatalf("GetOrFill = %v, %v; want a miss", out, err)
+	}
+	var got bytes.Buffer
+	n, err := rc.(io.WriterTo).WriteTo(&got)
+	if err != nil || n != int64(len(content)) || !bytes.Equal(got.Bytes(), content) {
+		t.Fatalf("WriteTo = %d, %v; want the %d bytes of the blob", n, err, len(content))
+	}
+	if !c.Contains(d) {
+		t.Fatal("blob not admitted when WriteTo returned")
+	}
+	if body.writes != 3 {
+		t.Errorf("body pushed %d chunks, want 3: WriteTo did not delegate to the body's WriteTo", body.writes)
+	}
+	rc.Close()
+	rc, _, out, err = c.GetOrFill(context.Background(), d, fillWith(newBody()))
+	if err != nil || out != Hit {
+		t.Fatalf("follow-up GetOrFill = %v, %v; want a hit", out, err)
+	}
+	if got := mustReadAll(t, rc); !bytes.Equal(got, content) {
+		t.Fatal("admitted bytes differ from the origin's")
+	}
+}
+
+// TestFillThroughWriteToPlainBody: a body with no WriteTo of its own (an
+// HTTP response body) is copied and admitted all the same, including when
+// WriteTo takes over after a partial Read, as the mirror's drain does.
+func TestFillThroughWriteToPlainBody(t *testing.T) {
+	c := New(blobstore.NewMemory(), 1<<20)
+	content, d := blobOfSize(14, 96<<10)
+	fill := func(ctx context.Context) (io.ReadCloser, int64, error) {
+		return io.NopCloser(struct{ io.Reader }{bytes.NewReader(content)}), int64(len(content)), nil
+	}
+	rc, _, _, err := c.GetOrFill(context.Background(), d, fill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := make([]byte, 1000)
+	if _, err := io.ReadFull(rc, head); err != nil {
+		t.Fatal(err)
+	}
+	got := bytes.NewBuffer(head)
+	if _, err := rc.(io.WriterTo).WriteTo(got); err != nil {
+		t.Fatal(err)
+	}
+	rc.Close()
+	if !bytes.Equal(got.Bytes(), content) {
+		t.Fatal("Read then WriteTo returned wrong bytes")
+	}
+	if !c.Contains(d) {
+		t.Fatal("blob not admitted when WriteTo returned")
+	}
+}

@@ -21,9 +21,12 @@
 //     gunzipping and hashing the layer again.
 //   - Get reconstructs the wire blob on read: the tar is reassembled from
 //     pooled file contents (re-gzipped when the original was
-//     gzip-framed) and streamed through an io.Pipe. An optional
-//     reconstruction cache (internal/cache) absorbs the recompression
-//     cost of popularity-skewed pull traffic.
+//     gzip-framed) and pushed straight into the consumer — the reader is
+//     an io.WriterTo that runs the reassembly on the caller's goroutine,
+//     through one pooled buffer; Read is an adapter over the same routine
+//     for consumers that must pull. An optional reconstruction cache
+//     (internal/cache) absorbs the recompression cost of
+//     popularity-skewed pull traffic.
 //   - Delete is reference counted and safe under concurrent pulls: a
 //     reconstructing reader pins its recipe, so a blob deleted mid-read
 //     finishes streaming and its file references are released only when
@@ -224,7 +227,6 @@ var (
 		New: func() any { return bufio.NewReaderSize(nil, 32<<10) },
 	}
 	gzipReaderPool sync.Pool // *gzip.Reader; empty until first Put
-	gzipWriterPool sync.Pool // *gzip.Writer at the materializer's level
 	fileBufPool    = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 	drainBufPool   = sync.Pool{New: func() any {
 		b := make([]byte, 32<<10)
@@ -233,6 +235,24 @@ var (
 	flateWriterPool sync.Pool // *flate.Writer for at-rest recipe compression
 	flateReaderPool sync.Pool // flate.Resetter readers for recipe inflation
 )
+
+// writeScratch is the working memory of one reassembly, pooled as one value
+// so a blob costs one pool round trip: the buffer between the tar/gzip
+// stream and the sink, and the deflater at the materializer's level (nil
+// until a gzip-framed blob first uses this scratch).
+//
+// The buffer is why the sink sees few large writes: compress/flate hands
+// its output on in ~240-byte pieces, and unbuffered every piece of a cold
+// pull would be a write(2) on the response, a pipe rendezvous behind Read or
+// the cache tee, and a block call on the proof's hasher.
+type writeScratch struct {
+	bw *bufio.Writer
+	zw *gzip.Writer
+}
+
+var writeScratchPool = sync.Pool{New: func() any {
+	return &writeScratch{bw: bufio.NewWriterSize(nil, 32<<10)}
+}}
 
 // gzipMagic is the two-byte gzip stream signature (RFC 1952).
 const gzipMagic = "\x1f\x8b"
@@ -573,25 +593,29 @@ func parseOctal(b []byte) (int64, bool) {
 // writeBlob streams a recipe's wire bytes to w: the tar is rebuilt from
 // pooled file contents (one pooled buffer at a time) and re-gzipped at the
 // materializer's compression level when the original was gzip-framed, so
-// the framing reproduces exactly.
+// the framing reproduces exactly. It is the one reassembly routine: the
+// put-side proof runs it into a hasher, a reader's WriteTo into the
+// consumer, its Read into a pipe.
 func (s *Store) writeBlob(rec *Recipe, w io.Writer) error {
-	var b *tarutil.Builder
-	var zw *gzip.Writer
+	sc := writeScratchPool.Get().(*writeScratch)
+	sc.bw.Reset(w)
+	defer func() {
+		sc.bw.Reset(nil)
+		writeScratchPool.Put(sc)
+	}()
+	var tw io.Writer = sc.bw
 	if rec.Gzip {
-		zw, _ = gzipWriterPool.Get().(*gzip.Writer)
-		if zw == nil {
+		if sc.zw == nil {
 			var err error
-			if zw, err = gzip.NewWriterLevel(w, gzip.DefaultCompression); err != nil {
+			if sc.zw, err = gzip.NewWriterLevel(sc.bw, gzip.DefaultCompression); err != nil {
 				return fmt.Errorf("dedupstore: gzip writer: %w", err)
 			}
 		} else {
-			zw.Reset(w)
+			sc.zw.Reset(sc.bw)
 		}
-		defer gzipWriterPool.Put(zw)
-		b = tarutil.NewBuilder(zw)
-	} else {
-		b = tarutil.NewBuilder(w)
+		tw = sc.zw
 	}
+	b := tarutil.NewBuilder(tw)
 
 	fbuf := fileBufPool.Get().(*bytes.Buffer)
 	defer func() {
@@ -627,12 +651,12 @@ func (s *Store) writeBlob(rec *Recipe, w io.Writer) error {
 	if err := b.Close(); err != nil {
 		return err
 	}
-	if zw != nil {
-		if err := zw.Close(); err != nil {
+	if rec.Gzip {
+		if err := sc.zw.Close(); err != nil {
 			return fmt.Errorf("dedupstore: closing gzip stream: %w", err)
 		}
 	}
-	return nil
+	return sc.bw.Flush()
 }
 
 // Get implements blobstore.Store. Raw blobs stream straight from the
@@ -660,9 +684,9 @@ func (s *Store) Get(d digest.Digest) (io.ReadCloser, int64, error) {
 	return s.openReconstruct(d)
 }
 
-// openReconstruct pins the entry and starts the reassembly pipe. The pin
-// guarantees the recipe's pool files survive a concurrent Delete until the
-// reader closes.
+// openReconstruct pins the entry and returns a reader that reassembles the
+// blob when it is consumed. The pin guarantees the recipe's pool files
+// survive a concurrent Delete until the reader closes.
 func (s *Store) openReconstruct(d digest.Digest) (io.ReadCloser, int64, error) {
 	s.mu.Lock()
 	e, ok := s.blobs[d]
@@ -683,11 +707,7 @@ func (s *Store) openReconstruct(d digest.Digest) (io.ReadCloser, int64, error) {
 		s.unpin(e)
 		return nil, 0, err
 	}
-	pr, pw := io.Pipe()
-	go func() {
-		pw.CloseWithError(s.writeBlob(rec, pw))
-	}()
-	return &blobReader{pr: pr, release: func() { s.unpin(e) }}, size, nil
+	return &blobReader{s: s, e: e, rec: rec}, size, nil
 }
 
 // unpin drops one reader from a recipe entry and, for a condemned entry's
@@ -702,20 +722,72 @@ func (s *Store) unpin(e *blobEntry) {
 	}
 }
 
-// blobReader streams one reconstructed blob; Close stops the writer
-// goroutine and releases the read pin exactly once.
+// blobReader streams one reconstructed blob. WriteTo is the serving path:
+// it runs writeBlob on the caller's goroutine, straight into the
+// destination — no pipe, no second goroutine. Read serves consumers that
+// must pull (a ranged GET skipping a prefix, a decorator that hides
+// WriteTo): the first Read starts a pipe fed by the same writeBlob. Close
+// stops that writer if it runs and releases the read pin exactly once.
+//
+// Like any reader it belongs to one goroutine; a WriteTo in progress ends
+// when its destination fails, not when another goroutine calls Close.
 type blobReader struct {
-	pr      *io.PipeReader
-	release func()
-	once    sync.Once
+	s   *Store
+	e   *blobEntry
+	rec *Recipe
+
+	pr      *io.PipeReader // non-nil once a Read has started the pipe
+	written bool           // WriteTo has run the reassembly itself
+	once    sync.Once      // releases the pin
 }
 
-func (r *blobReader) Read(p []byte) (int, error) { return r.pr.Read(p) }
+func (r *blobReader) Read(p []byte) (int, error) {
+	if r.written {
+		return 0, io.EOF
+	}
+	if r.pr == nil {
+		pr, pw := io.Pipe()
+		r.pr = pr
+		go func() {
+			pw.CloseWithError(r.s.writeBlob(r.rec, pw))
+		}()
+	}
+	return r.pr.Read(p)
+}
+
+// WriteTo implements io.WriterTo: everything not yet consumed goes to w.
+func (r *blobReader) WriteTo(w io.Writer) (int64, error) {
+	if r.pr != nil {
+		// A Read already started the pipe; carry on from where it stands.
+		return blobstore.CopyBody(w, r.pr)
+	}
+	if r.written {
+		return 0, nil
+	}
+	r.written = true
+	cw := countWriter{w: w}
+	err := r.s.writeBlob(r.rec, &cw)
+	return cw.n, err
+}
 
 func (r *blobReader) Close() error {
-	r.pr.Close()
-	r.once.Do(r.release)
+	if r.pr != nil {
+		r.pr.Close()
+	}
+	r.once.Do(func() { r.s.unpin(r.e) })
 	return nil
+}
+
+// countWriter counts the bytes a WriteTo delivered.
+type countWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // releaseEntry returns every file reference a recipe-backed entry holds.

@@ -1,0 +1,5 @@
+//go:build !race
+
+package dedupstore
+
+const raceEnabled = false

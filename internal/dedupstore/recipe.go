@@ -62,8 +62,12 @@ const (
 	flagGzip = 0x01
 )
 
-// rawDigestLen is the byte length of a binary-encoded content digest.
-const rawDigestLen = 32
+// rawDigestLen is the byte length of a binary-encoded content digest;
+// digestPrefix is what precedes its hex in a digest.Digest.
+const (
+	rawDigestLen = 32
+	digestPrefix = digest.Algorithm + ":"
+)
 
 // EncodeRecipe serializes a recipe to the compact binary format.
 func EncodeRecipe(r *Recipe) []byte {
@@ -87,8 +91,9 @@ func EncodeRecipe(r *Recipe) []byte {
 		buf = binary.AppendUvarint(buf, uint64(len(e.Name)))
 		buf = append(buf, e.Name...)
 		buf = binary.AppendUvarint(buf, uint64(e.Size))
-		raw, _ := hex.DecodeString(e.Content.Hex())
-		buf = append(buf, raw...)
+		// Digests in a recipe come from the store's own hashing, so the
+		// hex is well-formed.
+		buf, _ = hex.AppendDecode(buf, []byte(e.Content.Hex()))
 	}
 	return buf
 }
@@ -111,6 +116,10 @@ func DecodeRecipe(data []byte) (*Recipe, error) {
 	}
 	rest = rest[n:]
 	r.Entries = make([]RecipeEntry, 0, count)
+	// One scratch holds "sha256:" and receives each entry's hex after it, so
+	// a content digest costs the one string allocation.
+	dbuf := make([]byte, len(digestPrefix), len(digestPrefix)+2*rawDigestLen)
+	copy(dbuf, digestPrefix)
 	for i := uint64(0); i < count; i++ {
 		if len(rest) == 0 {
 			return nil, fmt.Errorf("dedupstore: truncated recipe entry %d", i)
@@ -131,7 +140,7 @@ func DecodeRecipe(data []byte) (*Recipe, error) {
 		if n <= 0 || len(rest[n:]) < rawDigestLen {
 			return nil, fmt.Errorf("dedupstore: truncated content in recipe entry %d", i)
 		}
-		d := digest.Digest(digest.Algorithm + ":" + hex.EncodeToString(rest[n:n+rawDigestLen]))
+		d := digest.Digest(hex.AppendEncode(dbuf[:len(digestPrefix)], rest[n:n+rawDigestLen]))
 		rest = rest[n+rawDigestLen:]
 		r.Entries = append(r.Entries, RecipeEntry{Name: name, Size: int64(size), Content: d})
 	}

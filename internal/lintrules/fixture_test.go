@@ -186,10 +186,25 @@ func TestErrEnvelopeOutOfScope(t *testing.T) {
 	}
 }
 
+func TestBodyCopyFixtures(t *testing.T) {
+	checkFixture(t, BodyCopy, "bad.go", "repro/internal/registry", 0)
+	checkFixture(t, BodyCopy, "bad.go", "repro/internal/mirror", 0)
+	checkFixture(t, BodyCopy, "good.go", "repro/internal/registry", 0)
+	checkFixture(t, BodyCopy, "suppressed.go", "repro/internal/mirror", 1)
+}
+
+func TestBodyCopyOutOfScope(t *testing.T) {
+	// Only the packages that serve blob bodies are held to the helper.
+	diags := runFixture(t, BodyCopy, "bad.go", "repro/internal/serve")
+	if len(diags) != 0 {
+		t.Errorf("serve scope: got %d diagnostics, want 0: %+v", len(diags), diags)
+	}
+}
+
 // TestAllAnalyzersRegistered pins the multichecker's rule set: a new
 // analyzer must be added to All() or repolint never runs it.
 func TestAllAnalyzersRegistered(t *testing.T) {
-	want := []string{"noadhocclock", "noglobalrand", "nodefaultclient", "ctxpropagate", "errenvelope"}
+	want := []string{"noadhocclock", "noglobalrand", "nodefaultclient", "ctxpropagate", "errenvelope", "bodycopy"}
 	got := All()
 	if len(got) != len(want) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(got), len(want))

@@ -5,8 +5,9 @@
 // worker counts, through the mirror, and through the N-node cluster —
 // rests on rules ("use the injected clock", "only seeded RNG streams",
 // "every HTTP client goes through internal/httpx", "propagate the
-// context you were handed", "handlers speak the v2 error envelope") that
-// past PRs fixed violations of by review alone. cmd/repolint runs the
+// context you were handed", "handlers speak the v2 error envelope",
+// "response bodies go through blobstore.CopyBody") that past PRs fixed
+// violations of by review alone. cmd/repolint runs the
 // suite over ./... as part of `make lint`.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
@@ -58,6 +59,7 @@ func All() []*Analyzer {
 		NoDefaultClient,
 		CtxPropagate,
 		ErrEnvelope,
+		BodyCopy,
 	}
 }
 

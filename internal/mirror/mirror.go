@@ -29,6 +29,7 @@ import (
 	"net/http"
 	"strings"
 
+	"repro/internal/blobstore"
 	"repro/internal/cache"
 	"repro/internal/digest"
 	"repro/internal/manifest"
@@ -175,7 +176,7 @@ func (m *Mirror) writeManifest(w http.ResponseWriter, req *http.Request, d diges
 	if req.Method == http.MethodHead {
 		return
 	}
-	io.Copy(w, rc)
+	blobstore.CopyBody(w, rc)
 }
 
 // serveBlob handles GET/HEAD <name>/blobs/<digest> with single-range
@@ -250,7 +251,14 @@ func (m *Mirror) serveBlob(w http.ResponseWriter, req *http.Request, name, ref s
 			return
 		}
 	}
-	io.CopyN(w, rc, length)
+	// Full bodies copy through EOF, not to the byte count: a hit pushes
+	// itself to the client in one Write, and a miss-fill tee completes
+	// admission before the handler returns.
+	var body io.Reader = rc
+	if partial {
+		body = io.LimitReader(rc, length)
+	}
+	blobstore.CopyBody(w, body)
 }
 
 // drainClose consumes whatever is left of a cache reader before closing

@@ -1,12 +1,14 @@
 package mirror
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,10 +17,12 @@ import (
 
 	"repro/internal/blobstore"
 	"repro/internal/cache"
+	"repro/internal/dedupstore"
 	"repro/internal/digest"
 	"repro/internal/manifest"
 	"repro/internal/popularity"
 	"repro/internal/registry"
+	"repro/internal/tarutil"
 )
 
 // image is one pushed repo:tag with its content handles.
@@ -72,7 +76,13 @@ func blobOfSize(seed, size int) []byte {
 // mirrorSetup stands up origin (counting requests), cache, and mirror.
 func mirrorSetup(t *testing.T, cacheBytes int64, shards int) (*registry.Registry, *atomic.Int64, *cache.Cache, *httptest.Server) {
 	t.Helper()
-	reg := registry.New(blobstore.NewMemory())
+	return mirrorSetupOn(t, blobstore.NewMemory(), cacheBytes, shards)
+}
+
+// mirrorSetupOn is mirrorSetup with the origin registry on the given store.
+func mirrorSetupOn(t *testing.T, store blobstore.Store, cacheBytes int64, shards int) (*registry.Registry, *atomic.Int64, *cache.Cache, *httptest.Server) {
+	t.Helper()
+	reg := registry.New(store)
 	var originReqs atomic.Int64
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		originReqs.Add(1)
@@ -475,5 +485,126 @@ func TestPushRejected(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("PUT status = %d, want 405", resp.StatusCode)
+	}
+}
+
+// gzipLayer is a real tar.gz layer of nFiles incompressible files, which a
+// dedup-backed origin stores as a recipe and reassembles on every pull.
+func gzipLayer(t *testing.T, seed, nFiles, fileSize int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	b, err := tarutil.NewGzipBuilder(&buf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < nFiles; i++ {
+		if err := b.File(fmt.Sprintf("data/f%03d.bin", i), blobOfSize(seed*1000+i, fileSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRangesOverDedupOrigin: full and ranged pulls through the mirror of
+// blobs the origin has to reconstruct return the stored bytes and fill the
+// cache, as over a plain origin.
+func TestRangesOverDedupOrigin(t *testing.T) {
+	origin := dedupstore.New(dedupstore.NewMemoryPool(0))
+	reg, _, c, front := mirrorSetupOn(t, origin, 8<<20, 1)
+	admitted := func(d digest.Digest) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !c.Contains(d); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s not admitted within 5s of a cold pull", d.Short())
+			}
+		}
+	}
+	get := func(img image, spec string) (*http.Response, []byte) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, front.URL+"/v2/"+img.repo+"/blobs/"+img.layerD.String(), nil)
+		req.Header.Set("Range", spec)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+
+	full := pushImage(t, reg, "library/full", gzipLayer(t, 1, 12, 8<<10), false)
+	ranged := pushImage(t, reg, "library/ranged", gzipLayer(t, 2, 12, 8<<10), false)
+	if origin.Recipe(full.layerD) == nil || origin.Recipe(ranged.layerD) == nil {
+		t.Fatal("origin stored a layer verbatim, not as a recipe")
+	}
+
+	// bytes=0- is the whole blob: a 200, copied to EOF, admitted.
+	resp, body := get(full, "bytes=0-")
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Range") != "" || !bytes.Equal(body, full.layer) {
+		t.Fatalf("bytes=0- cold: status %d, Content-Range %q, %d bytes; want 200 and the %d-byte layer",
+			resp.StatusCode, resp.Header.Get("Content-Range"), len(body), len(full.layer))
+	}
+	admitted(full.layerD)
+
+	// A cold range past a prefix, then a warm one, over the other layer.
+	size := len(ranged.layer)
+	for _, warm := range []bool{false, true} {
+		resp, body = get(ranged, "bytes=50000-59999")
+		want := fmt.Sprintf("bytes 50000-59999/%d", size)
+		if resp.StatusCode != http.StatusPartialContent || resp.Header.Get("Content-Range") != want ||
+			!bytes.Equal(body, ranged.layer[50000:60000]) {
+			t.Fatalf("range (warm=%v): status %d, Content-Range %q, %d bytes; want 206, %q and layer[50000:60000]",
+				warm, resp.StatusCode, resp.Header.Get("Content-Range"), len(body), want)
+		}
+		admitted(ranged.layerD)
+	}
+	if n := reg.Stats().BlobGets; n != 2 {
+		t.Fatalf("origin blob gets = %d, want 2 (one cold fill per layer)", n)
+	}
+}
+
+// TestCachedBlobGetAllocation guards the hit path, client and server of a
+// loopback GET counted together: a cached blob pushes itself into the
+// response in one Write. Behind io.CopyN's LimitedReader it went through
+// the response's ReadFrom, which allocates a copy buffer per request.
+func TestCachedBlobGetAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	// One P, so that client and server find each other's pooled buffers.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	reg, _, _, front := mirrorSetup(t, 8<<20, 1)
+	img := pushImage(t, reg, "library/hot", blobOfSize(9, 256<<10), false)
+	url := front.URL + "/v2/" + img.repo + "/blobs/" + img.layerD.String()
+	pull := func() {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || n != int64(len(img.layer)) {
+			t.Fatalf("pulled %d of %d bytes, %v", n, len(img.layer), err)
+		}
+	}
+	pull() // cold: fills the cache
+	pull()
+	const pulls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < pulls; i++ {
+		pull()
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / pulls
+	t.Logf("256 KiB cached blob: %d B/pull", got)
+	if got >= 16<<10 {
+		t.Errorf("a cache hit allocates %d B per pull, want < 16 KiB", got)
 	}
 }

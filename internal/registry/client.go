@@ -235,7 +235,7 @@ func (c *Client) ManifestRawContext(ctx context.Context, name, ref string) ([]by
 		return nil, "", err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := readManifestBody(resp)
 	if err != nil {
 		return nil, "", fmt.Errorf("registry client: reading manifest: %w", err)
 	}
@@ -244,6 +244,23 @@ func (c *Client) ManifestRawContext(ctx context.Context, name, ref string) ([]by
 		return nil, "", fmt.Errorf("registry client: manifest digest mismatch: header %s, body %s", hdr, d)
 	}
 	return raw, d, nil
+}
+
+// maxManifestPrealloc bounds the buffer a manifest response's
+// Content-Length may size up front (4 MiB, the manifest limit real
+// registries enforce); a larger or absent declaration is read incrementally.
+const maxManifestPrealloc = 4 << 20
+
+// readManifestBody reads a manifest response into a buffer of exactly the
+// declared length: io.ReadAll's 512-byte start and doubling allocate about
+// three times the body, on a call every pull makes.
+func readManifestBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxManifestPrealloc {
+		raw := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, raw)
+		return raw, err
+	}
+	return io.ReadAll(resp.Body)
 }
 
 // Blob streams a blob; the caller must Close the reader. Content is not

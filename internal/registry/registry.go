@@ -350,7 +350,7 @@ func (r *Registry) serveManifest(w http.ResponseWriter, req *http.Request, rp *r
 		return
 	}
 	r.manifestGets.Add(1)
-	io.Copy(w, rc)
+	blobstore.CopyBody(w, rc)
 }
 
 // serveManifestDelete implements DELETE /v2/<name>/manifests/<ref>. A
@@ -450,13 +450,13 @@ func (r *Registry) serveBlob(w http.ResponseWriter, req *http.Request, ref strin
 	r.blobGets.Add(1)
 	var n int64
 	if partial {
-		n, _ = io.CopyN(w, rc, length)
+		n, _ = blobstore.CopyBody(w, io.LimitReader(rc, length))
 	} else {
 		// Full-body reads copy through EOF rather than stopping at the
 		// byte count: stores that tee the stream into a cache (the dedup
 		// backend's reconstruction cache) only complete admission when the
 		// consumer observes end-of-stream.
-		n, _ = io.Copy(w, rc)
+		n, _ = blobstore.CopyBody(w, rc)
 	}
 	r.blobBytes.Add(n)
 }

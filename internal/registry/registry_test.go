@@ -1,10 +1,14 @@
 package registry
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path"
 	"testing"
 
 	"repro/internal/blobstore"
@@ -240,5 +244,44 @@ func TestRepoEnumeration(t *testing.T) {
 	}
 	if _, err := reg.Tags("ghost"); !errors.Is(err, ErrRepoNotFound) {
 		t.Fatalf("Tags(ghost) = %v", err)
+	}
+}
+
+// TestManifestRawBodySizing: a manifest response that declares its length is
+// read into a buffer of exactly that length; one that does not, or declares
+// an absurd one, is still read whole; a body shorter than declared is an
+// error, not a short manifest.
+func TestManifestRawBodySizing(t *testing.T) {
+	body := bytes.Repeat([]byte(`{"layers":[]}`), 300)
+	d := digest.FromBytes(body)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		w.Header().Set("Docker-Content-Digest", d.String())
+		switch path.Base(req.URL.Path) { // the tag names the response shape
+		case "declared":
+			w.Header().Set("Content-Length", fmt.Sprint(len(body)))
+			w.Write(body)
+		case "chunked":
+			w.Write(body[:1000])
+			w.(http.Flusher).Flush()
+			w.Write(body[1000:])
+		case "short":
+			w.Header().Set("Content-Length", fmt.Sprint(len(body)))
+			w.Write(body[:1000])
+		}
+	}))
+	defer srv.Close()
+	c := &Client{Base: srv.URL}
+
+	for _, mode := range []string{"declared", "chunked"} {
+		raw, got, err := c.ManifestRawContext(context.Background(), "r/m", mode)
+		if err != nil || got != d || !bytes.Equal(raw, body) {
+			t.Fatalf("%s: got %d bytes, digest %s, %v; want the %d-byte body", mode, len(raw), got.Short(), err, len(body))
+		}
+		if mode == "declared" && cap(raw) != len(raw) {
+			t.Errorf("declared: buffer of %d bytes for a %d-byte manifest, want it sized from Content-Length", cap(raw), len(raw))
+		}
+	}
+	if raw, _, err := c.ManifestRawContext(context.Background(), "r/m", "short"); err == nil {
+		t.Fatalf("short body: got %d bytes and no error", len(raw))
 	}
 }
