@@ -33,7 +33,6 @@ import (
 	"repro/internal/registry"
 	"repro/internal/report"
 	"repro/internal/synth"
-	"repro/internal/versions"
 )
 
 // --- shared fixtures -----------------------------------------------------
@@ -472,24 +471,6 @@ func BenchmarkExtension_PullSim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := pullsim.BestThreshold(layers, []int64{64 << 10, 1 << 20, 4 << 20}, pullsim.DefaultLink()); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExtension_Versions measures multi-tag history generation plus
-// analysis (the §VI versions extension).
-func BenchmarkExtension_Versions(b *testing.B) {
-	res := modelFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h, err := versions.Generate(res.Dataset, versions.DefaultSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		st := versions.Analyze(h)
-		if st.CrossVersionRatio <= 1 {
-			b.Fatal("no cross-version sharing")
 		}
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/synth"
-	"repro/internal/versions"
 )
 
 func main() {
@@ -35,7 +34,7 @@ func main() {
 	workers := flag.Int("workers", 8, "pipeline parallelism")
 	markdown := flag.Bool("markdown", false, "emit EXPERIMENTS.md-style markdown")
 	cache := flag.Bool("cache", true, "run the registry cache simulation (future-work extension)")
-	ext := flag.Bool("ext", true, "run the pull-latency and multi-version extensions")
+	ext := flag.Bool("ext", true, "run the pull-latency and dedup-storage extensions")
 	csvDir := flag.String("csv", "", "also write plot-ready CDF series as CSV into this directory")
 	plots := flag.Bool("plots", false, "render ASCII CDF plots for the headline distributions")
 	flag.Parse()
@@ -82,7 +81,6 @@ func main() {
 	}
 	if *ext {
 		runPullLatency(res)
-		runVersionAnalysis(res)
 		if opts.Topology != nil {
 			runDedupStore(res)
 		}
@@ -163,28 +161,6 @@ func runPullLatency(res *repro.Result) {
 		fmt.Printf("  %9.0fMbps %14.1fms %14.1fms %14s\n",
 			mbps, allGzip.MeanSeconds*1000, smallRaw.MeanSeconds*1000, policy)
 	}
-	fmt.Println()
-}
-
-// runVersionAnalysis extends the study to multiple tags per repository
-// (§VI future work).
-func runVersionAnalysis(res *repro.Result) {
-	h, err := versions.Generate(res.Dataset, versions.DefaultSpec())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "versions:", err)
-		return
-	}
-	st := versions.Analyze(h)
-	fmt.Println("=== tags: multi-version extension (§VI future work) ===")
-	fmt.Printf("  %d repos carry %d versions (mean %.1f tags/repo)\n",
-		st.Repos, st.Versions, st.MeanVersions)
-	fmt.Printf("  storing all versions naively: %s; with cross-version layer sharing: %s (%.2fx)\n",
-		report.FormatBytes(float64(st.NaiveBytes)), report.FormatBytes(float64(st.SharedBytes)),
-		st.CrossVersionRatio)
-	fmt.Printf("  latest tags alone hold %.1f%% of all-version bytes (the paper's latest-only crawl)\n",
-		st.LatestOnlyFrac*100)
-	fmt.Printf("  incremental pull (vN -> vN+1) transfers p50=%.1f%% p90=%.1f%% of the image\n",
-		st.IncrementalFrac.Median()*100, st.IncrementalFrac.P(90)*100)
 	fmt.Println()
 }
 

@@ -23,14 +23,12 @@ import (
 	"repro/internal/registry"
 	"repro/internal/report"
 	"repro/internal/synth"
-	"repro/internal/versions"
 )
 
 func main() {
 	out := flag.String("out", "", "output directory (required)")
 	scale := flag.Float64("scale", 0.0002, "dataset scale")
 	seed := flag.Int64("seed", 0, "override dataset seed (0 = default)")
-	tags := flag.Bool("tags", false, "also materialize multi-version tag histories (v1..vN per repo)")
 	flag.Parse()
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "hubgen: -out is required")
@@ -64,22 +62,6 @@ func main() {
 		len(mat.LayerDigests), report.FormatBytes(float64(mat.TotalBytes)), time.Since(start).Round(time.Millisecond))
 
 	st := core.BuildHubState(d, mat)
-	if *tags {
-		h, err := versions.Generate(d, versions.DefaultSpec())
-		if err != nil {
-			fatal(err)
-		}
-		if err := versions.MaterializeHistory(d, h, mat, reg); err != nil {
-			fatal(err)
-		}
-		vstats := versions.Analyze(h)
-		fmt.Printf("materialized %d version tags across %d repos (%.1f tags/repo)\n",
-			vstats.Versions, vstats.Repos, vstats.MeanVersions)
-		st, err = core.SnapshotHubState(reg, synth.Repositories(d), d.Spec.Scale, d.Spec.Seed)
-		if err != nil {
-			fatal(err)
-		}
-	}
 	statePath := filepath.Join(*out, "hubstate.json")
 	if err := st.Save(statePath); err != nil {
 		fatal(err)

@@ -191,7 +191,7 @@ func fillCrossDup(res *Result, layerKeys func(int32) []uint64) error {
 }
 
 // WalkedLayer is the analysis of one real layer blob, produced by
-// WalkLayerReader and consumed by AnalyzeWalked/AnalyzeStore. files is
+// WalkLayerReader and consumed by AnalyzeWalkedContext/AnalyzeStore. files is
 // sorted by key after census ingestion (dedup.Index.ObserveLayer sorts in
 // place), which keeps downstream per-file iteration deterministic
 // regardless of walk scheduling.
@@ -240,19 +240,14 @@ func AnalyzeStoreContext(ctx context.Context, store blobstore.Store, images []do
 	return analyze(ctx, store, images, nil, workers)
 }
 
-// AnalyzeWalked is AnalyzeStore for layers that were already walked while
-// they streamed off the wire (the fused pipeline): a layer present in
-// walked skips the store fetch and re-walk entirely; anything missing
-// (e.g. a tee attempt that failed and was re-fetched without the tee)
-// falls back to walking the store blob. The walked map is consumed — file
-// observations are sorted in place and Refs assigned — so it must not be
-// reused across calls. The result is bit-identical to AnalyzeStore over
+// AnalyzeWalkedContext is AnalyzeStoreContext for layers that were already
+// walked while they streamed off the wire (the fused pipeline): a layer
+// present in walked skips the store fetch and re-walk entirely; anything
+// missing (e.g. a tee attempt that failed and was re-fetched without the
+// tee) falls back to walking the store blob. The walked map is consumed —
+// file observations are sorted in place and Refs assigned — so it must not
+// be reused across calls. The result is bit-identical to AnalyzeStore over
 // the same store.
-func AnalyzeWalked(store blobstore.Store, images []downloader.Image, walked map[digest.Digest]*WalkedLayer, workers int) (*Result, error) {
-	return analyze(context.Background(), store, images, walked, workers)
-}
-
-// AnalyzeWalkedContext is AnalyzeWalked with cancellation.
 func AnalyzeWalkedContext(ctx context.Context, store blobstore.Store, images []downloader.Image, walked map[digest.Digest]*WalkedLayer, workers int) (*Result, error) {
 	return analyze(ctx, store, images, walked, workers)
 }

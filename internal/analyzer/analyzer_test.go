@@ -298,7 +298,8 @@ func TestWireUncompressedPolicy(t *testing.T) {
 }
 
 // wireImages materializes a synthetic registry and returns its blob store
-// plus the downloaded-image list, as cmd/download would produce them.
+// plus the downloaded-image list, as a two-phase download would produce
+// them.
 func wireImages(t *testing.T, scale float64) (blobstore.Store, []downloader.Image) {
 	t.Helper()
 	d, err := synth.Generate(synth.MaterializeSpec(scale))

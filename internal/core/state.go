@@ -46,40 +46,6 @@ func BuildHubState(d *synth.Dataset, mat *synth.Materialized) *HubState {
 	return st
 }
 
-// SnapshotHubState captures a live registry's tag state (every repo, every
-// tag) for persistence — used when the registry holds more than the
-// latest-tag materialization, e.g. multi-version histories.
-func SnapshotHubState(reg *registry.Registry, repos []manifest.Repository, scale float64, seed int64) (*HubState, error) {
-	st := &HubState{
-		Scale: scale,
-		Seed:  seed,
-		Repos: repos,
-		Tags:  make(map[string]map[string]digest.Digest),
-	}
-	for i := range repos {
-		name := repos[i].Name
-		tags, err := reg.Tags(name)
-		if err != nil {
-			return nil, fmt.Errorf("core: snapshotting %s: %w", name, err)
-		}
-		if len(tags) == 0 {
-			continue
-		}
-		m := make(map[string]digest.Digest, len(tags))
-		for _, tag := range tags {
-			d, err := reg.ResolveTag(name, tag)
-			if err != nil {
-				return nil, fmt.Errorf("core: snapshotting %s:%s: %w", name, tag, err)
-			}
-			m[tag] = d
-		}
-		st.Tags[name] = m
-		// Keep the repo metadata's tag list in sync for the search API.
-		st.Repos[i].Tags = tags
-	}
-	return st, nil
-}
-
 // Save writes the state as JSON.
 func (st *HubState) Save(path string) error {
 	data, err := json.MarshalIndent(st, "", " ")
@@ -118,35 +84,4 @@ func (st *HubState) Install(reg *registry.Registry) error {
 		}
 	}
 	return nil
-}
-
-// DownloadManifest records one downloaded image for the analyze tool.
-type DownloadManifest struct {
-	Repo   string        `json:"repo"`
-	Digest digest.Digest `json:"digest"`
-}
-
-// SaveDownloads writes the repo → manifest-digest list of a download run.
-func SaveDownloads(path string, items []DownloadManifest) error {
-	data, err := json.MarshalIndent(items, "", " ")
-	if err != nil {
-		return fmt.Errorf("core: encoding downloads: %w", err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("core: writing downloads: %w", err)
-	}
-	return nil
-}
-
-// LoadDownloads reads a download list.
-func LoadDownloads(path string) ([]DownloadManifest, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading downloads: %w", err)
-	}
-	var items []DownloadManifest
-	if err := json.Unmarshal(data, &items); err != nil {
-		return nil, fmt.Errorf("core: decoding downloads: %w", err)
-	}
-	return items, nil
 }

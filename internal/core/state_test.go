@@ -88,94 +88,9 @@ func TestLoadHubStateErrors(t *testing.T) {
 	}
 }
 
-func TestSnapshotHubState(t *testing.T) {
-	d, err := synth.Generate(synth.MaterializeSpec(0.0001))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := blobstore.NewMemory()
-	reg := registry.New(store)
-	mat, err := synth.Materialize(d, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Add a second tag so the snapshot has more than latest to capture.
-	var tagged string
-	for i := range d.Repos {
-		if d.Repos[i].Downloadable() {
-			tagged = d.Repos[i].Name
-			if err := reg.SetTag(tagged, "v1", mat.ManifestDigests[d.Repos[i].Image]); err != nil {
-				t.Fatal(err)
-			}
-			break
-		}
-	}
-	st, err := SnapshotHubState(reg, synth.Repositories(d), d.Spec.Scale, d.Spec.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Tags[tagged]) != 2 {
-		t.Fatalf("snapshot captured %d tags for %s, want 2", len(st.Tags[tagged]), tagged)
-	}
-	// Snapshot installs into a fresh registry identically.
-	reg2 := registry.New(store)
-	if err := st.Install(reg2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := reg2.ResolveTag(tagged, "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := reg.ResolveTag(tagged, "v1")
-	if got != want {
-		t.Fatal("v1 tag digest changed through snapshot/install")
-	}
-	// Repo metadata tag lists were synced (search API correctness).
-	for i := range st.Repos {
-		if st.Repos[i].Name == tagged && len(st.Repos[i].Tags) != 2 {
-			t.Fatalf("repo metadata tags = %v", st.Repos[i].Tags)
-		}
-	}
-}
-
-func TestSnapshotUnknownRepo(t *testing.T) {
-	reg := registry.New(blobstore.NewMemory())
-	_, err := SnapshotHubState(reg, []manifest.Repository{{Name: "ghost"}}, 1, 1)
-	if err == nil {
-		t.Fatal("snapshot of unknown repo succeeded")
-	}
-}
-
 func TestSaveErrors(t *testing.T) {
 	st := &HubState{}
 	if err := st.Save("/nonexistent-dir/x/y.json"); err == nil {
 		t.Error("Save into missing directory succeeded")
-	}
-	if err := SaveDownloads("/nonexistent-dir/x/y.json", nil); err == nil {
-		t.Error("SaveDownloads into missing directory succeeded")
-	}
-}
-
-func TestDownloadsRoundTrip(t *testing.T) {
-	items := []DownloadManifest{
-		{Repo: "a/b", Digest: digest.FromUint64(1)},
-		{Repo: "nginx", Digest: digest.FromUint64(2)},
-	}
-	path := filepath.Join(t.TempDir(), "downloads.json")
-	if err := SaveDownloads(path, items); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadDownloads(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != items[0] || got[1] != items[1] {
-		t.Fatalf("round trip: %+v", got)
-	}
-}
-
-func TestLoadDownloadsErrors(t *testing.T) {
-	if _, err := LoadDownloads("/nonexistent.json"); err == nil {
-		t.Error("missing file accepted")
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"io"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -244,82 +243,6 @@ func (d *Downloader) RunContext(ctx context.Context, repos []string) (*Result, e
 				}
 				stats.OtherFailures += layerErrs
 				mu.Unlock()
-			}
-		}()
-	}
-	for _, repo := range repos {
-		work <- repo
-	}
-	close(work)
-	wg.Wait()
-
-	st.fill(&stats)
-	return &Result{Images: images, Stats: stats}, nil
-}
-
-// RunAllTags downloads every tag of every repository (the paper's §III-B
-// future work: "we plan to extend our analysis to other image tags").
-// Each tag counts as one image in the result (Image.Repo is "name:tag");
-// layers remain globally deduplicated, so a layer shared across versions
-// crosses the wire once.
-func (d *Downloader) RunAllTags(repos []string) (*Result, error) {
-	return d.RunAllTagsContext(context.Background(), repos)
-}
-
-// RunAllTagsContext is RunAllTags with cancellation.
-func (d *Downloader) RunAllTagsContext(ctx context.Context, repos []string) (*Result, error) {
-	if d.Client == nil {
-		return nil, errors.New("downloader: nil registry client")
-	}
-
-	var (
-		mu     sync.Mutex
-		images []Image
-		stats  Stats
-	)
-	stats.Attempted = len(repos)
-	st := d.newRunState(ctx)
-
-	work := make(chan string)
-	var wg sync.WaitGroup
-	for w := 0; w < d.imageWorkers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for repo := range work {
-				tags, err := d.Client.TagsContext(st.ctx, repo)
-				if err != nil || len(tags) == 0 {
-					mu.Lock()
-					switch {
-					case errors.Is(err, registry.ErrUnauthorized):
-						stats.AuthFailures++
-					case errors.Is(err, registry.ErrNotFound), err == nil:
-						stats.NoLatest++
-					default:
-						stats.OtherFailures++
-					}
-					mu.Unlock()
-					continue
-				}
-				sort.Strings(tags)
-				for _, tag := range tags {
-					img, layerErrs, err := d.downloadOne(st, repo, tag)
-					mu.Lock()
-					switch {
-					case errors.Is(err, registry.ErrUnauthorized):
-						stats.AuthFailures++
-					case errors.Is(err, registry.ErrNotFound):
-						stats.NoLatest++
-					case err != nil:
-						stats.OtherFailures++
-					default:
-						stats.Downloaded++
-						img.Repo = repo + ":" + tag
-						images = append(images, *img)
-					}
-					stats.OtherFailures += layerErrs
-					mu.Unlock()
-				}
 			}
 		}()
 	}

@@ -148,66 +148,6 @@ func TestDownloadAuthorizedClientGetsPrivate(t *testing.T) {
 	}
 }
 
-func TestRunAllTagsBasics(t *testing.T) {
-	_, _, reg, repos := materializedHub(t)
-	// Add a second tag on the first downloadable repo pointing at the
-	// same manifest as latest.
-	var tagged string
-	for _, name := range repos {
-		if tags, err := reg.Tags(name); err == nil && len(tags) == 1 {
-			d, err := reg.ResolveTag(name, "latest")
-			if err != nil {
-				continue
-			}
-			if err := reg.SetTag(name, "v1", d); err != nil {
-				t.Fatal(err)
-			}
-			tagged = name
-			break
-		}
-	}
-	if tagged == "" {
-		t.Fatal("no repo to tag")
-	}
-
-	srv := httptest.NewServer(reg)
-	defer srv.Close()
-	dl := &Downloader{Client: &registry.Client{Base: srv.URL}, Workers: 4}
-	res, err := dl.RunAllTags(repos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One extra download for the v1 tag; failures classified as in Run.
-	latest, err := dl.Run(repos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Downloaded != latest.Stats.Downloaded+1 {
-		t.Fatalf("all-tags downloaded %d, latest-only %d (want +1)",
-			res.Stats.Downloaded, latest.Stats.Downloaded)
-	}
-	if res.Stats.AuthFailures != latest.Stats.AuthFailures {
-		t.Fatalf("auth failures differ: %d vs %d", res.Stats.AuthFailures, latest.Stats.AuthFailures)
-	}
-	// Image names carry the tag.
-	foundTagged := false
-	for _, img := range res.Images {
-		if img.Repo == tagged+":v1" {
-			foundTagged = true
-		}
-	}
-	if !foundTagged {
-		t.Fatalf("tag-qualified image name missing for %s", tagged)
-	}
-}
-
-func TestRunAllTagsNilClient(t *testing.T) {
-	dl := &Downloader{}
-	if _, err := dl.RunAllTags([]string{"x"}); err == nil {
-		t.Fatal("nil client accepted")
-	}
-}
-
 func TestDownloadNilClient(t *testing.T) {
 	dl := &Downloader{}
 	if _, err := dl.Run([]string{"x"}); err == nil {

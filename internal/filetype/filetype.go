@@ -48,15 +48,6 @@ func (g Group) String() string {
 	return fmt.Sprintf("Group(%d)", g)
 }
 
-// Groups returns all level-2 groups in presentation order.
-func Groups() []Group {
-	out := make([]Group, numGroups)
-	for i := range out {
-		out[i] = Group(i)
-	}
-	return out
-}
-
 // Type identifies a concrete level-3 file type. Values below NamedTypes are
 // the named types enumerated in this file; values ≥ NamedTypes are the
 // synthetic "uncommon" tail (UncommonType) that models the ~1,500 rarely

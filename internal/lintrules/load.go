@@ -159,15 +159,3 @@ func ExportLookup(dir string) (func(path string) (io.ReadCloser, error), error) 
 		return os.Open(f)
 	}, nil
 }
-
-// ExportImporter returns a types.Importer that resolves imports through
-// the export data of dir's module and its dependencies (the fixture
-// tests use it to type-check synthetic packages against the real
-// repro/... and standard-library APIs).
-func ExportImporter(dir string, fset *token.FileSet) (types.Importer, error) {
-	lookup, err := ExportLookup(dir)
-	if err != nil {
-		return nil, err
-	}
-	return importer.ForCompiler(fset, "gc", lookup), nil
-}

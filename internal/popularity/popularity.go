@@ -264,51 +264,6 @@ func (c *LFU) Access(key int, size int64) bool {
 // Used implements Cache.
 func (c *LFU) Used() int64 { return c.used }
 
-// Tiered is a two-level cache hierarchy — the design of the paper's cited
-// registry-cache work (Anwar et al., FAST'18: "a two-tier registry cache
-// hierarchy"): a small fast tier (memory) backed by a large slower tier
-// (SSD). A hit in either tier avoids backend I/O; L2 hits promote to L1.
-type Tiered struct {
-	L1, L2 Cache
-	// L1Hits / L2Hits split the hit accounting by tier.
-	L1Hits, L2Hits int64
-}
-
-// NewTiered builds a hierarchy from two byte capacities using LRU at both
-// tiers.
-func NewTiered(l1Bytes, l2Bytes int64) *Tiered {
-	return &Tiered{L1: NewLRU(l1Bytes), L2: NewLRU(l2Bytes)}
-}
-
-// Access implements Cache over the hierarchy.
-func (t *Tiered) Access(key int, size int64) bool {
-	if t.L1.Access(key, size) {
-		t.L1Hits++
-		return true
-	}
-	// L1 miss inserted the object into L1 already (Access is
-	// access-and-admit); consult L2 for whether the bytes were resident.
-	if t.L2.Access(key, size) {
-		t.L2Hits++
-		return true
-	}
-	return false
-}
-
-// Used implements Cache (sum of both tiers).
-func (t *Tiered) Used() int64 { return t.L1.Used() + t.L2.Used() }
-
-// MeanLatency converts the tier hit counts into an average access latency
-// given per-source costs (L1 hit, L2 hit, backend miss), the figure of
-// merit a cache hierarchy is sized by.
-func (t *Tiered) MeanLatency(accesses int64, l1, l2, miss float64) float64 {
-	if accesses == 0 {
-		return 0
-	}
-	misses := accesses - t.L1Hits - t.L2Hits
-	return (float64(t.L1Hits)*l1 + float64(t.L2Hits)*l2 + float64(misses)*miss) / float64(accesses)
-}
-
 // SimResult summarizes one cache simulation.
 type SimResult struct {
 	Accesses  int

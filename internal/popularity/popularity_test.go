@@ -243,77 +243,6 @@ func TestSimulateLFUvsLRUOnScan(t *testing.T) {
 	}
 }
 
-func TestTieredCache(t *testing.T) {
-	// L1 holds 2 objects, L2 holds 10.
-	tc := NewTiered(2*10, 10*10)
-	// First pass: all misses, everything admitted to both tiers.
-	for k := 0; k < 6; k++ {
-		if tc.Access(k, 10) {
-			t.Fatalf("cold access %d hit", k)
-		}
-	}
-	// Objects 4,5 are in L1; all six are in L2.
-	if !tc.Access(5, 10) {
-		t.Fatal("hot object missed")
-	}
-	if tc.L1Hits != 1 {
-		t.Fatalf("L1Hits = %d", tc.L1Hits)
-	}
-	// Object 0 fell out of L1 long ago but lives in L2.
-	if !tc.Access(0, 10) {
-		t.Fatal("L2-resident object missed")
-	}
-	if tc.L2Hits != 1 {
-		t.Fatalf("L2Hits = %d", tc.L2Hits)
-	}
-	if tc.Used() == 0 {
-		t.Fatal("Used() zero")
-	}
-}
-
-func TestTieredMeanLatency(t *testing.T) {
-	tc := NewTiered(100, 1000)
-	tc.L1Hits, tc.L2Hits = 50, 30
-	// 100 accesses: 50 at 1ms, 30 at 5ms, 20 at 100ms → 4.0ms mean?
-	// (50*1 + 30*5 + 20*100)/100 = (50+150+2000)/100 = 22.
-	got := tc.MeanLatency(100, 1, 5, 100)
-	if math.Abs(got-22) > 1e-9 {
-		t.Fatalf("MeanLatency = %v, want 22", got)
-	}
-	if tc.MeanLatency(0, 1, 5, 100) != 0 {
-		t.Fatal("zero accesses should give 0")
-	}
-}
-
-func TestTieredBeatsSingleTierAtEqualFastBytes(t *testing.T) {
-	// Zipf-ish trace over 500 objects of 10 bytes.
-	pulls := make([]int64, 500)
-	for i := range pulls {
-		pulls[i] = int64(5000 / (i + 1))
-	}
-	trace, err := Trace(pulls, 30_000, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := make([]int64, 500)
-	for i := range sizes {
-		sizes[i] = 10
-	}
-	single := NewLRU(200) // 20 objects of fast storage only
-	sres, err := Simulate(trace, sizes, single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiered := NewTiered(200, 2000) // same fast tier + a big slow tier
-	tres, err := Simulate(trace, sizes, tiered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tres.HitRatio <= sres.HitRatio {
-		t.Fatalf("tiered hit ratio %v not above single-tier %v", tres.HitRatio, sres.HitRatio)
-	}
-}
-
 func TestSimulateBadTrace(t *testing.T) {
 	if _, err := Simulate([]int{5}, make([]int64, 2), NewLRU(10)); err == nil {
 		t.Fatal("out-of-range key accepted")

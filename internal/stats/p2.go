@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // P2Quantile estimates a single quantile in O(1) memory with the P²
@@ -165,41 +164,3 @@ func (d *P2Digest) Quantile(q float64) float64 {
 
 // Summary exposes the exact count/sum/min/max/moments.
 func (d *P2Digest) Summary() *Summary { return &d.sum }
-
-// LockedP2Digest is a P2Digest safe for concurrent Add, for pipelines that
-// fan observations in from many goroutines. Note that P² marker updates
-// are order-sensitive, so concurrently fed quantile estimates are not
-// bit-reproducible run to run (the exact Summary is); stages that need
-// deterministic quantiles — analyzer.AnalyzeStore's file-size digest —
-// must feed a plain P2Digest in a fixed order instead.
-type LockedP2Digest struct {
-	mu sync.Mutex
-	d  *P2Digest
-}
-
-// NewLockedP2Digest returns a concurrency-safe digest tracking the given
-// quantiles.
-func NewLockedP2Digest(quantiles ...float64) *LockedP2Digest {
-	return &LockedP2Digest{d: NewP2Digest(quantiles...)}
-}
-
-// Add feeds one observation; it may be called from any goroutine.
-func (l *LockedP2Digest) Add(x float64) {
-	l.mu.Lock()
-	l.d.Add(x)
-	l.mu.Unlock()
-}
-
-// Quantile returns the estimate for one of the tracked quantiles.
-func (l *LockedP2Digest) Quantile(q float64) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.d.Quantile(q)
-}
-
-// Summary returns a copy of the exact count/sum/min/max/moments.
-func (l *LockedP2Digest) Summary() Summary {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.d.sum
-}

@@ -30,7 +30,9 @@
 //	}
 //
 // Deeper control (custom specs, cache simulation, dedup growth) lives in
-// the internal packages and is exercised by the examples/ programs.
+// the internal packages and is exercised by the cmd/ binaries —
+// cmd/experiments drives this facade, cmd/analyze the same fused pipeline
+// against a running hub.
 package repro
 
 import (
