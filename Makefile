@@ -40,9 +40,10 @@ race:
 race-full:
 	$(GO) test -race ./...
 
-# Fingerprint every row of the figure matrix (model, wire, fused, mirror,
-# cluster, dedup, live, live over dedup) at two worker counts; exits non-zero when any
-# wire-path or live mode diverges from its reference.
+# Fingerprint all 10 rows of the figure matrix (model, wire, mirror,
+# cluster, dedup, live, live over dedup) at two worker counts; exits
+# non-zero when any wire-path or live mode diverges from its reference.
+# `go test ./cmd/goldencheck` pins each row to the committed fingerprints.
 golden:
 	$(GO) run ./cmd/goldencheck -workers 1,4
 

@@ -4,11 +4,11 @@
 //
 // Usage:
 //
-//	experiments [-scale 0.002] [-seed N] [-wire | -fused] [-workers 8] [-markdown]
+//	experiments [-scale 0.002] [-seed N] [-wire] [-workers 8] [-markdown]
 //
 // Model mode (default) reproduces the statistics at scale; -wire runs the
-// full crawl/download/analyze pipeline over real tarballs served by an
-// in-process registry (use small scales: the byte volume is real).
+// full crawl → fused download+analyze pipeline over real tarballs served
+// by an in-process registry (use small scales: the byte volume is real).
 package main
 
 import (
@@ -30,7 +30,6 @@ func main() {
 	scale := flag.Float64("scale", 0.002, "dataset scale (1.0 = the paper's 457,627 repositories)")
 	seed := flag.Int64("seed", 0, "override dataset seed (0 = default)")
 	wire := flag.Bool("wire", false, "run the full HTTP pipeline over materialized tarballs")
-	fused := flag.Bool("fused", false, "fuse download+analysis into one streaming pass (a wire run: implies -wire)")
 	workers := flag.Int("workers", 8, "pipeline parallelism")
 	markdown := flag.Bool("markdown", false, "emit EXPERIMENTS.md-style markdown")
 	cache := flag.Bool("cache", true, "run the registry cache simulation (future-work extension)")
@@ -41,10 +40,7 @@ func main() {
 
 	opts := repro.Options{Scale: *scale, Seed: *seed, Workers: *workers}
 	mode := "model"
-	switch {
-	case *fused:
-		opts.Topology, mode = &repro.Topology{Acquire: repro.Fused}, "wire+fused"
-	case *wire:
+	if *wire {
 		opts.Topology, mode = &repro.Topology{}, "wire"
 	}
 	start := time.Now()

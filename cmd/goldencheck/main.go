@@ -9,15 +9,14 @@
 //
 //	goldencheck [-scale 0.0001] [-model-scale 0.0002] [-seed 0] [-workers 1,4,8]
 //
-// The matrix always runs whole. Beside the model run it holds nine
-// wire-path modes — direct two-phase and fused, through the caching
-// mirror (cold and pre-warmed cache), through the sharded cluster's
-// router (one node, and four nodes at two replicas), and from the
-// file-deduplicating storage backend (two-phase and fused), where every
-// pull reconstructs the exact wire bytes from the content pool. Every
-// wire-path mode at the same scale must render the exact bytes of the
-// direct wire run — goldencheck verifies this itself and exits non-zero
-// on any divergence.
+// The matrix always runs whole: 10 rows. Beside the model run it holds
+// six wire-path modes — direct, through the caching mirror (cold and
+// pre-warmed cache), through the sharded cluster's router (one node, and
+// four nodes at two replicas), and from the file-deduplicating storage
+// backend, where every pull reconstructs the exact wire bytes from the
+// content pool. Every wire-path mode at the same scale must render the
+// exact bytes of the direct wire run — goldencheck verifies this itself
+// and exits non-zero on any divergence.
 //
 // The last three modes are resident-service runs: images pushed over HTTP
 // into the live-analytics registry, figures rendered from the
@@ -36,6 +35,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -54,18 +54,29 @@ const (
 )
 
 func main() {
-	scale := flag.Float64("scale", 0.0001, "wire/fused dataset scale")
-	modelScale := flag.Float64("model-scale", 0.0002, "model dataset scale")
-	seed := flag.Int64("seed", 0, "dataset seed override (0 = spec default)")
-	workersList := flag.String("workers", "1,4,8", "comma-separated worker counts")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: one line per row × workers on stdout, errors on
+// stderr. It returns the exit code (2 for usage errors, 1 for a failed
+// run or a divergence).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("goldencheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.Float64("scale", 0.0001, "wire/live dataset scale")
+	modelScale := fs.Float64("model-scale", 0.0002, "model dataset scale")
+	seed := fs.Int64("seed", 0, "dataset seed override (0 = spec default)")
+	workersList := fs.String("workers", "1,4,8", "comma-separated worker counts")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var workers []int
 	for _, tok := range strings.Split(*workersList, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(tok))
 		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "goldencheck: bad -workers entry %q\n", tok)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "goldencheck: bad -workers entry %q\n", tok)
+			return 2
 		}
 		workers = append(workers, n)
 	}
@@ -78,13 +89,11 @@ func main() {
 	}{
 		{"model", nil},
 		{"wire", &repro.Topology{}},
-		{"fused", &repro.Topology{Acquire: repro.Fused}},
 		{"mirror-cold", &repro.Topology{MirrorBytes: mirrorBytes}},
 		{"mirror-warm", &repro.Topology{MirrorBytes: mirrorBytes, MirrorWarm: true}},
 		{"cluster-n1", &repro.Topology{Nodes: 1, Replicas: 1}},
 		{"cluster-n4", &repro.Topology{Nodes: 4, Replicas: 2}},
 		{"dedup", &repro.Topology{Storage: repro.Dedup}},
-		{"dedup-fused", &repro.Topology{Storage: repro.Dedup, Acquire: repro.Fused}},
 		{"live", &repro.Topology{Acquire: repro.LivePush, Ingest: true}},
 		{"live-churn", &repro.Topology{Acquire: repro.LivePush, Ingest: true, Churn: liveChurn}},
 		{"live-dedup", &repro.Topology{Acquire: repro.LivePush, Ingest: true, Storage: repro.Dedup}},
@@ -105,8 +114,8 @@ func main() {
 			}
 			res, err := repro.Run(opts)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "goldencheck: %s w=%d: %v\n", mode.name, w, err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "goldencheck: %s w=%d: %v\n", mode.name, w, err)
+				return 1
 			}
 			sum := fingerprint(res.Figures)
 			extra := ""
@@ -136,8 +145,8 @@ func main() {
 				// registry this very run left behind — the core claim.
 				batch, err := core.LiveBatchFigures(res, w)
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "goldencheck: %s w=%d batch reference: %v\n", mode.name, w, err)
-					os.Exit(1)
+					fmt.Fprintf(stderr, "goldencheck: %s w=%d batch reference: %v\n", mode.name, w, err)
+					return 1
 				}
 				if fingerprint(batch) != sum {
 					extra += "  << DIVERGES from batch reference"
@@ -158,14 +167,15 @@ func main() {
 					diverged = true
 				}
 			}
-			fmt.Printf("%-11s workers=%d figures=%d sha256=%s%s\n",
+			fmt.Fprintf(stdout, "%-11s workers=%d figures=%d sha256=%s%s\n",
 				mode.name, w, len(res.Figures), sum, extra)
 		}
 	}
 	if diverged {
-		fmt.Fprintln(os.Stderr, "goldencheck: wire-path fingerprints diverged")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "goldencheck: wire-path fingerprints diverged")
+		return 1
 	}
+	return 0
 }
 
 // fingerprint hashes the rendered figures.

@@ -25,8 +25,8 @@
 //
 // -scenarios replay provisions nothing: it pages the Hub search API at
 // -search-url for repository names and pull counts and pulls from
-// -registry, which may be a hubregistry, a cmd/mirror in front of one, or
-// a cmd/router over several.
+// -registry, which may be any hubregistry role: a hub of its own, a
+// mirror (-origin) in front of one, or a router (-nodes) over several.
 //
 // -arrivals closed replaces the schedule by -workers clients that each
 // send their next request when the previous one returns; -rates is then

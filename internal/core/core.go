@@ -1,25 +1,21 @@
-// Package core orchestrates the complete study: generate (or connect to) a
-// Docker Hub population, run the crawl → download → analyze pipeline, and
-// assemble the figure source every table and figure of the paper derives
-// from.
+// Package core runs the complete study: generate a Docker Hub population,
+// acquire its bytes, and assemble the figure source every table and figure
+// of the paper derives from. Study.Topology picks the path:
 //
-// A study is a stage graph executed by the engine runner over a shared
-// State. Study.Topology picks the graph:
-//
-//   - nil (model): generate → analyze → dedup-growth → report; the
-//     synthetic Hub is profiled from its metadata, the statistical
+//   - nil (model): the synthetic Hub is profiled from its metadata and the
+//     Fig. 25 dedup-growth curve sampled from it — the statistical
 //     reproduction path used at scale.
-//   - a Topology pulled TwoPhase or Fused (wire): generate → provision →
-//     crawl → download → analyze → report; real layer tarballs are served
-//     from the provisioned stack and the actual bytes are crawled,
-//     downloaded and analyzed — the full methodology reproduction (§III).
-//     Fused swaps download and analyze for the one download+analyze
-//     stage; MirrorWarm adds a warm-up pull after the crawl.
-//   - a Topology acquired by LivePush (live): generate → provision →
-//     live-push → [churn] → live-report → report; see live.go.
+//   - a Topology acquired by Pull (wire): the dataset's images are served
+//     as real gzip-compressed layer tarballs from the provisioned stack,
+//     the search API is crawled, and every image is pulled through
+//     pipeline.Run, which walks each layer while it streams off the wire —
+//     the full methodology reproduction (§III). MirrorWarm pulls
+//     everything once first.
+//   - a Topology acquired by LivePush (live): the dataset is pushed into
+//     the stack and reported from its live index; see live.go.
 //
 // What "the provisioned stack" is — storage backend, ingest hook, front
-// tier — is internal/topology's business, not a stage's.
+// tier — is internal/topology's business.
 package core
 
 import (
@@ -28,11 +24,17 @@ import (
 	"math/rand"
 
 	"repro/internal/analyzer"
+	"repro/internal/blobstore"
 	"repro/internal/crawler"
 	"repro/internal/dedup"
 	"repro/internal/downloader"
 	"repro/internal/engine"
+	"repro/internal/hubapi"
+	"repro/internal/manifest"
+	"repro/internal/pipeline"
+	"repro/internal/registry"
 	"repro/internal/report"
+	"repro/internal/serve"
 	"repro/internal/synth"
 	"repro/internal/topology"
 )
@@ -61,12 +63,8 @@ type Result struct {
 	Source   *report.Source
 	Figures  []report.Figure
 
-	// Stages records each executed stage's wall time and outcome, in
-	// execution order.
-	Stages []engine.StageResult
-
-	// Crawl and Download are the pull pipeline's results (nil in model and
-	// live runs).
+	// Crawl and Download are the pull's results (nil in model and live
+	// runs).
 	Crawl    *crawler.Result
 	Download *downloader.Result
 	// Stack is what the study provisioned (nil in model runs). Its
@@ -76,12 +74,7 @@ type Result struct {
 	Stack *topology.Stack
 }
 
-// Env builds the study's shared run environment.
-func (s *Study) Env() *engine.Env {
-	return &engine.Env{Workers: s.Workers, Seed: s.Spec.Seed}
-}
-
-// Run executes the study; cancelling ctx winds it down mid-stage, drains
+// Run executes the study; cancelling ctx winds it down mid-step, drains
 // the servers it mounted, and returns ctx's error.
 func (s *Study) Run(ctx context.Context) (*Result, error) {
 	if s.Topology != nil {
@@ -89,64 +82,116 @@ func (s *Study) Run(ctx context.Context) (*Result, error) {
 			return nil, err
 		}
 	}
-	stages := []engine.Stage[*State]{stageGenerate}
-	switch t := s.Topology; {
-	case t == nil:
-		stages = append(stages, stageAnalyzeModel)
-		if s.GrowthSamples >= 0 {
-			stages = append(stages, stageGrowth)
-		}
-	case t.Acquire == topology.LivePush:
-		stages = append(stages, stageProvision, stageLivePush)
-		if t.Churn > 0 {
-			stages = append(stages, stageLiveChurn)
-		}
-		stages = append(stages, stageLiveReport)
-	default:
-		stages = append(stages, stageProvision, stageCrawl)
-		if t.MirrorWarm {
-			stages = append(stages, stageMirrorWarm)
-		}
-		if t.Acquire == topology.Fused {
-			stages = append(stages, stageFused)
-		} else {
-			stages = append(stages, stageDownload, stageAnalyze)
-		}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return s.run(ctx, append(stages, stageReport))
-}
+	d, err := synth.Generate(s.Spec)
+	if err != nil {
+		return nil, fmt.Errorf("core: generating dataset: %w", err)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	res := &Result{Dataset: d}
+	src := &report.Source{Repos: synth.Repositories(d)}
 
-// run executes a stage graph over fresh state and folds the state into a
-// Result. Servers the graph mounted are always shut down — drained
-// gracefully — whether the run succeeded, failed, or was cancelled.
-func (s *Study) run(ctx context.Context, stages []engine.Stage[*State]) (*Result, error) {
-	env := s.Env()
-	st := &State{Env: env, Spec: s.Spec, GrowthSamples: s.GrowthSamples, Topology: s.Topology}
-	runner := &engine.Runner[*State]{Env: env, Stages: stages}
-
-	stageResults, err := runner.Run(ctx, st)
-	if st.Servers != nil {
+	if s.Topology == nil {
+		if res.Analysis, err = analyzer.AnalyzeModel(d); err != nil {
+			return nil, fmt.Errorf("core: analyzing model: %w", err)
+		}
+		if s.GrowthSamples >= 0 {
+			n := s.GrowthSamples
+			if n == 0 {
+				n = 4
+			}
+			if src.Growth, err = DedupGrowth(d, n); err != nil {
+				return nil, fmt.Errorf("core: dedup growth: %w", err)
+			}
+		}
+	} else {
+		g := &serve.Group{}
+		search, err := s.provision(g, res, src.Repos)
+		if err == nil && s.Topology.Acquire == topology.LivePush {
+			err = s.live(ctx, res)
+		} else if err == nil {
+			err = s.pull(ctx, res, search)
+		}
 		// A cancelled run must still drain its servers under the drain
 		// timeout rather than skip the drain, so the shutdown context
-		// drops ctx's cancellation but keeps its lineage; each server
-		// bounds its own drain with DrainTimeout.
-		if serr := st.Servers.Shutdown(context.WithoutCancel(ctx)); err == nil && serr != nil {
+		// drops ctx's cancellation but keeps its lineage.
+		if serr := g.Shutdown(context.WithoutCancel(ctx)); err == nil && serr != nil {
 			err = fmt.Errorf("core: shutting down servers: %w", serr)
 		}
+		if err != nil {
+			return nil, err
+		}
 	}
+
+	src.Analysis, src.Crawl = res.Analysis, res.Crawl
+	if res.Download != nil {
+		src.Download = &res.Download.Stats
+	}
+	res.Source, res.Figures = src, report.All(src)
+	return res, nil
+}
+
+// provision stands the study's topology up on g, with the Hub search API
+// beside it, and returns a client on that API. A pulled study's registry
+// is materialized with the dataset's images as real gzip-compressed layer
+// tarballs; a LivePush study's starts empty, the content arrives over the
+// wire.
+func (s *Study) provision(g *serve.Group, res *Result, repos []manifest.Repository) (*hubapi.Client, error) {
+	d := res.Dataset
+	site := topology.Site{Repos: repos}
+	if s.Topology.Acquire == topology.Pull {
+		site.Fill = func(reg *registry.Registry) error {
+			_, err := synth.Materialize(d, reg)
+			return err
+		}
+	}
+	stack, err := topology.Provision(g, *s.Topology, site)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Dataset:  st.Dataset,
-		Analysis: st.Analysis,
-		Source:   st.Source,
-		Figures:  st.Figures,
-		Stages:   stageResults,
-		Crawl:    st.Crawl,
-		Download: st.Download,
-		Stack:    st.Stack,
-	}, nil
+	res.Stack = stack
+	search := &serve.Server{
+		Name:    "search",
+		Handler: hubapi.NewServer(repos, d.Spec.CrawlDupFactor, d.Spec.Seed, 0),
+	}
+	if err := g.Start(search); err != nil {
+		return nil, err
+	}
+	return &hubapi.Client{Base: search.URL(), HTTP: search.Client()}, nil
+}
+
+// pull crawls the search API and pulls every crawled repository's latest
+// image from the stack through the fused download+walk pass, after one
+// discarded warm-up pull when the topology asks for it.
+func (s *Study) pull(ctx context.Context, res *Result, search *hubapi.Client) error {
+	workers := engine.Workers(s.Workers)
+	crawl, err := (&crawler.Crawler{Client: search, Workers: workers}).RunContext(ctx)
+	if err != nil {
+		return fmt.Errorf("core: crawling: %w", err)
+	}
+	newDownloader := func() *downloader.Downloader {
+		return &downloader.Downloader{
+			Client:  res.Stack.Client,
+			Workers: workers,
+			Store:   blobstore.NewMemory(),
+			Seed:    s.Spec.Seed,
+		}
+	}
+	if s.Topology.MirrorWarm {
+		if _, err := newDownloader().RunContext(ctx, crawl.Repos); err != nil {
+			return fmt.Errorf("core: warming mirror: %w", err)
+		}
+	}
+	p, err := pipeline.Run(ctx, newDownloader(), crawl.Repos)
+	if err != nil {
+		return fmt.Errorf("core: pulling: %w", err)
+	}
+	res.Crawl, res.Download, res.Analysis = crawl, p.Download, p.Analysis
+	return nil
 }
 
 // DedupGrowth reproduces Fig. 25: dedup ratios over nested random layer

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
+	"repro/internal/serve"
 	"repro/internal/synth"
 	"repro/internal/topology"
 )
@@ -27,8 +27,7 @@ func run(t *testing.T, s *Study) *Result {
 	return res
 }
 
-// wire is the plain wire topology: one registry, served directly, pulled
-// in two phases.
+// wire is the plain wire topology: one registry, served directly, pulled.
 func wire() *topology.Topology { return &topology.Topology{} }
 
 func TestRunModelProducesAllFigures(t *testing.T) {
@@ -159,121 +158,83 @@ func TestDedupGrowthEmptyDataset(t *testing.T) {
 	}
 }
 
+// TestStageResultsRecorded: a run records the results of the steps its
+// path ran and only those — no crawl, download or stack for the model
+// study; crawl, download and stack for every pulled topology, with the
+// pull's accounting in the figure source.
 func TestStageResultsRecorded(t *testing.T) {
-	res := run(t, study(synth.DefaultSpec(0.0002), nil))
-	want := []string{"generate", "analyze", "dedup-growth", "report"}
-	if len(res.Stages) != len(want) {
-		t.Fatalf("model stages = %v, want %v", stageNames(res.Stages), want)
+	model := run(t, study(synth.DefaultSpec(0.0002), nil))
+	if model.Crawl != nil || model.Download != nil || model.Stack != nil {
+		t.Error("model run recorded pull results")
 	}
-	for i, sr := range res.Stages {
-		if sr.Name != want[i] {
-			t.Errorf("stage[%d] = %s, want %s", i, sr.Name, want[i])
-		}
-		if sr.Err != nil {
-			t.Errorf("stage %s failed: %v", sr.Name, sr.Err)
-		}
-		if sr.Wall < 0 {
-			t.Errorf("stage %s wall time negative: %v", sr.Name, sr.Wall)
-		}
+	if model.Analysis == nil || len(model.Source.Growth) == 0 {
+		t.Error("model run recorded no analysis or growth curve")
 	}
 
-	// Whatever the topology stands up is one provision stage; only the
-	// acquisition path changes the graph.
 	spec := synth.MaterializeSpec(0.0001)
-	for _, c := range []struct {
-		topo topology.Topology
-		want []string
-	}{
-		{topology.Topology{},
-			[]string{"generate", "provision", "crawl", "download", "analyze", "report"}},
-		{topology.Topology{Acquire: topology.Fused},
-			[]string{"generate", "provision", "crawl", "download+analyze", "report"}},
-		{topology.Topology{Nodes: 2, MirrorBytes: 8 << 20, MirrorWarm: true},
-			[]string{"generate", "provision", "crawl", "mirror-warm", "download", "analyze", "report"}},
-	} {
-		if got := stageNames(run(t, study(spec, &c.topo)).Stages); !equalStrings(got, c.want) {
-			t.Errorf("%+v: stages = %v, want %v", c.topo, got, c.want)
+	for _, topo := range []topology.Topology{{}, {Nodes: 2, MirrorBytes: 8 << 20, MirrorWarm: true}} {
+		res := run(t, study(spec, &topo))
+		if res.Crawl == nil || res.Download == nil || res.Stack == nil || res.Analysis == nil {
+			t.Fatalf("%+v: pulled run missing results: %+v", topo, res)
+		}
+		if res.Source.Crawl != res.Crawl || res.Source.Download != &res.Download.Stats {
+			t.Errorf("%+v: figure source lacks the pull accounting", topo)
 		}
 	}
-}
-
-func stageNames(srs []engine.StageResult) []string {
-	names := make([]string, len(srs))
-	for i, sr := range srs {
-		names[i] = sr.Name
-	}
-	return names
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestWireFiguresWorkerInvariant: the rendered figures are bit-identical
-// at every worker count — the stage refactor must not let scheduling leak
-// into the science.
+// at every worker count — scheduling must not leak into the science.
 func TestWireFiguresWorkerInvariant(t *testing.T) {
 	spec := synth.MaterializeSpec(0.0001)
-	render := func(workers int, acquire topology.Acquire) string {
-		return figureText(run(t, &Study{Spec: spec, Workers: workers, Topology: &topology.Topology{Acquire: acquire}}))
+	render := func(workers int) string {
+		return figureText(run(t, &Study{Spec: spec, Workers: workers, Topology: wire()}))
 	}
-	base := render(1, topology.TwoPhase)
+	base := render(1)
 	for _, workers := range []int{4, 8} {
-		if got := render(workers, topology.TwoPhase); got != base {
+		if got := render(workers); got != base {
 			t.Errorf("wire figures differ between 1 and %d workers", workers)
 		}
 	}
-	if got := render(4, topology.Fused); got != base {
-		t.Error("fused figures differ from two-phase figures")
-	}
 }
 
-// TestRunCancelledMidRun: cancelling between stages aborts the graph with
-// the context's error, runs nothing further, and still tears the servers
-// down. The cancel stage fires after crawl, so the download stage sees a
-// dead context.
+// TestRunCancelledMidRun: a ctx cancelled once the stack is provisioned
+// stops the pull with the context's error before it records a crawl or a
+// download, and every mounted server still drains.
 func TestRunCancelledMidRun(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
 	s := study(synth.MaterializeSpec(0.0001), wire())
-	env := s.Env()
-	st := &State{Env: env, Spec: s.Spec, Topology: s.Topology}
-	runner := &engine.Runner[*State]{Env: env, Stages: []engine.Stage[*State]{
-		stageGenerate, stageProvision, stageCrawl,
-		engine.NewStage("cancel", func(ctx context.Context, st *State) error {
-			cancel()
-			return nil
-		}),
-		stageDownload, stageAnalyze, stageReport,
-	}}
+	d, err := synth.Generate(s.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &Result{Dataset: d}
+	g := &serve.Group{}
+	search, err := s.provision(g, res, synth.Repositories(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 
 	start := time.Now()
-	results, err := runner.Run(ctx, st)
-	if !errors.Is(err, context.Canceled) {
+	if err := s.pull(ctx, res, search); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("cancelled run took %v", elapsed)
 	}
-	for _, sr := range results {
-		if sr.Name == "download" || sr.Name == "analyze" || sr.Name == "report" {
-			t.Errorf("stage %s ran despite cancellation", sr.Name)
-		}
+	if res.Crawl != nil || res.Download != nil {
+		t.Fatal("cancelled run recorded a crawl or download")
 	}
-	if st.Servers == nil {
-		t.Fatal("provision stage never ran")
-	}
-	if err := st.Servers.Shutdown(context.Background()); err != nil {
+	if err := g.Shutdown(context.WithoutCancel(ctx)); err != nil {
 		t.Fatalf("server drain after cancellation: %v", err)
+	}
+	if err := res.Stack.Client.Ping(); err == nil {
+		t.Fatal("registry still answers after the drain")
+	}
+	if resp, err := search.HTTP.Get(search.Base); err == nil {
+		resp.Body.Close()
+		t.Fatal("search API still answers after the drain")
 	}
 }
 

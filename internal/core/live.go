@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 
 	"repro/internal/analytics"
@@ -19,28 +20,44 @@ import (
 // materializing into the store and analyzing afterwards, every image is
 // pushed over HTTP — the hook analyzes layer bytes in flight — and the
 // figures come from the incrementally maintained live index, not a batch
-// pass. An optional churn stage deletes and re-pushes a fraction of the
-// population first, exercising the rollup path the batch study never has.
+// pass. Optional churn deletes and re-pushes a fraction of the population
+// first, exercising the rollup path the batch study never has.
 
-// liveClient is the push client for the live stages. The token
-// authorizes writes to private repositories; the live study pushes the
-// whole population, not just the publicly pullable part.
-func (st *State) liveClient() *registry.Client {
-	c := *st.Stack.Client
-	c.Token = "live-study"
-	return &c
+// live pushes the dataset into the provisioned stack, churns it when the
+// topology asks for churn, and takes the analysis from the live index's
+// current snapshot. There is no crawl or download: the study never pulls
+// anything.
+func (s *Study) live(ctx context.Context, res *Result) error {
+	// The token authorizes writes to private repositories; the live study
+	// pushes the whole population, not just the publicly pullable part.
+	client := *res.Stack.Client
+	client.Token = "live-study"
+	if err := s.livePush(ctx, res, &client); err != nil {
+		return err
+	}
+	if s.Topology.Churn > 0 {
+		if err := s.liveChurn(ctx, res.Dataset, &client); err != nil {
+			return err
+		}
+	}
+	a, err := res.Stack.Origin.Live.Snapshot().Result()
+	if err != nil {
+		return fmt.Errorf("core: rendering live analysis: %w", err)
+	}
+	res.Analysis = a
+	return nil
 }
 
-// stageLivePush drives the dataset through the wire write path: every
-// unique layer is uploaded once (the ingest tee analyzes its bytes in
-// flight), then every downloadable repo's config and manifest. Blobs
-// must all be stored before any manifest referencing them is PUT, so the
-// two phases are separated by a barrier; within a phase the uploads fan
-// out across the run's workers. Concurrent arrival order does not matter:
-// the live index's figures are order-independent by construction.
-var stageLivePush = engine.NewStage("live-push", func(ctx context.Context, st *State) error {
-	d := st.Dataset
-	client := st.liveClient()
+// livePush drives the dataset through the wire write path: every unique
+// layer is uploaded once (the ingest tee analyzes its bytes in flight),
+// then every downloadable repo's config and manifest. Blobs must all be
+// stored before any manifest referencing them is PUT, so the two phases
+// are separated by a barrier; within a phase the uploads fan out across
+// the run's workers. Concurrent arrival order does not matter: the live
+// index's figures are order-independent by construction.
+func (s *Study) livePush(ctx context.Context, res *Result, client *registry.Client) error {
+	d := res.Dataset
+	workers := engine.Workers(s.Workers)
 
 	// Repositories are an administrative registration, not a wire write.
 	type repoPush struct {
@@ -50,7 +67,7 @@ var stageLivePush = engine.NewStage("live-push", func(ctx context.Context, st *S
 	var repos []repoPush
 	for ri := range d.Repos {
 		r := &d.Repos[ri]
-		st.Stack.Origin.Registry.CreateRepo(r.Name, r.Private)
+		res.Stack.Origin.Registry.CreateRepo(r.Name, r.Private)
 		if r.Downloadable() {
 			repos = append(repos, repoPush{r.Name, synth.ImageID(r.Image)})
 		}
@@ -74,7 +91,7 @@ var stageLivePush = engine.NewStage("live-push", func(ctx context.Context, st *S
 	// descs[l] is written by the one worker that pushes layer l and read
 	// after the barrier.
 	descs := make([]manifest.Descriptor, len(d.Layers))
-	err := runParallel(ctx, st.Env.WorkerCount(), len(layers), func(ctx context.Context, i int) error {
+	err := runParallel(ctx, workers, len(layers), func(ctx context.Context, i int) error {
 		lp := layers[i]
 		blob, err := synth.RenderLayer(d, lp.id)
 		if err != nil {
@@ -92,7 +109,7 @@ var stageLivePush = engine.NewStage("live-push", func(ctx context.Context, st *S
 
 	// Phase 2: configs and manifests; synth.BuildImage makes the live
 	// registry content-identical to a materialized one.
-	return runParallel(ctx, st.Env.WorkerCount(), len(repos), func(ctx context.Context, i int) error {
+	return runParallel(ctx, workers, len(repos), func(ctx context.Context, i int) error {
 		rp := repos[i]
 		ids := d.ImageLayers(rp.imgID)
 		layers := make([]manifest.Descriptor, len(ids)) // never nil: [] and null marshal differently
@@ -111,20 +128,18 @@ var stageLivePush = engine.NewStage("live-push", func(ctx context.Context, st *S
 		}
 		return nil
 	})
-})
+}
 
-// stageLiveChurn deletes and re-pushes a deterministic random fraction
+// liveChurn deletes and re-pushes a deterministic random fraction
 // (Topology.Churn) of the tagged population over the wire: every churned
-// repo's latest tag is DELETEd (the live index rolls the image back out) and
-// its manifest re-PUT (the index re-admits it from the still-stored
+// repo's latest tag is DELETEd (the live index rolls the image back out)
+// and its manifest re-PUT (the index re-admits it from the still-stored
 // walks). A correct rollup leaves the final figures identical to a
 // churn-free run.
-var stageLiveChurn = engine.NewStage("churn", func(ctx context.Context, st *State) error {
-	frac := st.Topology.Churn
-	client := st.liveClient()
+func (s *Study) liveChurn(ctx context.Context, d *synth.Dataset, client *registry.Client) error {
 	var names []string
-	for ri := range st.Dataset.Repos {
-		r := &st.Dataset.Repos[ri]
+	for ri := range d.Repos {
+		r := &d.Repos[ri]
 		if r.Downloadable() {
 			names = append(names, r.Name)
 		}
@@ -132,8 +147,8 @@ var stageLiveChurn = engine.NewStage("churn", func(ctx context.Context, st *Stat
 	if len(names) == 0 {
 		return nil
 	}
-	k := min(max(int(frac*float64(len(names))+0.5), 1), len(names))
-	perm := st.Env.RNG(1109).Perm(len(names))
+	k := min(max(int(s.Topology.Churn*float64(len(names))+0.5), 1), len(names))
+	perm := rand.New(rand.NewSource(s.Spec.Seed + 1109)).Perm(len(names))
 	for _, pi := range perm[:k] {
 		name := names[pi]
 		m, _, err := client.ManifestContext(ctx, name, "latest")
@@ -148,20 +163,7 @@ var stageLiveChurn = engine.NewStage("churn", func(ctx context.Context, st *Stat
 		}
 	}
 	return nil
-})
-
-// stageLiveReport renders the analysis from the live index's current
-// snapshot — no batch pass over the store. stageReport then assembles
-// the same figure source a model run uses (no crawl/download stats: the
-// study never pulled anything).
-var stageLiveReport = engine.NewStage("live-report", func(ctx context.Context, st *State) error {
-	res, err := st.Stack.Origin.Live.Snapshot().Result()
-	if err != nil {
-		return fmt.Errorf("rendering live analysis: %w", err)
-	}
-	st.Analysis = res
-	return nil
-})
+}
 
 // LiveBatchFigures renders the reference figures for a live run the slow
 // way: enumerate the registry's surviving images, batch-analyze their

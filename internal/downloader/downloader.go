@@ -85,8 +85,8 @@ type Downloader struct {
 	// Backoff schedules the pause between retries (jittered exponential;
 	// the zero value uses sane defaults — see Backoff).
 	Backoff Backoff
-	// Seed seeds the backoff jitter stream (the engine seed-offset
-	// pattern: pass Env.Seed plus a subsystem offset). Jitter only shifts
+	// Seed seeds the backoff jitter stream (the seed-offset pattern: pass
+	// the run seed; the downloader adds its own offset). Jitter only shifts
 	// retry timing, never figures, but drawing it from a seeded stream
 	// keeps runs replayable; 0 is a valid seed.
 	Seed int64

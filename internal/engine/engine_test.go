@@ -1,157 +1,6 @@
 package engine
 
-import (
-	"context"
-	"errors"
-	"testing"
-	"time"
-)
-
-// fakeClock advances a fixed step per call, making stage wall times exact.
-type fakeClock struct {
-	t    time.Time
-	step time.Duration
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.t = c.t.Add(c.step)
-	return c.t
-}
-
-type testState struct {
-	order []string
-}
-
-func namedStage(name string, err error) Stage[*testState] {
-	return NewStage(name, func(ctx context.Context, st *testState) error {
-		st.order = append(st.order, name)
-		return err
-	})
-}
-
-func TestRunnerStageOrderAndTimings(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(0, 0), step: time.Second}
-	r := &Runner[*testState]{
-		Env: &Env{Now: clock.Now},
-		Stages: []Stage[*testState]{
-			namedStage("generate", nil),
-			namedStage("analyze", nil),
-			namedStage("report", nil),
-		},
-	}
-	st := &testState{}
-	results, err := r.Run(context.Background(), st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"generate", "analyze", "report"}
-	if len(st.order) != len(want) {
-		t.Fatalf("executed %v, want %v", st.order, want)
-	}
-	for i, name := range want {
-		if st.order[i] != name {
-			t.Errorf("execution order[%d] = %s, want %s", i, st.order[i], name)
-		}
-		if results[i].Name != name {
-			t.Errorf("results[%d].Name = %s, want %s", i, results[i].Name, name)
-		}
-		// The fake clock steps once at stage start and once at stage end.
-		if results[i].Wall != time.Second {
-			t.Errorf("results[%d].Wall = %v, want 1s", i, results[i].Wall)
-		}
-		if results[i].Err != nil {
-			t.Errorf("results[%d].Err = %v", i, results[i].Err)
-		}
-	}
-}
-
-func TestRunnerHaltsOnFirstError(t *testing.T) {
-	boom := errors.New("boom")
-	r := &Runner[*testState]{
-		Stages: []Stage[*testState]{
-			namedStage("ok", nil),
-			namedStage("fails", boom),
-			namedStage("never", nil),
-		},
-	}
-	st := &testState{}
-	results, err := r.Run(context.Background(), st)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
-	}
-	if len(st.order) != 2 {
-		t.Fatalf("executed %v, want only [ok fails]", st.order)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d entries, want 2 (the failing stage included)", len(results))
-	}
-	if !errors.Is(results[1].Err, boom) {
-		t.Errorf("failing stage outcome not recorded: %v", results[1].Err)
-	}
-}
-
-func TestRunnerFirstErrorCancelsRunContext(t *testing.T) {
-	// A background task started by an early stage must observe
-	// cancellation when a later stage fails.
-	bgDone := make(chan struct{})
-	boom := errors.New("boom")
-	r := &Runner[*testState]{
-		Stages: []Stage[*testState]{
-			NewStage("serve", func(ctx context.Context, st *testState) error {
-				go func() {
-					<-ctx.Done()
-					close(bgDone)
-				}()
-				return nil
-			}),
-			namedStage("fails", boom),
-		},
-	}
-	if _, err := r.Run(context.Background(), &testState{}); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	select {
-	case <-bgDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("background work never saw the first-error cancellation")
-	}
-}
-
-func TestRunnerCancelledBetweenStages(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	r := &Runner[*testState]{
-		Stages: []Stage[*testState]{
-			NewStage("first", func(ctx context.Context, st *testState) error {
-				st.order = append(st.order, "first")
-				cancel() // caller cancels mid-run
-				return nil
-			}),
-			namedStage("second", nil),
-		},
-	}
-	st := &testState{}
-	results, err := r.Run(ctx, st)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(st.order) != 1 || len(results) != 1 {
-		t.Fatalf("executed %v (results %d), want only the first stage", st.order, len(results))
-	}
-}
-
-func TestRunnerPreCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	r := &Runner[*testState]{Stages: []Stage[*testState]{namedStage("never", nil)}}
-	st := &testState{}
-	results, err := r.Run(ctx, st)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(st.order) != 0 || len(results) != 0 {
-		t.Fatal("stages ran despite pre-cancelled context")
-	}
-}
+import "testing"
 
 func TestWorkersDefault(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
@@ -159,33 +8,6 @@ func TestWorkersDefault(t *testing.T) {
 	} {
 		if got := Workers(tc.in); got != tc.want {
 			t.Errorf("Workers(%d) = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-	if got := (&Env{}).WorkerCount(); got != DefaultWorkers {
-		t.Errorf("zero Env WorkerCount = %d, want %d", got, DefaultWorkers)
-	}
-	if got := (&Env{Workers: 3}).WorkerCount(); got != 3 {
-		t.Errorf("Env{Workers:3} WorkerCount = %d", got)
-	}
-}
-
-func TestEnvRNGIndependentStreams(t *testing.T) {
-	env := &Env{Seed: 42}
-	a, b := env.RNG(1), env.RNG(2)
-	same := true
-	for i := 0; i < 8; i++ {
-		if a.Int63() != b.Int63() {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("offset RNG streams are identical")
-	}
-	// Same offset reproduces the same stream.
-	c, d := env.RNG(1), env.RNG(1)
-	for i := 0; i < 8; i++ {
-		if c.Int63() != d.Int63() {
-			t.Fatal("same-offset RNG streams diverge")
 		}
 	}
 }

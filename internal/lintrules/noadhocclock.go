@@ -5,11 +5,12 @@ import (
 )
 
 // deterministicPkgs are the path fragments of packages whose behaviour
-// must be a pure function of configuration and seed: stage bodies and
+// must be a pure function of configuration and seed: the study and
 // everything the figures flow through. Inside them, wall-clock reads and
-// sleeps must go through the engine clock seam (engine.Env.Now /
-// engine.SystemNow / engine.SleepContext) so a fake clock governs the
-// whole run in tests.
+// sleeps must go through engine.SystemNow and engine.SleepContext, or
+// through a clock seam of the package's own (trafficsim's virtual clock)
+// built on them, so no wall-clock dependence hides from review or from a
+// fake clock in tests.
 var deterministicPkgs = []string{
 	"internal/core",
 	"internal/engine",
@@ -40,14 +41,13 @@ var adhocClockFuncs = map[string]bool{
 }
 
 // NoAdhocClock forbids ad-hoc wall-clock access in deterministic
-// packages. Motivated by PR 3's injectable engine clock (stage wall
-// times) and PR 6's pacer: a bare time.Now in a paced or measured path
-// silently escapes the fake clock, so engine tests and the virtual-time
-// bandwidth pacer stop covering it.
+// packages. Motivated by the bandwidth pacer and trafficsim's virtual
+// clock: a bare time.Now in a paced or measured path silently escapes the
+// clock seam, so virtual-time tests stop covering it.
 var NoAdhocClock = &Analyzer{
 	Name: "noadhocclock",
 	Doc: "forbid bare time.Now/time.Sleep/time.Since (and timer constructors) in deterministic packages; " +
-		"use the injected engine clock (engine.Env.Now, engine.SystemNow, engine.SleepContext) instead",
+		"use engine.SystemNow / engine.SleepContext instead",
 	Run: runNoAdhocClock,
 }
 
@@ -65,7 +65,7 @@ func runNoAdhocClock(p *Pass) {
 			if fn == nil || fn.Pkg().Path() != "time" || !adhocClockFuncs[fn.Name()] {
 				return true
 			}
-			p.Reportf(sel.Pos(), "ad-hoc clock: time.%s in deterministic package %s; use the injected engine clock (engine.Env.Now / engine.SystemNow / engine.SleepContext)",
+			p.Reportf(sel.Pos(), "ad-hoc clock: time.%s in deterministic package %s; use engine.SystemNow / engine.SleepContext",
 				fn.Name(), p.Pkg.Path())
 			return true
 		})

@@ -6,8 +6,8 @@ import (
 
 // seededConstructors are the math/rand package-level functions that
 // build explicitly seeded generators — the only sanctioned way to get
-// randomness anywhere in the repository (the engine.Env seed-offset
-// pattern). Everything else at package level draws from the global
+// randomness anywhere in the repository (a seeded *rand.Rand at seed +
+// offset). Everything else at package level draws from the global
 // source, whose sequence depends on who else consumed it, so figures
 // would stop being a pure function of the run seed.
 var seededConstructors = map[string]bool{
@@ -27,7 +27,7 @@ var seededConstructors = map[string]bool{
 var NoGlobalRand = &Analyzer{
 	Name: "noglobalrand",
 	Doc: "forbid top-level math/rand functions (global RNG state); derive a seeded *rand.Rand " +
-		"stream via the engine.Env seed-offset pattern instead",
+		"at seed + offset instead",
 	Run: runNoGlobalRand,
 }
 
@@ -49,7 +49,7 @@ func runNoGlobalRand(p *Pass) {
 			if seededConstructors[fn.Name()] {
 				return true
 			}
-			p.Reportf(sel.Pos(), "global RNG: rand.%s draws from the process-global source; use a seeded *rand.Rand (engine.Env.RNG seed-offset pattern)",
+			p.Reportf(sel.Pos(), "global RNG: rand.%s draws from the process-global source; use a seeded *rand.Rand at seed + offset",
 				fn.Name())
 			return true
 		})

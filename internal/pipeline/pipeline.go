@@ -47,14 +47,6 @@ type Result struct {
 // dl.LayerTee is owned by the pipeline for the duration of the call.
 // dl.Workers bounds the assembly-phase walk workers as well.
 func Run(ctx context.Context, dl *downloader.Downloader, repos []string) (*Result, error) {
-	return RunEnv(ctx, nil, dl, repos)
-}
-
-// RunEnv is Run under an explicit engine environment: env's clock stamps
-// the DownloadWall/AssembleWall phase split, so a fused run under a fake
-// clock reports fake wall times (nil env uses the system clock).
-func RunEnv(ctx context.Context, env *engine.Env, dl *downloader.Downloader, repos []string) (*Result, error) {
-	now := env.Clock()
 	var mu sync.Mutex
 	walked := make(map[digest.Digest]*analyzer.WalkedLayer)
 
@@ -72,7 +64,7 @@ func RunEnv(ctx context.Context, env *engine.Env, dl *downloader.Downloader, rep
 	}
 	defer func() { dl.LayerTee = nil }()
 
-	start := now()
+	start := engine.SystemNow()
 	dres, err := dl.RunContext(ctx, repos)
 	if err != nil {
 		return nil, err
@@ -83,7 +75,7 @@ func RunEnv(ctx context.Context, env *engine.Env, dl *downloader.Downloader, rep
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	downloadWall := now().Sub(start)
+	downloadWall := engine.SystemNow().Sub(start)
 
 	res := &Result{Download: dres, DownloadWall: downloadWall, WalkedInline: len(walked)}
 
@@ -101,12 +93,12 @@ func RunEnv(ctx context.Context, env *engine.Env, dl *downloader.Downloader, rep
 		}
 	}
 
-	start = now()
+	start = engine.SystemNow()
 	ares, err := analyzer.AnalyzeWalkedContext(ctx, dl.Store, dres.Images, walked, engine.Workers(dl.Workers))
 	if err != nil {
 		return nil, err
 	}
-	res.AssembleWall = now().Sub(start)
+	res.AssembleWall = engine.SystemNow().Sub(start)
 	res.Analysis = ares
 	return res, nil
 }

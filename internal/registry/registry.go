@@ -34,9 +34,8 @@ import (
 
 // Errors surfaced by the server's repository model.
 var (
-	ErrRepoNotFound     = errors.New("registry: repository not found")
-	ErrTagNotFound      = errors.New("registry: tag not found")
-	ErrManifestNotFound = errors.New("registry: manifest not found")
+	ErrRepoNotFound = errors.New("registry: repository not found")
+	ErrTagNotFound  = errors.New("registry: tag not found")
 )
 
 // repo is the server-side state of one repository.

@@ -6,10 +6,9 @@
 // under and in front of that registry. Topology names those choices —
 // storage backend × ingest hook × front tier × how a study acquires its
 // bytes — and Provision turns one into a running stack on the serve
-// chassis. The study stages, every trafficsim scenario, the hubregistry /
-// mirror / router mains and the examples all stand their registries up
-// here, so a combination either works everywhere or is rejected by
-// Validate.
+// chassis. The study, every trafficsim scenario, the hubregistry main and
+// the examples all stand their registries up here, so a combination
+// either works everywhere or is rejected by Validate.
 package topology
 
 import (
@@ -46,17 +45,15 @@ const (
 )
 
 // Acquire is how a study obtains the bytes it analyzes from the endpoint.
-// Stacks stood up for outside clients (the server mains, trafficsim)
-// leave it zero.
+// Stacks stood up for outside clients (hubregistry, trafficsim) leave it
+// zero.
 type Acquire int
 
 const (
-	// TwoPhase crawls, downloads every image into a sink, then walks the
-	// sink — the paper's §III pipeline.
-	TwoPhase Acquire = iota
-	// Fused walks every layer while it streams off the wire; no second
-	// pass over a sink.
-	Fused
+	// Pull crawls the search API and pulls every image from the registry,
+	// walking each layer while it streams off the wire — the paper's §III
+	// pipeline.
+	Pull Acquire = iota
 	// LivePush pushes every image over HTTP into the registry and renders
 	// the figures from the live index its Ingest hook maintains — no
 	// batch pass at all.
@@ -78,7 +75,7 @@ const DefaultRouterCacheBytes = 64 << 20
 const reconCacheBytes = 32 << 20
 
 // Topology is the shape of a registry endpoint. The zero value is one
-// plain registry served directly and pulled in two phases.
+// plain registry served directly and pulled.
 type Topology struct {
 	// Acquire selects the study's acquisition path.
 	Acquire Acquire
@@ -145,10 +142,8 @@ type Site struct {
 	// memory.
 	Store blobstore.Store
 	Pool  *dedupstore.Pool
-	// CacheStore holds the mirror cache's bodies (memory when nil) and
-	// CacheShards stripes it (cache.DefaultShards when 0).
-	CacheStore  blobstore.Store
-	CacheShards int
+	// CacheStore holds the mirror cache's bodies (memory when nil).
+	CacheStore blobstore.Store
 
 	// Origin is the base URL of a registry somebody else runs; the stack
 	// is then only the mirror in front of it. NodeURLs are Topology.Nodes
@@ -158,9 +153,6 @@ type Site struct {
 	Origin   string
 	NodeURLs []string
 
-	// VirtualNodes is the ring's per-node point count
-	// (cluster.DefaultVirtualNodes when 0).
-	VirtualNodes int
 	// RouterCacheBytes budgets the router's coalescing cache
 	// (DefaultRouterCacheBytes when 0). Negative disables admission —
 	// concurrent identical fetches still coalesce, but every pull streams
@@ -343,7 +335,7 @@ func Provision(g *serve.Group, t Topology, site Site) (*Stack, error) {
 			// drains, so the router's dial races cannot stall that drain.
 			clients[n.URL] = &registry.Client{Base: n.URL, HTTP: srv.Client()}
 		}
-		ring := cluster.NewRing(site.VirtualNodes)
+		ring := cluster.NewRing(cluster.DefaultVirtualNodes)
 		for url := range clients {
 			ring.Add(url)
 		}
@@ -385,11 +377,7 @@ func Provision(g *serve.Group, t Topology, site Site) (*Stack, error) {
 		if store == nil {
 			store = blobstore.NewMemory()
 		}
-		shards := site.CacheShards
-		if shards == 0 {
-			shards = cache.DefaultShards
-		}
-		s.Mirror = cache.NewSharded(store, t.MirrorBytes, shards)
+		s.Mirror = cache.New(store, t.MirrorBytes)
 		var err error
 		if front, err = p.start("mirror", mirror.New(behind, s.Mirror), true); err != nil {
 			return nil, err

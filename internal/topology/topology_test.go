@@ -15,9 +15,9 @@ import (
 func TestValidate(t *testing.T) {
 	good := []Topology{
 		{},
-		{Acquire: Fused, Storage: Dedup},
+		{Storage: Dedup},
 		{Nodes: 4, Replicas: 2, MirrorBytes: 1 << 20, MirrorWarm: true},
-		{Nodes: 1, Replicas: 3}, // capped at Nodes, like router -replicas
+		{Nodes: 1, Replicas: 3}, // capped at Nodes, like hubregistry -replicas
 		{Ingest: true, Nodes: 2},
 		{Acquire: LivePush, Ingest: true, Storage: Dedup, Churn: 1},
 	}
@@ -32,7 +32,6 @@ func TestValidate(t *testing.T) {
 		{Replicas: 2},
 		{MirrorWarm: true},
 		{Churn: 0.5},
-		{Acquire: Fused, Churn: 0.5},
 		{Acquire: LivePush},
 		{Acquire: LivePush, Ingest: true, Churn: 1.5},
 		{Acquire: LivePush, Ingest: true, Churn: -0.1},
@@ -94,8 +93,8 @@ func pull(t *testing.T, c *registry.Client, img image) {
 	}
 }
 
-// TestProvisionInFrontOfOthers: the mirror and router mains' shape — the
-// registries behind the front tier are reached by URL only, and Storage,
+// TestProvisionInFrontOfOthers: hubregistry's -origin and -nodes shape —
+// the registries behind the front tier are reached by URL only, and Storage,
 // Ingest or content of our own make no sense there.
 func TestProvisionInFrontOfOthers(t *testing.T) {
 	g := group(t)
@@ -146,7 +145,7 @@ func TestProvisionInFrontOfOthers(t *testing.T) {
 	}
 }
 
-// TestProvisionOverExistingContent is hubregistry's shape: the site
+// TestProvisionOverExistingContent is hubregistry's -data shape: the site
 // brings a store that already holds the blobs. A plain registry serves
 // from it; a dedup registry takes every blob into its pool; with Ingest
 // the tag registrations in Fill backfill the live index.

@@ -8,13 +8,13 @@
 //   - Model mode (no Topology) analyzes the synthetic Hub's metadata
 //     directly and scales to millions of file instances; it is the
 //     statistical reproduction path (figures 3–29).
-//   - Wire mode (a Topology, pulled TwoPhase or Fused) materializes real
+//   - Wire mode (a Topology acquired by Pull) materializes real
 //     gzip-compressed layer tarballs into an in-process Docker Registry
 //     v2 stack — plain or deduplicating storage, served directly, through
 //     a caching mirror or through a sharded cluster's router — then
-//     crawls the Hub search API, downloads every latest-tag image over
-//     HTTP, and analyzes the actual bytes — the methodology reproduction
-//     (§III). Every such stack renders bit-identical figures.
+//     crawls the Hub search API and downloads every latest-tag image over
+//     HTTP, analyzing the actual bytes as they stream in — the methodology
+//     reproduction (§III). Every such stack renders bit-identical figures.
 //   - Live mode (a Topology acquired by LivePush) runs the study as a
 //     resident service: images are pushed over HTTP into a registry whose
 //     write path feeds an always-on incremental analytics index, and the
@@ -61,10 +61,9 @@ type Options struct {
 	GrowthSamples int
 	// Topology is the registry stack the study stands up and how it
 	// acquires its bytes from it: &Topology{} is the plain wire pipeline,
-	// &Topology{Acquire: Fused} its one-pass form, &Topology{Acquire:
-	// LivePush, Ingest: true} the live service. Nil runs the model study,
-	// which has no registry. What the stack served and stored lands in
-	// Result.Stack.
+	// &Topology{Acquire: LivePush, Ingest: true} the live service. Nil
+	// runs the model study, which has no registry. What the stack served
+	// and stored lands in Result.Stack.
 	Topology *Topology
 }
 
@@ -77,8 +76,7 @@ type Topology = topology.Topology
 const (
 	Plain    = topology.Plain
 	Dedup    = topology.Dedup
-	TwoPhase = topology.TwoPhase
-	Fused    = topology.Fused
+	Pull     = topology.Pull
 	LivePush = topology.LivePush
 )
 
@@ -96,7 +94,7 @@ func Run(opts Options) (*Result, error) {
 	return RunContext(context.Background(), opts)
 }
 
-// RunContext is Run with cancellation: when ctx is done, in-flight stage
+// RunContext is Run with cancellation: when ctx is done, in-flight
 // work (crawls, transfers, layer walks) winds down, mounted servers drain
 // gracefully, and the run returns ctx's error.
 func RunContext(ctx context.Context, opts Options) (*Result, error) {

@@ -51,25 +51,21 @@ func TestRunWireSmall(t *testing.T) {
 	}
 }
 
+// TestRunWireStageAccounting: a pulled run records what its crawl and
+// download did — the accounting the methodology table renders.
 func TestRunWireStageAccounting(t *testing.T) {
 	res, err := repro.Run(repro.Options{Scale: 0.0001, Workers: 4, Topology: &repro.Topology{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Stages) == 0 {
-		t.Fatal("wire run recorded no stages")
+	if res.Crawl == nil || res.Download == nil {
+		t.Fatal("pulled run recorded no crawl or download")
 	}
-	var sawDownload bool
-	for _, sr := range res.Stages {
-		if sr.Err != nil {
-			t.Errorf("stage %s failed: %v", sr.Name, sr.Err)
-		}
-		if sr.Name == "download" {
-			sawDownload = true
-		}
+	if st := res.Download.Stats; st.Attempted != len(res.Crawl.Repos) || st.Downloaded == 0 {
+		t.Fatalf("download accounting %+v over %d crawled repos", st, len(res.Crawl.Repos))
 	}
-	if !sawDownload {
-		t.Fatalf("stages %v missing download", res.Stages)
+	if served := res.Stack.Stats().Origin.Registry.BlobGets; served == 0 {
+		t.Fatal("the registry served no blobs to the pull")
 	}
 }
 
@@ -86,7 +82,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 
 func TestRunContextCancelMidRun(t *testing.T) {
 	// Cancel shortly after the run starts: generation alone outlasts the
-	// delay, so cancellation lands mid-stage. The run must come back
+	// delay, so cancellation lands mid-run. The run must come back
 	// promptly with a clean context error, servers drained.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -164,7 +160,6 @@ func TestRunLiveOptionValidation(t *testing.T) {
 		live(repro.Topology{Churn: -0.1}),
 		{MirrorWarm: true},
 		{Replicas: 2},
-		{Acquire: repro.Fused, Churn: 0.5},
 		{Acquire: repro.LivePush},
 		{Nodes: -1},
 		{MirrorBytes: -1},
