@@ -72,14 +72,17 @@ bench-smoke:
 # Regenerate the committed open-loop tail-latency record
 # (BENCH_traffic.json): the scenario × rate sweep with
 # coordinated-omission-safe percentiles and SLO verdicts, the bisection
-# for max sustainable rate under the SLO on the paced pull-storm
-# cluster, and the closed-vs-open-loop p99 comparison at overload.
+# for max sustainable rate under the SLO on the unpaced pull-storm
+# cluster, and the closed-vs-open-loop p99 comparison at overload. Runs
+# are 2000 requests so an overloaded probe builds a backlog past the
+# SLO: with n requests the open-loop p99 cannot exceed about n/capacity,
+# and at 400 that sits at the 500ms bound. The bracket's top must fail.
 bench-traffic:
 	$(GO) run ./cmd/trafficsim \
 		-scenarios pull-storm,mixed,flash-crowd,slow-clients \
-		-rates 60,120,240 -n 400 -scale 0.003 -node-bw 2097152 \
+		-rates 60,120,240 -n 2000 -scale 0.003 \
 		-slo-p99 500ms -slo-errors 0.01 \
-		-search pull-storm -search-lo 40 -search-hi 600 -search-iters 5 \
+		-search pull-storm -search-lo 100 -search-hi 4000 -search-iters 6 \
 		-compare pull-storm -workers 8 \
 		-json BENCH_traffic.json
 

@@ -69,12 +69,13 @@ func TestAnalyzeMatchesTwoPhase(t *testing.T) {
 		t.Fatal("analyze output differs between -workers 1 and -workers 8")
 	}
 
-	cres, err := (&crawler.Crawler{Client: &hubapi.Client{Base: searchURL}}).Run()
+	ctx := context.Background()
+	cres, err := (&crawler.Crawler{Client: &hubapi.Client{Base: searchURL}}).RunContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := blobstore.NewMemory()
-	dres, err := (&downloader.Downloader{Client: &registry.Client{Base: regURL}, Store: sink}).Run(cres.Repos)
+	dres, err := (&downloader.Downloader{Client: &registry.Client{Base: regURL}, Store: sink}).RunContext(ctx, cres.Repos)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func (h *testHub) pull(t *testing.T, url string) {
 		t.Fatalf("manifest via %s: digest %s, err %v", url, d, err)
 	}
 	for _, ld := range m.LayerDigests() {
-		got, err := c.BlobVerified(h.repo, ld)
+		got, err := blobVerified(c, h.repo, ld)
 		if err != nil {
 			t.Fatalf("layer %s via %s: %v", ld.Short(), url, err)
 		}
@@ -217,4 +217,14 @@ func TestUsage(t *testing.T) {
 			t.Errorf("hubregistry %q exited %d (%s), want %d naming %q", c.args, code, stderr.String(), c.code, c.msg)
 		}
 	}
+}
+
+// blobVerified reads a whole blob through the verifying stream.
+func blobVerified(c *registry.Client, name string, d digest.Digest) ([]byte, error) {
+	rc, _, err := c.BlobStreamVerifiedContext(context.Background(), name, d)
+	if err != nil {
+		return nil, err
+	}
+	defer rc.Close()
+	return io.ReadAll(rc)
 }

@@ -1,0 +1,56 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/trafficsim"
+)
+
+// A tiny self-provisioned flash-crowd run completes every request and
+// writes a bench document that parses back into one run with an SLO
+// verdict.
+func TestFlashCrowdWritesBenchJSON(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	var stdout, stderr bytes.Buffer
+	args := []string{"-scenarios", "flash-crowd", "-rates", "200", "-n", "20", "-scale", "0.001", "-json", path}
+	if code := run(context.Background(), args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc trafficsim.BenchReport
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("bench document does not parse: %v", err)
+	}
+	if len(doc.Runs) != 1 {
+		t.Fatalf("%d runs recorded, want 1", len(doc.Runs))
+	}
+	r := doc.Runs[0]
+	if r.Scenario != "flash-crowd" || r.Completed != 20 || r.Errors != 0 || r.SLO == nil {
+		t.Fatalf("run = %+v", r)
+	}
+	if doc.SLO != "p99<=500ms,err<=0.01" {
+		t.Fatalf("SLO = %q", doc.SLO)
+	}
+}
+
+// Removed flags and an impossible combination are usage errors.
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-node-bw", "262144"},
+		{"-slo-percentile", "99.9"},
+		{"-arrivals", "closed", "-search", "pull-storm"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(context.Background(), args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr %q)", args, code, stderr.String())
+		}
+	}
+}

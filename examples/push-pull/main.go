@@ -21,12 +21,13 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	group := &serve.Group{}
 	stack, err := topology.Provision(group, topology.Topology{}, topology.Site{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer group.Shutdown(context.Background())
+	defer group.Shutdown(ctx)
 	reg, client := stack.Origin.Registry, stack.Client
 	reg.CreateRepo("demo/app", false)
 
@@ -43,12 +44,12 @@ func main() {
 	must(b.Close())
 
 	// --- push: blobs first, then the manifest referencing them.
-	layerDg, err := client.PushBlob("demo/app", layer.Bytes())
+	layerDg, err := client.PushBlobContext(ctx, "demo/app", layer.Bytes())
 	if err != nil {
 		log.Fatal(err)
 	}
 	config := []byte(`{"architecture":"amd64","os":"linux"}`)
-	configDg, err := client.PushBlob("demo/app", config)
+	configDg, err := client.PushBlobContext(ctx, "demo/app", config)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	md, err := client.PushManifest("demo/app", "latest", m)
+	md, err := client.PushManifestContext(ctx, "demo/app", "latest", m)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func main() {
 	// --- pull: the paper's downloader path.
 	sink := blobstore.NewMemory()
 	dl := &downloader.Downloader{Client: client, Store: sink}
-	res, err := dl.Run([]string{"demo/app"})
+	res, err := dl.RunContext(ctx, []string{"demo/app"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func main() {
 	}
 	must(b2.File("app/run.sh", []byte("#!/bin/sh\nexec ./server --v2\n")))
 	must(b2.Close())
-	l2, err := client.PushBlob("demo/app", layer2.Bytes())
+	l2, err := client.PushBlobContext(ctx, "demo/app", layer2.Bytes())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := client.PushManifest("demo/app", "latest", m2); err != nil {
+	if _, err := client.PushManifestContext(ctx, "demo/app", "latest", m2); err != nil {
 		log.Fatal(err)
 	}
 	removed, freed, err := reg.GC()

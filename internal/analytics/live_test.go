@@ -1,6 +1,7 @@
 package analytics
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -136,7 +137,7 @@ func (e *env) pushImage(t *testing.T, repo string, imgID synth.ImageID, pushed m
 			t.Fatal(err)
 		}
 		if !pushed[l] {
-			if _, err := e.client.PushBlob(repo, blob); err != nil {
+			if _, err := e.client.PushBlobContext(context.Background(), repo, blob); err != nil {
 				t.Fatalf("push layer %d: %v", l, err)
 			}
 			pushed[l] = true
@@ -155,7 +156,7 @@ func (e *env) pushImage(t *testing.T, repo string, imgID synth.ImageID, pushed m
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgDg, err := e.client.PushBlob(repo, cfg)
+	cfgDg, err := e.client.PushBlobContext(context.Background(), repo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func (e *env) pushImage(t *testing.T, repo string, imgID synth.ImageID, pushed m
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.client.PushManifest(repo, "latest", m); err != nil {
+	if _, err := e.client.PushManifestContext(context.Background(), repo, "latest", m); err != nil {
 		t.Fatalf("push manifest %s: %v", repo, err)
 	}
 	return m
@@ -234,7 +235,7 @@ func TestLiveMatchesBatch(t *testing.T) {
 		deleted = names[:1]
 	}
 	for _, name := range deleted {
-		if err := e.client.DeleteManifest(name, "latest"); err != nil {
+		if err := e.client.DeleteManifestContext(context.Background(), name, "latest"); err != nil {
 			t.Fatalf("delete %s: %v", name, err)
 		}
 	}
@@ -249,7 +250,7 @@ func TestLiveMatchesBatch(t *testing.T) {
 	// Re-push the deleted manifests (blobs are still stored; manifest PUT
 	// suffices) and require an exact return to the original figure state.
 	for _, name := range deleted {
-		if _, err := e.client.PushManifest(name, "latest", manifests[name]); err != nil {
+		if _, err := e.client.PushManifestContext(context.Background(), name, "latest", manifests[name]); err != nil {
 			t.Fatalf("re-push %s: %v", name, err)
 		}
 	}

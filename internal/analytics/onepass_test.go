@@ -3,6 +3,7 @@ package analytics
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -20,7 +21,7 @@ import (
 // walk.
 func newDedupEnv(t *testing.T, scale float64) (*env, *dedupstore.Store) {
 	t.Helper()
-	ds := dedupstore.New(dedupstore.NewMemoryPool(0))
+	ds := dedupstore.NewWithConfig(dedupstore.NewMemoryPool(0), dedupstore.Config{})
 	return newEnvOn(t, scale, ds), ds
 }
 
@@ -168,7 +169,7 @@ func TestOnePassRejectedUploadsLeaveNothing(t *testing.T) {
 	layer := gzipLayer(t, map[string]string{"app/a.txt": "alpha", "app/b.txt": "beta"})
 	d := digest.FromBytes(layer)
 
-	if code := e.upload("alice/app", digest.FromString("something else"), bytes.NewReader(layer)); code != http.StatusBadRequest {
+	if code := e.upload("alice/app", digest.FromBytes([]byte("something else")), bytes.NewReader(layer)); code != http.StatusBadRequest {
 		t.Fatalf("mismatched digest: status %d, want 400", code)
 	}
 	if code := e.upload("alice/app", d, &cutReader{b: layer, n: len(layer) / 2}); code != http.StatusBadRequest {
@@ -200,7 +201,7 @@ func TestOnePassRejectedUploadsLeaveNothing(t *testing.T) {
 func (e *env) pushManifestFor(t *testing.T, repo string, layer []byte) {
 	t.Helper()
 	cfg := []byte(`{"architecture":"amd64","os":"linux"}`)
-	cfgDg, err := e.client.PushBlob(repo, cfg)
+	cfgDg, err := e.client.PushBlobContext(context.Background(), repo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func (e *env) pushManifestFor(t *testing.T, repo string, layer []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.client.PushManifest(repo, "latest", m); err != nil {
+	if _, err := e.client.PushManifestContext(context.Background(), repo, "latest", m); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -229,7 +230,7 @@ func TestOnePassConcurrentPushesOfOneDigest(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := e.client.PushBlob("alice/app", layer); err != nil {
+			if _, err := e.client.PushBlobContext(context.Background(), "alice/app", layer); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -259,7 +260,7 @@ func TestOnePassEmptyLayerVersusConfig(t *testing.T) {
 	e, ds := newDedupEnv(t, 0.0001)
 	e.reg.CreateRepo("alice/empty", false)
 	empty := gzipLayer(t, nil)
-	if _, err := e.client.PushBlob("alice/empty", empty); err != nil {
+	if _, err := e.client.PushBlobContext(context.Background(), "alice/empty", empty); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.live.Stats(); st.BlobsWalked != 1 || st.WalkErrors != 0 {
@@ -298,7 +299,7 @@ func TestOnePassFallsBackToStoreWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A re-upload of a stored blob is drained, not decomposed: no End.
-	if _, err := e.client.PushBlob("alice/app", layer); err != nil {
+	if _, err := e.client.PushBlobContext(context.Background(), "alice/app", layer); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.live.Stats(); st.BlobsWalked != 0 || st.WalkErrors != 1 {

@@ -1,6 +1,7 @@
 package analytics
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -35,7 +36,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	for name := range manifests {
 		names = append(names, name)
 	}
-	if err := e.client.DeleteManifest(names[0], "latest"); err != nil {
+	if err := e.client.DeleteManifestContext(context.Background(), names[0], "latest"); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -90,7 +91,7 @@ func TestSnapshotIsolationUnderConcurrentPushes(t *testing.T) {
 			if !r.Downloadable() {
 				continue
 			}
-			if err := e.client.DeleteManifest(r.Name, "latest"); err != nil {
+			if err := e.client.DeleteManifestContext(context.Background(), r.Name, "latest"); err != nil {
 				t.Error(err)
 				return
 			}
@@ -173,7 +174,7 @@ func TestHandlerEndpoints(t *testing.T) {
 		name = n
 		break
 	}
-	if err := e.client.DeleteManifest(name, "latest"); err != nil {
+	if err := e.client.DeleteManifestContext(context.Background(), name, "latest"); err != nil {
 		t.Fatal(err)
 	}
 	resp, _ = get("/analytics/summary")

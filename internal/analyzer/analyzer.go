@@ -234,20 +234,15 @@ func AnalyzeStore(store blobstore.Store, images []downloader.Image, workers int)
 	return analyze(context.Background(), store, images, nil, workers)
 }
 
-// AnalyzeStoreContext is AnalyzeStore with cancellation: when ctx is done,
-// in-flight layer walks wind down and the analysis returns ctx's error.
-func AnalyzeStoreContext(ctx context.Context, store blobstore.Store, images []downloader.Image, workers int) (*Result, error) {
-	return analyze(ctx, store, images, nil, workers)
-}
-
-// AnalyzeWalkedContext is AnalyzeStoreContext for layers that were already
+// AnalyzeWalkedContext is AnalyzeStore for layers that were already
 // walked while they streamed off the wire (the fused pipeline): a layer
 // present in walked skips the store fetch and re-walk entirely; anything
 // missing (e.g. a tee attempt that failed and was re-fetched without the
 // tee) falls back to walking the store blob. The walked map is consumed —
 // file observations are sorted in place and Refs assigned — so it must not
 // be reused across calls. The result is bit-identical to AnalyzeStore over
-// the same store.
+// the same store. When ctx is done, in-flight layer walks wind down and
+// the analysis returns ctx's error.
 func AnalyzeWalkedContext(ctx context.Context, store blobstore.Store, images []downloader.Image, walked map[digest.Digest]*WalkedLayer, workers int) (*Result, error) {
 	return analyze(ctx, store, images, walked, workers)
 }

@@ -80,7 +80,7 @@ func TestGetMissing(t *testing.T) {
 	for name, mk := range storeFactories(t) {
 		t.Run(name, func(t *testing.T) {
 			s := mk()
-			missing := digest.FromString("never stored")
+			missing := digest.FromBytes([]byte("never stored"))
 			if _, _, err := s.Get(missing); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("Get(missing) = %v, want ErrNotFound", err)
 			}
@@ -103,7 +103,7 @@ func TestPutVerified(t *testing.T) {
 			if err := s.PutVerified(want, content); err != nil {
 				t.Fatalf("PutVerified(correct): %v", err)
 			}
-			wrong := digest.FromString("other")
+			wrong := digest.FromBytes([]byte("other"))
 			if err := s.PutVerified(wrong, content); !errors.Is(err, ErrDigestMismatch) {
 				t.Fatalf("PutVerified(wrong) = %v, want ErrDigestMismatch", err)
 			}

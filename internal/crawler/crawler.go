@@ -12,11 +12,9 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/hubapi"
-	"repro/internal/registry"
 )
 
 // Result is the outcome of a crawl.
@@ -53,13 +51,8 @@ func (c *Crawler) fetchPage(ctx context.Context, page, size int) (*hubapi.Page, 
 	return p, err
 }
 
-// Run performs the crawl.
-func (c *Crawler) Run() (*Result, error) {
-	return c.RunContext(context.Background())
-}
-
-// RunContext is Run with cancellation: when ctx is done, in-flight page
-// fetches abort and the crawl returns ctx's error.
+// RunContext performs the crawl. When ctx is done, in-flight page fetches
+// abort and the crawl returns ctx's error.
 func (c *Crawler) RunContext(ctx context.Context) (*Result, error) {
 	pageSize := c.PageSize
 	if pageSize <= 0 {
@@ -148,27 +141,6 @@ func (c *Crawler) RunContext(ctx context.Context) (*Result, error) {
 	}
 
 	res.Duplicates = res.RawEntries - (len(res.Repos) - res.Officials)
-	sort.Strings(res.Repos)
-	return res, nil
-}
-
-// RunCatalog enumerates repositories through the registry's /v2/_catalog
-// API — the modern, duplicate-free alternative Docker Hub did NOT offer at
-// crawl time (§III-A: "Docker Hub does not support an API to retrieve all
-// repository names", hence the paper's web scrape). Comparing both
-// strategies on the same population shows the scrape recovers exactly the
-// catalog's repository set.
-func RunCatalog(client *registry.Client, pageSize int) (*Result, error) {
-	names, err := client.Catalog(pageSize)
-	if err != nil {
-		return nil, fmt.Errorf("crawler: catalog: %w", err)
-	}
-	res := &Result{RawEntries: len(names), Repos: names}
-	for _, n := range names {
-		if !strings.Contains(n, "/") {
-			res.Officials++
-		}
-	}
 	sort.Strings(res.Repos)
 	return res, nil
 }

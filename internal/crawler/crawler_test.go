@@ -1,8 +1,10 @@
 package crawler
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -27,7 +29,7 @@ func testSetup(t *testing.T, dupFactor float64) (*synth.Dataset, *hubapi.Server,
 
 func TestCrawlDeduplicates(t *testing.T) {
 	d, server, c := testSetup(t, 1.386)
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func TestCrawlDeduplicates(t *testing.T) {
 
 func TestCrawlNoDuplicates(t *testing.T) {
 	d, _, c := testSetup(t, 1.0)
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestCrawlNoDuplicates(t *testing.T) {
 
 func TestCrawlSorted(t *testing.T) {
 	_, _, c := testSetup(t, 1.386)
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func TestCrawlSorted(t *testing.T) {
 
 func TestCrawlSeparatesOfficials(t *testing.T) {
 	_, _, c := testSetup(t, 1.2)
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func TestCrawlerDefaultSettings(t *testing.T) {
 	d, _, c := testSetup(t, 1.0)
 	c.PageSize = 0 // exercise defaults
 	c.Workers = 0
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,14 +143,14 @@ func TestCrawlerRetries(t *testing.T) {
 
 	// Without retries the first-attempt failures abort the crawl.
 	c := &Crawler{Client: &hubapi.Client{Base: srv.URL}, PageSize: 25, Workers: 1}
-	if _, err := c.Run(); err == nil {
+	if _, err := c.RunContext(context.Background()); err == nil {
 		t.Fatal("flaky server crawl succeeded without retries")
 	}
 
 	// With retries every page eventually lands. (The flaky wrapper fails
 	// every other request, so one retry always suffices serially.)
 	c.Retries = 2
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +159,9 @@ func TestCrawlerRetries(t *testing.T) {
 	}
 }
 
-// TestCatalogMatchesSearchScrape runs both enumeration strategies over the
-// same population: the paper's search scrape and the modern catalog API
-// must recover the identical repository set.
+// TestCatalogMatchesSearchScrape checks the paper's search scrape against
+// the registry's own catalog of the same population: deduplicating the
+// repeated search entries must recover the identical repository set.
 func TestCatalogMatchesSearchScrape(t *testing.T) {
 	d, err := synth.Generate(synth.MaterializeSpec(0.0001))
 	if err != nil {
@@ -169,40 +171,33 @@ func TestCatalogMatchesSearchScrape(t *testing.T) {
 	if _, err := synth.Materialize(d, reg); err != nil {
 		t.Fatal(err)
 	}
-	regSrv := httptest.NewServer(reg)
-	defer regSrv.Close()
 	search := hubapi.NewServer(synth.Repositories(d), 1.386, 5, 20)
 	searchSrv := httptest.NewServer(search)
 	defer searchSrv.Close()
 
-	scrape, err := (&Crawler{Client: &hubapi.Client{Base: searchSrv.URL}, PageSize: 20}).Run()
+	scrape, err := (&Crawler{Client: &hubapi.Client{Base: searchSrv.URL}, PageSize: 20}).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	catalog, err := RunCatalog(&registry.Client{Base: regSrv.URL}, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scrape.Repos) != len(catalog.Repos) {
-		t.Fatalf("scrape found %d repos, catalog %d", len(scrape.Repos), len(catalog.Repos))
+	catalog := reg.Repos()
+	sort.Strings(catalog)
+	if len(scrape.Repos) != len(catalog) {
+		t.Fatalf("scrape found %d repos, catalog %d", len(scrape.Repos), len(catalog))
 	}
 	for i := range scrape.Repos {
-		if scrape.Repos[i] != catalog.Repos[i] {
-			t.Fatalf("repo lists diverge at %d: %s vs %s", i, scrape.Repos[i], catalog.Repos[i])
+		if scrape.Repos[i] != catalog[i] {
+			t.Fatalf("repo lists diverge at %d: %s vs %s", i, scrape.Repos[i], catalog[i])
 		}
 	}
-	// The scrape saw duplicates; the catalog never does.
+	// The scrape saw duplicates and removed them.
 	if scrape.Duplicates == 0 {
 		t.Error("scrape saw no duplicates at dup factor 1.386")
-	}
-	if catalog.RawEntries != len(catalog.Repos) {
-		t.Error("catalog returned duplicates")
 	}
 }
 
 func TestCrawlerServerDown(t *testing.T) {
 	c := &Crawler{Client: &hubapi.Client{Base: "http://127.0.0.1:1"}}
-	if _, err := c.Run(); err == nil {
+	if _, err := c.RunContext(context.Background()); err == nil {
 		t.Fatal("crawl against dead server succeeded")
 	}
 }

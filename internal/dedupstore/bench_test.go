@@ -47,7 +47,7 @@ func BenchmarkDedupPutStream(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := New(NewMemoryPool(0))
+		s := NewWithConfig(NewMemoryPool(0), Config{})
 		if _, err := s.PutStream(d, bytes.NewReader(blob)); err != nil {
 			b.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func BenchmarkDedupPutStream(b *testing.B) {
 func BenchmarkDedupPutStreamDuplicate(b *testing.B) {
 	blob := benchLayer(b)
 	d := digest.FromBytes(blob)
-	s := New(NewMemoryPool(0))
+	s := NewWithConfig(NewMemoryPool(0), Config{})
 	if _, err := s.PutStream(d, bytes.NewReader(blob)); err != nil {
 		b.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func BenchmarkDedupGetSink(b *testing.B) { benchDedupGet(b, plainSink{}) }
 func benchDedupGet(b *testing.B, sink io.Writer) {
 	blob := benchLayer(b)
 	d := digest.FromBytes(blob)
-	s := New(NewMemoryPool(0))
+	s := NewWithConfig(NewMemoryPool(0), Config{})
 	if _, err := s.PutStream(d, bytes.NewReader(blob)); err != nil {
 		b.Fatal(err)
 	}

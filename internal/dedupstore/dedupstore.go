@@ -132,17 +132,6 @@ func (s Stats) SavingsRatio() float64 {
 	return float64(s.LogicalBytes) / float64(p)
 }
 
-// WireSavingsRatio is wire/physical — the realized savings over a plain
-// (compressed per-layer) blob store holding the same population. 1.0 for
-// an empty store.
-func (s Stats) WireSavingsRatio() float64 {
-	p := s.PhysicalBytes()
-	if p <= 0 {
-		return 1.0
-	}
-	return float64(s.WireBytes) / float64(p)
-}
-
 // Config tunes a Store beyond its pool.
 type Config struct {
 	// CacheBytes, when positive, bounds a reconstructed-blob serving
@@ -200,12 +189,8 @@ type putFlight struct {
 // Store must satisfy the backend interface the registry serves from.
 var _ blobstore.Store = (*Store)(nil)
 
-// New creates a Store over the given file pool.
-func New(pool *Pool) *Store {
-	return NewWithConfig(pool, Config{})
-}
-
-// NewWithConfig is New with tuning.
+// NewWithConfig creates a Store over the given file pool, tuned by cfg
+// (the zero Config is a store without a reconstruction cache).
 func NewWithConfig(pool *Pool, cfg Config) *Store {
 	s := &Store{
 		pool:    pool,

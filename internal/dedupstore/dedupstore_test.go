@@ -88,7 +88,7 @@ func readBlob(t *testing.T, s *Store, d digest.Digest) []byte {
 }
 
 func TestPutStreamGetRoundTrip(t *testing.T) {
-	s := New(NewMemoryPool(0))
+	s := NewWithConfig(NewMemoryPool(0), Config{})
 	blob := buildLayer(t, map[string]string{"a.txt": "alpha", "b.txt": "beta"})
 	key := putStream(t, s, blob)
 	if !s.Has(key) {
@@ -124,7 +124,7 @@ func TestPutStreamGetRoundTrip(t *testing.T) {
 }
 
 func TestPlainTarRoundTrip(t *testing.T) {
-	s := New(NewMemoryPool(0))
+	s := NewWithConfig(NewMemoryPool(0), Config{})
 	var buf bytes.Buffer
 	b := tarutil.NewBuilder(&buf)
 	b.File("f", []byte("plain"))
@@ -141,7 +141,7 @@ func TestPlainTarRoundTrip(t *testing.T) {
 }
 
 func TestRawBlobRoundTrip(t *testing.T) {
-	s := New(NewMemoryPool(0))
+	s := NewWithConfig(NewMemoryPool(0), Config{})
 	manifest := []byte(`{"schemaVersion":2,"layers":[{"digest":"sha256:abc"}]}`)
 	key := putStream(t, s, manifest)
 	if rec := s.Recipe(key); rec != nil {
@@ -157,7 +157,7 @@ func TestRawBlobRoundTrip(t *testing.T) {
 }
 
 func TestDedupAcrossLayers(t *testing.T) {
-	s := New(NewMemoryPool(0))
+	s := NewWithConfig(NewMemoryPool(0), Config{})
 	shared := "this content is shared between layers and stored once"
 	l1 := buildLayer(t, map[string]string{"lib.so": shared, "one.txt": "one"})
 	l2 := buildLayer(t, map[string]string{"lib.so": shared, "two.txt": "two"})
@@ -187,7 +187,7 @@ func TestDedupAcrossLayers(t *testing.T) {
 }
 
 func TestPutIdempotent(t *testing.T) {
-	s := New(NewMemoryPool(0))
+	s := NewWithConfig(NewMemoryPool(0), Config{})
 	blob := buildLayer(t, map[string]string{"x": "content"})
 	k1 := putStream(t, s, blob)
 	k2 := putStream(t, s, blob)
@@ -204,13 +204,13 @@ func TestPutIdempotent(t *testing.T) {
 }
 
 func TestPutStreamDigestMismatch(t *testing.T) {
-	s := New(NewMemoryPool(0))
+	s := NewWithConfig(NewMemoryPool(0), Config{})
 	blob := buildLayer(t, map[string]string{"x": "content"})
-	wrong := digest.FromString("not this blob")
+	wrong := digest.FromBytes([]byte("not this blob"))
 	if _, err := s.PutStream(wrong, bytes.NewReader(blob)); !errors.Is(err, blobstore.ErrDigestMismatch) {
 		t.Fatalf("digest mismatch not detected: %v", err)
 	}
-	if s.Has(wrong) || s.pool.has(digest.FromString("content")) {
+	if s.Has(wrong) || s.pool.has(digest.FromBytes([]byte("content"))) {
 		t.Fatal("failed put left state behind")
 	}
 	if s.Stats().PhysicalBytes() != 0 {
@@ -228,7 +228,7 @@ func TestCorruptGzipStream(t *testing.T) {
 	d := digest.FromBytes(blob)
 
 	// PutStream has consumed the bytes and cannot fall back: it errors.
-	s := New(NewMemoryPool(0))
+	s := NewWithConfig(NewMemoryPool(0), Config{})
 	if _, err := s.PutStream(d, bytes.NewReader(blob)); err == nil {
 		t.Fatal("corrupt layer accepted by PutStream")
 	}
@@ -282,7 +282,7 @@ func TestNotReproducibleBlob(t *testing.T) {
 	blob := foreignLayer(t)
 	d := digest.FromBytes(blob)
 
-	s := New(NewMemoryPool(0))
+	s := NewWithConfig(NewMemoryPool(0), Config{})
 	if _, err := s.PutStream(d, bytes.NewReader(blob)); !errors.Is(err, ErrNotReproducible) {
 		t.Fatalf("error = %v, want ErrNotReproducible", err)
 	}
@@ -299,8 +299,8 @@ func TestNotReproducibleBlob(t *testing.T) {
 }
 
 func TestUnknownBlobError(t *testing.T) {
-	s := New(NewMemoryPool(0))
-	_, _, err := s.Get(digest.FromString("nope"))
+	s := NewWithConfig(NewMemoryPool(0), Config{})
+	_, _, err := s.Get(digest.FromBytes([]byte("nope")))
 	if !errors.Is(err, ErrUnknownLayer) {
 		t.Fatalf("error = %v, want ErrUnknownLayer", err)
 	}
@@ -310,13 +310,13 @@ func TestUnknownBlobError(t *testing.T) {
 		t.Fatalf("error = %v does not match blobstore.ErrNotFound", err)
 	}
 	var ub *UnknownBlobError
-	if !errors.As(err, &ub) || ub.Digest != digest.FromString("nope") {
+	if !errors.As(err, &ub) || ub.Digest != digest.FromBytes([]byte("nope")) {
 		t.Fatalf("error = %#v, want UnknownBlobError carrying the digest", err)
 	}
-	if err := s.Delete(digest.FromString("nope")); !errors.Is(err, blobstore.ErrNotFound) {
+	if err := s.Delete(digest.FromBytes([]byte("nope"))); !errors.Is(err, blobstore.ErrNotFound) {
 		t.Fatalf("Delete miss = %v", err)
 	}
-	if _, err := s.Stat(digest.FromString("nope")); !errors.Is(err, blobstore.ErrNotFound) {
+	if _, err := s.Stat(digest.FromBytes([]byte("nope"))); !errors.Is(err, blobstore.ErrNotFound) {
 		t.Fatalf("Stat miss = %v", err)
 	}
 }
@@ -326,16 +326,13 @@ func TestSavingsRatioEmptyStore(t *testing.T) {
 	if got := st.SavingsRatio(); got != 1.0 {
 		t.Fatalf("empty store SavingsRatio = %v, want 1.0", got)
 	}
-	if got := st.WireSavingsRatio(); got != 1.0 {
-		t.Fatalf("empty store WireSavingsRatio = %v, want 1.0", got)
-	}
-	if got := New(NewMemoryPool(0)).Stats().SavingsRatio(); got != 1.0 {
+	if got := NewWithConfig(NewMemoryPool(0), Config{}).Stats().SavingsRatio(); got != 1.0 {
 		t.Fatalf("fresh store SavingsRatio = %v, want 1.0", got)
 	}
 }
 
 func TestDeleteFreesPoolBytes(t *testing.T) {
-	s := New(NewMemoryPool(0))
+	s := NewWithConfig(NewMemoryPool(0), Config{})
 	shared := "shared content kept while any referencing layer lives"
 	l1 := buildLayer(t, map[string]string{"lib.so": shared, "one.txt": "only in layer one"})
 	l2 := buildLayer(t, map[string]string{"lib.so": shared, "two.txt": "only in layer two"})
@@ -372,7 +369,7 @@ func TestDeleteFreesPoolBytes(t *testing.T) {
 // while a pull is streaming it must finish streaming correct bytes, and
 // its pool files must be freed only after the reader closes.
 func TestDeleteDuringRead(t *testing.T) {
-	s := New(NewMemoryPool(0))
+	s := NewWithConfig(NewMemoryPool(0), Config{})
 	files := map[string]string{}
 	for i := 0; i < 64; i++ {
 		files[fmt.Sprintf("f%02d.bin", i)] = fmt.Sprintf("content %d ", i) + string(bytes.Repeat([]byte{byte(i)}, 2048))
@@ -434,7 +431,7 @@ func (c *countingStore) PutStream(d digest.Digest, r io.Reader) (int64, error) {
 // must see exactly one write per unique content digest.
 func TestConcurrentDuplicatePushSingleflight(t *testing.T) {
 	backing := &countingStore{Store: blobstore.NewMemory()}
-	s := New(NewPool(backing)) // one shard so the counter sees everything
+	s := NewWithConfig(NewPool(backing), Config{}) // one shard so the counter sees everything
 	shared := map[string]string{
 		"usr/lib/libc.so": "the same library bytes in every layer of this test",
 		"etc/os-release":  "ID=repro VERSION=1",
@@ -513,7 +510,7 @@ func TestRecipeCodecRoundTrip(t *testing.T) {
 		Gzip: true,
 		Entries: []RecipeEntry{
 			{Name: "app/", Dir: true},
-			{Name: "app/bin/tool", Size: 12345, Content: digest.FromString("tool bytes")},
+			{Name: "app/bin/tool", Size: 12345, Content: digest.FromBytes([]byte("tool bytes"))},
 			{Name: "app/empty", Size: 0, Content: digest.FromBytes(nil)},
 		},
 	}
@@ -557,7 +554,7 @@ func TestSavingsMatchDedupAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := New(NewMemoryPool(0))
+	s := NewWithConfig(NewMemoryPool(0), Config{})
 	for i := range d.Layers {
 		blob, err := synth.RenderLayer(d, synth.LayerID(i))
 		if err != nil {
@@ -609,7 +606,7 @@ func TestRoundTripMaterializedLayers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(NewMemoryPool(0))
+	s := NewWithConfig(NewMemoryPool(0), Config{})
 	for i := 0; i < len(d.Layers) && i < 50; i++ {
 		blob, err := synth.RenderLayer(d, synth.LayerID(i))
 		if err != nil {
@@ -646,18 +643,18 @@ func (o *observedReader) End(wireBytes int64) {
 // on the reader exactly what it wrote into the recipe — in order, with each
 // file's content digest and bytes — and End only when the blob commits.
 func TestPutStreamReportsMembers(t *testing.T) {
-	s := New(NewMemoryPool(0))
+	s := NewWithConfig(NewMemoryPool(0), Config{})
 	blob := buildLayer(t, map[string]string{"a.txt": "alpha", "b.txt": "beta"})
 	d := digest.FromBytes(blob)
 	want := []string{
 		"dir app/",
-		fmt.Sprintf("file app/a.txt %s %q", digest.FromString("alpha").Short(), "alpha"),
-		fmt.Sprintf("file app/b.txt %s %q", digest.FromString("beta").Short(), "beta"),
+		fmt.Sprintf("file app/a.txt %s %q", digest.FromBytes([]byte("alpha")).Short(), "alpha"),
+		fmt.Sprintf("file app/b.txt %s %q", digest.FromBytes([]byte("beta")).Short(), "beta"),
 	}
 
 	// Rejected upload: members were reported, End was not, nothing stays.
 	bad := &observedReader{Reader: bytes.NewReader(blob)}
-	if _, err := s.PutStream(digest.FromString("other"), bad); !errors.Is(err, blobstore.ErrDigestMismatch) {
+	if _, err := s.PutStream(digest.FromBytes([]byte("other")), bad); !errors.Is(err, blobstore.ErrDigestMismatch) {
 		t.Fatalf("mismatched put: %v, want ErrDigestMismatch", err)
 	}
 	if fmt.Sprint(bad.calls) != fmt.Sprint(want) {
@@ -686,7 +683,7 @@ func TestPutStreamReportsMembers(t *testing.T) {
 
 	// A raw blob is none of the observer's business.
 	raw := &observedReader{Reader: strings.NewReader(`{"architecture":"amd64"}`)}
-	if _, err := s.PutStream(digest.FromString(`{"architecture":"amd64"}`), raw); err != nil {
+	if _, err := s.PutStream(digest.FromBytes([]byte(`{"architecture":"amd64"}`)), raw); err != nil {
 		t.Fatal(err)
 	}
 	if raw.asked {

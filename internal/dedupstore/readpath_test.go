@@ -78,7 +78,7 @@ func TestWriteToAndReadAgree(t *testing.T) {
 	}
 	for name, blob := range blobs {
 		t.Run(name, func(t *testing.T) {
-			s := New(NewMemoryPool(0))
+			s := NewWithConfig(NewMemoryPool(0), Config{})
 			d := putStream(t, s, blob)
 			base := runtime.NumGoroutine()
 
@@ -140,7 +140,7 @@ func TestWriteToAndReadAgree(t *testing.T) {
 // TestReadPrefixThenClose: a puller that gives up after a prefix stops the
 // writer goroutine its first Read started and drops its pin.
 func TestReadPrefixThenClose(t *testing.T) {
-	s := New(NewMemoryPool(0))
+	s := NewWithConfig(NewMemoryPool(0), Config{})
 	blob := noisyLayer(t, 64, 8<<10, true)
 	d := putStream(t, s, blob)
 	base := runtime.NumGoroutine()
@@ -195,7 +195,7 @@ func (w *deleteOnWrite) Write(p []byte) (int, error) {
 // destination finishes streaming, and its pool references are released by
 // that reader's Close — once.
 func TestDeleteDuringWriteTo(t *testing.T) {
-	s := New(NewMemoryPool(0))
+	s := NewWithConfig(NewMemoryPool(0), Config{})
 	blob := noisyLayer(t, 64, 8<<10, true)
 	d := putStream(t, s, blob)
 	// One extra, test-owned reference on one of the blob's files: a second
@@ -253,7 +253,7 @@ func (w *failAfter) Write(p []byte) (int, error) {
 // reassembly with its error, and the pin goes with the Close as usual —
 // also when the blob was deleted meanwhile.
 func TestWriteToDestinationError(t *testing.T) {
-	s := New(NewMemoryPool(0))
+	s := NewWithConfig(NewMemoryPool(0), Config{})
 	blob := noisyLayer(t, 64, 8<<10, true)
 	d := putStream(t, s, blob)
 	errGone := errors.New("client went away")
@@ -309,7 +309,7 @@ func TestColdGetAllocationIndependentOfLayerSize(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	perGet := func(fileSize int) uint64 {
-		s := New(NewMemoryPool(0))
+		s := NewWithConfig(NewMemoryPool(0), Config{})
 		d := putStream(t, s, noisyLayer(t, 1, fileSize, true))
 		return bytesPerCall(20, func() {
 			rc, _, err := s.Get(d)
@@ -338,8 +338,8 @@ func TestColdGetAllocationIndependentOfLayerSize(t *testing.T) {
 func TestRecipeEncodingGolden(t *testing.T) {
 	rec := &Recipe{Gzip: true, Entries: []RecipeEntry{
 		{Name: "app", Dir: true},
-		{Name: "app/a.txt", Size: 300, Content: digest.FromString("a")},
-		{Name: "app/empty", Size: 0, Content: digest.FromString("")},
+		{Name: "app/a.txt", Size: 300, Content: digest.FromBytes([]byte("a"))},
+		{Name: "app/empty", Size: 0, Content: digest.FromBytes([]byte(""))},
 	}}
 	const golden = "64726370" + "01" + "01" + "03" + // magic, version, gzip flag, 3 entries
 		"01" + "03" + "617070" + // dir "app"

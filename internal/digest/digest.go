@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"hash"
-	"io"
 	"strings"
 )
 
@@ -27,8 +26,7 @@ const Algorithm = "sha256"
 const hexLen = sha256.Size * 2
 
 // Digest is a content digest string of the form "sha256:<64 hex chars>".
-// The zero value is invalid; construct digests with FromBytes, FromReader,
-// FromString or Parse.
+// The zero value is invalid; construct digests with FromBytes or Parse.
 type Digest string
 
 // Errors returned by Parse.
@@ -43,22 +41,6 @@ var (
 func FromBytes(b []byte) Digest {
 	sum := sha256.Sum256(b)
 	return encode(sum[:])
-}
-
-// FromString computes the SHA-256 digest of s.
-func FromString(s string) Digest {
-	sum := sha256.Sum256([]byte(s))
-	return encode(sum[:])
-}
-
-// FromReader computes the SHA-256 digest of everything readable from r.
-func FromReader(r io.Reader) (Digest, int64, error) {
-	h := sha256.New()
-	n, err := io.Copy(h, r)
-	if err != nil {
-		return "", n, fmt.Errorf("digest: reading content: %w", err)
-	}
-	return encode(h.Sum(nil)), n, nil
 }
 
 // FromUint64 derives a deterministic digest from a 64-bit value. It is used
@@ -94,16 +76,6 @@ func Parse(s string) (Digest, error) {
 		}
 	}
 	return Digest(s), nil
-}
-
-// MustParse is like Parse but panics on error. Intended for tests and
-// compile-time-constant digests.
-func MustParse(s string) Digest {
-	d, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }
 
 // Valid reports whether d is a well-formed digest.
@@ -189,33 +161,4 @@ func (h *Hasher) Key64() uint64 {
 	var buf [sha256.Size]byte
 	sum := h.h.Sum(buf[:0])
 	return binary.BigEndian.Uint64(sum[:8])
-}
-
-// Verifier wraps a hash and an expected digest so callers can stream content
-// through it and confirm integrity afterwards, mirroring how a registry
-// client verifies a pulled blob against the digest in the manifest.
-type Verifier struct {
-	want Digest
-	h    hash.Hash
-}
-
-// NewVerifier returns a Verifier that checks content against want.
-func NewVerifier(want Digest) *Verifier {
-	return &Verifier{want: want, h: sha256.New()}
-}
-
-// Write feeds content into the verifier. It never fails.
-func (v *Verifier) Write(p []byte) (int, error) {
-	return v.h.Write(p)
-}
-
-// Verified reports whether the content written so far matches the expected
-// digest.
-func (v *Verifier) Verified() bool {
-	return encode(v.h.Sum(nil)) == v.want
-}
-
-// Actual returns the digest of the content written so far.
-func (v *Verifier) Actual() Digest {
-	return encode(v.h.Sum(nil))
 }

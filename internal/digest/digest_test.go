@@ -16,28 +16,6 @@ func TestFromBytesEmpty(t *testing.T) {
 	}
 }
 
-func TestFromStringMatchesFromBytes(t *testing.T) {
-	for _, s := range []string{"", "a", "hello world", strings.Repeat("x", 10_000)} {
-		if FromString(s) != FromBytes([]byte(s)) {
-			t.Errorf("FromString(%q) != FromBytes of same content", s)
-		}
-	}
-}
-
-func TestFromReader(t *testing.T) {
-	content := []byte("layer tarball content")
-	d, n, err := FromReader(bytes.NewReader(content))
-	if err != nil {
-		t.Fatalf("FromReader: %v", err)
-	}
-	if n != int64(len(content)) {
-		t.Fatalf("FromReader n = %d, want %d", n, len(content))
-	}
-	if d != FromBytes(content) {
-		t.Fatalf("FromReader digest %s != FromBytes %s", d, FromBytes(content))
-	}
-}
-
 func TestParseValid(t *testing.T) {
 	d, err := Parse(emptySHA256)
 	if err != nil {
@@ -80,15 +58,6 @@ func TestValid(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParse on invalid input did not panic")
-		}
-	}()
-	MustParse("not-a-digest")
-}
-
 func TestFromUint64Deterministic(t *testing.T) {
 	a, b := FromUint64(42), FromUint64(42)
 	if a != b {
@@ -102,34 +71,8 @@ func TestFromUint64Deterministic(t *testing.T) {
 	}
 }
 
-func TestVerifier(t *testing.T) {
-	content := []byte("blob bytes")
-	want := FromBytes(content)
-	v := NewVerifier(want)
-	if _, err := v.Write(content[:4]); err != nil {
-		t.Fatal(err)
-	}
-	if v.Verified() {
-		t.Fatal("verifier reported success on partial content")
-	}
-	if _, err := v.Write(content[4:]); err != nil {
-		t.Fatal(err)
-	}
-	if !v.Verified() {
-		t.Fatalf("verifier failed on full content: actual %s", v.Actual())
-	}
-}
-
-func TestVerifierMismatch(t *testing.T) {
-	v := NewVerifier(FromBytes([]byte("expected")))
-	v.Write([]byte("something else"))
-	if v.Verified() {
-		t.Fatal("verifier accepted mismatching content")
-	}
-}
-
 func TestStringAndShortEdgeCases(t *testing.T) {
-	d := MustParse(emptySHA256)
+	d := Digest(emptySHA256)
 	if d.String() != emptySHA256 {
 		t.Errorf("String() = %q", d.String())
 	}
@@ -142,7 +85,7 @@ func TestStringAndShortEdgeCases(t *testing.T) {
 }
 
 func TestKey64(t *testing.T) {
-	d := MustParse("sha256:0123456789abcdef" + strings.Repeat("0", 48))
+	d := Digest("sha256:0123456789abcdef" + strings.Repeat("0", 48))
 	if got := d.Key64(); got != 0x0123456789abcdef {
 		t.Fatalf("Key64 = %#x", got)
 	}
@@ -153,16 +96,8 @@ func TestKey64(t *testing.T) {
 		t.Error("non-hex Key64 should be 0")
 	}
 	// Distinct digests give distinct keys (with overwhelming probability).
-	if FromString("a").Key64() == FromString("b").Key64() {
+	if FromBytes([]byte("a")).Key64() == FromBytes([]byte("b")).Key64() {
 		t.Error("Key64 collision on trivial inputs")
-	}
-}
-
-func TestVerifierActual(t *testing.T) {
-	v := NewVerifier(FromString("whatever"))
-	v.Write([]byte("content"))
-	if v.Actual() != FromBytes([]byte("content")) {
-		t.Fatal("Actual() mismatch")
 	}
 }
 
@@ -239,7 +174,7 @@ func TestHasherReset(t *testing.T) {
 	}
 	h.Reset()
 	h.Write([]byte("abc"))
-	if got, want := h.Digest(), FromString("abc"); got != want {
+	if got, want := h.Digest(), FromBytes([]byte("abc")); got != want {
 		t.Fatalf("Reset+Write digest = %s, want %s", got, want)
 	}
 }

@@ -19,11 +19,6 @@ type Sampler interface {
 	Sample(rng *rand.Rand) float64
 }
 
-// IntSampler produces int64 samples.
-type IntSampler interface {
-	SampleInt(rng *rand.Rand) int64
-}
-
 // LogNormal samples exp(N(Mu, Sigma²)). Mu and Sigma are the parameters of
 // the underlying normal, so the median is exp(Mu).
 type LogNormal struct {

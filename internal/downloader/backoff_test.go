@@ -81,7 +81,7 @@ func TestRetrySleepsBackoffSchedule(t *testing.T) {
 		},
 		rnd: func() float64 { return 0 }, // deterministic: top of the jitter band
 	}
-	res, err := dl.Run([]string{"some/repo"})
+	res, err := dl.RunContext(context.Background(), []string{"some/repo"})
 	if err != nil {
 		t.Fatal(err)
 	}

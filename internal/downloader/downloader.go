@@ -196,14 +196,10 @@ func (st *runState) fill(s *Stats) {
 	s.UniqueLayers = int(st.unique.Load())
 }
 
-// Run downloads all repositories. Per-repository failures are classified
-// and counted, not fatal; only systemic errors abort.
-func (d *Downloader) Run(repos []string) (*Result, error) {
-	return d.RunContext(context.Background(), repos)
-}
-
-// RunContext is Run with cancellation: when ctx is done, in-flight
-// transfers abort and the run returns with whatever completed.
+// RunContext downloads all repositories. Per-repository failures are
+// classified and counted, not fatal; only systemic errors abort. When ctx
+// is done, in-flight transfers abort and the run returns with whatever
+// completed.
 func (d *Downloader) RunContext(ctx context.Context, repos []string) (*Result, error) {
 	if d.Client == nil {
 		return nil, errors.New("downloader: nil registry client")

@@ -1,6 +1,7 @@
 package downloader
 
 import (
+	"context"
 	"net/http/httptest"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestDownloadAll(t *testing.T) {
 
 	sink := blobstore.NewMemory()
 	dl := &Downloader{Client: &registry.Client{Base: srv.URL}, Workers: 4, Store: sink}
-	res, err := dl.Run(repos)
+	res, err := dl.RunContext(context.Background(), repos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestDownloadWithoutStore(t *testing.T) {
 	srv := httptest.NewServer(reg)
 	defer srv.Close()
 	dl := &Downloader{Client: &registry.Client{Base: srv.URL}}
-	res, err := dl.Run(repos)
+	res, err := dl.RunContext(context.Background(), repos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestDownloadAuthorizedClientGetsPrivate(t *testing.T) {
 	defer srv.Close()
 
 	dl := &Downloader{Client: &registry.Client{Base: srv.URL, Token: "tok"}}
-	res, err := dl.Run(repos)
+	res, err := dl.RunContext(context.Background(), repos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestDownloadAuthorizedClientGetsPrivate(t *testing.T) {
 
 func TestDownloadNilClient(t *testing.T) {
 	dl := &Downloader{}
-	if _, err := dl.Run([]string{"x"}); err == nil {
+	if _, err := dl.RunContext(context.Background(), []string{"x"}); err == nil {
 		t.Fatal("nil client accepted")
 	}
 }
@@ -160,7 +161,7 @@ func TestDownloadEmptyRepoList(t *testing.T) {
 	srv := httptest.NewServer(reg)
 	defer srv.Close()
 	dl := &Downloader{Client: &registry.Client{Base: srv.URL}}
-	res, err := dl.Run(nil)
+	res, err := dl.RunContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

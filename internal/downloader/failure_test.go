@@ -2,6 +2,7 @@ package downloader
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http/httptest"
@@ -73,7 +74,7 @@ func TestDownloadDetectsCorruptLayers(t *testing.T) {
 	}
 	sink := blobstore.NewMemory()
 	dl := &Downloader{Client: &registry.Client{Base: srv.URL}, Workers: 4, Store: sink}
-	res, err := dl.Run(repos)
+	res, err := dl.RunContext(context.Background(), repos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestDownloadRetriesTransientFailures(t *testing.T) {
 
 	// Without retries, the first-read failures surface.
 	noRetry := &Downloader{Client: &registry.Client{Base: srv.URL}, Workers: 4}
-	res, err := noRetry.Run(repos)
+	res, err := noRetry.RunContext(context.Background(), repos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestDownloadRetriesTransientFailures(t *testing.T) {
 	srv2 := httptest.NewServer(reg2)
 	defer srv2.Close()
 	withRetry := &Downloader{Client: &registry.Client{Base: srv2.URL}, Workers: 4, Retries: 2}
-	res2, err := withRetry.Run(repos)
+	res2, err := withRetry.RunContext(context.Background(), repos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestSharedLayerClaimHole(t *testing.T) {
 	// Retries:0 — only the takeover path, not the retry loop, can save the
 	// second image.
 	dl := &Downloader{Client: &registry.Client{Base: srv.URL}, Workers: 2, Store: sink}
-	res, err := dl.Run([]string{"hole/one", "hole/two"})
+	res, err := dl.RunContext(context.Background(), []string{"hole/one", "hole/two"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestRetryableClassification(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			srv, _ := statusServer(t, c.status, "", 0)
 			client := &registry.Client{Base: srv.URL}
-			_, _, err := client.Manifest("some/repo", "latest")
+			_, _, err := client.ManifestContext(context.Background(), "some/repo", "latest")
 			if err == nil {
 				t.Fatal("expected an error")
 			}
@@ -106,7 +106,7 @@ func TestThrottleErrorCarriesHint(t *testing.T) {
 		t.Run(fmt.Sprintf("%d-%q", c.status, c.header), func(t *testing.T) {
 			srv, _ := statusServer(t, c.status, c.header, 0)
 			client := &registry.Client{Base: srv.URL}
-			_, _, err := client.Manifest("some/repo", "latest")
+			_, _, err := client.ManifestContext(context.Background(), "some/repo", "latest")
 			var te *registry.ThrottleError
 			if !errors.As(err, &te) {
 				t.Fatalf("err = %v, want *ThrottleError", err)
@@ -142,7 +142,7 @@ func TestRetryAfterFloorsBackoff(t *testing.T) {
 		},
 		rnd: func() float64 { return 0 },
 	}
-	res, err := dl.Run([]string{"some/repo"})
+	res, err := dl.RunContext(context.Background(), []string{"some/repo"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestRetryAfterBelowBackoffKeepsSchedule(t *testing.T) {
 				},
 				rnd: func() float64 { return 0 },
 			}
-			if _, err := dl.Run([]string{"some/repo"}); err != nil {
+			if _, err := dl.RunContext(context.Background(), []string{"some/repo"}); err != nil {
 				t.Fatal(err)
 			}
 			mu.Lock()
@@ -271,7 +271,7 @@ func TestThrottledBlobRecoversAfterHint(t *testing.T) {
 		},
 		rnd: func() float64 { return 0 },
 	}
-	res, err := dl.Run([]string{repo})
+	res, err := dl.RunContext(context.Background(), []string{repo})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,8 @@ func SystemNow() time.Time {
 }
 
 // SleepContext pauses for d or until ctx is done, whichever comes first
-// — the sanctioned sleep primitive for deterministic packages (pacers,
-// retry backoff). It returns ctx's error when the wait was cut short.
+// — the sanctioned sleep primitive for deterministic packages (retry
+// backoff). It returns ctx's error when the wait was cut short.
 func SleepContext(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		select {

@@ -113,7 +113,7 @@ func TestClassifyHandcrafted(t *testing.T) {
 		}
 		covered[c.want] = true
 	}
-	for _, ft := range NamedTypeList() {
+	for _, ft := range namedTypes() {
 		if !covered[ft] {
 			t.Errorf("named type %s has no handcrafted classification case", ft)
 		}

@@ -247,9 +247,6 @@ func UncommonType(i int) Type {
 // IsUncommon reports whether t is from the synthetic uncommon tail.
 func (t Type) IsUncommon() bool { return t >= NamedTypes && t < NamedTypes+MaxUncommon }
 
-// Valid reports whether t is a known named or uncommon type.
-func (t Type) Valid() bool { return t < NamedTypes+MaxUncommon }
-
 // Name returns a human-readable type name.
 func (t Type) Name() string {
 	if t < NamedTypes {
@@ -283,26 +280,6 @@ func (t Type) Family() string {
 
 // String implements fmt.Stringer.
 func (t Type) String() string { return t.Name() }
-
-// NamedTypeList returns all named types in declaration order.
-func NamedTypeList() []Type {
-	out := make([]Type, NamedTypes)
-	for i := range out {
-		out[i] = Type(i)
-	}
-	return out
-}
-
-// TypesInGroup returns all named types belonging to g.
-func TypesInGroup(g Group) []Type {
-	var out []Type
-	for _, t := range NamedTypeList() {
-		if t.Group() == g {
-			out = append(out, t)
-		}
-	}
-	return out
-}
 
 // Taxonomy is the rendered level-1 split: which types are "commonly used"
 // (individually large and collectively dominating capacity) versus the long

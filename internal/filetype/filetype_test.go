@@ -19,7 +19,7 @@ func TestGroupString(t *testing.T) {
 
 func TestGroupsCoverAllNamedTypes(t *testing.T) {
 	seen := make(map[Group]int)
-	for _, ft := range NamedTypeList() {
+	for _, ft := range namedTypes() {
 		seen[ft.Group()]++
 		if ft.Name() == "" || ft.Family() == "" {
 			t.Errorf("type %d has empty name or family", ft)
@@ -34,20 +34,20 @@ func TestGroupsCoverAllNamedTypes(t *testing.T) {
 }
 
 func TestTypesInGroup(t *testing.T) {
-	eol := TypesInGroup(GroupEOL)
-	if len(eol) != 14 {
-		t.Fatalf("EOL group has %d types, want 14", len(eol))
-	}
-	for _, ft := range eol {
-		if ft.Group() != GroupEOL {
-			t.Errorf("type %s in wrong group", ft)
+	eol := 0
+	for _, ft := range namedTypes() {
+		if ft.Group() == GroupEOL {
+			eol++
 		}
+	}
+	if eol != 14 {
+		t.Fatalf("EOL group has %d types, want 14", eol)
 	}
 }
 
 func TestUncommonTypes(t *testing.T) {
 	u := UncommonType(0)
-	if !u.IsUncommon() || !u.Valid() {
+	if !u.IsUncommon() {
 		t.Fatal("UncommonType(0) not recognized")
 	}
 	if u.Group() != GroupOther || u.Family() != "Uncommon" {
@@ -57,11 +57,11 @@ func TestUncommonTypes(t *testing.T) {
 		t.Fatalf("uncommon name: %s", UncommonType(7).Name())
 	}
 	last := UncommonType(MaxUncommon - 1)
-	if !last.Valid() {
-		t.Fatal("last uncommon type invalid")
+	if !last.IsUncommon() {
+		t.Fatal("last uncommon type not recognized")
 	}
-	if Type(NamedTypes + MaxUncommon).Valid() {
-		t.Fatal("type beyond uncommon range reported valid")
+	if Type(NamedTypes + MaxUncommon).IsUncommon() {
+		t.Fatal("type beyond uncommon range reported uncommon")
 	}
 	defer func() {
 		if recover() == nil {
@@ -115,7 +115,7 @@ func TestBuildTaxonomyEmpty(t *testing.T) {
 // same type at several sizes and entropy levels.
 func TestClassifyGenerateRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	types := NamedTypeList()
+	types := namedTypes()
 	for i := 0; i < 25; i++ {
 		types = append(types, UncommonType(i*53%MaxUncommon))
 	}
@@ -370,4 +370,13 @@ func BenchmarkGenerate64K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Generate(ElfExecutable, 64<<10, 0.5, rng)
 	}
+}
+
+// namedTypes returns all named types in declaration order.
+func namedTypes() []Type {
+	out := make([]Type, NamedTypes)
+	for i := range out {
+		out[i] = Type(i)
+	}
+	return out
 }

@@ -191,25 +191,15 @@ func (c *Client) httpClient() *http.Client {
 	return httpx.DefaultClient
 }
 
-// SearchPage fetches one page of results for query.
-func (c *Client) SearchPage(query string, page, pageSize int) (*Page, error) {
-	return c.SearchPageContext(context.Background(), query, page, pageSize)
-}
-
-// SearchPageContext is SearchPage with cancellation: the request aborts
-// when ctx is done.
+// SearchPageContext fetches one page of results for query; the request
+// aborts when ctx is done.
 func (c *Client) SearchPageContext(ctx context.Context, query string, page, pageSize int) (*Page, error) {
 	url := fmt.Sprintf("%s/v2/search/repositories?query=%s&page=%d&page_size=%d",
 		c.Base, query, page, pageSize)
 	return c.fetch(ctx, url)
 }
 
-// Officials fetches the official repository list.
-func (c *Client) Officials() ([]Result, error) {
-	return c.OfficialsContext(context.Background())
-}
-
-// OfficialsContext is Officials with cancellation.
+// OfficialsContext fetches the official repository list.
 func (c *Client) OfficialsContext(ctx context.Context) ([]Result, error) {
 	p, err := c.fetch(ctx, c.Base+"/v2/repositories/official")
 	if err != nil {

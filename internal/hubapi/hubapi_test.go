@@ -1,6 +1,7 @@
 package hubapi
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -51,7 +52,7 @@ func TestSearchPagination(t *testing.T) {
 	var all []Result
 	page := 1
 	for {
-		p, err := c.SearchPage("/", page, 50)
+		p, err := c.SearchPageContext(context.Background(), "/", page, 50)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +79,7 @@ func TestSearchPagination(t *testing.T) {
 
 func TestSearchQueryFilter(t *testing.T) {
 	_, c := newTestServer(t, 1.0)
-	p, err := c.SearchPage("usera/", 1, 100)
+	p, err := c.SearchPageContext(context.Background(), "usera/", 1, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestSearchQueryFilter(t *testing.T) {
 
 func TestOfficials(t *testing.T) {
 	_, c := newTestServer(t, 1.386)
-	offs, err := c.Officials()
+	offs, err := c.OfficialsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestBadParams(t *testing.T) {
 
 func TestPageBeyondEnd(t *testing.T) {
 	_, c := newTestServer(t, 1.0)
-	p, err := c.SearchPage("/", 999, 50)
+	p, err := c.SearchPageContext(context.Background(), "/", 999, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestRateLimiting(t *testing.T) {
 
 	limited, ok := 0, 0
 	for i := 0; i < 9; i++ {
-		if _, err := c.SearchPage("/", 1, 50); err != nil {
+		if _, err := c.SearchPageContext(context.Background(), "/", 1, 50); err != nil {
 			limited++
 		} else {
 			ok++
@@ -198,7 +199,7 @@ func TestRateLimitedCrawlRecoversWithRetries(t *testing.T) {
 		var p *Page
 		var err error
 		for attempt := 0; attempt < 4; attempt++ {
-			p, err = c.SearchPage("/", page, 50)
+			p, err = c.SearchPageContext(context.Background(), "/", page, 50)
 			if err == nil {
 				break
 			}

@@ -22,7 +22,7 @@ var envelopePkgs = []string{
 // http.NotFound, and direct WriteHeader calls with a constant 4xx/5xx
 // status — in the Registry v2 handler packages. Success statuses
 // (WriteHeader(http.StatusCreated), StatusPartialContent, ...) and
-// non-constant statuses (registry.WriteError's own WriteHeader, paced
+// non-constant statuses (registry.WriteError's own WriteHeader,
 // middleware pass-through) are not flagged.
 var ErrEnvelope = &Analyzer{
 	Name: "errenvelope",

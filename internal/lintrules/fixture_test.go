@@ -1,11 +1,16 @@
 package lintrules
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -31,12 +36,45 @@ var (
 func fixtureLookup(t *testing.T) func(path string) (io.ReadCloser, error) {
 	t.Helper()
 	lookupOnce.Do(func() {
-		lookupFn, lookupErr = ExportLookup("../..")
+		lookupFn, lookupErr = exportLookup("../..")
 	})
 	if lookupErr != nil {
-		t.Fatalf("ExportLookup: %v", lookupErr)
+		t.Fatalf("exportLookup: %v", lookupErr)
 	}
 	return lookupFn
+}
+
+// exportLookup runs `go list -export` once over dir's module and
+// returns an export-data lookup function. The result is independent of
+// any FileSet, so callers can build it once and construct importers
+// (importer.ForCompiler) per FileSet.
+func exportLookup(dir string) (func(path string) (io.ReadCloser, error), error) {
+	cmd := exec.Command("go", "list", "-e", "-export", "-deps", "-json=ImportPath,Export,Incomplete", "./...")
+	cmd.Dir = dir
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		return nil, fmt.Errorf("lintrules: go list: %v: %s", err, stderr.Bytes())
+	}
+	exports := make(map[string]string)
+	dec := json.NewDecoder(&stdout)
+	for dec.More() {
+		var e listEntry
+		if err := dec.Decode(&e); err != nil {
+			return nil, err
+		}
+		if e.Export != "" {
+			exports[e.ImportPath] = e.Export
+		}
+	}
+	return func(path string) (io.ReadCloser, error) {
+		f, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(f)
+	}, nil
 }
 
 // runFixture type-checks one fixture file under pkgPath and returns the

@@ -126,36 +126,3 @@ func Check(path string, fset *token.FileSet, files []*ast.File, imp types.Import
 	}
 	return pkg, info, nil
 }
-
-// ExportLookup runs `go list -export` once over dir's module and
-// returns an export-data lookup function. The result is independent of
-// any FileSet, so callers can build it once and construct importers
-// (importer.ForCompiler) per FileSet.
-func ExportLookup(dir string) (func(path string) (io.ReadCloser, error), error) {
-	cmd := exec.Command("go", "list", "-e", "-export", "-deps", "-json=ImportPath,Export,Incomplete", "./...")
-	cmd.Dir = dir
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("lintrules: go list: %v: %s", err, stderr.Bytes())
-	}
-	exports := make(map[string]string)
-	dec := json.NewDecoder(&stdout)
-	for dec.More() {
-		var e listEntry
-		if err := dec.Decode(&e); err != nil {
-			return nil, err
-		}
-		if e.Export != "" {
-			exports[e.ImportPath] = e.Export
-		}
-	}
-	return func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	}, nil
-}

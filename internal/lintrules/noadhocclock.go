@@ -41,9 +41,9 @@ var adhocClockFuncs = map[string]bool{
 }
 
 // NoAdhocClock forbids ad-hoc wall-clock access in deterministic
-// packages. Motivated by the bandwidth pacer and trafficsim's virtual
-// clock: a bare time.Now in a paced or measured path silently escapes the
-// clock seam, so virtual-time tests stop covering it.
+// packages. Motivated by trafficsim's virtual clock: a bare time.Now in a
+// measured path silently escapes the clock seam, so virtual-time tests
+// stop covering it.
 var NoAdhocClock = &Analyzer{
 	Name: "noadhocclock",
 	Doc: "forbid bare time.Now/time.Sleep/time.Since (and timer constructors) in deterministic packages; " +

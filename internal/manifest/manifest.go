@@ -124,17 +124,6 @@ func (m *Manifest) Digest() (digest.Digest, error) {
 	return digest.FromBytes(b), nil
 }
 
-// TotalCompressedSize returns the sum of layer blob sizes — the paper's CIS
-// metric ("compressed image size (CIS), i.e. the sum of the sizes of the
-// compressed image layers", §IV-B(b)).
-func (m *Manifest) TotalCompressedSize() int64 {
-	var sum int64
-	for _, l := range m.Layers {
-		sum += l.Size
-	}
-	return sum
-}
-
 // LayerDigests returns the digests of all layers in order.
 func (m *Manifest) LayerDigests() []digest.Digest {
 	out := make([]digest.Digest, len(m.Layers))

@@ -122,13 +122,6 @@ func TestDigestStable(t *testing.T) {
 	}
 }
 
-func TestTotalCompressedSize(t *testing.T) {
-	m := sample(t)
-	if got := m.TotalCompressedSize(); got != 3<<20 {
-		t.Fatalf("CIS = %d, want %d", got, 3<<20)
-	}
-}
-
 func TestLayerDigests(t *testing.T) {
 	m := sample(t)
 	ds := m.LayerDigests()

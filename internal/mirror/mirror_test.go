@@ -512,7 +512,7 @@ func gzipLayer(t *testing.T, seed, nFiles, fileSize int) []byte {
 // blobs the origin has to reconstruct return the stored bytes and fill the
 // cache, as over a plain origin.
 func TestRangesOverDedupOrigin(t *testing.T) {
-	origin := dedupstore.New(dedupstore.NewMemoryPool(0))
+	origin := dedupstore.NewWithConfig(dedupstore.NewMemoryPool(0), dedupstore.Config{})
 	reg, _, c, front := mirrorSetupOn(t, origin, 8<<20, 1)
 	admitted := func(d digest.Digest) {
 		t.Helper()

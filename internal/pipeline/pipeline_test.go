@@ -68,7 +68,7 @@ func TestFusedMatchesTwoPhase(t *testing.T) {
 	// Two-phase baseline.
 	baseSink := blobstore.NewMemory()
 	baseDl := &downloader.Downloader{Client: &registry.Client{Base: srv.URL}, Workers: 4, Store: baseSink}
-	dres, err := baseDl.Run(repos)
+	dres, err := baseDl.RunContext(context.Background(), repos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFusedStoreless(t *testing.T) {
 
 	baseSink := blobstore.NewMemory()
 	baseDl := &downloader.Downloader{Client: &registry.Client{Base: srv.URL}, Workers: 4, Store: baseSink}
-	dres, err := baseDl.Run(repos)
+	dres, err := baseDl.RunContext(context.Background(), repos)
 	if err != nil {
 		t.Fatal(err)
 	}

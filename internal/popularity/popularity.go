@@ -3,15 +3,13 @@
 // suggests that Docker Hub is a good fit for caching popular repositories
 // or images to reduce pull latencies" (§IV-B(a), future work §VI).
 //
-// It synthesizes a pull trace from the pull-count distribution and replays
-// it against pluggable cache policies (LRU, LFU) at several capacities,
-// producing the hit-ratio-vs-cache-size curves a registry cache design
-// would be evaluated on.
+// It also synthesizes a pull trace from the pull-count distribution: the
+// skewed request stream trafficsim's scenarios replay against the real
+// registry cache (internal/cache), where hit ratio is measured rather
+// than modelled.
 package popularity
 
 import (
-	"container/heap"
-	"container/list"
 	"errors"
 	"math"
 	"math/rand"
@@ -138,164 +136,4 @@ func Trace(pulls []int64, n int, seed int64) ([]int, error) {
 		out[j] = lo
 	}
 	return out, nil
-}
-
-// Cache is a registry-side image cache policy.
-type Cache interface {
-	// Access records a pull of the keyed object with the given size and
-	// reports whether it was a hit.
-	Access(key int, size int64) bool
-	// Used returns the bytes currently cached.
-	Used() int64
-}
-
-// LRU is a byte-capacity least-recently-used cache.
-type LRU struct {
-	capacity int64
-	used     int64
-	order    *list.List // front = most recent; values are lruEntry
-	items    map[int]*list.Element
-}
-
-type lruEntry struct {
-	key  int
-	size int64
-}
-
-// NewLRU returns an LRU cache holding up to capacity bytes.
-func NewLRU(capacity int64) *LRU {
-	return &LRU{capacity: capacity, order: list.New(), items: make(map[int]*list.Element)}
-}
-
-// Access implements Cache.
-func (c *LRU) Access(key int, size int64) bool {
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		return true
-	}
-	if size > c.capacity {
-		return false // too large to ever cache
-	}
-	for c.used+size > c.capacity {
-		back := c.order.Back()
-		ent := back.Value.(lruEntry)
-		c.order.Remove(back)
-		delete(c.items, ent.key)
-		c.used -= ent.size
-	}
-	c.items[key] = c.order.PushFront(lruEntry{key, size})
-	c.used += size
-	return false
-}
-
-// Used implements Cache.
-func (c *LRU) Used() int64 { return c.used }
-
-// LFU is a byte-capacity least-frequently-used cache with FIFO tie-break.
-type LFU struct {
-	capacity int64
-	used     int64
-	items    map[int]*lfuEntry
-	h        lfuHeap
-	tick     int64
-}
-
-type lfuEntry struct {
-	key   int
-	size  int64
-	freq  int64
-	stamp int64
-	idx   int
-}
-
-type lfuHeap []*lfuEntry
-
-func (h lfuHeap) Len() int { return len(h) }
-func (h lfuHeap) Less(i, j int) bool {
-	if h[i].freq != h[j].freq {
-		return h[i].freq < h[j].freq
-	}
-	return h[i].stamp < h[j].stamp
-}
-func (h lfuHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-func (h *lfuHeap) Push(x any) {
-	e := x.(*lfuEntry)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *lfuHeap) Pop() any {
-	old := *h
-	e := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return e
-}
-
-// NewLFU returns an LFU cache holding up to capacity bytes.
-func NewLFU(capacity int64) *LFU {
-	return &LFU{capacity: capacity, items: make(map[int]*lfuEntry)}
-}
-
-// Access implements Cache.
-func (c *LFU) Access(key int, size int64) bool {
-	c.tick++
-	if e, ok := c.items[key]; ok {
-		e.freq++
-		heap.Fix(&c.h, e.idx)
-		return true
-	}
-	if size > c.capacity {
-		return false
-	}
-	for c.used+size > c.capacity {
-		victim := heap.Pop(&c.h).(*lfuEntry)
-		delete(c.items, victim.key)
-		c.used -= victim.size
-	}
-	e := &lfuEntry{key: key, size: size, freq: 1, stamp: c.tick}
-	heap.Push(&c.h, e)
-	c.items[key] = e
-	c.used += size
-	return false
-}
-
-// Used implements Cache.
-func (c *LFU) Used() int64 { return c.used }
-
-// SimResult summarizes one cache simulation.
-type SimResult struct {
-	Accesses  int
-	Hits      int
-	HitRatio  float64
-	ByteHits  int64
-	ByteTotal int64
-	// ByteHitRatio is the fraction of pulled bytes served from cache —
-	// the registry-side bandwidth saving.
-	ByteHitRatio float64
-}
-
-// Simulate replays trace (indices into sizes) against the cache.
-func Simulate(trace []int, sizes []int64, cache Cache) (SimResult, error) {
-	var res SimResult
-	for _, key := range trace {
-		if key < 0 || key >= len(sizes) {
-			return res, errors.New("popularity: trace key out of range")
-		}
-		size := sizes[key]
-		res.Accesses++
-		res.ByteTotal += size
-		if cache.Access(key, size) {
-			res.Hits++
-			res.ByteHits += size
-		}
-	}
-	if res.Accesses > 0 {
-		res.HitRatio = float64(res.Hits) / float64(res.Accesses)
-	}
-	if res.ByteTotal > 0 {
-		res.ByteHitRatio = float64(res.ByteHits) / float64(res.ByteTotal)
-	}
-	return res, nil
 }

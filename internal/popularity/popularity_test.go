@@ -106,161 +106,3 @@ func TestTraceErrors(t *testing.T) {
 		t.Error("negative pulls accepted")
 	}
 }
-
-func TestLRUBasics(t *testing.T) {
-	c := NewLRU(100)
-	if c.Access(1, 60) {
-		t.Error("first access hit")
-	}
-	if !c.Access(1, 60) {
-		t.Error("second access missed")
-	}
-	c.Access(2, 50) // evicts 1 (60+50 > 100)
-	if c.Used() != 50 {
-		t.Errorf("Used = %d, want 50", c.Used())
-	}
-	if c.Access(1, 60) {
-		t.Error("evicted key hit")
-	}
-}
-
-func TestLRUEvictionOrder(t *testing.T) {
-	c := NewLRU(100)
-	c.Access(1, 40)
-	c.Access(2, 40)
-	c.Access(1, 40) // 1 now most recent
-	c.Access(3, 40) // evicts 2
-	if !c.Access(1, 40) {
-		t.Error("recently used key evicted")
-	}
-	if c.Access(2, 40) {
-		t.Error("least recently used key survived")
-	}
-}
-
-func TestLRUOversizedObject(t *testing.T) {
-	c := NewLRU(10)
-	if c.Access(1, 100) {
-		t.Error("oversized object hit")
-	}
-	if c.Used() != 0 {
-		t.Error("oversized object cached")
-	}
-	// Cache still works afterwards.
-	c.Access(2, 5)
-	if !c.Access(2, 5) {
-		t.Error("cache broken after oversized insert")
-	}
-}
-
-func TestLFUKeepsHotObjects(t *testing.T) {
-	c := NewLFU(100)
-	for i := 0; i < 10; i++ {
-		c.Access(1, 50)
-	}
-	c.Access(2, 50)
-	c.Access(3, 50) // must evict 2 (freq 1), not 1 (freq 10)
-	if !c.Access(1, 50) {
-		t.Error("hot object evicted by LFU")
-	}
-	if c.Access(2, 50) {
-		t.Error("cold object survived")
-	}
-}
-
-func TestLFUOversized(t *testing.T) {
-	c := NewLFU(10)
-	if c.Access(1, 11) {
-		t.Error("oversized hit")
-	}
-	if c.Used() != 0 {
-		t.Error("oversized cached")
-	}
-}
-
-func TestSimulateSkewedTraceCachesWell(t *testing.T) {
-	// Zipf-ish population: repo 0 dominates.
-	pulls := make([]int64, 1000)
-	for i := range pulls {
-		pulls[i] = int64(1000 / (i + 1))
-	}
-	trace, err := Trace(pulls, 50_000, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := make([]int64, 1000)
-	for i := range sizes {
-		sizes[i] = 100
-	}
-	// A cache holding just 5% of objects should capture a large hit
-	// ratio under this skew — the paper's caching argument.
-	small, err := Simulate(trace, sizes, NewLRU(50*100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.HitRatio < 0.45 {
-		t.Errorf("small cache hit ratio = %v, want > 0.45 under skew", small.HitRatio)
-	}
-	big, err := Simulate(trace, sizes, NewLRU(1000*100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.HitRatio <= small.HitRatio {
-		t.Errorf("bigger cache not better: %v <= %v", big.HitRatio, small.HitRatio)
-	}
-	if small.ByteHitRatio != small.HitRatio {
-		t.Errorf("uniform sizes: byte ratio %v != hit ratio %v", small.ByteHitRatio, small.HitRatio)
-	}
-}
-
-func TestSimulateLFUvsLRUOnScan(t *testing.T) {
-	// A scan-heavy trace (one hot key re-appearing at intervals longer
-	// than the LRU horizon) is where LFU beats LRU: the scan flushes LRU
-	// between hot accesses, while LFU pins the high-frequency key.
-	trace := []int{0, 0} // establish the hot key's frequency lead
-	scan := 0
-	for i := 0; i < 2000; i++ {
-		trace = append(trace, 0) // hot
-		for j := 0; j < 14; j++ {
-			trace = append(trace, 1+scan%1000)
-			scan++
-		}
-	}
-	sizes := make([]int64, 1001)
-	for i := range sizes {
-		sizes[i] = 10
-	}
-	lru, err := Simulate(trace, sizes, NewLRU(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lfu, err := Simulate(trace, sizes, NewLFU(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lfu.Hits <= lru.Hits {
-		t.Errorf("LFU hits %d <= LRU hits %d on scan-heavy trace", lfu.Hits, lru.Hits)
-	}
-}
-
-func TestSimulateBadTrace(t *testing.T) {
-	if _, err := Simulate([]int{5}, make([]int64, 2), NewLRU(10)); err == nil {
-		t.Fatal("out-of-range key accepted")
-	}
-}
-
-func BenchmarkLRUAccess(b *testing.B) {
-	c := NewLRU(1 << 20)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Access(i%10_000, 128)
-	}
-}
-
-func BenchmarkLFUAccess(b *testing.B) {
-	c := NewLFU(1 << 20)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Access(i%10_000, 128)
-	}
-}

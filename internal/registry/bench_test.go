@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"math/rand"
 	"net"
 	"net/http"
@@ -73,11 +74,11 @@ func BenchmarkHTTPPull(b *testing.B) {
 		for pb.Next() {
 			repo := repos[i%len(repos)]
 			i++
-			m, _, err := c.Manifest(repo, "latest")
+			m, _, err := c.ManifestContext(context.Background(), repo, "latest")
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := c.BlobVerified(repo, m.Layers[0].Digest); err != nil {
+			if _, err := blobVerified(c, repo, m.Layers[0].Digest); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -94,7 +95,7 @@ func BenchmarkHTTPManifestOnly(b *testing.B) {
 		c := &Client{Base: srv.URL, HTTP: srv.Client()}
 		i := 0
 		for pb.Next() {
-			if _, _, err := c.Manifest(repos[i%len(repos)], "latest"); err != nil {
+			if _, _, err := c.ManifestContext(context.Background(), repos[i%len(repos)], "latest"); err != nil {
 				b.Fatal(err)
 			}
 			i++
@@ -117,7 +118,7 @@ func BenchmarkHTTPPush(b *testing.B) {
 		content[0] = byte(i)
 		content[1] = byte(i >> 8)
 		content[2] = byte(i >> 16)
-		if _, err := c.PushBlob("bench/push", content); err != nil {
+		if _, err := c.PushBlobContext(context.Background(), "bench/push", content); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -171,11 +172,11 @@ func BenchmarkTransportIdleConns(b *testing.B) {
 				for pb.Next() {
 					repo := repos[i%len(repos)]
 					i++
-					m, _, err := c.Manifest(repo, "latest")
+					m, _, err := c.ManifestContext(context.Background(), repo, "latest")
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := c.BlobVerified(repo, m.Layers[0].Digest); err != nil {
+					if _, err := blobVerified(c, repo, m.Layers[0].Digest); err != nil {
 						b.Fatal(err)
 					}
 					// Post-pull work (hash/walk in the real pipeline): the

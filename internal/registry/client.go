@@ -101,7 +101,7 @@ type Client struct {
 	HTTP *http.Client
 	// Token, when set, is sent as a bearer token.
 	Token string
-	// Resumes bounds the mid-stream Range resumes BlobStreamVerified
+	// Resumes bounds the mid-stream Range resumes BlobStreamVerifiedContext
 	// attempts per blob when the connection drops partway (3 when 0;
 	// negative disables resuming).
 	Resumes int
@@ -145,12 +145,7 @@ func (c *Client) Ping() error {
 	return nil
 }
 
-// Tags lists the tags of a repository.
-func (c *Client) Tags(name string) ([]string, error) {
-	return c.TagsContext(context.Background(), name)
-}
-
-// TagsContext is Tags with cancellation.
+// TagsContext lists the tags of a repository.
 func (c *Client) TagsContext(ctx context.Context, name string) ([]string, error) {
 	resp, err := c.get(ctx, "/v2/"+name+"/tags/list")
 	if err != nil {
@@ -167,52 +162,10 @@ func (c *Client) TagsContext(ctx context.Context, name string) ([]string, error)
 	return body.Tags, nil
 }
 
-// Catalog enumerates every repository via the /v2/_catalog endpoint,
-// paging with the n/last scheme. Docker Hub did not expose this API at the
-// paper's crawl time — it is the modern alternative to the search scrape.
-func (c *Client) Catalog(pageSize int) ([]string, error) {
-	if pageSize <= 0 {
-		pageSize = 100
-	}
-	var all []string
-	last := ""
-	for {
-		url := fmt.Sprintf("%s/v2/_catalog?n=%d", c.Base, pageSize)
-		if last != "" {
-			url += "&last=" + last
-		}
-		resp, err := c.get(context.Background(), strings.TrimPrefix(url, c.Base))
-		if err != nil {
-			return nil, err
-		}
-		var body struct {
-			Repositories []string `json:"repositories"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, fmt.Errorf("registry client: decoding catalog: %w", err)
-		}
-		if len(body.Repositories) == 0 {
-			return all, nil
-		}
-		all = append(all, body.Repositories...)
-		last = body.Repositories[len(body.Repositories)-1]
-		if len(body.Repositories) < pageSize {
-			return all, nil
-		}
-	}
-}
-
-// Manifest fetches and validates a manifest by tag or digest, returning it
-// together with its content digest (from the Docker-Content-Digest header,
-// verified against the body).
-func (c *Client) Manifest(name, ref string) (*manifest.Manifest, digest.Digest, error) {
-	return c.ManifestContext(context.Background(), name, ref)
-}
-
-// ManifestContext is Manifest with cancellation: the fetch aborts when ctx
-// is done.
+// ManifestContext fetches and validates a manifest by tag or digest,
+// returning it together with its content digest (from the
+// Docker-Content-Digest header, verified against the body). The fetch
+// aborts when ctx is done.
 func (c *Client) ManifestContext(ctx context.Context, name, ref string) (*manifest.Manifest, digest.Digest, error) {
 	raw, d, err := c.ManifestRawContext(ctx, name, ref)
 	if err != nil {
@@ -263,14 +216,10 @@ func readManifestBody(resp *http.Response) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// Blob streams a blob; the caller must Close the reader. Content is not
-// verified here — use BlobVerified when integrity matters.
-func (c *Client) Blob(name string, d digest.Digest) (io.ReadCloser, int64, error) {
-	return c.BlobContext(context.Background(), name, d)
-}
-
-// BlobContext is Blob with cancellation: when ctx is done, an in-flight
-// body read fails with ctx's error, aborting the transfer mid-stream.
+// BlobContext streams a blob; the caller must Close the reader. Content
+// is not verified here — use BlobStreamVerifiedContext when integrity
+// matters. When ctx is done, an in-flight body read fails with ctx's
+// error, aborting the transfer mid-stream.
 func (c *Client) BlobContext(ctx context.Context, name string, d digest.Digest) (io.ReadCloser, int64, error) {
 	resp, err := c.get(ctx, "/v2/"+name+"/blobs/"+d.String())
 	if err != nil {
@@ -279,15 +228,10 @@ func (c *Client) BlobContext(ctx context.Context, name string, d digest.Digest) 
 	return resp.Body, resp.ContentLength, nil
 }
 
-// BlobRange streams a blob starting at offset via an HTTP Range request —
-// the resume path for interrupted layer pulls. If the server ignores the
-// range (plain 200), the offset is skipped client-side so the caller
-// always reads from the requested position.
-func (c *Client) BlobRange(name string, d digest.Digest, offset int64) (io.ReadCloser, error) {
-	return c.BlobRangeContext(context.Background(), name, d, offset)
-}
-
-// BlobRangeContext is BlobRange with cancellation.
+// BlobRangeContext streams a blob starting at offset via an HTTP Range
+// request — the resume path for interrupted layer pulls. If the server
+// ignores the range (plain 200), the offset is skipped client-side so the
+// caller always reads from the requested position.
 func (c *Client) BlobRangeContext(ctx context.Context, name string, d digest.Digest, offset int64) (io.ReadCloser, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/v2/"+name+"/blobs/"+d.String(), nil)
 	if err != nil {
@@ -344,21 +288,16 @@ func (c *Client) BlobStatContext(ctx context.Context, name string, d digest.Dige
 // defaultResumes is the mid-stream resume budget when Client.Resumes is 0.
 const defaultResumes = 3
 
-// BlobStreamVerified streams a blob with incremental integrity checking:
-// every chunk passes through a SHA-256 hasher as it arrives, a transient
-// mid-stream failure is resumed from the last received offset with a Range
-// request instead of refetching from zero, and the final Read returns an
-// integrity error in place of io.EOF when the assembled content does not
-// hash to d. Unlike BlobVerified no full-blob buffer ever materializes —
-// the caller consumes the bytes as they cross the wire (e.g. straight into
+// BlobStreamVerifiedContext streams a blob with incremental integrity
+// checking: every chunk passes through a SHA-256 hasher as it arrives, a
+// transient mid-stream failure is resumed from the last received offset
+// with a Range request instead of refetching from zero, and the final Read
+// returns an integrity error in place of io.EOF when the assembled content
+// does not hash to d. No full-blob buffer ever materializes — the caller
+// consumes the bytes as they cross the wire (e.g. straight into
 // blobstore.Store.PutStream). The returned size is the server's
 // Content-Length (-1 when unknown); the caller must Close the reader.
-func (c *Client) BlobStreamVerified(name string, d digest.Digest) (io.ReadCloser, int64, error) {
-	return c.BlobStreamVerifiedContext(context.Background(), name, d)
-}
-
-// BlobStreamVerifiedContext is BlobStreamVerified with cancellation: when
-// ctx is done, in-flight reads fail with ctx's error and mid-stream
+// When ctx is done, in-flight reads fail with ctx's error and mid-stream
 // resumes are not attempted — cancellation reaches into the transfer
 // itself instead of waiting for the blob to finish.
 func (c *Client) BlobStreamVerifiedContext(ctx context.Context, name string, d digest.Digest) (io.ReadCloser, int64, error) {
@@ -376,7 +315,8 @@ func (c *Client) BlobStreamVerifiedContext(ctx context.Context, name string, d d
 	return &blobStream{c: c, ctx: ctx, name: name, want: d, body: rc, h: digest.NewHasher(), resumes: resumes}, size, nil
 }
 
-// blobStream is the verifying, resuming reader behind BlobStreamVerified.
+// blobStream is the verifying, resuming reader behind
+// BlobStreamVerifiedContext.
 type blobStream struct {
 	c       *Client
 	ctx     context.Context
@@ -441,21 +381,3 @@ func (s *blobStream) Read(p []byte) (int, error) {
 
 // Close implements io.Closer.
 func (s *blobStream) Close() error { return s.body.Close() }
-
-// BlobVerified downloads a blob fully and verifies its digest, the way the
-// Docker client checks layer integrity after a pull.
-func (c *Client) BlobVerified(name string, d digest.Digest) ([]byte, error) {
-	rc, _, err := c.Blob(name, d)
-	if err != nil {
-		return nil, err
-	}
-	defer rc.Close()
-	content, err := io.ReadAll(rc)
-	if err != nil {
-		return nil, fmt.Errorf("registry client: reading blob: %w", err)
-	}
-	if got := digest.FromBytes(content); got != d {
-		return nil, fmt.Errorf("registry client: blob %s arrived as %s", d.Short(), got.Short())
-	}
-	return content, nil
-}

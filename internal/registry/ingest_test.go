@@ -2,6 +2,7 @@ package registry
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -148,7 +149,7 @@ func ingestTestSetup(t *testing.T) (*Registry, *Client, *recordingIngest) {
 func TestIngestTeeSeesExactBytes(t *testing.T) {
 	_, c, ri := ingestTestSetup(t)
 	blob := []byte("the exact bytes crossing the wire")
-	d, err := c.PushBlob("alice/app", blob)
+	d, err := c.PushBlobContext(context.Background(), "alice/app", blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestIngestTeeSeesExactBytes(t *testing.T) {
 // must not treat the bytes as verified.
 func TestIngestTeeRejectedUpload(t *testing.T) {
 	reg, c, ri := ingestTestSetup(t)
-	wrong := digest.FromString("not the content")
+	wrong := digest.FromBytes([]byte("not the content"))
 	u := c.Base + "/v2/alice/app/blobs/uploads/?digest=" + wrong.String()
 	resp, err := http.Post(u, "application/octet-stream", strings.NewReader("actual content"))
 	if err != nil {
@@ -206,11 +207,11 @@ func TestIngestMemberPath(t *testing.T) {
 	c := &Client{Base: srv.URL}
 
 	blob := []byte("a blob the store decomposes")
-	d, err := c.PushBlob("alice/app", blob)
+	d, err := c.PushBlobContext(context.Background(), "alice/app", blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrong := digest.FromString("not the content")
+	wrong := digest.FromBytes([]byte("not the content"))
 	resp, err := http.Post(srv.URL+"/v2/alice/app/blobs/uploads/?digest="+wrong.String(), "application/octet-stream", strings.NewReader("actual content"))
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +246,7 @@ func TestIngestDeclinedMembersTakeByteTee(t *testing.T) {
 	defer srv.Close()
 
 	blob := []byte("bytes for a hook that wants bytes")
-	d, err := (&Client{Base: srv.URL}).PushBlob("alice/app", blob)
+	d, err := (&Client{Base: srv.URL}).PushBlobContext(context.Background(), "alice/app", blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestIngestSniffThenDecide(t *testing.T) {
 			for i := range blob {
 				blob[i] = byte(i*13 + size)
 			}
-			d, err := c.PushBlob("alice/app", blob)
+			d, err := c.PushBlobContext(context.Background(), "alice/app", blob)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -330,13 +331,13 @@ func TestDeleteManifestByTag(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := c.DeleteManifest("alice/app", "latest"); err != nil {
+	if err := c.DeleteManifestContext(context.Background(), "alice/app", "latest"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Manifest("alice/app", "latest"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := c.ManifestContext(context.Background(), "alice/app", "latest"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted tag still resolves: %v", err)
 	}
-	if _, _, err := c.Manifest("alice/app", "stable"); err != nil {
+	if _, _, err := c.ManifestContext(context.Background(), "alice/app", "stable"); err != nil {
 		t.Fatalf("sibling tag lost: %v", err)
 	}
 	ri.mu.Lock()
@@ -363,7 +364,7 @@ func TestDeleteManifestByDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := c.DeleteManifest("alice/app", d.String()); err != nil {
+	if err := c.DeleteManifestContext(context.Background(), "alice/app", d.String()); err != nil {
 		t.Fatal(err)
 	}
 	tags, err := reg.Tags("alice/app")
@@ -395,10 +396,10 @@ func TestDeleteManifestMissing(t *testing.T) {
 	reg, c, ri := ingestTestSetup(t)
 	pushImage(t, c, "alice/app", "latest")
 
-	if err := c.DeleteManifest("alice/app", "ghost"); !errors.Is(err, ErrNotFound) {
+	if err := c.DeleteManifestContext(context.Background(), "alice/app", "ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("delete unknown tag = %v, want ErrNotFound", err)
 	}
-	if err := c.DeleteManifest("alice/app", digest.FromString("ghost").String()); !errors.Is(err, ErrNotFound) {
+	if err := c.DeleteManifestContext(context.Background(), "alice/app", digest.FromBytes([]byte("ghost")).String()); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("delete unknown digest = %v, want ErrNotFound", err)
 	}
 	ri.mu.Lock()
@@ -421,10 +422,10 @@ func TestDeleteManifestAuth(t *testing.T) {
 	pushImage(t, authed, "bob/secret", "latest")
 	_ = reg
 
-	if err := anon.DeleteManifest("bob/secret", "latest"); !errors.Is(err, ErrUnauthorized) {
+	if err := anon.DeleteManifestContext(context.Background(), "bob/secret", "latest"); !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("anonymous delete = %v, want ErrUnauthorized", err)
 	}
-	if err := authed.DeleteManifest("bob/secret", "latest"); err != nil {
+	if err := authed.DeleteManifestContext(context.Background(), "bob/secret", "latest"); err != nil {
 		t.Fatalf("authorized delete: %v", err)
 	}
 }
@@ -434,10 +435,10 @@ func TestDeleteManifestAuth(t *testing.T) {
 func TestIngestNilHookIsFreePath(t *testing.T) {
 	_, c, _ := pushTestSetup(t)
 	_, m := pushImage(t, c, "alice/app", "latest")
-	if err := c.DeleteManifest("alice/app", "latest"); err != nil {
+	if err := c.DeleteManifestContext(context.Background(), "alice/app", "latest"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.PushManifest("alice/app", "latest", m); err != nil {
+	if _, err := c.PushManifestContext(context.Background(), "alice/app", "latest", m); err != nil {
 		t.Fatal(err)
 	}
 }

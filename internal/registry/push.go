@@ -196,12 +196,7 @@ func (r *Registry) GC() (removed int, freed int64, err error) {
 	return removed, freed, nil
 }
 
-// PushBlob uploads a blob via the wire API (client side).
-func (c *Client) PushBlob(name string, content []byte) (digest.Digest, error) {
-	return c.PushBlobContext(context.Background(), name, content)
-}
-
-// PushBlobContext is PushBlob with cancellation.
+// PushBlobContext uploads a blob via the wire API (client side).
 func (c *Client) PushBlobContext(ctx context.Context, name string, content []byte) (digest.Digest, error) {
 	d := digest.FromBytes(content)
 	u := fmt.Sprintf("%s/v2/%s/blobs/uploads/?digest=%s", c.Base, name, url.QueryEscape(d.String()))
@@ -229,12 +224,8 @@ func (c *Client) PushBlobContext(ctx context.Context, name string, content []byt
 	}
 }
 
-// PushManifest uploads and tags a manifest via the wire API (client side).
-func (c *Client) PushManifest(name, tag string, m *manifest.Manifest) (digest.Digest, error) {
-	return c.PushManifestContext(context.Background(), name, tag, m)
-}
-
-// PushManifestContext is PushManifest with cancellation.
+// PushManifestContext uploads and tags a manifest via the wire API
+// (client side).
 func (c *Client) PushManifestContext(ctx context.Context, name, tag string, m *manifest.Manifest) (digest.Digest, error) {
 	raw, err := m.Marshal()
 	if err != nil {
@@ -266,13 +257,8 @@ func (c *Client) PushManifestContext(ctx context.Context, name, tag string, m *m
 	}
 }
 
-// DeleteManifest removes a tag (or, given a digest ref, every tag
+// DeleteManifestContext removes a tag (or, given a digest ref, every tag
 // pointing at that manifest) via the wire API (client side).
-func (c *Client) DeleteManifest(name, ref string) error {
-	return c.DeleteManifestContext(context.Background(), name, ref)
-}
-
-// DeleteManifestContext is DeleteManifest with cancellation.
 func (c *Client) DeleteManifestContext(ctx context.Context, name, ref string) error {
 	u := fmt.Sprintf("%s/v2/%s/manifests/%s", c.Base, name, url.PathEscape(ref))
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, u, nil)

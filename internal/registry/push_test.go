@@ -1,7 +1,10 @@
 package registry
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -28,12 +31,12 @@ func pushTestSetup(t *testing.T) (*Registry, *Client, *Client) {
 func pushImage(t *testing.T, c *Client, repo, tag string) (layer []byte, m *manifest.Manifest) {
 	t.Helper()
 	layer = []byte("layer content for " + repo + ":" + tag)
-	layerDg, err := c.PushBlob(repo, layer)
+	layerDg, err := c.PushBlobContext(context.Background(), repo, layer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	config := []byte(`{"architecture":"amd64","os":"linux"}`)
-	configDg, err := c.PushBlob(repo, config)
+	configDg, err := c.PushBlobContext(context.Background(), repo, config)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +47,7 @@ func pushImage(t *testing.T, c *Client, repo, tag string) (layer []byte, m *mani
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.PushManifest(repo, tag, m); err != nil {
+	if _, err := c.PushManifestContext(context.Background(), repo, tag, m); err != nil {
 		t.Fatal(err)
 	}
 	return layer, m
@@ -54,7 +57,7 @@ func TestPushThenPullRoundTrip(t *testing.T) {
 	reg, c, _ := pushTestSetup(t)
 	layer, m := pushImage(t, c, "alice/app", "latest")
 
-	got, gotDigest, err := c.Manifest("alice/app", "latest")
+	got, gotDigest, err := c.ManifestContext(context.Background(), "alice/app", "latest")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +65,7 @@ func TestPushThenPullRoundTrip(t *testing.T) {
 	if gotDigest != wantDigest {
 		t.Fatalf("pulled manifest digest %s, pushed %s", gotDigest.Short(), wantDigest.Short())
 	}
-	content, err := c.BlobVerified("alice/app", got.Layers[0].Digest)
+	content, err := blobVerified(c, "alice/app", got.Layers[0].Digest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,30 +81,30 @@ func TestPushThenPullRoundTrip(t *testing.T) {
 func TestPushManifestRequiresBlobs(t *testing.T) {
 	_, c, _ := pushTestSetup(t)
 	m, err := manifest.New(
-		manifest.Descriptor{MediaType: manifest.MediaTypeConfig, Size: 4, Digest: digest.FromString("missing config")},
-		[]manifest.Descriptor{{MediaType: manifest.MediaTypeLayer, Size: 4, Digest: digest.FromString("missing layer")}},
+		manifest.Descriptor{MediaType: manifest.MediaTypeConfig, Size: 4, Digest: digest.FromBytes([]byte("missing config"))},
+		[]manifest.Descriptor{{MediaType: manifest.MediaTypeLayer, Size: 4, Digest: digest.FromBytes([]byte("missing layer"))}},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.PushManifest("alice/app", "latest", m); err == nil {
+	if _, err := c.PushManifestContext(context.Background(), "alice/app", "latest", m); err == nil {
 		t.Fatal("manifest with missing blobs accepted")
 	}
 }
 
 func TestPushToPrivateRepoRequiresAuth(t *testing.T) {
 	_, anon, authed := pushTestSetup(t)
-	if _, err := anon.PushBlob("bob/secret", []byte("data")); !errors.Is(err, ErrUnauthorized) {
+	if _, err := anon.PushBlobContext(context.Background(), "bob/secret", []byte("data")); !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("anonymous push = %v, want ErrUnauthorized", err)
 	}
-	if _, err := authed.PushBlob("bob/secret", []byte("data")); err != nil {
+	if _, err := authed.PushBlobContext(context.Background(), "bob/secret", []byte("data")); err != nil {
 		t.Fatalf("authorized push failed: %v", err)
 	}
 }
 
 func TestPushToUnknownRepo(t *testing.T) {
 	_, c, _ := pushTestSetup(t)
-	if _, err := c.PushBlob("ghost/repo", []byte("data")); !errors.Is(err, ErrNotFound) {
+	if _, err := c.PushBlobContext(context.Background(), "ghost/repo", []byte("data")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("push to unknown repo = %v, want ErrNotFound", err)
 	}
 }
@@ -109,7 +112,7 @@ func TestPushToUnknownRepo(t *testing.T) {
 func TestUploadRejectsBadDigest(t *testing.T) {
 	_, c, _ := pushTestSetup(t)
 	// Hand-roll a request with a mismatching digest parameter.
-	wrong := digest.FromString("something else")
+	wrong := digest.FromBytes([]byte("something else"))
 	u := c.Base + "/v2/alice/app/blobs/uploads/?digest=" + wrong.String()
 	resp, err := http.Post(u, "application/octet-stream", strings.NewReader("actual content"))
 	if err != nil {
@@ -134,7 +137,7 @@ func TestRetagMovesTag(t *testing.T) {
 	_, c, _ := pushTestSetup(t)
 	_, m1 := pushImage(t, c, "alice/app", "latest")
 	layer2 := []byte("version two layer")
-	l2, err := c.PushBlob("alice/app", layer2)
+	l2, err := c.PushBlobContext(context.Background(), "alice/app", layer2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +147,10 @@ func TestRetagMovesTag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.PushManifest("alice/app", "latest", m2); err != nil {
+	if _, err := c.PushManifestContext(context.Background(), "alice/app", "latest", m2); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := c.Manifest("alice/app", "latest")
+	got, _, err := c.ManifestContext(context.Background(), "alice/app", "latest")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +167,11 @@ func TestGCRemovesUnreferencedBlobs(t *testing.T) {
 	// Push a second version over the same tag: v1's manifest and layer
 	// become garbage (config is shared).
 	layer2 := []byte("version two layer bytes")
-	l2, _ := c.PushBlob("alice/app", layer2)
+	l2, _ := c.PushBlobContext(context.Background(), "alice/app", layer2)
 	m2, _ := manifest.New(m1.Config, []manifest.Descriptor{
 		{MediaType: manifest.MediaTypeLayer, Size: int64(len(layer2)), Digest: l2},
 	})
-	if _, err := c.PushManifest("alice/app", "latest", m2); err != nil {
+	if _, err := c.PushManifestContext(context.Background(), "alice/app", "latest", m2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -183,14 +186,14 @@ func TestGCRemovesUnreferencedBlobs(t *testing.T) {
 		t.Fatalf("GC freed %d bytes", freed)
 	}
 	// The live image still pulls.
-	if _, _, err := c.Manifest("alice/app", "latest"); err != nil {
+	if _, _, err := c.ManifestContext(context.Background(), "alice/app", "latest"); err != nil {
 		t.Fatalf("live manifest gone after GC: %v", err)
 	}
-	if _, err := c.BlobVerified("alice/app", l2); err != nil {
+	if _, err := blobVerified(c, "alice/app", l2); err != nil {
 		t.Fatalf("live layer gone after GC: %v", err)
 	}
 	// Old layer is gone.
-	if _, err := c.BlobVerified("alice/app", m1.Layers[0].Digest); !errors.Is(err, ErrNotFound) {
+	if _, err := blobVerified(c, "alice/app", m1.Layers[0].Digest); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("garbage layer still served: %v", err)
 	}
 }
@@ -205,18 +208,43 @@ func TestCatalogPagination(t *testing.T) {
 	}
 	srv := httptest.NewServer(reg)
 	defer srv.Close()
-	c := &Client{Base: srv.URL}
 
-	got, err := c.Catalog(7) // forces 4 pages
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := catalog(t, srv.URL, 7) // forces 4 pages
 	if len(got) != len(want) {
 		t.Fatalf("catalog returned %d repos, want %d", len(got), len(want))
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i] <= got[i-1] {
 			t.Fatal("catalog not sorted")
+		}
+	}
+}
+
+// catalog pages GET /v2/_catalog with the n/last scheme until a short
+// page and returns every repository name.
+func catalog(t *testing.T, base string, n int) []string {
+	t.Helper()
+	var all []string
+	for {
+		url := fmt.Sprintf("%s/v2/_catalog?n=%d", base, n)
+		if len(all) > 0 {
+			url += "&last=" + all[len(all)-1]
+		}
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Repositories []string `json:"repositories"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, body.Repositories...)
+		if len(body.Repositories) < n {
+			return all
 		}
 	}
 }
@@ -241,12 +269,7 @@ func TestCatalogEmpty(t *testing.T) {
 	reg := New(blobstore.NewMemory())
 	srv := httptest.NewServer(reg)
 	defer srv.Close()
-	c := &Client{Base: srv.URL}
-	got, err := c.Catalog(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
+	if got := catalog(t, srv.URL, 10); len(got) != 0 {
 		t.Fatalf("empty registry catalog: %v", got)
 	}
 }

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -33,7 +34,7 @@ func TestBlobRangeResume(t *testing.T) {
 	_, c, d, _ := rangeSetup(t)
 	// Simulate an interrupted pull: read the first 3000 bytes, then
 	// resume from there.
-	rc, _, err := c.Blob("r/blob", d)
+	rc, _, err := c.BlobContext(context.Background(), "r/blob", d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestBlobRangeResume(t *testing.T) {
 	}
 	rc.Close()
 
-	rest, err := c.BlobRange("r/blob", d, 3000)
+	rest, err := c.BlobRangeContext(context.Background(), "r/blob", d, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestBlobRangeResume(t *testing.T) {
 
 func TestBlobRangeFromZero(t *testing.T) {
 	_, c, d, content := rangeSetup(t)
-	rc, err := c.BlobRange("r/blob", d, 0)
+	rc, err := c.BlobRangeContext(context.Background(), "r/blob", d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestQuickRangeReassembly(t *testing.T) {
 	_, c, d, content := rangeSetup(t)
 	f := func(cutSeed uint16) bool {
 		cut := int64(cutSeed) % int64(len(content))
-		rc, err := c.BlobRange("r/blob", d, cut)
+		rc, err := c.BlobRangeContext(context.Background(), "r/blob", d, cut)
 		if err != nil {
 			return false
 		}
@@ -198,7 +199,7 @@ func TestBlobHeadNeverOpensTheBlob(t *testing.T) {
 		resp.Body.Close()
 		return resp
 	}
-	missing := digest.FromString("never stored")
+	missing := digest.FromBytes([]byte("never stored"))
 	cases := []struct {
 		name, ref, rng string
 		status         int

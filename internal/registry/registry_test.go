@@ -69,7 +69,7 @@ func TestPing(t *testing.T) {
 func TestManifestByTagAndDigest(t *testing.T) {
 	_, srv, layerDg, _ := newTestRegistry(t)
 	c := &Client{Base: srv.URL}
-	m, d, err := c.Manifest("alice/app", "latest")
+	m, d, err := c.ManifestContext(context.Background(), "alice/app", "latest")
 	if err != nil {
 		t.Fatalf("Manifest(latest): %v", err)
 	}
@@ -77,7 +77,7 @@ func TestManifestByTagAndDigest(t *testing.T) {
 		t.Fatalf("manifest layers wrong: %+v", m.Layers)
 	}
 	// Re-fetch by digest.
-	m2, d2, err := c.Manifest("alice/app", d.String())
+	m2, d2, err := c.ManifestContext(context.Background(), "alice/app", d.String())
 	if err != nil {
 		t.Fatalf("Manifest(by digest): %v", err)
 	}
@@ -89,9 +89,9 @@ func TestManifestByTagAndDigest(t *testing.T) {
 func TestBlobRoundTrip(t *testing.T) {
 	_, srv, layerDg, _ := newTestRegistry(t)
 	c := &Client{Base: srv.URL}
-	content, err := c.BlobVerified("alice/app", layerDg)
+	content, err := blobVerified(c, "alice/app", layerDg)
 	if err != nil {
-		t.Fatalf("BlobVerified: %v", err)
+		t.Fatalf("blob: %v", err)
 	}
 	if string(content) != "pretend this is a gzipped tarball" {
 		t.Fatalf("blob content = %q", content)
@@ -101,7 +101,7 @@ func TestBlobRoundTrip(t *testing.T) {
 func TestBlobStreaming(t *testing.T) {
 	_, srv, layerDg, _ := newTestRegistry(t)
 	c := &Client{Base: srv.URL}
-	rc, size, err := c.Blob("alice/app", layerDg)
+	rc, size, err := c.BlobContext(context.Background(), "alice/app", layerDg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +115,14 @@ func TestBlobStreaming(t *testing.T) {
 func TestTags(t *testing.T) {
 	_, srv, _, _ := newTestRegistry(t)
 	c := &Client{Base: srv.URL}
-	tags, err := c.Tags("alice/app")
+	tags, err := c.TagsContext(context.Background(), "alice/app")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tags) != 1 || tags[0] != "latest" {
 		t.Fatalf("tags = %v", tags)
 	}
-	tags, err = c.Tags("carol/untagged")
+	tags, err = c.TagsContext(context.Background(), "carol/untagged")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestTags(t *testing.T) {
 func TestAuthRequired(t *testing.T) {
 	reg, srv, _, _ := newTestRegistry(t)
 	c := &Client{Base: srv.URL}
-	_, _, err := c.Manifest("bob/secret", "latest")
+	_, _, err := c.ManifestContext(context.Background(), "bob/secret", "latest")
 	if !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("private repo error = %v, want ErrUnauthorized", err)
 	}
@@ -143,7 +143,7 @@ func TestAuthRequired(t *testing.T) {
 	}
 	// A bearer token (any) unlocks it.
 	authed := &Client{Base: srv.URL, Token: "secret-token"}
-	if _, _, err := authed.Manifest("bob/secret", "latest"); err != nil {
+	if _, _, err := authed.ManifestContext(context.Background(), "bob/secret", "latest"); err != nil {
 		t.Fatalf("authorized fetch failed: %v", err)
 	}
 }
@@ -151,13 +151,13 @@ func TestAuthRequired(t *testing.T) {
 func TestMissingTagAndRepo(t *testing.T) {
 	_, srv, _, _ := newTestRegistry(t)
 	c := &Client{Base: srv.URL}
-	if _, _, err := c.Manifest("carol/untagged", "latest"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := c.ManifestContext(context.Background(), "carol/untagged", "latest"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing tag error = %v, want ErrNotFound", err)
 	}
-	if _, _, err := c.Manifest("nobody/nothing", "latest"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := c.ManifestContext(context.Background(), "nobody/nothing", "latest"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing repo error = %v, want ErrNotFound", err)
 	}
-	if _, err := c.BlobVerified("alice/app", digest.FromString("nope")); !errors.Is(err, ErrNotFound) {
+	if _, err := blobVerified(c, "alice/app", digest.FromBytes([]byte("nope"))); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing blob error = %v, want ErrNotFound", err)
 	}
 }
@@ -185,7 +185,7 @@ func TestStatsCountBlobTraffic(t *testing.T) {
 	reg, srv, layerDg, _ := newTestRegistry(t)
 	c := &Client{Base: srv.URL}
 	for i := 0; i < 3; i++ {
-		if _, err := c.BlobVerified("alice/app", layerDg); err != nil {
+		if _, err := blobVerified(c, "alice/app", layerDg); err != nil {
 			t.Fatal(err)
 		}
 	}

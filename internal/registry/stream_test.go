@@ -2,6 +2,7 @@ package registry
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -18,7 +19,7 @@ import (
 
 func TestBlobStreamVerifiedHappyPath(t *testing.T) {
 	_, c, d, content := rangeSetup(t)
-	rc, size, err := c.BlobStreamVerified("r/blob", d)
+	rc, size, err := c.BlobStreamVerifiedContext(context.Background(), "r/blob", d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestBlobStreamVerifiedDetectsCorruption(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	rc, _, err := c4(srv).BlobStreamVerified("r/bad", d)
+	rc, _, err := c4(srv).BlobStreamVerifiedContext(context.Background(), "r/bad", d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestBlobStreamVerifiedResumesTruncation(t *testing.T) {
 	defer srv.Close()
 
 	c := &Client{Base: srv.URL}
-	rc, _, err := c.BlobStreamVerified("r/cut", d)
+	rc, _, err := c.BlobStreamVerifiedContext(context.Background(), "r/cut", d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestBlobStreamVerifiedResumeBudget(t *testing.T) {
 	proxy.cuts.Store(3)
 	srv := httptest.NewServer(proxy)
 	defer srv.Close()
-	rc, _, err := (&Client{Base: srv.URL}).BlobStreamVerified("r/cut", d)
+	rc, _, err := (&Client{Base: srv.URL}).BlobStreamVerifiedContext(context.Background(), "r/cut", d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestBlobStreamVerifiedResumeBudget(t *testing.T) {
 	// With resuming disabled the same cut surfaces as a stream error.
 	proxy.cuts.Store(1)
 	noResume := &Client{Base: srv.URL, Resumes: -1}
-	rc, _, err = noResume.BlobStreamVerified("r/cut", d)
+	rc, _, err = noResume.BlobStreamVerifiedContext(context.Background(), "r/cut", d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestBlobStreamVerifiedShortCleanEOF(t *testing.T) {
 		reg.ServeHTTP(w, req)
 	}))
 	defer srv.Close()
-	rc, _, err := (&Client{Base: srv.URL}).BlobStreamVerified("r/short", d)
+	rc, _, err := (&Client{Base: srv.URL}).BlobStreamVerifiedContext(context.Background(), "r/short", d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestBlobStreamIntoStore(t *testing.T) {
 		"memory": blobstore.NewMemory(),
 	} {
 		t.Run(name, func(t *testing.T) {
-			rc, _, err := c.BlobStreamVerified("r/blob", d)
+			rc, _, err := c.BlobStreamVerifiedContext(context.Background(), "r/blob", d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,7 +259,7 @@ func TestPushUploadStreams(t *testing.T) {
 	defer srv.Close()
 	content := bytes.Repeat([]byte("uploaded"), 4_000)
 	c := &Client{Base: srv.URL}
-	d, err := c.PushBlob("r/up", content)
+	d, err := c.PushBlobContext(context.Background(), "r/up", content)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,4 +279,14 @@ func TestPushUploadStreams(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "DIGEST_INVALID") {
 		t.Fatalf("corrupt upload: status %d body %s", resp.StatusCode, body)
 	}
+}
+
+// blobVerified reads a whole blob through the verifying stream.
+func blobVerified(c *Client, name string, d digest.Digest) ([]byte, error) {
+	rc, _, err := c.BlobStreamVerifiedContext(context.Background(), name, d)
+	if err != nil {
+		return nil, err
+	}
+	defer rc.Close()
+	return io.ReadAll(rc)
 }

@@ -29,7 +29,7 @@ func TestPlotCDFLogScale(t *testing.T) {
 }
 
 func TestPlotCDFLinearScale(t *testing.T) {
-	c := stats.NewCDF([]float64{10, 11, 12, 13, 14, 15})
+	c := cdfOf([]float64{10, 11, 12, 13, 14, 15})
 	out := PlotCDF(c, "narrow", "", 40, 8)
 	if !strings.Contains(out, "linear x-axis") {
 		t.Fatalf("narrow span did not select linear axis:\n%s", out)
@@ -70,7 +70,7 @@ func TestPlotCDFEmpty(t *testing.T) {
 }
 
 func TestPlotCDFDegenerate(t *testing.T) {
-	c := stats.NewCDF([]float64{5})
+	c := cdfOf([]float64{5})
 	out := PlotCDF(c, "single", "", 0, 0) // exercise defaults
 	if !strings.Contains(out, "n=1") {
 		t.Fatalf("single-sample plot:\n%s", out)
@@ -78,9 +78,18 @@ func TestPlotCDFDegenerate(t *testing.T) {
 }
 
 func TestPlotCDFBytesUnit(t *testing.T) {
-	c := stats.NewCDF([]float64{1024, 1024 * 1024, 512 * 1024 * 1024})
+	c := cdfOf([]float64{1024, 1024 * 1024, 512 * 1024 * 1024})
 	out := PlotCDF(c, "bytes", "B", 40, 6)
 	if !strings.Contains(out, "KiB") || !strings.Contains(out, "MiB") {
 		t.Fatalf("byte axis labels missing:\n%s", out)
 	}
+}
+
+// cdfOf builds a CDF holding samples.
+func cdfOf(samples []float64) *stats.CDF {
+	c := &stats.CDF{}
+	for _, v := range samples {
+		c.Add(v)
+	}
+	return c
 }

@@ -70,7 +70,7 @@ func TestFigureString(t *testing.T) {
 }
 
 func TestRenderCDF(t *testing.T) {
-	c := stats.NewCDF([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	c := cdfOf([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	s := renderCDF(c, "sample", "")
 	if !strings.Contains(s, "n=10") || !strings.Contains(s, "p50=5") {
 		t.Fatalf("renderCDF output:\n%s", s)

@@ -39,7 +39,7 @@ func TestGracefulShutdownDrainsInFlightBlobDownload(t *testing.T) {
 	url := srv.URL()
 
 	client := &registry.Client{Base: url, HTTP: srv.Client()}
-	rc, _, err := client.Blob("demo/app", d)
+	rc, _, err := client.BlobContext(context.Background(), "demo/app", d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,24 +83,6 @@ func (h *Hist) Record(d time.Duration) {
 	h.counts[histIndex(v)]++
 }
 
-// Merge folds other into h, enabling per-worker accumulation.
-func (h *Hist) Merge(other *Hist) {
-	if other == nil || other.n == 0 {
-		return
-	}
-	if h.n == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	h.n += other.n
-	h.sum += other.sum
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
-	}
-}
-
 // N returns the sample count.
 func (h *Hist) N() int64 { return h.n }
 

@@ -61,34 +61,6 @@ func TestHistQuantileAccuracy(t *testing.T) {
 
 func abs(x float64) float64 { return math.Abs(x) }
 
-// Merging per-worker histograms must equal recording everything into one.
-func TestHistMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	whole := &Hist{}
-	parts := []*Hist{{}, {}, {}}
-	for i := 0; i < 9999; i++ {
-		v := time.Duration(rng.Int63n(int64(3 * time.Second)))
-		whole.Record(v)
-		parts[i%3].Record(v)
-	}
-	merged := &Hist{}
-	for _, p := range parts {
-		merged.Merge(p)
-	}
-	if merged.N() != whole.N() || merged.Max() != whole.Max() || merged.Min() != whole.Min() {
-		t.Fatalf("merge: n/max/min = %d/%v/%v, want %d/%v/%v",
-			merged.N(), merged.Max(), merged.Min(), whole.N(), whole.Max(), whole.Min())
-	}
-	for _, q := range []float64{0.5, 0.99, 0.999} {
-		if merged.Quantile(q) != whole.Quantile(q) {
-			t.Errorf("q=%g: merged=%v whole=%v", q, merged.Quantile(q), whole.Quantile(q))
-		}
-	}
-	if merged.Mean() != whole.Mean() {
-		t.Errorf("mean: merged=%v whole=%v", merged.Mean(), whole.Mean())
-	}
-}
-
 // The zero value works, negatives clamp, and values beyond the bucketed
 // range saturate without losing the exact max.
 func TestHistEdges(t *testing.T) {

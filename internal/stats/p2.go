@@ -102,9 +102,6 @@ func (e *P2Quantile) linear(i int, d float64) float64 {
 	return e.q[i] + d*(e.q[j]-e.q[i])/(e.npos[j]-e.npos[i])
 }
 
-// N returns the number of observations.
-func (e *P2Quantile) N() int { return e.n }
-
 // Value returns the current quantile estimate. With fewer than 5
 // observations it falls back to the exact nearest-rank value.
 func (e *P2Quantile) Value() float64 {

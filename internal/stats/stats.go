@@ -16,18 +16,10 @@ import (
 
 // CDF is an empirical cumulative distribution function over float64 samples.
 // It stores the sorted sample and answers quantile and fraction-below
-// queries exactly. The zero value is empty; add samples with Add or build
-// one directly with NewCDF.
+// queries exactly. The zero value is empty; add samples with Add.
 type CDF struct {
 	samples []float64
 	sorted  bool
-}
-
-// NewCDF builds a CDF from the given samples. The input slice is copied.
-func NewCDF(samples []float64) *CDF {
-	c := &CDF{samples: append([]float64(nil), samples...)}
-	c.sort()
-	return c
 }
 
 // Add appends a sample.
@@ -205,19 +197,6 @@ func LinearBounds(max float64, n int) []float64 {
 	return b
 }
 
-// Log2Bounds returns bounds at powers of two from 2^lo to 2^hi inclusive,
-// useful for size distributions spanning many orders of magnitude.
-func Log2Bounds(lo, hi int) []float64 {
-	if hi < lo {
-		panic("stats: Log2Bounds hi < lo")
-	}
-	b := make([]float64, 0, hi-lo+1)
-	for e := lo; e <= hi; e++ {
-		b = append(b, math.Pow(2, float64(e)))
-	}
-	return b
-}
-
 // Add records one sample.
 func (h *Histogram) Add(v float64) { h.AddN(v, 1) }
 
@@ -270,70 +249,22 @@ type Bucket struct {
 	Count     int64
 }
 
-// Summary accumulates streaming count/sum/min/max/moments without storing
-// samples, for totals like "5,278,465,130 files, 167 TB" where storing every
-// sample would be wasteful.
+// Summary accumulates a streaming count and mean without storing samples,
+// for totals like "5,278,465,130 files, 167 TB" where storing every sample
+// would be wasteful.
 type Summary struct {
-	n          int64
-	sum        float64
-	min, max   float64
-	m2         float64 // sum of squared deviations (Welford)
-	mean       float64
-	hasSamples bool
+	n    int64
+	mean float64
 }
 
 // Add records one observation.
 func (s *Summary) Add(v float64) {
 	s.n++
-	s.sum += v
-	if !s.hasSamples || v < s.min {
-		s.min = v
-	}
-	if !s.hasSamples || v > s.max {
-		s.max = v
-	}
-	s.hasSamples = true
-	delta := v - s.mean
-	s.mean += delta / float64(s.n)
-	s.m2 += delta * (v - s.mean)
-}
-
-// Merge folds other into s, enabling parallel accumulation with per-worker
-// summaries merged at the end.
-func (s *Summary) Merge(other *Summary) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *other
-		return
-	}
-	n1, n2 := float64(s.n), float64(other.n)
-	delta := other.mean - s.mean
-	total := n1 + n2
-	s.m2 += other.m2 + delta*delta*n1*n2/total
-	s.mean = (n1*s.mean + n2*other.mean) / total
-	s.n += other.n
-	s.sum += other.sum
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
+	s.mean += (v - s.mean) / float64(s.n)
 }
 
 // N returns the observation count.
 func (s *Summary) N() int64 { return s.n }
-
-// Sum returns the total of all observations.
-func (s *Summary) Sum() float64 { return s.sum }
-
-// Min returns the smallest observation (0 if none).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 if none).
-func (s *Summary) Max() float64 { return s.max }
 
 // Mean returns the average observation (0 if none).
 func (s *Summary) Mean() float64 {
@@ -342,17 +273,6 @@ func (s *Summary) Mean() float64 {
 	}
 	return s.mean
 }
-
-// Variance returns the population variance (0 if fewer than 2 samples).
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n)
-}
-
-// StdDev returns the population standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
 // Gini returns the Gini coefficient of the sample (0 = perfectly even,
 // →1 = maximally concentrated), the standard scalar for skew statements

@@ -134,13 +134,6 @@ func (d *Dataset) LayerDigest(l LayerID) digest.Digest {
 	return digest.FromUint64(0x4C61_0000_0000_0000 | uint64(l)) // 'La' prefix
 }
 
-// FileDigest returns the stable synthetic content digest of unique file f.
-// Every instance of f shares it, which is exactly what file-level
-// deduplication keys on.
-func (d *Dataset) FileDigest(f FileID) digest.Digest {
-	return digest.FromUint64(0x4669_0000_0000_0000 | uint64(f)) // 'Fi' prefix
-}
-
 // Validate checks the structural invariants of the dataset; generation
 // bugs fail loudly here rather than corrupting downstream analysis.
 func (d *Dataset) Validate() error {

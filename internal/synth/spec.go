@@ -14,12 +14,11 @@ import (
 // Paper-reported full-scale totals (§III-B, §VII). These anchor the Scale
 // parameter: Scale 1.0 reproduces the paper's entity counts exactly.
 const (
-	PaperRepos            = 457_627       // distinct repositories after crawl dedup
-	PaperCrawlRawEntries  = 634_412       // search results before dedup
-	PaperImagesDownloaded = 355_319       // images with accessible latest tag
-	PaperImagesFailed     = 111_384       // images that could not be downloaded
-	PaperLayers           = 1_792_609     // unique compressed layers
-	PaperFiles            = 5_278_465_130 // file instances across all layers
+	PaperRepos            = 457_627   // distinct repositories after crawl dedup
+	PaperCrawlRawEntries  = 634_412   // search results before dedup
+	PaperImagesDownloaded = 355_319   // images with accessible latest tag
+	PaperImagesFailed     = 111_384   // images that could not be downloaded
+	PaperLayers           = 1_792_609 // unique compressed layers
 )
 
 // Failure-mode split of the paper's 111,384 failed downloads (§III-B).

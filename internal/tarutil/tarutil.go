@@ -54,24 +54,6 @@ func depthOf(name string, isDir bool) int {
 // directories content is nil. Returning an error aborts the walk.
 type WalkFunc func(e Entry, content io.Reader) error
 
-// ErrNotGzip is returned by WalkGzip when the stream does not start with a
-// gzip header, which usually means the caller fetched a blob that the
-// registry stored uncompressed.
-var ErrNotGzip = errors.New("tarutil: stream is not gzip-compressed")
-
-// WalkGzip decompresses a gzip stream and walks the tar archive inside it.
-func WalkGzip(r io.Reader, fn WalkFunc) error {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		if errors.Is(err, gzip.ErrHeader) {
-			return ErrNotGzip
-		}
-		return fmt.Errorf("tarutil: opening gzip stream: %w", err)
-	}
-	defer zr.Close()
-	return Walk(zr, fn)
-}
-
 // Reader pools for WalkAuto. Layer walks are short-lived and high-volume,
 // so the decompression state (a 32 KiB read buffer and a gzip inflater,
 // together the dominant per-walk allocations) is recycled across walks.
@@ -89,8 +71,8 @@ const gzipMagic = "\x1f\x8b"
 // (the registry wire format) or a plain tarball (the uncompressed storage
 // policy the paper proposes for small layers). The format is sniffed from
 // the first two bytes through a pooled bufio.Reader, so the blob is read
-// exactly once — unlike WalkGzip, no second fetch is needed for the
-// plain-tar fallback. Decompressor state is pooled across calls.
+// exactly once — no second fetch is needed for the plain-tar fallback.
+// Decompressor state is pooled across calls.
 func WalkAuto(r io.Reader, fn WalkFunc) error {
 	br := bufReaderPool.Get().(*bufio.Reader)
 	br.Reset(r)
@@ -225,25 +207,6 @@ func (b *Builder) File(name string, content []byte) error {
 		return b.err
 	}
 	_, b.err = b.tw.Write(content)
-	return b.err
-}
-
-// FileFrom adds a regular file streaming size bytes from r.
-func (b *Builder) FileFrom(name string, size int64, r io.Reader) error {
-	if b.err != nil {
-		return b.err
-	}
-	b.err = b.tw.WriteHeader(&tar.Header{
-		Typeflag: tar.TypeReg,
-		Name:     name,
-		Mode:     0o644,
-		Size:     size,
-		ModTime:  modTime,
-	})
-	if b.err != nil {
-		return b.err
-	}
-	_, b.err = io.CopyN(b.tw, r, size)
 	return b.err
 }
 

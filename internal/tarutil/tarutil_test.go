@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -35,7 +34,7 @@ func buildSample(t *testing.T, gz bool) []byte {
 	if err := b.File("README", []byte("docs")); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.FileFrom("usr/stream.dat", 5, strings.NewReader("12345")); err != nil {
+	if err := b.File("usr/stream.dat", []byte("12345")); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Close(); err != nil {
@@ -61,7 +60,7 @@ func collect(t *testing.T, data []byte, gz bool) ([]Entry, map[string]string) {
 	}
 	var err error
 	if gz {
-		err = WalkGzip(bytes.NewReader(data), fn)
+		err = WalkAuto(bytes.NewReader(data), fn)
 	} else {
 		err = Walk(bytes.NewReader(data), fn)
 	}
@@ -98,14 +97,6 @@ func TestRoundTripGzip(t *testing.T) {
 	plain := buildSample(t, false)
 	if len(data) >= len(plain) {
 		t.Errorf("gzip output %d not smaller than plain %d", len(data), len(plain))
-	}
-}
-
-func TestWalkGzipRejectsPlainTar(t *testing.T) {
-	data := buildSample(t, false)
-	err := WalkGzip(bytes.NewReader(data), func(Entry, io.Reader) error { return nil })
-	if !errors.Is(err, ErrNotGzip) {
-		t.Fatalf("WalkGzip(plain tar) error = %v, want ErrNotGzip", err)
 	}
 }
 
@@ -236,7 +227,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			return false
 		}
 		got := make(map[string][]byte)
-		err = WalkGzip(bytes.NewReader(buf.Bytes()), func(e Entry, r io.Reader) error {
+		err = WalkAuto(bytes.NewReader(buf.Bytes()), func(e Entry, r io.Reader) error {
 			if r == nil {
 				return nil
 			}
@@ -287,7 +278,7 @@ func BenchmarkWalkLayer(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		WalkGzip(bytes.NewReader(data), func(e Entry, r io.Reader) error {
+		WalkAuto(bytes.NewReader(data), func(e Entry, r io.Reader) error {
 			if r != nil {
 				io.Copy(io.Discard, r)
 			}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -32,7 +33,7 @@ func pushWireImage(client *registry.Client, d *synth.Dataset, repo string, imgID
 		if err != nil {
 			return nil, err
 		}
-		if _, err := client.PushBlob(repo, blob); err != nil {
+		if _, err := client.PushBlobContext(context.Background(), repo, blob); err != nil {
 			return nil, fmt.Errorf("layer %d: %w", l, err)
 		}
 		descs[j] = synth.LayerDescriptor(blob)
@@ -41,10 +42,10 @@ func pushWireImage(client *registry.Client, d *synth.Dataset, repo string, imgID
 	if err != nil {
 		return nil, err
 	}
-	if _, err := client.PushBlob(repo, cfg); err != nil {
+	if _, err := client.PushBlobContext(context.Background(), repo, cfg); err != nil {
 		return nil, err
 	}
-	if _, err := client.PushManifest(repo, "latest", m); err != nil {
+	if _, err := client.PushManifestContext(context.Background(), repo, "latest", m); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -133,7 +134,7 @@ func TestNodeLiveConcurrentChurnMatchesBatch(t *testing.T) {
 		go func(p *push) {
 			defer wg.Done()
 			<-p.done
-			if err := client.DeleteManifest(p.name, "latest"); err != nil {
+			if err := client.DeleteManifestContext(context.Background(), p.name, "latest"); err != nil {
 				errs <- fmt.Errorf("delete %s: %w", p.name, err)
 			}
 		}(p)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -168,7 +169,7 @@ func TestClusterByteParityAndErrorTaxonomy(t *testing.T) {
 		if err != nil || !bytes.Equal(raw2, raw) {
 			t.Fatalf("%s: by-digest manifest mismatch (err=%v)", img.repo, err)
 		}
-		body, err := rc.BlobVerified(img.repo, img.layerD)
+		body, err := blobVerified(rc, img.repo, img.layerD)
 		if err != nil {
 			t.Fatalf("%s: blob via router: %v", img.repo, err)
 		}
@@ -202,7 +203,7 @@ func TestClusterColdPullsCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body, err := rc.BlobVerified(img.repo, img.layerD)
+			body, err := blobVerified(rc, img.repo, img.layerD)
 			if err == nil && !bytes.Equal(body, img.layer) {
 				err = errors.New("blob bytes differ")
 			}
@@ -261,7 +262,7 @@ func TestClusterDrainUnderLoadZeroFailures(t *testing.T) {
 					err = fmt.Errorf("manifest digest mismatch for %s", img.repo)
 				}
 				if err == nil {
-					_, err = rc.BlobVerified(img.repo, img.layerD)
+					_, err = blobVerified(rc, img.repo, img.layerD)
 				}
 				if err != nil {
 					t.Errorf("pull %s during drain: %v", img.repo, err)
@@ -288,27 +289,12 @@ func TestClusterDrainUnderLoadZeroFailures(t *testing.T) {
 	}
 }
 
-// The pacer must cap a node's aggregate egress near the configured rate.
-func TestPacerCapsRate(t *testing.T) {
-	p := newPacer(1 << 20) // 1 MiB/s
-	start := time.Now()
-	var wg sync.WaitGroup
-	var slept atomic.Int64
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 16; j++ {
-				if wait := p.reserve(4 << 10); wait > 0 {
-					slept.Add(int64(wait))
-					time.Sleep(wait)
-				}
-			}
-		}()
+// blobVerified reads a whole blob through the verifying stream.
+func blobVerified(c *registry.Client, name string, d digest.Digest) ([]byte, error) {
+	rc, _, err := c.BlobStreamVerifiedContext(context.Background(), name, d)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	// 4 workers × 16 × 4 KiB = 256 KiB at 1 MiB/s ⇒ ≥ ~250ms wall clock.
-	if el := time.Since(start); el < 200*time.Millisecond {
-		t.Fatalf("256 KiB at 1 MiB/s took %v, want >= 200ms", el)
-	}
+	defer rc.Close()
+	return io.ReadAll(rc)
 }

@@ -159,10 +159,6 @@ type Site struct {
 	// from a node — so load runs measure the nodes, not the router's
 	// memory.
 	RouterCacheBytes int64
-	// NodeBandwidth, when positive, paces each node's response writes to
-	// this many bytes/second — a stand-in for per-machine egress, so
-	// aggregate pull throughput scales with node count on one host.
-	NodeBandwidth int64
 
 	// Repos is the repository metadata: the live index reports over it
 	// and node seeding takes each repository's privacy from it.
@@ -303,7 +299,7 @@ func Provision(g *serve.Group, t Topology, site Site) (*Stack, error) {
 			}
 		}
 		if t.Nodes == 0 {
-			if front, err = p.serve(s.Origin, "registry", t.MirrorBytes == 0, 0); err != nil {
+			if front, err = p.serve(s.Origin, "registry", t.MirrorBytes == 0); err != nil {
 				return nil, err
 			}
 		}
@@ -325,7 +321,7 @@ func Provision(g *serve.Group, t Topology, site Site) (*Stack, error) {
 			if err != nil {
 				return nil, err
 			}
-			srv, err := p.serve(n, fmt.Sprintf("node%d", i), false, site.NodeBandwidth)
+			srv, err := p.serve(n, fmt.Sprintf("node%d", i), false)
 			if err != nil {
 				return nil, err
 			}
@@ -426,18 +422,14 @@ func (p *provisioner) start(name string, h http.Handler, endpoint bool) (*serve.
 }
 
 // serve mounts a backend: its registry, with the analytics API beside it
-// when it has one, its response writes paced to bps bytes/second when
-// positive.
-func (p *provisioner) serve(b *Backend, name string, endpoint bool, bps int64) (*serve.Server, error) {
+// when it has one.
+func (p *provisioner) serve(b *Backend, name string, endpoint bool) (*serve.Server, error) {
 	var h http.Handler = b.Registry
 	if b.Live != nil {
 		mux := http.NewServeMux()
 		mux.Handle("/analytics/", b.Live.Handler())
 		mux.Handle("/", b.Registry)
 		h = mux
-	}
-	if bps > 0 {
-		h = paced(h, newPacer(bps))
 	}
 	srv, err := p.start(name, h, endpoint)
 	if err != nil {

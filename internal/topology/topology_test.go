@@ -87,7 +87,7 @@ func pull(t *testing.T, c *registry.Client, img image) {
 	if _, d, err := c.ManifestRawContext(context.Background(), img.repo, "latest"); err != nil || d != img.manifest {
 		t.Fatalf("manifest via %s: digest %s err %v", c.Base, d, err)
 	}
-	body, err := c.BlobVerified(img.repo, img.layerD)
+	body, err := blobVerified(c, img.repo, img.layerD)
 	if err != nil || !bytes.Equal(body, img.layer) {
 		t.Fatalf("blob via %s: %d bytes, err %v", c.Base, len(body), err)
 	}

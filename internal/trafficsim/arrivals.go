@@ -144,12 +144,3 @@ func (s *SquareWave) Next() time.Duration {
 		return seconds(s.t)
 	}
 }
-
-// Schedule materializes the first n arrivals of a process.
-func Schedule(a Arrivals, n int) []time.Duration {
-	out := make([]time.Duration, n)
-	for i := range out {
-		out[i] = a.Next()
-	}
-	return out
-}

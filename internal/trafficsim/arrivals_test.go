@@ -17,13 +17,13 @@ func TestPoissonDeterministic(t *testing.T) {
 		}
 		return p
 	}
-	a, b := Schedule(mk(), 1000), Schedule(mk(), 1000)
+	a, b := schedule(mk(), 1000), schedule(mk(), 1000)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("arrival %d differs across same-seed runs: %v vs %v", i, a[i], b[i])
 		}
 	}
-	c := Schedule(func() Arrivals {
+	c := schedule(func() Arrivals {
 		p, _ := NewPoisson(100, rand.New(rand.NewSource(43)))
 		return p
 	}(), 1000)
@@ -44,7 +44,7 @@ func TestPoissonEmpiricalRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := Schedule(p, n)
+	sched := schedule(p, n)
 	last := sched[n-1].Seconds()
 	got := float64(n) / last
 	// n exponential draws: relative error of the empirical rate
@@ -64,7 +64,7 @@ func TestConstantSpacing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := Schedule(c, 100)
+	sched := schedule(c, 100)
 	if sched[0] != 0 {
 		t.Fatalf("first constant arrival at %v, want 0", sched[0])
 	}
@@ -88,7 +88,7 @@ func TestSquareWaveDutyCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := Schedule(s, n)
+	sched := schedule(s, n)
 
 	// Bucket arrivals by phase-of-period; the burst window [0, duty*T)
 	// must hold roughly duty*burst/(duty*burst + (1-duty)*base) of them.
@@ -124,7 +124,7 @@ func TestSquareWaveZeroBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, at := range Schedule(s, 2000) {
+	for i, at := range schedule(s, 2000) {
 		phase := at.Seconds() - float64(int64(at.Seconds()/period.Seconds()))*period.Seconds()
 		if phase >= 0.1*period.Seconds() {
 			t.Fatalf("arrival %d at %v falls in the zero-rate quiet phase (offset %.3fs)", i, at, phase)
@@ -165,7 +165,7 @@ func TestArrivalSpecMeanRate(t *testing.T) {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		const n = 30000
-		sched := Schedule(a, n)
+		sched := schedule(a, n)
 		got := float64(n) / sched[n-1].Seconds()
 		if got < 150*0.93 || got > 150*1.07 {
 			t.Errorf("%s: mean rate %.1f/s outside 7%% of 150/s", kind, got)
@@ -174,4 +174,13 @@ func TestArrivalSpecMeanRate(t *testing.T) {
 	if _, err := (ArrivalSpec{Kind: "sawtooth", Rate: 1}).Build(env); err == nil {
 		t.Error("Build accepted unknown arrival kind")
 	}
+}
+
+// schedule materializes the first n arrivals of a process.
+func schedule(a Arrivals, n int) []time.Duration {
+	out := make([]time.Duration, n)
+	for i := range out {
+		out[i] = a.Next()
+	}
+	return out
 }

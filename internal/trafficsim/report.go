@@ -77,11 +77,6 @@ type Options struct {
 	Arrivals ArrivalSpec
 	// Timeout bounds each request (0 = none).
 	Timeout time.Duration
-	// MaxOutstanding caps in-flight requests (DefaultMaxOutstanding
-	// when 0).
-	MaxOutstanding int
-	// ShutdownTimeout bounds the post-run drain (default 30s).
-	ShutdownTimeout time.Duration
 }
 
 // Execute provisions the scenario on a fresh serve.Group, runs the
@@ -90,14 +85,11 @@ type Options struct {
 // connection state leaks between probes.
 func Execute(ctx context.Context, sc Scenario, opt Options) (*Result, error) {
 	g := &serve.Group{}
-	sdTimeout := opt.ShutdownTimeout
-	if sdTimeout <= 0 {
-		sdTimeout = 30 * time.Second
-	}
 	// Drain must run even when the workload ctx was cancelled mid-run —
-	// detach from cancellation, keep the caller's values.
+	// detach from cancellation, keep the caller's values — and is bounded
+	// at 30s.
 	shutdown := func() error {
-		sdctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), sdTimeout)
+		sdctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
 		defer cancel()
 		return g.Shutdown(sdctx)
 	}
@@ -109,11 +101,10 @@ func Execute(ctx context.Context, sc Scenario, opt Options) (*Result, error) {
 	}
 
 	cfg := Config{
-		Requests:       opt.Env.Requests,
-		Op:             opFor,
-		Clock:          opt.Env.Clock,
-		Timeout:        opt.Timeout,
-		MaxOutstanding: opt.MaxOutstanding,
+		Requests: opt.Env.Requests,
+		Op:       opFor,
+		Clock:    opt.Env.Clock,
+		Timeout:  opt.Timeout,
 	}
 	var res *Result
 	var runErr error

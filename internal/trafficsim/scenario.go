@@ -124,12 +124,12 @@ func provision(g *serve.Group, env *Env, t topology.Topology, site topology.Site
 // sharded is provision on an n-node cluster (2 when nodes <= 0) behind
 // its router. The router cache is pinned to coalescing-only so runs
 // measure the nodes, not the router's memory.
-func sharded(g *serve.Group, env *Env, nodes, replicas int, nodeBW int64) (*population, *topology.Stack, error) {
+func sharded(g *serve.Group, env *Env, nodes, replicas int) (*population, *topology.Stack, error) {
 	if nodes <= 0 {
 		nodes = 2
 	}
 	return provision(g, env, topology.Topology{Nodes: nodes, Replicas: replicas},
-		topology.Site{NodeBandwidth: nodeBW, RouterCacheBytes: -1}, nil)
+		topology.Site{RouterCacheBytes: -1}, nil)
 }
 
 // pullImage fetches a repository's latest manifest and streams every

@@ -17,14 +17,10 @@ import (
 // PullStorm is the Zipf-skewed pull storm: the popularity-weighted trace
 // (heavy skew, a few hot images taking most pulls — the paper's §IV-B
 // shape) replayed against a sharded registry cluster behind its router.
-// NodeBandwidth paces each node's egress so capacity is a configuration,
-// not an artifact of the host CPU — overload rates stay meaningful across
-// machines.
+// Nothing is paced: capacity is what the code on this host sustains.
 type PullStorm struct {
 	// Nodes and Replicas size the cluster (defaults 2 and 2).
 	Nodes, Replicas int
-	// NodeBandwidth paces each node's egress in bytes/s (0 = unpaced).
-	NodeBandwidth int64
 }
 
 // Name implements Scenario.
@@ -32,7 +28,7 @@ func (s *PullStorm) Name() string { return "pull-storm" }
 
 // Setup implements Scenario.
 func (s *PullStorm) Setup(ctx context.Context, g *serve.Group, env *Env) (func(i int) Op, error) {
-	pop, stack, err := sharded(g, env, s.Nodes, s.Replicas, s.NodeBandwidth)
+	pop, stack, err := sharded(g, env, s.Nodes, s.Replicas)
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +313,7 @@ func (s *SlowClients) Setup(ctx context.Context, g *serve.Group, env *Env) (func
 	var pop *population
 	var err error
 	if s.Nodes > 1 {
-		pop, s.Stack, err = sharded(g, env, s.Nodes, s.Replicas, 0)
+		pop, s.Stack, err = sharded(g, env, s.Nodes, s.Replicas)
 	} else {
 		pop, s.Stack, err = provision(g, env, topology.Topology{}, topology.Site{}, nil)
 	}

@@ -9,25 +9,21 @@ import (
 )
 
 // SLO is a declared service-level objective over one run: the
-// coordinated-omission-safe latency at a percentile must stay at or below
-// Latency, and the error+timeout fraction at or below MaxErrorRate.
+// coordinated-omission-safe p99 latency must stay at or below Latency,
+// and the error+timeout fraction at or below MaxErrorRate.
 type SLO struct {
-	// Percentile is the latency percentile the objective binds (e.g. 99
-	// or 99.9).
-	Percentile float64
-	// Latency is the bound at that percentile.
+	// Latency is the bound on p99.
 	Latency time.Duration
 	// MaxErrorRate bounds (errors+timeouts)/dispatched, 0..1.
 	MaxErrorRate float64
 }
 
 func (s SLO) String() string {
-	return fmt.Sprintf("p%g<=%v,err<=%.2g", s.Percentile, s.Latency, s.MaxErrorRate)
+	return fmt.Sprintf("p99<=%v,err<=%.2g", s.Latency, s.MaxErrorRate)
 }
 
 // Verdict is one SLO evaluated against one run, shaped for the bench JSON.
 type Verdict struct {
-	Percentile   float64 `json:"percentile"`
 	TargetMS     float64 `json:"target_ms"`
 	ObservedMS   float64 `json:"observed_ms"`
 	MaxErrorRate float64 `json:"max_error_rate"`
@@ -40,7 +36,6 @@ type Verdict struct {
 // rate is total).
 func (s SLO) Evaluate(r *Result) Verdict {
 	v := Verdict{
-		Percentile:   s.Percentile,
 		TargetMS:     float64(s.Latency) / float64(time.Millisecond),
 		MaxErrorRate: s.MaxErrorRate,
 		ErrorRate:    r.ErrorRate(),
@@ -48,7 +43,7 @@ func (s SLO) Evaluate(r *Result) Verdict {
 	if r.Latency.N() == 0 {
 		return v
 	}
-	observed := r.Latency.P(s.Percentile)
+	observed := r.Latency.P(99)
 	v.ObservedMS = float64(observed) / float64(time.Millisecond)
 	v.Pass = observed <= s.Latency && v.ErrorRate <= s.MaxErrorRate
 	return v

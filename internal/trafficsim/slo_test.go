@@ -27,7 +27,7 @@ func resultWithLatencies(lats ...time.Duration) *Result {
 }
 
 func TestSLOEvaluate(t *testing.T) {
-	slo := SLO{Percentile: 99, Latency: 100 * time.Millisecond, MaxErrorRate: 0.01}
+	slo := SLO{Latency: 100 * time.Millisecond, MaxErrorRate: 0.01}
 
 	fast := make([]time.Duration, 1000)
 	for i := range fast {
@@ -80,7 +80,7 @@ func searchHarness(capacity float64) func(ctx context.Context, rate float64) (*R
 }
 
 func TestSearchMaxRateBisection(t *testing.T) {
-	slo := SLO{Percentile: 99, Latency: 100 * time.Millisecond, MaxErrorRate: 0.01}
+	slo := SLO{Latency: 100 * time.Millisecond, MaxErrorRate: 0.01}
 	const capacity = 137.0
 
 	res, err := SearchMaxRate(context.Background(), 10, 1000, 12, slo, searchHarness(capacity))
@@ -103,7 +103,7 @@ func TestSearchMaxRateBisection(t *testing.T) {
 }
 
 func TestSearchMaxRateEndpoints(t *testing.T) {
-	slo := SLO{Percentile: 99, Latency: 100 * time.Millisecond}
+	slo := SLO{Latency: 100 * time.Millisecond}
 
 	// Capacity above the bracket: hi passes immediately.
 	res, err := SearchMaxRate(context.Background(), 10, 100, 8, slo, searchHarness(1e6))
@@ -135,7 +135,7 @@ func TestSearchMaxRateEndpoints(t *testing.T) {
 }
 
 func TestSLOString(t *testing.T) {
-	s := SLO{Percentile: 99, Latency: 250 * time.Millisecond, MaxErrorRate: 0.01}
+	s := SLO{Latency: 250 * time.Millisecond, MaxErrorRate: 0.01}
 	if got := s.String(); got != "p99<=250ms,err<=0.01" {
 		t.Errorf("SLO string = %q", got)
 	}
