@@ -19,11 +19,11 @@
 // and exits non-zero on any divergence.
 //
 // The last three modes are resident-service runs: images pushed over HTTP
-// into the live-analytics registry, figures rendered from the
-// incrementally maintained index (no batch pass) — without churn, with
-// liveChurn of the population deleted and re-pushed mid-run, and over the
-// deduplicating store, where the index observes the store's own one-pass
-// walk instead of a byte tee. Each live run's figures are checked against
+// into the live-analytics registry, figures rendered from the live
+// service's snapshot (no store re-read) — without churn, with liveChurn
+// of the population deleted and re-pushed mid-run, and over the
+// deduplicating store, where the service observes the store's own
+// one-pass walk instead of a byte tee. Each live run's figures are checked against
 // a batch AnalyzeStore pass over the registry the run left behind and
 // all live runs, across modes and worker counts, against each other; any
 // divergence exits non-zero. The live figure set has no
@@ -141,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if live {
 				extra += fmt.Sprintf(" walked=%d deletes=%d",
 					st.Origin.Ingest.BlobsWalked, st.Origin.Ingest.TagDeletes)
-				// The incremental index against a fresh batch pass over the
+				// The live snapshot against a fresh batch pass over the
 				// registry this very run left behind — the core claim.
 				batch, err := core.LiveBatchFigures(res, w)
 				if err != nil {

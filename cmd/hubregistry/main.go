@@ -34,13 +34,13 @@
 // content-addressed file pool under <data>/dedup-pool and prints the
 // realized savings; every pull reconstructs the exact wire bytes.
 //
-// -analytics attaches the always-on incremental analytics service
+// -analytics attaches the always-on analytics service
 // (internal/analytics) to the registry's write path and serves its query
 // API (/analytics/summary, /analytics/dedup, /analytics/figure/{id}) on
 // -analytics-addr. The hook is installed before the hub state, so the
-// tag registrations at startup backfill the live index from the stored
+// tag registrations at startup backfill its walk cache from the stored
 // blobs; pushes and deletes arriving over the wire afterwards keep it
-// current incrementally.
+// current.
 package main
 
 import (
@@ -152,7 +152,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		// The hub state installs after the ingest hook, so its tag
-		// registrations backfill the live index with fallback walks over
+		// registrations backfill the walk cache with fallback walks over
 		// the stored blobs.
 		site.Repos, site.Fill = st.Repos, st.Install
 	}

@@ -31,8 +31,13 @@ func (l *Live) Handler() http.Handler {
 	})
 	mux.HandleFunc("/analytics/dedup", func(w http.ResponseWriter, req *http.Request) {
 		s := l.Snapshot()
+		res, err := s.Result()
+		if err != nil {
+			registry.WriteError(w, http.StatusInternalServerError, "UNKNOWN", err.Error())
+			return
+		}
 		setEpoch(w, s.Epoch)
-		writeJSON(w, s.census.Ratios())
+		writeJSON(w, res.Index.Ratios())
 	})
 	mux.HandleFunc("/analytics/figures", func(w http.ResponseWriter, req *http.Request) {
 		s := l.Snapshot()

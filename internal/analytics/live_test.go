@@ -207,11 +207,12 @@ func fingerprint(figs []report.Figure) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestLiveMatchesBatch is the tentpole invariant end to end: ingest the
-// dataset through the wire push path, then require the incrementally
-// maintained state to render figures sha256-identical to a fresh batch
-// AnalyzeStore pass — after initial ingest, after deletes, and after
-// re-pushing the deleted images.
+// TestLiveMatchesBatch is the live service's invariant end to end: ingest
+// the dataset through the wire push path, then require the live state to
+// render figures sha256-identical to a fresh batch AnalyzeStore pass —
+// after initial ingest, after deletes, after re-pushing the deleted
+// images, with a second tag on several repos, and after deleting one of
+// those.
 func TestLiveMatchesBatch(t *testing.T) {
 	e := newEnv(t, 0.0002)
 	manifests := e.pushAll(t)
@@ -260,6 +261,36 @@ func TestLiveMatchesBatch(t *testing.T) {
 	}
 	if got := e.batchFingerprint(t, 1); got != afterRepush {
 		t.Fatalf("live != batch after re-push:\n live %s\nbatch %s", afterRepush, got)
+	}
+
+	// A second tag on several repos, each naming another repo's manifest:
+	// "alt" sorts before "latest", so the order of a repo's tags matters.
+	var alts []string
+	for i := 0; i+1 < len(names) && len(alts) < 4; i += 2 {
+		if _, err := e.client.PushManifestContext(context.Background(), names[i], "alt", manifests[names[i+1]]); err != nil {
+			t.Fatalf("tag %s:alt: %v", names[i], err)
+		}
+		alts = append(alts, names[i])
+	}
+	if len(alts) < 2 {
+		t.Fatalf("only %d repos got a second tag; test is vacuous", len(alts))
+	}
+	twoTags := e.liveFingerprint(t)
+	if twoTags == full {
+		t.Fatal("figures unchanged by second tags")
+	}
+	if got := e.batchFingerprint(t, 4); got != twoTags {
+		t.Fatalf("live != batch with two tags per repo:\n live %s\nbatch %s", twoTags, got)
+	}
+	if err := e.client.DeleteManifestContext(context.Background(), alts[0], "alt"); err != nil {
+		t.Fatalf("delete %s:alt: %v", alts[0], err)
+	}
+	afterAltDelete := e.liveFingerprint(t)
+	if afterAltDelete == twoTags {
+		t.Fatal("figures unchanged by deleting a second tag")
+	}
+	if got := e.batchFingerprint(t, 2); got != afterAltDelete {
+		t.Fatalf("live != batch after deleting a second tag:\n live %s\nbatch %s", afterAltDelete, got)
 	}
 
 	st := e.live.Stats()

@@ -105,7 +105,7 @@ func TestOnePassOverDecomposingStore(t *testing.T) {
 func (e *env) walkedLayers() int {
 	e.live.mu.Lock()
 	defer e.live.mu.Unlock()
-	return len(e.live.layers)
+	return len(e.live.walks)
 }
 
 // gzipLayer renders a deterministic gzip layer tarball the dedupstore can

@@ -31,7 +31,7 @@ func TestSnapshotIsolation(t *testing.T) {
 
 	// Writes land "mid-read": delete a tag and re-render the old snapshot
 	// concurrently from several goroutines — the race detector guards the
-	// copy-on-read census clone, and the bytes must not move.
+	// shared walks, and the bytes must not move.
 	var names []string
 	for name := range manifests {
 		names = append(names, name)

@@ -191,10 +191,11 @@ func fillCrossDup(res *Result, layerKeys func(int32) []uint64) error {
 }
 
 // WalkedLayer is the analysis of one real layer blob, produced by
-// WalkLayerReader and consumed by AnalyzeWalkedContext/AnalyzeStore. files is
-// sorted by key after census ingestion (dedup.Index.ObserveLayer sorts in
-// place), which keeps downstream per-file iteration deterministic
-// regardless of walk scheduling.
+// LayerAccumulator and consumed by AnalyzeWalkedContext/AnalyzeStore.
+// files is sorted by key (Finish sorts it, the order the census ingests
+// in), which keeps downstream per-file iteration deterministic regardless
+// of walk scheduling. A finished walk is never written again, so any
+// number of analyses may share it concurrently.
 type WalkedLayer struct {
 	profile LayerProfile
 	files   []dedup.FileObs
@@ -204,13 +205,6 @@ type WalkedLayer struct {
 // counts are a property of the image set, not of the layer bytes, and
 // are assigned by whichever analysis consumes the walk.
 func (wl *WalkedLayer) Profile() LayerProfile { return wl.profile }
-
-// Files returns the layer's file observations. The live-analytics
-// service retains them verbatim and replays them into its census
-// (dedup.Index.ObserveLayer sorts them by key on first ingestion, the
-// same canonical order the batch drain sees); callers must treat the
-// slice as immutable once ingested.
-func (wl *WalkedLayer) Files() []dedup.FileObs { return wl.files }
 
 // uniqueFilesPerLayerHint pre-sizes the wire-mode dedup census: at paper
 // scale 5.28 B instances over 1.79 M unique layers is ~2950 files per
@@ -238,11 +232,11 @@ func AnalyzeStore(store blobstore.Store, images []downloader.Image, workers int)
 // walked while they streamed off the wire (the fused pipeline): a layer
 // present in walked skips the store fetch and re-walk entirely; anything
 // missing (e.g. a tee attempt that failed and was re-fetched without the
-// tee) falls back to walking the store blob. The walked map is consumed —
-// file observations are sorted in place and Refs assigned — so it must not
-// be reused across calls. The result is bit-identical to AnalyzeStore over
-// the same store. When ctx is done, in-flight layer walks wind down and
-// the analysis returns ctx's error.
+// tee) falls back to walking the store blob. The walks are only read, so
+// one map may serve any number of calls, concurrently ones included. The
+// result is bit-identical to AnalyzeStore over the same store. When ctx is
+// done, in-flight layer walks wind down and the analysis returns ctx's
+// error.
 func AnalyzeWalkedContext(ctx context.Context, store blobstore.Store, images []downloader.Image, walked map[digest.Digest]*WalkedLayer, workers int) (*Result, error) {
 	return analyze(ctx, store, images, walked, workers)
 }
@@ -251,9 +245,10 @@ func analyze(ctx context.Context, store blobstore.Store, images []downloader.Ima
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Deterministic image order regardless of download completion order.
+	// Deterministic image order regardless of download completion order;
+	// stable, so the order of a repo's several tags is the caller's.
 	sorted := append([]downloader.Image(nil), images...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Repo < sorted[j].Repo })
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Repo < sorted[j].Repo })
 
 	// Unique layers, first-seen order; count image references. This
 	// numbering is the deterministic layer order of the Result.
@@ -271,7 +266,19 @@ func analyze(ctx context.Context, store blobstore.Store, images []downloader.Ima
 		}
 	}
 
-	res := newResult(len(layerDigests), 0, len(layerDigests)*uniqueFilesPerLayerHint)
+	// When every layer arrives walked (a live snapshot, the fused pull),
+	// their instance count bounds the unique files and caps the estimate.
+	hint := len(layerDigests) * uniqueFilesPerLayerHint
+	instances := 0
+	for _, ld := range layerDigests {
+		wl := prewalked[ld]
+		if wl == nil {
+			instances = hint
+			break
+		}
+		instances += len(wl.files)
+	}
+	res := newResult(len(layerDigests), 0, min(hint, instances))
 	res.Images = make([]ImageProfile, 0, len(sorted))
 
 	// Walk layers in parallel, streaming each straight into the census.
@@ -324,7 +331,6 @@ func analyze(ctx context.Context, store blobstore.Store, images []downloader.Ima
 						return
 					}
 				}
-				wl.profile.Refs = refs[i]
 				if err := res.Index.ObserveLayer(i, refs[i], wl.files); err != nil {
 					fail(err)
 					return
@@ -368,6 +374,7 @@ func analyze(ctx context.Context, store blobstore.Store, images []downloader.Ima
 		for int(next) < len(arrived) && arrived[next] {
 			wl := walked[next]
 			res.Layers[next] = wl.profile
+			res.Layers[next].Refs = refs[next]
 			for _, f := range wl.files {
 				res.FileSizes.Add(float64(f.Size))
 			}
@@ -565,8 +572,10 @@ func (a *LayerAccumulator) place(e tarutil.Entry) {
 }
 
 // Finish seals the layer with its compressed size (the wire bytes of the
-// whole blob) and returns it. The accumulator must not be used afterwards.
+// whole blob), sorts its files by key and returns it. The accumulator must
+// not be used afterwards.
 func (a *LayerAccumulator) Finish(cls int64) *WalkedLayer {
+	dedup.SortByKey(a.wl.files)
 	a.wl.profile.CLS = cls
 	a.wl.profile.DirCount = int32(len(a.dirs))
 	a.wl.profile.MaxDepth = int32(a.maxDepth)

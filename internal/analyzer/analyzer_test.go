@@ -2,8 +2,10 @@ package analyzer
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -376,6 +378,62 @@ func TestAnalyzeStoreWorkerInvariance(t *testing.T) {
 			if got, want := res.FileSizes.Quantile(q), base.FileSizes.Quantile(q); got != want {
 				t.Fatalf("workers=%d: p%v = %v, want %v", workers, q*100, got, want)
 			}
+		}
+	}
+}
+
+// TestAnalyzeWalkedSharesWalks runs two analyses at once over one map of
+// walks, as two live snapshots do: both must equal AnalyzeStore, and the
+// walks must come out byte-for-byte as they went in (the race detector
+// catches a write; the comparison catches an in-place sort).
+func TestAnalyzeWalkedSharesWalks(t *testing.T) {
+	store, images := wireImages(t, 0.0001)
+	want, err := AnalyzeStore(store, images, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walked := make(map[digest.Digest]*WalkedLayer)
+	before := make(map[digest.Digest]WalkedLayer)
+	for _, img := range images {
+		for _, ld := range img.Manifest.LayerDigests() {
+			if walked[ld] != nil {
+				continue
+			}
+			wl, err := walkLayer(store, ld)
+			if err != nil {
+				t.Fatal(err)
+			}
+			walked[ld] = wl
+			before[ld] = WalkedLayer{profile: wl.profile, files: slices.Clone(wl.files)}
+		}
+	}
+
+	results := make([]*Result, 2)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := AnalyzeWalkedContext(context.Background(), nil, images, walked, 4)
+			if err != nil {
+				t.Error(err)
+			}
+			results[i] = res
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for i, res := range results {
+		if !reflect.DeepEqual(res.Layers, want.Layers) || !reflect.DeepEqual(res.Images, want.Images) ||
+			!reflect.DeepEqual(res.FileSizes, want.FileSizes) || res.Index.Ratios() != want.Index.Ratios() {
+			t.Fatalf("analysis %d over shared walks differs from AnalyzeStore", i)
+		}
+	}
+	for ld, wl := range walked {
+		if !reflect.DeepEqual(*wl, before[ld]) {
+			t.Fatalf("walk of %s was written by an analysis", ld.Short())
 		}
 	}
 }

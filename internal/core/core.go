@@ -12,7 +12,7 @@
 //     the full methodology reproduction (§III). MirrorWarm pulls
 //     everything once first.
 //   - a Topology acquired by LivePush (live): the dataset is pushed into
-//     the stack and reported from its live index; see live.go.
+//     the stack and reported from its live snapshot; see live.go.
 //
 // What "the provisioned stack" is — storage backend, ingest hook, front
 // tier — is internal/topology's business.

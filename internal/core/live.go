@@ -18,13 +18,14 @@ import (
 // Live mode: the study's registry runs as a resident service with the
 // always-on analytics hook on its write path (Topology.Ingest). Instead of
 // materializing into the store and analyzing afterwards, every image is
-// pushed over HTTP — the hook analyzes layer bytes in flight — and the
-// figures come from the incrementally maintained live index, not a batch
-// pass. Optional churn deletes and re-pushes a fraction of the population
-// first, exercising the rollup path the batch study never has.
+// pushed over HTTP — the hook walks layer bytes in flight — and the
+// figures come from the live service's snapshot: the batch assembly over
+// the walks it kept, with no store re-read. Optional churn deletes and
+// re-pushes a fraction of the population first, exercising the tag table
+// and the walk cache the batch study never has.
 
 // live pushes the dataset into the provisioned stack, churns it when the
-// topology asks for churn, and takes the analysis from the live index's
+// topology asks for churn, and takes the analysis from the live service's
 // current snapshot. There is no crawl or download: the study never pulls
 // anything.
 func (s *Study) live(ctx context.Context, res *Result) error {
@@ -53,8 +54,8 @@ func (s *Study) live(ctx context.Context, res *Result) error {
 // then every downloadable repo's config and manifest. Blobs must all be
 // stored before any manifest referencing them is PUT, so the two phases
 // are separated by a barrier; within a phase the uploads fan out across
-// the run's workers. Concurrent arrival order does not matter: the live
-// index's figures are order-independent by construction.
+// the run's workers. Concurrent arrival order does not matter: snapshots
+// order images by (repo, tag), not by arrival.
 func (s *Study) livePush(ctx context.Context, res *Result, client *registry.Client) error {
 	d := res.Dataset
 	workers := engine.Workers(s.Workers)
@@ -132,10 +133,9 @@ func (s *Study) livePush(ctx context.Context, res *Result, client *registry.Clie
 
 // liveChurn deletes and re-pushes a deterministic random fraction
 // (Topology.Churn) of the tagged population over the wire: every churned
-// repo's latest tag is DELETEd (the live index rolls the image back out)
-// and its manifest re-PUT (the index re-admits it from the still-stored
-// walks). A correct rollup leaves the final figures identical to a
-// churn-free run.
+// repo's latest tag is DELETEd (the image leaves the tag table) and its
+// manifest re-PUT (it returns, analyzed from the still-cached walks). The
+// final figures must be identical to a churn-free run.
 func (s *Study) liveChurn(ctx context.Context, d *synth.Dataset, client *registry.Client) error {
 	var names []string
 	for ri := range d.Repos {
@@ -167,7 +167,7 @@ func (s *Study) liveChurn(ctx context.Context, d *synth.Dataset, client *registr
 
 // LiveBatchFigures renders the reference figures for a live run the slow
 // way: enumerate the registry's surviving images, batch-analyze their
-// stored bytes, and render. A correct live index makes this
+// stored bytes, and render. A correct live service makes this
 // bit-identical to the run's own Figures — goldencheck's live rows assert
 // exactly that.
 func LiveBatchFigures(res *Result, workers int) ([]report.Figure, error) {

@@ -24,8 +24,8 @@ func figFingerprint(figs []report.Figure) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestRunLiveMatchesBatch: a live run's figures — rendered from the
-// incrementally maintained index, never a batch pass — must be
+// TestRunLiveMatchesBatch: a live run's figures — rendered from the walks
+// the live service kept, never a store re-read — must be
 // bit-identical to batch-analyzing the registry the run left behind, on
 // the plain store and on the deduplicating one.
 func TestRunLiveMatchesBatch(t *testing.T) {

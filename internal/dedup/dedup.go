@@ -29,6 +29,7 @@
 package dedup
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -76,20 +77,16 @@ type FileObs struct {
 	Type filetype.Type
 }
 
-// sortObsByKey orders one layer's observations by key: the shared
-// pre-pass of ObserveLayer and RemoveLayer, so each lock stripe is
-// visited once and duplicate keys within the layer collapse into a
-// single record update.
-func sortObsByKey(obs []FileObs) {
-	slices.SortFunc(obs, func(a, b FileObs) int {
-		switch {
-		case a.Key < b.Key:
-			return -1
-		case a.Key > b.Key:
-			return 1
-		}
-		return 0
-	})
+// SortByKey orders one layer's observations by key in place, the order
+// ObserveLayer ingests in: each lock stripe is visited once and duplicate
+// keys within the layer collapse into a single record update. A slice
+// that is already sorted is not written, so walks sorted once may be
+// shared by concurrent readers.
+func SortByKey(obs []FileObs) {
+	byKey := func(a, b FileObs) int { return cmp.Compare(a.Key, b.Key) }
+	if !slices.IsSortedFunc(obs, byKey) {
+		slices.SortFunc(obs, byKey)
+	}
 }
 
 // Index is the global file census.
@@ -107,9 +104,6 @@ type Index struct {
 	instBytes  atomic.Int64
 }
 
-// NewIndex returns an empty census.
-func NewIndex() *Index { return NewIndexSized(0) }
-
 // NewIndexSized returns an empty census pre-sized for an expected number
 // of unique files, avoiding incremental map growth on large runs (the
 // unique count is predictable: ~3% of the instance count at paper scale).
@@ -126,12 +120,9 @@ func NewIndexSized(uniqueHint int) *Index {
 var (
 	ErrNotInLayer = errors.New("dedup: Observe outside BeginLayer/EndLayer")
 	// ErrSealed reports feeding into a census whose lifecycle has ended:
-	// Seal declared the census complete, so
-	// further Observe/ObserveLayer/RemoveLayer calls are a protocol bug in
-	// the caller. Incremental maintenance belongs on an unsealed index —
-	// the live-analytics path never seals; the batch path seals exactly
-	// once after its single feeding pass.
-	ErrSealed = errors.New("dedup: census is sealed (Seal already declared feeding complete; use an unsealed index for incremental updates)")
+	// Seal declared the census complete, so further Observe/ObserveLayer
+	// calls are a protocol bug in the caller.
+	ErrSealed = errors.New("dedup: census is sealed (Seal already declared feeding complete)")
 )
 
 // BeginLayer starts feeding one layer's instances. refs is the number of
@@ -186,10 +177,9 @@ func (x *Index) EndLayer() error {
 // pre-assigned layer number (0-based; the caller fixes the numbering up
 // front, e.g. from manifest order). refs is the layer's image-reference
 // count. Calls for distinct layers are safe to run concurrently; the same
-// layer must not be fed twice. obs is re-ordered in place (sorted by key)
-// so that each lock stripe is visited once and duplicate keys within the
-// layer collapse into a single record update, exactly matching the
-// sequential protocol's distinct-layer accounting.
+// layer must not be fed twice. obs is sorted by key in place unless it
+// already is (see SortByKey), which keeps the distinct-layer accounting
+// exactly the sequential protocol's.
 func (x *Index) ObserveLayer(layer, refs int32, obs []FileObs) error {
 	if x.sealed.Load() {
 		return ErrSealed
@@ -208,7 +198,7 @@ func (x *Index) ObserveLayer(layer, refs int32, obs []FileObs) error {
 	if len(obs) == 0 {
 		return nil
 	}
-	sortObsByKey(obs)
+	SortByKey(obs)
 	var inst, bytes int64
 	i := 0
 	for i < len(obs) {
@@ -244,11 +234,9 @@ func (x *Index) ObserveLayer(layer, refs int32, obs []FileObs) error {
 	return nil
 }
 
-// Seal declares feeding complete; no further layers may be added or
-// removed. Sealing is optional: reads only require that feeding has
-// quiesced, and the live-analytics path keeps its index unsealed forever,
-// relying on Clone for consistent read snapshots. The batch path seals to
-// turn any late feeding bug into an explicit ErrSealed.
+// Seal declares feeding complete; no further layers may be added.
+// Sealing is optional: reads only require that feeding has quiesced. The
+// analyzer seals to turn any late feeding bug into an explicit ErrSealed.
 func (x *Index) Seal() error {
 	if x.inLayer {
 		return errors.New("dedup: Seal with a layer open")

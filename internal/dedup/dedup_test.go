@@ -1,8 +1,10 @@
 package dedup
 
 import (
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,7 +23,7 @@ type obs struct {
 
 func feed(t *testing.T, layers [][]obs, refs []int32) *Index {
 	t.Helper()
-	x := NewIndex()
+	x := NewIndexSized(0)
 	for i, layer := range layers {
 		r := int32(1)
 		if i < len(refs) {
@@ -75,7 +77,7 @@ func TestRatios(t *testing.T) {
 }
 
 func TestRatiosEmpty(t *testing.T) {
-	x := NewIndex()
+	x := NewIndexSized(0)
 	x.Seal()
 	r := x.Ratios()
 	if r.CountRatio != 0 || r.CapacityRatio != 0 || r.UniqueFrac != 0 {
@@ -84,7 +86,7 @@ func TestRatiosEmpty(t *testing.T) {
 }
 
 func TestProtocolErrors(t *testing.T) {
-	x := NewIndex()
+	x := NewIndexSized(0)
 	if err := x.Observe(1, 1, filetype.ASCIIText); err == nil {
 		t.Error("Observe before BeginLayer accepted")
 	}
@@ -102,6 +104,30 @@ func TestProtocolErrors(t *testing.T) {
 	x.Seal()
 	if err := x.BeginLayer(1); err == nil {
 		t.Error("BeginLayer after Seal accepted")
+	}
+}
+
+// TestSealedLifecycle: feeding after Seal is ErrSealed under both
+// protocols, and Seal refuses an open layer.
+func TestSealedLifecycle(t *testing.T) {
+	x := NewIndexSized(0)
+	if err := x.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.BeginLayer(1); !errors.Is(err, ErrSealed) || !strings.Contains(err.Error(), "sealed") {
+		t.Fatalf("BeginLayer after Seal = %v", err)
+	}
+	y := NewIndexSized(0)
+	y.BeginLayer(1)
+	if err := y.Seal(); err == nil || !strings.Contains(err.Error(), "layer open") {
+		t.Fatalf("Seal with open layer = %v", err)
+	}
+	y.EndLayer()
+	if err := y.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := y.ObserveLayer(0, 1, []FileObs{{Key: 1, Size: 1}}); !errors.Is(err, ErrSealed) {
+		t.Fatalf("ObserveLayer after Seal = %v, want ErrSealed", err)
 	}
 }
 
@@ -236,7 +262,7 @@ func TestQuickAccountingInvariants(t *testing.T) {
 		if len(keys) == 0 {
 			return true
 		}
-		x := NewIndex()
+		x := NewIndexSized(0)
 		x.BeginLayer(1)
 		for i, k := range keys {
 			size := int64(0)
@@ -264,7 +290,7 @@ func TestQuickAccountingInvariants(t *testing.T) {
 }
 
 func BenchmarkObserve(b *testing.B) {
-	x := NewIndex()
+	x := NewIndexSized(0)
 	x.BeginLayer(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -318,7 +344,7 @@ func snapshot(x *Index) map[uint64]recSnapshot {
 func TestObserveLayerMatchesSequential(t *testing.T) {
 	plan, refs := planLayers(40, 200)
 
-	seq := NewIndex()
+	seq := NewIndexSized(0)
 	for l, obs := range plan {
 		if err := seq.BeginLayer(refs[l]); err != nil {
 			t.Fatal(err)
@@ -390,7 +416,7 @@ func TestObserveLayerMatchesSequential(t *testing.T) {
 }
 
 func TestObserveLayerErrors(t *testing.T) {
-	x := NewIndex()
+	x := NewIndexSized(0)
 	if err := x.ObserveLayer(-1, 1, nil); err == nil {
 		t.Error("negative layer accepted")
 	}
@@ -404,7 +430,7 @@ func TestObserveLayerErrors(t *testing.T) {
 // collapse: two instances in one layer count one distinct layer, matching
 // the sequential lastLayer accounting.
 func TestObserveLayerDuplicatesWithinLayer(t *testing.T) {
-	x := NewIndex()
+	x := NewIndexSized(0)
 	obs := []FileObs{
 		{Key: 7, Size: 10, Type: filetype.ASCIIText},
 		{Key: 9, Size: 20, Type: filetype.ASCIIText},

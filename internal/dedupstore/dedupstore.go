@@ -17,7 +17,7 @@
 //     duplicate files across concurrent pushes coalesce again inside the
 //     lock-striped pool. The walk is observable: a reader that carries a
 //     blobstore.MemberObserver is told of every member and of the commit,
-//     so the live analytics census is fed from this pass instead of
+//     so the live analytics walk is fed from this pass instead of
 //     gunzipping and hashing the layer again.
 //   - Get reconstructs the wire blob on read: the tar is reassembled from
 //     pooled file contents (re-gzipped when the original was
@@ -267,7 +267,7 @@ func (s *Store) PutVerified(want digest.Digest, content []byte) error {
 //
 // When r carries a blobstore.MemberObserver the decomposition reports each
 // member to it, so a second consumer of the layer's contents (the live
-// analytics census) rides this walk instead of inflating the blob again.
+// analytics walk) rides this walk instead of inflating the blob again.
 // Only the put that commits the blob as a recipe reaches End; a rejected
 // upload reports members but no End, a put that finds the blob stored or
 // coalesces onto another flight claims the observer and reports nothing,

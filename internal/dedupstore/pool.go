@@ -36,14 +36,7 @@ type poolShard struct {
 
 	mu      sync.Mutex
 	refs    map[digest.Digest]int64
-	flights map[digest.Digest]*poolFlight
-}
-
-// poolFlight is one in-progress backing write. err is set before done
-// closes.
-type poolFlight struct {
-	done chan struct{}
-	err  error
+	flights map[digest.Digest]chan struct{} // in-progress backing writes; closed when done
 }
 
 // NewPool builds a pool striped over the given backing stores (one shard
@@ -55,7 +48,7 @@ func NewPool(backings ...blobstore.Store) *Pool {
 		p.shards[i] = &poolShard{
 			backing: b,
 			refs:    make(map[digest.Digest]int64),
-			flights: make(map[digest.Digest]*poolFlight),
+			flights: make(map[digest.Digest]chan struct{}),
 		}
 	}
 	return p
@@ -99,75 +92,64 @@ func (p *Pool) shardFor(d digest.Digest) *poolShard {
 }
 
 // add stores content under d (the caller has already hashed it) and counts
-// one reference. Concurrent adds of the same digest coalesce onto one
-// backing write; the losers just take references. A failed write lets the
-// next waiter retry as the new winner.
+// one reference.
 func (p *Pool) add(d digest.Digest, content []byte) error {
-	sh := p.shardFor(d)
-	for {
-		sh.mu.Lock()
-		if sh.refs[d] > 0 {
-			sh.refs[d]++
-			sh.mu.Unlock()
-			return nil
-		}
-		if f, ok := sh.flights[d]; ok {
-			sh.mu.Unlock()
-			<-f.done
-			// Success: loop to take a reference. Failure: loop to retry as
-			// the winner.
-			continue
-		}
-		f := &poolFlight{done: make(chan struct{})}
-		sh.flights[d] = f
-		sh.mu.Unlock()
-
-		err := sh.backing.PutVerified(d, content)
-		sh.mu.Lock()
-		delete(sh.flights, d)
-		if err == nil {
-			sh.refs[d] = 1
-		}
-		sh.mu.Unlock()
-		f.err = err
-		close(f.done)
-		if err != nil {
-			return fmt.Errorf("dedupstore: pooling %s: %w", d.Short(), err)
-		}
-		return nil
+	put := func(b blobstore.Store) (int64, error) { return 0, b.PutVerified(d, content) }
+	if _, err := p.claim(d, put, nil); err != nil {
+		return fmt.Errorf("dedupstore: pooling %s: %w", d.Short(), err)
 	}
+	return nil
 }
 
 // addStream is add for content that only exists as a stream (raw blobs on
 // the put path). The stream is always consumed to EOF and digest-verified,
-// even when the digest is already pooled.
+// even when the digest is already pooled; a stream that fails to verify
+// takes no reference.
 func (p *Pool) addStream(d digest.Digest, r io.Reader) (int64, error) {
+	put := func(b blobstore.Store) (int64, error) { return b.PutStream(d, r) }
+	return p.claim(d, put, func() (int64, error) { return blobstore.DrainVerify(d, r) })
+}
+
+// claim is the singleflight under add and addStream. Concurrent claims of
+// one digest coalesce onto a single put into the backing store; everyone
+// else takes a reference and runs held (when non-nil), releasing the
+// reference again if held fails. A failed put lets the next waiter retry
+// as the new winner.
+func (p *Pool) claim(d digest.Digest, put func(blobstore.Store) (int64, error), held func() (int64, error)) (int64, error) {
 	sh := p.shardFor(d)
 	for {
 		sh.mu.Lock()
 		if sh.refs[d] > 0 {
 			sh.refs[d]++
 			sh.mu.Unlock()
-			return blobstore.DrainVerify(d, r)
+			if held == nil {
+				return 0, nil
+			}
+			n, err := held()
+			if err != nil {
+				p.unref(d)
+			}
+			return n, err
 		}
-		if f, ok := sh.flights[d]; ok {
+		if done, ok := sh.flights[d]; ok {
 			sh.mu.Unlock()
-			<-f.done
+			<-done
+			// Success: loop to take a reference. Failure: loop to retry as
+			// the winner.
 			continue
 		}
-		f := &poolFlight{done: make(chan struct{})}
-		sh.flights[d] = f
+		done := make(chan struct{})
+		sh.flights[d] = done
 		sh.mu.Unlock()
 
-		n, err := sh.backing.PutStream(d, r)
+		n, err := put(sh.backing)
 		sh.mu.Lock()
 		delete(sh.flights, d)
 		if err == nil {
 			sh.refs[d] = 1
 		}
 		sh.mu.Unlock()
-		f.err = err
-		close(f.done)
+		close(done)
 		return n, err
 	}
 }

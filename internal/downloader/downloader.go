@@ -70,13 +70,6 @@ type Downloader struct {
 	// Store receives verified layer blobs; when nil, layer bytes are
 	// verified and discarded (pure measurement mode).
 	Store blobstore.Store
-	// Tag is the tag to download ("latest" if empty), per the paper's
-	// focus on latest-tag images.
-	Tag string
-	// NoLayerDedup disables the unique-layer optimization, refetching a
-	// shared layer for every image that references it — the naive
-	// baseline the paper's downloader improves on (ablation only).
-	NoLayerDedup bool
 	// Retries is the number of extra attempts for transient failures
 	// (network errors, integrity mismatches). Auth and not-found errors
 	// are permanent and never retried. A month-long crawl like the
@@ -204,11 +197,6 @@ func (d *Downloader) RunContext(ctx context.Context, repos []string) (*Result, e
 	if d.Client == nil {
 		return nil, errors.New("downloader: nil registry client")
 	}
-	tag := d.Tag
-	if tag == "" {
-		tag = "latest"
-	}
-
 	var (
 		mu     sync.Mutex
 		images []Image
@@ -224,7 +212,7 @@ func (d *Downloader) RunContext(ctx context.Context, repos []string) (*Result, e
 		go func() {
 			defer wg.Done()
 			for repo := range work {
-				img, layerErrs, err := d.downloadOne(st, repo, tag)
+				img, layerErrs, err := d.downloadOne(st, repo)
 				mu.Lock()
 				switch {
 				case errors.Is(err, registry.ErrUnauthorized):
@@ -255,8 +243,8 @@ func (d *Downloader) RunContext(ctx context.Context, repos []string) (*Result, e
 // downloadOne fetches a repository's manifest, then fans its config and
 // layers out to the global transfer pool. It returns the image, a count of
 // non-fatal blob fetch errors, and the manifest-level error (if any).
-func (d *Downloader) downloadOne(st *runState, repo, tag string) (*Image, int, error) {
-	m, md, err := d.manifestWithRetry(st.ctx, repo, tag)
+func (d *Downloader) downloadOne(st *runState, repo string) (*Image, int, error) {
+	m, md, err := d.manifestWithRetry(st.ctx, repo)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -279,13 +267,7 @@ func (d *Downloader) downloadOne(st *runState, repo, tag string) (*Image, int, e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var err error
-			if d.NoLayerDedup {
-				err = d.fetchBlob(st, repo, l, false)
-			} else {
-				err = d.fetchShared(st, repo, l, false)
-			}
-			if err != nil {
+			if err := d.fetchShared(st, repo, l, false); err != nil {
 				layerErrs.Add(1)
 			}
 		}()
@@ -425,13 +407,15 @@ func (d *Downloader) fetchOnce(ctx context.Context, repo string, desc manifest.D
 	return n, err
 }
 
-func (d *Downloader) manifestWithRetry(ctx context.Context, repo, tag string) (*manifest.Manifest, digest.Digest, error) {
-	m, md, err := d.Client.ManifestContext(ctx, repo, tag)
+// manifestWithRetry fetches the repository's latest-tag manifest, the
+// paper's focus.
+func (d *Downloader) manifestWithRetry(ctx context.Context, repo string) (*manifest.Manifest, digest.Digest, error) {
+	m, md, err := d.Client.ManifestContext(ctx, repo, "latest")
 	for attempt := 1; attempt <= d.Retries && retryable(err); attempt++ {
 		if serr := d.backoffSleep(ctx, attempt, err); serr != nil {
 			return nil, "", serr
 		}
-		m, md, err = d.Client.ManifestContext(ctx, repo, tag)
+		m, md, err = d.Client.ManifestContext(ctx, repo, "latest")
 	}
 	return m, md, err
 }

@@ -55,8 +55,8 @@ const (
 	// pipeline.
 	Pull Acquire = iota
 	// LivePush pushes every image over HTTP into the registry and renders
-	// the figures from the live index its Ingest hook maintains — no
-	// batch pass at all.
+	// the figures from the snapshot its Ingest hook keeps — no store
+	// re-read at all.
 	LivePush
 )
 
@@ -160,12 +160,13 @@ type Site struct {
 	// memory.
 	RouterCacheBytes int64
 
-	// Repos is the repository metadata: the live index reports over it
+	// Repos is the repository metadata: the live service reports over it
 	// and node seeding takes each repository's privacy from it.
 	Repos []manifest.Repository
 	// Fill loads the content into the origin registry. It runs after the
 	// ingest hook is installed (so administrative tag registrations
-	// backfill the live index) and before the content is placed on nodes.
+	// backfill the live walk cache) and before the content is placed on
+	// nodes.
 	Fill func(origin *registry.Registry) error
 }
 

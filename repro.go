@@ -17,8 +17,8 @@
 //     reproduction (§III). Every such stack renders bit-identical figures.
 //   - Live mode (a Topology acquired by LivePush) runs the study as a
 //     resident service: images are pushed over HTTP into a registry whose
-//     write path feeds an always-on incremental analytics index, and the
-//     figures render from the live index — bit-identical to a batch pass
+//     write path feeds an always-on analytics service, and the figures
+//     render from the layer walks it kept — bit-identical to a batch pass
 //     over the same bytes, even through delete/re-push churn.
 //
 // Quick start:
