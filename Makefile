@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race race-full golden bench bench-scaling bench-smoke bench-traffic benchmark ci
+.PHONY: all build vet lint test race race-full golden bench bench-scaling bench-smoke fuzz-smoke bench-traffic benchmark ci
 
 all: build
 
@@ -64,10 +64,16 @@ bench-scaling:
 # through `make bench-traffic`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'DownloadStreaming|FusedPipeline' -benchtime=1x -benchmem .
-	$(GO) test -run '^$$' -bench 'CacheHitServe|CacheMissFill' -benchtime=1x -benchmem ./internal/cache
+	$(GO) test -run '^$$' -bench 'CacheHitServe|CacheMissFill|CacheScan' -benchtime=1x -benchmem ./internal/cache
 	$(GO) test -run '^$$' -bench 'DedupPutStream$$|DedupGet(Sink)?$$' -benchtime=1x -benchmem ./internal/dedupstore
 	$(GO) run ./cmd/trafficsim -scenarios flash-crowd -rates 120 -n 150 -scale 0.002 -json /dev/null
 	$(GO) run ./cmd/trafficsim -scenarios flash-crowd -arrivals closed -workers 8 -n 150 -scale 0.002 -json /dev/null
+
+# Five seconds of native fuzzing per target, starting from the seed
+# corpus committed under the package's testdata/fuzz/<target>/. A failing
+# input is written there too, so it becomes a regression test.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRange$$' -fuzztime 5s ./internal/registry
 
 # Regenerate the committed open-loop tail-latency record
 # (BENCH_traffic.json): the scenario × rate sweep with
@@ -91,4 +97,4 @@ bench-traffic:
 benchmark:
 	bash bench/run.sh
 
-ci: lint test race golden bench-smoke
+ci: lint test race golden bench-smoke fuzz-smoke

@@ -88,3 +88,47 @@ func benchMissFill(b *testing.B, sink io.Writer) {
 		rc.Close()
 	}
 }
+
+// BenchmarkCacheScan measures the admission gate on LRU's worst case:
+// uniform cycles over a working set four times the budget, after two
+// warm-up cycles. admissions/op is the share of requests whose body was
+// teed into the store; under first-touch admission it is every miss.
+func BenchmarkCacheScan(b *testing.B) {
+	const (
+		blobSize = 16 << 10
+		resident = 64
+	)
+	c := New(blobstore.NewMemory(), resident*blobSize)
+	ds := make([]digest.Digest, 4*resident)
+	fills := make([]FillFunc, len(ds))
+	for i := range ds {
+		var content []byte
+		content, ds[i] = blobOfSize(10+i, blobSize)
+		fills[i] = bytesFill(content, nil)
+	}
+	request := func(i int) {
+		rc, _, _, err := c.GetOrFill(context.Background(), ds[i%len(ds)], fills[i%len(ds)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.Copy(io.Discard, rc); err != nil {
+			b.Fatal(err)
+		}
+		rc.Close()
+	}
+	for i := 0; i < 2*len(ds); i++ {
+		request(i)
+	}
+	before := c.Stats()
+	b.SetBytes(blobSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		request(i)
+	}
+	b.StopTimer()
+	// Every admission adds an entry; every eviction removes one.
+	after := c.Stats()
+	admissions := after.Entries - before.Entries + after.Evictions - before.Evictions
+	b.ReportMetric(float64(admissions)/float64(b.N), "admissions/op")
+}

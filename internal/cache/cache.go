@@ -4,25 +4,42 @@
 // shared layers absorbs most traffic — so a cache far smaller than the
 // dataset can serve the bulk of a popularity-weighted pull trace.
 //
-// The cache is a lock-striped LRU over a blobstore.Store it owns:
+// The cache is lock-striped, with LRU eviction and frequency-gated
+// admission, over a blobstore.Store it owns:
 //
 //   - Admission is digest-verified: bytes enter through the store's
 //     PutStream (or PutVerified), so a corrupt upstream body can never be
 //     cached or re-served.
+//   - Admission is frequency-gated. Each stripe counts requests per digest
+//     (GetOrFill and Admit, not Stat), halving every count once it has
+//     recorded ten times as many requests as it holds entries (at least
+//     64 entries' worth), so the table stays bounded and old popularity
+//     fades. A blob that fits in a stripe's free bytes is admitted. One
+//     that does not is admitted only if every entry LRU would evict for it
+//     was requested strictly fewer times than the blob had been before the
+//     current request, so a scan over more than the cache holds ties and
+//     stops churning, and a one-hit blob never evicts anything (TinyLFU's
+//     rule, without its sketch: Einziger, Friedman & Manes, ACM ToS 2017).
 //   - Misses are singleflight: no matter how many clients miss on the same
 //     digest concurrently, exactly one upstream fetch runs; the winner
 //     streams the body to its client while teeing it into admission, and
-//     the others wait for that outcome and then serve from the cache.
-//   - A fill whose declared size exceeds its stripe's budget can never be
-//     admitted, so it is not teed at all: the winner gets the origin body
-//     as is, the flight ends at once, and callers that were waiting on it
-//     each run their own fill instead of queueing behind a stream they
-//     would have to repeat anyway.
+//     the others wait for that outcome and then serve from the cache. The
+//     exception is a blob the cache turns away (next item): every request
+//     for it fetches from the origin on its own, so a new blob on a full
+//     stripe costs one fetch per request until its count passes the
+//     victims' and a fill admits it.
+//   - A fill turned away by its declared size — larger than the stripe, or
+//     not requested often enough to evict what the stripe holds — is not
+//     teed at all: the winner gets the origin body as is, the flight ends
+//     at once, and callers that were waiting on it each run their own fill
+//     instead of queueing behind a stream they would have to repeat
+//     anyway. A fill of unknown size skips the frequency gate: it is teed,
+//     and admitted if it fits in a stripe, evicting LRU entries as needed.
 //   - Upstream 404s are negative-cached (bounded per stripe), so repeated
 //     requests for a missing digest do not hammer the origin.
 //   - Every event is counted: hits, misses, coalesced waiters, negative
-//     hits, evictions, admission rejections, fill errors, and the current
-//     in-flight fill count.
+//     hits, evictions, oversize rejections, gate declines, fill errors, and
+//     the current in-flight fill count.
 //
 // Eviction is safe against concurrent readers by construction: both store
 // backends keep an open reader valid after Delete (the memory store's
@@ -50,8 +67,7 @@ import (
 // negative entry lives.
 var ErrUpstreamNotFound = errors.New("cache: upstream not found")
 
-// ErrMiss is returned by the read-only probes for digests the cache does
-// not hold.
+// ErrMiss is returned by Stat for digests the cache does not hold.
 var ErrMiss = errors.New("cache: miss")
 
 // DefaultShards is the stripe count when New picks one.
@@ -60,6 +76,14 @@ const DefaultShards = 8
 // negativePerShard bounds the negative-lookup entries each stripe retains
 // (oldest dropped first).
 const negativePerShard = 1024
+
+// A stripe halves its request counts after agingWindow requests per
+// resident entry, counting at least agingMinEntries entries, so its
+// frequency table holds at most about twice that many keys.
+const (
+	agingWindow     = 10
+	agingMinEntries = 64
+)
 
 // FillFunc fetches a missing blob from the origin. It returns the body and
 // the size if known (-1 otherwise). The cache verifies the bytes against
@@ -97,6 +121,9 @@ type Stats struct {
 	// Rejected counts blobs that streamed through but were too large to
 	// admit (bigger than a stripe's budget).
 	Rejected int64 `json:"rejected"`
+	// Declined counts blobs the admission gate turned away: admitting them
+	// would have evicted an entry requested at least as often.
+	Declined int64 `json:"declined"`
 	// FillErrors counts fills that failed for reasons other than an
 	// upstream 404.
 	FillErrors int64 `json:"fill_errors"`
@@ -133,8 +160,8 @@ type flight struct {
 }
 
 // shard is one stripe: an independent LRU with its own byte budget, flight
-// table, and negative set. The global budget is the sum of stripe budgets,
-// so the cache as a whole can never exceed it.
+// table, request counts, and negative set. The global budget is the sum of
+// stripe budgets, so the cache as a whole can never exceed it.
 type shard struct {
 	mu       sync.Mutex
 	capacity int64
@@ -142,11 +169,13 @@ type shard struct {
 	entries  map[digest.Digest]*list.Element
 	order    *list.List // front = most recently used
 	flights  map[digest.Digest]*flight
+	freq     map[digest.Digest]uint32 // requests per digest, halved on aging
+	counted  int                      // requests recorded since the last aging
 	negative map[digest.Digest]*list.Element
 	negOrder *list.List // front = newest
 }
 
-// Cache is the lock-striped LRU. Create with New or NewSharded.
+// Cache is the byte-budgeted blob cache. Create with New or NewSharded.
 type Cache struct {
 	store  blobstore.Store
 	shards []*shard
@@ -159,6 +188,7 @@ type Cache struct {
 	negPuts   atomic.Int64
 	evictions atomic.Int64
 	rejected  atomic.Int64
+	declined  atomic.Int64
 	fillErrs  atomic.Int64
 	inflight  atomic.Int64
 	used      atomic.Int64
@@ -194,6 +224,7 @@ func NewSharded(store blobstore.Store, budget int64, shards int) *Cache {
 			entries:  make(map[digest.Digest]*list.Element),
 			order:    list.New(),
 			flights:  make(map[digest.Digest]*flight),
+			freq:     make(map[digest.Digest]uint32),
 			negative: make(map[digest.Digest]*list.Element),
 			negOrder: list.New(),
 		}
@@ -203,9 +234,6 @@ func NewSharded(store blobstore.Store, budget int64, shards int) *Cache {
 
 // Budget returns the configured byte bound.
 func (c *Cache) Budget() int64 { return c.budget }
-
-// Used returns the admitted bytes (never exceeds Budget).
-func (c *Cache) Used() int64 { return c.used.Load() }
 
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
@@ -217,6 +245,7 @@ func (c *Cache) Stats() Stats {
 		NegPuts:    c.negPuts.Load(),
 		Evictions:  c.evictions.Load(),
 		Rejected:   c.rejected.Load(),
+		Declined:   c.declined.Load(),
 		FillErrors: c.fillErrs.Load(),
 		Inflight:   c.inflight.Load(),
 		Used:       c.used.Load(),
@@ -239,9 +268,65 @@ func (c *Cache) shard(d digest.Digest) *shard {
 func (sh *shard) lookup(d digest.Digest) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return sh.touch(d)
+}
+
+// touch moves d to the front of the LRU and reports presence. Caller must
+// hold the stripe lock.
+func (sh *shard) touch(d digest.Digest) bool {
 	el, ok := sh.entries[d]
 	if ok {
 		sh.order.MoveToFront(el)
+	}
+	return ok
+}
+
+// request is lookup for a request that counts toward d's frequency: it
+// also returns how many times d had been requested before this call, and
+// ages the stripe's counts when their window is full.
+func (sh *shard) request(d digest.Digest) (prior uint32, hit bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	prior = sh.freq[d]
+	sh.freq[d] = prior + 1
+	sh.counted++
+	if sh.counted >= agingWindow*max(len(sh.entries), agingMinEntries) {
+		sh.counted = 0
+		for k, n := range sh.freq {
+			if n /= 2; n == 0 {
+				delete(sh.freq, k)
+			} else {
+				sh.freq[k] = n
+			}
+		}
+	}
+	return prior, sh.touch(d)
+}
+
+// admissible is the admission gate: a size-byte blob requested prior times
+// before may enter if it fits in the free bytes, or if every entry LRU
+// would evict to make room for it was requested fewer than prior times.
+// Caller must hold the stripe lock.
+func (sh *shard) admissible(size int64, prior uint32) bool {
+	need := sh.used + size - sh.capacity
+	for el := sh.order.Back(); el != nil && need > 0; el = el.Prev() {
+		e := el.Value.(*entry)
+		if sh.freq[e.d] >= prior {
+			return false
+		}
+		need -= e.size
+	}
+	return true
+}
+
+// gate runs the admission gate for a blob of known size before any of its
+// bytes are stored, counting a decline.
+func (c *Cache) gate(sh *shard, size int64, prior uint32) bool {
+	sh.mu.Lock()
+	ok := sh.admissible(size, prior)
+	sh.mu.Unlock()
+	if !ok {
+		c.declined.Add(1)
 	}
 	return ok
 }
@@ -277,32 +362,10 @@ func (sh *shard) clearNegative(d digest.Digest) {
 	}
 }
 
-// Get serves a blob from the cache, counting a hit or returning ErrMiss /
-// ErrUpstreamNotFound. It never fills.
-func (c *Cache) Get(d digest.Digest) (io.ReadCloser, int64, error) {
-	sh := c.shard(d)
-	if sh.lookup(d) {
-		rc, size, err := c.store.Get(d)
-		if err == nil {
-			c.hits.Add(1)
-			return rc, size, nil
-		}
-		// The entry outlived its blob (should not happen: eviction removes
-		// both under the stripe lock); drop it and fall through to a miss.
-		c.dropEntry(sh, d)
-	}
-	sh.mu.Lock()
-	neg := sh.isNegative(d)
-	sh.mu.Unlock()
-	if neg {
-		c.negHits.Add(1)
-		return nil, 0, fmt.Errorf("%w: %s", ErrUpstreamNotFound, d.Short())
-	}
-	return nil, 0, fmt.Errorf("%w: %s", ErrMiss, d.Short())
-}
-
-// Stat is Get without the body: it touches the LRU and counts a hit when
-// the blob is cached, and distinguishes negative entries from plain misses.
+// Stat reports a cached blob's size without its body: it touches the LRU
+// and counts a hit when the blob is cached, and distinguishes negative
+// entries (ErrUpstreamNotFound) from plain misses (ErrMiss). It never
+// fills and does not count toward the blob's request frequency.
 func (c *Cache) Stat(d digest.Digest) (int64, error) {
 	sh := c.shard(d)
 	if sh.lookup(d) {
@@ -352,10 +415,12 @@ func (c *Cache) dropEntry(sh *shard, d digest.Digest) {
 // it may re-admit the blob after it completes; callers that delete d from
 // the backing store before invalidating only leak cache budget until
 // eviction (the re-admitted entry is unreachable through them), never a
-// stale read.
+// stale read. The bytes go under the stripe lock, where admit checks for
+// them, so an entry is never indexed without its bytes.
 func (c *Cache) Invalidate(d digest.Digest) {
 	sh := c.shard(d)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if el, ok := sh.entries[d]; ok {
 		e := el.Value.(*entry)
 		sh.order.Remove(el)
@@ -365,23 +430,32 @@ func (c *Cache) Invalidate(d digest.Digest) {
 		c.entries.Add(-1)
 	}
 	sh.clearNegative(d)
-	sh.mu.Unlock()
 	c.store.Delete(d)
 }
 
 // Admit inserts already-verified-by-caller content directly (the manifest
 // path uses it, where the bytes were digest-checked by the registry
-// client). Content bigger than a stripe's budget is counted rejected and
-// not stored. Admitting an already-cached digest only refreshes its LRU
-// position.
+// client). It counts as a request for d, like GetOrFill. Content bigger
+// than a stripe's budget is counted rejected, and content the admission
+// gate turns away is counted declined; neither is stored. Admitting an
+// already-cached digest only refreshes its LRU position.
 func (c *Cache) Admit(d digest.Digest, content []byte) error {
 	sh := c.shard(d)
-	if sh.lookup(d) {
+	prior, hit := sh.request(d)
+	if hit {
 		return nil
 	}
+	// The caller holds d's content, so d exists upstream whether or not
+	// the cache keeps it.
+	sh.mu.Lock()
+	sh.clearNegative(d)
+	sh.mu.Unlock()
 	size := int64(len(content))
 	if size > sh.capacity {
 		c.rejected.Add(1)
+		return nil
+	}
+	if !c.gate(sh, size, prior) {
 		return nil
 	}
 	if err := c.store.PutVerified(d, content); err != nil {
@@ -402,6 +476,10 @@ func (c *Cache) admit(sh *shard, d digest.Digest, size int64) {
 	if _, ok := sh.entries[d]; ok {
 		// A racing fill of the same digest won; the store dedups content, so
 		// nothing to account.
+		return
+	}
+	if !c.store.Has(d) {
+		// Invalidated after it was stored: admitting would index no bytes.
 		return
 	}
 	for sh.used+size > sh.capacity {
@@ -432,11 +510,13 @@ func (c *Cache) admit(sh *shard, d digest.Digest, size int64) {
 // fill) for the admission and waiting coalesced callers to resolve. The
 // reader is also an io.WriterTo, which is the cheaper way to drain it.
 // Upstream 404s (fill errors wrapping ErrUpstreamNotFound) are negative-
-// cached and returned.
+// cached and returned. Every call counts once toward d's request
+// frequency, which the admission gate weighs.
 func (c *Cache) GetOrFill(ctx context.Context, d digest.Digest, fill FillFunc) (io.ReadCloser, int64, Outcome, error) {
 	sh := c.shard(d)
-	for {
-		if sh.lookup(d) {
+	prior, hit := sh.request(d)
+	for ; ; hit = sh.lookup(d) {
+		if hit {
 			rc, size, err := c.store.Get(d)
 			if err == nil {
 				c.hits.Add(1)
@@ -472,7 +552,7 @@ func (c *Cache) GetOrFill(ctx context.Context, d digest.Digest, fill FillFunc) (
 				c.coalesced.Add(1)
 				return rc, size, Coalesced, nil
 			}
-			// Filled but already evicted (or rejected as oversized): loop and
+			// Filled but already evicted (or rejected or declined): loop and
 			// refetch.
 			continue
 		}
@@ -480,7 +560,7 @@ func (c *Cache) GetOrFill(ctx context.Context, d digest.Digest, fill FillFunc) (
 		sh.flights[d] = f
 		sh.mu.Unlock()
 
-		return c.runFill(ctx, sh, d, f, fill)
+		return c.runFill(ctx, sh, d, prior, f, fill)
 	}
 }
 
@@ -501,9 +581,9 @@ func (c *Cache) finishFlight(sh *shard, d digest.Digest, f *flight, err error) {
 
 // runFill executes the winner's side of a singleflight miss: fetch the
 // origin body and return it wrapped in a tee that feeds digest-verified
-// admission as the caller reads — or bare, when the origin already says it
-// is too large for the stripe.
-func (c *Cache) runFill(ctx context.Context, sh *shard, d digest.Digest, f *flight, fill FillFunc) (io.ReadCloser, int64, Outcome, error) {
+// admission as the caller reads — or bare, when the origin's declared size
+// already says the stripe will not admit it.
+func (c *Cache) runFill(ctx context.Context, sh *shard, d digest.Digest, prior uint32, f *flight, fill FillFunc) (io.ReadCloser, int64, Outcome, error) {
 	c.misses.Add(1)
 	c.inflight.Add(1)
 	body, size, err := fill(ctx)
@@ -514,11 +594,15 @@ func (c *Cache) runFill(ctx context.Context, sh *shard, d digest.Digest, f *flig
 		c.finishFlight(sh, d, f, err)
 		return nil, 0, Miss, err
 	}
+	// Buffering, hashing and storing the stream only to delete it again
+	// buys nothing. The n > capacity check below stays as the guard for an
+	// origin that under-declares or does not declare.
 	if size > sh.capacity {
-		// Buffering, hashing and storing the stream only to delete it again
-		// buys nothing. The n > capacity check below stays as the guard for
-		// an origin that under-declares.
 		c.rejected.Add(1)
+		c.finishFlight(sh, d, f, nil)
+		return body, size, Miss, nil
+	}
+	if size >= 0 && !c.gate(sh, size, prior) {
 		c.finishFlight(sh, d, f, nil)
 		return body, size, Miss, nil
 	}

@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -162,7 +163,7 @@ func TestByteBudgetNeverExceeded(t *testing.T) {
 				}
 				io.Copy(io.Discard, rc)
 				rc.Close()
-				if used := c.Used(); used > budget {
+				if used := c.Stats().Used; used > budget {
 					violated.Store(used)
 				}
 			}
@@ -172,7 +173,7 @@ func TestByteBudgetNeverExceeded(t *testing.T) {
 	if v := violated.Load(); v != 0 {
 		t.Fatalf("admitted bytes reached %d, budget %d", v, budget)
 	}
-	if used := c.Used(); used > budget {
+	if used := c.Stats().Used; used > budget {
 		t.Fatalf("final Used = %d > budget %d", used, budget)
 	}
 	st := c.Stats()
@@ -183,7 +184,11 @@ func TestByteBudgetNeverExceeded(t *testing.T) {
 
 // TestEvictionRacesConcurrentReaders: readers holding a hit stream must
 // finish with correct bytes even while admissions evict the blob they are
-// reading, on both store backends.
+// reading, on both store backends. Each round, concurrent readers open hit
+// streams on the hot blob and read part of it; a filler then earns
+// admission by out-counting the hot blob and evicts it, deleting its bytes
+// from the store, before the readers read the rest. The hot blob earns its
+// way back in the same way at the start of the next round.
 func TestEvictionRacesConcurrentReaders(t *testing.T) {
 	for _, backend := range []string{"memory", "disk"} {
 		t.Run(backend, func(t *testing.T) {
@@ -195,72 +200,70 @@ func TestEvictionRacesConcurrentReaders(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// One stripe so every blob contends for the same budget.
+			// One stripe with room for the hot blob or the filler, not both.
 			c := NewSharded(store, 64<<10, 1)
 			hot, hotD := blobOfSize(7, 32<<10)
-
-			// Admit the hot blob, then race readers of it against a churn of
-			// other admissions that repeatedly evict it.
-			stop := make(chan struct{})
-			churnDone := make(chan struct{})
-			errs := make(chan error, 8)
-			type filler struct {
-				content []byte
-				d       digest.Digest
-			}
-			fillers := make([]filler, 8)
-			for i := range fillers {
-				fillers[i].content, fillers[i].d = blobOfSize(1000+i, 48<<10)
-			}
-			go func() {
-				defer close(churnDone)
-				// Bounded: enough admissions to evict the hot blob many
-				// times over without turning the test into an IO soak.
-				for i := 0; i < 400; i++ {
-					select {
-					case <-stop:
-						return
-					default:
+			filler, fillerD := blobOfSize(1000, 48<<10)
+			// request drains d until the gate admits it; the bound only
+			// stops a broken gate from spinning forever.
+			request := func(content []byte, d digest.Digest) {
+				for n := 0; !c.Contains(d); n++ {
+					if n == 1000 {
+						t.Fatalf("%s not admitted after %d requests", d.Short(), n)
 					}
-					f := fillers[i%len(fillers)]
-					rc, _, _, err := c.GetOrFill(context.Background(), f.d, bytesFill(f.content, nil))
-					if err != nil {
-						continue
-					}
-					io.Copy(io.Discard, rc)
-					rc.Close()
+					drain(t, c, content, d, nil)
 				}
-			}()
-			var readers sync.WaitGroup
-			for r := 0; r < 8; r++ {
-				readers.Add(1)
-				go func() {
-					defer readers.Done()
-					for i := 0; i < 50; i++ {
-						rc, _, _, err := c.GetOrFill(context.Background(), hotD, bytesFill(hot, nil))
+			}
+
+			const rounds, readers = 20, 8
+			for round := 0; round < rounds; round++ {
+				request(hot, hotD)
+				var opened, done sync.WaitGroup
+				release := make(chan struct{})
+				errs := make(chan error, readers)
+				for r := 0; r < readers; r++ {
+					opened.Add(1)
+					done.Add(1)
+					go func() {
+						defer done.Done()
+						rc, _, out, err := c.GetOrFill(context.Background(), hotD, bytesFill(hot, nil))
+						if err != nil || out != Hit {
+							opened.Done()
+							errs <- fmt.Errorf("open: outcome %v, %v; want a hit", out, err)
+							return
+						}
+						defer rc.Close()
+						head := make([]byte, 1<<10)
+						_, err = io.ReadFull(rc, head)
+						opened.Done()
 						if err != nil {
 							errs <- err
 							return
 						}
-						got, err := io.ReadAll(rc)
-						rc.Close()
+						<-release
+						rest, err := io.ReadAll(rc)
 						if err != nil {
-							errs <- fmt.Errorf("read during eviction churn: %w", err)
+							errs <- fmt.Errorf("read after eviction: %w", err)
 							return
 						}
-						if !bytes.Equal(got, hot) {
-							errs <- errors.New("reader observed corrupt bytes during eviction")
-							return
+						if !bytes.Equal(append(head, rest...), hot) {
+							errs <- errors.New("reader observed corrupt bytes after eviction")
 						}
-					}
-				}()
-			}
-			readers.Wait()
-			close(stop)
-			<-churnDone
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
+					}()
+				}
+				opened.Wait()
+				evictions := c.Stats().Evictions
+				request(filler, fillerD)
+				evicted := !c.Contains(hotD) && !store.Has(hotD) && c.Stats().Evictions > evictions
+				close(release)
+				done.Wait()
+				close(errs)
+				for err := range errs {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				if !evicted {
+					t.Fatalf("round %d: the filler's admission did not evict the hot blob", round)
+				}
 			}
 		})
 	}
@@ -300,12 +303,15 @@ func TestNegativeCaching(t *testing.T) {
 	if err := c.Admit(d, content); err != nil {
 		t.Fatal(err)
 	}
-	rc, _, err := c.Get(d)
-	if err != nil {
-		t.Fatalf("Get after Admit: %v", err)
+	rc, _, out, err := c.GetOrFill(context.Background(), d, notFound)
+	if err != nil || out != Hit {
+		t.Fatalf("GetOrFill after Admit = %v, %v; want a hit", out, err)
 	}
 	if got := mustReadAll(t, rc); !bytes.Equal(got, content) {
 		t.Fatal("wrong bytes after Admit cleared negative entry")
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("origin consulted %d times, want 1", calls.Load())
 	}
 }
 
@@ -477,13 +483,21 @@ func TestLRUOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Touch a so b is the coldest, then admit one more to force an eviction.
+	// Touch a so b is the coldest (Stat moves it in LRU order without
+	// counting a request), then admit one more to force an eviction. Each
+	// resident was requested once, so the newcomer earns admission on its
+	// third request: its prior count, 2, is then above theirs.
 	if _, err := c.Stat(da); err != nil {
 		t.Fatal(err)
 	}
 	y, dy := mk(13)
-	if err := c.Admit(dy, y); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		if err := c.Admit(dy, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Declined != 2 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want 2 declines before the one eviction", st)
 	}
 	if c.Contains(db) {
 		t.Fatal("LRU victim b still cached")
@@ -712,4 +726,321 @@ func TestFillThroughWriteToPlainBody(t *testing.T) {
 	if !c.Contains(d) {
 		t.Fatal("blob not admitted when WriteTo returned")
 	}
+}
+
+// drain pulls one blob through GetOrFill and checks its bytes.
+func drain(t *testing.T, c *Cache, content []byte, d digest.Digest, calls *atomic.Int64) Outcome {
+	t.Helper()
+	rc, _, out, err := c.GetOrFill(context.Background(), d, bytesFill(content, calls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mustReadAll(t, rc); !bytes.Equal(got, content) {
+		t.Fatalf("%s: wrong bytes", d.Short())
+	}
+	return out
+}
+
+// TestScanDoesNotChurn: uniform cycles over a working set four times the
+// budget. Every blob is requested as often as every other, so a
+// non-resident never out-counts what it would evict: once the first cycle
+// has filled the stripes nothing is teed into the store or evicted, and
+// every resident serves its request in each cycle. Under first-touch LRU
+// the same scan misses every request.
+func TestScanDoesNotChurn(t *testing.T) {
+	const (
+		blobSize = 4 << 10
+		resident = 16
+		cycles   = 6
+	)
+	store := &countingStore{Store: blobstore.NewMemory()}
+	c := New(store, resident*blobSize)
+	blobs := make([][]byte, 4*resident)
+	ds := make([]digest.Digest, len(blobs))
+	for i := range blobs {
+		blobs[i], ds[i] = blobOfSize(200+i, blobSize)
+	}
+	for cycle := 1; cycle <= cycles; cycle++ {
+		before, puts := c.Stats(), store.putStreams.Load()
+		for i := range blobs {
+			drain(t, c, blobs[i], ds[i], nil)
+		}
+		after := c.Stats()
+		if cycle < 3 {
+			continue
+		}
+		if p := store.putStreams.Load() - puts; p != 0 || after.Evictions != before.Evictions {
+			t.Errorf("cycle %d: %d admissions and %d evictions, want none", cycle, p, after.Evictions-before.Evictions)
+		}
+		hits := after.Hits - before.Hits
+		if share := float64(after.Entries) / float64(len(blobs)); float64(hits)/float64(len(blobs)) < share {
+			t.Errorf("cycle %d: %d hits of %d requests, below the resident share %.3f", cycle, hits, len(blobs), share)
+		}
+	}
+	if st := c.Stats(); st.Entries == 0 || st.Declined == 0 || st.Used > st.Budget {
+		t.Fatalf("stats = %+v, want residents, declines, and the budget kept", st)
+	}
+}
+
+// TestHotBlobDisplacesCold: residents requested thousands of times each,
+// then a popularity shift to a new blob. Aging halves the old counts every
+// window, so the newcomer is admitted within two windows of requests; with
+// raw counts it would need more requests than the most-requested
+// resident ever had.
+func TestHotBlobDisplacesCold(t *testing.T) {
+	const (
+		blobSize = 1 << 10
+		resident = 4
+		perBlob  = 2000
+	)
+	c := NewSharded(blobstore.NewMemory(), resident*blobSize, 1)
+	blobs := make([][]byte, resident)
+	ds := make([]digest.Digest, resident)
+	for i := range blobs {
+		blobs[i], ds[i] = blobOfSize(300+i, blobSize)
+	}
+	for n := 0; n < perBlob; n++ {
+		for i := range blobs {
+			drain(t, c, blobs[i], ds[i], nil)
+		}
+	}
+	if st := c.Stats(); st.Entries != resident || st.Misses != resident {
+		t.Fatalf("stats = %+v, want %d residents filled once each", st, resident)
+	}
+
+	hot, hotD := blobOfSize(399, blobSize)
+	bound := 2 * agingWindow * agingMinEntries
+	var calls atomic.Int64
+	for !c.Contains(hotD) {
+		if calls.Load() >= int64(bound) {
+			t.Fatalf("hot blob not admitted after %d requests, want at most %d", calls.Load(), bound)
+		}
+		drain(t, c, hot, hotD, &calls)
+	}
+	if calls.Load() < 2 {
+		t.Fatal("a blob with no history was admitted into a full stripe")
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != resident {
+		t.Fatalf("stats = %+v, want the hot blob in for one cold resident", st)
+	}
+	t.Logf("admitted on request %d (bound %d, residents requested %d times each)", calls.Load(), bound, perBlob)
+}
+
+// TestNewBlobOnFullCache: the price of the gate. A new blob on a full
+// stripe is fetched un-coalesced until its count passes the LRU victim's:
+// one origin fetch per request the victim has had, plus one, before the
+// fetch that admits it.
+func TestNewBlobOnFullCache(t *testing.T) {
+	const blobSize = 1 << 10
+	c := NewSharded(blobstore.NewMemory(), 4*blobSize, 1)
+	blobs := make([][]byte, 4)
+	ds := make([]digest.Digest, 4)
+	for i := range blobs {
+		blobs[i], ds[i] = blobOfSize(400+i, blobSize)
+	}
+	// The first resident, the LRU victim, is requested victimCount times;
+	// the others more often and more recently.
+	const victimCount = 3
+	for n := 0; n < victimCount; n++ {
+		drain(t, c, blobs[0], ds[0], nil)
+	}
+	for i := 1; i < len(blobs); i++ {
+		for n := 0; n < victimCount+2; n++ {
+			drain(t, c, blobs[i], ds[i], nil)
+		}
+	}
+
+	x, dx := blobOfSize(499, blobSize)
+	var calls atomic.Int64
+	for !c.Contains(dx) {
+		if calls.Load() > victimCount+2 {
+			t.Fatalf("new blob not admitted after %d fetches", calls.Load())
+		}
+		if out := drain(t, c, x, dx, &calls); out != Miss {
+			t.Fatalf("request %d: outcome %v, want Miss", calls.Load(), out)
+		}
+	}
+	if before := calls.Load() - 1; before > victimCount+1 {
+		t.Fatalf("%d origin fetches before admission, want at most %d", before, victimCount+1)
+	}
+	if c.Contains(ds[0]) {
+		t.Fatal("the LRU victim survived the admission")
+	}
+	if st := c.Stats(); st.Declined != victimCount+1 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want %d declines and one eviction", st, victimCount+1)
+	}
+}
+
+// TestFrequencyTableBounded: a stream of digests each requested once never
+// grows a stripe's request table past twice its aging window.
+func TestFrequencyTableBounded(t *testing.T) {
+	c := New(blobstore.NewMemory(), DefaultShards<<10)
+	content := make([]byte, 64)
+	for i := 0; i < 100000; i++ {
+		binary.LittleEndian.PutUint64(content, uint64(i))
+		rc, _, _, err := c.GetOrFill(context.Background(), digest.FromBytes(content), bytesFill(content, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, rc)
+		rc.Close()
+		for j, sh := range c.shards {
+			sh.mu.Lock()
+			keys, limit := len(sh.freq), 2*agingWindow*max(len(sh.entries), agingMinEntries)
+			sh.mu.Unlock()
+			if keys > limit {
+				t.Fatalf("after %d digests stripe %d holds %d counts, want at most %d", i+1, j, keys, limit)
+			}
+		}
+	}
+}
+
+// TestGateConcurrentCalls drives GetOrFill, Admit and Invalidate on a small
+// cache from several goroutines (run under -race by `make race`), then
+// checks that every stripe's index, byte count and store agree.
+func TestGateConcurrentCalls(t *testing.T) {
+	store := blobstore.NewMemory()
+	c := NewSharded(store, 24<<10, 2)
+	blobs := make([][]byte, 24)
+	ds := make([]digest.Digest, len(blobs))
+	for i := range blobs {
+		blobs[i], ds[i] = blobOfSize(500+i, 1<<10*(1+i%4))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 300; i++ {
+				// Skewed: low indices are requested far more often.
+				k := rng.Intn(1 + rng.Intn(len(blobs)))
+				switch op := rng.Intn(10); {
+				case op == 0:
+					c.Invalidate(ds[k])
+				case op < 3:
+					if err := c.Admit(ds[k], blobs[k]); err != nil {
+						t.Error(err)
+						return
+					}
+				default:
+					rc, _, _, err := c.GetOrFill(context.Background(), ds[k], bytesFill(blobs[k], nil))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got, err := io.ReadAll(rc)
+					rc.Close()
+					if err != nil || !bytes.Equal(got, blobs[k]) {
+						t.Errorf("%s: %d bytes, %v", ds[k].Short(), len(got), err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	st := c.Stats()
+	var used, entries int64
+	for _, sh := range c.shards {
+		var held int64
+		for d, el := range sh.entries {
+			held += el.Value.(*entry).size
+			if !store.Has(d) {
+				t.Errorf("%s indexed but not stored", d.Short())
+			}
+		}
+		if held != sh.used || sh.used > sh.capacity {
+			t.Errorf("stripe holds %d bytes, accounts %d, capacity %d", held, sh.used, sh.capacity)
+		}
+		used += sh.used
+		entries += int64(len(sh.entries))
+	}
+	if st.Used != used || st.Entries != entries || st.Inflight != 0 {
+		t.Fatalf("stats = %+v, want used %d, %d entries, nothing in flight", st, used, entries)
+	}
+	if st.Declined == 0 || st.Evictions == 0 {
+		t.Fatalf("stats = %+v, want the gate both to decline and to admit over residents", st)
+	}
+}
+
+// pausingStore holds the PutVerified of one digest after its bytes are
+// stored, until released, so a test can run other calls between that store
+// and the index update that follows it.
+type pausingStore struct {
+	blobstore.Store
+	d               digest.Digest
+	stored, release chan struct{}
+}
+
+func (s *pausingStore) PutVerified(d digest.Digest, content []byte) error {
+	err := s.Store.PutVerified(d, content)
+	if d == s.d {
+		close(s.stored)
+		<-s.release
+	}
+	return err
+}
+
+// TestIndexedEntriesKeepTheirBytes: while Admit has stored a digest but not
+// yet indexed it, another call may act on the same digest — an Invalidate
+// deleting its bytes, or a teed fill of unknown size admitting it first.
+// Whatever the order, every entry the cache indexes has its bytes.
+func TestIndexedEntriesKeepTheirBytes(t *testing.T) {
+	content, d := blobOfSize(600, 1<<10)
+	run := func(t *testing.T, prepare func(*Cache), between func(*Cache)) {
+		store := &pausingStore{Store: blobstore.NewMemory(), d: d, stored: make(chan struct{}), release: make(chan struct{})}
+		c := NewSharded(store, 4<<10, 1)
+		prepare(c)
+		admitted := make(chan error)
+		go func() { admitted <- c.Admit(d, content) }()
+		<-store.stored
+		between(c)
+		close(store.release)
+		if err := <-admitted; err != nil {
+			t.Fatal(err)
+		}
+		for e, el := range c.shards[0].entries {
+			if !store.Has(e) {
+				t.Fatalf("%s indexed but not stored (%d bytes accounted)", e.Short(), el.Value.(*entry).size)
+			}
+		}
+		if resident := c.Contains(d); drain(t, c, content, d, nil) != Hit && resident {
+			t.Fatal("a resident blob was not served as a hit")
+		}
+	}
+
+	t.Run("invalidate", func(t *testing.T) {
+		run(t, func(*Cache) {}, func(c *Cache) { c.Invalidate(d) })
+	})
+
+	// The stripe is full of blobs requested once each, and d has one
+	// declined request behind it, so the unknown-size fill asks with prior
+	// count 1 (a tie with its victim) and Admit with 2. The fill is admitted
+	// because unknown sizes skip the gate; Admit then finds d indexed.
+	t.Run("unknown-size fill", func(t *testing.T) {
+		var rc io.ReadCloser
+		prepare := func(c *Cache) {
+			for i := 0; i < 4; i++ {
+				b, bd := blobOfSize(610+i, 1<<10)
+				drain(t, c, b, bd, nil)
+			}
+			if drain(t, c, content, d, nil); c.Contains(d) {
+				t.Fatal("a blob with no history was admitted into a full stripe")
+			}
+			var err error
+			rc, _, _, err = c.GetOrFill(context.Background(), d, func(context.Context) (io.ReadCloser, int64, error) {
+				return io.NopCloser(bytes.NewReader(content)), -1, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		run(t, prepare, func(*Cache) {
+			if got := mustReadAll(t, rc); !bytes.Equal(got, content) {
+				t.Fatal("wrong bytes from the unknown-size fill")
+			}
+		})
+	})
 }

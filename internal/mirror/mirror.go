@@ -6,10 +6,15 @@
 // small cache in front of the registry absorbs the bulk of a
 // popularity-weighted pull trace.
 //
-// Caching policy:
+// Caching policy — LRU eviction, frequency-gated admission (see
+// internal/cache):
 //
 //   - Blobs are content-addressed and immutable, so any blob response may
-//     be cached and re-served forever (until evicted).
+//     be cached and re-served forever (until evicted). Once the cache is
+//     full, a blob is admitted only if it has been requested more often
+//     than everything it would evict; a blob turned away is served
+//     straight from the origin, one origin fetch per request (concurrent
+//     cold requests for a blob the cache admits share one fetch).
 //   - Manifests fetched *by digest* are likewise immutable and cached.
 //   - Manifests fetched *by tag* are mutable pointers: the mirror always
 //     revalidates against the origin, re-serves the exact wire bytes, and
@@ -160,7 +165,7 @@ func (m *Mirror) serveManifest(w http.ResponseWriter, req *http.Request, name, r
 		m.writeUpstreamError(w, err, "MANIFEST_UNKNOWN")
 		return
 	}
-	// Best-effort admission: a full cache may reject it, which only costs
+	// Best-effort admission: a full cache may decline it, which only costs
 	// a later origin round-trip.
 	m.Cache.Admit(d, raw)
 	m.writeManifest(w, req, d, int64(len(raw)), io.NopCloser(bytes.NewReader(raw)))
@@ -238,7 +243,12 @@ func (m *Mirror) serveBlob(w http.ResponseWriter, req *http.Request, name, ref s
 	}
 	partial := start != 0 || length != size
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(length))
+	if length >= 0 {
+		// A cold fill from an origin that sent no Content-Length (chunked)
+		// has an unknown size: ParseRange answers with the whole blob, and
+		// the response goes out without a length of its own.
+		w.Header().Set("Content-Length", fmt.Sprint(length))
+	}
 	if partial {
 		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", start, start+length-1, size))
 		w.WriteHeader(http.StatusPartialContent)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -443,17 +444,20 @@ func TestHitRatioPopularityTrace(t *testing.T) {
 
 	s := c.Stats()
 	ratio := s.HitRatio()
-	t.Logf("budget=%d (%.1f%% of %d blob bytes) hits=%d coalesced=%d misses=%d evictions=%d ratio=%.3f",
+	t.Logf("budget=%d (%.1f%% of %d blob bytes) hits=%d coalesced=%d misses=%d evictions=%d declined=%d ratio=%.3f",
 		budget, 100*float64(budget)/float64(blobBytes), blobBytes,
-		s.Hits, s.Coalesced, s.Misses, s.Evictions, ratio)
+		s.Hits, s.Coalesced, s.Misses, s.Evictions, s.Declined, ratio)
 	if ratio < 0.70 {
 		t.Fatalf("hit ratio = %.3f, want >= 0.70", ratio)
 	}
 	if s.Evictions == 0 {
 		t.Fatal("expected evictions: budget is 10x smaller than the working set")
 	}
-	if used, b := c.Used(), c.Budget(); used > b {
-		t.Fatalf("cache over budget: used %d > %d", used, b)
+	if s.Declined == 0 {
+		t.Fatal("expected declines: the long tail should not displace the head")
+	}
+	if s.Used > s.Budget {
+		t.Fatalf("cache over budget: used %d > %d", s.Used, s.Budget)
 	}
 }
 
@@ -606,5 +610,96 @@ func TestCachedBlobGetAllocation(t *testing.T) {
 	t.Logf("256 KiB cached blob: %d B/pull", got)
 	if got >= 16<<10 {
 		t.Errorf("a cache hit allocates %d B per pull, want < 16 KiB", got)
+	}
+}
+
+// chunkedWriter drops the Content-Length the registry set and flushes the
+// headers before the body, so the response goes out chunked.
+type chunkedWriter struct {
+	http.ResponseWriter
+	wroteHeader bool
+}
+
+func (w *chunkedWriter) WriteHeader(code int) {
+	w.Header().Del("Content-Length")
+	w.ResponseWriter.WriteHeader(code)
+	w.ResponseWriter.(http.Flusher).Flush()
+	w.wroteHeader = true
+}
+
+func (w *chunkedWriter) Write(p []byte) (int, error) {
+	if !w.wroteHeader {
+		w.WriteHeader(http.StatusOK)
+	}
+	return w.ResponseWriter.Write(p)
+}
+
+// failLog fails the test on anything the mirror's http.Server logs.
+type failLog struct{ t *testing.T }
+
+func (l failLog) Write(p []byte) (int, error) {
+	l.t.Errorf("mirror server logged: %s", p)
+	return len(p), nil
+}
+
+// TestOriginWithoutContentLength: behind an origin that sends blobs
+// chunked, a cold fill has no size. A cold ranged GET is answered with the
+// whole blob (a server may ignore Range), as is a cold full GET, and
+// neither carries a Content-Length of its own. Once cached, the blob's
+// size is known and ranges are honoured.
+func TestOriginWithoutContentLength(t *testing.T) {
+	reg := registry.New(blobstore.NewMemory())
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		reg.ServeHTTP(&chunkedWriter{ResponseWriter: w}, req)
+	}))
+	t.Cleanup(origin.Close)
+	c := cache.NewSharded(blobstore.NewMemory(), 1<<20, 1)
+	front := httptest.NewUnstartedServer(New(&registry.Client{Base: origin.URL}, c))
+	front.Config.ErrorLog = log.New(failLog{t}, "", 0)
+	front.Start()
+	t.Cleanup(front.Close)
+
+	get := func(img image, spec string) (*http.Response, []byte) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, front.URL+"/v2/"+img.repo+"/blobs/"+img.layerD.String(), nil)
+		if spec != "" {
+			req.Header.Set("Range", spec)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+
+	ranged := pushImage(t, reg, "library/ranged", blobOfSize(10, 64<<10), false)
+	full := pushImage(t, reg, "library/full", blobOfSize(11, 64<<10), false)
+	for _, cold := range []struct {
+		img  image
+		spec string
+	}{{ranged, "bytes=0-9"}, {full, ""}} {
+		resp, body := get(cold.img, cold.spec)
+		if resp.StatusCode != http.StatusOK || resp.ContentLength != -1 || !bytes.Equal(body, cold.img.layer) {
+			t.Fatalf("cold GET (Range %q): status %d, Content-Length %d, %d bytes; want 200, none, the %d-byte layer",
+				cold.spec, resp.StatusCode, resp.ContentLength, len(body), len(cold.img.layer))
+		}
+	}
+
+	for deadline := time.Now().Add(5 * time.Second); !c.Contains(ranged.layerD); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("blob of unknown size not admitted within 5s of its cold pull")
+		}
+	}
+	resp, body := get(ranged, "bytes=0-9")
+	if resp.StatusCode != http.StatusPartialContent || !bytes.Equal(body, ranged.layer[:10]) {
+		t.Fatalf("warm range: status %d, %d bytes; want 206 and the first 10 bytes", resp.StatusCode, len(body))
+	}
+	if n := reg.Stats().BlobGets; n != 2 {
+		t.Fatalf("origin blob gets = %d, want 2 (one cold fill per layer)", n)
 	}
 }

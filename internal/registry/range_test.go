@@ -125,6 +125,9 @@ func TestParseRangeTable(t *testing.T) {
 		{"bytes=abc-", 100, 0, 0, false},
 		{"bytes=1-2,5-6", 100, 0, 100, true}, // multi-range unsupported: whole blob
 		{"items=1-2", 100, 0, 100, true},     // foreign unit: whole blob
+		{"bytes=0-9", -1, 0, -1, true},       // unknown size: whole blob
+		{"bytes=0-", 0, 0, 0, false},         // nothing to range over
+		{"", 0, 0, 0, true},
 	}
 	for _, c := range cases {
 		start, length, ok := ParseRange(c.h, c.size)
@@ -133,6 +136,23 @@ func TestParseRangeTable(t *testing.T) {
 				c.h, c.size, start, length, ok, c.start, c.length, c.ok)
 		}
 	}
+}
+
+// FuzzParseRange: whatever the header and size, ParseRange does not panic,
+// and a range it accepts is either the whole blob — which is how it
+// answers an absent or unsupported header, an empty blob, or an unknown
+// (negative) size — or a non-empty slice inside the blob. The seed corpus
+// is in testdata/fuzz/FuzzParseRange.
+func FuzzParseRange(f *testing.F) {
+	f.Fuzz(func(t *testing.T, h string, size int64) {
+		start, length, ok := ParseRange(h, size)
+		if !ok || start == 0 && length == size {
+			return
+		}
+		if start < 0 || length < 1 || start > size-length {
+			t.Fatalf("ParseRange(%q, %d) = (%d, %d, true): not a slice of the blob", h, size, start, length)
+		}
+	})
 }
 
 // Property: any valid split point reassembles the blob byte-exactly.

@@ -461,10 +461,11 @@ func (r *Registry) serveBlob(w http.ResponseWriter, req *http.Request, ref strin
 }
 
 // ParseRange handles the single-range form "bytes=start-[end]"; an absent
-// header means the whole blob. Returns ok=false for unsatisfiable ranges.
-// It is exported for the mirror, which answers the same Range dialect.
+// header means the whole blob, and so does a negative (unknown) size: a
+// server may ignore Range. Returns ok=false for unsatisfiable ranges. It is
+// exported for the mirror, which answers the same Range dialect.
 func ParseRange(h string, size int64) (start, length int64, ok bool) {
-	if h == "" {
+	if h == "" || size < 0 {
 		return 0, size, true
 	}
 	if !strings.HasPrefix(h, "bytes=") || strings.Contains(h, ",") {
