@@ -66,14 +66,17 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'DownloadStreaming|FusedPipeline' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'CacheHitServe|CacheMissFill|CacheScan' -benchtime=1x -benchmem ./internal/cache
 	$(GO) test -run '^$$' -bench 'DedupPutStream$$|DedupGet(Sink)?$$' -benchtime=1x -benchmem ./internal/dedupstore
+	$(GO) test -run '^$$' -bench 'WalkLayer$$' -benchtime=1x -benchmem ./internal/tarutil
 	$(GO) run ./cmd/trafficsim -scenarios flash-crowd -rates 120 -n 150 -scale 0.002 -json /dev/null
 	$(GO) run ./cmd/trafficsim -scenarios flash-crowd -arrivals closed -workers 8 -n 150 -scale 0.002 -json /dev/null
 
 # Five seconds of native fuzzing per target, starting from the seed
 # corpus committed under the package's testdata/fuzz/<target>/. A failing
-# input is written there too, so it becomes a regression test.
+# input is written there too, so it becomes a regression test. Go fuzzes
+# one target per run, so each target has its own line.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRange$$' -fuzztime 5s ./internal/registry
+	$(GO) test -run '^$$' -fuzz '^FuzzWalk$$' -fuzztime 5s ./internal/tarutil
 
 # Regenerate the committed open-loop tail-latency record
 # (BENCH_traffic.json): the scenario × rate sweep with

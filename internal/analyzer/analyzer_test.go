@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"archive/tar"
 	"bytes"
 	"context"
 	"io"
@@ -517,6 +518,68 @@ func TestAnalyzeStorePlainTarFetchOnce(t *testing.T) {
 		if n := store.gets[l.Digest]; n != 1 {
 			t.Fatalf("layer %s fetched %d times, want exactly 1", l.Digest.Short(), n)
 		}
+	}
+}
+
+// TestAnalyzeStoreSkipsGlobalHeader: a layer written by `git archive`
+// opens with a PAX global header. It is not a file, so it counts in
+// neither the layer's nor the image's file count nor the census.
+func TestAnalyzeStoreSkipsGlobalHeader(t *testing.T) {
+	var buf bytes.Buffer
+	tw := tar.NewWriter(&buf)
+	hdrs := []*tar.Header{
+		{Typeflag: tar.TypeXGlobalHeader, Name: "pax_global_header", PAXRecords: map[string]string{"comment": "4b825dc642cb6eb9a060e54bf8d69288fbee4904"}},
+		{Typeflag: tar.TypeDir, Name: "src/", Mode: 0o755},
+		{Typeflag: tar.TypeReg, Name: "src/main.go", Mode: 0o644, Size: 12},
+		{Typeflag: tar.TypeReg, Name: "README", Mode: 0o644, Size: 12},
+	}
+	for _, h := range hdrs {
+		if err := tw.WriteHeader(h); err != nil {
+			t.Fatal(err)
+		}
+		tw.Write(make([]byte, h.Size))
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var names []string
+	if err := tarutil.Walk(bytes.NewReader(buf.Bytes()), func(e tarutil.Entry, _ io.Reader) error {
+		names = append(names, e.Name)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"src/", "src/main.go", "README"}; !slices.Equal(names, want) {
+		t.Fatalf("walked %q, want %q", names, want)
+	}
+
+	mem := blobstore.NewMemory()
+	ld, err := mem.Put(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := mem.Put([]byte(`{"architecture":"amd64","os":"linux"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := manifest.New(manifest.Descriptor{MediaType: manifest.MediaTypeConfig, Size: 1, Digest: cfg},
+		[]manifest.Descriptor{{MediaType: manifest.MediaTypeLayer, Size: int64(buf.Len()), Digest: ld}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := AnalyzeStore(mem, []downloader.Image{{Repo: "t/git-archive", Manifest: m}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := res.Layers[0]; l.FileCount != 2 || l.DirCount != 1 {
+		t.Fatalf("layer profile %+v, want 2 files and 1 directory", l)
+	}
+	if n := res.Images[0].FileCount; n != 2 {
+		t.Fatalf("image file count %d, want 2", n)
+	}
+	if n := res.Index.Ratios().TotalFiles; n != 2 {
+		t.Fatalf("census holds %d file instances, want 2", n)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"path"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -137,6 +139,48 @@ func TestDepthOf(t *testing.T) {
 		if got := depthOf(c.name, c.isDir); got != c.want {
 			t.Errorf("depthOf(%q, %v) = %d, want %d", c.name, c.isDir, got, c.want)
 		}
+	}
+}
+
+// oracleDepth is depthOf as it was written over path.Clean, which builds
+// "/"+name per entry; the allocation-free depthOf is held to it.
+func oracleDepth(name string, isDir bool) int {
+	clean := strings.Trim(path.Clean("/"+name), "/")
+	if clean == "" || clean == "." {
+		return 0
+	}
+	segments := strings.Count(clean, "/") + 1
+	if isDir {
+		return segments
+	}
+	return segments - 1
+}
+
+// Property: depthOf agrees with oracleDepth on names made of ".", "..",
+// empty segments ("//") and ordinary ones, with or without leading and
+// trailing slashes.
+func TestQuickDepthOf(t *testing.T) {
+	segments := []string{"", ".", "..", "...", "a", "bin", ".hidden", "x.y"}
+	f := func(picks []uint8, lead, trail, isDir bool) bool {
+		parts := make([]string, len(picks))
+		for i, p := range picks {
+			parts[i] = segments[int(p)%len(segments)]
+		}
+		name := strings.Join(parts, "/")
+		if lead {
+			name = "/" + name
+		}
+		if trail {
+			name += "/"
+		}
+		if got, want := depthOf(name, isDir), oracleDepth(name, isDir); got != want {
+			t.Logf("depthOf(%q, %v) = %d, want %d", name, isDir, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
 	}
 }
 
