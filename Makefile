@@ -66,7 +66,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'DownloadStreaming|FusedPipeline' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'CacheHitServe|CacheMissFill|CacheScan' -benchtime=1x -benchmem ./internal/cache
 	$(GO) test -run '^$$' -bench 'DedupPutStream$$|DedupGet(Sink)?$$' -benchtime=1x -benchmem ./internal/dedupstore
-	$(GO) test -run '^$$' -bench 'WalkLayer$$' -benchtime=1x -benchmem ./internal/tarutil
+	$(GO) test -run '^$$' -bench 'BuildLayer$$|WalkLayer$$' -benchtime=1x -benchmem ./internal/tarutil
 	$(GO) run ./cmd/trafficsim -scenarios flash-crowd -rates 120 -n 150 -scale 0.002 -json /dev/null
 	$(GO) run ./cmd/trafficsim -scenarios flash-crowd -arrivals closed -workers 8 -n 150 -scale 0.002 -json /dev/null
 
@@ -77,6 +77,8 @@ bench-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRange$$' -fuzztime 5s ./internal/registry
 	$(GO) test -run '^$$' -fuzz '^FuzzWalk$$' -fuzztime 5s ./internal/tarutil
+	$(GO) test -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime 5s ./internal/tarutil
+	$(GO) test -run '^$$' -fuzz '^FuzzRecipe$$' -fuzztime 5s ./internal/dedupstore
 
 # Regenerate the committed open-loop tail-latency record
 # (BENCH_traffic.json): the scenario × rate sweep with

@@ -19,12 +19,15 @@
 //     blobstore.MemberObserver is told of every member and of the commit,
 //     so the live analytics walk is fed from this pass instead of
 //     gunzipping and hashing the layer again.
-//   - Get reconstructs the wire blob on read: the tar is reassembled from
-//     pooled file contents (re-gzipped when the original was
-//     gzip-framed) and pushed straight into the consumer — the reader is
-//     an io.WriterTo that runs the reassembly on the caller's goroutine,
-//     through one pooled buffer; Read is an adapter over the same routine
-//     for consumers that must pull. An optional reconstruction cache
+//   - Get reconstructs the wire blob on read: the recipe is inflated into a
+//     pooled buffer and walked in place, and the tar is reassembled from
+//     pooled file contents (re-gzipped when the original was gzip-framed)
+//     and pushed straight into the consumer — each file streams from the
+//     pool through the tar builder, and the reader is an io.WriterTo that
+//     runs the reassembly on the caller's goroutine, through one pooled
+//     write buffer; Read is an adapter over the same routine for consumers
+//     that must pull. Beyond each file's pool lookup, a cold Get allocates
+//     per blob, not per member. An optional reconstruction cache
 //     (internal/cache) absorbs the recompression cost of
 //     popularity-skewed pull traffic.
 //   - Delete is reference counted and safe under concurrent pulls: a
@@ -34,13 +37,15 @@
 //
 // Reassembly must be bit-exact — registry clients verify blobs against
 // their digests — so every put proves round-trip fidelity before
-// committing: the decomposed blob is reassembled (and recompressed)
-// through a hasher and compared with the wire digest. Layers built by
-// tarutil (fixed metadata, deterministic gzip) always pass; a foreign blob
-// that does not reproduce is stored verbatim by Put/PutVerified, while
-// PutStream — whose input is already consumed — reports
-// ErrNotReproducible rather than serve bytes that would fail client-side
-// verification.
+// committing: the recipe is encoded first, the decomposed blob is
+// reassembled (and recompressed) from that encoding through a hasher and
+// compared with the wire digest, and only then is the encoding deflated
+// for storage, so the proof runs over exactly the bytes every later Get
+// reads. Layers built by tarutil (fixed metadata, deterministic gzip)
+// always pass; a foreign blob that does not reproduce is stored verbatim
+// by Put/PutVerified, while PutStream — whose input is already consumed —
+// reports ErrNotReproducible rather than serve bytes that would fail
+// client-side verification.
 package dedupstore
 
 import (
@@ -147,10 +152,11 @@ type Config struct {
 type blobEntry struct {
 	size int64 // wire size
 	// recipeZ is the flate-compressed recipe encoding (nil for raw
-	// blobs). Recipes are held compressed — the 32-byte content digests
-	// are incompressible but names and sizes shrink ~3x — and decoded on
-	// demand: reconstruction already pays a gzip of megabytes, so
-	// inflating a few KB of metadata is noise.
+	// blobs), exactly as long as it is counted. Recipes are held
+	// compressed — the 32-byte content digests are incompressible but
+	// names and sizes shrink ~3x — and inflated on demand into a pooled
+	// buffer that is walked in place: reconstruction already pays a gzip
+	// of megabytes, so inflating a few KB of metadata is noise.
 	recipeZ []byte
 	logical int64 // decomposed content bytes (accounting)
 	files   int64 // file instances (accounting)
@@ -205,8 +211,9 @@ func NewWithConfig(pool *Pool, cfg Config) *Store {
 
 // Pooled scratch state for the streaming put/get paths: the sniffing
 // bufio, the gzip inflater/deflater, the one-file-at-a-time content
-// buffer, and the chunk buffer used to drain trailers. Recycling these is
-// what makes per-blob allocation O(largest file), not O(layer).
+// buffer of the put path, and the chunk buffer used to drain trailers.
+// Recycling these is what makes per-blob allocation O(largest file), not
+// O(layer).
 var (
 	bufReaderPool = sync.Pool{
 		New: func() any { return bufio.NewReaderSize(nil, 32<<10) },
@@ -219,25 +226,44 @@ var (
 	}}
 	flateWriterPool sync.Pool // *flate.Writer for at-rest recipe compression
 	flateReaderPool sync.Pool // flate.Resetter readers for recipe inflation
+	recipeBufPool   = sync.Pool{New: func() any { return new(recipeBuf) }}
+	putScratchPool  = sync.Pool{New: func() any { return new(putScratch) }}
 )
 
 // writeScratch is the working memory of one reassembly, pooled as one value
-// so a blob costs one pool round trip: the buffer between the tar/gzip
-// stream and the sink, and the deflater at the materializer's level (nil
-// until a gzip-framed blob first uses this scratch).
+// so a blob costs one pool round trip: the tar builder, the buffer between
+// the tar/gzip stream and the sink, and the deflater at the materializer's
+// level (nil until a gzip-framed blob first uses this scratch).
 //
 // The buffer is why the sink sees few large writes: compress/flate hands
 // its output on in ~240-byte pieces, and unbuffered every piece of a cold
 // pull would be a write(2) on the response, a pipe rendezvous behind Read or
 // the cache tee, and a block call on the proof's hasher.
 type writeScratch struct {
+	tb *tarutil.Builder
 	bw *bufio.Writer
 	zw *gzip.Writer
 }
 
 var writeScratchPool = sync.Pool{New: func() any {
-	return &writeScratch{bw: bufio.NewWriterSize(nil, 32<<10)}
+	return &writeScratch{tb: tarutil.NewBuilder(nil), bw: bufio.NewWriterSize(nil, 32<<10)}
 }}
+
+// recipeBuf holds one inflated recipe: the encoding, and the reader the
+// inflater drains the at-rest bytes from. Whoever holds it owns it until
+// it goes back to recipeBufPool.
+type recipeBuf struct {
+	src bytes.Reader
+	enc bytes.Buffer
+}
+
+// putScratch is the working memory of one put's recipe: its encoding,
+// written member by member as the walk pools them, and the deflater's
+// output before the exact-size copy the store keeps.
+type putScratch struct {
+	enc recipeEncoder
+	z   bytes.Buffer
+}
 
 // gzipMagic is the two-byte gzip stream signature (RFC 1952).
 const gzipMagic = "\x1f\x8b"
@@ -372,18 +398,19 @@ func (s *Store) ingestRaw(want digest.Digest, r io.Reader) (int64, error) {
 }
 
 // ingestTar decomposes a (possibly gzip-framed) tar blob: every member
-// file is buffered once (pooled), hashed, and pooled; the recipe commits
-// only after the wire digest checks out and a reassembly through a hasher
-// proves the recipe reproduces the exact wire bytes. Any failure releases
-// the references the walk took. obs, when non-nil, is told of every member
-// as it is pooled and of the commit.
+// file is buffered once (pooled), hashed, pooled, and appended to the
+// recipe's encoding; the recipe commits only after the wire digest checks
+// out and a reassembly from the encoding through a hasher proves it
+// reproduces the exact wire bytes. Any failure releases the references the
+// walk took — one per file in the encoding so far. obs, when non-nil, is
+// told of every member as it is pooled and of the commit.
 func (s *Store) ingestTar(want digest.Digest, cr *countReader, h *digest.Hasher, br *bufio.Reader, gz bool, obs blobstore.MemberObserver) (int64, error) {
-	rec := &Recipe{Gzip: gz}
-	var added []digest.Digest
+	ps := putScratchPool.Get().(*putScratch)
+	defer putScratchPool.Put(ps)
+	enc := &ps.enc
+	enc.reset()
 	fail := func(err error) (int64, error) {
-		for _, d := range added {
-			s.pool.unref(d)
-		}
+		s.unrefFiles(enc.members())
 		return cr.n, err
 	}
 
@@ -414,7 +441,7 @@ func (s *Store) ingestTar(want digest.Digest, cr *countReader, h *digest.Hasher,
 	}()
 	walkErr := tarutil.Walk(src, func(e tarutil.Entry, content io.Reader) error {
 		if e.IsDir {
-			rec.Entries = append(rec.Entries, RecipeEntry{Name: e.Name, Dir: true})
+			enc.dir(e.Name)
 			if obs != nil {
 				obs.Dir(e)
 			}
@@ -433,8 +460,7 @@ func (s *Store) ingestTar(want digest.Digest, cr *countReader, h *digest.Hasher,
 		if err := s.pool.add(fd, fbuf.Bytes()); err != nil {
 			return err
 		}
-		added = append(added, fd)
-		rec.Entries = append(rec.Entries, RecipeEntry{Name: e.Name, Size: e.Size, Content: fd})
+		enc.file(e.Name, e.Size, fd)
 		logical += e.Size
 		files++
 		if obs != nil {
@@ -464,8 +490,10 @@ func (s *Store) ingestTar(want digest.Digest, cr *countReader, h *digest.Hasher,
 		return fail(fmt.Errorf("%w: want %s, got %s", blobstore.ErrDigestMismatch, want.Short(), got.Short()))
 	}
 
-	// Round-trip proof: the recipe must reproduce the wire bytes exactly,
-	// or clients verifying their pulls would reject what Get serves.
+	// Round-trip proof, over the encoding every later Get will read: the
+	// recipe must reproduce the wire bytes exactly, or clients verifying
+	// their pulls would reject what Get serves.
+	rec := enc.finish(gz)
 	vh := digest.NewHasher()
 	if err := s.writeBlob(rec, vh); err != nil {
 		return fail(fmt.Errorf("dedupstore: verifying reassembly of %s: %w", want.Short(), err))
@@ -474,7 +502,7 @@ func (s *Store) ingestTar(want digest.Digest, cr *countReader, h *digest.Hasher,
 		return fail(fmt.Errorf("%w: %s reassembles to %s", ErrNotReproducible, want.Short(), got.Short()))
 	}
 
-	z := compressRecipe(rec)
+	z := compressRecipe(rec, &ps.z)
 	s.mu.Lock()
 	s.blobs[want] = &blobEntry{size: cr.n, recipeZ: z, logical: logical, files: files}
 	s.layers++
@@ -489,40 +517,54 @@ func (s *Store) ingestTar(want digest.Digest, cr *countReader, h *digest.Hasher,
 	return cr.n, nil
 }
 
-// compressRecipe flate-compresses a recipe's binary encoding for at-rest
-// storage.
-func compressRecipe(rec *Recipe) []byte {
-	var buf bytes.Buffer
+// compressRecipe flate-compresses a recipe's encoding for at-rest storage,
+// through scratch, and returns an exact-size copy: the bytes the store
+// holds are the bytes Stats.RecipeBytes counts.
+func compressRecipe(enc []byte, scratch *bytes.Buffer) []byte {
+	scratch.Reset()
 	fw, _ := flateWriterPool.Get().(*flate.Writer)
 	if fw == nil {
-		fw, _ = flate.NewWriter(&buf, flate.DefaultCompression)
+		fw, _ = flate.NewWriter(scratch, flate.DefaultCompression)
 	} else {
-		fw.Reset(&buf)
+		fw.Reset(scratch)
 	}
 	// Writes to a bytes.Buffer cannot fail.
-	fw.Write(EncodeRecipe(rec))
+	fw.Write(enc)
 	fw.Close()
 	flateWriterPool.Put(fw)
-	return buf.Bytes()
+	z := make([]byte, scratch.Len())
+	copy(z, scratch.Bytes())
+	return z
 }
 
-// decompressRecipe inflates and decodes an at-rest recipe.
-func decompressRecipe(z []byte) (*Recipe, error) {
+// inflateRecipe inflates an at-rest recipe into a pooled buffer, which the
+// caller owns and hands back with putRecipeBuf.
+func inflateRecipe(z []byte) (*recipeBuf, error) {
+	rb := recipeBufPool.Get().(*recipeBuf)
+	rb.src.Reset(z)
+	rb.enc.Reset()
 	fr, _ := flateReaderPool.Get().(io.ReadCloser)
 	if fr == nil {
-		fr = flate.NewReader(bytes.NewReader(z))
-	} else if err := fr.(flate.Resetter).Reset(bytes.NewReader(z), nil); err != nil {
+		fr = flate.NewReader(&rb.src)
+	} else if err := fr.(flate.Resetter).Reset(&rb.src, nil); err != nil {
+		putRecipeBuf(rb)
 		return nil, err
 	}
-	enc, err := io.ReadAll(fr)
+	_, err := rb.enc.ReadFrom(fr)
 	if cerr := fr.Close(); err == nil {
 		err = cerr
 	}
 	flateReaderPool.Put(fr)
 	if err != nil {
+		putRecipeBuf(rb)
 		return nil, fmt.Errorf("dedupstore: inflating recipe: %w", err)
 	}
-	return DecodeRecipe(enc)
+	return rb, nil
+}
+
+func putRecipeBuf(rb *recipeBuf) {
+	rb.src.Reset(nil)
+	recipeBufPool.Put(rb)
 }
 
 // drainAll consumes r to EOF through a pooled chunk buffer.
@@ -575,21 +617,27 @@ func parseOctal(b []byte) (int64, bool) {
 	return v, seen
 }
 
-// writeBlob streams a recipe's wire bytes to w: the tar is rebuilt from
-// pooled file contents (one pooled buffer at a time) and re-gzipped at the
-// materializer's compression level when the original was gzip-framed, so
-// the framing reproduces exactly. It is the one reassembly routine: the
-// put-side proof runs it into a hasher, a reader's WriteTo into the
-// consumer, its Read into a pipe.
-func (s *Store) writeBlob(rec *Recipe, w io.Writer) error {
+// writeBlob streams the wire bytes of a recipe, given as its encoding, to
+// w: a cursor walks the encoding in place, each file streams from the pool
+// into the tar builder, and the tar is re-gzipped at the materializer's
+// compression level when the original was gzip-framed, so the framing
+// reproduces exactly. It is the one reassembly routine: the put-side proof
+// runs it into a hasher, a reader's WriteTo into the consumer, its Read
+// into a pipe.
+func (s *Store) writeBlob(rec []byte, w io.Writer) error {
+	c, err := openRecipe(rec)
+	if err != nil {
+		return err
+	}
 	sc := writeScratchPool.Get().(*writeScratch)
 	sc.bw.Reset(w)
 	defer func() {
 		sc.bw.Reset(nil)
+		sc.tb.Reset(nil)
 		writeScratchPool.Put(sc)
 	}()
 	var tw io.Writer = sc.bw
-	if rec.Gzip {
+	if c.gzip {
 		if sc.zw == nil {
 			var err error
 			if sc.zw, err = gzip.NewWriterLevel(sc.bw, gzip.DefaultCompression); err != nil {
@@ -600,43 +648,36 @@ func (s *Store) writeBlob(rec *Recipe, w io.Writer) error {
 		}
 		tw = sc.zw
 	}
-	b := tarutil.NewBuilder(tw)
-
-	fbuf := fileBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		fbuf.Reset()
-		fileBufPool.Put(fbuf)
-	}()
-	for i := range rec.Entries {
-		e := &rec.Entries[i]
-		if e.Dir {
-			if err := b.Dir(e.Name); err != nil {
+	b := sc.tb
+	b.Reset(tw)
+	for c.next() {
+		if c.dir {
+			if err := b.Member(c.name, true, 0, nil); err != nil {
 				return err
 			}
 			continue
 		}
-		rc, _, err := s.pool.open(e.Content)
+		rc, size, err := s.pool.open(c.digest())
 		if err != nil {
-			return fmt.Errorf("dedupstore: pool lookup for %s: %w", e.Name, err)
+			return fmt.Errorf("dedupstore: pool lookup for %s: %w", c.name, err)
 		}
-		fbuf.Reset()
-		_, err = fbuf.ReadFrom(rc)
+		if size != c.size {
+			rc.Close()
+			return fmt.Errorf("dedupstore: pool content for %s is %d bytes, recipe says %d", c.name, size, c.size)
+		}
+		err = b.Member(c.name, false, c.size, rc)
 		rc.Close()
 		if err != nil {
-			return fmt.Errorf("dedupstore: pool read for %s: %w", e.Name, err)
-		}
-		if int64(fbuf.Len()) != e.Size {
-			return fmt.Errorf("dedupstore: pool content for %s is %d bytes, recipe says %d",
-				e.Name, fbuf.Len(), e.Size)
-		}
-		if err := b.File(e.Name, fbuf.Bytes()); err != nil {
 			return err
 		}
+	}
+	if c.err != nil {
+		return c.err
 	}
 	if err := b.Close(); err != nil {
 		return err
 	}
-	if rec.Gzip {
+	if c.gzip {
 		if err := sc.zw.Close(); err != nil {
 			return fmt.Errorf("dedupstore: closing gzip stream: %w", err)
 		}
@@ -687,12 +728,12 @@ func (s *Store) openReconstruct(d digest.Digest) (io.ReadCloser, int64, error) {
 	z, size := e.recipeZ, e.size
 	s.mu.Unlock()
 
-	rec, err := decompressRecipe(z)
+	rb, err := inflateRecipe(z)
 	if err != nil {
 		s.unpin(e)
 		return nil, 0, err
 	}
-	return &blobReader{s: s, e: e, rec: rec}, size, nil
+	return &blobReader{s: s, e: e, rb: rb}, size, nil
 }
 
 // unpin drops one reader from a recipe entry and, for a condemned entry's
@@ -714,15 +755,21 @@ func (s *Store) unpin(e *blobEntry) {
 // WriteTo): the first Read starts a pipe fed by the same writeBlob. Close
 // stops that writer if it runs and releases the read pin exactly once.
 //
+// The reader owns the inflated recipe, rb, and gives it up exactly once:
+// WriteTo returns it to the pool when the reassembly ends; the first Read
+// hands it to the pipe's writer goroutine, which returns it when its
+// reassembly ends; Close returns it if neither ran.
+//
 // Like any reader it belongs to one goroutine; a WriteTo in progress ends
 // when its destination fails, not when another goroutine calls Close.
 type blobReader struct {
-	s   *Store
-	e   *blobEntry
-	rec *Recipe
+	s  *Store
+	e  *blobEntry
+	rb *recipeBuf // nil once returned or handed to the pipe's writer
 
 	pr      *io.PipeReader // non-nil once a Read has started the pipe
 	written bool           // WriteTo has run the reassembly itself
+	cw      countWriter    // WriteTo's destination, counted
 	once    sync.Once      // releases the pin
 }
 
@@ -733,8 +780,11 @@ func (r *blobReader) Read(p []byte) (int, error) {
 	if r.pr == nil {
 		pr, pw := io.Pipe()
 		r.pr = pr
+		s, rb := r.s, r.rb
+		r.rb = nil
 		go func() {
-			pw.CloseWithError(r.s.writeBlob(r.rec, pw))
+			pw.CloseWithError(s.writeBlob(rb.enc.Bytes(), pw))
+			putRecipeBuf(rb)
 		}()
 	}
 	return r.pr.Read(p)
@@ -750,14 +800,21 @@ func (r *blobReader) WriteTo(w io.Writer) (int64, error) {
 		return 0, nil
 	}
 	r.written = true
-	cw := countWriter{w: w}
-	err := r.s.writeBlob(r.rec, &cw)
-	return cw.n, err
+	r.cw = countWriter{w: w}
+	err := r.s.writeBlob(r.rb.enc.Bytes(), &r.cw)
+	putRecipeBuf(r.rb)
+	r.rb = nil
+	r.cw.w = nil
+	return r.cw.n, err
 }
 
 func (r *blobReader) Close() error {
 	if r.pr != nil {
 		r.pr.Close()
+	}
+	if r.rb != nil {
+		putRecipeBuf(r.rb)
+		r.rb = nil
 	}
 	r.once.Do(func() { r.s.unpin(r.e) })
 	return nil
@@ -777,15 +834,23 @@ func (c *countWriter) Write(p []byte) (int, error) {
 
 // releaseEntry returns every file reference a recipe-backed entry holds.
 func (s *Store) releaseEntry(e *blobEntry) {
-	rec, err := decompressRecipe(e.recipeZ)
+	rb, err := inflateRecipe(e.recipeZ)
 	if err != nil {
 		// The store compressed these bytes itself, so this cannot happen;
 		// leaking the references beats unrefing the wrong files.
 		return
 	}
-	for i := range rec.Entries {
-		if !rec.Entries[i].Dir {
-			s.pool.unref(rec.Entries[i].Content)
+	defer putRecipeBuf(rb)
+	if c, err := openRecipe(rb.enc.Bytes()); err == nil {
+		s.unrefFiles(c)
+	}
+}
+
+// unrefFiles releases the pool reference of every file c walks.
+func (s *Store) unrefFiles(c recipeCursor) {
+	for c.next() {
+		if !c.dir {
+			s.pool.unref(c.digest())
 		}
 	}
 }
@@ -890,7 +955,12 @@ func (s *Store) Recipe(d digest.Digest) *Recipe {
 	if !ok || e.recipeZ == nil {
 		return nil
 	}
-	rec, err := decompressRecipe(e.recipeZ)
+	rb, err := inflateRecipe(e.recipeZ)
+	if err != nil {
+		return nil
+	}
+	defer putRecipeBuf(rb)
+	rec, err := DecodeRecipe(rb.enc.Bytes())
 	if err != nil {
 		return nil
 	}

@@ -514,7 +514,7 @@ func TestRecipeCodecRoundTrip(t *testing.T) {
 			{Name: "app/empty", Size: 0, Content: digest.FromBytes(nil)},
 		},
 	}
-	enc := EncodeRecipe(rec)
+	enc := encodeRecipe(rec)
 	dec, err := DecodeRecipe(enc)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -287,8 +288,10 @@ type plainSink struct{}
 func (plainSink) Write(p []byte) (int, error) { return len(p), nil }
 
 // bytesPerCall is -benchmem's B/op for f: heap bytes allocated per call,
-// pools warmed by one call first.
+// after a collection (so that no cycle the set-up left pending runs
+// mid-measure) and one call to warm the pools.
 func bytesPerCall(calls int, f func()) uint64 {
+	runtime.GC()
 	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -300,18 +303,25 @@ func bytesPerCall(calls int, f func()) uint64 {
 }
 
 // TestColdGetAllocationIndependentOfLayerSize guards the read path's
-// working memory: file buffer, write buffer and deflater are pooled and no
-// pipe or copy buffer stands between the reassembly and the consumer, so a
-// cold Get costs its recipe and a few small headers whatever the layer
-// holds.
+// working memory. The inflated recipe, tar builder, write buffer and
+// deflater are pooled, the recipe is walked in place, each file streams
+// from the pool into the tar, and no pipe or copy buffer stands between
+// the reassembly and the consumer. So a cold Get costs a few small values
+// per blob whatever its files hold, and per member only the pool lookup:
+// the content digest's string and the pool backing's reader.
 func TestColdGetAllocationIndependentOfLayerSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	perGet := func(fileSize int) uint64 {
+	// One P: a sync.Pool keeps the last Put private to the P that made it,
+	// so a goroutine that moved would miss its own scratch.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// measure returns the bytes and allocations of one cold Get of a layer
+	// of nFiles files of fileSize bytes, the least of three measurements.
+	measure := func(nFiles, fileSize int) (uint64, float64) {
 		s := NewWithConfig(NewMemoryPool(0), Config{})
-		d := putStream(t, s, noisyLayer(t, 1, fileSize, true))
-		return bytesPerCall(20, func() {
+		d := putStream(t, s, noisyLayer(t, nFiles, fileSize, true))
+		get := func() {
 			rc, _, err := s.Get(d)
 			if err != nil {
 				t.Fatal(err)
@@ -320,15 +330,37 @@ func TestColdGetAllocationIndependentOfLayerSize(t *testing.T) {
 				t.Fatal(err)
 			}
 			rc.Close()
-		})
+		}
+		bytes, allocs := uint64(math.MaxUint64), math.Inf(1)
+		for range 3 {
+			bytes = min(bytes, bytesPerCall(20, get))
+			runtime.GC()
+			allocs = min(allocs, testing.AllocsPerRun(20, get))
+		}
+		return bytes, allocs
 	}
-	small, large := perGet(64<<10), perGet(1<<20)
-	t.Logf("64 KiB file: %d B/get; 1 MiB file: %d B/get", small, large)
-	if large > small+8<<10 {
-		t.Errorf("a cold Get of a 1 MiB-file layer allocates %d B, of a 64 KiB-file layer %d B: want within 8 KiB", large, small)
+	small, _ := measure(1, 64<<10)
+	large, one := measure(1, 1<<20)
+	t.Logf("one 64 KiB file: %d B/get; one 1 MiB file: %d B/get in %.0f allocations", small, large, one)
+	if large > small+256 {
+		t.Errorf("a cold Get of a 1 MiB-file layer allocates %d B, of a 64 KiB-file layer %d B: want within 256 B", large, small)
 	}
-	if large >= 16<<10 {
-		t.Errorf("a cold Get allocates %d B: a per-read copy buffer is back", large)
+	if large > 1<<10 {
+		t.Errorf("a cold Get allocates %d B: a per-read buffer is back", large)
+	}
+	if one > 4 {
+		t.Errorf("a cold Get of one file allocates %.0f times, want at most 4: the reader, the file's digest string and pool reader, one to spare", one)
+	}
+	// Per blob: the reader, and the tables the inflater builds for the
+	// recipe's dynamic Huffman codes (none to a dozen).
+	const perBlob = 16
+	for _, n := range []int{32, 256} {
+		_, allocs := measure(n, 1<<10)
+		t.Logf("%d files: %.0f allocations/get", n, allocs)
+		if allocs > float64(2*n+perBlob) {
+			t.Errorf("a cold Get of %d files allocates %.0f times, want at most 2 per member (the digest string and the pool reader) + %d",
+				n, allocs, perBlob)
+		}
 	}
 }
 
@@ -336,18 +368,14 @@ func TestColdGetAllocationIndependentOfLayerSize(t *testing.T) {
 // stored_bytes_per_user_byte counts, and what a store on disk would have
 // to read back.
 func TestRecipeEncodingGolden(t *testing.T) {
-	rec := &Recipe{Gzip: true, Entries: []RecipeEntry{
-		{Name: "app", Dir: true},
-		{Name: "app/a.txt", Size: 300, Content: digest.FromBytes([]byte("a"))},
-		{Name: "app/empty", Size: 0, Content: digest.FromBytes([]byte(""))},
-	}}
+	rec := goldenRecipe()
 	const golden = "64726370" + "01" + "01" + "03" + // magic, version, gzip flag, 3 entries
 		"01" + "03" + "617070" + // dir "app"
 		"00" + "09" + "6170702f612e747874" + "ac02" + // file "app/a.txt", 300 bytes
 		"ca978112ca1bbdcafac231b39a23dc4da786eff8147c4e72b9807785afee48bb" +
 		"00" + "09" + "6170702f656d707479" + "00" + // file "app/empty", 0 bytes
 		"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-	enc := EncodeRecipe(rec)
+	enc := encodeRecipe(rec)
 	if got := hex.EncodeToString(enc); got != golden {
 		t.Fatalf("recipe encoding changed:\n got %s\nwant %s", got, golden)
 	}
@@ -366,7 +394,17 @@ func TestRecipeEncodingGolden(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { DecodeRecipe(enc) }); n > 7 {
 		t.Errorf("DecodeRecipe allocates %v times for 2 files and a dir, want <= 7", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { EncodeRecipe(rec) }); n > 1 {
-		t.Errorf("EncodeRecipe allocates %v times, want 1 (the output)", n)
+	// A reused encoder writes members without allocating, and the cursor
+	// walks them without allocating.
+	var e recipeEncoder
+	if n := testing.AllocsPerRun(100, func() { encodeWith(&e, rec) }); n != 0 {
+		t.Errorf("a reused recipeEncoder allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		c, _ := openRecipe(enc)
+		for c.next() {
+		}
+	}); n != 0 {
+		t.Errorf("walking a recipe allocates %v times, want 0", n)
 	}
 }

@@ -1,7 +1,8 @@
 // Package tarutil builds and walks Docker layer tarballs. Layers are
 // transferred from the registry as gzip-compressed tar archives (§II-C);
 // this package provides a streaming writer used by the synthetic dataset
-// materializer and a streaming walker used by the analyzer.
+// materializer and the dedup store's reassembly, and a streaming walker
+// used by the analyzer and the store's ingest.
 //
 // Unlike `docker pull`, which extracts every layer into the storage driver
 // (the overhead the paper's custom downloader avoids, §III-B), the walker
@@ -41,20 +42,25 @@
 //     before anything is read or allocated, because pushed layers are
 //     attacker input.
 //
-// The Builder writes through archive/tar: synthetic layer digests, and so
-// every figure fingerprint, depend on its exact bytes.
+// The Builder is the walker's twin on the writing side: it encodes its own
+// header blocks into one block buffer, so a reused Builder writes an entry
+// without allocating. Its bytes are archive/tar.Writer's for every header
+// it can emit, and it refuses what archive/tar.Writer refuses (FuzzBuild
+// and TestBuildMatchesArchiveTar hold it to both): synthetic layer
+// digests, every figure fingerprint and every dedup reassembly depend on
+// those exact bytes. Its Member entry takes the name as bytes and streams
+// the data from a reader, the form in which the dedup store replays a
+// stored recipe. The package imports archive/tar only in its tests, as the
+// oracle in both directions.
 package tarutil
 
 import (
-	"archive/tar"
 	"bufio"
 	"compress/gzip"
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
-	"time"
 )
 
 // Entry describes one member of a layer tarball as seen by the walker.
@@ -134,88 +140,3 @@ func WalkAuto(r io.Reader, fn WalkFunc) error {
 	}
 	return nil
 }
-
-// Builder assembles a layer tarball, optionally gzip-compressed, writing to
-// an underlying writer. Directories for file parents are NOT created
-// implicitly; call Dir explicitly, as Docker's image builder does.
-type Builder struct {
-	tw  *tar.Writer
-	zw  *gzip.Writer
-	err error
-}
-
-// NewBuilder returns a Builder writing an uncompressed tar stream to w.
-func NewBuilder(w io.Writer) *Builder {
-	return &Builder{tw: tar.NewWriter(w)}
-}
-
-// NewGzipBuilder returns a Builder writing a gzip-compressed tar stream to
-// w at the given gzip level (gzip.DefaultCompression if level is 0).
-func NewGzipBuilder(w io.Writer, level int) (*Builder, error) {
-	if level == 0 {
-		level = gzip.DefaultCompression
-	}
-	zw, err := gzip.NewWriterLevel(w, level)
-	if err != nil {
-		return nil, fmt.Errorf("tarutil: gzip writer: %w", err)
-	}
-	return &Builder{tw: tar.NewWriter(zw), zw: zw}, nil
-}
-
-// modTime is the fixed timestamp for all synthetic entries, keeping layer
-// bytes deterministic for a given content sequence.
-var modTime = time.Date(2017, 5, 30, 0, 0, 0, 0, time.UTC)
-
-// Dir adds a directory entry.
-func (b *Builder) Dir(name string) error {
-	if b.err != nil {
-		return b.err
-	}
-	name = strings.TrimSuffix(name, "/") + "/"
-	b.err = b.tw.WriteHeader(&tar.Header{
-		Typeflag: tar.TypeDir,
-		Name:     name,
-		Mode:     0o755,
-		ModTime:  modTime,
-	})
-	return b.err
-}
-
-// File adds a regular file with the given content.
-func (b *Builder) File(name string, content []byte) error {
-	if b.err != nil {
-		return b.err
-	}
-	b.err = b.tw.WriteHeader(&tar.Header{
-		Typeflag: tar.TypeReg,
-		Name:     name,
-		Mode:     0o644,
-		Size:     int64(len(content)),
-		ModTime:  modTime,
-	})
-	if b.err != nil {
-		return b.err
-	}
-	_, b.err = b.tw.Write(content)
-	return b.err
-}
-
-// Close flushes the tar (and gzip, if any) trailers. The Builder must not
-// be used afterwards.
-func (b *Builder) Close() error {
-	if b.err != nil {
-		return b.err
-	}
-	if err := b.tw.Close(); err != nil {
-		return fmt.Errorf("tarutil: closing tar: %w", err)
-	}
-	if b.zw != nil {
-		if err := b.zw.Close(); err != nil {
-			return fmt.Errorf("tarutil: closing gzip: %w", err)
-		}
-	}
-	return nil
-}
-
-// Err returns the first error encountered by the builder, if any.
-func (b *Builder) Err() error { return b.err }
