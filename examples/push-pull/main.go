@@ -33,10 +33,7 @@ func main() {
 
 	// --- build: a layer tarball, the way docker build would.
 	var layer bytes.Buffer
-	b, err := tarutil.NewGzipBuilder(&layer, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
+	b := tarutil.NewGzipBuilder(&layer)
 	must(b.Dir("app"))
 	must(b.File("app/run.sh", []byte("#!/bin/sh\nexec ./server\n")))
 	must(b.File("app/config.json", []byte(`{"port": 8080}`)))
@@ -89,10 +86,7 @@ func main() {
 
 	// --- retag + GC: push v2, the old layer becomes garbage.
 	var layer2 bytes.Buffer
-	b2, err := tarutil.NewGzipBuilder(&layer2, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
+	b2 := tarutil.NewGzipBuilder(&layer2)
 	must(b2.File("app/run.sh", []byte("#!/bin/sh\nexec ./server --v2\n")))
 	must(b2.Close())
 	l2, err := client.PushBlobContext(ctx, "demo/app", layer2.Bytes())

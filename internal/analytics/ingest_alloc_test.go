@@ -2,7 +2,6 @@ package analytics
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"io"
 	"net/http"
@@ -33,10 +32,7 @@ func bytesPerCall(calls int, f func()) uint64 {
 func oneFileLayer(t *testing.T, size int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	b, err := tarutil.NewGzipBuilder(&buf, gzip.BestSpeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := tarutil.NewGzipBuilder(&buf)
 	body := make([]byte, size)
 	for i := range body {
 		body[i] = byte(i * 31)

@@ -2,7 +2,6 @@ package analytics
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"io"
 	"net/http"
@@ -113,10 +112,7 @@ func (e *env) walkedLayers() int {
 func gzipLayer(t *testing.T, files map[string]string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	b, err := tarutil.NewGzipBuilder(&buf, gzip.DefaultCompression)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := tarutil.NewGzipBuilder(&buf)
 	if len(files) > 0 {
 		if err := b.Dir("app"); err != nil {
 			t.Fatal(err)

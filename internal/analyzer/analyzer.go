@@ -434,7 +434,7 @@ var scratchPool = sync.Pool{New: func() any { return &walkScratch{h: digest.NewH
 const classifyPrefix = 4096
 
 // walkLayer decompresses and walks one layer blob from the store. The blob
-// is fetched exactly once: tarutil.WalkAuto sniffs the gzip magic through a
+// is fetched exactly once: tarutil.OpenLayer sniffs its framing through a
 // buffered reader, so plain-tar blobs need no re-fetch.
 func walkLayer(store blobstore.Store, ld digest.Digest) (*WalkedLayer, error) {
 	rc, _, err := store.Get(ld)
@@ -445,19 +445,6 @@ func walkLayer(store blobstore.Store, ld digest.Digest) (*WalkedLayer, error) {
 	return WalkLayerReader(ld, rc)
 }
 
-// countReader tracks the bytes consumed from the underlying stream; after
-// the post-walk drain its total is the compressed layer size (CLS).
-type countReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // WalkLayerReader decompresses and walks one layer tarball as it streams
 // past, producing its profile and file observations. Like the paper's
 // analyzer it traverses every entry; unlike docker pull it never extracts
@@ -465,26 +452,12 @@ func (c *countReader) Read(p []byte) (int, error) {
 // — so when r is a tee of an in-flight download, the transfer never blocks
 // on an abandoned pipe and the stream's terminal verdict (the fetch error
 // that replaces io.EOF) surfaces here: a nil error means the walked bytes
-// were verified end to end.
+// were verified end to end, and the layer's wire size is its CLS. It is
+// the byte-walking front end of LayerAccumulator: each member is hashed,
+// and the accumulator gets what a decomposing store would have reported.
 func WalkLayerReader(ld digest.Digest, r io.Reader) (*WalkedLayer, error) {
-	cr := &countReader{r: r}
-	acc, walkErr := walkReader(ld, cr)
-	// Drain: trailing bytes (tar padding the walker does not consume)
-	// complete the CLS count, and a teed stream reaches its verdict.
-	_, drainErr := io.Copy(io.Discard, cr)
-	if walkErr != nil {
-		return nil, walkErr
-	}
-	if drainErr != nil {
-		return nil, drainErr
-	}
-	return acc.Finish(cr.n), nil
-}
-
-// walkReader is the byte-walking front end of LayerAccumulator: it
-// inflates and tar-walks rc, hashes each member and hands the accumulator
-// what a decomposing store would have reported.
-func walkReader(ld digest.Digest, rc io.Reader) (*LayerAccumulator, error) {
+	l := tarutil.OpenLayer(r)
+	defer l.Close()
 	acc := NewLayerAccumulator(ld)
 	sc := scratchPool.Get().(*walkScratch)
 	defer scratchPool.Put(sc)
@@ -505,10 +478,7 @@ func walkReader(ld digest.Digest, rc io.Reader) (*LayerAccumulator, error) {
 			}
 			head = sc.prefix[:n]
 			sc.h.Write(head)
-			// onlyReader hides tar.Reader's WriterTo, whose internal
-			// io.Copy would allocate a fresh buffer per file and defeat
-			// copyBuf.
-			if _, err := io.CopyBuffer(sc.h, onlyReader{content}, sc.copyBuf[:]); err != nil {
+			if _, err := io.CopyBuffer(sc.h, content, sc.copyBuf[:]); err != nil {
 				return fmt.Errorf("hashing %s: %w", e.Name, err)
 			}
 		}
@@ -516,17 +486,17 @@ func walkReader(ld digest.Digest, rc io.Reader) (*LayerAccumulator, error) {
 		return nil
 	}
 
-	if err := tarutil.WalkAuto(rc, walkFn); err != nil {
+	if err := l.Walk(walkFn); err != nil {
 		return nil, err
 	}
-	return acc, nil
+	return acc.Finish(l.WireBytes()), nil
 }
 
 // LayerAccumulator folds the members of one layer into its WalkedLayer:
 // directory census (explicit entries and implied parents), maximum depth,
 // FLS, and one classified dedup.FileObs per file. It is the only place
 // that turns members into a profile; it does not care who walked the
-// bytes — this package's walkReader, or a store that decomposes the layer
+// bytes — WalkLayerReader, or a store that decomposes the layer
 // anyway and reports each member as it goes (blobstore.MemberObserver).
 type LayerAccumulator struct {
 	wl       *WalkedLayer
@@ -581,12 +551,6 @@ func (a *LayerAccumulator) Finish(cls int64) *WalkedLayer {
 	a.wl.profile.MaxDepth = int32(a.maxDepth)
 	return a.wl
 }
-
-// onlyReader strips every optional interface (WriterTo in particular) off
-// a reader so io.CopyBuffer actually uses the supplied buffer.
-type onlyReader struct{ r io.Reader }
-
-func (o onlyReader) Read(p []byte) (int, error) { return o.r.Read(p) }
 
 // addParents records the directory (for dir entries) and every ancestor
 // directory of the entry path.

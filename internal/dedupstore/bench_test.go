@@ -16,10 +16,7 @@ import (
 func benchLayer(b *testing.B) []byte {
 	b.Helper()
 	var buf bytes.Buffer
-	bld, err := tarutil.NewGzipBuilder(&buf, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	bld := tarutil.NewGzipBuilder(&buf)
 	content := make([]byte, 16<<10)
 	seed := uint64(0x9e3779b97f4a7c15)
 	for i := 0; i < 256; i++ {

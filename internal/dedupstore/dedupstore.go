@@ -12,8 +12,11 @@
 //
 //   - PutStream decomposes the layer tar as the bytes cross the wire —
 //     hash-as-you-go through the same tee plumbing as the plain backends,
-//     buffering one file at a time (pooled), never the whole layer.
-//     Concurrent pushes of the same blob coalesce (singleflight), and
+//     buffering one file at a time (pooled), never the whole layer. What
+//     the blob is, and how it is framed, is tarutil's to say: the store
+//     reads it through a tarutil.Layer, decomposes a Gzip or Plain one and
+//     keeps a NotTar one (manifests, configs) verbatim. Concurrent pushes
+//     of the same blob coalesce (singleflight), and
 //     duplicate files across concurrent pushes coalesce again inside the
 //     lock-striped pool. The walk is observable: a reader that carries a
 //     blobstore.MemberObserver is told of every member and of the commit,
@@ -41,18 +44,18 @@
 // reassembled (and recompressed) from that encoding through a hasher and
 // compared with the wire digest, and only then is the encoding deflated
 // for storage, so the proof runs over exactly the bytes every later Get
-// reads. Layers built by tarutil (fixed metadata, deterministic gzip)
-// always pass; a foreign blob that does not reproduce is stored verbatim
-// by Put/PutVerified, while PutStream — whose input is already consumed —
-// reports ErrNotReproducible rather than serve bytes that would fail
-// client-side verification.
+// reads. Layers built by tarutil always pass: their metadata is fixed, and
+// a tarutil.Builder deflates at one level, so the reassembly's gzip bytes
+// are the original's. A foreign blob that does not reproduce is stored
+// verbatim by Put/PutVerified, while PutStream — whose input is already
+// consumed — reports ErrNotReproducible rather than serve bytes that would
+// fail client-side verification.
 package dedupstore
 
 import (
 	"bufio"
 	"bytes"
 	"compress/flate"
-	"compress/gzip"
 	"context"
 	"errors"
 	"fmt"
@@ -209,21 +212,12 @@ func NewWithConfig(pool *Pool, cfg Config) *Store {
 	return s
 }
 
-// Pooled scratch state for the streaming put/get paths: the sniffing
-// bufio, the gzip inflater/deflater, the one-file-at-a-time content
-// buffer of the put path, and the chunk buffer used to drain trailers.
-// Recycling these is what makes per-blob allocation O(largest file), not
-// O(layer).
+// Pooled scratch state for the streaming put/get paths: the
+// one-file-at-a-time content buffer of the put path and the recipe
+// codec's state. Recycling these is what makes per-blob allocation
+// O(largest file), not O(layer).
 var (
-	bufReaderPool = sync.Pool{
-		New: func() any { return bufio.NewReaderSize(nil, 32<<10) },
-	}
-	gzipReaderPool sync.Pool // *gzip.Reader; empty until first Put
-	fileBufPool    = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	drainBufPool   = sync.Pool{New: func() any {
-		b := make([]byte, 32<<10)
-		return &b
-	}}
+	fileBufPool     = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 	flateWriterPool sync.Pool // *flate.Writer for at-rest recipe compression
 	flateReaderPool sync.Pool // flate.Resetter readers for recipe inflation
 	recipeBufPool   = sync.Pool{New: func() any { return new(recipeBuf) }}
@@ -231,9 +225,8 @@ var (
 )
 
 // writeScratch is the working memory of one reassembly, pooled as one value
-// so a blob costs one pool round trip: the tar builder, the buffer between
-// the tar/gzip stream and the sink, and the deflater at the materializer's
-// level (nil until a gzip-framed blob first uses this scratch).
+// so a blob costs one pool round trip: the tar builder, with its deflater,
+// and the buffer between the tar/gzip stream and the sink.
 //
 // The buffer is why the sink sees few large writes: compress/flate hands
 // its output on in ~240-byte pieces, and unbuffered every piece of a cold
@@ -242,7 +235,6 @@ var (
 type writeScratch struct {
 	tb *tarutil.Builder
 	bw *bufio.Writer
-	zw *gzip.Writer
 }
 
 var writeScratchPool = sync.Pool{New: func() any {
@@ -264,9 +256,6 @@ type putScratch struct {
 	enc recipeEncoder
 	z   bytes.Buffer
 }
-
-// gzipMagic is the two-byte gzip stream signature (RFC 1952).
-const gzipMagic = "\x1f\x8b"
 
 // Put implements blobstore.Store. Blobs that decompose but do not
 // reassemble bit-identically are stored verbatim (the bytes are in hand,
@@ -347,39 +336,19 @@ func drainStored(want digest.Digest, r io.Reader) (int64, error) {
 	return blobstore.DrainVerify(want, r)
 }
 
-// countReader counts the wire bytes of a put as they stream past.
-type countReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// ingest classifies the blob from its first bytes — gzip-framed tar, plain
-// tar, or raw (manifests, configs) — and stores it down the matching path.
-// The sniff stays within blobstore.SniffLen, so a tar is announced to the
-// stream's observer in time and a raw blob leaves it unclaimed.
+// ingest stores the blob down the path its framing (tarutil.OpenLayer)
+// picks: a tar, gzip-framed or plain, is decomposed; anything else
+// (manifests, configs) is raw. The framing is decided within
+// blobstore.SniffLen, so a tar is announced to the stream's observer in
+// time and a raw blob leaves it unclaimed.
 func (s *Store) ingest(want digest.Digest, r io.Reader) (int64, error) {
-	cr := &countReader{r: r}
 	h := digest.NewHasher()
-	br := bufReaderPool.Get().(*bufio.Reader)
-	br.Reset(io.TeeReader(cr, h))
-	defer func() {
-		br.Reset(nil)
-		bufReaderPool.Put(br)
-	}()
-
-	if magic, _ := br.Peek(len(gzipMagic)); string(magic) == gzipMagic {
-		return s.ingestTar(want, cr, h, br, true, blobstore.ObserverOf(r))
+	l := tarutil.OpenLayer(io.TeeReader(r, h))
+	defer l.Close()
+	if l.Framing() == tarutil.NotTar {
+		return s.ingestRaw(want, l)
 	}
-	if hdr, _ := br.Peek(512); isTarHeader(hdr) {
-		return s.ingestTar(want, cr, h, br, false, blobstore.ObserverOf(r))
-	}
-	return s.ingestRaw(want, br)
+	return s.ingestTar(want, l, h, blobstore.ObserverOf(r))
 }
 
 // ingestRaw streams a blob verbatim into the pool under its own digest.
@@ -397,40 +366,23 @@ func (s *Store) ingestRaw(want digest.Digest, r io.Reader) (int64, error) {
 	return n, nil
 }
 
-// ingestTar decomposes a (possibly gzip-framed) tar blob: every member
-// file is buffered once (pooled), hashed, pooled, and appended to the
-// recipe's encoding; the recipe commits only after the wire digest checks
-// out and a reassembly from the encoding through a hasher proves it
-// reproduces the exact wire bytes. Any failure releases the references the
-// walk took — one per file in the encoding so far. obs, when non-nil, is
-// told of every member as it is pooled and of the commit.
-func (s *Store) ingestTar(want digest.Digest, cr *countReader, h *digest.Hasher, br *bufio.Reader, gz bool, obs blobstore.MemberObserver) (int64, error) {
+// ingestTar decomposes a tar blob, gzip-framed or plain, read through l
+// while h hashes its wire bytes: every member file is buffered once
+// (pooled), hashed, pooled, and appended to the recipe's encoding; the
+// recipe commits only after the wire digest checks out and a reassembly
+// from the encoding through a hasher proves it reproduces the exact wire
+// bytes — which is also what vouches for whatever l.Walk drained unread
+// after the archive, the gzip trailer included. Any failure releases the
+// references the walk took — one per file in the encoding so far. obs,
+// when non-nil, is told of every member as it is pooled and of the commit.
+func (s *Store) ingestTar(want digest.Digest, l *tarutil.Layer, h *digest.Hasher, obs blobstore.MemberObserver) (int64, error) {
 	ps := putScratchPool.Get().(*putScratch)
 	defer putScratchPool.Put(ps)
 	enc := &ps.enc
 	enc.reset()
 	fail := func(err error) (int64, error) {
 		s.unrefFiles(enc.members())
-		return cr.n, err
-	}
-
-	var src io.Reader = br
-	var zr *gzip.Reader
-	if gz {
-		var err error
-		zr, _ = gzipReaderPool.Get().(*gzip.Reader)
-		if zr == nil {
-			zr, err = gzip.NewReader(br)
-		} else {
-			err = zr.Reset(br)
-		}
-		if err != nil {
-			if zr != nil {
-				gzipReaderPool.Put(zr)
-			}
-			return fail(fmt.Errorf("dedupstore: opening gzip stream: %w", err))
-		}
-		src = zr
+		return l.WireBytes(), err
 	}
 
 	var logical, files int64
@@ -439,7 +391,7 @@ func (s *Store) ingestTar(want digest.Digest, cr *countReader, h *digest.Hasher,
 		fbuf.Reset()
 		fileBufPool.Put(fbuf)
 	}()
-	walkErr := tarutil.Walk(src, func(e tarutil.Entry, content io.Reader) error {
+	walkErr := l.Walk(func(e tarutil.Entry, content io.Reader) error {
 		if e.IsDir {
 			enc.dir(e.Name)
 			if obs != nil {
@@ -468,21 +420,6 @@ func (s *Store) ingestTar(want digest.Digest, cr *countReader, h *digest.Hasher,
 		}
 		return nil
 	})
-	// Consume what the walk left behind — gzip trailers, archive padding —
-	// so the wire hash covers the whole stream; then verify it.
-	if gz {
-		if walkErr == nil {
-			walkErr = drainAll(zr)
-		}
-		closeErr := zr.Close()
-		gzipReaderPool.Put(zr)
-		if walkErr == nil && closeErr != nil {
-			walkErr = closeErr
-		}
-	}
-	if walkErr == nil {
-		walkErr = drainAll(br)
-	}
 	if walkErr != nil {
 		return fail(fmt.Errorf("dedupstore: decomposing %s: %w", want.Short(), walkErr))
 	}
@@ -493,7 +430,7 @@ func (s *Store) ingestTar(want digest.Digest, cr *countReader, h *digest.Hasher,
 	// Round-trip proof, over the encoding every later Get will read: the
 	// recipe must reproduce the wire bytes exactly, or clients verifying
 	// their pulls would reject what Get serves.
-	rec := enc.finish(gz)
+	rec := enc.finish(l.Framing() == tarutil.Gzip)
 	vh := digest.NewHasher()
 	if err := s.writeBlob(rec, vh); err != nil {
 		return fail(fmt.Errorf("dedupstore: verifying reassembly of %s: %w", want.Short(), err))
@@ -503,18 +440,19 @@ func (s *Store) ingestTar(want digest.Digest, cr *countReader, h *digest.Hasher,
 	}
 
 	z := compressRecipe(rec, &ps.z)
+	n := l.WireBytes()
 	s.mu.Lock()
-	s.blobs[want] = &blobEntry{size: cr.n, recipeZ: z, logical: logical, files: files}
+	s.blobs[want] = &blobEntry{size: n, recipeZ: z, logical: logical, files: files}
 	s.layers++
-	s.wire += cr.n
+	s.wire += n
 	s.logical += logical
 	s.recipeBytes += int64(len(z))
 	s.instances += files
 	s.mu.Unlock()
 	if obs != nil {
-		obs.End(cr.n)
+		obs.End(n)
 	}
-	return cr.n, nil
+	return n, nil
 }
 
 // compressRecipe flate-compresses a recipe's encoding for at-rest storage,
@@ -567,63 +505,12 @@ func putRecipeBuf(rb *recipeBuf) {
 	recipeBufPool.Put(rb)
 }
 
-// drainAll consumes r to EOF through a pooled chunk buffer.
-func drainAll(r io.Reader) error {
-	bp := drainBufPool.Get().(*[]byte)
-	_, err := io.CopyBuffer(io.Discard, r, *bp)
-	drainBufPool.Put(bp)
-	return err
-}
-
-// isTarHeader reports whether block starts with a valid ustar header: the
-// stored octal checksum must match the block's byte sum (checksum field
-// counted as spaces). An all-zero block — a tar terminator — never
-// matches.
-func isTarHeader(block []byte) bool {
-	if len(block) < 512 {
-		return false
-	}
-	stored, ok := parseOctal(block[148:156])
-	if !ok {
-		return false
-	}
-	var unsigned int64
-	for i, c := range block[:512] {
-		if i >= 148 && i < 156 {
-			c = ' '
-		}
-		unsigned += int64(c)
-	}
-	return unsigned == stored
-}
-
-// parseOctal reads a NUL/space-terminated octal field.
-func parseOctal(b []byte) (int64, bool) {
-	var v int64
-	seen := false
-	for _, c := range b {
-		if c == ' ' || c == 0 {
-			if seen {
-				break
-			}
-			continue
-		}
-		if c < '0' || c > '7' {
-			return 0, false
-		}
-		v = v<<3 | int64(c-'0')
-		seen = true
-	}
-	return v, seen
-}
-
 // writeBlob streams the wire bytes of a recipe, given as its encoding, to
 // w: a cursor walks the encoding in place, each file streams from the pool
-// into the tar builder, and the tar is re-gzipped at the materializer's
-// compression level when the original was gzip-framed, so the framing
-// reproduces exactly. It is the one reassembly routine: the put-side proof
-// runs it into a hasher, a reader's WriteTo into the consumer, its Read
-// into a pipe.
+// into the tar builder, and the builder re-gzips the tar, at the one level
+// synthetic layers are written at, when the original was gzip-framed. It is
+// the one reassembly routine: the put-side proof runs it into a hasher, a
+// reader's WriteTo into the consumer, its Read into a pipe.
 func (s *Store) writeBlob(rec []byte, w io.Writer) error {
 	c, err := openRecipe(rec)
 	if err != nil {
@@ -633,23 +520,14 @@ func (s *Store) writeBlob(rec []byte, w io.Writer) error {
 	sc.bw.Reset(w)
 	defer func() {
 		sc.bw.Reset(nil)
-		sc.tb.Reset(nil)
 		writeScratchPool.Put(sc)
 	}()
-	var tw io.Writer = sc.bw
+	framing := tarutil.Plain
 	if c.gzip {
-		if sc.zw == nil {
-			var err error
-			if sc.zw, err = gzip.NewWriterLevel(sc.bw, gzip.DefaultCompression); err != nil {
-				return fmt.Errorf("dedupstore: gzip writer: %w", err)
-			}
-		} else {
-			sc.zw.Reset(sc.bw)
-		}
-		tw = sc.zw
+		framing = tarutil.Gzip
 	}
 	b := sc.tb
-	b.Reset(tw)
+	b.Reset(sc.bw, framing)
 	for c.next() {
 		if c.dir {
 			if err := b.Member(c.name, true, 0, nil); err != nil {
@@ -676,11 +554,6 @@ func (s *Store) writeBlob(rec []byte, w io.Writer) error {
 	}
 	if err := b.Close(); err != nil {
 		return err
-	}
-	if c.gzip {
-		if err := sc.zw.Close(); err != nil {
-			return fmt.Errorf("dedupstore: closing gzip stream: %w", err)
-		}
 	}
 	return sc.bw.Flush()
 }

@@ -7,12 +7,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/analyzer"
 	"repro/internal/blobstore"
 	"repro/internal/digest"
 	"repro/internal/registry"
@@ -24,10 +28,7 @@ import (
 func buildLayer(t *testing.T, files map[string]string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	b, err := tarutil.NewGzipBuilder(&buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := tarutil.NewGzipBuilder(&buf)
 	if err := b.Dir("app"); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,9 @@ func TestPutStreamGetRoundTrip(t *testing.T) {
 	}
 	// Content survives reassembly.
 	found := map[string]string{}
-	err := tarutil.WalkAuto(bytes.NewReader(got), func(e tarutil.Entry, r io.Reader) error {
+	l := tarutil.OpenLayer(bytes.NewReader(got))
+	defer l.Close()
+	err := l.Walk(func(e tarutil.Entry, r io.Reader) error {
 		if r != nil {
 			data, err := io.ReadAll(r)
 			if err != nil {
@@ -295,6 +298,85 @@ func TestNotReproducibleBlob(t *testing.T) {
 	}
 	if got := readBlob(t, s, d); !bytes.Equal(got, blob) {
 		t.Fatal("foreign blob did not round-trip verbatim")
+	}
+}
+
+// walkSeed returns an archive of tarutil's FuzzWalk seed corpus, the blobs
+// whose first block probes the line between a tar and a raw blob.
+func walkSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "tarutil", "testdata", "fuzz", "FuzzWalk", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted := strings.TrimSuffix(strings.TrimPrefix(string(b), "go test fuzz v1\n[]byte("), ")\n")
+	data, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatalf("seed %s: %v", name, err)
+	}
+	return []byte(data)
+}
+
+// TestBadHeaderBlobStoredRaw: a blob whose first block has a valid
+// checksum but a mode field that does not parse is not a tar to the walker,
+// so the store keeps it verbatim, as blobstore.Memory would, instead of
+// failing to decompose it.
+func TestBadHeaderBlobStoredRaw(t *testing.T) {
+	blob := walkSeed(t, "bad-mode")
+	s := NewWithConfig(NewMemoryPool(0), Config{})
+	d := putStream(t, s, blob)
+	if s.Recipe(d) != nil {
+		t.Fatal("a blob the walker refuses was decomposed")
+	}
+	if got := readBlob(t, s, d); !bytes.Equal(got, blob) {
+		t.Fatal("raw blob did not round-trip")
+	}
+}
+
+// TestSignedChecksumTarNotReproducible: a tar whose checksum is a signed
+// byte sum is a tar to the walker, so the store decomposes it like any
+// foreign tar, and the round-trip proof refuses it (the Builder writes
+// unsigned sums) without leaving anything pooled.
+func TestSignedChecksumTarNotReproducible(t *testing.T) {
+	blob := walkSeed(t, "signed-checksum")
+	s := NewWithConfig(NewMemoryPool(0), Config{})
+	if _, err := s.PutStream(digest.FromBytes(blob), bytes.NewReader(blob)); !errors.Is(err, ErrNotReproducible) {
+		t.Fatalf("error = %v, want ErrNotReproducible", err)
+	}
+	if s.Stats().PhysicalBytes() != 0 {
+		t.Fatal("failed put leaked pool bytes")
+	}
+}
+
+// TestGzipTrailingBytesNotReproducible: bytes after a layer's gzip member
+// are wire bytes the walk drains without inflating them, so the store
+// refuses the blob through its round-trip proof rather than with a gzip
+// read error, and the analyzer profiles it exactly as the layer without
+// them, but for its compressed size.
+func TestGzipTrailingBytesNotReproducible(t *testing.T) {
+	layer := buildLayer(t, map[string]string{"a.txt": "alpha", "b.txt": "beta"})
+	blob := append(bytes.Clone(layer), "trailing"...)
+	s := NewWithConfig(NewMemoryPool(0), Config{})
+	if _, err := s.PutStream(digest.FromBytes(blob), bytes.NewReader(blob)); !errors.Is(err, ErrNotReproducible) {
+		t.Fatalf("error = %v, want ErrNotReproducible", err)
+	}
+	if s.Stats().PhysicalBytes() != 0 {
+		t.Fatal("failed put leaked pool bytes")
+	}
+
+	d := digest.FromBytes(layer)
+	clean, err := analyzer.WalkLayerReader(d, bytes.NewReader(layer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailing, err := analyzer.WalkLayerReader(d, bytes.NewReader(blob))
+	if err != nil {
+		t.Fatalf("walking the layer with trailing bytes: %v", err)
+	}
+	want := clean.Profile()
+	want.CLS = int64(len(blob))
+	if got := trailing.Profile(); got != want {
+		t.Fatalf("profile %+v, want %+v", got, want)
 	}
 }
 

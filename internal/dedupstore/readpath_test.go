@@ -23,10 +23,7 @@ func noisyLayer(t testing.TB, nFiles, fileSize int, gz bool) []byte {
 	var buf bytes.Buffer
 	b := tarutil.NewBuilder(&buf)
 	if gz {
-		var err error
-		if b, err = tarutil.NewGzipBuilder(&buf, 0); err != nil {
-			t.Fatal(err)
-		}
+		b = tarutil.NewGzipBuilder(&buf)
 	}
 	content := make([]byte, fileSize)
 	seed := uint64(fileSize)*0x9e3779b97f4a7c15 + uint64(nFiles)

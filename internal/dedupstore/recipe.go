@@ -31,8 +31,8 @@ type RecipeEntry struct {
 // encoding; DecodeRecipe builds this form for tests and diagnostics.
 type Recipe struct {
 	// Gzip records whether the wire blob was gzip-compressed; Get
-	// recompresses on read when set (same gzip level as the materializer,
-	// so the framing reproduces exactly).
+	// recompresses on read when set (tarutil's one deflate level, the
+	// synthetic layers' own, so the framing reproduces exactly).
 	Gzip bool
 	// Entries are the members in original order.
 	Entries []RecipeEntry

@@ -497,10 +497,7 @@ func TestPushRejected(t *testing.T) {
 func gzipLayer(t *testing.T, seed, nFiles, fileSize int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	b, err := tarutil.NewGzipBuilder(&buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := tarutil.NewGzipBuilder(&buf)
 	for i := 0; i < nFiles; i++ {
 		if err := b.File(fmt.Sprintf("data/f%03d.bin", i), blobOfSize(seed*1000+i, fileSize)); err != nil {
 			t.Fatal(err)

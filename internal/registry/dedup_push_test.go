@@ -1,0 +1,109 @@
+package registry
+
+import (
+	"archive/tar"
+	"bytes"
+	"compress/gzip"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/dedupstore"
+	"repro/internal/digest"
+)
+
+// dedupPush uploads blob to a fresh registry on dedup storage and returns
+// the response status and the error envelope's code and message, if any.
+func dedupPush(t *testing.T, blob []byte) (srv *httptest.Server, status int, code, msg string) {
+	t.Helper()
+	reg := New(dedupstore.NewWithConfig(dedupstore.NewMemoryPool(0), dedupstore.Config{}))
+	reg.CreateRepo("r/push", false)
+	srv = httptest.NewServer(reg)
+	t.Cleanup(srv.Close)
+	resp, err := http.Post(srv.URL+"/v2/r/push/blobs/uploads/?digest="+digest.FromBytes(blob).String(),
+		"application/octet-stream", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body errorBody
+	if resp.StatusCode != http.StatusCreated {
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || len(body.Errors) != 1 {
+			t.Fatalf("status %d: error envelope %+v, %v", resp.StatusCode, body, err)
+		}
+		code, msg = body.Errors[0].Code, body.Errors[0].Message
+	}
+	return srv, resp.StatusCode, code, msg
+}
+
+// TestDedupPushAcceptsBadHeaderBlob: a blob whose first block has a valid
+// tar checksum over a mode field that does not parse is no tar, so a
+// registry on dedup storage takes it as a raw blob and serves it back
+// byte-exact, as one on plain storage does.
+func TestDedupPushAcceptsBadHeaderBlob(t *testing.T) {
+	seed, err := os.ReadFile(filepath.Join("..", "tarutil", "testdata", "fuzz", "FuzzWalk", "bad-mode"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted := strings.TrimSuffix(strings.TrimPrefix(string(seed), "go test fuzz v1\n[]byte("), ")\n")
+	s, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := []byte(s)
+	srv, status, code, msg := dedupPush(t, blob)
+	if status != http.StatusCreated {
+		t.Fatalf("push: %d %s %q, want 201", status, code, msg)
+	}
+	got, err := blobVerified(&Client{Base: srv.URL}, "r/push", digest.FromBytes(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, blob) {
+		t.Fatal("pulled blob differs from the pushed one")
+	}
+}
+
+// TestDedupPushRefusalSaysWhy: a gzip layer written by archive/tar with
+// metadata the store's tar builder cannot reproduce is refused with
+// BLOB_UPLOAD_INVALID and the store's reason, not a generic message.
+func TestDedupPushRefusalSaysWhy(t *testing.T) {
+	_, status, code, msg := dedupPush(t, foreignLayer(t))
+	if status != http.StatusBadRequest || code != "BLOB_UPLOAD_INVALID" {
+		t.Fatalf("push: %d %s, want 400 BLOB_UPLOAD_INVALID", status, code)
+	}
+	if !strings.Contains(msg, dedupstore.ErrNotReproducible.Error()) {
+		t.Fatalf("message %q does not name the refusal %q", msg, dedupstore.ErrNotReproducible)
+	}
+}
+
+// foreignLayer is a gzip layer written by archive/tar with a mod time, an
+// owner name and a mode the store's tar builder never writes.
+func foreignLayer(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	tw := tar.NewWriter(zw)
+	content := "root:x:0:0\n"
+	hdr := &tar.Header{Name: "etc/passwd", Mode: 0o600, Size: int64(len(content)),
+		ModTime: time.Date(2019, 9, 24, 12, 0, 0, 0, time.UTC), Uname: "builder"}
+	if err := tw.WriteHeader(hdr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tw.Write([]byte(content)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}

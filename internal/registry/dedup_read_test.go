@@ -19,10 +19,7 @@ import (
 func noisyLayer(t *testing.T, nFiles, fileSize int, salt uint64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	b, err := tarutil.NewGzipBuilder(&buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := tarutil.NewGzipBuilder(&buf)
 	content := make([]byte, fileSize)
 	seed := salt*0x9e3779b97f4a7c15 + 1
 	for i := 0; i < nFiles; i++ {

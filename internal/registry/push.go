@@ -93,7 +93,7 @@ func (r *Registry) serveBlobUpload(w http.ResponseWriter, req *http.Request, nam
 		if errors.Is(err, blobstore.ErrDigestMismatch) {
 			WriteError(w, http.StatusBadRequest, "DIGEST_INVALID", "content does not match digest")
 		} else {
-			WriteError(w, http.StatusBadRequest, "BLOB_UPLOAD_INVALID", "reading upload body")
+			WriteError(w, http.StatusBadRequest, "BLOB_UPLOAD_INVALID", err.Error())
 		}
 		return
 	}

@@ -145,11 +145,7 @@ func RenderLayerTar(d *Dataset, l LayerID, compress bool) ([]byte, error) {
 	var buf bytes.Buffer
 	var b *tarutil.Builder
 	if compress {
-		var err error
-		b, err = tarutil.NewGzipBuilder(&buf, 0)
-		if err != nil {
-			return nil, err
-		}
+		b = tarutil.NewGzipBuilder(&buf)
 	} else {
 		b = tarutil.NewBuilder(&buf)
 	}

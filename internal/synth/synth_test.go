@@ -511,7 +511,8 @@ func TestRenderLayerMatchesModel(t *testing.T) {
 		}
 		var files, dirs, maxDepth int
 		var fls int64
-		err = tarutil.WalkAuto(bytes.NewReader(blob), func(e tarutil.Entry, r io.Reader) error {
+		tl := tarutil.OpenLayer(bytes.NewReader(blob))
+		err = tl.Walk(func(e tarutil.Entry, r io.Reader) error {
 			if e.Depth > maxDepth {
 				maxDepth = e.Depth
 			}
@@ -523,6 +524,7 @@ func TestRenderLayerMatchesModel(t *testing.T) {
 			fls += e.Size
 			return nil
 		})
+		tl.Close()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,6 +20,9 @@ const (
 	// modTime is the fixed mtime of every entry, 2017-05-30T00:00:00Z,
 	// keeping layer bytes deterministic for a given content sequence.
 	modTime = 1496102400
+	// gzipLevel is the one deflate level of every Gzip Builder, the level
+	// synthetic layers are written at and reassembled layers rewritten at.
+	gzipLevel = gzip.DefaultCompression
 )
 
 // errLongBody is the error of a member whose reader holds more data than
@@ -40,8 +43,9 @@ var errLongBody = errors.New("tarutil: member data longer than its header's size
 // over 1 MiB. Every error is sticky. A reused Builder allocates nothing per
 // entry: headers are encoded into one block, names into one buffer.
 type Builder struct {
-	w   io.Writer // the tar stream: the caller's writer, or zw
-	zw  *gzip.Writer
+	w   io.Writer    // the tar stream: the caller's writer, or zw
+	zw  *gzip.Writer // the deflater, kept across Resets; nil until first needed
+	gz  bool         // the tar stream is zw
 	err error
 
 	blk  [blockSize]byte
@@ -57,24 +61,27 @@ func NewBuilder(w io.Writer) *Builder {
 }
 
 // NewGzipBuilder returns a Builder writing a gzip-compressed tar stream to
-// w at the given gzip level (gzip.DefaultCompression if level is 0).
-func NewGzipBuilder(w io.Writer, level int) (*Builder, error) {
-	if level == 0 {
-		level = gzip.DefaultCompression
-	}
-	zw, err := gzip.NewWriterLevel(w, level)
-	if err != nil {
-		return nil, fmt.Errorf("tarutil: gzip writer: %w", err)
-	}
-	return &Builder{w: zw, zw: zw}, nil
+// w, at the package's one deflate level.
+func NewGzipBuilder(w io.Writer) *Builder {
+	b := &Builder{}
+	b.Reset(w, Gzip)
+	return b
 }
 
-// Reset makes b write a new, uncompressed tar stream to w, clearing its
-// error and keeping its buffers, so a pooled Builder allocates nothing per
-// archive either. A gzip Builder's compressor is dropped: to compress, hand
-// Reset a gzip.Writer.
-func (b *Builder) Reset(w io.Writer) {
-	b.w, b.zw, b.err = w, nil, nil
+// Reset makes b write a new tar stream to w — gzip-compressed when framing
+// is Gzip, plain otherwise — clearing its error and keeping its buffers and
+// its deflater, so a pooled Builder allocates nothing per archive either.
+func (b *Builder) Reset(w io.Writer, framing Framing) {
+	b.w, b.gz, b.err = w, framing == Gzip, nil
+	if !b.gz {
+		return
+	}
+	if b.zw == nil {
+		b.zw, _ = gzip.NewWriterLevel(w, gzipLevel) // fails only for an invalid level
+	} else {
+		b.zw.Reset(w)
+	}
+	b.w = b.zw
 }
 
 // Dir adds a directory entry.
@@ -145,7 +152,7 @@ func (b *Builder) Close() error {
 			return fmt.Errorf("tarutil: closing tar: %w", b.err)
 		}
 	}
-	if b.zw != nil {
+	if b.gz {
 		if b.err = b.zw.Close(); b.err != nil {
 			return fmt.Errorf("tarutil: closing gzip: %w", b.err)
 		}

@@ -1,13 +1,24 @@
 // Package tarutil builds and walks Docker layer tarballs. Layers are
 // transferred from the registry as gzip-compressed tar archives (§II-C);
 // this package provides a streaming writer used by the synthetic dataset
-// materializer and the dedup store's reassembly, and a streaming walker
-// used by the analyzer and the store's ingest.
+// materializer and the dedup store's reassembly, and a streaming reader
+// used by the analyzer and the store's ingest. It is the only package that
+// reads or writes a layer's framing.
 //
 // Unlike `docker pull`, which extracts every layer into the storage driver
 // (the overhead the paper's custom downloader avoids, §III-B), the walker
 // never touches the file system: it streams entries straight out of the
 // decompressor and hands metadata plus content to a callback.
+//
+// A blob is read through a Layer, which decides its Framing from the first
+// 512 bytes: Gzip when it starts with the gzip magic, Plain when its first
+// block is a tar header the walker accepts, NotTar otherwise (manifests,
+// configs). A Layer walks a Gzip blob through a pooled inflater and
+// anything else as a plain archive, and then consumes the rest of the wire
+// stream, so whoever hashes or tees the bytes underneath sees all of them.
+// It never inflates past the end of the archive: what follows it in the
+// gzip stream, the gzip trailer included, is drained as wire bytes, not
+// checked.
 //
 // The walker decodes tar headers itself rather than through archive/tar,
 // because at the paper's scale (1.79 M layers, 5.28 B files) the cost of
@@ -50,14 +61,16 @@
 // digests, every figure fingerprint and every dedup reassembly depend on
 // those exact bytes. Its Member entry takes the name as bytes and streams
 // the data from a reader, the form in which the dedup store replays a
-// stored recipe. The package imports archive/tar only in its tests, as the
-// oracle in both directions.
+// stored recipe. A Gzip Builder compresses at one deflate level, gzipLevel,
+// the same for every synthetic layer and every reassembly: a recipe
+// reproduces its layer's gzip bytes only because both sides deflate alike.
+// The package imports archive/tar only in its tests, as the oracle in both
+// directions.
 package tarutil
 
 import (
 	"bufio"
 	"compress/gzip"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -84,59 +97,121 @@ type Entry struct {
 // Returning an error aborts the walk.
 type WalkFunc func(e Entry, content io.Reader) error
 
-// Reader pools for WalkAuto. Layer walks are short-lived and high-volume,
-// so the decompression state (a 32 KiB read buffer and a gzip inflater,
-// together the dominant per-walk allocations) is recycled across walks.
-var (
-	bufReaderPool = sync.Pool{
-		New: func() any { return bufio.NewReaderSize(nil, 32<<10) },
-	}
-	gzipReaderPool sync.Pool // holds *gzip.Reader; empty until first Put
+// Framing is how a layer blob is framed on the wire.
+type Framing uint8
+
+const (
+	// NotTar is a blob that is not a layer: a manifest, a config.
+	NotTar Framing = iota
+	// Plain is an uncompressed tar archive.
+	Plain
+	// Gzip is a gzip stream, taken to hold a tar archive.
+	Gzip
 )
 
 // gzipMagic is the two-byte gzip stream signature (RFC 1952).
 const gzipMagic = "\x1f\x8b"
 
-// WalkAuto walks a layer blob that is either a gzip-compressed tarball
-// (the registry wire format) or a plain tarball (the uncompressed storage
-// policy the paper proposes for small layers). The format is sniffed from
-// the first two bytes through a pooled bufio.Reader, so the blob is read
-// exactly once — no second fetch is needed for the plain-tar fallback.
-// Decompressor state is pooled across calls.
-func WalkAuto(r io.Reader, fn WalkFunc) error {
-	br := bufReaderPool.Get().(*bufio.Reader)
-	br.Reset(r)
-	defer func() {
-		br.Reset(nil) // drop the underlying reader before pooling
-		bufReaderPool.Put(br)
-	}()
+// Layer reads one layer blob: it knows the blob's framing from the start,
+// walks its archive, and counts its wire bytes. A NotTar blob is read
+// through Read, from its first byte. A Layer's buffers — a 32 KiB read
+// buffer and the gzip inflater, the dominant cost of a short walk — are
+// pooled across layers; Close returns them.
+type Layer struct {
+	br      *bufio.Reader
+	wire    countReader
+	framing Framing
+	err     error // a read error while sniffing
+	zr      *gzip.Reader
+}
 
-	magic, err := br.Peek(len(gzipMagic))
-	if len(magic) < len(gzipMagic) || string(magic) != gzipMagic {
-		if err != nil && !errors.Is(err, io.EOF) {
-			return fmt.Errorf("tarutil: sniffing stream: %w", err)
+var layerPool = sync.Pool{New: func() any {
+	return &Layer{br: bufio.NewReaderSize(nil, 32<<10)}
+}}
+
+// OpenLayer starts reading the blob r and decides its framing, reading no
+// further than its first 512 bytes need.
+func OpenLayer(r io.Reader) *Layer {
+	l := layerPool.Get().(*Layer)
+	l.wire = countReader{r: r}
+	l.br.Reset(&l.wire)
+	l.framing, l.err = NotTar, nil
+	head, err := l.br.Peek(blockSize)
+	switch {
+	case len(head) >= len(gzipMagic) && string(head[:len(gzipMagic)]) == gzipMagic:
+		l.framing = Gzip
+	case len(head) == blockSize:
+		if _, _, ok := parseHeader(head); ok {
+			l.framing = Plain
 		}
-		// Not a gzip stream: walk it as a plain tarball.
-		return Walk(br, fn)
+	case err != io.EOF:
+		l.err = fmt.Errorf("tarutil: sniffing stream: %w", err)
 	}
+	return l
+}
 
-	zr, _ := gzipReaderPool.Get().(*gzip.Reader)
-	if zr == nil {
-		if zr, err = gzip.NewReader(br); err != nil {
-			return fmt.Errorf("tarutil: opening gzip stream: %w", err)
-		}
-	} else if err = zr.Reset(br); err != nil {
-		gzipReaderPool.Put(zr)
+// Framing returns the blob's framing.
+func (l *Layer) Framing() Framing { return l.framing }
+
+// Read reads the blob's wire bytes.
+func (l *Layer) Read(p []byte) (int, error) {
+	if l.err != nil {
+		return 0, l.err
+	}
+	return l.br.Read(p)
+}
+
+// Walk walks the blob's archive, through the inflater when the blob is
+// Gzip and as a plain archive otherwise, and then consumes the rest of the
+// wire stream, also after an error, so that WireBytes is the blob's size.
+// A walk error wins over an error reading the rest. Walk is called at
+// most once.
+func (l *Layer) Walk(fn WalkFunc) error {
+	err := l.err
+	if err == nil {
+		err = l.walk(fn)
+	}
+	if _, rerr := io.Copy(io.Discard, l.br); err == nil {
+		err = rerr
+	}
+	return err
+}
+
+func (l *Layer) walk(fn WalkFunc) error {
+	if l.framing != Gzip {
+		return Walk(l.br, fn)
+	}
+	var err error
+	if l.zr == nil {
+		l.zr, err = gzip.NewReader(l.br)
+	} else {
+		err = l.zr.Reset(l.br)
+	}
+	if err != nil {
 		return fmt.Errorf("tarutil: opening gzip stream: %w", err)
 	}
-	walkErr := Walk(zr, fn)
-	closeErr := zr.Close()
-	gzipReaderPool.Put(zr)
-	if walkErr != nil {
-		return walkErr
-	}
-	if closeErr != nil {
-		return fmt.Errorf("tarutil: closing gzip stream: %w", closeErr)
-	}
-	return nil
+	return Walk(l.zr, fn)
+}
+
+// WireBytes returns how many bytes of the blob have been read.
+func (l *Layer) WireBytes() int64 { return l.wire.n }
+
+// Close returns the Layer's buffers to the pool; l must not be used
+// afterwards. It does not close the blob.
+func (l *Layer) Close() {
+	l.br.Reset(nil)
+	l.wire = countReader{}
+	layerPool.Put(l)
+}
+
+// countReader counts the bytes read through it.
+type countReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }

@@ -8,21 +8,16 @@ import (
 	"path"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
 func buildSample(t *testing.T, gz bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	var b *Builder
-	var err error
+	b := NewBuilder(&buf)
 	if gz {
-		b, err = NewGzipBuilder(&buf, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		b = NewBuilder(&buf)
+		b.Reset(&buf, Gzip)
 	}
 	if err := b.Dir("usr"); err != nil {
 		t.Fatal(err)
@@ -45,11 +40,15 @@ func buildSample(t *testing.T, gz bool) []byte {
 	return buf.Bytes()
 }
 
-func collect(t *testing.T, data []byte, gz bool) ([]Entry, map[string]string) {
+// collect walks a layer blob through a Layer and returns its entries and
+// file contents, after checking that the walk consumed the whole blob.
+func collect(t *testing.T, data []byte) ([]Entry, map[string]string) {
 	t.Helper()
 	var entries []Entry
 	contents := make(map[string]string)
-	fn := func(e Entry, r io.Reader) error {
+	l := OpenLayer(bytes.NewReader(data))
+	defer l.Close()
+	err := l.Walk(func(e Entry, r io.Reader) error {
 		entries = append(entries, e)
 		if r != nil {
 			b, err := io.ReadAll(r)
@@ -59,22 +58,19 @@ func collect(t *testing.T, data []byte, gz bool) ([]Entry, map[string]string) {
 			contents[e.Name] = string(b)
 		}
 		return nil
-	}
-	var err error
-	if gz {
-		err = WalkAuto(bytes.NewReader(data), fn)
-	} else {
-		err = Walk(bytes.NewReader(data), fn)
-	}
+	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if l.WireBytes() != int64(len(data)) {
+		t.Fatalf("walk read %d of %d wire bytes", l.WireBytes(), len(data))
 	}
 	return entries, contents
 }
 
 func TestRoundTripPlain(t *testing.T) {
 	data := buildSample(t, false)
-	entries, contents := collect(t, data, false)
+	entries, contents := collect(t, data)
 	if len(entries) != 5 {
 		t.Fatalf("got %d entries, want 5", len(entries))
 	}
@@ -91,7 +87,7 @@ func TestRoundTripPlain(t *testing.T) {
 
 func TestRoundTripGzip(t *testing.T) {
 	data := buildSample(t, true)
-	entries, _ := collect(t, data, true)
+	entries, _ := collect(t, data)
 	if len(entries) != 5 {
 		t.Fatalf("got %d entries, want 5", len(entries))
 	}
@@ -104,7 +100,7 @@ func TestRoundTripGzip(t *testing.T) {
 
 func TestDepths(t *testing.T) {
 	data := buildSample(t, false)
-	entries, _ := collect(t, data, false)
+	entries, _ := collect(t, data)
 	want := map[string]int{
 		"usr/":           1,
 		"usr/bin/":       2,
@@ -253,10 +249,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nFiles%16) + 1
 		var buf bytes.Buffer
-		b, err := NewGzipBuilder(&buf, 0)
-		if err != nil {
-			return false
-		}
+		b := NewGzipBuilder(&buf)
 		want := make(map[string][]byte)
 		for i := 0; i < n; i++ {
 			name := "dir/file" + string(rune('a'+i))
@@ -271,7 +264,9 @@ func TestQuickRoundTrip(t *testing.T) {
 			return false
 		}
 		got := make(map[string][]byte)
-		err = WalkAuto(bytes.NewReader(buf.Bytes()), func(e Entry, r io.Reader) error {
+		l := OpenLayer(bytes.NewReader(buf.Bytes()))
+		defer l.Close()
+		err := l.Walk(func(e Entry, r io.Reader) error {
 			if r == nil {
 				return nil
 			}
@@ -297,12 +292,16 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
+// BenchmarkBuildLayer writes a 50-file gzip layer through a reused
+// Builder.
 func BenchmarkBuildLayer(b *testing.B) {
 	content := bytes.Repeat([]byte("xyz"), 1000)
+	var buf bytes.Buffer
+	bl := NewGzipBuilder(&buf)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		bl, _ := NewGzipBuilder(&buf, 1)
+		buf.Reset()
+		bl.Reset(&buf, Gzip)
 		for j := 0; j < 50; j++ {
 			bl.File("f", content)
 		}
@@ -310,58 +309,54 @@ func BenchmarkBuildLayer(b *testing.B) {
 	}
 }
 
+// BenchmarkWalkLayer walks a 50-file gzip layer through a pooled Layer,
+// reading every file.
 func BenchmarkWalkLayer(b *testing.B) {
 	var buf bytes.Buffer
-	bl, _ := NewGzipBuilder(&buf, 1)
+	bl := NewGzipBuilder(&buf)
 	content := bytes.Repeat([]byte("xyz"), 1000)
 	for j := 0; j < 50; j++ {
 		bl.File("f", content)
 	}
 	bl.Close()
 	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		WalkAuto(bytes.NewReader(data), func(e Entry, r io.Reader) error {
-			if r != nil {
-				io.Copy(io.Discard, r)
-			}
-			return nil
-		})
-	}
-}
-
-// walkAutoCollect walks data with WalkAuto and returns entries + contents.
-func walkAutoCollect(t *testing.T, data []byte) ([]Entry, map[string]string) {
-	t.Helper()
-	var entries []Entry
-	contents := make(map[string]string)
-	err := WalkAuto(bytes.NewReader(data), func(e Entry, r io.Reader) error {
-		entries = append(entries, e)
+	r := bytes.NewReader(nil)
+	fn := func(e Entry, r io.Reader) error {
 		if r != nil {
-			b, err := io.ReadAll(r)
-			if err != nil {
-				return err
-			}
-			contents[e.Name] = string(b)
+			io.Copy(io.Discard, r)
 		}
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	return entries, contents
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Reset(data)
+		l := OpenLayer(r)
+		l.Walk(fn)
+		l.Close()
+	}
 }
 
 // TestWalkAutoSniffsBothFormats walks the same logical layer in both wire
-// formats through the sniffing path and requires identical results. The
-// walks repeat to exercise pooled reader reuse.
+// formats through a Layer, which tells them apart, and requires identical
+// results. The walks repeat to exercise pooled Layer reuse.
 func TestWalkAutoSniffsBothFormats(t *testing.T) {
 	gz := buildSample(t, true)
 	plain := buildSample(t, false)
+	for _, c := range []struct {
+		data []byte
+		want Framing
+	}{{gz, Gzip}, {plain, Plain}, {[]byte(`{"architecture":"amd64"}`), NotTar}} {
+		l := OpenLayer(bytes.NewReader(c.data))
+		if got := l.Framing(); got != c.want {
+			t.Fatalf("framing %d, want %d", got, c.want)
+		}
+		l.Close()
+	}
 	for round := 0; round < 3; round++ {
-		ge, gc := walkAutoCollect(t, gz)
-		pe, pc := walkAutoCollect(t, plain)
+		ge, gc := collect(t, gz)
+		pe, pc := collect(t, plain)
 		if len(ge) != 5 || len(pe) != 5 {
 			t.Fatalf("round %d: entries gzip=%d plain=%d, want 5/5", round, len(ge), len(pe))
 		}
@@ -378,7 +373,7 @@ func TestWalkAutoSniffsBothFormats(t *testing.T) {
 	}
 }
 
-// TestWalkAutoConcurrent exercises the reader pools from many goroutines
+// TestWalkAutoConcurrent exercises the Layer pool from many goroutines
 // (run under -race in CI).
 func TestWalkAutoConcurrent(t *testing.T) {
 	gz := buildSample(t, true)
@@ -391,7 +386,9 @@ func TestWalkAutoConcurrent(t *testing.T) {
 		}
 		go func(data []byte) {
 			n := 0
-			err := WalkAuto(bytes.NewReader(data), func(e Entry, r io.Reader) error {
+			l := OpenLayer(bytes.NewReader(data))
+			defer l.Close()
+			err := l.Walk(func(e Entry, r io.Reader) error {
 				n++
 				return nil
 			})
@@ -409,21 +406,56 @@ func TestWalkAutoConcurrent(t *testing.T) {
 }
 
 func TestWalkAutoEmptyInput(t *testing.T) {
-	// A zero-byte stream is neither gzip nor a tar header: it walks as an
-	// empty plain tar (no entries, no error).
+	// A zero-byte stream is neither gzip nor a tar header: it is NotTar,
+	// and walks as an empty plain tar (no entries, no error).
+	l := OpenLayer(bytes.NewReader(nil))
+	defer l.Close()
 	n := 0
-	if err := WalkAuto(bytes.NewReader(nil), func(Entry, io.Reader) error { n++; return nil }); err != nil {
-		t.Fatalf("WalkAuto(empty) = %v", err)
+	if err := l.Walk(func(Entry, io.Reader) error { n++; return nil }); err != nil {
+		t.Fatalf("Walk(empty) = %v", err)
 	}
-	if n != 0 {
-		t.Fatalf("empty input produced %d entries", n)
+	if l.Framing() != NotTar || n != 0 {
+		t.Fatalf("empty input: framing %d, %d entries", l.Framing(), n)
 	}
 }
 
 func TestWalkAutoCorruptGzip(t *testing.T) {
-	// Correct magic, garbage after: must surface a gzip error, not walk.
+	// Correct magic, garbage after: must surface a gzip error, not walk,
+	// and still consume the blob.
 	data := []byte{0x1f, 0x8b, 0xff, 0xff, 0xff}
-	if err := WalkAuto(bytes.NewReader(data), func(Entry, io.Reader) error { return nil }); err == nil {
+	l := OpenLayer(bytes.NewReader(data))
+	defer l.Close()
+	if err := l.Walk(func(Entry, io.Reader) error { return nil }); err == nil {
 		t.Fatal("corrupt gzip stream accepted")
+	}
+	if l.WireBytes() != int64(len(data)) {
+		t.Fatalf("failed walk read %d of %d wire bytes", l.WireBytes(), len(data))
+	}
+}
+
+// TestLayerReadsNotTar: a blob that is not a tar reads through its Layer
+// from the first byte, and a stream that fails while the Layer sniffs
+// fails both its Read and its Walk.
+func TestLayerReadsNotTar(t *testing.T) {
+	for _, data := range [][]byte{nil, []byte(`{"architecture":"amd64"}`), bytes.Repeat([]byte("x"), 100_000)} {
+		l := OpenLayer(bytes.NewReader(data))
+		got, err := io.ReadAll(l)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%d-byte blob read back as %d bytes: %v", len(data), len(got), err)
+		}
+		if l.Framing() != NotTar || l.WireBytes() != int64(len(data)) {
+			t.Fatalf("%d-byte blob: framing %d, %d wire bytes", len(data), l.Framing(), l.WireBytes())
+		}
+		l.Close()
+	}
+
+	broken := errors.New("connection reset")
+	l := OpenLayer(io.MultiReader(strings.NewReader("{"), iotest.ErrReader(broken)))
+	defer l.Close()
+	if _, err := l.Read(make([]byte, 8)); !errors.Is(err, broken) {
+		t.Fatalf("Read after a failed sniff: %v", err)
+	}
+	if err := l.Walk(func(Entry, io.Reader) error { return nil }); !errors.Is(err, broken) {
+		t.Fatalf("Walk after a failed sniff: %v", err)
 	}
 }

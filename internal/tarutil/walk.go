@@ -221,11 +221,9 @@ func (w *walker) special(size int64) ([]byte, error) {
 	return data, err
 }
 
-// readHeader reads the next header block and validates it as archive/tar
-// does: the checksum, as a signed or an unsigned byte sum, and every
-// numeric field of the block's format, octal or base-256. It returns
-// io.EOF at the end of the archive: at a block boundary, or after one zero
-// block followed by the stream's end or by a second zero block.
+// readHeader reads and validates the next header block (parseHeader). It
+// returns io.EOF at the end of the archive: at a block boundary, or after
+// one zero block followed by the stream's end or by a second zero block.
 func (w *walker) readHeader() (typ byte, size int64, err error) {
 	r := w.body.R
 	if _, err := io.ReadFull(r, w.blk[:]); err != nil {
@@ -240,22 +238,34 @@ func (w *walker) readHeader() (typ byte, size int64, err error) {
 		}
 		return 0, 0, errHeader
 	}
-	b := w.blk[:]
-	if !checksumOK(b) {
+	size, prefixLen, ok := parseHeader(w.blk[:])
+	if !ok {
 		return 0, 0, errHeader
 	}
-	size, ok := parseNumeric(b[124:136])
+	w.prefixLen = prefixLen
+	return w.blk[156], size, nil
+}
+
+// parseHeader validates a header block as archive/tar does — the checksum,
+// as a signed or an unsigned byte sum, and every numeric field of the
+// block's format, octal or base-256 — and returns its size field and the
+// length of its name prefix. A zero block fails the checksum. It is also
+// the test that makes a blob's framing Plain (OpenLayer).
+func parseHeader(b []byte) (size int64, prefixLen int, ok bool) {
+	if !checksumOK(b) {
+		return 0, 0, false
+	}
+	size, ok = parseNumeric(b[124:136])
 	ok = ok && numeric(b[100:108], b[108:116], b[116:124], b[136:148]) // mode, uid, gid, mtime
 
-	w.prefixLen = 0
 	magic, version := string(b[257:263]), string(b[263:265])
 	switch {
 	case magic == "ustar\x00" && string(b[508:512]) == "tar\x00": // star: a shorter prefix, then atime and ctime
 		ok = ok && numeric(b[329:337], b[337:345], b[476:488], b[488:500])
-		w.prefixLen = len(cstring(b[345:476]))
+		prefixLen = len(cstring(b[345:476]))
 	case magic == "ustar\x00": // USTAR and PAX
 		ok = ok && numeric(b[329:337], b[337:345])
-		w.prefixLen = len(cstring(b[345:500]))
+		prefixLen = len(cstring(b[345:500]))
 	case magic == "ustar " && version == " \x00": // GNU: atime and ctime where USTAR has its prefix
 		ok = ok && numeric(b[329:337], b[337:345])
 		// Go before 1.8 wrote a USTAR prefix into GNU headers. Like
@@ -263,14 +273,11 @@ func (w *walker) readHeader() (typ byte, size int64, err error) {
 		// but does not parse and the field is ASCII.
 		if (b[345] != 0 && !numeric(b[345:357])) || (b[357] != 0 && !numeric(b[357:369])) {
 			if p := cstring(b[345:500]); isASCII(p) {
-				w.prefixLen = len(p)
+				prefixLen = len(p)
 			}
 		}
 	}
-	if !ok {
-		return 0, 0, errHeader
-	}
-	return b[156], size, nil
+	return size, prefixLen, ok
 }
 
 // name returns the entry name of the header in w.blk — its name field,

@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -97,6 +98,7 @@ func allocBytes(f func()) uint64 {
 // archive/tar fails, or meets a sparse file, Walk fails after the same
 // entries — a sparse file with its own error. Walk never allocates more
 // than the 1 MiB a special header may hold beyond what the input pays for.
+// The input is also read through a Layer (checkLayer).
 func checkWalk(t *testing.T, data []byte) {
 	t.Helper()
 	var want, got []walked
@@ -119,12 +121,47 @@ func checkWalk(t *testing.T, data []byte) {
 	if bound := uint64(maxSpecialSize + 16*len(data) + 256<<10); alloc > bound {
 		t.Fatalf("Walk allocated %d bytes over a %d-byte archive (bound %d)", alloc, len(data), bound)
 	}
+	checkLayer(t, data, got, gotErr)
+}
+
+// checkLayer holds a Layer over data, fed one byte per read, to the
+// framing rule and to Walk, which yielded entries and err over the same
+// bytes. Data with the gzip magic is Gzip. Other data is Plain exactly
+// when Walk gets past its first header block — which a zero block never
+// is: readHeader reads on past one and then fails or ends the archive —
+// and the Layer walks it as Walk does. Either way the Layer reads every
+// byte.
+func checkLayer(t *testing.T, data []byte, entries []walked, err error) {
+	t.Helper()
+	first := walker{}
+	first.body.R = bytes.NewReader(data)
+	_, _, firstErr := first.readHeader()
+
+	var got []walked
+	l := OpenLayer(iotest.OneByteReader(bytes.NewReader(data)))
+	defer l.Close()
+	framing := l.Framing()
+	layerErr := l.Walk(record(&got))
+	switch {
+	case bytes.HasPrefix(data, []byte(gzipMagic)):
+		if framing != Gzip {
+			t.Fatalf("gzip magic, framing %d", framing)
+		}
+	case (framing == Plain) != (firstErr == nil):
+		t.Fatalf("framing %d, first header block: %v", framing, firstErr)
+	case (layerErr == nil) != (err == nil) || !slices.Equal(got, entries):
+		t.Fatalf("Layer walk differs from Walk\nLayer: %+v, %v\nWalk:  %+v, %v", got, layerErr, entries, err)
+	}
+	if l.WireBytes() != int64(len(data)) {
+		t.Fatalf("Layer read %d of %d bytes", l.WireBytes(), len(data))
+	}
 }
 
 // FuzzWalk is the differential check of Walk against archive/tar
 // (checkWalk): same entries and content where archive/tar reads an
 // archive, an error after the same entries where it fails, a refusal for a
-// sparse file, no panic, and no special header allocated past 1 MiB. The
+// sparse file, no panic, and no special header allocated past 1 MiB; and
+// of a Layer's framing against Walk's first header block (checkLayer). The
 // seed corpus in testdata/fuzz/FuzzWalk is walkSeeds, written by
 // TestWalkSeeds where a seed file is missing.
 func FuzzWalk(f *testing.F) {
@@ -262,6 +299,10 @@ func walkSeeds(t testing.TB) []walkSeed {
 	badSum := slices.Clone(ok)
 	badSum[150]++ // one octal digit of the checksum
 
+	badMode := rawHeader("mode", '0', 4, magicUSTAR) // a valid checksum over a field that does not parse
+	copy(badMode[100:], "0000xyz\x00")
+	setChecksum(badMode, false)
+
 	return []walkSeed{
 		{name: "ustar-prefix", data: written(t, []*tar.Header{
 			{Typeflag: tar.TypeDir, Name: "usr/", Mode: 0o755, ModTime: mtime, Format: tar.FormatUSTAR},
@@ -290,6 +331,7 @@ func walkSeeds(t testing.TB) []walkSeed {
 		{name: "truncated-block", data: append(slices.Clone(ok), rawHeader("cut", '0', 0, magicUSTAR)[:300]...),
 			names: []string{"ok"}, err: io.ErrUnexpectedEOF},
 		{name: "bad-checksum", data: archive(badSum), err: errHeader},
+		{name: "bad-mode", data: archive(badMode, padded("body")), err: errHeader},
 		{name: "overflow-size", data: archive(overflow), err: errHeader},
 		{name: "pax-2mib", data: append(rawHeader("PaxHeaders.0/big", 'x', 2<<20, magicUSTAR),
 			padded(paxRecord("comment", strings.Repeat("x", 400)))...), err: errSpecialSize},
@@ -601,5 +643,46 @@ func TestWalkAllocs(t *testing.T) {
 	t.Logf("%d entries: %.0f allocations per walk", entries, allocs)
 	if allocs > entries+4 {
 		t.Fatalf("%.0f allocations per walk of %d entries, want at most %d", allocs, entries, entries+4)
+	}
+}
+
+// TestLayerAllocs guards the pooled read path: opening, walking and
+// closing a gzip layer allocates one name per entry plus a constant — the
+// Layer, its read buffer and its inflater come back from the pool. The
+// constant includes compress/flate's own: it makes fresh link tables for
+// every Huffman block with codes over 9 bits, 8 allocations for this layer.
+func TestLayerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const entries = 200
+	var buf bytes.Buffer
+	b := NewGzipBuilder(&buf)
+	for i := 0; i < entries; i++ {
+		b.File(fmt.Sprintf("dir/file%03d", i), bytes.Repeat([]byte{'y'}, 3*i))
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(nil)
+	n := 0
+	fn := func(e Entry, content io.Reader) error {
+		n++
+		_, err := io.Copy(io.Discard, content)
+		return err
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		n = 0
+		r.Reset(buf.Bytes())
+		l := OpenLayer(r)
+		err := l.Walk(fn)
+		l.Close()
+		if err != nil || n != entries {
+			t.Fatalf("walked %d entries: %v", n, err)
+		}
+	})
+	t.Logf("%d entries: %.0f allocations per layer", entries, allocs)
+	if allocs > entries+16 {
+		t.Fatalf("%.0f allocations per layer of %d entries, want at most %d", allocs, entries, entries+16)
 	}
 }

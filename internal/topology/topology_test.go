@@ -65,10 +65,7 @@ func group(t *testing.T) *serve.Group {
 func oneImage(t *testing.T, img *image) func(*registry.Registry) error {
 	return func(reg *registry.Registry) error {
 		var layer bytes.Buffer
-		b, err := tarutil.NewGzipBuilder(&layer, 0)
-		if err != nil {
-			return err
-		}
+		b := tarutil.NewGzipBuilder(&layer)
 		for _, f := range []string{"app/a.txt", "app/b.txt"} {
 			if err := b.File(f, blobOfSize(1, 4<<10)); err != nil {
 				return err
