@@ -71,8 +71,12 @@ func TestWalkAllocationIndependentOfLayerSize(t *testing.T) {
 }
 
 // TestClientUploadDoesNotCopyTheBlob guards the push client's request
-// body: a 1 MiB upload must allocate what a 64 KiB one does (the server
-// here discards the body, so the difference is the client's alone).
+// body (the server here discards it, so what is measured is the client's
+// alone). An 8 MiB upload must allocate what a 1 MiB one does: a body
+// copied anywhere on the way out would show as the difference. Both are
+// larger than the transport's 64 KiB write buffer, so both pay the
+// socket's one copy buffer alike. A 32 KiB upload fits in the write buffer
+// and pays no copy buffer at all: under 8 KiB a push.
 func TestClientUploadDoesNotCopyTheBlob(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -91,9 +95,13 @@ func TestClientUploadDoesNotCopyTheBlob(t *testing.T) {
 			}
 		})
 	}
-	small, large := perPush(64<<10), perPush(1<<20)
-	t.Logf("64 KiB blob: %d B/push; 1 MiB blob: %d B/push", small, large)
-	if large > small+4<<10 {
-		t.Errorf("pushing 1 MiB allocates %d B, 64 KiB allocates %d B: the body is being copied", large, small)
+	perPush(32 << 10) // the process's first pushes pay one-time setup
+	small, mid, large := perPush(32<<10), perPush(1<<20), perPush(8<<20)
+	t.Logf("32 KiB blob: %d B/push; 1 MiB blob: %d B/push; 8 MiB blob: %d B/push", small, mid, large)
+	if large > mid+4<<10 {
+		t.Errorf("pushing 8 MiB allocates %d B, 1 MiB allocates %d B: the body is being copied", large, mid)
+	}
+	if small >= 8<<10 {
+		t.Errorf("pushing 32 KiB allocates %d B, want < 8 KiB: the body is not riding the write buffer", small)
 	}
 }

@@ -212,6 +212,10 @@ func NewWithConfig(pool *Pool, cfg Config) *Store {
 	return s
 }
 
+// maxFilePrealloc bounds the file buffer a member's tar header may size up
+// front: the size field is the uploader's claim, not bytes in hand.
+const maxFilePrealloc = 1 << 20
+
 // Pooled scratch state for the streaming put/get paths: the
 // one-file-at-a-time content buffer of the put path and the recipe
 // codec's state. Recycling these is what makes per-blob allocation
@@ -401,6 +405,12 @@ func (s *Store) ingestTar(want digest.Digest, l *tarutil.Layer, h *digest.Hasher
 		}
 		fbuf.Reset()
 		if content != nil {
+			// Room for the whole member up front, plus the MinRead of spare
+			// that ReadFrom wants before it sees EOF, so a buffer fresh from
+			// an emptied pool grows once instead of doubling up to size.
+			// e.Size is the uploader's claim: past maxFilePrealloc the
+			// buffer grows only as bytes actually arrive.
+			fbuf.Grow(int(min(e.Size, maxFilePrealloc)) + bytes.MinRead)
 			if _, err := fbuf.ReadFrom(content); err != nil {
 				return fmt.Errorf("reading %s: %w", e.Name, err)
 			}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -248,6 +249,48 @@ func TestCorruptGzipStream(t *testing.T) {
 	}
 	if got := readBlob(t, s, key); !bytes.Equal(got, blob) {
 		t.Fatal("fallback blob did not round-trip")
+	}
+}
+
+// TestHugeMemberClaimAllocatesUnderCap pushes a small upload whose one
+// member claims 64 MiB: the file buffer is sized from the tar header only
+// up to maxFilePrealloc, so the claim costs at most that, and the upload
+// is refused when the bytes run out.
+func TestHugeMemberClaimAllocatesUnderCap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed under the race detector")
+	}
+	const claim = 64 << 20
+	var tb bytes.Buffer
+	tw := tar.NewWriter(&tb)
+	if err := tw.WriteHeader(&tar.Header{Typeflag: tar.TypeReg, Name: "big.bin", Mode: 0o644, Size: claim}); err != nil {
+		t.Fatal(err)
+	}
+	tb.Write(make([]byte, 4<<10)) // 4 KiB of the claimed 64 MiB
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write(tb.Bytes())
+	zw.Close()
+	blob := gz.Bytes()
+	d := digest.FromBytes(blob)
+
+	s := NewWithConfig(NewMemoryPool(0), Config{})
+	runtime.GC() // two cycles empty the pools: the file buffer starts from nothing
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := s.PutStream(d, bytes.NewReader(blob))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("upload claiming %d bytes with 4 KiB present: err = %v, want unexpected EOF", claim, err)
+	}
+	if s.Has(d) || s.Stats().PhysicalBytes() != 0 {
+		t.Fatal("refused upload left state behind")
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d-byte upload claiming %d bytes: %d B allocated", len(blob), claim, got)
+	if got > maxFilePrealloc+256<<10 {
+		t.Errorf("put allocated %d B for a %d-byte upload, want at most the %d B cap + 256 KiB", got, len(blob), maxFilePrealloc)
 	}
 }
 

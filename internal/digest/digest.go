@@ -52,8 +52,13 @@ func FromUint64(v uint64) Digest {
 	return FromBytes(buf[:])
 }
 
+// encode spells out a SHA-256 sum as a Digest. The string is assembled in
+// a stack array and converted once: one allocation per digest.
 func encode(sum []byte) Digest {
-	return Digest(Algorithm + ":" + hex.EncodeToString(sum))
+	var buf [len(Algorithm) + 1 + hexLen]byte
+	copy(buf[:], Algorithm+":")
+	hex.Encode(buf[len(Algorithm)+1:], sum)
+	return Digest(buf[:])
 }
 
 // Parse validates s and returns it as a Digest.
@@ -137,7 +142,8 @@ func (d Digest) Key64() uint64 {
 // data in pieces (e.g. a classification prefix followed by the remainder
 // of a large file) without buffering it whole.
 type Hasher struct {
-	h hash.Hash
+	h   hash.Hash
+	sum [sha256.Size]byte // Sum's destination: a local would escape through h
 }
 
 // NewHasher returns an empty Hasher.
@@ -147,7 +153,7 @@ func NewHasher() *Hasher { return &Hasher{h: sha256.New()} }
 func (h *Hasher) Write(p []byte) (int, error) { return h.h.Write(p) }
 
 // Digest returns the digest of everything written so far.
-func (h *Hasher) Digest() Digest { return encode(h.h.Sum(nil)) }
+func (h *Hasher) Digest() Digest { return encode(h.h.Sum(h.sum[:0])) }
 
 // Reset returns the Hasher to its initial state so it can be reused,
 // letting hot paths (one digest per file instance) pool hashers instead of
@@ -156,9 +162,7 @@ func (h *Hasher) Reset() { h.h.Reset() }
 
 // Key64 returns the first 8 bytes of the current hash as a big-endian
 // uint64, equal to Digest().Key64() but without materializing the digest
-// string (which costs three allocations per call).
+// string.
 func (h *Hasher) Key64() uint64 {
-	var buf [sha256.Size]byte
-	sum := h.h.Sum(buf[:0])
-	return binary.BigEndian.Uint64(sum[:8])
+	return binary.BigEndian.Uint64(h.h.Sum(h.sum[:0])[:8])
 }

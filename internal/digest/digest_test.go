@@ -178,3 +178,20 @@ func TestHasherReset(t *testing.T) {
 		t.Fatalf("Reset+Write digest = %s, want %s", got, want)
 	}
 }
+
+// TestDigestAllocs pins a digest to one allocation, its string: the hex is
+// spelled into a stack array and the sum lands in the Hasher's own array.
+func TestDigestAllocs(t *testing.T) {
+	data := []byte("layer-content")
+	if n := testing.AllocsPerRun(100, func() { FromBytes(data) }); n != 1 {
+		t.Errorf("FromBytes allocates %v times, want 1", n)
+	}
+	h := NewHasher()
+	h.Write(data)
+	if n := testing.AllocsPerRun(100, func() { h.Digest() }); n != 1 {
+		t.Errorf("Hasher.Digest allocates %v times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { h.Key64() }); n != 0 {
+		t.Errorf("Hasher.Key64 allocates %v times, want 0", n)
+	}
+}

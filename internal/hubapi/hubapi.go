@@ -217,7 +217,7 @@ func (c *Client) fetch(ctx context.Context, url string) (*Page, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hubapi client: %w", err)
 	}
-	defer resp.Body.Close()
+	defer httpx.DrainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("hubapi client: %s: status %d", url, resp.StatusCode)
 	}

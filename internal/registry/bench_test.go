@@ -16,13 +16,35 @@ import (
 )
 
 // benchRegistry builds a registry with n single-layer images of layerSize
-// bytes each and serves it.
-func benchRegistry(b *testing.B, n int, layerSize int) (*httptest.Server, []string) {
+// bytes each and serves it, counting the connections clients open.
+func benchRegistry(b *testing.B, n int, layerSize int) (*httptest.Server, []string, *atomic.Int64) {
 	b.Helper()
 	reg, repos := benchPopulated(b, n, layerSize)
-	srv := httptest.NewServer(reg)
+	srv, conns := countingServer(b, reg)
+	return srv, repos, conns
+}
+
+// countingServer serves h and counts the TCP connections clients open:
+// a transport that cannot keep its connections shows up as a dial per
+// request.
+func countingServer(b *testing.B, h http.Handler) (*httptest.Server, *atomic.Int64) {
+	b.Helper()
+	conns := new(atomic.Int64)
+	srv := httptest.NewUnstartedServer(h)
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
 	b.Cleanup(srv.Close)
-	return srv, repos
+	return srv, conns
+}
+
+// benchClient is a client on the shared tuned transport, the one every
+// client in the repo ships with (httptest's srv.Client() is not).
+func benchClient(srv *httptest.Server) *Client {
+	return &Client{Base: srv.URL, HTTP: &http.Client{Transport: httpx.NewTransport()}}
 }
 
 // benchPopulated builds the registry without serving it.
@@ -61,15 +83,15 @@ func benchPopulated(b *testing.B, n int, layerSize int) (*Registry, []string) {
 }
 
 // BenchmarkHTTPPull measures full image pulls (manifest + layer, verified)
-// through the HTTP stack with parallel clients.
+// through the HTTP stack with parallel clients on the shared transport.
 func BenchmarkHTTPPull(b *testing.B) {
 	const layerSize = 64 << 10
-	srv, repos := benchRegistry(b, 64, layerSize)
+	srv, repos, conns := benchRegistry(b, 64, layerSize)
 	b.SetBytes(layerSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		c := &Client{Base: srv.URL, HTTP: srv.Client()}
+		c := benchClient(srv)
 		i := 0
 		for pb.Next() {
 			repo := repos[i%len(repos)]
@@ -83,16 +105,17 @@ func BenchmarkHTTPPull(b *testing.B) {
 			}
 		}
 	})
+	b.ReportMetric(float64(conns.Load())/float64(b.N), "conns/op")
 }
 
 // BenchmarkHTTPManifestOnly isolates the manifest path (the hot request in
 // real registry traces).
 func BenchmarkHTTPManifestOnly(b *testing.B) {
-	srv, repos := benchRegistry(b, 64, 1<<10)
+	srv, repos, conns := benchRegistry(b, 64, 1<<10)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		c := &Client{Base: srv.URL, HTTP: srv.Client()}
+		c := benchClient(srv)
 		i := 0
 		for pb.Next() {
 			if _, _, err := c.ManifestContext(context.Background(), repos[i%len(repos)], "latest"); err != nil {
@@ -101,15 +124,17 @@ func BenchmarkHTTPManifestOnly(b *testing.B) {
 			i++
 		}
 	})
+	b.ReportMetric(float64(conns.Load())/float64(b.N), "conns/op")
 }
 
-// BenchmarkHTTPPush measures monolithic blob uploads through the stack.
+// BenchmarkHTTPPush measures monolithic blob uploads through the stack. A
+// 64 KiB blob just overflows the transport's write buffer once the request
+// headers are in it, so each push pays the socket's copy buffer for its tail.
 func BenchmarkHTTPPush(b *testing.B) {
 	reg := New(blobstore.NewMemory())
 	reg.CreateRepo("bench/push", false)
-	srv := httptest.NewServer(reg)
-	b.Cleanup(srv.Close)
-	c := &Client{Base: srv.URL, HTTP: srv.Client()}
+	srv, conns := countingServer(b, reg)
+	c := benchClient(srv)
 	content := make([]byte, 64<<10)
 	b.SetBytes(int64(len(content)))
 	b.ReportAllocs()
@@ -122,6 +147,7 @@ func BenchmarkHTTPPush(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(conns.Load())/float64(b.N), "conns/op")
 }
 
 // BenchmarkTransportIdleConns quantifies the idle-connection fallback fix:
@@ -148,19 +174,9 @@ func BenchmarkTransportIdleConns(b *testing.B) {
 		}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			reg, repos := benchPopulated(b, 16, layerSize)
-			// Count TCP connections the client opens: idle-cap churn shows
-			// up as a reconnect per request, wasting handshakes and burning
-			// client ports.
-			var conns atomic.Int64
-			srv := httptest.NewUnstartedServer(reg)
-			srv.Config.ConnState = func(c net.Conn, s http.ConnState) {
-				if s == http.StateNew {
-					conns.Add(1)
-				}
-			}
-			srv.Start()
-			b.Cleanup(srv.Close)
+			// Idle-cap churn shows up as a reconnect per request, wasting
+			// handshakes and burning client ports.
+			srv, repos, conns := benchRegistry(b, 16, layerSize)
 			client := tc.client()
 			b.SetBytes(layerSize)
 			b.ReportAllocs()

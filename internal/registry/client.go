@@ -75,9 +75,10 @@ func parseRetryAfter(resp *http.Response) time.Duration {
 }
 
 // statusErr maps a non-2xx response to the typed error vocabulary shared by
-// every client entry point. The response body is closed.
+// every client entry point. The response body is drained and closed, so
+// the connection goes back to the idle pool (httpx.DrainClose).
 func statusErr(resp *http.Response, what string) error {
-	resp.Body.Close()
+	httpx.DrainClose(resp.Body)
 	switch resp.StatusCode {
 	case http.StatusUnauthorized:
 		return fmt.Errorf("%w: %s", ErrUnauthorized, what)
@@ -141,8 +142,7 @@ func (c *Client) Ping() error {
 	if err != nil {
 		return err
 	}
-	resp.Body.Close()
-	return nil
+	return httpx.DrainClose(resp.Body)
 }
 
 // TagsContext lists the tags of a repository.
@@ -188,7 +188,7 @@ func (c *Client) ManifestRawContext(ctx context.Context, name, ref string) ([]by
 		return nil, "", err
 	}
 	defer resp.Body.Close()
-	raw, err := readManifestBody(resp)
+	raw, err := readManifest(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, "", fmt.Errorf("registry client: reading manifest: %w", err)
 	}
@@ -199,21 +199,32 @@ func (c *Client) ManifestRawContext(ctx context.Context, name, ref string) ([]by
 	return raw, d, nil
 }
 
-// maxManifestPrealloc bounds the buffer a manifest response's
-// Content-Length may size up front (4 MiB, the manifest limit real
-// registries enforce); a larger or absent declaration is read incrementally.
-const maxManifestPrealloc = 4 << 20
+// maxManifestSize is the largest manifest either end of the wire reads
+// (4 MiB, the manifest limit real registries enforce).
+const maxManifestSize = 4 << 20
 
-// readManifestBody reads a manifest response into a buffer of exactly the
-// declared length: io.ReadAll's 512-byte start and doubling allocate about
-// three times the body, on a call every pull makes.
-func readManifestBody(resp *http.Response) ([]byte, error) {
-	if n := resp.ContentLength; n >= 0 && n <= maxManifestPrealloc {
+// errManifestTooLarge refuses a manifest over maxManifestSize.
+var errManifestTooLarge = errors.New("manifest exceeds 4 MiB")
+
+// readManifest reads a manifest body whose declared length is n (-1 when
+// unknown, a chunked body) into a buffer of exactly that length: io.ReadAll's
+// 512-byte start and doubling allocate about three times the body, on a call
+// every pull and every manifest push makes. A body over maxManifestSize is
+// refused, without a read when its declared length already says so.
+func readManifest(body io.Reader, n int64) ([]byte, error) {
+	if n > maxManifestSize {
+		return nil, errManifestTooLarge
+	}
+	if n >= 0 {
 		raw := make([]byte, n)
-		_, err := io.ReadFull(resp.Body, raw)
+		_, err := io.ReadFull(body, raw)
 		return raw, err
 	}
-	return io.ReadAll(resp.Body)
+	raw, err := io.ReadAll(io.LimitReader(body, maxManifestSize+1))
+	if err == nil && len(raw) > maxManifestSize {
+		return nil, errManifestTooLarge
+	}
+	return raw, err
 }
 
 // BlobContext streams a blob; the caller must Close the reader. Content
@@ -277,11 +288,10 @@ func (c *Client) BlobStatContext(ctx context.Context, name string, d digest.Dige
 	if err != nil {
 		return 0, fmt.Errorf("registry client: stat request: %w", err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return 0, statusErr(resp, "blob "+d.Short())
 	}
-	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
 	return resp.ContentLength, nil
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/blobstore"
 	"repro/internal/digest"
+	"repro/internal/httpx"
 	"repro/internal/manifest"
 )
 
@@ -107,9 +108,9 @@ func (r *Registry) serveManifestPut(w http.ResponseWriter, req *http.Request, na
 	if !r.authorizePush(w, req, name) {
 		return
 	}
-	raw, err := io.ReadAll(io.LimitReader(req.Body, maxBlobSize))
+	raw, err := readManifest(req.Body, req.ContentLength)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "MANIFEST_INVALID", "reading manifest body")
+		WriteError(w, http.StatusBadRequest, "MANIFEST_INVALID", "reading manifest body: "+err.Error())
 		return
 	}
 	m, err := manifest.Unmarshal(raw)
@@ -211,7 +212,7 @@ func (c *Client) PushBlobContext(ctx context.Context, name string, content []byt
 	if err != nil {
 		return "", fmt.Errorf("registry client: uploading blob: %w", err)
 	}
-	defer resp.Body.Close()
+	defer httpx.DrainClose(resp.Body)
 	switch resp.StatusCode {
 	case http.StatusCreated:
 		return d, nil
@@ -244,7 +245,7 @@ func (c *Client) PushManifestContext(ctx context.Context, name, tag string, m *m
 	if err != nil {
 		return "", fmt.Errorf("registry client: pushing manifest: %w", err)
 	}
-	defer resp.Body.Close()
+	defer httpx.DrainClose(resp.Body)
 	switch resp.StatusCode {
 	case http.StatusCreated:
 		return digest.FromBytes(raw), nil
@@ -272,7 +273,7 @@ func (c *Client) DeleteManifestContext(ctx context.Context, name, ref string) er
 	if err != nil {
 		return fmt.Errorf("registry client: deleting manifest: %w", err)
 	}
-	defer resp.Body.Close()
+	defer httpx.DrainClose(resp.Body)
 	switch resp.StatusCode {
 	case http.StatusAccepted:
 		return nil

@@ -1,17 +1,21 @@
 package registry
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/blobstore"
 	"repro/internal/digest"
+	"repro/internal/httpx"
 	"repro/internal/manifest"
 )
 
@@ -89,6 +93,70 @@ func TestPushManifestRequiresBlobs(t *testing.T) {
 	}
 	if _, err := c.PushManifestContext(context.Background(), "alice/app", "latest", m); err == nil {
 		t.Fatal("manifest with missing blobs accepted")
+	}
+}
+
+// TestManifestPutSizing: the server reads a pushed manifest as the client
+// reads a pulled one. A chunked push (no Content-Length) is accepted, and a
+// manifest over 4 MiB is refused with MANIFEST_INVALID whether or not it
+// declares its length — here a valid manifest padded with whitespace, which
+// would parse.
+func TestManifestPutSizing(t *testing.T) {
+	reg := New(blobstore.NewMemory())
+	reg.CreateRepo("alice/app", false)
+	var putLen atomic.Int64 // Content-Length of the last PUT the server saw
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.Method == http.MethodPut {
+			putLen.Store(req.ContentLength)
+		}
+		reg.ServeHTTP(w, req)
+	}))
+	defer srv.Close()
+	c := &Client{Base: srv.URL}
+	_, m := pushImage(t, c, "alice/app", "latest")
+	raw, err := m.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc := &http.Client{Transport: httpx.NewTransport()}
+	put := func(tag string, body []byte, chunked bool) (int, string) {
+		t.Helper()
+		var r io.Reader = bytes.NewReader(body)
+		if chunked {
+			r = struct{ io.Reader }{r} // hides the length from the request
+		}
+		req, err := http.NewRequest(http.MethodPut, srv.URL+"/v2/alice/app/manifests/"+tag, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+
+	if code, msg := put("chunked", raw, true); code != http.StatusCreated {
+		t.Fatalf("chunked manifest push: %d %s, want 201", code, msg)
+	}
+	if n := putLen.Load(); n != -1 {
+		t.Fatalf("chunked push reached the server with Content-Length %d, want -1", n)
+	}
+	if _, d, err := c.ManifestContext(context.Background(), "alice/app", "chunked"); err != nil || d != digest.FromBytes(raw) {
+		t.Fatalf("pulling the chunked push: digest %s, %v; want %s", d.Short(), err, digest.FromBytes(raw).Short())
+	}
+
+	padded := append(append([]byte(nil), raw...), bytes.Repeat([]byte(" "), maxManifestSize)...)
+	for _, chunked := range []bool{false, true} {
+		code, msg := put("big", padded, chunked)
+		if code != http.StatusBadRequest || !strings.Contains(msg, "MANIFEST_INVALID") || !strings.Contains(msg, errManifestTooLarge.Error()) {
+			t.Fatalf("%d-byte manifest (chunked %v): %d %s, want 400 MANIFEST_INVALID", len(padded), chunked, code, msg)
+		}
+	}
+	if _, _, err := c.ManifestContext(context.Background(), "alice/app", "big"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("refused manifest was tagged: %v", err)
 	}
 }
 

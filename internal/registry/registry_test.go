@@ -6,13 +6,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/blobstore"
 	"repro/internal/digest"
+	"repro/internal/httpx"
 	"repro/internal/manifest"
 )
 
@@ -162,6 +165,43 @@ func TestMissingTagAndRepo(t *testing.T) {
 	}
 }
 
+// TestErrorRepliesKeepTheConnection: 50 404s and 50 401s (plus missing-blob
+// HEAD probes and anonymous pushes to a private repo) through one client on
+// the shared transport ride one keep-alive connection. Closing an error
+// body unread would make the transport dial again for every request.
+func TestErrorRepliesKeepTheConnection(t *testing.T) {
+	reg, _, _, _ := newTestRegistry(t)
+	var conns atomic.Int64
+	srv := httptest.NewUnstartedServer(reg)
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	c := &Client{Base: srv.URL, HTTP: &http.Client{Transport: httpx.NewTransport()}}
+	ctx := context.Background()
+	missing := digest.FromBytes([]byte("nope"))
+	for i := 0; i < 50; i++ {
+		if _, _, err := c.ManifestContext(ctx, "carol/untagged", "latest"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("missing tag: %v, want ErrNotFound", err)
+		}
+		if _, _, err := c.ManifestContext(ctx, "bob/secret", "latest"); !errors.Is(err, ErrUnauthorized) {
+			t.Fatalf("private repo: %v, want ErrUnauthorized", err)
+		}
+		if _, err := c.BlobStatContext(ctx, "alice/app", missing); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("missing blob HEAD: %v, want ErrNotFound", err)
+		}
+		if _, err := c.PushBlobContext(ctx, "bob/secret", []byte("data")); !errors.Is(err, ErrUnauthorized) {
+			t.Fatalf("anonymous push: %v, want ErrUnauthorized", err)
+		}
+	}
+	if got := conns.Load(); got != 1 {
+		t.Fatalf("200 error replies opened %d connections, want 1", got)
+	}
+}
+
 func TestHeadManifestDoesNotCountAsPull(t *testing.T) {
 	reg, srv, _, _ := newTestRegistry(t)
 	req, _ := http.NewRequest(http.MethodHead, srv.URL+"/v2/alice/app/manifests/latest", nil)
@@ -248,9 +288,9 @@ func TestRepoEnumeration(t *testing.T) {
 }
 
 // TestManifestRawBodySizing: a manifest response that declares its length is
-// read into a buffer of exactly that length; one that does not, or declares
-// an absurd one, is still read whole; a body shorter than declared is an
-// error, not a short manifest.
+// read into a buffer of exactly that length; one that does not is still read
+// whole; a body shorter than declared is an error, not a short manifest; and
+// one over 4 MiB, declared or chunked, is refused.
 func TestManifestRawBodySizing(t *testing.T) {
 	body := bytes.Repeat([]byte(`{"layers":[]}`), 300)
 	d := digest.FromBytes(body)
@@ -267,6 +307,11 @@ func TestManifestRawBodySizing(t *testing.T) {
 		case "short":
 			w.Header().Set("Content-Length", fmt.Sprint(len(body)))
 			w.Write(body[:1000])
+		case "huge":
+			w.Header().Set("Content-Length", fmt.Sprint(maxManifestSize+1))
+			w.Write(make([]byte, maxManifestSize+1))
+		case "huge-chunked":
+			w.Write(make([]byte, maxManifestSize+1))
 		}
 	}))
 	defer srv.Close()
@@ -283,5 +328,10 @@ func TestManifestRawBodySizing(t *testing.T) {
 	}
 	if raw, _, err := c.ManifestRawContext(context.Background(), "r/m", "short"); err == nil {
 		t.Fatalf("short body: got %d bytes and no error", len(raw))
+	}
+	for _, mode := range []string{"huge", "huge-chunked"} {
+		if raw, _, err := c.ManifestRawContext(context.Background(), "r/m", mode); !errors.Is(err, errManifestTooLarge) {
+			t.Fatalf("%s: got %d bytes, %v; want errManifestTooLarge", mode, len(raw), err)
+		}
 	}
 }
