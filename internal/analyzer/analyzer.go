@@ -62,7 +62,6 @@ func (l *LayerProfile) Ratio() float64 {
 // (CIS) is the sum of compressed layer sizes, FIS the sum of contained
 // file sizes.
 type ImageProfile struct {
-	Repo      string
 	Layers    []int32 // indexes into Result.Layers
 	CIS       int64
 	FIS       int64
@@ -131,7 +130,6 @@ func AnalyzeModel(d *synth.Dataset) (*Result, error) {
 
 	for i := range d.Images {
 		im := &res.Images[i]
-		im.Repo = d.Repos[d.Images[i].Repo].Name
 		for _, l := range d.ImageLayers(synth.ImageID(i)) {
 			im.Layers = append(im.Layers, int32(l))
 			im.CIS += res.Layers[l].CLS
@@ -392,7 +390,7 @@ func analyze(ctx context.Context, store blobstore.Store, images []downloader.Ima
 	}
 
 	for _, img := range sorted {
-		im := ImageProfile{Repo: img.Repo}
+		var im ImageProfile
 		for _, ld := range img.Manifest.LayerDigests() {
 			idx := layerIdx[ld]
 			im.Layers = append(im.Layers, idx)

@@ -84,54 +84,6 @@ func (r *Ring) Add(node string) {
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 }
 
-// Remove deletes a member; its arcs fall to the next nodes clockwise.
-// Removing an unknown member is a no-op.
-func (r *Ring) Remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	idx := -1
-	for i, n := range r.nodes {
-		if n == node {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return
-	}
-	r.nodes = append(r.nodes[:idx], r.nodes[idx+1:]...)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Nodes returns the sorted member list.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]string(nil), r.nodes...)
-}
-
-// Len returns the member count.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.nodes)
-}
-
-// Owner returns the primary owner of key ("" on an empty ring).
-func (r *Ring) Owner(key string) string {
-	owners := r.Owners(key, 1)
-	if len(owners) == 0 {
-		return ""
-	}
-	return owners[0]
-}
-
 // Owners returns the n distinct nodes responsible for key: the first
 // point clockwise of the key's hash and the next n-1 distinct nodes along
 // the ring. When n exceeds the membership, every member is returned. The

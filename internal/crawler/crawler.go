@@ -33,38 +33,22 @@ type Result struct {
 // Crawler pages through a hubapi search service.
 type Crawler struct {
 	Client *hubapi.Client
-	// PageSize is the search page size (hubapi.DefaultPageSize if 0).
-	PageSize int
 	// Workers bounds concurrent page fetches (4 if 0). The first page is
 	// always fetched alone to learn the total count.
 	Workers int
-	// Retries is the number of extra attempts per page; a month-long
-	// crawl (§III-B took ~30 days) rides out transient failures.
-	Retries int
-}
-
-func (c *Crawler) fetchPage(ctx context.Context, page, size int) (*hubapi.Page, error) {
-	p, err := c.Client.SearchPageContext(ctx, "/", page, size)
-	for attempt := 0; attempt < c.Retries && err != nil && ctx.Err() == nil; attempt++ {
-		p, err = c.Client.SearchPageContext(ctx, "/", page, size)
-	}
-	return p, err
 }
 
 // RunContext performs the crawl. When ctx is done, in-flight page fetches
 // abort and the crawl returns ctx's error.
 func (c *Crawler) RunContext(ctx context.Context) (*Result, error) {
-	pageSize := c.PageSize
-	if pageSize <= 0 {
-		pageSize = hubapi.DefaultPageSize
-	}
+	const pageSize = hubapi.DefaultPageSize
 	workers := c.Workers
 	if workers <= 0 {
 		workers = 4
 	}
 
 	// First page reveals the total entry count.
-	first, err := c.fetchPage(ctx, 1, pageSize)
+	first, err := c.Client.SearchPageContext(ctx, "/", 1, pageSize)
 	if err != nil {
 		return nil, fmt.Errorf("crawler: first page: %w", err)
 	}
@@ -87,7 +71,7 @@ func (c *Crawler) RunContext(ctx context.Context) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			for pageNum := range work {
-				p, err := c.fetchPage(ctx, pageNum, pageSize)
+				p, err := c.Client.SearchPageContext(ctx, "/", pageNum, pageSize)
 				mu.Lock()
 				if err != nil && fetchErr == nil {
 					fetchErr = fmt.Errorf("crawler: page %d: %w", pageNum, err)
@@ -126,9 +110,6 @@ func (c *Crawler) RunContext(ctx context.Context) (*Result, error) {
 
 	// Officials are listed separately (their names carry no "/").
 	officials, err := c.Client.OfficialsContext(ctx)
-	for attempt := 0; attempt < c.Retries && err != nil && ctx.Err() == nil; attempt++ {
-		officials, err = c.Client.OfficialsContext(ctx)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("crawler: officials: %w", err)
 	}

@@ -2,11 +2,9 @@ package crawler
 
 import (
 	"context"
-	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/blobstore"
@@ -15,26 +13,29 @@ import (
 	"repro/internal/synth"
 )
 
-func testSetup(t *testing.T, dupFactor float64) (*synth.Dataset, *hubapi.Server, *Crawler) {
+func testSetup(t *testing.T, dupFactor float64) (*synth.Dataset, *Crawler) {
 	t.Helper()
 	d, err := synth.Generate(synth.DefaultSpec(0.0002))
 	if err != nil {
 		t.Fatal(err)
 	}
-	server := hubapi.NewServer(synth.Repositories(d), dupFactor, 11, 37)
-	srv := httptest.NewServer(server)
+	srv := httptest.NewServer(hubapi.NewServer(synth.Repositories(d), dupFactor, 11, 0))
 	t.Cleanup(srv.Close)
-	return d, server, &Crawler{Client: &hubapi.Client{Base: srv.URL}, PageSize: 37, Workers: 3}
+	return d, &Crawler{Client: &hubapi.Client{Base: srv.URL}, Workers: 3}
 }
 
 func TestCrawlDeduplicates(t *testing.T) {
-	d, server, c := testSetup(t, 1.386)
+	d, c := testSetup(t, 1.386)
 	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RawEntries != server.RawEntryCount() {
-		t.Fatalf("RawEntries = %d, want %d", res.RawEntries, server.RawEntryCount())
+	first, err := c.Client.SearchPageContext(context.Background(), "/", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RawEntries != first.Count {
+		t.Fatalf("RawEntries = %d, want %d", res.RawEntries, first.Count)
 	}
 	if len(res.Repos) != len(d.Repos) {
 		t.Fatalf("distinct repos = %d, want %d", len(res.Repos), len(d.Repos))
@@ -58,7 +59,7 @@ func TestCrawlDeduplicates(t *testing.T) {
 }
 
 func TestCrawlNoDuplicates(t *testing.T) {
-	d, _, c := testSetup(t, 1.0)
+	d, c := testSetup(t, 1.0)
 	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +73,7 @@ func TestCrawlNoDuplicates(t *testing.T) {
 }
 
 func TestCrawlSorted(t *testing.T) {
-	_, _, c := testSetup(t, 1.386)
+	_, c := testSetup(t, 1.386)
 	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +86,7 @@ func TestCrawlSorted(t *testing.T) {
 }
 
 func TestCrawlSeparatesOfficials(t *testing.T) {
-	_, _, c := testSetup(t, 1.2)
+	_, c := testSetup(t, 1.2)
 	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -106,56 +107,14 @@ func TestCrawlSeparatesOfficials(t *testing.T) {
 }
 
 func TestCrawlerDefaultSettings(t *testing.T) {
-	d, _, c := testSetup(t, 1.0)
-	c.PageSize = 0 // exercise defaults
-	c.Workers = 0
+	d, c := testSetup(t, 1.0)
+	c.Workers = 0 // exercise the default
 	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Repos) != len(d.Repos) {
 		t.Fatalf("repos = %d, want %d", len(res.Repos), len(d.Repos))
-	}
-}
-
-// flakySearch fails every other request, exercising the retry path.
-type flakySearch struct {
-	inner http.Handler
-	n     atomic.Int64
-}
-
-func (f *flakySearch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if f.n.Add(1)%2 == 1 {
-		http.Error(w, "transient", http.StatusInternalServerError)
-		return
-	}
-	f.inner.ServeHTTP(w, r)
-}
-
-func TestCrawlerRetries(t *testing.T) {
-	d, err := synth.Generate(synth.DefaultSpec(0.0002))
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := hubapi.NewServer(synth.Repositories(d), 1.2, 3, 25)
-	srv := httptest.NewServer(&flakySearch{inner: server})
-	defer srv.Close()
-
-	// Without retries the first-attempt failures abort the crawl.
-	c := &Crawler{Client: &hubapi.Client{Base: srv.URL}, PageSize: 25, Workers: 1}
-	if _, err := c.RunContext(context.Background()); err == nil {
-		t.Fatal("flaky server crawl succeeded without retries")
-	}
-
-	// With retries every page eventually lands. (The flaky wrapper fails
-	// every other request, so one retry always suffices serially.)
-	c.Retries = 2
-	res, err := c.RunContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Repos) != len(d.Repos) {
-		t.Fatalf("retry crawl found %d repos, want %d", len(res.Repos), len(d.Repos))
 	}
 }
 
@@ -175,7 +134,7 @@ func TestCatalogMatchesSearchScrape(t *testing.T) {
 	searchSrv := httptest.NewServer(search)
 	defer searchSrv.Close()
 
-	scrape, err := (&Crawler{Client: &hubapi.Client{Base: searchSrv.URL}, PageSize: 20}).RunContext(context.Background())
+	scrape, err := (&Crawler{Client: &hubapi.Client{Base: searchSrv.URL}}).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -829,27 +829,6 @@ func (s *Store) Delete(d digest.Digest) error {
 	return nil
 }
 
-// Recipe returns the stored recipe for a decomposed blob (nil for raw
-// blobs), for tests and diagnostics.
-func (s *Store) Recipe(d digest.Digest) *Recipe {
-	s.mu.RLock()
-	e, ok := s.blobs[d]
-	s.mu.RUnlock()
-	if !ok || e.recipeZ == nil {
-		return nil
-	}
-	rb, err := inflateRecipe(e.recipeZ)
-	if err != nil {
-		return nil
-	}
-	defer putRecipeBuf(rb)
-	rec, err := DecodeRecipe(rb.enc.Bytes())
-	if err != nil {
-		return nil
-	}
-	return rec
-}
-
 // Stats returns the current storage accounting.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()

@@ -179,14 +179,6 @@ func (p *Pool) open(d digest.Digest) (io.ReadCloser, int64, error) {
 	return p.shardFor(d).backing.Get(d)
 }
 
-// has reports whether d is pooled with a live reference.
-func (p *Pool) has(d digest.Digest) bool {
-	sh := p.shardFor(d)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.refs[d] > 0
-}
-
 // Len returns the number of pooled digests.
 func (p *Pool) Len() int {
 	n := 0

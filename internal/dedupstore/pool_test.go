@@ -70,3 +70,11 @@ func TestPoolClaim(t *testing.T) {
 		t.Fatalf("digest still pooled (%d backing bytes) after its last release", backing.TotalBytes())
 	}
 }
+
+// has reports whether d is pooled with a live reference.
+func (p *Pool) has(d digest.Digest) bool {
+	sh := p.shardFor(d)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.refs[d] > 0
+}

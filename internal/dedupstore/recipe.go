@@ -10,34 +10,6 @@ import (
 	"repro/internal/digest"
 )
 
-// RecipeEntry is one tar member of a decomposed layer.
-type RecipeEntry struct {
-	// Name is the member path inside the layer.
-	Name string
-	// Dir marks directory entries (no content, no size).
-	Dir bool
-	// Size is the file size in bytes.
-	Size int64
-	// Content is the pool digest of the file content (empty for
-	// directories).
-	Content digest.Digest
-}
-
-// Recipe describes how to reassemble one layer blob bit-exactly: the tar
-// members in original order, plus whether the wire blob was gzip-framed.
-// The recipe is keyed by the blob's wire digest in the Store, so no
-// separate verification digest is carried — reassembly was proven against
-// the wire digest at put time. The store itself only ever holds the
-// encoding; DecodeRecipe builds this form for tests and diagnostics.
-type Recipe struct {
-	// Gzip records whether the wire blob was gzip-compressed; Get
-	// recompresses on read when set (tarutil's one deflate level, the
-	// synthetic layers' own, so the framing reproduces exactly).
-	Gzip bool
-	// Entries are the members in original order.
-	Entries []RecipeEntry
-}
-
 // Binary recipe encoding. Recipes are pure metadata overhead next to the
 // pool — every byte spent here eats directly into the realized savings
 // ratio — so the format is compact: a 4-byte magic, a version byte, a flag
@@ -129,8 +101,8 @@ func (e *recipeEncoder) members() recipeCursor {
 // recipeCursor reads an encoding one member at a time, in place: the
 // current member's name and digest are views of the encoding, so a walk
 // allocates nothing but the digests its caller asks for. It is the one
-// parser of the format, under reassembly (writeBlob), reference release
-// (releaseEntry) and DecodeRecipe. It refuses every byte string that
+// parser of the format, under reassembly (writeBlob) and reference
+// release (releaseEntry). It refuses every byte string that
 // recipeEncoder could not have written, so an encoding it accepts
 // re-encodes to itself.
 type recipeCursor struct {
@@ -239,24 +211,4 @@ func uvarint(b []byte) (uint64, int) {
 		return 0, -n
 	}
 	return x, n
-}
-
-// DecodeRecipe parses the compact binary format into a Recipe.
-func DecodeRecipe(data []byte) (*Recipe, error) {
-	c, err := openRecipe(data)
-	if err != nil {
-		return nil, err
-	}
-	r := &Recipe{Gzip: c.gzip, Entries: make([]RecipeEntry, 0, c.left)}
-	for c.next() {
-		e := RecipeEntry{Name: string(c.name), Dir: c.dir, Size: c.size}
-		if !c.dir {
-			e.Content = c.digest()
-		}
-		r.Entries = append(r.Entries, e)
-	}
-	if c.err != nil {
-		return nil, c.err
-	}
-	return r, nil
 }

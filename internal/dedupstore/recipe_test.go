@@ -15,6 +15,75 @@ import (
 	"repro/internal/digest"
 )
 
+// RecipeEntry is one tar member of a decomposed layer.
+type RecipeEntry struct {
+	// Name is the member path inside the layer.
+	Name string
+	// Dir marks directory entries (no content, no size).
+	Dir bool
+	// Size is the file size in bytes.
+	Size int64
+	// Content is the pool digest of the file content (empty for
+	// directories).
+	Content digest.Digest
+}
+
+// Recipe describes how to reassemble one layer blob bit-exactly: the tar
+// members in original order, plus whether the wire blob was gzip-framed.
+// The recipe is keyed by the blob's wire digest in the Store, so no
+// separate verification digest is carried — reassembly was proven against
+// the wire digest at put time. The store itself only ever holds the
+// encoding; DecodeRecipe builds this form for the tests.
+type Recipe struct {
+	// Gzip records whether the wire blob was gzip-compressed; Get
+	// recompresses on read when set (tarutil's one deflate level, the
+	// synthetic layers' own, so the framing reproduces exactly).
+	Gzip bool
+	// Entries are the members in original order.
+	Entries []RecipeEntry
+}
+
+// DecodeRecipe parses the compact binary format into a Recipe.
+func DecodeRecipe(data []byte) (*Recipe, error) {
+	c, err := openRecipe(data)
+	if err != nil {
+		return nil, err
+	}
+	r := &Recipe{Gzip: c.gzip, Entries: make([]RecipeEntry, 0, c.left)}
+	for c.next() {
+		e := RecipeEntry{Name: string(c.name), Dir: c.dir, Size: c.size}
+		if !c.dir {
+			e.Content = c.digest()
+		}
+		r.Entries = append(r.Entries, e)
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	return r, nil
+}
+
+// Recipe returns the stored recipe for a decomposed blob (nil for raw
+// blobs).
+func (s *Store) Recipe(d digest.Digest) *Recipe {
+	s.mu.RLock()
+	e, ok := s.blobs[d]
+	s.mu.RUnlock()
+	if !ok || e.recipeZ == nil {
+		return nil
+	}
+	rb, err := inflateRecipe(e.recipeZ)
+	if err != nil {
+		return nil
+	}
+	defer putRecipeBuf(rb)
+	rec, err := DecodeRecipe(rb.enc.Bytes())
+	if err != nil {
+		return nil
+	}
+	return rec
+}
+
 // encodeRecipe is a Recipe's encoding, as the put path writes it.
 func encodeRecipe(r *Recipe) []byte { return encodeWith(new(recipeEncoder), r) }
 

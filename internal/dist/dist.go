@@ -44,46 +44,6 @@ func (l LogNormal) Sample(rng *rand.Rand) float64 {
 	return math.Exp(rng.NormFloat64()*l.Sigma + l.Mu)
 }
 
-// Median returns the distribution median exp(Mu).
-func (l LogNormal) Median() float64 { return math.Exp(l.Mu) }
-
-// Quantile returns the q-quantile of the distribution.
-func (l LogNormal) Quantile(q float64) float64 {
-	return math.Exp(l.Mu + l.Sigma*normQuantile(q))
-}
-
-// normQuantile is the standard normal quantile function (Acklam's
-// approximation, relative error < 1.15e-9, plenty for calibration work).
-func normQuantile(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		panic(fmt.Sprintf("dist: normQuantile requires 0<p<1, got %v", p))
-	}
-	a := []float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-		1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	b := []float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-		6.680131188771972e+01, -1.328068155288572e+01}
-	c := []float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-		-2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	d := []float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-		3.754408661907416e+00}
-	const plow, phigh = 0.02425, 1 - 0.02425
-	switch {
-	case p < plow:
-		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p > phigh:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	default:
-		q := p - 0.5
-		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	}
-}
-
 // Pareto samples a Pareto distribution with scale Xm (minimum value) and
 // shape Alpha. Smaller Alpha means a heavier tail.
 type Pareto struct {
@@ -101,8 +61,7 @@ func (p Pareto) Sample(rng *rand.Rand) float64 {
 
 // Zipf samples ranks 1..N with probability proportional to 1/rank^S. It is
 // the classic popularity model (the paper's pull counts and layer-reference
-// tail are strongly Zipf-shaped). Unlike math/rand.Zipf it exposes the rank
-// probabilities for analysis.
+// tail are strongly Zipf-shaped).
 type Zipf struct {
 	N int64
 	S float64
@@ -143,17 +102,6 @@ func (z *Zipf) SampleInt(rng *rand.Rand) int64 {
 	return int64(i) + 1
 }
 
-// Prob returns the probability of rank r.
-func (z *Zipf) Prob(r int64) float64 {
-	if r < 1 || r > z.N {
-		return 0
-	}
-	if r == 1 {
-		return z.cdf[0]
-	}
-	return z.cdf[r-1] - z.cdf[r-2]
-}
-
 // PointMass is one component of a discrete mixture: Value occurs with
 // relative Weight.
 type PointMass struct {
@@ -163,20 +111,19 @@ type PointMass struct {
 
 // Mixture combines discrete point masses with an optional continuous tail.
 // With probability proportional to the point-mass weights, a fixed value is
-// returned; with the remaining TailWeight, the Tail sampler is consulted.
+// returned; with the remaining tail weight, the Tail sampler is consulted.
 // This models targets like "7% of layers are empty, 27% have exactly one
 // file, the rest follow a heavy-tailed body".
 type Mixture struct {
-	Masses     []PointMass
-	TailWeight float64
-	Tail       Sampler
+	Masses []PointMass
+	Tail   Sampler
 
 	cum   []float64
 	total float64
 }
 
 // NewMixture validates and precomputes the mixture. Weights need not sum to
-// one; they are normalized. A nil Tail with positive TailWeight panics.
+// one; they are normalized. A nil Tail with a positive tailWeight panics.
 func NewMixture(masses []PointMass, tailWeight float64, tail Sampler) *Mixture {
 	if tailWeight > 0 && tail == nil {
 		panic("dist: mixture has tail weight but no tail sampler")
@@ -184,7 +131,7 @@ func NewMixture(masses []PointMass, tailWeight float64, tail Sampler) *Mixture {
 	if tailWeight < 0 {
 		panic("dist: negative tail weight")
 	}
-	m := &Mixture{Masses: masses, TailWeight: tailWeight, Tail: tail}
+	m := &Mixture{Masses: masses, Tail: tail}
 	m.cum = make([]float64, len(masses))
 	for i, pm := range masses {
 		if pm.Weight < 0 {
@@ -240,12 +187,6 @@ func (c Clamped) Sample(rng *rand.Rand) float64 {
 	return v
 }
 
-// Constant always returns Value; useful as a degenerate tail.
-type Constant float64
-
-// Sample returns the constant value.
-func (c Constant) Sample(*rand.Rand) float64 { return float64(c) }
-
 // Weighted selects among categories with fixed relative weights. The type
 // parameter-free design (indices) keeps it allocation-free on the sampling
 // path; callers map the index to their category.
@@ -279,46 +220,6 @@ func (w *Weighted) Sample(rng *rand.Rand) int {
 		i = len(w.cum) - 1
 	}
 	return i
-}
-
-// Len returns the number of categories.
-func (w *Weighted) Len() int { return len(w.cum) }
-
-// Geometric samples k ≥ 1 with P(k) ∝ (1-P)^(k-1), i.e. the number of
-// Bernoulli(P) trials up to and including the first success.
-type Geometric struct {
-	P float64 // success probability in (0, 1]
-}
-
-// SampleInt draws one value ≥ 1.
-func (g Geometric) SampleInt(rng *rand.Rand) int64 {
-	if g.P >= 1 {
-		return 1
-	}
-	if g.P <= 0 {
-		panic("dist: Geometric.P must be in (0,1]")
-	}
-	u := rng.Float64()
-	for u == 0 {
-		u = rng.Float64()
-	}
-	return int64(math.Ceil(math.Log(u) / math.Log(1-g.P)))
-}
-
-// Discretize converts a float sampler into an integer sampler by rounding
-// half away from zero and flooring at Min.
-type Discretize struct {
-	Inner Sampler
-	Min   int64
-}
-
-// SampleInt draws one integer value.
-func (d Discretize) SampleInt(rng *rand.Rand) int64 {
-	v := int64(math.Round(d.Inner.Sample(rng)))
-	if v < d.Min {
-		return d.Min
-	}
-	return v
 }
 
 // LogUniform samples log-uniformly over [Lo, Hi]: the logarithm of the

@@ -6,60 +6,29 @@ import (
 	"repro/internal/engine"
 )
 
-// Backoff computes jittered exponential retry delays. The zero value uses
-// the defaults noted on each field; a crawl that hammers a throttling
-// registry in a tight loop only makes the throttling worse, so retries
-// spread out instead.
-type Backoff struct {
-	// Base is the first delay (50ms when 0; negative disables delays).
-	Base time.Duration
-	// Max caps the exponential growth (5s when 0).
-	Max time.Duration
-	// Jitter in (0, 1] scales each delay uniformly down by up to this
-	// fraction, decorrelating clients that fail in lockstep (0.5 when 0).
-	Jitter float64
-}
+// The retry backoff: jittered exponential delays from backoffBase,
+// doubling per attempt up to backoffMax, each scaled uniformly down by up
+// to backoffJitter to decorrelate clients that fail in lockstep. A crawl
+// that hammers a throttling registry in a tight loop only makes the
+// throttling worse, so retries spread out instead.
+const (
+	backoffBase   = 50 * time.Millisecond
+	backoffMax    = 5 * time.Second
+	backoffJitter = 0.5
+)
 
-// Delay returns the pause before retry `attempt` (1-based). rnd supplies
-// uniform randomness in [0, 1) — in production a seeded stream (the
-// Downloader derives one from its Seed); nil takes the midpoint of the
-// jitter band deterministically, so no caller ever touches the
+// backoffDelay returns the pause before retry `attempt` (1-based). rnd
+// supplies uniform randomness in [0, 1): a seeded stream (the Downloader
+// derives one from its Seed), so no caller ever touches the
 // process-global RNG.
-func (b Backoff) Delay(attempt int, rnd func() float64) time.Duration {
-	base := b.Base
-	if base < 0 {
-		return 0
-	}
-	if base == 0 {
-		base = 50 * time.Millisecond
-	}
-	max := b.Max
-	if max <= 0 {
-		max = 5 * time.Second
-	}
-	if base > max {
-		base = max
-	}
-	d := base
-	for i := 1; i < attempt; i++ {
+func backoffDelay(attempt int, rnd func() float64) time.Duration {
+	d := backoffBase
+	for i := 1; i < attempt && d < backoffMax; i++ {
 		d *= 2
-		if d >= max {
-			d = max
-			break
-		}
 	}
-	jitter := b.Jitter
-	if jitter == 0 {
-		jitter = 0.5
-	}
-	if jitter < 0 || jitter > 1 {
-		jitter = 0.5
-	}
-	if rnd == nil {
-		rnd = func() float64 { return 0.5 }
-	}
+	d = min(d, backoffMax)
 	// Uniform in [(1-jitter)·d, d].
-	return time.Duration(float64(d) * (1 - jitter*rnd()))
+	return time.Duration(float64(d) * (1 - backoffJitter*rnd()))
 }
 
 // sleepCtx pauses for d or until ctx is done, whichever comes first. It

@@ -14,39 +14,31 @@ import (
 
 func TestBackoffDelaySchedule(t *testing.T) {
 	noJitter := func() float64 { return 0 } // upper edge of the jitter band
-	b := Backoff{Base: 100 * time.Millisecond, Max: time.Second}
 	want := []time.Duration{
-		100 * time.Millisecond, // attempt 1
-		200 * time.Millisecond, // attempt 2
-		400 * time.Millisecond, // attempt 3
-		800 * time.Millisecond, // attempt 4
-		time.Second,            // attempt 5: capped
-		time.Second,            // attempt 6: stays capped
+		50 * time.Millisecond,   // attempt 1
+		100 * time.Millisecond,  // attempt 2
+		200 * time.Millisecond,  // attempt 3
+		400 * time.Millisecond,  // attempt 4
+		800 * time.Millisecond,  // attempt 5
+		1600 * time.Millisecond, // attempt 6
+		3200 * time.Millisecond, // attempt 7
+		5 * time.Second,         // attempt 8: capped
+		5 * time.Second,         // attempt 9: stays capped
 	}
 	for i, w := range want {
-		if got := b.Delay(i+1, noJitter); got != w {
-			t.Errorf("Delay(%d) = %v, want %v", i+1, got, w)
+		if got := backoffDelay(i+1, noJitter); got != w {
+			t.Errorf("backoffDelay(%d) = %v, want %v", i+1, got, w)
 		}
 	}
 }
 
 func TestBackoffJitterBand(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: time.Second, Jitter: 0.5}
 	// rnd=1 hits the bottom of the band, rnd=0 the top.
-	if got := b.Delay(1, func() float64 { return 1 }); got != 50*time.Millisecond {
-		t.Errorf("full jitter: %v, want 50ms", got)
+	if got := backoffDelay(1, func() float64 { return 1 }); got != 25*time.Millisecond {
+		t.Errorf("full jitter: %v, want 25ms", got)
 	}
-	if got := b.Delay(1, func() float64 { return 0 }); got != 100*time.Millisecond {
-		t.Errorf("zero jitter draw: %v, want 100ms", got)
-	}
-	// Defaults: 50ms base, 0.5 jitter.
-	var zero Backoff
-	if got := zero.Delay(1, func() float64 { return 0 }); got != 50*time.Millisecond {
-		t.Errorf("default base: %v, want 50ms", got)
-	}
-	// Negative base disables delays entirely.
-	if got := (Backoff{Base: -1}).Delay(3, nil); got != 0 {
-		t.Errorf("disabled backoff slept %v", got)
+	if got := backoffDelay(1, func() float64 { return 0 }); got != 50*time.Millisecond {
+		t.Errorf("zero jitter draw: %v, want 50ms", got)
 	}
 }
 
@@ -72,7 +64,6 @@ func TestRetrySleepsBackoffSchedule(t *testing.T) {
 		Client:  &registry.Client{Base: fail.URL},
 		Workers: 1,
 		Retries: 3,
-		Backoff: Backoff{Base: 100 * time.Millisecond, Max: time.Second},
 		sleep: func(ctx context.Context, d time.Duration) error {
 			mu.Lock()
 			slept = append(slept, d)
@@ -90,7 +81,7 @@ func TestRetrySleepsBackoffSchedule(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond}
+	want := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond}
 	if len(slept) != len(want) {
 		t.Fatalf("slept %v, want %v", slept, want)
 	}

@@ -75,9 +75,6 @@ type Downloader struct {
 	// are permanent and never retried. A month-long crawl like the
 	// paper's needs this; 0 disables.
 	Retries int
-	// Backoff schedules the pause between retries (jittered exponential;
-	// the zero value uses sane defaults — see Backoff).
-	Backoff Backoff
 	// Seed seeds the backoff jitter stream (the seed-offset pattern: pass
 	// the run seed; the downloader adds its own offset). Jitter only shifts
 	// retry timing, never figures, but drawing it from a seeded stream
@@ -430,7 +427,7 @@ func (d *Downloader) backoffSleep(ctx context.Context, attempt int, lastErr erro
 	if sleep == nil {
 		sleep = sleepCtx
 	}
-	delay := d.Backoff.Delay(attempt, d.jitter())
+	delay := backoffDelay(attempt, d.jitter())
 	if hint := registry.RetryAfterHint(lastErr); hint > delay {
 		delay = hint
 	}

@@ -122,7 +122,7 @@ func TestThrottleErrorCarriesHint(t *testing.T) {
 }
 
 // TestRetryAfterFloorsBackoff: a 503 with Retry-After: 7 must floor every
-// backoff pause at 7s — the exponential schedule (100ms, 200ms, ...) stays
+// backoff pause at 7s — the exponential schedule (50ms, 100ms, ...) stays
 // below the hint throughout, so the fake clock should record the hint, not
 // the schedule.
 func TestRetryAfterFloorsBackoff(t *testing.T) {
@@ -133,7 +133,6 @@ func TestRetryAfterFloorsBackoff(t *testing.T) {
 		Client:  &registry.Client{Base: srv.URL},
 		Workers: 1,
 		Retries: 3,
-		Backoff: Backoff{Base: 100 * time.Millisecond, Max: time.Second},
 		sleep: func(ctx context.Context, d time.Duration) error {
 			mu.Lock()
 			slept = append(slept, d)
@@ -167,12 +166,14 @@ func TestRetryAfterFloorsBackoff(t *testing.T) {
 // floor, not a replacement. A 429 with no hint at all must fall back to
 // the plain exponential schedule.
 func TestRetryAfterBelowBackoffKeepsSchedule(t *testing.T) {
+	const ms = time.Millisecond
 	for _, c := range []struct {
 		name       string
 		retryAfter string
+		want       []time.Duration
 	}{
-		{"429-no-hint", ""},
-		{"429-tiny-hint", "1"},
+		{"429-no-hint", "", []time.Duration{50 * ms, 100 * ms, 200 * ms, 400 * ms, 800 * ms, 1600 * ms, 3200 * ms, 5000 * ms}},
+		{"429-tiny-hint", "1", []time.Duration{1000 * ms, 1000 * ms, 1000 * ms, 1000 * ms, 1000 * ms, 1600 * ms, 3200 * ms, 5000 * ms}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			srv, _ := statusServer(t, http.StatusTooManyRequests, c.retryAfter, 0)
@@ -181,8 +182,7 @@ func TestRetryAfterBelowBackoffKeepsSchedule(t *testing.T) {
 			dl := &Downloader{
 				Client:  &registry.Client{Base: srv.URL},
 				Workers: 1,
-				Retries: 3,
-				Backoff: Backoff{Base: 2 * time.Second, Max: 32 * time.Second},
+				Retries: len(c.want),
 				sleep: func(ctx context.Context, d time.Duration) error {
 					mu.Lock()
 					slept = append(slept, d)
@@ -196,13 +196,12 @@ func TestRetryAfterBelowBackoffKeepsSchedule(t *testing.T) {
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			want := []time.Duration{2 * time.Second, 4 * time.Second, 8 * time.Second}
-			if len(slept) != len(want) {
-				t.Fatalf("slept %v, want %v", slept, want)
+			if len(slept) != len(c.want) {
+				t.Fatalf("slept %v, want %v", slept, c.want)
 			}
-			for i := range want {
-				if slept[i] != want[i] {
-					t.Fatalf("sleep %d = %v, want %v (full: %v)", i, slept[i], want[i], slept)
+			for i := range c.want {
+				if slept[i] != c.want[i] {
+					t.Fatalf("sleep %d = %v, want %v (full: %v)", i, slept[i], c.want[i], slept)
 				}
 			}
 		})
@@ -262,7 +261,6 @@ func TestThrottledBlobRecoversAfterHint(t *testing.T) {
 		Client:  &registry.Client{Base: gate.URL},
 		Workers: 1,
 		Retries: 4,
-		Backoff: Backoff{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond},
 		sleep: func(ctx context.Context, d time.Duration) error {
 			mu.Lock()
 			slept = append(slept, d)

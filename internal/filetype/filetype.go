@@ -33,7 +33,6 @@ const (
 	GroupDatabases
 	GroupMedia
 	GroupOther
-	numGroups
 )
 
 var groupNames = [...]string{

@@ -20,7 +20,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/httpx"
 	"repro/internal/manifest"
@@ -49,25 +48,6 @@ type Server struct {
 	raw       []Result // includes injected duplicates, stable order
 	officials []Result
 	pageSize  int
-
-	// RateLimitEvery, when positive, rejects every Nth request with
-	// 429 Too Many Requests and a Retry-After header — the throttling a
-	// month-long crawl of a public service runs into.
-	RateLimitEvery int64
-	requests       atomic.Int64
-}
-
-// throttled applies the rate-limit policy to one request.
-func (s *Server) throttled(w http.ResponseWriter) bool {
-	if s.RateLimitEvery <= 0 {
-		return false
-	}
-	if s.requests.Add(1)%s.RateLimitEvery == 0 {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "rate limited", http.StatusTooManyRequests)
-		return true
-	}
-	return false
 }
 
 // NewServer builds the search index. dupFactor ≥ 1 is the ratio of raw
@@ -99,10 +79,6 @@ func NewServer(repos []manifest.Repository, dupFactor float64, seed int64, pageS
 	return &Server{raw: raw, officials: officials, pageSize: pageSize}
 }
 
-// RawEntryCount returns the number of raw search entries (with duplicates)
-// matching the "/" query; tests compare it against the crawler's dedup.
-func (s *Server) RawEntryCount() int { return len(s.raw) }
-
 // ServeHTTP implements the two endpoints:
 //
 //	GET /v2/search/repositories?query=<q>&page=<n>&page_size=<k>
@@ -110,14 +86,8 @@ func (s *Server) RawEntryCount() int { return len(s.raw) }
 func (s *Server) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	switch {
 	case req.URL.Path == "/v2/search/repositories":
-		if s.throttled(w) {
-			return
-		}
 		s.serveSearch(w, req)
 	case req.URL.Path == "/v2/repositories/official":
-		if s.throttled(w) {
-			return
-		}
 		writeJSON(w, Page{Count: len(s.officials), Results: s.officials})
 	default:
 		http.NotFound(w, req)

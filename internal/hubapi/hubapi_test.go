@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/manifest"
@@ -21,6 +22,25 @@ func testRepos() []manifest.Repository {
 		})
 	}
 	return repos
+}
+
+// RawEntryCount returns the number of raw search entries (with
+// duplicates) matching the "/" query.
+func (s *Server) RawEntryCount() int { return len(s.raw) }
+
+// throttled rejects every nth request with 429 Too Many Requests and a
+// Retry-After header — the throttling a month-long crawl of a public
+// service runs into.
+func throttled(h http.Handler, n int64) http.Handler {
+	var requests atomic.Int64
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if requests.Add(1)%n == 0 {
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, "rate limited", http.StatusTooManyRequests)
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 func newTestServer(t *testing.T, dupFactor float64) (*Server, *Client) {
@@ -146,10 +166,10 @@ func TestPageBeyondEnd(t *testing.T) {
 	}
 }
 
+// A 429 is an error for the page it answers, and the client's next
+// request goes through.
 func TestRateLimiting(t *testing.T) {
-	s := NewServer(testRepos(), 1.0, 7, 50)
-	s.RateLimitEvery = 3
-	srv := httptest.NewServer(s)
+	srv := httptest.NewServer(throttled(NewServer(testRepos(), 1.0, 7, 50), 3))
 	defer srv.Close()
 	c := &Client{Base: srv.URL}
 
@@ -164,32 +184,10 @@ func TestRateLimiting(t *testing.T) {
 	if limited != 3 || ok != 6 {
 		t.Fatalf("limited=%d ok=%d, want 3/6 at every-3rd throttling", limited, ok)
 	}
-	// The 429 carries Retry-After for well-behaved clients.
-	resp, err := http.Get(srv.URL + "/v2/search/repositories") // request #10 -> ok; #11?
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	for i := 0; i < 3; i++ {
-		resp, err = http.Get(srv.URL + "/v2/search/repositories")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusTooManyRequests {
-			if resp.Header.Get("Retry-After") == "" {
-				t.Fatal("429 without Retry-After")
-			}
-			return
-		}
-	}
-	t.Fatal("no 429 observed in follow-up requests")
 }
 
 func TestRateLimitedCrawlRecoversWithRetries(t *testing.T) {
-	s := NewServer(testRepos(), 1.0, 7, 50)
-	s.RateLimitEvery = 4
-	srv := httptest.NewServer(s)
+	srv := httptest.NewServer(throttled(NewServer(testRepos(), 1.0, 7, 50), 4))
 	defer srv.Close()
 	c := &Client{Base: srv.URL}
 	// A client retrying each page a few times pages through successfully.

@@ -17,7 +17,6 @@ import (
 
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
-	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Pkg   *types.Package
@@ -105,7 +104,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lintrules: type-checking %s: %w", e.ImportPath, err)
 		}
-		pkgs = append(pkgs, &Package{Path: e.ImportPath, Fset: fset, Files: files, Pkg: pkg, Info: info})
+		pkgs = append(pkgs, &Package{Fset: fset, Files: files, Pkg: pkg, Info: info})
 	}
 	return pkgs, nil
 }

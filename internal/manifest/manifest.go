@@ -114,16 +114,6 @@ func Unmarshal(data []byte) (*Manifest, error) {
 	return &m, nil
 }
 
-// Digest returns the digest of the marshaled manifest, which is how
-// registries address manifests ("pull by digest").
-func (m *Manifest) Digest() (digest.Digest, error) {
-	b, err := m.Marshal()
-	if err != nil {
-		return "", err
-	}
-	return digest.FromBytes(b), nil
-}
-
 // LayerDigests returns the digests of all layers in order.
 func (m *Manifest) LayerDigests() []digest.Digest {
 	out := make([]digest.Digest, len(m.Layers))
@@ -150,14 +140,4 @@ type Repository struct {
 	// Tags lists the repository's version tags. The paper downloads only
 	// "latest"; 87% of its failures were repositories without that tag.
 	Tags []string `json:"tags"`
-}
-
-// HasTag reports whether the repository carries the given tag.
-func (r *Repository) HasTag(tag string) bool {
-	for _, t := range r.Tags {
-		if t == tag {
-			return true
-		}
-	}
-	return false
 }

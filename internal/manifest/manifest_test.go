@@ -130,16 +130,12 @@ func TestLayerDigests(t *testing.T) {
 	}
 }
 
-func TestRepositoryHasTag(t *testing.T) {
-	r := Repository{Name: "alice/app", Tags: []string{"v1", "latest"}}
-	if !r.HasTag("latest") {
-		t.Error("HasTag(latest) = false")
+// Digest returns the digest of the marshaled manifest, which is how
+// registries address manifests ("pull by digest").
+func (m *Manifest) Digest() (digest.Digest, error) {
+	b, err := m.Marshal()
+	if err != nil {
+		return "", err
 	}
-	if r.HasTag("v2") {
-		t.Error("HasTag(v2) = true")
-	}
-	empty := Repository{Name: "bob/empty"}
-	if empty.HasTag("latest") {
-		t.Error("empty repo has latest")
-	}
+	return digest.FromBytes(b), nil
 }

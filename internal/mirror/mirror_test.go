@@ -541,8 +541,8 @@ func TestRangesOverDedupOrigin(t *testing.T) {
 
 	full := pushImage(t, reg, "library/full", gzipLayer(t, 1, 12, 8<<10), false)
 	ranged := pushImage(t, reg, "library/ranged", gzipLayer(t, 2, 12, 8<<10), false)
-	if origin.Recipe(full.layerD) == nil || origin.Recipe(ranged.layerD) == nil {
-		t.Fatal("origin stored a layer verbatim, not as a recipe")
+	if n := origin.Stats().Layers; n != 2 {
+		t.Fatalf("origin stored %d of 2 layers as recipes, the rest verbatim", n)
 	}
 
 	// bytes=0- is the whole blob: a 200, copied to EOF, admitted.

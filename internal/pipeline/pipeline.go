@@ -34,11 +34,8 @@ type Result struct {
 	// success being observed, normally 0).
 	WalkedInline int
 	ReWalked     int
-	// DownloadWall and AssembleWall split the run's wall clock: the
-	// download phase already contains the inline analysis work, so the
-	// fused total is DownloadWall + AssembleWall ≈ max(download, analyze)
-	// of the two-phase run.
-	DownloadWall time.Duration
+	// AssembleWall is the wall clock of the assembly that follows the
+	// download phase (which already contains the inline analysis work).
 	AssembleWall time.Duration
 }
 
@@ -64,7 +61,6 @@ func Run(ctx context.Context, dl *downloader.Downloader, repos []string) (*Resul
 	}
 	defer func() { dl.LayerTee = nil }()
 
-	start := engine.SystemNow()
 	dres, err := dl.RunContext(ctx, repos)
 	if err != nil {
 		return nil, err
@@ -75,9 +71,8 @@ func Run(ctx context.Context, dl *downloader.Downloader, repos []string) (*Resul
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	downloadWall := engine.SystemNow().Sub(start)
 
-	res := &Result{Download: dres, DownloadWall: downloadWall, WalkedInline: len(walked)}
+	res := &Result{Download: dres, WalkedInline: len(walked)}
 
 	// Count the layers the assembly phase will have to re-walk from the
 	// store (referenced by a downloaded image but missing from the tee).
@@ -93,7 +88,7 @@ func Run(ctx context.Context, dl *downloader.Downloader, repos []string) (*Resul
 		}
 	}
 
-	start = engine.SystemNow()
+	start := engine.SystemNow()
 	ares, err := analyzer.AnalyzeWalkedContext(ctx, dl.Store, dres.Images, walked, engine.Workers(dl.Workers))
 	if err != nil {
 		return nil, err

@@ -102,10 +102,6 @@ type Client struct {
 	HTTP *http.Client
 	// Token, when set, is sent as a bearer token.
 	Token string
-	// Resumes bounds the mid-stream Range resumes BlobStreamVerifiedContext
-	// attempts per blob when the connection drops partway (3 when 0;
-	// negative disables resuming).
-	Resumes int
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -295,8 +291,9 @@ func (c *Client) BlobStatContext(ctx context.Context, name string, d digest.Dige
 	return resp.ContentLength, nil
 }
 
-// defaultResumes is the mid-stream resume budget when Client.Resumes is 0.
-const defaultResumes = 3
+// maxResumes bounds the mid-stream Range resumes BlobStreamVerifiedContext
+// attempts per blob when the connection drops partway.
+const maxResumes = 3
 
 // BlobStreamVerifiedContext streams a blob with incremental integrity
 // checking: every chunk passes through a SHA-256 hasher as it arrives, a
@@ -315,14 +312,7 @@ func (c *Client) BlobStreamVerifiedContext(ctx context.Context, name string, d d
 	if err != nil {
 		return nil, 0, err
 	}
-	resumes := c.Resumes
-	if resumes == 0 {
-		resumes = defaultResumes
-	}
-	if resumes < 0 {
-		resumes = 0
-	}
-	return &blobStream{c: c, ctx: ctx, name: name, want: d, body: rc, h: digest.NewHasher(), resumes: resumes}, size, nil
+	return &blobStream{c: c, ctx: ctx, name: name, want: d, body: rc, h: digest.NewHasher(), resumes: maxResumes}, size, nil
 }
 
 // blobStream is the verifying, resuming reader behind

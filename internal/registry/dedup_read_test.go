@@ -50,10 +50,10 @@ func dedupRegistry(t *testing.T, cacheBytes int64, layers ...[]byte) (*httptest.
 		if err != nil {
 			t.Fatal(err)
 		}
-		if store.Recipe(d) == nil {
-			t.Fatal("layer was stored verbatim, not as a recipe")
-		}
 		ds = append(ds, d)
+	}
+	if n := store.Stats().Layers; n != len(layers) {
+		t.Fatalf("%d of %d layers stored as recipes, the rest verbatim", n, len(layers))
 	}
 	srv := httptest.NewServer(reg)
 	t.Cleanup(srv.Close)

@@ -304,7 +304,7 @@ func TestIngestSniffThenDecide(t *testing.T) {
 func TestIngestManifestNotifications(t *testing.T) {
 	reg, c, ri := ingestTestSetup(t)
 	_, m := pushImage(t, c, "alice/app", "latest")
-	d, _ := m.Digest()
+	d := manifestDigest(t, m)
 
 	if err := reg.SetTag("alice/app", "stable", d); err != nil {
 		t.Fatal(err)
@@ -326,7 +326,7 @@ func TestIngestManifestNotifications(t *testing.T) {
 func TestDeleteManifestByTag(t *testing.T) {
 	reg, c, ri := ingestTestSetup(t)
 	_, m := pushImage(t, c, "alice/app", "latest")
-	d, _ := m.Digest()
+	d := manifestDigest(t, m)
 	if err := reg.SetTag("alice/app", "stable", d); err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestDeleteManifestByTag(t *testing.T) {
 func TestDeleteManifestByDigest(t *testing.T) {
 	reg, c, ri := ingestTestSetup(t)
 	_, m := pushImage(t, c, "alice/app", "latest")
-	d, _ := m.Digest()
+	d := manifestDigest(t, m)
 	if err := reg.SetTag("alice/app", "stable", d); err != nil {
 		t.Fatal(err)
 	}

@@ -145,58 +145,6 @@ func (r *Registry) serveManifestPut(w http.ResponseWriter, req *http.Request, na
 	w.WriteHeader(http.StatusCreated)
 }
 
-// GC removes every blob not reachable from a tagged manifest (manifest
-// blob, config, layers) and returns the count and bytes freed — the
-// mark-and-sweep a content-addressed registry needs once tags move.
-func (r *Registry) GC() (removed int, freed int64, err error) {
-	keep := make(map[digest.Digest]bool)
-	r.mu.RLock()
-	var manifests []digest.Digest
-	for _, rp := range r.repos {
-		for _, d := range rp.tags {
-			manifests = append(manifests, d)
-		}
-	}
-	r.mu.RUnlock()
-
-	for _, md := range manifests {
-		keep[md] = true
-		rc, _, err := r.blobs.Get(md)
-		if err != nil {
-			return removed, freed, fmt.Errorf("registry: GC reading manifest %s: %w", md.Short(), err)
-		}
-		raw, err := io.ReadAll(rc)
-		rc.Close()
-		if err != nil {
-			return removed, freed, err
-		}
-		m, err := manifest.Unmarshal(raw)
-		if err != nil {
-			return removed, freed, fmt.Errorf("registry: GC parsing manifest %s: %w", md.Short(), err)
-		}
-		keep[m.Config.Digest] = true
-		for _, l := range m.Layers {
-			keep[l.Digest] = true
-		}
-	}
-
-	for _, d := range r.blobs.Digests() {
-		if keep[d] {
-			continue
-		}
-		size, err := r.blobs.Stat(d)
-		if err != nil {
-			continue
-		}
-		if err := r.blobs.Delete(d); err != nil {
-			return removed, freed, fmt.Errorf("registry: GC deleting %s: %w", d.Short(), err)
-		}
-		removed++
-		freed += size
-	}
-	return removed, freed, nil
-}
-
 // PushBlobContext uploads a blob via the wire API (client side).
 func (c *Client) PushBlobContext(ctx context.Context, name string, content []byte) (digest.Digest, error) {
 	d := digest.FromBytes(content)

@@ -354,9 +354,8 @@ func (r *Registry) serveManifest(w http.ResponseWriter, req *http.Request, rp *r
 
 // serveManifestDelete implements DELETE /v2/<name>/manifests/<ref>. A
 // digest ref untags every tag pointing at that manifest; a tag ref untags
-// just that tag. Blobs are not removed — GC reclaims unreachable content
-// separately, and the analytics service keeps walked layers cached so a
-// delete/re-push cycle needs no re-walk. Responds 202 Accepted, like real
+// just that tag. Blobs are not removed, and the analytics service keeps
+// walked layers cached so a delete/re-push cycle needs no re-walk. Responds 202 Accepted, like real
 // registries.
 func (r *Registry) serveManifestDelete(w http.ResponseWriter, name string, rp *repo, ref string) {
 	type untagged struct {

@@ -164,7 +164,7 @@ func TestBlobStreamVerifiedResumeBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Three cuts within a default budget of three resumes: succeeds.
+	// Three cuts within the budget of three resumes: succeeds.
 	proxy := &truncatingProxy{reg: reg, target: d, cutAt: 9_000}
 	proxy.cuts.Store(3)
 	srv := httptest.NewServer(proxy)
@@ -182,17 +182,16 @@ func TestBlobStreamVerifiedResumeBudget(t *testing.T) {
 		t.Fatal("multi-resume stream corrupt")
 	}
 
-	// With resuming disabled the same cut surfaces as a stream error.
-	proxy.cuts.Store(1)
-	noResume := &Client{Base: srv.URL, Resumes: -1}
-	rc, _, err = noResume.BlobStreamVerifiedContext(context.Background(), "r/cut", d)
+	// A fourth cut is past the budget: it surfaces as a stream error.
+	proxy.cuts.Store(4)
+	rc, _, err = (&Client{Base: srv.URL}).BlobStreamVerifiedContext(context.Background(), "r/cut", d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = io.ReadAll(rc)
 	rc.Close()
 	if err == nil || errors.Is(err, io.EOF) {
-		t.Fatalf("disabled resume read err = %v, want mid-stream failure", err)
+		t.Fatalf("read past the resume budget err = %v, want mid-stream failure", err)
 	}
 }
 

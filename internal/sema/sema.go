@@ -73,18 +73,6 @@ func (w *Weighted) Acquire(ctx context.Context, n int64) error {
 	}
 }
 
-// TryAcquire takes weight n without blocking, reporting whether it
-// succeeded. It respects FIFO order: it fails while waiters are queued.
-func (w *Weighted) TryAcquire(n int64) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.cur+n <= w.size && w.waiters.Len() == 0 {
-		w.cur += n
-		return true
-	}
-	return false
-}
-
 // Release returns weight n to the semaphore, waking queued waiters in
 // FIFO order.
 func (w *Weighted) Release(n int64) {

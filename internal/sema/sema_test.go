@@ -142,3 +142,15 @@ func TestConcurrentAccounting(t *testing.T) {
 		t.Fatalf("in-flight weight peaked at %d, capacity %d", p, cap)
 	}
 }
+
+// TryAcquire takes weight n without blocking, reporting whether it
+// succeeded. It respects FIFO order: it fails while waiters are queued.
+func (w *Weighted) TryAcquire(n int64) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.cur+n <= w.size && w.waiters.Len() == 0 {
+		w.cur += n
+		return true
+	}
+	return false
+}

@@ -86,14 +86,6 @@ func (h *Hist) Record(d time.Duration) {
 // N returns the sample count.
 func (h *Hist) N() int64 { return h.n }
 
-// Min returns the smallest recorded duration (0 when empty).
-func (h *Hist) Min() time.Duration {
-	if h.n == 0 {
-		return 0
-	}
-	return time.Duration(h.min)
-}
-
 // Max returns the largest recorded duration (0 when empty), tracked
 // exactly even past the bucketed range.
 func (h *Hist) Max() time.Duration { return time.Duration(h.max) }

@@ -111,3 +111,11 @@ func TestHistSummaryShape(t *testing.T) {
 		t.Errorf("percentiles not monotone: %+v", s)
 	}
 }
+
+// Min returns the smallest recorded duration (0 when empty).
+func (h *Hist) Min() time.Duration {
+	if h.n == 0 {
+		return 0
+	}
+	return time.Duration(h.min)
+}

@@ -59,18 +59,6 @@ func (c *CDF) Max() float64 {
 	return c.samples[len(c.samples)-1]
 }
 
-// Mean returns the arithmetic mean, or 0 for an empty CDF.
-func (c *CDF) Mean() float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range c.samples {
-		sum += v
-	}
-	return sum / float64(len(c.samples))
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) using the nearest-rank
 // definition, which matches how the paper reads values off its CDF plots
 // ("90% of the layers are smaller than 177MB"). Quantile(0.5) is the median.
@@ -222,10 +210,8 @@ func (h *Histogram) Overflow() int64 { return h.overflow }
 // Buckets returns the per-bucket counts aligned with the bounds.
 func (h *Histogram) Buckets() []Bucket {
 	out := make([]Bucket, len(h.bounds))
-	lo := math.Inf(-1)
 	for i, ub := range h.bounds {
-		out[i] = Bucket{Low: lo, High: ub, Count: h.counts[i]}
-		lo = ub
+		out[i] = Bucket{High: ub, Count: h.counts[i]}
 	}
 	return out
 }
@@ -243,10 +229,11 @@ func (h *Histogram) ModeBucket() Bucket {
 	return h.Buckets()[best]
 }
 
-// Bucket is a single histogram bar: Low < v ≤ High occurred Count times.
+// Bucket is a single histogram bar: values above the previous bar's High
+// and at most this High occurred Count times.
 type Bucket struct {
-	Low, High float64
-	Count     int64
+	High  float64
+	Count int64
 }
 
 // Summary accumulates a streaming count and mean without storing samples,

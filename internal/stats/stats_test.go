@@ -352,3 +352,15 @@ func newCDF(samples []float64) *CDF {
 	}
 	return c
 }
+
+// Mean returns the arithmetic mean, or 0 for an empty CDF.
+func (c *CDF) Mean() float64 {
+	if len(c.samples) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, v := range c.samples {
+		sum += v
+	}
+	return sum / float64(len(c.samples))
+}

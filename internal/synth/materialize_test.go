@@ -3,6 +3,7 @@ package synth
 import (
 	"bytes"
 	"compress/gzip"
+	"slices"
 	"testing"
 
 	"repro/internal/blobstore"
@@ -99,7 +100,7 @@ func TestRepositoriesMetadata(t *testing.T) {
 		if repos[i].Name != d.Repos[i].Name {
 			t.Fatal("name order broken")
 		}
-		hasLatest := repos[i].HasTag("latest")
+		hasLatest := slices.Contains(repos[i].Tags, "latest")
 		if hasLatest != d.Repos[i].HasLatest {
 			t.Fatalf("repo %s latest mismatch", repos[i].Name)
 		}

@@ -48,9 +48,6 @@ type Image struct {
 	Repo     int32
 }
 
-// LayerCount returns the number of layers in the image's manifest.
-func (im *Image) LayerCount() int { return int(im.layerN) }
-
 // Repo is one Docker Hub repository.
 type Repo struct {
 	Name      string

@@ -21,11 +21,9 @@ const (
 	PaperLayers           = 1_792_609 // unique compressed layers
 )
 
-// Failure-mode split of the paper's 111,384 failed downloads (§III-B).
-const (
-	PaperAuthFailFrac     = 0.13 // required authentication
-	PaperNoLatestFailFrac = 0.87 // repository had no latest tag
-)
+// PaperAuthFailFrac is the share of the paper's 111,384 failed downloads
+// that required authentication (§III-B); the other 87% had no latest tag.
+const PaperAuthFailFrac = 0.13
 
 // Spec holds every calibration knob of the synthetic Hub. DefaultSpec
 // returns the paper-calibrated instance; tests shrink Scale.
@@ -42,8 +40,9 @@ type Spec struct {
 	// CrawlDupFactor is the ratio of raw search entries to distinct
 	// repositories (634,412 / 457,627) caused by Docker Hub indexing.
 	CrawlDupFactor float64
-	// AuthFailFrac and NoLatestFailFrac partition download failures.
-	AuthFailFrac, NoLatestFailFrac float64
+	// AuthFailFrac is the share of download failures that are auth
+	// failures; the rest are repositories without a latest tag.
+	AuthFailFrac float64
 	// FailFrac is the fraction of repositories whose image cannot be
 	// downloaded (111,384 / 466,703 attempted ≈ the repo-level failure
 	// rate; the paper's accounting works out to failed/(downloaded+failed)).
@@ -77,10 +76,6 @@ type Spec struct {
 	TopSharedImageFrac float64
 	// SharedTailAlpha shapes the Pareto reference-count tail beyond refs=3.
 	SharedTailAlpha float64
-	// LayersPerImageMean is E[layers per image]; together with
-	// ExclusiveLayerFrac it fixes the unique-layer-to-image ratio
-	// (1,792,609 / 355,319 ≈ 5.04).
-	LayersPerImageMean float64
 
 	// --- Files per layer (Figs. 5–7) and joint size structure
 	// (Figs. 9, 11, 12) ---
@@ -132,10 +127,6 @@ type Spec struct {
 
 	// --- File universe (Figs. 13–22, 24) ---
 
-	// UniqueFracTarget is the paper's 3.2% unique-file share at full
-	// scale; it is emergent from RepeatMasses/RepeatTail but recorded for
-	// calibration tests.
-	UniqueFracTarget float64
 	// RepeatMasses are the point masses of the per-unique-file repeat
 	// count (value, weight): P(1)=0.006, P(4)=0.50, …
 	RepeatMasses []RepeatMass
@@ -161,17 +152,16 @@ type Spec struct {
 	// TypeMix defines the per-type count weights and mean sizes
 	// (Figs. 14–22); see DefaultTypeMix.
 	TypeMix []TypeWeight
-	// UncommonTypeCount and UncommonCapacityFrac size the long tail of
-	// rare types (≈1,440 types holding 1.6% of capacity);
+	// UncommonTypeCount sizes the long tail of rare types (≈1,440
+	// types, which hold 1.6% of capacity in the paper);
 	// UncommonCountFrac is their share of the file-count universe and
 	// UncommonZipfS skews capacity across them so a handful cross the
 	// "commonly used" threshold the way Fig. 13's 133 common types do.
-	UncommonTypeCount    int
-	UncommonCapacityFrac float64
-	UncommonCountFrac    float64
-	UncommonMeanSize     float64
-	UncommonSizeSigma    float64
-	UncommonZipfS        float64
+	UncommonTypeCount int
+	UncommonCountFrac float64
+	UncommonMeanSize  float64
+	UncommonSizeSigma float64
+	UncommonZipfS     float64
 
 	// --- Popularity (Fig. 8) ---
 
@@ -228,11 +218,10 @@ func DefaultSpec(scale float64) Spec {
 		Seed:  20170530, // the crawl date
 		Scale: scale,
 
-		CrawlDupFactor:   float64(PaperCrawlRawEntries) / float64(PaperRepos),
-		AuthFailFrac:     PaperAuthFailFrac,
-		NoLatestFailFrac: PaperNoLatestFailFrac,
-		FailFrac:         float64(PaperImagesFailed) / float64(PaperImagesDownloaded+PaperImagesFailed),
-		OfficialFrac:     190.0 / float64(PaperRepos),
+		CrawlDupFactor: float64(PaperCrawlRawEntries) / float64(PaperRepos),
+		AuthFailFrac:   PaperAuthFailFrac,
+		FailFrac:       float64(PaperImagesFailed) / float64(PaperImagesDownloaded+PaperImagesFailed),
+		OfficialFrac:   190.0 / float64(PaperRepos),
 
 		SingleLayerImageFrac: 7_060.0 / float64(PaperImagesDownloaded),
 		LayerCountMode:       8,
@@ -244,7 +233,6 @@ func DefaultSpec(scale float64) Spec {
 		EmptyLayerImageFrac: 184_171.0 / float64(PaperImagesDownloaded),
 		TopSharedImageFrac:  0.088,
 		SharedTailAlpha:     1.15,
-		LayersPerImageMean:  9.0,
 
 		EmptyLayerFrac:      0.07,
 		SingleFileLayerFrac: 0.27,
@@ -272,7 +260,6 @@ func DefaultSpec(scale float64) Spec {
 		CompressionP90:    4.0,
 		CompressionMax:    1026,
 
-		UniqueFracTarget: 0.032,
 		RepeatMasses: []RepeatMass{
 			{Repeat: 1, Weight: 0.006},
 			{Repeat: 2, Weight: 0.09},
@@ -311,13 +298,12 @@ func DefaultSpec(scale float64) Spec {
 			filetype.GroupOther:      0.25,
 		},
 
-		TypeMix:              DefaultTypeMix(),
-		UncommonTypeCount:    filetype.MaxUncommon,
-		UncommonCapacityFrac: 0.016,
-		UncommonCountFrac:    0.01,
-		UncommonMeanSize:     50 * 1024,
-		UncommonSizeSigma:    2.0,
-		UncommonZipfS:        0.9,
+		TypeMix:           DefaultTypeMix(),
+		UncommonTypeCount: filetype.MaxUncommon,
+		UncommonCountFrac: 0.01,
+		UncommonMeanSize:  50 * 1024,
+		UncommonSizeSigma: 2.0,
+		UncommonZipfS:     0.9,
 
 		PullMedian:    40,
 		PullP90:       333,
@@ -517,12 +503,9 @@ func DedupSweepSpec(scale float64) Spec {
 
 // Counts derives the entity counts implied by the spec's scale.
 type Counts struct {
-	Repos            int
-	CrawlRawEntries  int
-	ImagesDownloaded int
-	ImagesFailed     int
-	AuthFailures     int
-	NoLatestFailures int
+	Repos        int
+	ImagesFailed int
+	AuthFailures int
 }
 
 // Counts returns the scaled entity counts.
@@ -535,12 +518,9 @@ func (s Spec) Counts() Counts {
 	}
 	auth := int(float64(failed)*s.AuthFailFrac + 0.5)
 	return Counts{
-		Repos:            repos,
-		CrawlRawEntries:  int(float64(repos)*s.CrawlDupFactor + 0.5),
-		ImagesDownloaded: attempted - failed,
-		ImagesFailed:     failed,
-		AuthFailures:     auth,
-		NoLatestFailures: failed - auth,
+		Repos:        repos,
+		ImagesFailed: failed,
+		AuthFailures: auth,
 	}
 }
 

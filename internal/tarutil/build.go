@@ -160,9 +160,6 @@ func (b *Builder) Close() error {
 	return nil
 }
 
-// Err returns the first error encountered by the builder, if any.
-func (b *Builder) Err() error { return b.err }
-
 // dir writes the header of a directory named b.name, with a trailing
 // slash added if the caller wrote none.
 func (b *Builder) dir() error {

@@ -506,3 +506,6 @@ func TestBuildSeeds(t *testing.T) {
 		})
 	}
 }
+
+// Err returns the first error encountered by the builder, if any.
+func (b *Builder) Err() error { return b.err }

@@ -25,7 +25,7 @@ func TestSlowClientDrainE2E(t *testing.T) {
 		t.Skip("e2e: real servers and wall-clock pacing")
 	}
 	ctx := context.Background()
-	sc := &SlowClients{Nodes: 3, Replicas: 2, ReadBytesPerS: 256 << 10}
+	sc := &SlowClients{Nodes: 3, ReadBytesPerS: 256 << 10}
 	env := &Env{Scale: 0.003, Seed: 7, Requests: 120}
 
 	g := &serve.Group{}
@@ -103,9 +103,9 @@ func TestScenarioSmoke(t *testing.T) {
 		t.Skip("e2e: real servers")
 	}
 	scenarios := []Scenario{
-		&MixedPushPull{PushFraction: 0.3},
-		&FlashCrowd{HerdFraction: 0.75},
-		&Hierarchy{Edges: 2},
+		&MixedPushPull{},
+		&FlashCrowd{},
+		&Hierarchy{},
 	}
 	for _, sc := range scenarios {
 		sc := sc

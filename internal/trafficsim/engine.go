@@ -16,15 +16,17 @@ import (
 // cancellation and per-request timeouts.
 type Op func(ctx context.Context) (int64, error)
 
-// DefaultMaxOutstanding caps concurrently in-flight requests. Open-loop
+// maxOutstanding caps concurrently in-flight requests. Open-loop
 // dispatch launches regardless of completions, so a saturated server
 // would otherwise accumulate goroutines without bound; the cap is a
 // safety valve, and because latency is measured from the intended start,
-// time spent waiting for a slot still counts against the server.
-const DefaultMaxOutstanding = 4096
+// time spent waiting for a slot still counts against the server: when
+// the cap is hit the dispatcher blocks, and the induced lateness is
+// charged to the affected requests' latency.
+const maxOutstanding = 4096
 
 // Config describes one run. Run needs every required field; RunClosed
-// has no schedule and ignores Arrivals and MaxOutstanding.
+// has no schedule and ignores Arrivals.
 type Config struct {
 	// Arrivals is the schedule generator (required for Run).
 	Arrivals Arrivals
@@ -37,10 +39,6 @@ type Config struct {
 	Clock Clock
 	// Timeout bounds each request from its dispatch (0 = unbounded).
 	Timeout time.Duration
-	// MaxOutstanding caps in-flight requests (DefaultMaxOutstanding when
-	// 0). When the cap is hit the dispatcher blocks, and the induced
-	// lateness is charged to the affected requests' latency.
-	MaxOutstanding int
 }
 
 // Result aggregates one run. Latency is the coordinated-omission-safe
@@ -181,11 +179,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if clk == nil {
 		clk = SystemClock
 	}
-	maxOut := cfg.MaxOutstanding
-	if maxOut <= 0 {
-		maxOut = DefaultMaxOutstanding
-	}
-	slots := sema.NewWeighted(int64(maxOut))
+	slots := sema.NewWeighted(maxOutstanding)
 	start := clk.Now()
 	rec := &recorder{last: start}
 

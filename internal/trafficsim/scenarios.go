@@ -57,10 +57,10 @@ func tracePulls(env *Env, names []string, weights []int64, client *registry.Clie
 // trace while a fraction of arrivals push fresh images (new layer blob,
 // config, manifest) — the update traffic that invalidates nothing for
 // pullers but costs the tee its walk.
-type MixedPushPull struct {
-	// PushFraction is the share of arrivals that are pushes (default 0.2).
-	PushFraction float64
-}
+type MixedPushPull struct{}
+
+// pushFraction is MixedPushPull's share of arrivals that are pushes.
+const pushFraction = 0.2
 
 // Name implements Scenario.
 func (s *MixedPushPull) Name() string { return "mixed" }
@@ -75,14 +75,10 @@ type pushJob struct {
 
 // Setup implements Scenario.
 func (s *MixedPushPull) Setup(ctx context.Context, g *serve.Group, env *Env) (func(i int) Op, error) {
-	frac := s.PushFraction
-	if frac <= 0 {
-		frac = 0.2
-	}
 	// Fresh push payloads: layers rendered from a sibling dataset at a
 	// different seed, so the bytes are valid gzipped layer tars (the
 	// ingest tee walks them) with digests the registry has never seen.
-	nPush := int(frac * float64(env.Requests))
+	nPush := int(pushFraction * float64(env.Requests))
 	if nPush < 1 {
 		nPush = 1
 	}
@@ -192,39 +188,26 @@ func renderPushJobs(env *Env, n int) ([]pushJob, []manifest.Repository, error) {
 // that one tag through a cold pull-through mirror while a background
 // Zipf trickle continues. The mirror's singleflight miss-fill is what
 // stands between the herd and the origin.
-type FlashCrowd struct {
-	// HerdFraction is the share of arrivals pulling the fresh tag
-	// (default 0.75).
-	HerdFraction float64
-	// HotLayers is the fresh image's layer count (default 3).
-	HotLayers int
-	// CacheBytes budgets the mirror cache (default 256 MiB).
-	CacheBytes int64
-}
+type FlashCrowd struct{}
+
+// The flash crowd's shape: the share of arrivals in the herd, the fresh
+// image's layer count, and the mirror cache's budget.
+const (
+	herdFraction    = 0.75
+	hotLayers       = 3
+	flashCacheBytes = 256 << 20
+)
 
 // Name implements Scenario.
 func (s *FlashCrowd) Name() string { return "flash-crowd" }
 
 // Setup implements Scenario.
 func (s *FlashCrowd) Setup(ctx context.Context, g *serve.Group, env *Env) (func(i int) Op, error) {
-	herd := s.HerdFraction
-	if herd <= 0 {
-		herd = 0.75
-	}
-	hotLayers := s.HotLayers
-	if hotLayers <= 0 {
-		hotLayers = 3
-	}
-	budget := s.CacheBytes
-	if budget <= 0 {
-		budget = 256 << 20
-	}
-
 	// The freshly pushed image: layers the origin (and therefore the
 	// mirror) has never served, registered under a brand-new tag moments
 	// before the herd arrives.
 	const hotRepo = "hot/new"
-	pop, stack, err := provision(g, env, topology.Topology{MirrorBytes: budget}, topology.Site{},
+	pop, stack, err := provision(g, env, topology.Topology{MirrorBytes: flashCacheBytes}, topology.Site{},
 		func(reg *registry.Registry) error { return pushHotImage(reg, env, hotRepo, hotLayers) })
 	if err != nil {
 		return nil, err
@@ -238,7 +221,7 @@ func (s *FlashCrowd) Setup(ctx context.Context, g *serve.Group, env *Env) (func(
 	herdRNG := env.rng(seedMix)
 	inHerd := make([]bool, env.Requests)
 	for i := range inHerd {
-		inHerd[i] = herdRNG.Float64() < herd
+		inHerd[i] = herdRNG.Float64() < herdFraction
 	}
 
 	clk := env.clock()
@@ -290,9 +273,9 @@ func pushHotImage(reg *registry.Registry, env *Env, repo string, layers int) err
 // benchmarks never produce. Backed by a cluster when Nodes > 1 (the
 // drain-under-load e2e uses that) or a single registry otherwise.
 type SlowClients struct {
-	// Nodes and Replicas size the backing cluster; Nodes <= 1 serves one
-	// registry directly.
-	Nodes, Replicas int
+	// Nodes sizes the backing cluster (2 replicas of everything); Nodes
+	// <= 1 serves one registry directly.
+	Nodes int
 	// ReadBytesPerS throttles each client's blob reads (default 128 KiB/s).
 	ReadBytesPerS int64
 
@@ -313,7 +296,7 @@ func (s *SlowClients) Setup(ctx context.Context, g *serve.Group, env *Env) (func
 	var pop *population
 	var err error
 	if s.Nodes > 1 {
-		pop, s.Stack, err = sharded(g, env, s.Nodes, s.Replicas)
+		pop, s.Stack, err = sharded(g, env, s.Nodes, 0)
 	} else {
 		pop, s.Stack, err = provision(g, env, topology.Topology{}, topology.Site{}, nil)
 	}
@@ -329,42 +312,30 @@ func (s *SlowClients) Setup(ctx context.Context, g *serve.Group, env *Env) (func
 // for. Edge caches are deliberately small next to the regional one, so
 // the Zipf head lives at the edge and the tail churns through the
 // regional tier.
-type Hierarchy struct {
-	// Edges is the edge mirror count requests round-robin over (default 2).
-	Edges int
-	// EdgeCacheBytes budgets each edge cache (default 16 MiB).
-	EdgeCacheBytes int64
-	// RegionalCacheBytes budgets the regional cache (default 256 MiB).
-	RegionalCacheBytes int64
-}
+type Hierarchy struct{}
+
+// The tree's shape: the edge mirrors requests round-robin over, each
+// edge cache's budget, and the regional cache's.
+const (
+	edgeMirrors        = 2
+	edgeCacheBytes     = 16 << 20
+	regionalCacheBytes = 256 << 20
+)
 
 // Name implements Scenario.
 func (s *Hierarchy) Name() string { return "hierarchy" }
 
 // Setup implements Scenario.
 func (s *Hierarchy) Setup(ctx context.Context, g *serve.Group, env *Env) (func(i int) Op, error) {
-	edges := s.Edges
-	if edges <= 0 {
-		edges = 2
-	}
-	edgeBudget := s.EdgeCacheBytes
-	if edgeBudget <= 0 {
-		edgeBudget = 16 << 20
-	}
-	regionalBudget := s.RegionalCacheBytes
-	if regionalBudget <= 0 {
-		regionalBudget = 256 << 20
-	}
-
 	// Origin behind the regional mirror is one stack; each edge is a
 	// mirror-only stack whose origin is the regional tier's URL.
-	pop, regional, err := provision(g, env, topology.Topology{MirrorBytes: regionalBudget}, topology.Site{}, nil)
+	pop, regional, err := provision(g, env, topology.Topology{MirrorBytes: regionalCacheBytes}, topology.Site{}, nil)
 	if err != nil {
 		return nil, err
 	}
-	clients := make([]*registry.Client, edges)
+	clients := make([]*registry.Client, edgeMirrors)
 	for e := range clients {
-		edge, err := topology.Provision(g, topology.Topology{MirrorBytes: edgeBudget}, topology.Site{Origin: regional.URL})
+		edge, err := topology.Provision(g, topology.Topology{MirrorBytes: edgeCacheBytes}, topology.Site{Origin: regional.URL})
 		if err != nil {
 			return nil, err
 		}
