@@ -80,6 +80,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWalk$$' -fuzztime 5s ./internal/tarutil
 	$(GO) test -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime 5s ./internal/tarutil
 	$(GO) test -run '^$$' -fuzz '^FuzzRecipe$$' -fuzztime 5s ./internal/dedupstore
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreTape$$' -fuzztime 5s ./internal/dedupstore
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheTape$$' -fuzztime 5s ./internal/cache
 
 # Regenerate the committed open-loop tail-latency record
 # (BENCH_traffic.json): the scenario × rate sweep with

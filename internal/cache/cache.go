@@ -153,12 +153,6 @@ type entry struct {
 	size int64
 }
 
-// flight is one in-progress fill. err is written once before done closes.
-type flight struct {
-	done chan struct{}
-	err  error
-}
-
 // shard is one stripe: an independent LRU with its own byte budget, flight
 // table, request counts, and negative set. The global budget is the sum of
 // stripe budgets, so the cache as a whole can never exceed it.
@@ -168,7 +162,7 @@ type shard struct {
 	used     int64
 	entries  map[digest.Digest]*list.Element
 	order    *list.List // front = most recently used
-	flights  map[digest.Digest]*flight
+	flights  blobstore.Flights
 	freq     map[digest.Digest]uint32 // requests per digest, halved on aging
 	counted  int                      // requests recorded since the last aging
 	negative map[digest.Digest]*list.Element
@@ -223,7 +217,7 @@ func NewSharded(store blobstore.Store, budget int64, shards int) *Cache {
 			capacity: per,
 			entries:  make(map[digest.Digest]*list.Element),
 			order:    list.New(),
-			flights:  make(map[digest.Digest]*flight),
+			flights:  make(blobstore.Flights),
 			freq:     make(map[digest.Digest]uint32),
 			negative: make(map[digest.Digest]*list.Element),
 			negOrder: list.New(),
@@ -399,7 +393,13 @@ func (c *Cache) Contains(d digest.Digest) bool {
 // dropEntry removes a stale index entry whose blob vanished from the store.
 func (c *Cache) dropEntry(sh *shard, d digest.Digest) {
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	c.unindex(sh, d)
+	sh.mu.Unlock()
+}
+
+// unindex drops d's index entry, if any, leaving its stored bytes to the
+// caller. Caller must hold the stripe lock.
+func (c *Cache) unindex(sh *shard, d digest.Digest) {
 	if el, ok := sh.entries[d]; ok {
 		e := el.Value.(*entry)
 		sh.order.Remove(el)
@@ -421,14 +421,7 @@ func (c *Cache) Invalidate(d digest.Digest) {
 	sh := c.shard(d)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if el, ok := sh.entries[d]; ok {
-		e := el.Value.(*entry)
-		sh.order.Remove(el)
-		delete(sh.entries, d)
-		sh.used -= e.size
-		c.used.Add(-e.size)
-		c.entries.Add(-1)
-	}
+	c.unindex(sh, d)
 	sh.clearNegative(d)
 	c.store.Delete(d)
 }
@@ -488,11 +481,7 @@ func (c *Cache) admit(sh *shard, d digest.Digest, size int64) {
 			break
 		}
 		e := victim.Value.(*entry)
-		sh.order.Remove(victim)
-		delete(sh.entries, e.d)
-		sh.used -= e.size
-		c.used.Add(-e.size)
-		c.entries.Add(-1)
+		c.unindex(sh, e.d)
 		c.evictions.Add(1)
 		c.store.Delete(e.d)
 	}
@@ -531,51 +520,38 @@ func (c *Cache) GetOrFill(ctx context.Context, d digest.Digest, fill FillFunc) (
 			c.negHits.Add(1)
 			return nil, 0, Coalesced, fmt.Errorf("%w: %s", ErrUpstreamNotFound, d.Short())
 		}
-		if f, ok := sh.flights[d]; ok {
-			sh.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, 0, Coalesced, ctx.Err()
-			}
-			if f.err != nil {
-				if errors.Is(f.err, ErrUpstreamNotFound) {
-					c.negHits.Add(1)
-					return nil, 0, Coalesced, f.err
-				}
-				// The winner failed transiently: loop and (maybe) become the
-				// next winner ourselves.
-				continue
-			}
-			rc, size, err := c.store.Get(d)
-			if err == nil {
+		f, won := sh.flights.Claim(d)
+		sh.mu.Unlock()
+		if won {
+			return c.runFill(ctx, sh, d, prior, f, fill)
+		}
+		switch err := f.Wait(ctx); {
+		case errors.Is(err, ErrUpstreamNotFound):
+			c.negHits.Add(1)
+			return nil, 0, Coalesced, err
+		case err != nil && ctx.Err() != nil:
+			return nil, 0, Coalesced, ctx.Err()
+		case err == nil:
+			if rc, size, err := c.store.Get(d); err == nil {
 				c.coalesced.Add(1)
 				return rc, size, Coalesced, nil
 			}
-			// Filled but already evicted (or rejected or declined): loop and
-			// refetch.
-			continue
 		}
-		f := &flight{done: make(chan struct{})}
-		sh.flights[d] = f
-		sh.mu.Unlock()
-
-		return c.runFill(ctx, sh, d, prior, f, fill)
+		// The winner failed transiently, or its fill was evicted, rejected
+		// or declined: loop and (maybe) become the next winner ourselves.
 	}
 }
 
-// finishFlight publishes the fill outcome and releases the flight slot.
-func (c *Cache) finishFlight(sh *shard, d digest.Digest, f *flight, err error) {
+// finishFlight lands the fill's flight with its outcome. A 404 is recorded
+// as a negative entry unless the blob became resident meanwhile (an Admit
+// of the same digest), whose bytes prove it exists.
+func (c *Cache) finishFlight(sh *shard, d digest.Digest, f *blobstore.Flight, err error) {
 	sh.mu.Lock()
-	if errors.Is(err, ErrUpstreamNotFound) {
-		if sh.putNegative(d) {
-			c.negPuts.Add(1)
-		}
+	if _, ok := sh.entries[d]; !ok && errors.Is(err, ErrUpstreamNotFound) && sh.putNegative(d) {
+		c.negPuts.Add(1)
 	}
-	delete(sh.flights, d)
+	sh.flights.Land(d, f, err)
 	sh.mu.Unlock()
-	f.err = err
-	close(f.done)
 	c.inflight.Add(-1)
 }
 
@@ -583,7 +559,7 @@ func (c *Cache) finishFlight(sh *shard, d digest.Digest, f *flight, err error) {
 // origin body and return it wrapped in a tee that feeds digest-verified
 // admission as the caller reads — or bare, when the origin's declared size
 // already says the stripe will not admit it.
-func (c *Cache) runFill(ctx context.Context, sh *shard, d digest.Digest, prior uint32, f *flight, fill FillFunc) (io.ReadCloser, int64, Outcome, error) {
+func (c *Cache) runFill(ctx context.Context, sh *shard, d digest.Digest, prior uint32, f *blobstore.Flight, fill FillFunc) (io.ReadCloser, int64, Outcome, error) {
 	c.misses.Add(1)
 	c.inflight.Add(1)
 	body, size, err := fill(ctx)

@@ -179,7 +179,7 @@ type Store struct {
 
 	mu      sync.RWMutex
 	blobs   map[digest.Digest]*blobEntry
-	flights map[digest.Digest]*putFlight
+	flights blobstore.Flights // blob puts in progress
 
 	layers      int
 	raw         int
@@ -187,12 +187,6 @@ type Store struct {
 	wire        int64
 	recipeBytes int64
 	instances   int64
-}
-
-// putFlight is one in-progress blob put. err is set before done closes.
-type putFlight struct {
-	done chan struct{}
-	err  error
 }
 
 // Store must satisfy the backend interface the registry serves from.
@@ -204,7 +198,7 @@ func NewWithConfig(pool *Pool, cfg Config) *Store {
 	s := &Store{
 		pool:    pool,
 		blobs:   make(map[digest.Digest]*blobEntry),
-		flights: make(map[digest.Digest]*putFlight),
+		flights: make(blobstore.Flights),
 	}
 	if cfg.CacheBytes > 0 {
 		s.cache = cache.New(blobstore.NewMemory(), cfg.CacheBytes)
@@ -303,41 +297,28 @@ func (s *Store) put(want digest.Digest, r io.Reader, fallback []byte) (int64, er
 		s.mu.Lock()
 		if _, ok := s.blobs[want]; ok {
 			s.mu.Unlock()
-			return drainStored(want, r)
+			// Claiming the stream's observer, with nothing to report, tells
+			// its carrier that this duplicate needs no walk of its own.
+			blobstore.ObserverOf(r)
+			return blobstore.DrainVerify(want, r)
 		}
-		if f, ok := s.flights[want]; ok {
-			s.mu.Unlock()
-			<-f.done
-			if f.err == nil {
-				return drainStored(want, r)
-			}
-			// The winner failed; retry as the next winner with our own
-			// (still unconsumed) stream.
+		f, won := s.flights.Claim(want)
+		s.mu.Unlock()
+		if !won {
+			// Success: loop to drain against the stored blob. Failure: loop
+			// to retry as the next winner with our own unconsumed stream.
+			f.Wait(context.Background())
 			continue
 		}
-		f := &putFlight{done: make(chan struct{})}
-		s.flights[want] = f
-		s.mu.Unlock()
-
 		n, err := s.ingest(want, r)
 		if err != nil && fallback != nil {
 			n, err = s.ingestRaw(want, bytes.NewReader(fallback))
 		}
 		s.mu.Lock()
-		delete(s.flights, want)
+		s.flights.Land(want, f, err)
 		s.mu.Unlock()
-		f.err = err
-		close(f.done)
 		return n, err
 	}
-}
-
-// drainStored consumes and verifies a stream whose blob the store already
-// holds. Claiming the stream's observer, with nothing to report, tells its
-// carrier that this duplicate needs no walk of its own.
-func drainStored(want digest.Digest, r io.Reader) (int64, error) {
-	blobstore.ObserverOf(r)
-	return blobstore.DrainVerify(want, r)
 }
 
 // ingest stores the blob down the path its framing (tarutil.OpenLayer)

@@ -1,6 +1,7 @@
 package dedupstore
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -29,14 +30,14 @@ type Pool struct {
 	shards []*poolShard
 }
 
-// poolShard is one stripe: its own backing store, refcounts, and
-// singleflight table.
+// poolShard is one stripe: its own backing store, refcounts, and the
+// flights of its in-progress backing writes.
 type poolShard struct {
 	backing blobstore.Store
 
 	mu      sync.Mutex
 	refs    map[digest.Digest]int64
-	flights map[digest.Digest]chan struct{} // in-progress backing writes; closed when done
+	flights blobstore.Flights
 }
 
 // NewPool builds a pool striped over the given backing stores (one shard
@@ -48,7 +49,7 @@ func NewPool(backings ...blobstore.Store) *Pool {
 		p.shards[i] = &poolShard{
 			backing: b,
 			refs:    make(map[digest.Digest]int64),
-			flights: make(map[digest.Digest]chan struct{}),
+			flights: make(blobstore.Flights),
 		}
 	}
 	return p
@@ -131,25 +132,21 @@ func (p *Pool) claim(d digest.Digest, put func(blobstore.Store) (int64, error), 
 			}
 			return n, err
 		}
-		if done, ok := sh.flights[d]; ok {
-			sh.mu.Unlock()
-			<-done
+		f, won := sh.flights.Claim(d)
+		sh.mu.Unlock()
+		if !won {
 			// Success: loop to take a reference. Failure: loop to retry as
 			// the winner.
+			f.Wait(context.Background())
 			continue
 		}
-		done := make(chan struct{})
-		sh.flights[d] = done
-		sh.mu.Unlock()
-
 		n, err := put(sh.backing)
 		sh.mu.Lock()
-		delete(sh.flights, d)
 		if err == nil {
 			sh.refs[d] = 1
 		}
+		sh.flights.Land(d, f, err)
 		sh.mu.Unlock()
-		close(done)
 		return n, err
 	}
 }

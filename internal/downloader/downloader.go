@@ -3,7 +3,8 @@
 // parallel downloader (§III-B): manifests and layers are fetched directly
 // (no docker-pull extraction overhead), multiple images are downloaded
 // simultaneously, and only *unique* layers are transferred — a layer shared
-// by many images crosses the wire once.
+// by many images crosses the wire once: the first image to claim its digest
+// (a blobstore.Flights) fetches it, and a failed fetch goes to the next.
 //
 // Transfers fan out at layer granularity: a global transfer pool
 // (LayerWorkers) and an optional in-flight byte budget bound concurrency
@@ -142,11 +143,13 @@ type Result struct {
 	Stats  Stats
 }
 
-// runState carries the shared machinery of one Run: the singleflight claim
-// table, the global transfer slots, the byte budget, and the counters.
+// runState carries the shared machinery of one Run: the blobs fetched and
+// being fetched, the global transfer slots, the byte budget, the counters.
 type runState struct {
 	ctx       context.Context
-	claims    sync.Map // digest -> *flight
+	mu        sync.Mutex // guards fetched and flights
+	fetched   map[digest.Digest]bool
+	flights   blobstore.Flights
 	slots     chan struct{}
 	budget    *sema.Weighted
 	budgetCap int64
@@ -157,13 +160,6 @@ type runState struct {
 	unique      atomic.Int64
 }
 
-// flight is one in-progress (or finished) fetch of a blob. err is written
-// once before done closes and is immutable afterwards.
-type flight struct {
-	done chan struct{}
-	err  error
-}
-
 func (d *Downloader) imageWorkers() int { return engine.Workers(d.Workers) }
 
 func (d *Downloader) newRunState(ctx context.Context) *runState {
@@ -171,7 +167,7 @@ func (d *Downloader) newRunState(ctx context.Context) *runState {
 	if lw <= 0 {
 		lw = 2 * d.imageWorkers()
 	}
-	st := &runState{ctx: ctx, slots: make(chan struct{}, lw)}
+	st := &runState{ctx: ctx, fetched: make(map[digest.Digest]bool), flights: make(blobstore.Flights), slots: make(chan struct{}, lw)}
 	if d.ByteBudget > 0 {
 		st.budget = sema.NewWeighted(d.ByteBudget)
 		st.budgetCap = d.ByteBudget
@@ -275,39 +271,36 @@ func (d *Downloader) downloadOne(st *runState, repo string) (*Image, int, error)
 
 // fetchShared is the singleflight wrapper around fetchBlob: the first
 // caller of a digest transfers it while later callers wait for that
-// fetch's outcome. A waiter whose claimant failed takes over the claim and
-// fetches itself — the old claim map silently assumed the claimant would
-// succeed, leaving the skipping image with a hole in the store when it
-// didn't.
+// fetch's outcome. A waiter whose winner failed claims the digest afresh
+// and fetches itself, so an image that shares a failed layer never skips
+// it and ends with a hole in the store.
 func (d *Downloader) fetchShared(st *runState, repo string, desc manifest.Descriptor, isConfig bool) error {
 	for {
-		f := &flight{done: make(chan struct{})}
-		prev, loaded := st.claims.LoadOrStore(desc.Digest, f)
-		if !loaded {
-			f.err = d.fetchBlob(st, repo, desc, isConfig)
-			close(f.done)
-			return f.err
-		}
-		pf := prev.(*flight)
-		select {
-		case <-pf.done:
-		case <-st.ctx.Done():
-			return st.ctx.Err()
-		}
-		if pf.err == nil {
+		st.mu.Lock()
+		if st.fetched[desc.Digest] {
+			st.mu.Unlock()
 			// The digest is in the store; this reference rides along.
 			if !isConfig {
 				st.skipped.Add(1)
 			}
 			return nil
 		}
-		// The claimant failed. Take over the claim and fetch ourselves; if
-		// another waiter won the takeover race, loop and wait on them.
-		if st.claims.CompareAndSwap(desc.Digest, prev, f) {
-			f.err = d.fetchBlob(st, repo, desc, isConfig)
-			close(f.done)
-			return f.err
+		f, won := st.flights.Claim(desc.Digest)
+		st.mu.Unlock()
+		if !won {
+			if err := f.Wait(st.ctx); err != nil && st.ctx.Err() != nil {
+				return st.ctx.Err()
+			}
+			continue
 		}
+		err := d.fetchBlob(st, repo, desc, isConfig)
+		st.mu.Lock()
+		if err == nil {
+			st.fetched[desc.Digest] = true
+		}
+		st.flights.Land(desc.Digest, f, err)
+		st.mu.Unlock()
+		return err
 	}
 }
 
