@@ -173,8 +173,9 @@ func BenchmarkDownloadStreaming(b *testing.B) {
 }
 
 // BenchmarkFusedPipeline contrasts the two-phase download-then-analyze run
-// with the fused pipeline that walks each layer while it streams off the
-// wire (wall clock approaches max(download, analyze) instead of their sum).
+// with the fused pipeline that walks each layer on the transfer worker
+// right after it is stored (wall clock approaches max(download, analyze)
+// instead of their sum).
 func BenchmarkFusedPipeline(b *testing.B) {
 	d, reg, _ := wireFixture(b)
 	repos := make([]string, 0, len(d.Repos))

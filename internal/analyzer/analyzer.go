@@ -227,10 +227,9 @@ func AnalyzeStore(store blobstore.Store, images []downloader.Image, workers int)
 }
 
 // AnalyzeWalkedContext is AnalyzeStore for layers that were already
-// walked while they streamed off the wire (the fused pipeline): a layer
+// walked (the fused pipeline walks each as soon as it is stored): a layer
 // present in walked skips the store fetch and re-walk entirely; anything
-// missing (e.g. a tee attempt that failed and was re-fetched without the
-// tee) falls back to walking the store blob. The walks are only read, so
+// missing falls back to walking the store blob. The walks are only read, so
 // one map may serve any number of calls, concurrently ones included. The
 // result is bit-identical to AnalyzeStore over the same store. When ctx is
 // done, in-flight layer walks wind down and the analysis returns ctx's
@@ -447,12 +446,12 @@ func walkLayer(store blobstore.Store, ld digest.Digest) (*WalkedLayer, error) {
 // past, producing its profile and file observations. Like the paper's
 // analyzer it traverses every entry; unlike docker pull it never extracts
 // to disk. The stream is always consumed to its end, even on a walk error
-// — so when r is a tee of an in-flight download, the transfer never blocks
-// on an abandoned pipe and the stream's terminal verdict (the fetch error
-// that replaces io.EOF) surfaces here: a nil error means the walked bytes
-// were verified end to end, and the layer's wire size is its CLS. It is
-// the byte-walking front end of LayerAccumulator: each member is hashed,
-// and the accumulator gets what a decomposing store would have reported.
+// — so when r is a tee of an in-flight upload, the sender never blocks on
+// an abandoned pipe and a verifying stream's terminal verdict (its error
+// in place of io.EOF) surfaces here — and the layer's wire size is its
+// CLS. It is the byte-walking front end of LayerAccumulator: each member
+// is hashed, and the accumulator gets what a decomposing store would have
+// reported.
 func WalkLayerReader(ld digest.Digest, r io.Reader) (*WalkedLayer, error) {
 	l := tarutil.OpenLayer(r)
 	defer l.Close()

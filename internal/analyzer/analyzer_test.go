@@ -541,10 +541,13 @@ func TestAnalyzeStoreSkipsGlobalHeader(t *testing.T) {
 	}
 
 	var names []string
-	if err := tarutil.Walk(bytes.NewReader(buf.Bytes()), func(e tarutil.Entry, _ io.Reader) error {
+	l := tarutil.OpenLayer(bytes.NewReader(buf.Bytes()))
+	err := l.Walk(func(e tarutil.Entry, _ io.Reader) error {
 		names = append(names, e.Name)
 		return nil
-	}); err != nil {
+	})
+	l.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []string{"src/", "src/main.go", "README"}; !slices.Equal(names, want) {

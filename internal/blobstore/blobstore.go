@@ -140,17 +140,33 @@ func CopyBody(dst io.Writer, src io.Reader) (int64, error) {
 // for alternative Store implementations (the dedup backend's singleflight
 // losers hand their streams here).
 func DrainVerify(want digest.Digest, r io.Reader) (int64, error) {
-	h := digest.NewHasher()
+	h := getHasher()
+	defer putHasher(h)
 	bp := copyBufPool.Get().(*[]byte)
 	n, err := io.CopyBuffer(h, r, *bp)
 	copyBufPool.Put(bp)
 	if err != nil {
 		return n, fmt.Errorf("blobstore: reading stream: %w", err)
 	}
-	if got := h.Digest(); got != want {
-		return n, fmt.Errorf("%w: want %s, got %s", ErrDigestMismatch, want.Short(), got.Short())
+	return n, verify(want, h)
+}
+
+// verify checks that h hashed to want.
+func verify(want digest.Digest, h *digest.Hasher) error {
+	if h.Matches(want) {
+		return nil
 	}
-	return n, nil
+	return fmt.Errorf("%w: want %s, got %s", ErrDigestMismatch, want.Short(), h.Digest().Short())
+}
+
+// hasherPool recycles the hashers that verify incoming streams.
+var hasherPool = sync.Pool{New: func() any { return digest.NewHasher() }}
+
+func getHasher() *digest.Hasher { return hasherPool.Get().(*digest.Hasher) }
+
+func putHasher(h *digest.Hasher) {
+	h.Reset()
+	hasherPool.Put(h)
 }
 
 // PutStream implements Store. The incoming bytes are accumulated in a
@@ -165,13 +181,14 @@ func (m *Memory) PutStream(want digest.Digest, r io.Reader) (int64, error) {
 		buf.Reset()
 		memBufPool.Put(buf)
 	}()
-	h := digest.NewHasher()
+	h := getHasher()
+	defer putHasher(h)
 	n, err := buf.ReadFrom(io.TeeReader(r, h))
 	if err != nil {
 		return n, fmt.Errorf("blobstore: reading stream: %w", err)
 	}
-	if got := h.Digest(); got != want {
-		return n, fmt.Errorf("%w: want %s, got %s", ErrDigestMismatch, want.Short(), got.Short())
+	if err := verify(want, h); err != nil {
+		return n, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -380,7 +397,8 @@ func (d *Disk) PutStream(want digest.Digest, r io.Reader) (int64, error) {
 		return 0, fmt.Errorf("blobstore: creating temp blob: %w", err)
 	}
 	tmp := f.Name()
-	h := digest.NewHasher()
+	h := getHasher()
+	defer putHasher(h)
 	bp := copyBufPool.Get().(*[]byte)
 	n, err := io.CopyBuffer(onlyWriter{f}, io.TeeReader(r, h), *bp)
 	copyBufPool.Put(bp)
@@ -391,9 +409,7 @@ func (d *Disk) PutStream(want digest.Digest, r io.Reader) (int64, error) {
 		err = fmt.Errorf("blobstore: streaming blob: %w", err)
 	}
 	if err == nil {
-		if got := h.Digest(); got != want {
-			err = fmt.Errorf("%w: want %s, got %s", ErrDigestMismatch, want.Short(), got.Short())
-		}
+		err = verify(want, h)
 	}
 	if err != nil {
 		os.Remove(tmp)

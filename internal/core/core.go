@@ -8,8 +8,8 @@
 //   - a Topology acquired by Pull (wire): the dataset's images are served
 //     as real gzip-compressed layer tarballs from the provisioned stack,
 //     the search API is crawled, and every image is pulled through
-//     pipeline.Run, which walks each layer while it streams off the wire —
-//     the full methodology reproduction (§III). MirrorWarm pulls
+//     pipeline.Run, which walks each layer on the transfer worker right
+//     after it is stored — the full methodology reproduction (§III). MirrorWarm pulls
 //     everything once first.
 //   - a Topology acquired by LivePush (live): the dataset is pushed into
 //     the stack and reported from its live snapshot; see live.go.

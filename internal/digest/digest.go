@@ -56,9 +56,14 @@ func FromUint64(v uint64) Digest {
 // a stack array and converted once: one allocation per digest.
 func encode(sum []byte) Digest {
 	var buf [len(Algorithm) + 1 + hexLen]byte
+	spell(&buf, sum)
+	return Digest(buf[:])
+}
+
+// spell writes a SHA-256 sum into buf in the digest format.
+func spell(buf *[len(Algorithm) + 1 + hexLen]byte, sum []byte) {
 	copy(buf[:], Algorithm+":")
 	hex.Encode(buf[len(Algorithm)+1:], sum)
-	return Digest(buf[:])
 }
 
 // Parse validates s and returns it as a Digest.
@@ -154,6 +159,14 @@ func (h *Hasher) Write(p []byte) (int, error) { return h.h.Write(p) }
 
 // Digest returns the digest of everything written so far.
 func (h *Hasher) Digest() Digest { return encode(h.h.Sum(h.sum[:0])) }
+
+// Matches reports whether everything written so far hashes to want,
+// equal to Digest() == want but without building the digest string.
+func (h *Hasher) Matches(want Digest) bool {
+	var buf [len(Algorithm) + 1 + hexLen]byte
+	spell(&buf, h.h.Sum(h.sum[:0]))
+	return string(buf[:]) == string(want)
+}
 
 // Reset returns the Hasher to its initial state so it can be reused,
 // letting hot paths (one digest per file instance) pool hashers instead of

@@ -194,4 +194,30 @@ func TestDigestAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { h.Key64() }); n != 0 {
 		t.Errorf("Hasher.Key64 allocates %v times, want 0", n)
 	}
+	want := FromBytes(data)
+	if n := testing.AllocsPerRun(100, func() { h.Matches(want) }); n != 0 {
+		t.Errorf("Hasher.Matches allocates %v times, want 0", n)
+	}
+}
+
+// TestHasherMatches: Matches agrees with comparing Digest's string, for the
+// content's digest and for digests one character off anywhere.
+func TestHasherMatches(t *testing.T) {
+	data := []byte("layer-content")
+	h := NewHasher()
+	h.Write(data)
+	want := FromBytes(data)
+	if !h.Matches(want) {
+		t.Fatal("Matches refused the content's own digest")
+	}
+	for i := range want {
+		b := []byte(want)
+		b[i] ^= 1
+		if h.Matches(Digest(b)) {
+			t.Fatalf("Matches accepted %q", b)
+		}
+	}
+	if h.Matches(want[:len(want)-1]) || h.Matches(want+"0") || h.Matches("") {
+		t.Fatal("Matches accepted a digest of the wrong length")
+	}
 }

@@ -6,11 +6,16 @@
 // by many images crosses the wire once: the first image to claim its digest
 // (a blobstore.Flights) fetches it, and a failed fetch goes to the next.
 //
-// Transfers fan out at layer granularity: a global transfer pool
-// (LayerWorkers) and an optional in-flight byte budget bound concurrency
-// and memory independently of how layers are distributed across images,
-// and every blob streams through verification into the store without ever
-// materializing as a full []byte.
+// Transfers fan out at blob granularity onto a pool of LayerWorkers
+// transfer workers that live as long as the run: an image worker claims
+// its config and layers, hands the ones it wins to the pool and waits for
+// the rest itself, so no goroutine is started per image, blob or layer,
+// and a transfer worker never waits on another transfer's flight. An
+// optional in-flight byte budget bounds memory independently of how layers
+// are distributed across images, and every blob streams through
+// verification into the store without ever materializing as a full []byte.
+// A layer that reached the store can be handed to LayerStored on the same
+// worker right after the commit — the fused pipeline walks it there.
 //
 // Failures are classified the way the paper reports them: repositories
 // requiring authentication versus repositories without a latest tag.
@@ -81,14 +86,14 @@ type Downloader struct {
 	// retry timing, never figures, but drawing it from a seeded stream
 	// keeps runs replayable; 0 is a valid seed.
 	Seed int64
-	// LayerTee, when set, receives every unique layer's byte stream as it
-	// crosses the wire — the hook the fused download→analyze pipeline
-	// attaches to. The reader yields exactly the bytes being stored; it
-	// ends with io.EOF iff the transfer verified and was stored, and with
-	// the fetch error otherwise. The callback MUST consume the reader to
-	// its end (the transfer blocks on it) and runs once per fetch attempt,
-	// so a retried layer is observed again with a fresh stream.
-	LayerTee func(d digest.Digest, r io.Reader)
+	// LayerStored, when set, is called with every unique layer once its
+	// verified bytes are committed to Store — never for a config, a failed
+	// transfer or a layer some earlier transfer stored. It runs on the
+	// transfer worker that stored the layer, which takes no other transfer
+	// until it returns, and every call has returned when RunContext does:
+	// the hook the fused download→analyze pipeline walks layers in. It
+	// needs a Store to read the layer back from.
+	LayerStored func(d digest.Digest)
 
 	// sleep and rnd are test seams for the backoff schedule.
 	sleep func(ctx context.Context, d time.Duration) error
@@ -144,13 +149,13 @@ type Result struct {
 }
 
 // runState carries the shared machinery of one Run: the blobs fetched and
-// being fetched, the global transfer slots, the byte budget, the counters.
+// being fetched, the transfer pool's queue, the byte budget, the counters.
 type runState struct {
 	ctx       context.Context
 	mu        sync.Mutex // guards fetched and flights
 	fetched   map[digest.Digest]bool
 	flights   blobstore.Flights
-	slots     chan struct{}
+	transfers chan claim
 	budget    *sema.Weighted
 	budgetCap int64
 
@@ -162,12 +167,15 @@ type runState struct {
 
 func (d *Downloader) imageWorkers() int { return engine.Workers(d.Workers) }
 
-func (d *Downloader) newRunState(ctx context.Context) *runState {
-	lw := d.LayerWorkers
-	if lw <= 0 {
-		lw = 2 * d.imageWorkers()
+func (d *Downloader) layerWorkers() int {
+	if d.LayerWorkers > 0 {
+		return d.LayerWorkers
 	}
-	st := &runState{ctx: ctx, fetched: make(map[digest.Digest]bool), flights: make(blobstore.Flights), slots: make(chan struct{}, lw)}
+	return 2 * d.imageWorkers()
+}
+
+func (d *Downloader) newRunState(ctx context.Context) *runState {
+	st := &runState{ctx: ctx, fetched: make(map[digest.Digest]bool), flights: make(blobstore.Flights), transfers: make(chan claim)}
 	if d.ByteBudget > 0 {
 		st.budget = sema.NewWeighted(d.ByteBudget)
 		st.budgetCap = d.ByteBudget
@@ -197,6 +205,17 @@ func (d *Downloader) RunContext(ctx context.Context, repos []string) (*Result, e
 	)
 	stats.Attempted = len(repos)
 	st := d.newRunState(ctx)
+
+	var transferring sync.WaitGroup
+	for w := 0; w < d.layerWorkers(); w++ {
+		transferring.Add(1)
+		go func() {
+			defer transferring.Done()
+			for c := range st.transfers {
+				d.transfer(st, c)
+			}
+		}()
+	}
 
 	work := make(chan string)
 	var wg sync.WaitGroup
@@ -228,93 +247,119 @@ func (d *Downloader) RunContext(ctx context.Context, repos []string) (*Result, e
 	}
 	close(work)
 	wg.Wait()
+	close(st.transfers)
+	transferring.Wait()
 
 	st.fill(&stats)
 	return &Result{Images: images, Stats: stats}, nil
 }
 
-// downloadOne fetches a repository's manifest, then fans its config and
-// layers out to the global transfer pool. It returns the image, a count of
-// non-fatal blob fetch errors, and the manifest-level error (if any).
+// downloadOne fetches a repository's manifest, then claims its config and
+// layers and waits for each. It returns the image, a count of non-fatal
+// blob fetch errors, and the manifest-level error (if any).
 func (d *Downloader) downloadOne(st *runState, repo string) (*Image, int, error) {
 	m, md, err := d.manifestWithRetry(st.ctx, repo)
 	if err != nil {
 		return nil, 0, err
 	}
 
-	var layerErrs atomic.Int64
-	var wg sync.WaitGroup
 	// The image config travels with the image (docker pull fetches it);
-	// content addressing dedups configs shared across tags.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := d.fetchShared(st, repo, m.Config, true); err != nil {
-			layerErrs.Add(1)
-		}
-	}()
-	for _, l := range m.Layers {
-		// Note that we only download unique layers (§III-B): one image
-		// transfers a digest, everyone else waits for that outcome.
-		l := l
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := d.fetchShared(st, repo, l, false); err != nil {
-				layerErrs.Add(1)
-			}
-		}()
+	// content addressing dedups configs shared across tags. Every claim is
+	// made before the first wait, so the image's transfers overlap.
+	claims := make([]claim, 0, 1+len(m.Layers))
+	claims = append(claims, st.claim(repo, &m.Config, true))
+	for i := range m.Layers {
+		claims = append(claims, st.claim(repo, &m.Layers[i], false))
 	}
-	wg.Wait()
-	return &Image{Repo: repo, Digest: md, Manifest: m}, int(layerErrs.Load()), nil
+	layerErrs := 0
+	for _, c := range claims {
+		if c.wait(st) != nil {
+			layerErrs++
+		}
+	}
+	return &Image{Repo: repo, Digest: md, Manifest: m}, layerErrs, nil
 }
 
-// fetchShared is the singleflight wrapper around fetchBlob: the first
-// caller of a digest transfers it while later callers wait for that
-// fetch's outcome. A waiter whose winner failed claims the digest afresh
-// and fetches itself, so an image that shares a failed layer never skips
-// it and ends with a hole in the store.
-func (d *Downloader) fetchShared(st *runState, repo string, desc manifest.Descriptor, isConfig bool) error {
-	for {
-		st.mu.Lock()
-		if st.fetched[desc.Digest] {
-			st.mu.Unlock()
-			// The digest is in the store; this reference rides along.
-			if !isConfig {
-				st.skipped.Add(1)
-			}
-			return nil
-		}
-		f, won := st.flights.Claim(desc.Digest)
+// claim is one image's hold on one of its blobs: nothing to wait for when
+// the blob is already stored, otherwise the blob's flight, won when this
+// image handed the claim to the transfer pool.
+type claim struct {
+	repo     string
+	desc     *manifest.Descriptor
+	isConfig bool
+	f        *blobstore.Flight
+	won      bool
+}
+
+// claim decides who transfers desc. Note that we only download unique
+// layers (§III-B): the first image to claim a digest hands it to the
+// transfer pool, everyone else waits for that outcome, and a digest already
+// stored is a reference that rides along.
+func (st *runState) claim(repo string, desc *manifest.Descriptor, isConfig bool) claim {
+	c := claim{repo: repo, desc: desc, isConfig: isConfig}
+	st.mu.Lock()
+	if st.fetched[desc.Digest] {
 		st.mu.Unlock()
-		if !won {
-			if err := f.Wait(st.ctx); err != nil && st.ctx.Err() != nil {
-				return st.ctx.Err()
-			}
-			continue
+		if !isConfig {
+			st.skipped.Add(1)
 		}
-		err := d.fetchBlob(st, repo, desc, isConfig)
-		st.mu.Lock()
-		if err == nil {
-			st.fetched[desc.Digest] = true
+		return c
+	}
+	c.f, c.won = st.flights.Claim(desc.Digest)
+	st.mu.Unlock()
+	if c.won {
+		select {
+		case st.transfers <- c:
+		case <-st.ctx.Done():
+			st.land(desc.Digest, c.f, st.ctx.Err())
 		}
-		st.flights.Land(desc.Digest, f, err)
-		st.mu.Unlock()
-		return err
+	}
+	return c
+}
+
+// wait returns the claimed blob's outcome for this image: the transfer's
+// error when the image won the claim. A waiter whose winner failed claims
+// the digest afresh, so an image that shares a failed layer never skips it
+// and ends with a hole in the store.
+func (c claim) wait(st *runState) error {
+	for c.f != nil {
+		err := c.f.Wait(st.ctx)
+		switch {
+		case c.won:
+			return err
+		case err != nil && st.ctx.Err() != nil:
+			return st.ctx.Err()
+		}
+		c = st.claim(c.repo, c.desc, c.isConfig)
+	}
+	return nil
+}
+
+// land records a transfer's outcome where later claims look for it and
+// wakes its waiters.
+func (st *runState) land(dg digest.Digest, f *blobstore.Flight, err error) {
+	st.mu.Lock()
+	if err == nil {
+		st.fetched[dg] = true
+	}
+	st.flights.Land(dg, f, err)
+	st.mu.Unlock()
+}
+
+// transfer is one transfer worker's turn: it moves a won blob, lands its
+// flight, and hands a stored layer to LayerStored.
+func (d *Downloader) transfer(st *runState, c claim) {
+	err := d.fetchBlob(st, c.repo, *c.desc, c.isConfig)
+	st.land(c.desc.Digest, c.f, err)
+	if err == nil && !c.isConfig && d.LayerStored != nil {
+		d.LayerStored(c.desc.Digest)
 	}
 }
 
-// fetchBlob transfers one blob through a global transfer slot and the byte
-// budget, retrying transient failures with jittered backoff, and records
-// the outcome in the run counters.
+// fetchBlob transfers one blob within the byte budget, retrying transient
+// failures with jittered backoff, and records the outcome in the run
+// counters.
 func (d *Downloader) fetchBlob(st *runState, repo string, desc manifest.Descriptor, isConfig bool) error {
-	select {
-	case st.slots <- struct{}{}:
-	case <-st.ctx.Done():
-		return st.ctx.Err()
-	}
-	defer func() { <-st.slots }()
-
 	if st.budget != nil {
 		weight := desc.Size
 		if weight > st.budgetCap {
@@ -332,7 +377,7 @@ func (d *Downloader) fetchBlob(st *runState, repo string, desc manifest.Descript
 	var n int64
 	var err error
 	for attempt := 0; ; attempt++ {
-		n, err = d.fetchOnce(st.ctx, repo, desc, isConfig)
+		n, err = d.fetchOnce(st.ctx, repo, desc.Digest)
 		if err == nil || !retryable(err) || attempt >= d.Retries {
 			break
 		}
@@ -354,47 +399,18 @@ func (d *Downloader) fetchBlob(st *runState, repo string, desc manifest.Descript
 
 // fetchOnce performs a single transfer attempt: the blob streams through
 // client-side digest verification into the store (or io.Discard in
-// measurement mode), optionally teeing into LayerTee — no full-blob buffer
-// materializes anywhere on this path.
-func (d *Downloader) fetchOnce(ctx context.Context, repo string, desc manifest.Descriptor, isConfig bool) (int64, error) {
-	vr, _, err := d.Client.BlobStreamVerifiedContext(ctx, repo, desc.Digest)
+// measurement mode) — no full-blob buffer materializes anywhere on this
+// path.
+func (d *Downloader) fetchOnce(ctx context.Context, repo string, dg digest.Digest) (int64, error) {
+	vr, _, err := d.Client.BlobStreamVerifiedContext(ctx, repo, dg)
 	if err != nil {
 		return 0, err
 	}
 	defer vr.Close()
-
-	var r io.Reader = vr
-	var pw *io.PipeWriter
-	var teeDone chan struct{}
-	if d.LayerTee != nil && !isConfig {
-		var pr *io.PipeReader
-		pr, pw = io.Pipe()
-		teeDone = make(chan struct{})
-		go func() {
-			defer close(teeDone)
-			d.LayerTee(desc.Digest, pr)
-			pr.Close()
-		}()
-		r = io.TeeReader(vr, pw)
-	}
-
-	var n int64
 	if d.Store != nil {
-		n, err = d.Store.PutStream(desc.Digest, r)
-	} else {
-		n, err = io.Copy(io.Discard, r)
+		return d.Store.PutStream(dg, vr)
 	}
-	if pw != nil {
-		// Terminate the tee with the fetch verdict so the consumer knows
-		// whether the bytes it walked were verified.
-		if err != nil {
-			pw.CloseWithError(err)
-		} else {
-			pw.Close()
-		}
-		<-teeDone
-	}
-	return n, err
+	return io.Copy(io.Discard, vr)
 }
 
 // manifestWithRetry fetches the repository's latest-tag manifest, the

@@ -1,20 +1,20 @@
-// Package pipeline fuses download and analysis into one pass: every
-// verified layer stream is teed into the tarball walker while it crosses
-// the wire, so analysis overlaps the network and the store write, and the
-// run's wall clock approaches max(download, analyze) instead of their sum.
-// The paper's acquisition pipeline (§III-B) has the same shape — the
-// analyzer keeps pace with the custom downloader rather than running as a
-// second pass over 47 TB of stored layers.
+// Package pipeline fuses download and analysis into one pass: every layer
+// is walked on the transfer worker that stored it, right after it is
+// stored, so analysis overlaps the other workers' transfers and the run's
+// wall clock approaches max(download, analyze) instead of their sum. The
+// paper's acquisition pipeline (§III-B) has the same shape — the analyzer
+// keeps pace with the custom downloader rather than running as a second
+// pass over 47 TB of stored layers.
 //
 // Results are bit-identical to the two-phase download-then-analyze path:
-// the walker consumes the same verified bytes (a tee attempt only counts
-// when the transfer's digest verdict is clean), and the assembly phase
-// reuses the analyzer's order-independent census plus ordered drain.
+// the walker reads the same verified bytes back from the store, and the
+// assembly phase reuses the analyzer's order-independent census plus
+// ordered drain.
 package pipeline
 
 import (
 	"context"
-	"io"
+	"errors"
 	"sync"
 	"time"
 
@@ -28,10 +28,9 @@ import (
 type Result struct {
 	Download *downloader.Result
 	Analysis *analyzer.Result
-	// WalkedInline counts layers analyzed from the wire tee; ReWalked
-	// counts layers the assembly phase had to fetch back from the store
-	// (tee attempts whose transfer failed and was later retried without
-	// success being observed, normally 0).
+	// WalkedInline counts layers walked on the transfer workers; ReWalked
+	// counts layers the assembly phase had to walk from the store itself
+	// (a layer whose inline walk failed, normally 0).
 	WalkedInline int
 	ReWalked     int
 	// AssembleWall is the wall clock of the assembly that follows the
@@ -39,27 +38,35 @@ type Result struct {
 	AssembleWall time.Duration
 }
 
-// Run downloads repos with dl while walking every unique layer as it
-// streams past, then assembles the analysis from the pre-walked layers.
-// dl.LayerTee is owned by the pipeline for the duration of the call.
-// dl.Workers bounds the assembly-phase walk workers as well.
+// Run downloads repos with dl while walking every unique layer as soon as
+// it is stored, then assembles the analysis from the pre-walked layers.
+// dl.Store is required: the walks read it. dl.LayerStored is owned by the
+// pipeline for the duration of the call. dl.Workers bounds the
+// assembly-phase walk workers as well.
 func Run(ctx context.Context, dl *downloader.Downloader, repos []string) (*Result, error) {
+	if dl.Store == nil {
+		return nil, errors.New("pipeline: nil store: stored layers are walked from it")
+	}
 	var mu sync.Mutex
 	walked := make(map[digest.Digest]*analyzer.WalkedLayer)
 
-	dl.LayerTee = func(d digest.Digest, r io.Reader) {
-		wl, err := analyzer.WalkLayerReader(d, r)
-		mu.Lock()
-		defer mu.Unlock()
+	dl.LayerStored = func(d digest.Digest) {
+		rc, _, err := dl.Store.Get(d)
 		if err != nil {
-			// The attempt failed (mid-stream error, digest mismatch, or an
-			// unparseable tarball): forget it. A retry records a fresh walk.
-			delete(walked, d)
 			return
 		}
+		wl, err := analyzer.WalkLayerReader(d, rc)
+		rc.Close()
+		if err != nil {
+			// Not a walkable layer: the assembly walks it again from the
+			// store and reports why.
+			return
+		}
+		mu.Lock()
 		walked[d] = wl
+		mu.Unlock()
 	}
-	defer func() { dl.LayerTee = nil }()
+	defer func() { dl.LayerStored = nil }()
 
 	dres, err := dl.RunContext(ctx, repos)
 	if err != nil {
@@ -75,7 +82,7 @@ func Run(ctx context.Context, dl *downloader.Downloader, repos []string) (*Resul
 	res := &Result{Download: dres, WalkedInline: len(walked)}
 
 	// Count the layers the assembly phase will have to re-walk from the
-	// store (referenced by a downloaded image but missing from the tee).
+	// store (referenced by a downloaded image but not walked inline).
 	seen := make(map[digest.Digest]bool)
 	for _, img := range dres.Images {
 		for _, ld := range img.Manifest.LayerDigests() {

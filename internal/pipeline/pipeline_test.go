@@ -2,8 +2,10 @@ package pipeline
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/analyzer"
@@ -107,42 +109,37 @@ func TestFusedMatchesTwoPhase(t *testing.T) {
 	}
 }
 
-// TestFusedStoreless runs the pipeline in pure measurement mode (no
-// store): analysis comes entirely from the wire tee.
-func TestFusedStoreless(t *testing.T) {
-	srv, repos, wantImages := fixture(t)
-
-	baseSink := blobstore.NewMemory()
-	baseDl := &downloader.Downloader{Client: &registry.Client{Base: srv.URL}, Workers: 4, Store: baseSink}
-	dres, err := baseDl.RunContext(context.Background(), repos)
-	if err != nil {
-		t.Fatal(err)
+// TestFusedRequiresStore: layers are walked from the store they were
+// committed to, so Run refuses a downloader without one before it sends a
+// single request.
+func TestFusedRequiresStore(t *testing.T) {
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.NotFound(w, r)
+	}))
+	defer srv.Close()
+	dl := &downloader.Downloader{Client: &registry.Client{Base: srv.URL}, Workers: 2}
+	if _, err := Run(context.Background(), dl, []string{"library/a", "library/b"}); err == nil {
+		t.Fatal("Run accepted a downloader without a store")
 	}
-	base, err := analyzer.AnalyzeStore(baseSink, dres.Images, 1)
-	if err != nil {
-		t.Fatal(err)
+	if n := requests.Load(); n != 0 {
+		t.Fatalf("Run sent %d requests before refusing", n)
 	}
-
-	dl := &downloader.Downloader{Client: &registry.Client{Base: srv.URL}, Workers: 4}
-	res, err := Run(context.Background(), dl, repos)
-	if err != nil {
-		t.Fatal(err)
+	if dl.LayerStored != nil {
+		t.Fatal("refused run left its hook attached to the downloader")
 	}
-	if res.Download.Stats.Downloaded != wantImages {
-		t.Fatalf("downloaded %d, want %d", res.Download.Stats.Downloaded, wantImages)
-	}
-	compareAnalyses(t, "storeless", res.Analysis, base)
 }
 
-// TestFusedTeeReset: the pipeline detaches its tee from the downloader
+// TestFusedHookReset: the pipeline detaches its hook from the downloader
 // when it returns.
-func TestFusedTeeReset(t *testing.T) {
+func TestFusedHookReset(t *testing.T) {
 	srv, repos, _ := fixture(t)
-	dl := &downloader.Downloader{Client: &registry.Client{Base: srv.URL}, Workers: 2}
+	dl := &downloader.Downloader{Client: &registry.Client{Base: srv.URL}, Workers: 2, Store: blobstore.NewMemory()}
 	if _, err := Run(context.Background(), dl, repos); err != nil {
 		t.Fatal(err)
 	}
-	if dl.LayerTee != nil {
-		t.Fatal("pipeline left its tee attached to the downloader")
+	if dl.LayerStored != nil {
+		t.Fatal("pipeline left its hook attached to the downloader")
 	}
 }

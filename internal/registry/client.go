@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/digest"
@@ -312,8 +313,12 @@ func (c *Client) BlobStreamVerifiedContext(ctx context.Context, name string, d d
 	if err != nil {
 		return nil, 0, err
 	}
-	return &blobStream{c: c, ctx: ctx, name: name, want: d, body: rc, h: digest.NewHasher(), resumes: maxResumes}, size, nil
+	h := hasherPool.Get().(*digest.Hasher)
+	return &blobStream{c: c, ctx: ctx, name: name, want: d, body: rc, h: h, resumes: maxResumes}, size, nil
 }
+
+// hasherPool recycles the verifying hashers of blob streams.
+var hasherPool = sync.Pool{New: func() any { return digest.NewHasher() }}
 
 // blobStream is the verifying, resuming reader behind
 // BlobStreamVerifiedContext.
@@ -323,8 +328,8 @@ type blobStream struct {
 	name    string
 	want    digest.Digest
 	body    io.ReadCloser
-	h       *digest.Hasher
-	off     int64 // bytes delivered so far == resume offset
+	h       *digest.Hasher // returned to hasherPool by Close
+	off     int64          // bytes delivered so far == resume offset
 	resumes int
 	err     error // sticky terminal state (io.EOF on verified success)
 }
@@ -345,8 +350,8 @@ func (s *blobStream) Read(p []byte) (int, error) {
 		case err == nil:
 			return n, nil
 		case errors.Is(err, io.EOF):
-			if got := s.h.Digest(); got != s.want {
-				s.err = fmt.Errorf("registry client: blob %s arrived as %s", s.want.Short(), got.Short())
+			if !s.h.Matches(s.want) {
+				s.err = fmt.Errorf("registry client: blob %s arrived as %s", s.want.Short(), s.h.Digest().Short())
 			} else {
 				s.err = io.EOF
 			}
@@ -379,5 +384,18 @@ func (s *blobStream) Read(p []byte) (int, error) {
 	}
 }
 
-// Close implements io.Closer.
-func (s *blobStream) Close() error { return s.body.Close() }
+// Close implements io.Closer. It hands the hasher back to the pool, so
+// reads after Close fail.
+func (s *blobStream) Close() error {
+	if s.h != nil {
+		s.h.Reset()
+		hasherPool.Put(s.h)
+		s.h = nil
+		if s.err == nil {
+			s.err = errStreamClosed
+		}
+	}
+	return s.body.Close()
+}
+
+var errStreamClosed = errors.New("registry client: read on closed blob stream")

@@ -40,6 +40,25 @@ func TestBlobStreamVerifiedHappyPath(t *testing.T) {
 	}
 }
 
+// TestBlobStreamClosedMidway: Close hands the stream's hasher back to the
+// pool, so a read after it fails instead of hashing into a hasher another
+// stream may hold; a second Close is harmless.
+func TestBlobStreamClosedMidway(t *testing.T) {
+	_, c, d, _ := rangeSetup(t)
+	rc, _, err := c.BlobStreamVerifiedContext(context.Background(), "r/blob", d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rc.Read(make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
+	rc.Close()
+	if n, err := rc.Read(make([]byte, 8)); n != 0 || err == nil {
+		t.Fatalf("read after Close = (%d, %v), want an error", n, err)
+	}
+	rc.Close()
+}
+
 func TestBlobStreamVerifiedDetectsCorruption(t *testing.T) {
 	reg := New(blobstore.NewMemory())
 	reg.CreateRepo("r/bad", false)

@@ -115,14 +115,15 @@ const gzipMagic = "\x1f\x8b"
 // Layer reads one layer blob: it knows the blob's framing from the start,
 // walks its archive, and counts its wire bytes. A NotTar blob is read
 // through Read, from its first byte. A Layer's buffers — a 32 KiB read
-// buffer and the gzip inflater, the dominant cost of a short walk — are
-// pooled across layers; Close returns them.
+// buffer, the gzip inflater, the dominant cost of a short walk, and the
+// walker's state — are pooled across layers; Close returns them.
 type Layer struct {
 	br      *bufio.Reader
 	wire    countReader
 	framing Framing
 	err     error // a read error while sniffing
 	zr      *gzip.Reader
+	w       walker
 }
 
 var layerPool = sync.Pool{New: func() any {
@@ -179,7 +180,7 @@ func (l *Layer) Walk(fn WalkFunc) error {
 
 func (l *Layer) walk(fn WalkFunc) error {
 	if l.framing != Gzip {
-		return Walk(l.br, fn)
+		return l.w.walk(l.br, fn)
 	}
 	var err error
 	if l.zr == nil {
@@ -190,7 +191,7 @@ func (l *Layer) walk(fn WalkFunc) error {
 	if err != nil {
 		return fmt.Errorf("tarutil: opening gzip stream: %w", err)
 	}
-	return Walk(l.zr, fn)
+	return l.w.walk(l.zr, fn)
 }
 
 // WireBytes returns how many bytes of the blob have been read.
@@ -201,6 +202,7 @@ func (l *Layer) WireBytes() int64 { return l.wire.n }
 func (l *Layer) Close() {
 	l.br.Reset(nil)
 	l.wire = countReader{}
+	l.w = walker{}
 	layerPool.Put(l)
 }
 

@@ -26,17 +26,16 @@ var (
 
 var zeroBlock [blockSize]byte
 
-// Walk iterates over a raw (uncompressed) tar stream, invoking fn for every
-// regular file and directory. Other entry kinds (symlinks, devices,
-// whiteouts) are counted as files of size 0, matching how the paper's
-// analyzer profiles layer content by file metadata. A PAX global header is
-// not an entry: it is consumed without calling fn.
+// walk iterates over a raw (uncompressed) tar stream, invoking fn for every
+// regular file and directory; w is a zero walker. Other entry kinds
+// (symlinks, devices, whiteouts) are counted as files of size 0, matching
+// how the paper's analyzer profiles layer content by file metadata. A PAX
+// global header is not an entry: it is consumed without calling fn.
 //
 // The headers are decoded here, entry for entry as archive/tar decodes them
 // (the package documentation lists the formats and what is refused), into
-// one block buffer per walk: an entry costs one allocation, its name.
-func Walk(r io.Reader, fn WalkFunc) error {
-	w := &walker{}
+// the walker's one block buffer: an entry costs one allocation, its name.
+func (w *walker) walk(r io.Reader, fn WalkFunc) error {
 	w.body.R = r
 	for {
 		e, content, err := w.next()

@@ -19,6 +19,11 @@ import (
 	"time"
 )
 
+// Walk walks a raw tar stream with a walker it allocates per call, the form
+// the tests drive the walker in; programs walk through a pooled Layer,
+// which carries its own.
+func Walk(r io.Reader, fn WalkFunc) error { return new(walker).walk(r, fn) }
+
 // oracleWalk is Walk as it was written over archive/tar, the reference
 // FuzzWalk holds Walk to, with Walk's two deliberate differences applied:
 // a PAX global header is skipped, and a sparse file — old GNU or PAX —
@@ -684,5 +689,39 @@ func TestLayerAllocs(t *testing.T) {
 	t.Logf("%d entries: %.0f allocations per layer", entries, allocs)
 	if allocs > entries+16 {
 		t.Fatalf("%.0f allocations per layer of %d entries, want at most %d", allocs, entries, entries+16)
+	}
+}
+
+// TestLayerWalkAllocatesOnlyNames: a pooled Layer carries its walker, so
+// opening, walking and closing a gzip layer of one directory allocates the
+// directory's name and nothing else.
+func TestLayerWalkAllocatesOnlyNames(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	var buf bytes.Buffer
+	b := NewGzipBuilder(&buf)
+	b.Dir("etc")
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(nil)
+	n := 0
+	fn := func(e Entry, content io.Reader) error {
+		n++
+		return nil
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		n = 0
+		r.Reset(buf.Bytes())
+		l := OpenLayer(r)
+		err := l.Walk(fn)
+		l.Close()
+		if err != nil || n != 1 {
+			t.Fatalf("walked %d entries: %v", n, err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("%.0f allocations per one-directory layer, want 1 (its name)", allocs)
 	}
 }
