@@ -33,7 +33,7 @@ test:
 # Race-check the packages with concurrent machinery. Kept narrower than
 # ./... so the gate stays fast enough to run on every change.
 race:
-	$(GO) test -race ./internal/core ./internal/crawler ./internal/dedup ./internal/analyzer ./internal/tarutil ./internal/stats ./internal/blobstore ./internal/sema ./internal/httpx ./internal/downloader ./internal/registry ./internal/pipeline ./internal/engine ./internal/serve ./internal/cache ./internal/mirror ./internal/cluster ./internal/topology ./internal/dedupstore ./internal/analytics ./internal/trafficsim
+	$(GO) test -race ./internal/core ./internal/crawler ./internal/analyzer ./internal/tarutil ./internal/stats ./internal/blobstore ./internal/sema ./internal/httpx ./internal/downloader ./internal/registry ./internal/pipeline ./internal/engine ./internal/serve ./internal/cache ./internal/mirror ./internal/cluster ./internal/topology ./internal/dedupstore ./internal/analytics ./internal/trafficsim
 
 # Race-check everything, including the root package's streaming
 # benchmarks' fixtures (slower; not part of `make ci`).
@@ -51,11 +51,10 @@ golden:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-# Pipeline-scaling benchmarks only: worker sweep over the wire fixture and
-# the concurrent census microbench (see EXPERIMENTS.md, "pipeline scaling").
+# Pipeline-scaling benchmarks only: worker sweep over the wire fixture
+# (see EXPERIMENTS.md, "pipeline scaling").
 bench-scaling:
 	$(GO) test -run '^$$' -bench AnalyzeStoreWorkers -benchmem .
-	$(GO) test -run '^$$' -bench IndexObserveParallel -benchmem ./internal/dedup
 
 # One-iteration pass over the streaming/fused benchmarks plus one short
 # trafficsim run per dispatch loop (open, closed): catches benchmark bit-rot in CI without paying the full
@@ -77,6 +76,7 @@ bench-smoke:
 # one target per run, so each target has its own line.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRange$$' -fuzztime 5s ./internal/registry
+	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime 5s ./internal/manifest
 	$(GO) test -run '^$$' -fuzz '^FuzzWalk$$' -fuzztime 5s ./internal/tarutil
 	$(GO) test -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime 5s ./internal/tarutil
 	$(GO) test -run '^$$' -fuzz '^FuzzRecipe$$' -fuzztime 5s ./internal/dedupstore

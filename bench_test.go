@@ -82,11 +82,11 @@ func wireFixture(b *testing.B) (*synth.Dataset, *registry.Registry, []downloader
 
 // --- component benchmarks ------------------------------------------------
 
-// BenchmarkAnalyzeStoreWorkers measures the streaming wire-path analysis
-// (walk + classify + digest + sharded dedup census) across worker counts
-// over the shared materialized fixture. Run with -benchmem to see the
-// per-file allocation budget; throughput scales with cores because the
-// census is lock-striped and there is no post-walk serial feed.
+// BenchmarkAnalyzeStoreWorkers measures the wire-path analysis (parallel
+// walk + classify + digest, then the serial census fold in layer order)
+// across worker counts over the shared materialized fixture. Run with
+// -benchmem to see the per-file allocation budget; the walks scale with
+// cores, and the fold after them is a small serial share of the call.
 func BenchmarkAnalyzeStoreWorkers(b *testing.B) {
 	_, reg, imgs := wireFixture(b)
 	var blobBytes int64

@@ -12,21 +12,29 @@
 // Both produce a Result: per-layer profiles (digest, FLS, CLS, file and
 // directory counts, maximum depth, image references), per-image profiles
 // (CIS, FIS, aggregate counts), and a dedup.Index over all file instances.
+//
+// The wire path walks first and folds after: layer walks run in parallel
+// (or arrive already walked, from the fused pipeline or a live snapshot),
+// then one goroutine folds them into the census and the profiles in layer
+// order. The Result is therefore the same at every worker count.
 package analyzer
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/blobstore"
 	"repro/internal/dedup"
 	"repro/internal/digest"
 	"repro/internal/downloader"
+	"repro/internal/engine"
 	"repro/internal/filetype"
 	"repro/internal/stats"
 	"repro/internal/synth"
@@ -99,6 +107,7 @@ func newResult(layers, images, uniqueHint int) *Result {
 // AnalyzeModel profiles a synthetic dataset in model mode.
 func AnalyzeModel(d *synth.Dataset) (*Result, error) {
 	res := newResult(len(d.Layers), len(d.Images), len(d.Files))
+	var obs []dedup.FileObs // one layer's instances, reused across layers
 	for i := range d.Layers {
 		l := &d.Layers[i]
 		res.Layers[i] = LayerProfile{
@@ -110,22 +119,13 @@ func AnalyzeModel(d *synth.Dataset) (*Result, error) {
 			MaxDepth:  l.MaxDepth,
 			Refs:      l.Refs,
 		}
-		if err := res.Index.BeginLayer(l.Refs); err != nil {
-			return nil, err
-		}
+		obs = obs[:0]
 		for _, f := range d.LayerFiles(synth.LayerID(i)) {
 			uf := &d.Files[f]
-			if err := res.Index.Observe(uint64(f), uf.Size, uf.Type); err != nil {
-				return nil, err
-			}
+			obs = append(obs, dedup.FileObs{Key: uint64(f), Size: uf.Size, Type: uf.Type})
 			res.FileSizes.Add(float64(uf.Size))
 		}
-		if err := res.Index.EndLayer(); err != nil {
-			return nil, err
-		}
-	}
-	if err := res.Index.Seal(); err != nil {
-		return nil, err
+		res.Index.AddLayer(l.Refs, obs)
 	}
 
 	for i := range d.Images {
@@ -153,7 +153,7 @@ func AnalyzeModel(d *synth.Dataset) (*Result, error) {
 }
 
 // fillCrossDup computes per-layer and per-image duplicate fractions from
-// the frozen index, given a function returning each layer's file keys.
+// the finished census, given a function returning each layer's file keys.
 func fillCrossDup(res *Result, layerKeys func(int32) []uint64) error {
 	layerDup := make([]int64, len(res.Layers))    // cross-layer dup instances
 	imageDupCnt := make([]int64, len(res.Layers)) // cross-image dup instances
@@ -190,10 +190,11 @@ func fillCrossDup(res *Result, layerKeys func(int32) []uint64) error {
 
 // WalkedLayer is the analysis of one real layer blob, produced by
 // LayerAccumulator and consumed by AnalyzeWalkedContext/AnalyzeStore.
-// files is sorted by key (Finish sorts it, the order the census ingests
-// in), which keeps downstream per-file iteration deterministic regardless
-// of walk scheduling. A finished walk is never written again, so any
-// number of analyses may share it concurrently.
+// files is sorted by key (Finish sorts it once), so the file-size digest
+// is fed in an order that depends on the layer's contents alone, not on
+// the tar member order of whichever blob was walked. A finished walk is
+// never written again, so any number of analyses may share it
+// concurrently.
 type WalkedLayer struct {
 	profile LayerProfile
 	files   []dedup.FileObs
@@ -210,18 +211,16 @@ func (wl *WalkedLayer) Profile() LayerProfile { return wl.profile }
 const uniqueFilesPerLayerHint = 96
 
 // AnalyzeStore profiles downloaded images whose layer blobs live in store.
-// workers bounds concurrent layer walks (GOMAXPROCS if ≤ 0). Layer blobs
-// may be gzip-compressed tarballs (the registry wire format) or plain
-// tarballs (the uncompressed storage policy the paper proposes for small
-// layers) — both are handled in a single fetch per blob.
+// workers bounds concurrent layer walks (engine.Workers resolves ≤ 0).
+// Layer blobs may be gzip-compressed tarballs (the registry wire format)
+// or plain tarballs (the uncompressed storage policy the paper proposes
+// for small layers) — both are handled in a single fetch per blob.
 //
-// The pipeline is parallel end to end: layer numbers are fixed up front
-// from manifest order, workers stream each walked layer straight into the
-// sharded dedup census as it finishes (no barrier, no serial re-feed), and
-// an ordered drain folds per-layer results into the profile and file-size
-// digests in layer order. The census is order-independent and the ordered
-// drain is schedule-independent, so the Result is identical for every
-// worker count.
+// The analysis runs in two steps: workers walk the layers in parallel,
+// then one goroutine folds the finished walks into the census, the
+// profiles and the file-size digest in layer order, which is fixed up
+// front from manifest order. So the Result is identical for every worker
+// count.
 func AnalyzeStore(store blobstore.Store, images []downloader.Image, workers int) (*Result, error) {
 	return analyze(context.Background(), store, images, nil, workers)
 }
@@ -239,9 +238,6 @@ func AnalyzeWalkedContext(ctx context.Context, store blobstore.Store, images []d
 }
 
 func analyze(ctx context.Context, store blobstore.Store, images []downloader.Image, prewalked map[digest.Digest]*WalkedLayer, workers int) (*Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	// Deterministic image order regardless of download completion order;
 	// stable, so the order of a repo's several tags is the caller's.
 	sorted := append([]downloader.Image(nil), images...)
@@ -263,129 +259,30 @@ func analyze(ctx context.Context, store blobstore.Store, images []downloader.Ima
 		}
 	}
 
-	// When every layer arrives walked (a live snapshot, the fused pull),
-	// their instance count bounds the unique files and caps the estimate.
-	hint := len(layerDigests) * uniqueFilesPerLayerHint
+	walked, err := walkMissing(ctx, store, layerDigests, prewalked, workers)
+	if err != nil {
+		return nil, err
+	}
+
+	// Every layer is walked, so the instance count is exact: it bounds the
+	// unique files and caps the per-layer estimate.
 	instances := 0
-	for _, ld := range layerDigests {
-		wl := prewalked[ld]
-		if wl == nil {
-			instances = hint
-			break
-		}
+	for _, wl := range walked {
 		instances += len(wl.files)
 	}
-	res := newResult(len(layerDigests), 0, min(hint, instances))
+	res := newResult(len(layerDigests), 0, min(len(layerDigests)*uniqueFilesPerLayerHint, instances))
 	res.Images = make([]ImageProfile, 0, len(sorted))
 
-	// Walk layers in parallel, streaming each straight into the census.
-	walked := make([]*WalkedLayer, len(layerDigests))
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-		quit     = make(chan struct{})
-		quitOnce sync.Once
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	// Fold in layer order. The census numbers layers in call order and the
+	// P² digest is order-sensitive, so this fixed order is what keeps the
+	// Result bit-identical across worker counts.
+	for i, wl := range walked {
+		res.Index.AddLayer(refs[i], wl.files)
+		res.Layers[i] = wl.profile
+		res.Layers[i].Refs = refs[i]
+		for _, f := range wl.files {
+			res.FileSizes.Add(float64(f.Size))
 		}
-		errMu.Unlock()
-		quitOnce.Do(func() { close(quit) })
-	}
-	work := make(chan int32)
-	completed := make(chan int32, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				var i int32
-				select {
-				case <-quit:
-					return
-				case <-ctx.Done():
-					fail(ctx.Err())
-					return
-				case idx, ok := <-work:
-					if !ok {
-						return
-					}
-					i = idx
-				}
-				wl := prewalked[layerDigests[i]]
-				if wl == nil {
-					if store == nil {
-						fail(fmt.Errorf("analyzer: layer %s: not pre-walked and no store to fall back to", layerDigests[i].Short()))
-						return
-					}
-					var err error
-					wl, err = walkLayer(store, layerDigests[i])
-					if err != nil {
-						fail(fmt.Errorf("analyzer: layer %s: %w", layerDigests[i].Short(), err))
-						return
-					}
-				}
-				if err := res.Index.ObserveLayer(i, refs[i], wl.files); err != nil {
-					fail(err)
-					return
-				}
-				walked[i] = wl
-				select {
-				case completed <- i:
-				case <-quit:
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		// Feed work until done or the first error cancels the walk.
-		defer close(work)
-		for i := range layerDigests {
-			select {
-			case work <- int32(i):
-			case <-quit:
-				return
-			case <-ctx.Done():
-				fail(ctx.Err())
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(completed)
-	}()
-
-	// Ordered drain: fold completed layers into the profiles and the
-	// file-size digest in layer order, while later layers are still being
-	// walked. The P² digest is order-sensitive, so this fixed feed order
-	// is what keeps quantiles bit-identical across worker counts.
-	next := int32(0)
-	arrived := make([]bool, len(layerDigests))
-	for i := range completed {
-		arrived[i] = true
-		for int(next) < len(arrived) && arrived[next] {
-			wl := walked[next]
-			res.Layers[next] = wl.profile
-			res.Layers[next].Refs = refs[next]
-			for _, f := range wl.files {
-				res.FileSizes.Add(float64(f.Size))
-			}
-			next++
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if int(next) != len(layerDigests) {
-		return nil, fmt.Errorf("analyzer: internal: %d of %d layers analyzed", next, len(layerDigests))
-	}
-	if err := res.Index.Seal(); err != nil {
-		return nil, err
 	}
 
 	for _, img := range sorted {
@@ -412,6 +309,63 @@ func analyze(ctx context.Context, store blobstore.Store, images []downloader.Ima
 		return nil, err
 	}
 	return res, nil
+}
+
+// walkMissing returns the walk of every layer in layerDigests, in order:
+// prewalked ones as given, the rest walked out of store, workers at a
+// time. The first error stops the walks not yet started; when ctx is done
+// its error is returned.
+func walkMissing(ctx context.Context, store blobstore.Store, layerDigests []digest.Digest, prewalked map[digest.Digest]*WalkedLayer, workers int) ([]*WalkedLayer, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	walked := make([]*WalkedLayer, len(layerDigests))
+	var missing []int
+	for i, ld := range layerDigests {
+		if walked[i] = prewalked[ld]; walked[i] == nil {
+			missing = append(missing, i)
+		}
+	}
+	if len(missing) > 0 && store == nil {
+		return nil, fmt.Errorf("analyzer: layer %s: not pre-walked and no store to fall back to", layerDigests[missing[0]].Short())
+	}
+	var (
+		wg     sync.WaitGroup
+		next   atomic.Int64
+		failed atomic.Bool
+		errs   = make([]error, len(missing))
+	)
+	for range min(engine.Workers(workers), len(missing)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				k := int(next.Add(1)) - 1
+				if k >= len(missing) {
+					return
+				}
+				i := missing[k]
+				err := ctx.Err()
+				if err == nil {
+					walked[i], err = walkLayer(store, layerDigests[i])
+					if err != nil {
+						err = fmt.Errorf("analyzer: layer %s: %w", layerDigests[i].Short(), err)
+					}
+				}
+				if err != nil {
+					errs[k] = err
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return walked, nil
 }
 
 // walkScratch is the per-walk working memory of a byte walk: the
@@ -542,7 +496,7 @@ func (a *LayerAccumulator) place(e tarutil.Entry) {
 // whole blob), sorts its files by key and returns it. The accumulator must
 // not be used afterwards.
 func (a *LayerAccumulator) Finish(cls int64) *WalkedLayer {
-	dedup.SortByKey(a.wl.files)
+	slices.SortFunc(a.wl.files, func(x, y dedup.FileObs) int { return cmp.Compare(x.Key, y.Key) })
 	a.wl.profile.CLS = cls
 	a.wl.profile.DirCount = int32(len(a.dirs))
 	a.wl.profile.MaxDepth = int32(a.maxDepth)

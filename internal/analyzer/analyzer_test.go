@@ -6,6 +6,7 @@ import (
 	"context"
 	"io"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -646,5 +647,33 @@ func TestAnalyzeStoreMissingBlob(t *testing.T) {
 	}
 	if _, err := AnalyzeStore(blobstore.NewMemory(), []downloader.Image{img}, 2); err == nil {
 		t.Fatal("missing blobs not reported")
+	}
+}
+
+// TestAnalyzeStoreAllocs bounds the heap one AnalyzeStore call allocates
+// over the scale-0.0001 fixture at one worker. A census pre-sized at 96
+// unique files per layer before any walk finished, split over 64 shard
+// maps, cost 1.93 MB per call; one map sized from the walked instance
+// count brings it to 0.60 MB.
+func TestAnalyzeStoreAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	store, images := wireImages(t, 0.0001)
+	if _, err := AnalyzeStore(store, images, 1); err != nil { // warm the walk pools
+		t.Fatal(err)
+	}
+	const calls = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		if _, err := AnalyzeStore(store, images, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	const limit = 1_000_000
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= limit {
+		t.Fatalf("AnalyzeStore allocates %d B per call, want < %d", perCall, limit)
 	}
 }

@@ -104,9 +104,7 @@ func (s *Study) Run(ctx context.Context) (*Result, error) {
 			if n == 0 {
 				n = 4
 			}
-			if src.Growth, err = DedupGrowth(d, n); err != nil {
-				return nil, fmt.Errorf("core: dedup growth: %w", err)
-			}
+			src.Growth = DedupGrowth(d, n)
 		}
 	} else {
 		g := &serve.Group{}
@@ -198,10 +196,10 @@ func (s *Study) pull(ctx context.Context, res *Result, search *hubapi.Client) er
 // samples of growing size ("the x-axis values correspond to the sizes of 4
 // random samples drawn from the whole dataset and the size of the whole
 // dataset"). samples is the number of sub-samples before the full dataset.
-func DedupGrowth(d *synth.Dataset, samples int) ([]report.GrowthPoint, error) {
+func DedupGrowth(d *synth.Dataset, samples int) []report.GrowthPoint {
 	total := len(d.Layers)
 	if total == 0 {
-		return nil, nil
+		return nil
 	}
 	// Nested sample sizes grow geometrically, like the paper's
 	// 1,000 → 1.7 M progression.
@@ -224,6 +222,7 @@ func DedupGrowth(d *synth.Dataset, samples int) ([]report.GrowthPoint, error) {
 	perm := rng.Perm(total)
 
 	var out []report.GrowthPoint
+	var obs []dedup.FileObs // one layer's instances, reused across layers
 	prev := -1
 	for _, n := range sizes {
 		if n == prev {
@@ -235,22 +234,12 @@ func DedupGrowth(d *synth.Dataset, samples int) ([]report.GrowthPoint, error) {
 		idx := dedup.NewIndexSized(len(d.Files) * n / total)
 		var files int64
 		for _, li := range perm[:n] {
-			l := synth.LayerID(li)
-			if err := idx.BeginLayer(d.Layers[li].Refs); err != nil {
-				return nil, err
+			obs = obs[:0]
+			for _, f := range d.LayerFiles(synth.LayerID(li)) {
+				obs = append(obs, dedup.FileObs{Key: uint64(f), Size: d.Files[f].Size, Type: d.Files[f].Type})
 			}
-			for _, f := range d.LayerFiles(l) {
-				if err := idx.Observe(uint64(f), d.Files[f].Size, d.Files[f].Type); err != nil {
-					return nil, err
-				}
-				files++
-			}
-			if err := idx.EndLayer(); err != nil {
-				return nil, err
-			}
-		}
-		if err := idx.Seal(); err != nil {
-			return nil, err
+			idx.AddLayer(d.Layers[li].Refs, obs)
+			files += int64(len(obs))
 		}
 		r := idx.Ratios()
 		out = append(out, report.GrowthPoint{
@@ -260,5 +249,5 @@ func DedupGrowth(d *synth.Dataset, samples int) ([]report.GrowthPoint, error) {
 			CapacityRatio: r.CapacityRatio,
 		})
 	}
-	return out, nil
+	return out
 }

@@ -129,10 +129,7 @@ func TestDedupGrowthMonotonicSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	growth, err := DedupGrowth(d, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	growth := DedupGrowth(d, 4)
 	if len(growth) < 2 {
 		t.Fatalf("growth points = %d", len(growth))
 	}
@@ -152,9 +149,8 @@ func TestDedupGrowthMonotonicSamples(t *testing.T) {
 
 func TestDedupGrowthEmptyDataset(t *testing.T) {
 	d := &synth.Dataset{}
-	growth, err := DedupGrowth(d, 4)
-	if err != nil || growth != nil {
-		t.Fatalf("empty dataset: %v %v", growth, err)
+	if growth := DedupGrowth(d, 4); growth != nil {
+		t.Fatalf("empty dataset: %v", growth)
 	}
 }
 

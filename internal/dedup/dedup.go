@@ -4,53 +4,28 @@
 // and layer-sharing effectiveness.
 //
 // The core structure is Index, a content-keyed census of file instances.
-// It is fed in one pass, then frozen; all metrics derive from the frozen
-// census. Keys are 64-bit: model-mode callers pass unique-file ids,
-// wire-mode callers pass truncated content digests — both preserve the
-// equality structure deduplication needs.
+// It is fed one whole layer at a time by AddLayer, then read; all metrics
+// derive from the finished census. Keys are 64-bit: model-mode callers
+// pass unique-file ids, wire-mode callers pass truncated content digests —
+// both preserve the equality structure deduplication needs.
 //
-// # Sharded storage
-//
-// The census is split into 64 lock-striped shards selected by the top six
-// key bits; each shard owns a map of inline (non-pointer) records, so a
-// unique file costs one map slot and no separate heap object. Two feeding
-// protocols share the shards:
-//
-//   - Sequential: BeginLayer / Observe / EndLayer, one layer at a time on
-//     one goroutine. This is the model-mode path; it takes no locks.
-//   - Concurrent: ObserveLayer(layer, refs, obs) ingests one whole layer
-//     under pre-assigned layer numbers. Calls for different layers may run
-//     on any number of goroutines simultaneously; every per-record update
-//     is commutative (instance counts, distinct-layer counts, max refs),
-//     so the frozen census is identical regardless of ingestion order.
-//
-// The two protocols must not be mixed on one Index. After Seal (or once
-// feeding has quiesced) all read methods are safe for concurrent use.
+// The census is one map of inline (non-pointer) records, so a unique file
+// costs one map slot and no separate heap object. It is fed on one
+// goroutine: the analyzer walks layers in parallel and folds the finished
+// walks in layer order. Once feeding is done, every read method is safe
+// for concurrent use.
 package dedup
 
 import (
-	"cmp"
-	"errors"
 	"fmt"
-	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/filetype"
 	"repro/internal/stats"
 )
 
-// shardCount is the number of lock stripes. 64 keeps worst-case lock
-// contention at workers/64 per stripe while the padded shard array still
-// fits comfortably in L2.
-const (
-	shardCount = 64
-	shardShift = 64 - 6 // top six key bits select the shard
-)
-
 // fileRec is the census entry for one unique file content. Records are
-// stored inline in the shard maps (no per-record heap allocation).
+// stored inline in the census map (no per-record heap allocation).
 type fileRec struct {
 	size       int64
 	instances  int64
@@ -60,212 +35,69 @@ type fileRec struct {
 	ftype      filetype.Type
 }
 
-// shard is one lock stripe of the census. The padding keeps neighbouring
-// shards' mutexes off one cache line under concurrent ingestion.
-type shard struct {
-	mu    sync.Mutex
-	files map[uint64]fileRec
-	_     [40]byte
-}
-
-// FileObs is one file instance handed to ObserveLayer: the content key,
-// the file size, and the classified type. Size and Type must be functions
-// of Key (content-addressed), as they are for both key schemes.
+// FileObs is one file instance handed to AddLayer: the content key, the
+// file size, and the classified type. Size and Type must be functions of
+// Key (content-addressed), as they are for both key schemes.
 type FileObs struct {
 	Key  uint64
 	Size int64
 	Type filetype.Type
 }
 
-// SortByKey orders one layer's observations by key in place, the order
-// ObserveLayer ingests in: each lock stripe is visited once and duplicate
-// keys within the layer collapse into a single record update. A slice
-// that is already sorted is not written, so walks sorted once may be
-// shared by concurrent readers.
-func SortByKey(obs []FileObs) {
-	byKey := func(a, b FileObs) int { return cmp.Compare(a.Key, b.Key) }
-	if !slices.IsSortedFunc(obs, byKey) {
-		slices.SortFunc(obs, byKey)
-	}
-}
-
 // Index is the global file census.
 type Index struct {
-	shards [shardCount]shard
-
-	// Sequential-protocol state; owned by the feeding goroutine.
-	curLayer int32
-	curRefs  int32
-	inLayer  bool
-
-	sealed     atomic.Bool
-	layerCount atomic.Int32 // next sequential layer / high-water mark + 1
-	instances  atomic.Int64
-	instBytes  atomic.Int64
+	files     map[uint64]fileRec
+	layers    int32 // layers fed so far: the next layer's number
+	instances int64
+	instBytes int64
 }
 
 // NewIndexSized returns an empty census pre-sized for an expected number
 // of unique files, avoiding incremental map growth on large runs (the
 // unique count is predictable: ~3% of the instance count at paper scale).
 func NewIndexSized(uniqueHint int) *Index {
-	x := &Index{curLayer: -1}
-	perShard := (uniqueHint + shardCount - 1) / shardCount
-	for i := range x.shards {
-		x.shards[i].files = make(map[uint64]fileRec, perShard)
-	}
-	return x
+	return &Index{files: make(map[uint64]fileRec, uniqueHint)}
 }
 
-// Errors for misuse of the feeding protocols.
-var (
-	ErrNotInLayer = errors.New("dedup: Observe outside BeginLayer/EndLayer")
-	// ErrSealed reports feeding into a census whose lifecycle has ended:
-	// Seal declared the census complete, so further Observe/ObserveLayer
-	// calls are a protocol bug in the caller.
-	ErrSealed = errors.New("dedup: census is sealed (Seal already declared feeding complete)")
-)
-
-// BeginLayer starts feeding one layer's instances. refs is the number of
-// images referencing the layer (used for cross-image duplicate detection).
-func (x *Index) BeginLayer(refs int32) error {
-	if x.sealed.Load() {
-		return ErrSealed
-	}
-	if x.inLayer {
-		return errors.New("dedup: BeginLayer while a layer is open")
-	}
-	x.inLayer = true
-	x.curLayer = x.layerCount.Add(1) - 1
-	x.curRefs = refs
-	return nil
-}
-
-// Observe records one file instance of the currently open layer.
-func (x *Index) Observe(key uint64, size int64, t filetype.Type) error {
-	if !x.inLayer {
-		return ErrNotInLayer
-	}
-	s := &x.shards[key>>shardShift]
-	rec, ok := s.files[key]
-	if !ok {
-		rec = fileRec{size: size, ftype: t, lastLayer: -1}
-	}
-	rec.instances++
-	x.instances.Add(1)
-	x.instBytes.Add(rec.size)
-	if rec.lastLayer != x.curLayer {
-		rec.lastLayer = x.curLayer
-		rec.layerCount++
-	}
-	if x.curRefs > rec.maxRefs {
-		rec.maxRefs = x.curRefs
-	}
-	s.files[key] = rec
-	return nil
-}
-
-// EndLayer closes the current layer.
-func (x *Index) EndLayer() error {
-	if !x.inLayer {
-		return errors.New("dedup: EndLayer without BeginLayer")
-	}
-	x.inLayer = false
-	return nil
-}
-
-// ObserveLayer ingests every file instance of one layer under a
-// pre-assigned layer number (0-based; the caller fixes the numbering up
-// front, e.g. from manifest order). refs is the layer's image-reference
-// count. Calls for distinct layers are safe to run concurrently; the same
-// layer must not be fed twice. obs is sorted by key in place unless it
-// already is (see SortByKey), which keeps the distinct-layer accounting
-// exactly the sequential protocol's.
-func (x *Index) ObserveLayer(layer, refs int32, obs []FileObs) error {
-	if x.sealed.Load() {
-		return ErrSealed
-	}
-	if layer < 0 {
-		return fmt.Errorf("dedup: ObserveLayer with negative layer %d", layer)
-	}
-	// Track the layer-number high-water mark so sequential feeding cannot
-	// be safely resumed with a clashing number afterwards.
-	for {
-		cur := x.layerCount.Load()
-		if layer+1 <= cur || x.layerCount.CompareAndSwap(cur, layer+1) {
-			break
+// AddLayer records every file instance of the next layer; layers are
+// numbered in call order. refs is the number of images referencing the
+// layer (used for cross-image duplicate detection). obs need not be
+// sorted: a key seen twice in one layer counts two instances but one
+// distinct layer.
+func (x *Index) AddLayer(refs int32, obs []FileObs) {
+	layer := x.layers
+	x.layers++
+	for _, o := range obs {
+		rec, ok := x.files[o.Key]
+		if !ok {
+			rec = fileRec{size: o.Size, ftype: o.Type, lastLayer: -1}
 		}
-	}
-	if len(obs) == 0 {
-		return nil
-	}
-	SortByKey(obs)
-	var inst, bytes int64
-	i := 0
-	for i < len(obs) {
-		si := obs[i].Key >> shardShift
-		s := &x.shards[si]
-		s.mu.Lock()
-		for i < len(obs) && obs[i].Key>>shardShift == si {
-			key := obs[i].Key
-			j := i + 1
-			for j < len(obs) && obs[j].Key == key {
-				j++
-			}
-			n := int64(j - i)
-			rec, ok := s.files[key]
-			if !ok {
-				rec = fileRec{size: obs[i].Size, ftype: obs[i].Type}
-			}
-			rec.instances += n
-			rec.layerCount++
+		rec.instances++
+		x.instances++
+		x.instBytes += rec.size
+		if rec.lastLayer != layer {
 			rec.lastLayer = layer
-			if refs > rec.maxRefs {
-				rec.maxRefs = refs
-			}
-			s.files[key] = rec
-			inst += n
-			bytes += rec.size * n
-			i = j
+			rec.layerCount++
 		}
-		s.mu.Unlock()
+		if refs > rec.maxRefs {
+			rec.maxRefs = refs
+		}
+		x.files[o.Key] = rec
 	}
-	x.instances.Add(inst)
-	x.instBytes.Add(bytes)
-	return nil
 }
 
-// Seal declares feeding complete; no further layers may be added.
-// Sealing is optional: reads only require that feeding has quiesced. The
-// analyzer seals to turn any late feeding bug into an explicit ErrSealed.
-func (x *Index) Seal() error {
-	if x.inLayer {
-		return errors.New("dedup: Seal with a layer open")
-	}
-	x.sealed.Store(true)
-	return nil
-}
-
-// forEach visits every census record. It takes no locks: callers must be
-// past Seal or otherwise quiescent.
+// forEach visits every census record.
 func (x *Index) forEach(fn func(key uint64, rec *fileRec)) {
-	for i := range x.shards {
-		for k, rec := range x.shards[i].files {
-			fn(k, &rec)
-		}
+	for k, rec := range x.files {
+		fn(k, &rec)
 	}
 }
 
 // Unique returns the number of distinct file contents observed.
-func (x *Index) Unique() int {
-	n := 0
-	for i := range x.shards {
-		n += len(x.shards[i].files)
-	}
-	return n
-}
+func (x *Index) Unique() int { return len(x.files) }
 
 // Instances returns the total number of file instances observed.
-func (x *Index) Instances() int64 { return x.instances.Load() }
+func (x *Index) Instances() int64 { return x.instances }
 
 // Ratios summarizes §V-B: "After removing redundant files, there are only
 // 3.2% of files left … deduplication ratios of 31.5× and 6.9× in terms of
@@ -286,8 +118,8 @@ type Ratios struct {
 // Ratios computes the global dedup ratios.
 func (x *Index) Ratios() Ratios {
 	var r Ratios
-	r.TotalFiles = x.instances.Load()
-	r.TotalBytes = x.instBytes.Load()
+	r.TotalFiles = x.instances
+	r.TotalBytes = x.instBytes
 	r.UniqueFiles = int64(x.Unique())
 	x.forEach(func(_ uint64, rec *fileRec) {
 		r.UniqueBytes += rec.size
@@ -376,14 +208,13 @@ func (x *Index) ByGroup() []GroupDedup {
 		gd.TotalFiles += rec.instances
 		gd.TotalBytes += rec.size * rec.instances
 	})
-	instBytes := x.instBytes.Load()
 	out := make([]GroupDedup, 0, len(agg))
 	for _, gd := range agg {
 		if gd.TotalBytes > 0 {
 			gd.DedupSavings = 1 - float64(gd.UniqueBytes)/float64(gd.TotalBytes)
 		}
-		if instBytes > 0 {
-			gd.CapacityShare = float64(gd.TotalBytes) / float64(instBytes)
+		if x.instBytes > 0 {
+			gd.CapacityShare = float64(gd.TotalBytes) / float64(x.instBytes)
 		}
 		out = append(out, *gd)
 	}
@@ -456,7 +287,7 @@ func (x *Index) TypeUsage() []filetype.TypeUsage {
 // images since 90% of layers are image-exclusive, so the overcount from
 // one image holding both layers is marginal.
 func (x *Index) CrossDup(key uint64) (crossLayer, crossImage bool, err error) {
-	rec, ok := x.shards[key>>shardShift].files[key]
+	rec, ok := x.files[key]
 	if !ok {
 		return false, false, fmt.Errorf("dedup: unknown file key %#x", key)
 	}

@@ -1,12 +1,10 @@
 package dedup
 
 import (
-	"errors"
+	"cmp"
 	"math"
 	"reflect"
-	"strings"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -29,20 +27,11 @@ func feed(t *testing.T, layers [][]obs, refs []int32) *Index {
 		if i < len(refs) {
 			r = refs[i]
 		}
-		if err := x.BeginLayer(r); err != nil {
-			t.Fatal(err)
+		fo := make([]FileObs, len(layer))
+		for j, o := range layer {
+			fo[j] = FileObs{Key: o.key, Size: o.size, Type: o.t}
 		}
-		for _, o := range layer {
-			if err := x.Observe(o.key, o.size, o.t); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := x.EndLayer(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := x.Seal(); err != nil {
-		t.Fatal(err)
+		x.AddLayer(r, fo)
 	}
 	return x
 }
@@ -77,57 +66,9 @@ func TestRatios(t *testing.T) {
 }
 
 func TestRatiosEmpty(t *testing.T) {
-	x := NewIndexSized(0)
-	x.Seal()
-	r := x.Ratios()
+	r := NewIndexSized(0).Ratios()
 	if r.CountRatio != 0 || r.CapacityRatio != 0 || r.UniqueFrac != 0 {
 		t.Fatalf("empty ratios nonzero: %+v", r)
-	}
-}
-
-func TestProtocolErrors(t *testing.T) {
-	x := NewIndexSized(0)
-	if err := x.Observe(1, 1, filetype.ASCIIText); err == nil {
-		t.Error("Observe before BeginLayer accepted")
-	}
-	if err := x.EndLayer(); err == nil {
-		t.Error("EndLayer before BeginLayer accepted")
-	}
-	x.BeginLayer(1)
-	if err := x.BeginLayer(1); err == nil {
-		t.Error("nested BeginLayer accepted")
-	}
-	if err := x.Seal(); err == nil {
-		t.Error("Seal with open layer accepted")
-	}
-	x.EndLayer()
-	x.Seal()
-	if err := x.BeginLayer(1); err == nil {
-		t.Error("BeginLayer after Seal accepted")
-	}
-}
-
-// TestSealedLifecycle: feeding after Seal is ErrSealed under both
-// protocols, and Seal refuses an open layer.
-func TestSealedLifecycle(t *testing.T) {
-	x := NewIndexSized(0)
-	if err := x.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	if err := x.BeginLayer(1); !errors.Is(err, ErrSealed) || !strings.Contains(err.Error(), "sealed") {
-		t.Fatalf("BeginLayer after Seal = %v", err)
-	}
-	y := NewIndexSized(0)
-	y.BeginLayer(1)
-	if err := y.Seal(); err == nil || !strings.Contains(err.Error(), "layer open") {
-		t.Fatalf("Seal with open layer = %v", err)
-	}
-	y.EndLayer()
-	if err := y.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	if err := y.ObserveLayer(0, 1, []FileObs{{Key: 1, Size: 1}}); !errors.Is(err, ErrSealed) {
-		t.Fatalf("ObserveLayer after Seal = %v, want ErrSealed", err)
 	}
 }
 
@@ -262,8 +203,7 @@ func TestQuickAccountingInvariants(t *testing.T) {
 		if len(keys) == 0 {
 			return true
 		}
-		x := NewIndexSized(0)
-		x.BeginLayer(1)
+		layer := make([]FileObs, len(keys))
 		for i, k := range keys {
 			size := int64(0)
 			if len(sizes) > 0 {
@@ -271,10 +211,10 @@ func TestQuickAccountingInvariants(t *testing.T) {
 			}
 			// Same key must always carry the same size for the invariant
 			// to be meaningful (content-addressed).
-			x.Observe(uint64(k), int64(k)*7+size%1, filetype.ASCIIText)
+			layer[i] = FileObs{Key: uint64(k), Size: int64(k)*7 + size%1, Type: filetype.ASCIIText}
 		}
-		x.EndLayer()
-		x.Seal()
+		x := NewIndexSized(0)
+		x.AddLayer(1, layer)
 		r := x.Ratios()
 		if r.UniqueFiles > r.TotalFiles || r.UniqueBytes > r.TotalBytes {
 			return false
@@ -289,12 +229,17 @@ func TestQuickAccountingInvariants(t *testing.T) {
 	}
 }
 
+// BenchmarkObserve measures census ingestion per file instance, fed in
+// layers of 1024 over a key space of 100,000 files.
 func BenchmarkObserve(b *testing.B) {
 	x := NewIndexSized(0)
-	x.BeginLayer(1)
+	layer := make([]FileObs, 1024)
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x.Observe(uint64(i%100_000), 1024, filetype.ElfExecutable)
+	for i := 0; i < b.N; i += len(layer) {
+		for j := range layer {
+			layer[j] = FileObs{Key: uint64((i + j) % 100_000), Size: 1024, Type: filetype.ElfExecutable}
+		}
+		x.AddLayer(1, layer)
 	}
 }
 
@@ -312,7 +257,7 @@ func planLayers(layers, filesPerLayer int) ([][]FileObs, []int32) {
 		for f := range obs {
 			rng = rng*6364136223846793005 + 1442695040888963407
 			// Small key space forces duplicates within and across layers;
-			// spread across the full 64-bit range so every shard is hit.
+			// spread across the full 64-bit key range.
 			key := (rng % 512) * 0x0040_0000_0000_0000
 			obs[f] = FileObs{Key: key, Size: int64(key>>54) * 7, Type: types[key>>54%4]}
 		}
@@ -338,113 +283,46 @@ func snapshot(x *Index) map[uint64]recSnapshot {
 	return out
 }
 
-// TestObserveLayerMatchesSequential feeds the same layer plan through the
-// sequential protocol and through concurrent ObserveLayer calls in random
-// completion order, and requires identical frozen censuses.
-func TestObserveLayerMatchesSequential(t *testing.T) {
+// TestAddLayerOrderWithinLayer feeds the same layer plan twice, once as
+// generated and once with every layer sorted by key, and requires
+// identical censuses: AddLayer does not depend on the order of one
+// layer's instances.
+func TestAddLayerOrderWithinLayer(t *testing.T) {
 	plan, refs := planLayers(40, 200)
-
-	seq := NewIndexSized(0)
-	for l, obs := range plan {
-		if err := seq.BeginLayer(refs[l]); err != nil {
-			t.Fatal(err)
-		}
-		for _, o := range obs {
-			if err := seq.Observe(o.Key, o.Size, o.Type); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := seq.EndLayer(); err != nil {
-			t.Fatal(err)
-		}
+	asIs, sorted := NewIndexSized(0), NewIndexSized(512)
+	for l, layer := range plan {
+		asIs.AddLayer(refs[l], layer)
+		layer = slices.Clone(layer)
+		slices.SortFunc(layer, func(a, b FileObs) int { return cmp.Compare(a.Key, b.Key) })
+		sorted.AddLayer(refs[l], layer)
 	}
-	if err := seq.Seal(); err != nil {
-		t.Fatal(err)
-	}
-
-	conc := NewIndexSized(512)
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for l := range work {
-				obs := append([]FileObs(nil), plan[l]...)
-				if err := conc.ObserveLayer(int32(l), refs[l], obs); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	for l := len(plan) - 1; l >= 0; l-- { // reversed feed order on purpose
-		work <- l
-	}
-	close(work)
-	wg.Wait()
-	if err := conc.Seal(); err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := conc.Instances(), seq.Instances(); got != want {
-		t.Fatalf("instances = %d, want %d", got, want)
-	}
-	if got, want := conc.Unique(), seq.Unique(); got != want {
-		t.Fatalf("unique = %d, want %d", got, want)
-	}
-	if got, want := conc.Ratios(), seq.Ratios(); got != want {
+	if got, want := sorted.Ratios(), asIs.Ratios(); got != want {
 		t.Fatalf("ratios = %+v, want %+v", got, want)
 	}
-	if got, want := conc.MultiCopyFrac(), seq.MultiCopyFrac(); got != want {
-		t.Fatalf("multi-copy frac = %v, want %v", got, want)
+	if got, want := snapshot(sorted), snapshot(asIs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("census records diverged: sorted %d records, as generated %d", len(got), len(want))
 	}
-	sSnap, cSnap := snapshot(seq), snapshot(conc)
-	if !reflect.DeepEqual(sSnap, cSnap) {
-		t.Fatalf("census records diverged: sequential %d records, concurrent %d", len(sSnap), len(cSnap))
-	}
-	for key := range sSnap {
-		scl, sci, err1 := seq.CrossDup(key)
-		ccl, cci, err2 := conc.CrossDup(key)
-		if err1 != nil || err2 != nil || scl != ccl || sci != cci {
-			t.Fatalf("cross-dup for %#x: seq (%v,%v,%v) conc (%v,%v,%v)", key, scl, sci, err1, ccl, cci, err2)
-		}
-	}
-	if !reflect.DeepEqual(seq.ByGroup(), conc.ByGroup()) {
+	if !reflect.DeepEqual(sorted.ByGroup(), asIs.ByGroup()) {
 		t.Fatal("ByGroup diverged")
 	}
 }
 
-func TestObserveLayerErrors(t *testing.T) {
-	x := NewIndexSized(0)
-	if err := x.ObserveLayer(-1, 1, nil); err == nil {
-		t.Error("negative layer accepted")
-	}
-	x.Seal()
-	if err := x.ObserveLayer(0, 1, []FileObs{{Key: 1, Size: 1}}); err != ErrSealed {
-		t.Errorf("ObserveLayer after Seal = %v, want ErrSealed", err)
-	}
-}
-
 // TestObserveLayerDuplicatesWithinLayer checks the in-layer duplicate
-// collapse: two instances in one layer count one distinct layer, matching
-// the sequential lastLayer accounting.
+// collapse on unsorted input: two instances in one layer count one
+// distinct layer.
 func TestObserveLayerDuplicatesWithinLayer(t *testing.T) {
 	x := NewIndexSized(0)
-	obs := []FileObs{
+	x.AddLayer(1, []FileObs{
 		{Key: 7, Size: 10, Type: filetype.ASCIIText},
 		{Key: 9, Size: 20, Type: filetype.ASCIIText},
 		{Key: 7, Size: 10, Type: filetype.ASCIIText},
-	}
-	if err := x.ObserveLayer(0, 1, obs); err != nil {
-		t.Fatal(err)
-	}
-	if err := x.ObserveLayer(1, 2, []FileObs{{Key: 7, Size: 10, Type: filetype.ASCIIText}}); err != nil {
-		t.Fatal(err)
-	}
-	x.Seal()
+	})
+	x.AddLayer(2, []FileObs{{Key: 7, Size: 10, Type: filetype.ASCIIText}})
 	if got := x.Instances(); got != 4 {
 		t.Fatalf("instances = %d, want 4", got)
+	}
+	if got := x.files[7].layerCount; got != 2 {
+		t.Fatalf("key 7 in %d distinct layers, want 2", got)
 	}
 	cl, ci, err := x.CrossDup(7)
 	if err != nil || !cl || !ci {
@@ -454,27 +332,4 @@ func TestObserveLayerDuplicatesWithinLayer(t *testing.T) {
 	if err != nil || cl || ci {
 		t.Fatalf("key 9: cl=%v ci=%v err=%v, want neither", cl, ci, err)
 	}
-}
-
-// BenchmarkIndexObserveParallel measures concurrent whole-layer ingestion
-// into the sharded census — the wire pipeline's hot write path.
-func BenchmarkIndexObserveParallel(b *testing.B) {
-	const filesPerLayer = 512
-	plan, refs := planLayers(64, filesPerLayer)
-	b.ReportAllocs()
-	b.SetBytes(filesPerLayer * 24) // one FileObs per instance
-	var layerNo atomic.Int32
-	x := NewIndexSized(1024)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		buf := make([]FileObs, filesPerLayer)
-		for pb.Next() {
-			l := layerNo.Add(1) - 1
-			src := int(l) % len(plan)
-			copy(buf, plan[src])
-			if err := x.ObserveLayer(l, refs[src], buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

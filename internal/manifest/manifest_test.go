@@ -1,7 +1,9 @@
 package manifest
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -128,6 +130,46 @@ func TestLayerDigests(t *testing.T) {
 	if len(ds) != 2 || ds[0] != digest.FromUint64(2) || ds[1] != digest.FromUint64(3) {
 		t.Fatalf("LayerDigests = %v", ds)
 	}
+}
+
+// FuzzManifest: a pushed manifest is outside input. Whatever the bytes,
+// Unmarshal does not panic, and a manifest it accepts passes Validate,
+// names only digests digest.Parse accepts, and survives a Marshal and
+// Unmarshal round trip unchanged, marshalling again to the same bytes.
+// The seed corpus is in testdata/fuzz/FuzzManifest.
+func FuzzManifest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("accepted manifest fails Validate: %v", err)
+		}
+		for _, d := range append([]Descriptor{m.Config}, m.Layers...) {
+			if _, err := digest.Parse(string(d.Digest)); err != nil {
+				t.Fatalf("accepted digest %q: %v", d.Digest, err)
+			}
+		}
+		b, err := m.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Unmarshal(b)
+		if err != nil {
+			t.Fatalf("marshalled manifest refused: %v", err)
+		}
+		if !reflect.DeepEqual(back, m) {
+			t.Fatalf("round trip changed the manifest: %+v, want %+v", back, m)
+		}
+		again, err := back.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, b) {
+			t.Fatalf("marshalled twice to different bytes:\n%s\n%s", b, again)
+		}
+	})
 }
 
 // Digest returns the digest of the marshaled manifest, which is how
