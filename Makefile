@@ -63,7 +63,7 @@ bench-scaling:
 # through `make bench-traffic`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'DownloadStreaming|FusedPipeline' -benchtime=1x -benchmem .
-	$(GO) test -run '^$$' -bench 'CacheHitServe|CacheMissFill|CacheScan' -benchtime=1x -benchmem ./internal/cache
+	$(GO) test -run '^$$' -bench 'CacheHitServe|CacheHitParallel|CacheMissFill|CacheScan' -benchtime=1x -benchmem ./internal/cache
 	$(GO) test -run '^$$' -bench 'DedupPutStream$$|DedupGet(Sink)?$$' -benchtime=1x -benchmem ./internal/dedupstore
 	$(GO) test -run '^$$' -bench 'BuildLayer$$|WalkLayer$$' -benchtime=1x -benchmem ./internal/tarutil
 	$(GO) test -run '^$$' -bench 'HTTPPull$$|HTTPPush$$' -benchtime=1x -benchmem ./internal/registry

@@ -39,6 +39,40 @@ func BenchmarkCacheHitServe(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheHitParallel measures hits from every P at once: each
+// goroutine cycles over 64 resident 4 KiB blobs, so run at -cpu 1,2,8 it
+// shows what the cache's one lock costs under contention. The budget is
+// four times the blobs' bytes, so none is ever evicted.
+func BenchmarkCacheHitParallel(b *testing.B) {
+	const blobs = 64
+	c := New(blobstore.NewMemory(), 4*blobs*4<<10)
+	ds := make([]digest.Digest, blobs)
+	fills := make([]FillFunc, blobs)
+	for i := range ds {
+		var content []byte
+		content, ds[i] = blobOfSize(200+i, 4<<10)
+		if err := c.Admit(ds[i], content); err != nil {
+			b.Fatal(err)
+		}
+		fills[i] = bytesFill(content, nil)
+	}
+	b.SetBytes(4 << 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			k := i % blobs
+			rc, _, out, err := c.GetOrFill(context.Background(), ds[k], fills[k])
+			if err != nil || out != Hit {
+				b.Errorf("%s: outcome %v, %v; want a hit", ds[k].Short(), out, err)
+				return
+			}
+			io.Copy(io.Discard, rc)
+			rc.Close()
+		}
+	})
+}
+
 // BenchmarkCacheMissFill measures the cold path: fetch-tee-verify-admit of
 // a fresh 1MiB blob per iteration (the budget is large enough that no
 // iteration evicts).
@@ -64,10 +98,8 @@ func benchMissFill(b *testing.B, sink io.Writer) {
 		copy(bodies[i], []byte(fmt.Sprintf("iteration %d", i)))
 		ds[i] = digest.FromBytes(bodies[i])
 	}
-	// Every stripe can hold every body: nothing is evicted, and at b.N = 1
-	// (make bench-smoke) the blob is not declared out of a stripe's reach
-	// and handed through un-teed.
-	c := New(blobstore.NewMemory(), DefaultShards*int64(b.N+1)<<20)
+	// The budget holds every body, so nothing is evicted.
+	c := New(blobstore.NewMemory(), int64(b.N+1)<<20)
 	b.SetBytes(int64(len(content)))
 	b.ReportAllocs()
 	b.ResetTimer()

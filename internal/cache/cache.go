@@ -4,17 +4,18 @@
 // shared layers absorbs most traffic — so a cache far smaller than the
 // dataset can serve the bulk of a popularity-weighted pull trace.
 //
-// The cache is lock-striped, with LRU eviction and frequency-gated
-// admission, over a blobstore.Store it owns:
+// The cache is one LRU under one lock, with frequency-gated admission,
+// over a blobstore.Store it owns. Its whole budget is one pool, so any blob
+// up to the budget can be admitted:
 //
 //   - Admission is digest-verified: bytes enter through the store's
 //     PutStream (or PutVerified), so a corrupt upstream body can never be
 //     cached or re-served.
-//   - Admission is frequency-gated. Each stripe counts requests per digest
+//   - Admission is frequency-gated. The cache counts requests per digest
 //     (GetOrFill and Admit, not Stat), halving every count once it has
 //     recorded ten times as many requests as it holds entries (at least
 //     64 entries' worth), so the table stays bounded and old popularity
-//     fades. A blob that fits in a stripe's free bytes is admitted. One
+//     fades. A blob that fits in the free bytes is admitted. One
 //     that does not is admitted only if every entry LRU would evict for it
 //     was requested strictly fewer times than the blob had been before the
 //     current request, so a scan over more than the cache holds ties and
@@ -26,16 +27,16 @@
 //     the others wait for that outcome and then serve from the cache. The
 //     exception is a blob the cache turns away (next item): every request
 //     for it fetches from the origin on its own, so a new blob on a full
-//     stripe costs one fetch per request until its count passes the
+//     cache costs one fetch per request until its count passes the
 //     victims' and a fill admits it.
-//   - A fill turned away by its declared size — larger than the stripe, or
-//     not requested often enough to evict what the stripe holds — is not
+//   - A fill turned away by its declared size — larger than the budget, or
+//     not requested often enough to evict what the cache holds — is not
 //     teed at all: the winner gets the origin body as is, the flight ends
 //     at once, and callers that were waiting on it each run their own fill
 //     instead of queueing behind a stream they would have to repeat
 //     anyway. A fill of unknown size skips the frequency gate: it is teed,
-//     and admitted if it fits in a stripe, evicting LRU entries as needed.
-//   - Upstream 404s are negative-cached (bounded per stripe), so repeated
+//     and admitted if it fits in the budget, evicting LRU entries as needed.
+//   - Upstream 404s are negative-cached (at most maxNegative), so repeated
 //     requests for a missing digest do not hammer the origin.
 //   - Every event is counted: hits, misses, coalesced waiters, negative
 //     hits, evictions, oversize rejections, gate declines, fill errors, and
@@ -52,7 +53,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -70,14 +70,11 @@ var ErrUpstreamNotFound = errors.New("cache: upstream not found")
 // ErrMiss is returned by Stat for digests the cache does not hold.
 var ErrMiss = errors.New("cache: miss")
 
-// DefaultShards is the stripe count when New picks one.
-const DefaultShards = 8
+// maxNegative bounds the negative-lookup entries the cache retains (oldest
+// dropped first).
+const maxNegative = 8 << 10
 
-// negativePerShard bounds the negative-lookup entries each stripe retains
-// (oldest dropped first).
-const negativePerShard = 1024
-
-// A stripe halves its request counts after agingWindow requests per
+// The cache halves its request counts after agingWindow requests per
 // resident entry, counting at least agingMinEntries entries, so its
 // frequency table holds at most about twice that many keys.
 const (
@@ -119,7 +116,7 @@ type Stats struct {
 	// Evictions counts entries removed to make room.
 	Evictions int64 `json:"evictions"`
 	// Rejected counts blobs that streamed through but were too large to
-	// admit (bigger than a stripe's budget).
+	// admit (bigger than the budget).
 	Rejected int64 `json:"rejected"`
 	// Declined counts blobs the admission gate turned away: admitting them
 	// would have evicted an entry requested at least as often.
@@ -147,18 +144,20 @@ func (s Stats) HitRatio() float64 {
 	return float64(served) / float64(total)
 }
 
-// entry is one cached blob in a stripe's LRU order.
+// entry is one cached blob in the LRU order.
 type entry struct {
 	d    digest.Digest
 	size int64
 }
 
-// shard is one stripe: an independent LRU with its own byte budget, flight
-// table, request counts, and negative set. The global budget is the sum of
-// stripe budgets, so the cache as a whole can never exceed it.
-type shard struct {
+// Cache is the byte-budgeted blob cache. Create with New.
+type Cache struct {
+	store  blobstore.Store
+	budget int64
+
+	// mu guards the index, the LRU order, the flight table, the request
+	// counts and the negative set.
 	mu       sync.Mutex
-	capacity int64
 	used     int64
 	entries  map[digest.Digest]*list.Element
 	order    *list.List // front = most recently used
@@ -167,13 +166,6 @@ type shard struct {
 	counted  int                      // requests recorded since the last aging
 	negative map[digest.Digest]*list.Element
 	negOrder *list.List // front = newest
-}
-
-// Cache is the byte-budgeted blob cache. Create with New or NewSharded.
-type Cache struct {
-	store  blobstore.Store
-	shards []*shard
-	budget int64
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -185,45 +177,23 @@ type Cache struct {
 	declined  atomic.Int64
 	fillErrs  atomic.Int64
 	inflight  atomic.Int64
-	used      atomic.Int64
-	entries   atomic.Int64
 }
 
-// New builds a cache over store bounded by budget bytes, with the default
-// stripe count. The cache owns the store: it deletes evicted blobs from it,
-// so the store must not be shared with other writers.
+// New builds a cache over store bounded by budget bytes; blobs larger than
+// the budget are served but never admitted. The cache owns the store: it
+// deletes evicted blobs from it, so the store must not be shared with
+// other writers.
 func New(store blobstore.Store, budget int64) *Cache {
-	return NewSharded(store, budget, DefaultShards)
-}
-
-// NewSharded is New with an explicit stripe count. The budget splits evenly
-// across stripes; blobs larger than a stripe's share are served but never
-// admitted. A budget too small to give every stripe at least one byte
-// collapses to a single stripe.
-func NewSharded(store blobstore.Store, budget int64, shards int) *Cache {
-	if shards < 1 {
-		shards = 1
+	return &Cache{
+		store:    store,
+		budget:   max(budget, 0),
+		entries:  make(map[digest.Digest]*list.Element),
+		order:    list.New(),
+		flights:  make(blobstore.Flights),
+		freq:     make(map[digest.Digest]uint32),
+		negative: make(map[digest.Digest]*list.Element),
+		negOrder: list.New(),
 	}
-	if budget < 0 {
-		budget = 0
-	}
-	if budget/int64(shards) == 0 {
-		shards = 1
-	}
-	c := &Cache{store: store, budget: budget, shards: make([]*shard, shards)}
-	per := budget / int64(shards)
-	for i := range c.shards {
-		c.shards[i] = &shard{
-			capacity: per,
-			entries:  make(map[digest.Digest]*list.Element),
-			order:    list.New(),
-			flights:  make(blobstore.Flights),
-			freq:     make(map[digest.Digest]uint32),
-			negative: make(map[digest.Digest]*list.Element),
-			negOrder: list.New(),
-		}
-	}
-	return c
 }
 
 // Budget returns the configured byte bound.
@@ -231,6 +201,9 @@ func (c *Cache) Budget() int64 { return c.budget }
 
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
+	c.mu.Lock()
+	used, entries := c.used, int64(len(c.entries))
+	c.mu.Unlock()
 	return Stats{
 		Hits:       c.hits.Load(),
 		Misses:     c.misses.Load(),
@@ -242,70 +215,61 @@ func (c *Cache) Stats() Stats {
 		Declined:   c.declined.Load(),
 		FillErrors: c.fillErrs.Load(),
 		Inflight:   c.inflight.Load(),
-		Used:       c.used.Load(),
+		Used:       used,
 		Budget:     c.budget,
-		Entries:    c.entries.Load(),
+		Entries:    entries,
 	}
 }
 
-func (c *Cache) shard(d digest.Digest) *shard {
-	if len(c.shards) == 1 {
-		return c.shards[0]
-	}
-	h := fnv.New32a()
-	h.Write([]byte(d))
-	return c.shards[h.Sum32()%uint32(len(c.shards))]
-}
-
-// lookup moves d to the front of its stripe's LRU and reports presence.
-// Caller must NOT hold the stripe lock.
-func (sh *shard) lookup(d digest.Digest) bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.touch(d)
+// lookup moves d to the front of the LRU and reports presence. Caller
+// must NOT hold the lock.
+func (c *Cache) lookup(d digest.Digest) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.touch(d)
 }
 
 // touch moves d to the front of the LRU and reports presence. Caller must
-// hold the stripe lock.
-func (sh *shard) touch(d digest.Digest) bool {
-	el, ok := sh.entries[d]
+// hold the lock.
+func (c *Cache) touch(d digest.Digest) bool {
+	el, ok := c.entries[d]
 	if ok {
-		sh.order.MoveToFront(el)
+		c.order.MoveToFront(el)
 	}
 	return ok
 }
 
 // request is lookup for a request that counts toward d's frequency: it
 // also returns how many times d had been requested before this call, and
-// ages the stripe's counts when their window is full.
-func (sh *shard) request(d digest.Digest) (prior uint32, hit bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	prior = sh.freq[d]
-	sh.freq[d] = prior + 1
-	sh.counted++
-	if sh.counted >= agingWindow*max(len(sh.entries), agingMinEntries) {
-		sh.counted = 0
-		for k, n := range sh.freq {
+// ages the counts when their window is full.
+func (c *Cache) request(d digest.Digest) (prior uint32, hit bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	prior = c.freq[d]
+	c.freq[d] = prior + 1
+	c.counted++
+	if c.counted >= agingWindow*max(len(c.entries), agingMinEntries) {
+		c.counted = 0
+		for k, n := range c.freq {
 			if n /= 2; n == 0 {
-				delete(sh.freq, k)
+				delete(c.freq, k)
 			} else {
-				sh.freq[k] = n
+				c.freq[k] = n
 			}
 		}
 	}
-	return prior, sh.touch(d)
+	return prior, c.touch(d)
 }
 
 // admissible is the admission gate: a size-byte blob requested prior times
 // before may enter if it fits in the free bytes, or if every entry LRU
 // would evict to make room for it was requested fewer than prior times.
-// Caller must hold the stripe lock.
-func (sh *shard) admissible(size int64, prior uint32) bool {
-	need := sh.used + size - sh.capacity
-	for el := sh.order.Back(); el != nil && need > 0; el = el.Prev() {
+// Caller must hold the lock.
+func (c *Cache) admissible(size int64, prior uint32) bool {
+	need := c.used + size - c.budget
+	for el := c.order.Back(); el != nil && need > 0; el = el.Prev() {
 		e := el.Value.(*entry)
-		if sh.freq[e.d] >= prior {
+		if c.freq[e.d] >= prior {
 			return false
 		}
 		need -= e.size
@@ -315,10 +279,10 @@ func (sh *shard) admissible(size int64, prior uint32) bool {
 
 // gate runs the admission gate for a blob of known size before any of its
 // bytes are stored, counting a decline.
-func (c *Cache) gate(sh *shard, size int64, prior uint32) bool {
-	sh.mu.Lock()
-	ok := sh.admissible(size, prior)
-	sh.mu.Unlock()
+func (c *Cache) gate(size int64, prior uint32) bool {
+	c.mu.Lock()
+	ok := c.admissible(size, prior)
+	c.mu.Unlock()
 	if !ok {
 		c.declined.Add(1)
 	}
@@ -326,33 +290,33 @@ func (c *Cache) gate(sh *shard, size int64, prior uint32) bool {
 }
 
 // isNegative reports whether d has a live negative entry. Caller must hold
-// the stripe lock.
-func (sh *shard) isNegative(d digest.Digest) bool {
-	_, ok := sh.negative[d]
+// the lock.
+func (c *Cache) isNegative(d digest.Digest) bool {
+	_, ok := c.negative[d]
 	return ok
 }
 
 // putNegative records d as missing upstream, evicting the oldest negative
-// entry past the bound. Caller must hold the stripe lock.
-func (sh *shard) putNegative(d digest.Digest) bool {
-	if _, ok := sh.negative[d]; ok {
+// entry past the bound. Caller must hold the lock.
+func (c *Cache) putNegative(d digest.Digest) bool {
+	if _, ok := c.negative[d]; ok {
 		return false
 	}
-	sh.negative[d] = sh.negOrder.PushFront(d)
-	if sh.negOrder.Len() > negativePerShard {
-		oldest := sh.negOrder.Back()
-		sh.negOrder.Remove(oldest)
-		delete(sh.negative, oldest.Value.(digest.Digest))
+	c.negative[d] = c.negOrder.PushFront(d)
+	if c.negOrder.Len() > maxNegative {
+		oldest := c.negOrder.Back()
+		c.negOrder.Remove(oldest)
+		delete(c.negative, oldest.Value.(digest.Digest))
 	}
 	return true
 }
 
 // clearNegative drops any negative entry for d (the digest turned out to
-// exist after all). Caller must hold the stripe lock.
-func (sh *shard) clearNegative(d digest.Digest) {
-	if el, ok := sh.negative[d]; ok {
-		sh.negOrder.Remove(el)
-		delete(sh.negative, d)
+// exist after all). Caller must hold the lock.
+func (c *Cache) clearNegative(d digest.Digest) {
+	if el, ok := c.negative[d]; ok {
+		c.negOrder.Remove(el)
+		delete(c.negative, d)
 	}
 }
 
@@ -361,18 +325,17 @@ func (sh *shard) clearNegative(d digest.Digest) {
 // entries (ErrUpstreamNotFound) from plain misses (ErrMiss). It never
 // fills and does not count toward the blob's request frequency.
 func (c *Cache) Stat(d digest.Digest) (int64, error) {
-	sh := c.shard(d)
-	if sh.lookup(d) {
+	if c.lookup(d) {
 		size, err := c.store.Stat(d)
 		if err == nil {
 			c.hits.Add(1)
 			return size, nil
 		}
-		c.dropEntry(sh, d)
+		c.dropEntry(d)
 	}
-	sh.mu.Lock()
-	neg := sh.isNegative(d)
-	sh.mu.Unlock()
+	c.mu.Lock()
+	neg := c.isNegative(d)
+	c.mu.Unlock()
 	if neg {
 		c.negHits.Add(1)
 		return 0, fmt.Errorf("%w: %s", ErrUpstreamNotFound, d.Short())
@@ -383,30 +346,27 @@ func (c *Cache) Stat(d digest.Digest) (int64, error) {
 // Contains reports whether d is cached, without touching LRU order or
 // counters.
 func (c *Cache) Contains(d digest.Digest) bool {
-	sh := c.shard(d)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.entries[d]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[d]
 	return ok
 }
 
 // dropEntry removes a stale index entry whose blob vanished from the store.
-func (c *Cache) dropEntry(sh *shard, d digest.Digest) {
-	sh.mu.Lock()
-	c.unindex(sh, d)
-	sh.mu.Unlock()
+func (c *Cache) dropEntry(d digest.Digest) {
+	c.mu.Lock()
+	c.unindex(d)
+	c.mu.Unlock()
 }
 
 // unindex drops d's index entry, if any, leaving its stored bytes to the
-// caller. Caller must hold the stripe lock.
-func (c *Cache) unindex(sh *shard, d digest.Digest) {
-	if el, ok := sh.entries[d]; ok {
+// caller. Caller must hold the lock.
+func (c *Cache) unindex(d digest.Digest) {
+	if el, ok := c.entries[d]; ok {
 		e := el.Value.(*entry)
-		sh.order.Remove(el)
-		delete(sh.entries, d)
-		sh.used -= e.size
-		c.used.Add(-e.size)
-		c.entries.Add(-1)
+		c.order.Remove(el)
+		delete(c.entries, d)
+		c.used -= e.size
 	}
 }
 
@@ -415,58 +375,56 @@ func (c *Cache) unindex(sh *shard, d digest.Digest) {
 // it may re-admit the blob after it completes; callers that delete d from
 // the backing store before invalidating only leak cache budget until
 // eviction (the re-admitted entry is unreachable through them), never a
-// stale read. The bytes go under the stripe lock, where admit checks for
+// stale read. The bytes go under the lock, where admit checks for
 // them, so an entry is never indexed without its bytes.
 func (c *Cache) Invalidate(d digest.Digest) {
-	sh := c.shard(d)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	c.unindex(sh, d)
-	sh.clearNegative(d)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.unindex(d)
+	c.clearNegative(d)
 	c.store.Delete(d)
 }
 
 // Admit inserts already-verified-by-caller content directly (the manifest
 // path uses it, where the bytes were digest-checked by the registry
 // client). It counts as a request for d, like GetOrFill. Content bigger
-// than a stripe's budget is counted rejected, and content the admission
+// than the budget is counted rejected, and content the admission
 // gate turns away is counted declined; neither is stored. Admitting an
 // already-cached digest only refreshes its LRU position.
 func (c *Cache) Admit(d digest.Digest, content []byte) error {
-	sh := c.shard(d)
-	prior, hit := sh.request(d)
+	prior, hit := c.request(d)
 	if hit {
 		return nil
 	}
 	// The caller holds d's content, so d exists upstream whether or not
 	// the cache keeps it.
-	sh.mu.Lock()
-	sh.clearNegative(d)
-	sh.mu.Unlock()
+	c.mu.Lock()
+	c.clearNegative(d)
+	c.mu.Unlock()
 	size := int64(len(content))
-	if size > sh.capacity {
+	if size > c.budget {
 		c.rejected.Add(1)
 		return nil
 	}
-	if !c.gate(sh, size, prior) {
+	if !c.gate(size, prior) {
 		return nil
 	}
 	if err := c.store.PutVerified(d, content); err != nil {
 		return err
 	}
-	c.admit(sh, d, size)
+	c.admit(d, size)
 	return nil
 }
 
-// admit inserts d (already in the store, size bytes) into the stripe's LRU,
+// admit inserts d (already in the store, size bytes) into the LRU,
 // evicting from the cold end until it fits. Deleting evicted blobs from the
-// store happens under the stripe lock, so a concurrent hit on the victim
+// store happens under the lock, so a concurrent hit on the victim
 // either got its reader first (and finishes from it — both backends keep
 // open readers valid) or re-misses and refetches.
-func (c *Cache) admit(sh *shard, d digest.Digest, size int64) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.entries[d]; ok {
+func (c *Cache) admit(d digest.Digest, size int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.entries[d]; ok {
 		// A racing fill of the same digest won; the store dedups content, so
 		// nothing to account.
 		return
@@ -475,21 +433,19 @@ func (c *Cache) admit(sh *shard, d digest.Digest, size int64) {
 		// Invalidated after it was stored: admitting would index no bytes.
 		return
 	}
-	for sh.used+size > sh.capacity {
-		victim := sh.order.Back()
+	for c.used+size > c.budget {
+		victim := c.order.Back()
 		if victim == nil {
 			break
 		}
 		e := victim.Value.(*entry)
-		c.unindex(sh, e.d)
+		c.unindex(e.d)
 		c.evictions.Add(1)
 		c.store.Delete(e.d)
 	}
-	sh.entries[d] = sh.order.PushFront(&entry{d: d, size: size})
-	sh.used += size
-	c.used.Add(size)
-	c.entries.Add(1)
-	sh.clearNegative(d)
+	c.entries[d] = c.order.PushFront(&entry{d: d, size: size})
+	c.used += size
+	c.clearNegative(d)
 }
 
 // GetOrFill serves d from the cache, or fills it from the origin exactly
@@ -502,28 +458,27 @@ func (c *Cache) admit(sh *shard, d digest.Digest, size int64) {
 // cached and returned. Every call counts once toward d's request
 // frequency, which the admission gate weighs.
 func (c *Cache) GetOrFill(ctx context.Context, d digest.Digest, fill FillFunc) (io.ReadCloser, int64, Outcome, error) {
-	sh := c.shard(d)
-	prior, hit := sh.request(d)
-	for ; ; hit = sh.lookup(d) {
+	prior, hit := c.request(d)
+	for ; ; hit = c.lookup(d) {
 		if hit {
 			rc, size, err := c.store.Get(d)
 			if err == nil {
 				c.hits.Add(1)
 				return rc, size, Hit, nil
 			}
-			c.dropEntry(sh, d)
+			c.dropEntry(d)
 		}
 
-		sh.mu.Lock()
-		if sh.isNegative(d) {
-			sh.mu.Unlock()
+		c.mu.Lock()
+		if c.isNegative(d) {
+			c.mu.Unlock()
 			c.negHits.Add(1)
 			return nil, 0, Coalesced, fmt.Errorf("%w: %s", ErrUpstreamNotFound, d.Short())
 		}
-		f, won := sh.flights.Claim(d)
-		sh.mu.Unlock()
+		f, won := c.flights.Claim(d)
+		c.mu.Unlock()
 		if won {
-			return c.runFill(ctx, sh, d, prior, f, fill)
+			return c.runFill(ctx, d, prior, f, fill)
 		}
 		switch err := f.Wait(ctx); {
 		case errors.Is(err, ErrUpstreamNotFound):
@@ -545,21 +500,21 @@ func (c *Cache) GetOrFill(ctx context.Context, d digest.Digest, fill FillFunc) (
 // finishFlight lands the fill's flight with its outcome. A 404 is recorded
 // as a negative entry unless the blob became resident meanwhile (an Admit
 // of the same digest), whose bytes prove it exists.
-func (c *Cache) finishFlight(sh *shard, d digest.Digest, f *blobstore.Flight, err error) {
-	sh.mu.Lock()
-	if _, ok := sh.entries[d]; !ok && errors.Is(err, ErrUpstreamNotFound) && sh.putNegative(d) {
+func (c *Cache) finishFlight(d digest.Digest, f *blobstore.Flight, err error) {
+	c.mu.Lock()
+	if _, ok := c.entries[d]; !ok && errors.Is(err, ErrUpstreamNotFound) && c.putNegative(d) {
 		c.negPuts.Add(1)
 	}
-	sh.flights.Land(d, f, err)
-	sh.mu.Unlock()
+	c.flights.Land(d, f, err)
+	c.mu.Unlock()
 	c.inflight.Add(-1)
 }
 
 // runFill executes the winner's side of a singleflight miss: fetch the
 // origin body and return it wrapped in a tee that feeds digest-verified
 // admission as the caller reads — or bare, when the origin's declared size
-// already says the stripe will not admit it.
-func (c *Cache) runFill(ctx context.Context, sh *shard, d digest.Digest, prior uint32, f *blobstore.Flight, fill FillFunc) (io.ReadCloser, int64, Outcome, error) {
+// already says the cache will not admit it.
+func (c *Cache) runFill(ctx context.Context, d digest.Digest, prior uint32, f *blobstore.Flight, fill FillFunc) (io.ReadCloser, int64, Outcome, error) {
 	c.misses.Add(1)
 	c.inflight.Add(1)
 	body, size, err := fill(ctx)
@@ -567,19 +522,19 @@ func (c *Cache) runFill(ctx context.Context, sh *shard, d digest.Digest, prior u
 		if !errors.Is(err, ErrUpstreamNotFound) {
 			c.fillErrs.Add(1)
 		}
-		c.finishFlight(sh, d, f, err)
+		c.finishFlight(d, f, err)
 		return nil, 0, Miss, err
 	}
 	// Buffering, hashing and storing the stream only to delete it again
-	// buys nothing. The n > capacity check below stays as the guard for an
+	// buys nothing. The n > budget check below stays as the guard for an
 	// origin that under-declares or does not declare.
-	if size > sh.capacity {
+	if size > c.budget {
 		c.rejected.Add(1)
-		c.finishFlight(sh, d, f, nil)
+		c.finishFlight(d, f, nil)
 		return body, size, Miss, nil
 	}
-	if size >= 0 && !c.gate(sh, size, prior) {
-		c.finishFlight(sh, d, f, nil)
+	if size >= 0 && !c.gate(size, prior) {
+		c.finishFlight(d, f, nil)
 		return body, size, Miss, nil
 	}
 
@@ -593,18 +548,18 @@ func (c *Cache) runFill(ctx context.Context, sh *shard, d digest.Digest, prior u
 			// blocks on a full pipe, then publish the failure.
 			io.Copy(io.Discard, pr)
 			c.fillErrs.Add(1)
-			c.finishFlight(sh, d, f, perr)
+			c.finishFlight(d, f, perr)
 			return
 		}
-		if n > sh.capacity {
-			// Verified and streamed to the client, but too large for this
-			// stripe: do not admit. The store briefly held it; remove it.
+		if n > c.budget {
+			// Verified and streamed to the client, but larger than the
+			// budget: do not admit. The store briefly held it; remove it.
 			c.rejected.Add(1)
 			c.store.Delete(d)
 		} else {
-			c.admit(sh, d, n)
+			c.admit(d, n)
 		}
-		c.finishFlight(sh, d, f, nil)
+		c.finishFlight(d, f, nil)
 	}()
 
 	return &teeCloser{body: body, pw: pw, admitted: admitted}, size, Miss, nil

@@ -200,8 +200,8 @@ func TestEvictionRacesConcurrentReaders(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// One stripe with room for the hot blob or the filler, not both.
-			c := NewSharded(store, 64<<10, 1)
+			// Room for the hot blob or the filler, not both.
+			c := New(store, 64<<10)
 			hot, hotD := blobOfSize(7, 32<<10)
 			filler, fillerD := blobOfSize(1000, 48<<10)
 			// request drains d until the gate admits it; the bound only
@@ -315,31 +315,47 @@ func TestNegativeCaching(t *testing.T) {
 	}
 }
 
-// TestOversizedBlobBypassesCache: a blob bigger than a stripe's budget is
-// served but never admitted — the next request misses again.
+// TestOversizedBlobBypassesCache: a blob bigger than the budget is served
+// but never admitted — the next request misses again — while one that
+// fits is admitted however much of the budget it takes.
 func TestOversizedBlobBypassesCache(t *testing.T) {
-	c := NewSharded(blobstore.NewMemory(), 16<<10, 1)
-	content, d := blobOfSize(4, 64<<10)
-	var calls atomic.Int64
-
-	for i := 1; i <= 2; i++ {
-		rc, _, out, err := c.GetOrFill(context.Background(), d, bytesFill(content, &calls))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out != Miss {
-			t.Fatalf("attempt %d outcome = %v, want Miss", i, out)
-		}
-		if got := mustReadAll(t, rc); !bytes.Equal(got, content) {
-			t.Fatal("wrong bytes")
-		}
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("fill ran %d times, want 2 (oversized blobs are never cached)", calls.Load())
-	}
-	st := c.Stats()
-	if st.Rejected != 2 || st.Entries != 0 || st.Used != 0 {
-		t.Fatalf("stats = %+v, want 2 rejected, nothing admitted", st)
+	const budget = 16 << 10
+	for _, tc := range []struct {
+		name     string
+		size     int
+		admitted bool
+	}{
+		{"over the budget", budget + 1<<10, false},
+		{"most of the budget", 12 << 10, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(blobstore.NewMemory(), budget)
+			content, d := blobOfSize(4, tc.size)
+			// Turned away: every request fills and is rejected.
+			fills, second, rejected, used := int64(2), Miss, int64(2), int64(0)
+			if tc.admitted {
+				fills, second, rejected, used = 1, Hit, 0, int64(len(content))
+			}
+			var calls atomic.Int64
+			for i, want := range []Outcome{Miss, second} {
+				rc, _, out, err := c.GetOrFill(context.Background(), d, bytesFill(content, &calls))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out != want {
+					t.Fatalf("request %d outcome = %v, want %v", i+1, out, want)
+				}
+				if got := mustReadAll(t, rc); !bytes.Equal(got, content) {
+					t.Fatal("wrong bytes")
+				}
+			}
+			if calls.Load() != fills {
+				t.Fatalf("fill ran %d times, want %d", calls.Load(), fills)
+			}
+			if st := c.Stats(); st.Rejected != rejected || st.Used != used {
+				t.Fatalf("stats = %+v, want %d rejected, %d bytes admitted", st, rejected, used)
+			}
+		})
 	}
 }
 
@@ -469,7 +485,7 @@ func TestFailedWinnerHandsOver(t *testing.T) {
 
 // TestLRUOrdering: the least recently used entry is the eviction victim.
 func TestLRUOrdering(t *testing.T) {
-	c := NewSharded(blobstore.NewMemory(), 3<<10, 1)
+	c := New(blobstore.NewMemory(), 3<<10)
 	mk := func(seed int) ([]byte, digest.Digest) { return blobOfSize(seed, 1<<10) }
 
 	a, da := mk(10)
@@ -526,12 +542,12 @@ func (c *countingStore) Delete(d digest.Digest) error {
 }
 
 // TestDeclaredOversizeIsNeverTeed: a fill that says up front it is bigger
-// than its stripe is handed through bare — the store never sees it — and
+// than the budget is handed through bare — the store never sees it — and
 // concurrent callers each get correct bytes instead of queueing behind a
 // stream none of them could reuse.
 func TestDeclaredOversizeIsNeverTeed(t *testing.T) {
 	store := &countingStore{Store: blobstore.NewMemory()}
-	c := NewSharded(store, 16<<10, 1)
+	c := New(store, 16<<10)
 	content, d := blobOfSize(11, 64<<10)
 
 	const callers = 8
@@ -575,7 +591,7 @@ func TestDeclaredOversizeIsNeverTeed(t *testing.T) {
 // it sends passes the up-front check, and the post-hoc one catches it.
 func TestUnderDeclaredOversizeStillRejected(t *testing.T) {
 	store := &countingStore{Store: blobstore.NewMemory()}
-	c := NewSharded(store, 16<<10, 1)
+	c := New(store, 16<<10)
 	content, d := blobOfSize(12, 64<<10)
 	for _, declared := range []int64{-1, 1 << 10} {
 		fill := func(ctx context.Context) (io.ReadCloser, int64, error) {
@@ -589,7 +605,7 @@ func TestUnderDeclaredOversizeStillRejected(t *testing.T) {
 			t.Fatalf("declared %d: wrong bytes", declared)
 		}
 		if c.Contains(d) || store.Has(d) {
-			t.Fatalf("declared %d: a %d-byte blob was admitted to a %d-byte stripe", declared, len(content), 16<<10)
+			t.Fatalf("declared %d: a %d-byte blob was admitted to a %d-byte cache", declared, len(content), 16<<10)
 		}
 	}
 	if st := c.Stats(); st.Rejected != 2 || st.Used != 0 {
@@ -744,7 +760,7 @@ func drain(t *testing.T, c *Cache, content []byte, d digest.Digest, calls *atomi
 // TestScanDoesNotChurn: uniform cycles over a working set four times the
 // budget. Every blob is requested as often as every other, so a
 // non-resident never out-counts what it would evict: once the first cycle
-// has filled the stripes nothing is teed into the store or evicted, and
+// has filled the cache nothing is teed into the store or evicted, and
 // every resident serves its request in each cycle. Under first-touch LRU
 // the same scan misses every request.
 func TestScanDoesNotChurn(t *testing.T) {
@@ -793,7 +809,7 @@ func TestHotBlobDisplacesCold(t *testing.T) {
 		resident = 4
 		perBlob  = 2000
 	)
-	c := NewSharded(blobstore.NewMemory(), resident*blobSize, 1)
+	c := New(blobstore.NewMemory(), resident*blobSize)
 	blobs := make([][]byte, resident)
 	ds := make([]digest.Digest, resident)
 	for i := range blobs {
@@ -818,7 +834,7 @@ func TestHotBlobDisplacesCold(t *testing.T) {
 		drain(t, c, hot, hotD, &calls)
 	}
 	if calls.Load() < 2 {
-		t.Fatal("a blob with no history was admitted into a full stripe")
+		t.Fatal("a blob with no history was admitted into a full cache")
 	}
 	if st := c.Stats(); st.Evictions != 1 || st.Entries != resident {
 		t.Fatalf("stats = %+v, want the hot blob in for one cold resident", st)
@@ -827,12 +843,12 @@ func TestHotBlobDisplacesCold(t *testing.T) {
 }
 
 // TestNewBlobOnFullCache: the price of the gate. A new blob on a full
-// stripe is fetched un-coalesced until its count passes the LRU victim's:
+// cache is fetched un-coalesced until its count passes the LRU victim's:
 // one origin fetch per request the victim has had, plus one, before the
 // fetch that admits it.
 func TestNewBlobOnFullCache(t *testing.T) {
 	const blobSize = 1 << 10
-	c := NewSharded(blobstore.NewMemory(), 4*blobSize, 1)
+	c := New(blobstore.NewMemory(), 4*blobSize)
 	blobs := make([][]byte, 4)
 	ds := make([]digest.Digest, 4)
 	for i := range blobs {
@@ -872,9 +888,9 @@ func TestNewBlobOnFullCache(t *testing.T) {
 }
 
 // TestFrequencyTableBounded: a stream of digests each requested once never
-// grows a stripe's request table past twice its aging window.
+// grows the request table past twice its aging window.
 func TestFrequencyTableBounded(t *testing.T) {
-	c := New(blobstore.NewMemory(), DefaultShards<<10)
+	c := New(blobstore.NewMemory(), 8<<10)
 	content := make([]byte, 64)
 	for i := 0; i < 100000; i++ {
 		binary.LittleEndian.PutUint64(content, uint64(i))
@@ -884,23 +900,20 @@ func TestFrequencyTableBounded(t *testing.T) {
 		}
 		io.Copy(io.Discard, rc)
 		rc.Close()
-		for j, sh := range c.shards {
-			sh.mu.Lock()
-			keys, limit := len(sh.freq), 2*agingWindow*max(len(sh.entries), agingMinEntries)
-			sh.mu.Unlock()
-			if keys > limit {
-				t.Fatalf("after %d digests stripe %d holds %d counts, want at most %d", i+1, j, keys, limit)
-			}
+		c.mu.Lock()
+		keys, limit := len(c.freq), 2*agingWindow*max(len(c.entries), agingMinEntries)
+		c.mu.Unlock()
+		if keys > limit {
+			t.Fatalf("after %d digests the table holds %d counts, want at most %d", i+1, keys, limit)
 		}
 	}
 }
 
 // TestGateConcurrentCalls drives GetOrFill, Admit and Invalidate on a small
 // cache from several goroutines (run under -race by `make race`), then
-// checks that every stripe's index, byte count and store agree.
+// checks the end state with checkCache.
 func TestGateConcurrentCalls(t *testing.T) {
-	store := blobstore.NewMemory()
-	c := NewSharded(store, 24<<10, 2)
+	c := New(blobstore.NewMemory(), 24<<10)
 	blobs := make([][]byte, 24)
 	ds := make([]digest.Digest, len(blobs))
 	for i := range blobs {
@@ -941,25 +954,10 @@ func TestGateConcurrentCalls(t *testing.T) {
 	}
 	wg.Wait()
 
+	if err := checkCache(c); err != nil {
+		t.Fatal(err)
+	}
 	st := c.Stats()
-	var used, entries int64
-	for _, sh := range c.shards {
-		var held int64
-		for d, el := range sh.entries {
-			held += el.Value.(*entry).size
-			if !store.Has(d) {
-				t.Errorf("%s indexed but not stored", d.Short())
-			}
-		}
-		if held != sh.used || sh.used > sh.capacity {
-			t.Errorf("stripe holds %d bytes, accounts %d, capacity %d", held, sh.used, sh.capacity)
-		}
-		used += sh.used
-		entries += int64(len(sh.entries))
-	}
-	if st.Used != used || st.Entries != entries || st.Inflight != 0 {
-		t.Fatalf("stats = %+v, want used %d, %d entries, nothing in flight", st, used, entries)
-	}
 	if st.Declined == 0 || st.Evictions == 0 {
 		t.Fatalf("stats = %+v, want the gate both to decline and to admit over residents", st)
 	}
@@ -991,7 +989,7 @@ func TestIndexedEntriesKeepTheirBytes(t *testing.T) {
 	content, d := blobOfSize(600, 1<<10)
 	run := func(t *testing.T, prepare func(*Cache), between func(*Cache)) {
 		store := &pausingStore{Store: blobstore.NewMemory(), d: d, stored: make(chan struct{}), release: make(chan struct{})}
-		c := NewSharded(store, 4<<10, 1)
+		c := New(store, 4<<10)
 		prepare(c)
 		admitted := make(chan error)
 		go func() { admitted <- c.Admit(d, content) }()
@@ -1001,7 +999,7 @@ func TestIndexedEntriesKeepTheirBytes(t *testing.T) {
 		if err := <-admitted; err != nil {
 			t.Fatal(err)
 		}
-		for e, el := range c.shards[0].entries {
+		for e, el := range c.entries {
 			if !store.Has(e) {
 				t.Fatalf("%s indexed but not stored (%d bytes accounted)", e.Short(), el.Value.(*entry).size)
 			}
@@ -1015,7 +1013,7 @@ func TestIndexedEntriesKeepTheirBytes(t *testing.T) {
 		run(t, func(*Cache) {}, func(c *Cache) { c.Invalidate(d) })
 	})
 
-	// The stripe is full of blobs requested once each, and d has one
+	// The cache is full of blobs requested once each, and d has one
 	// declined request behind it, so the unknown-size fill asks with prior
 	// count 1 (a tie with its victim) and Admit with 2. The fill is admitted
 	// because unknown sizes skip the gate; Admit then finds d indexed.
@@ -1027,7 +1025,7 @@ func TestIndexedEntriesKeepTheirBytes(t *testing.T) {
 				drain(t, c, b, bd, nil)
 			}
 			if drain(t, c, content, d, nil); c.Contains(d) {
-				t.Fatal("a blob with no history was admitted into a full stripe")
+				t.Fatal("a blob with no history was admitted into a full cache")
 			}
 			var err error
 			rc, _, _, err = c.GetOrFill(context.Background(), d, func(context.Context) (io.ReadCloser, int64, error) {

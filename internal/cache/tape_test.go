@@ -17,45 +17,24 @@ import (
 )
 
 // checkCache proves the cache's invariants at quiescence: no fill in
-// flight, every indexed entry's bytes in the store at its size, each
-// stripe's used bytes the sum of its entries' and within its capacity, the
-// counters equal to the index, and no negative marker for a resident
-// digest.
+// flight, every indexed entry's bytes in the store at its size, the used
+// bytes the sum of the entries' and within the budget, Stats agreeing with
+// the index, and no negative marker for a resident digest.
 func checkCache(c *Cache) error {
 	st := c.Stats()
 	if st.Inflight != 0 {
 		return fmt.Errorf("Inflight = %d at quiescence", st.Inflight)
 	}
-	if st.Used > st.Budget {
-		return fmt.Errorf("Used %d over the budget %d", st.Used, st.Budget)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.flights) != 0 {
+		return fmt.Errorf("%d fills still in flight", len(c.flights))
 	}
-	var used, entries int64
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		err := checkShard(c, sh)
-		used += sh.used
-		entries += int64(len(sh.entries))
-		sh.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("stripe %d: %w", i, err)
-		}
-	}
-	if used != st.Used || entries != st.Entries {
-		return fmt.Errorf("Stats count %d entries / %d bytes, the index %d / %d", st.Entries, st.Used, entries, used)
-	}
-	return nil
-}
-
-// checkShard is checkCache for one stripe. Caller holds the stripe lock.
-func checkShard(c *Cache, sh *shard) error {
-	if len(sh.flights) != 0 {
-		return fmt.Errorf("%d fills still in flight", len(sh.flights))
-	}
-	if sh.order.Len() != len(sh.entries) {
-		return fmt.Errorf("LRU holds %d entries, the index %d", sh.order.Len(), len(sh.entries))
+	if c.order.Len() != len(c.entries) {
+		return fmt.Errorf("LRU holds %d entries, the index %d", c.order.Len(), len(c.entries))
 	}
 	var sum int64
-	for d, el := range sh.entries {
+	for d, el := range c.entries {
 		e := el.Value.(*entry)
 		if e.d != d {
 			return fmt.Errorf("%s indexed as %s", e.d.Short(), d.Short())
@@ -63,16 +42,19 @@ func checkShard(c *Cache, sh *shard) error {
 		if size, err := c.store.Stat(d); err != nil || size != e.size {
 			return fmt.Errorf("%s indexed at %d bytes, the store holds %d (%v)", d.Short(), e.size, size, err)
 		}
-		if sh.isNegative(d) {
+		if c.isNegative(d) {
 			return fmt.Errorf("%s is resident and marked missing upstream", d.Short())
 		}
 		sum += e.size
 	}
-	if sum != sh.used {
-		return fmt.Errorf("entries sum to %d bytes, used says %d", sum, sh.used)
+	if sum != c.used {
+		return fmt.Errorf("entries sum to %d bytes, used says %d", sum, c.used)
 	}
-	if sh.used > sh.capacity {
-		return fmt.Errorf("used %d over the capacity %d", sh.used, sh.capacity)
+	if c.used > c.budget {
+		return fmt.Errorf("used %d over the budget %d", c.used, c.budget)
+	}
+	if st.Used != c.used || st.Entries != int64(len(c.entries)) {
+		return fmt.Errorf("Stats count %d entries / %d bytes, the index %d / %d", st.Entries, st.Used, len(c.entries), c.used)
 	}
 	return nil
 }
@@ -173,10 +155,10 @@ type tapeCtx struct {
 }
 
 func (x *tapeCtx) Done() <-chan struct{} {
-	sh := x.tp.c.shard(x.r.d)
-	sh.mu.Lock()
-	f := sh.flights[x.r.d]
-	sh.mu.Unlock()
+	c := x.tp.c
+	c.mu.Lock()
+	f := c.flights[x.r.d]
+	c.mu.Unlock()
 	x.tp.mu.Lock()
 	x.r.state, x.r.flight = reqWaiting, f
 	x.tp.mu.Unlock()
@@ -313,10 +295,9 @@ func (tp *cacheTape) settled() bool {
 	}
 	tp.mu.Unlock()
 	for _, w := range waits {
-		sh := tp.c.shard(w.d)
-		sh.mu.Lock()
-		live := w.f != nil && sh.flights[w.d] == w.f
-		sh.mu.Unlock()
+		tp.c.mu.Lock()
+		live := w.f != nil && tp.c.flights[w.d] == w.f
+		tp.c.mu.Unlock()
 		if !live {
 			running++
 		}
@@ -414,7 +395,7 @@ func (tp *cacheTape) getOrFill(r *tapeReq) {
 }
 
 // runCacheTape decodes a tape and runs it against a fresh cache whose
-// stripe count and budget the first byte picks. At the end it releases
+// budget, 3 to 12 KiB, the first byte picks. At the end it releases
 // every parked goroutine, waits for all of them, and requires checkCache
 // to pass.
 func runCacheTape(t *testing.T, tape []byte) {
@@ -422,8 +403,8 @@ func runCacheTape(t *testing.T, tape []byte) {
 		return
 	}
 	tp := &cacheTape{t: t, missing: make(map[digest.Digest]bool)}
-	shards := 1 + int(tape[0])%2
-	tp.c = NewSharded(tapeStore{Store: blobstore.NewMemory(), tp: tp}, int64(shards*(3+int(tape[0]>>1)%4))<<10, shards)
+	budget := int64((1+int(tape[0])%2)*(3+int(tape[0]>>1)%4)) << 10
+	tp.c = New(tapeStore{Store: blobstore.NewMemory(), tp: tp}, budget)
 	blobs := make([][]byte, len(cacheTapeSizes))
 	for i, n := range cacheTapeSizes {
 		blobs[i], _ = blobOfSize(700+i, n)
@@ -539,7 +520,7 @@ var cacheTapeSeeds = map[string][]byte{
 		opRelease, 0,
 		opRelease, 0,
 		opRelease, 0},
-	// Fills on a small full stripe: an abandoned one, an oversize one, and
+	// Fills on a small full cache: an abandoned one, an oversize one, and
 	// enough others to evict and decline.
 	"evict-and-decline": {0x00,
 		opGetOrFill, 4,

@@ -109,7 +109,7 @@ func benchDedupGet(b *testing.B, sink io.Writer) {
 func BenchmarkDedupGetCached(b *testing.B) {
 	blob := benchLayer(b)
 	d := digest.FromBytes(blob)
-	// Sized so one stripe of the striped cache holds the 4 MiB blob.
+	// Large enough to hold the 4 MiB blob.
 	s := NewWithConfig(NewMemoryPool(0), Config{CacheBytes: 256 << 20})
 	if _, err := s.PutStream(d, bytes.NewReader(blob)); err != nil {
 		b.Fatal(err)

@@ -2,6 +2,7 @@ package dedupstore
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"repro/internal/blobstore"
 	"repro/internal/digest"
@@ -215,6 +217,10 @@ func storeTapeBlobs() *[tapeGoroutines][tapeBlobs][]byte {
 
 var errMidBody = errors.New("stream broke mid-body")
 
+// storeTapeDeadline bounds one tape's run; the slowest seed takes
+// milliseconds.
+const storeTapeDeadline = 30 * time.Second
+
 // runStoreTape decodes a tape and runs it against a fresh store. The first
 // byte picks the goroutine count, the pool's shard count and whether the
 // store has a reconstruction cache; every following triple is one
@@ -222,7 +228,9 @@ var errMidBody = errors.New("stream broke mid-body")
 // operations in tape order, concurrently with the others, and checks each
 // result against its own sequential reference map. At quiescence the store
 // must hold exactly what the maps say, serve it byte-exact and pass
-// checkStore, and once every blob is deleted the pool must be empty.
+// checkStore, and once every blob is deleted the pool must be empty. A
+// tape whose goroutines have not finished within storeTapeDeadline fails
+// instead of hanging.
 func runStoreTape(t *testing.T, tape []byte) {
 	if len(tape) == 0 {
 		return
@@ -259,10 +267,10 @@ func runStoreTape(t *testing.T, tape []byte) {
 			}
 			have := &present[g]
 			// held is a reader a Get left open across the next operation,
-			// with the blob it must finish reading.
+			// with the blob it must finish reading and that blob's index.
 			var held io.ReadCloser
 			var heldBlob []byte
-			var heldAt int
+			var heldAt, heldIdx int
 			finish := func(what string) {
 				if held == nil {
 					return
@@ -284,7 +292,15 @@ func runStoreTape(t *testing.T, tape []byte) {
 					code = opGet
 				}
 				what := fmt.Sprintf("step %d: op %d on blob %d", step, code, i)
-				if held != nil && step > heldAt+1 {
+				// A held reader may still be filling the reconstruction
+				// cache, and a Get waiting on that fill from the same
+				// goroutine would wait forever: GetOrFill's Miss reader
+				// must be read to the end first. With both blobs shared,
+				// two goroutines could each wait on the other's fill. A
+				// server serves each request on its own goroutine, so it
+				// never does either; finish the held reader first.
+				heldShared := heldIdx >= tapeLayers+tapeRaws
+				if held != nil && (step > heldAt+1 || code == opGet && (i == heldIdx || shared && heldShared)) {
 					finish(what)
 				}
 				switch code {
@@ -349,7 +365,7 @@ func runStoreTape(t *testing.T, tape []byte) {
 					}
 					if param%4 == 1 && held == nil {
 						// Finish this read after the next operation.
-						held, heldBlob, heldAt = rc, blob, step
+						held, heldBlob, heldAt, heldIdx = rc, blob, step, i
 						continue
 					}
 					rc.Close()
@@ -363,7 +379,18 @@ func runStoreTape(t *testing.T, tape []byte) {
 			}
 		}(g)
 	}
-	wg.Wait()
+	finished := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(finished)
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), storeTapeDeadline)
+	defer cancel()
+	select {
+	case <-finished:
+	case <-ctx.Done():
+		t.Fatalf("tape %x: not finished after %v", tape, storeTapeDeadline)
+	}
 	if len(failures) > 0 {
 		t.Fatalf("tape %x:\n%s", tape, failures[0])
 	}
@@ -428,6 +455,12 @@ var storeTapeSeeds = map[string][]byte{
 		3 + 4*opPutStream, tapeLayers, 0,
 		0 + 4*opDelete, 0, 0,
 		1 + 4*opGet, 1, 3},
+	// A Get holds its reader, still filling the reconstruction cache,
+	// across a second Get of the same layer on the same goroutine.
+	"held-get-same-digest": {0x10,
+		0 + 3*opPut, 0, 0,
+		0 + 3*opGet, 0, 5,
+		0 + 3*opGet, 0, 0},
 	// A reader pins a layer that its own goroutine then deletes.
 	"delete-while-read": {0x01,
 		0 + 3*opPutStream, 1, 0,

@@ -75,13 +75,13 @@ func blobOfSize(seed, size int) []byte {
 }
 
 // mirrorSetup stands up origin (counting requests), cache, and mirror.
-func mirrorSetup(t *testing.T, cacheBytes int64, shards int) (*registry.Registry, *atomic.Int64, *cache.Cache, *httptest.Server) {
+func mirrorSetup(t *testing.T, cacheBytes int64) (*registry.Registry, *atomic.Int64, *cache.Cache, *httptest.Server) {
 	t.Helper()
-	return mirrorSetupOn(t, blobstore.NewMemory(), cacheBytes, shards)
+	return mirrorSetupOn(t, blobstore.NewMemory(), cacheBytes)
 }
 
 // mirrorSetupOn is mirrorSetup with the origin registry on the given store.
-func mirrorSetupOn(t *testing.T, store blobstore.Store, cacheBytes int64, shards int) (*registry.Registry, *atomic.Int64, *cache.Cache, *httptest.Server) {
+func mirrorSetupOn(t *testing.T, store blobstore.Store, cacheBytes int64) (*registry.Registry, *atomic.Int64, *cache.Cache, *httptest.Server) {
 	t.Helper()
 	reg := registry.New(store)
 	var originReqs atomic.Int64
@@ -90,7 +90,7 @@ func mirrorSetupOn(t *testing.T, store blobstore.Store, cacheBytes int64, shards
 		reg.ServeHTTP(w, req)
 	}))
 	t.Cleanup(origin.Close)
-	c := cache.NewSharded(blobstore.NewMemory(), cacheBytes, shards)
+	c := cache.New(blobstore.NewMemory(), cacheBytes)
 	front := httptest.NewServer(New(&registry.Client{Base: origin.URL}, c))
 	t.Cleanup(front.Close)
 	return reg, &originReqs, c, front
@@ -114,7 +114,7 @@ func mustGet(t *testing.T, url string) []byte {
 }
 
 func TestPingAndStats(t *testing.T) {
-	_, _, _, front := mirrorSetup(t, 1<<20, 1)
+	_, _, _, front := mirrorSetup(t, 1<<20)
 	resp, err := http.Get(front.URL + "/v2/")
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestPingAndStats(t *testing.T) {
 // TestBlobColdThenWarm: the first pull fills from origin, the second is
 // served from cache without touching the origin.
 func TestBlobColdThenWarm(t *testing.T) {
-	reg, _, c, front := mirrorSetup(t, 1<<20, 1)
+	reg, _, c, front := mirrorSetup(t, 1<<20)
 	img := pushImage(t, reg, "library/app", blobOfSize(1, 64<<10), false)
 
 	url := front.URL + "/v2/" + img.repo + "/blobs/" + img.layerD.String()
@@ -164,7 +164,7 @@ func TestBlobColdThenWarm(t *testing.T) {
 // concurrent cold pulls of the same layer must produce exactly one origin
 // blob fetch, with every client receiving correct bytes.
 func TestConcurrentColdPullsSingleOriginFetch(t *testing.T) {
-	reg, _, _, front := mirrorSetup(t, 8<<20, 1)
+	reg, _, _, front := mirrorSetup(t, 8<<20)
 	img := pushImage(t, reg, "library/hot", blobOfSize(2, 256<<10), false)
 	url := front.URL + "/v2/" + img.repo + "/blobs/" + img.layerD.String()
 
@@ -208,7 +208,7 @@ func TestConcurrentColdPullsSingleOriginFetch(t *testing.T) {
 // TestRangeRequests: range reads work cold (miss teeing into the cache,
 // full blob admitted afterwards) and warm, and unsatisfiable offsets 416.
 func TestRangeRequests(t *testing.T) {
-	reg, _, c, front := mirrorSetup(t, 1<<20, 1)
+	reg, _, c, front := mirrorSetup(t, 1<<20)
 	img := pushImage(t, reg, "library/ranged", blobOfSize(3, 96<<10), false)
 	url := front.URL + "/v2/" + img.repo + "/blobs/" + img.layerD.String()
 
@@ -270,7 +270,7 @@ func TestRangeRequests(t *testing.T) {
 // TestNegative404: a digest the origin does not have is fetched from the
 // origin once; the repeat is answered from the negative cache.
 func TestNegative404(t *testing.T) {
-	reg, originReqs, c, front := mirrorSetup(t, 1<<20, 1)
+	reg, originReqs, c, front := mirrorSetup(t, 1<<20)
 	pushImage(t, reg, "library/app", blobOfSize(4, 4<<10), false)
 	absent := digest.FromBytes([]byte("never pushed"))
 	url := front.URL + "/v2/library/app/blobs/" + absent.String()
@@ -298,7 +298,7 @@ func TestNegative404(t *testing.T) {
 // revalidate against the origin (tags move), but the fetched bytes are
 // admitted by digest so by-digest requests never touch the origin.
 func TestManifestTagRevalidatesDigestCached(t *testing.T) {
-	reg, originReqs, _, front := mirrorSetup(t, 1<<20, 1)
+	reg, originReqs, _, front := mirrorSetup(t, 1<<20)
 	img := pushImage(t, reg, "library/app", blobOfSize(5, 4<<10), false)
 
 	tagURL := front.URL + "/v2/" + img.repo + "/manifests/latest"
@@ -332,7 +332,7 @@ func TestManifestTagRevalidatesDigestCached(t *testing.T) {
 // TestHeadBlob: warm HEAD answers from cache; cold HEAD proxies the stat
 // without pulling the blob into the cache.
 func TestHeadBlob(t *testing.T) {
-	reg, _, c, front := mirrorSetup(t, 1<<20, 1)
+	reg, _, c, front := mirrorSetup(t, 1<<20)
 	img := pushImage(t, reg, "library/app", blobOfSize(6, 32<<10), false)
 	url := front.URL + "/v2/" + img.repo + "/blobs/" + img.layerD.String()
 
@@ -368,7 +368,7 @@ func TestHeadBlob(t *testing.T) {
 // TestUnauthorizedPropagates: a private origin repo yields 401 through the
 // mirror, with the WWW-Authenticate challenge intact.
 func TestUnauthorizedPropagates(t *testing.T) {
-	reg, _, _, front := mirrorSetup(t, 1<<20, 1)
+	reg, _, _, front := mirrorSetup(t, 1<<20)
 	img := pushImage(t, reg, "corp/secret", blobOfSize(7, 4<<10), true)
 
 	resp, err := http.Get(front.URL + "/v2/" + img.repo + "/blobs/" + img.layerD.String())
@@ -424,7 +424,7 @@ func TestHitRatioPopularityTrace(t *testing.T) {
 	}
 
 	budget := blobBytes / 10
-	c := cache.NewSharded(blobstore.NewMemory(), budget, 1)
+	c := cache.New(blobstore.NewMemory(), budget)
 	front := httptest.NewServer(New(&registry.Client{Base: origin.URL}, c))
 	t.Cleanup(front.Close)
 
@@ -463,7 +463,7 @@ func TestHitRatioPopularityTrace(t *testing.T) {
 
 // TestTagsListProxied: tag listings pass straight through to the origin.
 func TestTagsListProxied(t *testing.T) {
-	reg, _, _, front := mirrorSetup(t, 1<<20, 1)
+	reg, _, _, front := mirrorSetup(t, 1<<20)
 	img := pushImage(t, reg, "library/app", blobOfSize(8, 4<<10), false)
 
 	var body struct {
@@ -480,7 +480,7 @@ func TestTagsListProxied(t *testing.T) {
 
 // TestPushRejected: the mirror is read-only; pushes get 405.
 func TestPushRejected(t *testing.T) {
-	_, _, _, front := mirrorSetup(t, 1<<20, 1)
+	_, _, _, front := mirrorSetup(t, 1<<20)
 	req, _ := http.NewRequest(http.MethodPut, front.URL+"/v2/library/app/manifests/latest", strings.NewReader("{}"))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -514,7 +514,7 @@ func gzipLayer(t *testing.T, seed, nFiles, fileSize int) []byte {
 // cache, as over a plain origin.
 func TestRangesOverDedupOrigin(t *testing.T) {
 	origin := dedupstore.NewWithConfig(dedupstore.NewMemoryPool(0), dedupstore.Config{})
-	reg, _, c, front := mirrorSetupOn(t, origin, 8<<20, 1)
+	reg, _, c, front := mirrorSetupOn(t, origin, 8<<20)
 	admitted := func(d digest.Digest) {
 		t.Helper()
 		for deadline := time.Now().Add(5 * time.Second); !c.Contains(d); time.Sleep(time.Millisecond) {
@@ -580,7 +580,7 @@ func TestCachedBlobGetAllocation(t *testing.T) {
 	}
 	// One P, so that client and server find each other's pooled buffers.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	reg, _, _, front := mirrorSetup(t, 8<<20, 1)
+	reg, _, _, front := mirrorSetup(t, 8<<20)
 	img := pushImage(t, reg, "library/hot", blobOfSize(9, 256<<10), false)
 	url := front.URL + "/v2/" + img.repo + "/blobs/" + img.layerD.String()
 	pull := func() {
@@ -650,7 +650,7 @@ func TestOriginWithoutContentLength(t *testing.T) {
 		reg.ServeHTTP(&chunkedWriter{ResponseWriter: w}, req)
 	}))
 	t.Cleanup(origin.Close)
-	c := cache.NewSharded(blobstore.NewMemory(), 1<<20, 1)
+	c := cache.New(blobstore.NewMemory(), 1<<20)
 	front := httptest.NewUnstartedServer(New(&registry.Client{Base: origin.URL}, c))
 	front.Config.ErrorLog = log.New(failLog{t}, "", 0)
 	front.Start()
