@@ -67,6 +67,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'DedupPutStream$$|DedupGet(Sink)?$$' -benchtime=1x -benchmem ./internal/dedupstore
 	$(GO) test -run '^$$' -bench 'BuildLayer$$|WalkLayer$$' -benchtime=1x -benchmem ./internal/tarutil
 	$(GO) test -run '^$$' -bench 'HTTPPull$$|HTTPPush$$' -benchtime=1x -benchmem ./internal/registry
+	$(GO) test -run '^$$' -bench 'LivePush$$' -benchtime=1x -benchmem ./internal/analytics
 	$(GO) run ./cmd/trafficsim -scenarios flash-crowd -rates 120 -n 150 -scale 0.002 -json /dev/null
 	$(GO) run ./cmd/trafficsim -scenarios flash-crowd -arrivals closed -workers 8 -n 150 -scale 0.002 -json /dev/null
 

@@ -23,10 +23,10 @@
 // service's snapshot (no store re-read) — without churn, with liveChurn
 // of the population deleted and re-pushed mid-run, and over the
 // deduplicating store, where the service observes the store's own
-// one-pass walk instead of a byte tee. Each live run's figures are checked against
-// a batch AnalyzeStore pass over the registry the run left behind and
-// all live runs, across modes and worker counts, against each other; any
-// divergence exits non-zero. The live figure set has no
+// one-pass walk instead of reading each committed layer back. Each live
+// run's figures are checked against a batch AnalyzeStore pass over the
+// registry the run left behind and all live runs, across modes and worker
+// counts, against each other; any divergence exits non-zero. The live figure set has no
 // crawl/download inputs (no tabM/fig25), so it fingerprints in its own
 // reference group, not against the wire runs.
 package main

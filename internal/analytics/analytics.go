@@ -2,13 +2,14 @@
 // figures, computed from what the registry's write path has seen and
 // served from a query API.
 //
-// A Live instance implements registry.Ingest. Blob uploads are analyzed in
-// the pass that stores them — over a store that decomposes layers
+// A Live instance implements registry.Ingest. Blob uploads are analyzed
+// before the push is answered — over a store that decomposes layers
 // (dedupstore) by observing the store's own walk, member by member
-// (BlobMembers); over a plain store by teeing the verified bytes through
-// the fused-pipeline walker as they cross the wire (BlobStream,
-// analyzer.WalkLayerReader). Either way there is no second read of the
-// blob, and both feed analyzer.LayerAccumulator. Live keeps two things:
+// (BlobMembers), so the layer is inflated once; over a plain store by
+// walking the committed blob, read back from the store, with the
+// fused-pipeline walker (BlobStream, analyzer.WalkLayerReader) — the
+// paper's analyzer, too, walks layers after they are stored. Both feed
+// analyzer.LayerAccumulator. Live keeps two things:
 // the walk cache (one analyzer.WalkedLayer per layer digest, never
 // evicted, so a delete followed by a re-push needs no re-walk) and the tag
 // table (one image per repo and tag), which manifest tags and deletes
@@ -20,10 +21,10 @@
 // tagged images, in (repo, tag) order, and the cached walks: the batch
 // assembly itself, not a copy of it. Figures therefore equal a batch
 // AnalyzeStore pass over the same surviving images whenever the walks do,
-// and they do: the tee hands the walker the same verified bytes the store
-// keeps, and a decomposing store reports the members of the very blob it
-// commits, so per-layer profiles (FLS, CLS, depths, classified types)
-// match a store re-walk byte for byte.
+// and they do: the walker reads the very bytes the store committed, and a
+// decomposing store reports the members of the very blob it commits, so
+// per-layer profiles (FLS, CLS, depths, classified types) match a store
+// re-walk byte for byte.
 //
 // # Snapshots
 //
@@ -62,8 +63,8 @@ type tagKey struct{ repo, tag string }
 
 // IngestStats counts write-path activity the service observed.
 type IngestStats struct {
-	BlobsWalked    int64 `json:"blobs_walked"`    // uploads analyzed in flight (store-reported members or byte tee) that verified clean
-	WalkErrors     int64 `json:"walk_errors"`     // uploads that yielded no walk: non-layer blobs (configs, manifests), aborted uploads, re-uploads a decomposing store drained
+	BlobsWalked    int64 `json:"blobs_walked"`    // committed uploads walked at upload time (store-reported members or the stored blob read back)
+	WalkErrors     int64 `json:"walk_errors"`     // uploads that yielded no walk: non-layer blobs (configs, manifests); over a decomposing store also rejected uploads and re-uploads it drained
 	FallbackWalks  int64 `json:"fallback_walks"`  // layers walked from the store (not seen on the wire)
 	ManifestEvents int64 `json:"manifest_events"` // tag creations/moves applied
 	TagDeletes     int64 `json:"tag_deletes"`     // tag removals applied
@@ -103,10 +104,9 @@ func New(store blobstore.Store, repos []manifest.Repository) *Live {
 }
 
 // BlobStream implements registry.Ingest for stores that keep blobs whole:
-// walk the upload as it streams past. Every blob crosses here — configs
-// and manifests fail the tar walk and are counted, not recorded. The
-// stream is always drained (WalkLayerReader's contract), so the upload
-// never stalls on the tee.
+// walk the committed blob the registry read back. Every committed upload
+// crosses here — configs and manifests fail the tar walk and are counted,
+// not recorded.
 func (l *Live) BlobStream(d digest.Digest, r io.Reader) {
 	wl, err := analyzer.WalkLayerReader(d, r)
 	if err != nil {
@@ -127,8 +127,8 @@ func (l *Live) BlobMembers(d digest.Digest) registry.UploadObserver {
 
 // memberWalk is one upload watched through the store's walk. What it
 // accumulates stays provisional until End; an upload that never gets
-// there (a config, a rejected body, a blob the store drained because it
-// already had it) is dropped and counted like a failed byte walk.
+// there (a rejected body, a blob the store drained because it already had
+// it) is dropped and counted like a failed byte walk.
 type memberWalk struct {
 	live  *Live
 	acc   *analyzer.LayerAccumulator
@@ -226,8 +226,8 @@ func (l *Live) loadManifest(d digest.Digest) (*manifest.Manifest, error) {
 }
 
 // ensureWalked guarantees a walk result exists for ld, falling back to a
-// store walk for layers that never crossed the wire tee. Failures leave
-// the entry absent; ManifestTagged then counts the degradation.
+// store walk for layers no upload walked. Failures leave the entry
+// absent; ManifestTagged then counts the degradation.
 func (l *Live) ensureWalked(ld digest.Digest) {
 	l.mu.Lock()
 	_, ok := l.walks[ld]

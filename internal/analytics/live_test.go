@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/analyzer"
@@ -33,48 +32,57 @@ type env struct {
 	client *registry.Client
 }
 
+// tally counts calls per digest.
+type tally struct {
+	mu sync.Mutex
+	n  map[digest.Digest]int
+}
+
+func (t *tally) add(d digest.Digest) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.n == nil {
+		t.n = make(map[digest.Digest]int)
+	}
+	t.n[d]++
+}
+
+// count returns the calls in total, and how many of them were of the
+// given digests.
+func (t *tally) count(of ...digest.Digest) (total, matching int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, n := range t.n {
+		total += n
+	}
+	for _, d := range of {
+		matching += t.n[d]
+	}
+	return total, matching
+}
+
 // countingStore and countingIngest decorate the way bench/trace.go does:
 // they embed the interface and override only the methods they count, so
 // the upload's io.Reader and every other call pass through untouched.
 // Whatever lets the store and the hook share one walk has to survive that.
 type countingStore struct {
 	blobstore.Store
-	gets atomic.Int64
+	gets tally
 }
 
 func (s *countingStore) Get(d digest.Digest) (io.ReadCloser, int64, error) {
-	s.gets.Add(1)
+	s.gets.add(d)
 	return s.Store.Get(d)
 }
 
 type countingIngest struct {
 	registry.Ingest
-	mu       sync.Mutex
-	streamed map[digest.Digest]int // byte-tee calls per digest
+	streamed tally // BlobStream calls
 }
 
 func (h *countingIngest) BlobStream(d digest.Digest, r io.Reader) {
-	h.mu.Lock()
-	if h.streamed == nil {
-		h.streamed = make(map[digest.Digest]int)
-	}
-	h.streamed[d]++
-	h.mu.Unlock()
+	h.streamed.add(d)
 	h.Ingest.BlobStream(d, r)
-}
-
-// streams returns how many uploads took the byte tee, and how many of
-// those were of the given digests.
-func (h *countingIngest) streams(of ...digest.Digest) (total, matching int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, n := range h.streamed {
-		total += n
-	}
-	for _, d := range of {
-		matching += h.streamed[d]
-	}
-	return total, matching
 }
 
 func newEnv(t *testing.T, scale float64) *env {
@@ -108,7 +116,7 @@ func newEnvOn(t *testing.T, scale float64, backing blobstore.Store) *env {
 
 // pushAll drives the full dataset through the wire push path: every repo
 // registered, every downloadable repo's layers, config and manifest
-// uploaded over HTTP so the ingest tee sees all bytes.
+// uploaded over HTTP so the ingest hook sees every blob.
 func (e *env) pushAll(t *testing.T) map[string]*manifest.Manifest {
 	t.Helper()
 	manifests := make(map[string]*manifest.Manifest)
@@ -212,12 +220,29 @@ func fingerprint(figs []report.Figure) string {
 // render figures sha256-identical to a fresh batch AnalyzeStore pass —
 // after initial ingest, after deletes, after re-pushing the deleted
 // images, with a second tag on several repos, and after deleting one of
-// those.
+// those. It runs over each byte-only store, so the hook reads back what
+// Memory and Disk committed (Disk is hubregistry -analytics's default).
 func TestLiveMatchesBatch(t *testing.T) {
-	e := newEnv(t, 0.0002)
+	t.Run("memory", func(t *testing.T) { liveMatchesBatch(t, newEnv(t, 0.0002)) })
+	t.Run("disk", func(t *testing.T) {
+		disk, err := blobstore.NewDisk(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		liveMatchesBatch(t, newEnvOn(t, 0.0002, disk))
+	})
+}
+
+func liveMatchesBatch(t *testing.T, e *env) {
 	manifests := e.pushAll(t)
 	if len(manifests) == 0 {
 		t.Fatal("dataset produced no downloadable repos")
+	}
+	// Each upload was read back from the store once, and nothing else was
+	// read (batch passes below read the store too).
+	st := e.live.Stats()
+	if gets, _ := e.store.gets.count(); gets != int(st.BlobsWalked+st.WalkErrors) {
+		t.Fatalf("%d store reads for %d uploads walked or failed: want one read-back per upload", gets, st.BlobsWalked+st.WalkErrors)
 	}
 
 	full := e.liveFingerprint(t)
@@ -293,14 +318,14 @@ func TestLiveMatchesBatch(t *testing.T) {
 		t.Fatalf("live != batch after deleting a second tag:\n live %s\nbatch %s", afterAltDelete, got)
 	}
 
-	st := e.live.Stats()
+	st = e.live.Stats()
 	if st.BlobsWalked == 0 {
-		t.Fatal("no blobs walked via the wire tee")
+		t.Fatal("no uploads walked")
 	}
 	if st.SkippedLayers != 0 {
 		t.Fatalf("%d skipped layers (degraded census)", st.SkippedLayers)
 	}
 	if st.FallbackWalks != 0 {
-		t.Fatalf("%d fallback walks: wire-pushed layers should all come from the tee", st.FallbackWalks)
+		t.Fatalf("%d fallback walks: wire-pushed layers should all be walked at upload", st.FallbackWalks)
 	}
 }

@@ -40,9 +40,9 @@ func liveFileInstances(t *testing.T, e *env) int64 {
 }
 
 // TestOnePassOverDecomposingStore: with a dedupstore under the registry
-// the analytics side never sees a byte stream and never re-reads a blob —
-// every layer is inflated exactly once, by the store — and the figures
-// still equal a batch pass. Store and hook sit behind embedding
+// the analytics side never sees a layer's bytes and never reads a layer
+// back — every layer is inflated exactly once, by the store — and the
+// figures still equal a batch pass. Store and hook sit behind embedding
 // decorators, as in the benchmark's traced run.
 func TestOnePassOverDecomposingStore(t *testing.T) {
 	e, ds := newDedupEnv(t, 0.0002)
@@ -52,17 +52,26 @@ func TestOnePassOverDecomposingStore(t *testing.T) {
 		t.Fatal("dataset produced no downloadable repos")
 	}
 
-	// Only configs may take the byte tee: the store sniffs them as raw and
-	// leaves the observer unclaimed.
+	// Only configs take the byte path: the store takes them raw and leaves
+	// the observer unclaimed, so each is read back once after it commits.
+	// A config uploaded again is drained onto the stored blob, with the
+	// observer claimed, and read by nobody.
 	var layers []digest.Digest
+	configs := make(map[digest.Digest]bool)
 	for _, m := range manifests {
 		layers = append(layers, m.LayerDigests()...)
+		configs[m.Config.Digest] = true
 	}
-	if total, ofLayers := e.hook.streams(layers...); ofLayers != 0 || total == 0 || total > images {
-		t.Fatalf("BlobStream ran %d times, %d of them on layers; want configs only (at most %d)", total, ofLayers, images)
+	if gets, ofLayers := e.store.gets.count(layers...); ofLayers != 0 || gets != len(configs) {
+		t.Fatalf("%d store reads during pushes, %d of them of layers; want one per distinct config (%d)", gets, ofLayers, len(configs))
 	}
-	if n := e.store.gets.Load(); n != 0 {
-		t.Fatalf("%d store reads during pushes: something walked a stored blob again", n)
+	for d := range configs {
+		if _, n := e.store.gets.count(d); n != 1 {
+			t.Fatalf("config %s read back %d times, want 1", d.Short(), n)
+		}
+	}
+	if total, ofLayers := e.hook.streamed.count(layers...); ofLayers != 0 || total != len(configs) {
+		t.Fatalf("BlobStream ran %d times, %d of them on layers; want once per distinct config (%d)", total, ofLayers, len(configs))
 	}
 	st, dst := e.live.Stats(), ds.Stats()
 	if st.BlobsWalked != int64(dst.Layers) || dst.Layers == 0 {
@@ -85,17 +94,17 @@ func TestOnePassOverDecomposingStore(t *testing.T) {
 		t.Fatalf("census holds %d file instances, store decomposed %d", got, dst.TotalFiles)
 	}
 
-	// The same dataset over a plain store takes the byte tee and must land
-	// on the same figures.
+	// The same dataset over a plain store takes the byte path and must
+	// land on the same figures.
 	plain := newEnv(t, 0.0002)
 	plain.pushAll(t)
 	pst := plain.live.Stats()
-	if n, _ := plain.hook.streams(); int64(n) != pst.BlobsWalked+pst.WalkErrors || pst.BlobsWalked != st.BlobsWalked {
-		t.Fatalf("plain store: %d byte tees for %d walks + %d walk errors (dedup store committed %d walks)",
+	if n, _ := plain.hook.streamed.count(); int64(n) != pst.BlobsWalked+pst.WalkErrors || pst.BlobsWalked != st.BlobsWalked {
+		t.Fatalf("plain store: %d byte streams for %d walks + %d walk errors (dedup store committed %d walks)",
 			n, pst.BlobsWalked, pst.WalkErrors, st.BlobsWalked)
 	}
 	if got := plain.liveFingerprint(t); got != live {
-		t.Fatalf("byte tee and member observer disagree:\n plain %s\n dedup %s", got, live)
+		t.Fatalf("stored-blob walk and member observer disagree:\n plain %s\n dedup %s", got, live)
 	}
 }
 
@@ -180,8 +189,8 @@ func TestOnePassRejectedUploadsLeaveNothing(t *testing.T) {
 	if st := ds.Stats(); st.UniqueFiles != 0 || st.FileBytes != 0 || st.Layers != 0 {
 		t.Fatalf("rejected uploads left %d pooled files (%d bytes), %d layers", st.UniqueFiles, st.FileBytes, st.Layers)
 	}
-	if n, _ := e.hook.streams(); n != 0 {
-		t.Fatal("rejected uploads fell back to the byte tee")
+	if n, _ := e.hook.streamed.count(); n != 0 {
+		t.Fatal("rejected uploads fell back to the byte path")
 	}
 
 	// The same blob, uploaded intact, commits.
@@ -279,8 +288,8 @@ func TestOnePassEmptyLayerVersusConfig(t *testing.T) {
 	if live, batch := e.liveFingerprint(t), e.batchFingerprint(t, 2); live != batch {
 		t.Fatalf("live != batch with an empty layer:\n live %s\nbatch %s", live, batch)
 	}
-	if total, ofLayer := e.hook.streams(digest.FromBytes(empty)); total != 1 || ofLayer != 0 {
-		t.Fatalf("%d byte tees, %d of the layer; want the config's alone", total, ofLayer)
+	if total, ofLayer := e.hook.streamed.count(digest.FromBytes(empty)); total != 1 || ofLayer != 0 {
+		t.Fatalf("%d byte streams, %d of the layer; want the config's alone", total, ofLayer)
 	}
 }
 

@@ -189,7 +189,7 @@ func TestHandlerEndpoints(t *testing.T) {
 func TestFallbackWalks(t *testing.T) {
 	e := newEnv(t, 0.0001)
 	// Materialize directly into the registry (direct store writes + hook
-	// notifications from PushManifest) — blobs never cross the wire tee.
+	// notifications from PushManifest) — no blob is uploaded over the wire.
 	if _, err := synth.Materialize(e.ds, e.reg); err != nil {
 		t.Fatal(err)
 	}

@@ -400,12 +400,10 @@ func walkLayer(store blobstore.Store, ld digest.Digest) (*WalkedLayer, error) {
 // past, producing its profile and file observations. Like the paper's
 // analyzer it traverses every entry; unlike docker pull it never extracts
 // to disk. The stream is always consumed to its end, even on a walk error
-// — so when r is a tee of an in-flight upload, the sender never blocks on
-// an abandoned pipe and a verifying stream's terminal verdict (its error
-// in place of io.EOF) surfaces here — and the layer's wire size is its
-// CLS. It is the byte-walking front end of LayerAccumulator: each member
-// is hashed, and the accumulator gets what a decomposing store would have
-// reported.
+// — so a verifying stream's terminal verdict (its error in place of
+// io.EOF) surfaces here — and the layer's wire size is its CLS. It is the
+// byte-walking front end of LayerAccumulator: each member is hashed, and
+// the accumulator gets what a decomposing store would have reported.
 func WalkLayerReader(ld digest.Digest, r io.Reader) (*WalkedLayer, error) {
 	l := tarutil.OpenLayer(r)
 	defer l.Close()

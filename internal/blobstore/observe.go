@@ -28,20 +28,13 @@ type MemberObserver interface {
 	End(wireBytes int64)
 }
 
-// SniffLen is how much of a stream a store may read before it has to say
-// whether it will report members: one tar header block, enough to tell a
-// gzip stream or a plain archive from a raw blob.
-const SniffLen = 512
-
 // ObserverOf returns the observer carried by a reader handed to PutStream,
 // or nil. Only a store that reports members calls it, and the call is its
-// announcement that it will: a carrier that sees the store read past
-// SniffLen bytes without asking concludes the store wants bytes only and
-// serves its observer some other way. A store may also ask just to say
-// that no other walk of this stream is wanted — it already holds the blob
-// — and then report nothing. The capability rides on the reader rather
-// than on the Store so that it survives decorators that embed a Store and
-// forward the stream untouched.
+// announcement that it will. A store may also ask just to say that no
+// other walk of this stream is wanted — it already holds the blob — and
+// then report nothing. The capability rides on the reader rather than on
+// the Store so that it survives decorators that embed a Store and forward
+// the stream untouched.
 func ObserverOf(r io.Reader) MemberObserver {
 	if c, ok := r.(interface{ MemberObserver() MemberObserver }); ok {
 		return c.MemberObserver()

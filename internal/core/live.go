@@ -50,7 +50,7 @@ func (s *Study) live(ctx context.Context, res *Result) error {
 }
 
 // livePush drives the dataset through the wire write path: every unique
-// layer is uploaded once (the ingest tee analyzes its bytes in flight),
+// layer is uploaded once (the ingest hook walks it before the 201),
 // then every downloadable repo's config and manifest. Blobs must all be
 // stored before any manifest referencing them is PUT, so the two phases
 // are separated by a barrier; within a phase the uploads fan out across

@@ -54,7 +54,7 @@ func TestRunLiveMatchesBatch(t *testing.T) {
 		}
 		// The store under the registry must be invisible to the index:
 		// over dedupstore the census observes the store's own walk, over
-		// a plain store the byte tee, and the figures agree.
+		// a plain store a walk of the committed blob, and the figures agree.
 		if plain == "" {
 			plain = got
 		} else if got != plain {

@@ -323,9 +323,9 @@ func (s *Store) put(want digest.Digest, r io.Reader, fallback []byte) (int64, er
 
 // ingest stores the blob down the path its framing (tarutil.OpenLayer)
 // picks: a tar, gzip-framed or plain, is decomposed; anything else
-// (manifests, configs) is raw. The framing is decided within
-// blobstore.SniffLen, so a tar is announced to the stream's observer in
-// time and a raw blob leaves it unclaimed.
+// (manifests, configs) is raw. A tar is announced to the stream's
+// observer; a raw blob leaves it unclaimed, and the registry hands the
+// committed bytes to its ingest hook instead.
 func (s *Store) ingest(want digest.Digest, r io.Reader) (int64, error) {
 	h := digest.NewHasher()
 	l := tarutil.OpenLayer(io.TeeReader(r, h))

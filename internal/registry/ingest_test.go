@@ -1,7 +1,7 @@
 package registry
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -23,32 +23,51 @@ import (
 
 // recordingIngest captures every hook event for assertions.
 type recordingIngest struct {
-	mu      sync.Mutex
-	blobs   map[digest.Digest]string   // digest -> hex sha256 of the streamed bytes
-	errs    map[digest.Digest]error    // digest -> stream error (nil = clean EOF)
-	members map[digest.Digest][]string // digest -> member-path calls; nil = decline BlobMembers
-	tagged  []string                   // "repo:tag@digest[,nil-manifest]"
-	deleted []string                   // "repo:tag@digest"
+	store     blobstore.Store // the registry's store, asked whether a streamed blob has committed
+	mu        sync.Mutex
+	blobs     map[digest.Digest]string   // digest -> hex sha256 of the streamed bytes
+	errs      map[digest.Digest]error    // digest -> stream error (nil = clean EOF)
+	committed map[digest.Digest]bool     // digest -> stored when BlobStream was called
+	members   map[digest.Digest][]string // digest -> member-path calls; nil = decline BlobMembers
+	tagged    []string                   // "repo:tag@digest[,nil-manifest]"
+	deleted   []string                   // "repo:tag@digest"
 }
 
-func newRecordingIngest() *recordingIngest {
-	return &recordingIngest{
-		blobs: make(map[digest.Digest]string),
-		errs:  make(map[digest.Digest]error),
+// newRecordingIngest installs a recorder on reg.
+func newRecordingIngest(reg *Registry) *recordingIngest {
+	ri := &recordingIngest{
+		store:     reg.Blobs(),
+		blobs:     make(map[digest.Digest]string),
+		errs:      make(map[digest.Digest]error),
+		committed: make(map[digest.Digest]bool),
 	}
+	reg.SetIngest(ri)
+	return ri
 }
 
 func (ri *recordingIngest) BlobStream(d digest.Digest, r io.Reader) {
+	committed := ri.store.Has(d)
 	h := sha256.New()
 	_, err := io.Copy(h, r)
 	ri.mu.Lock()
 	defer ri.mu.Unlock()
+	ri.committed[d] = committed
 	if err != nil {
 		ri.errs[d] = err
 		return
 	}
 	ri.errs[d] = nil
 	ri.blobs[d] = hex.EncodeToString(h.Sum(nil))
+}
+
+// streamed reports whether BlobStream delivered exactly blob, cleanly,
+// after the store committed it.
+func (ri *recordingIngest) streamed(d digest.Digest, blob []byte) bool {
+	ri.mu.Lock()
+	defer ri.mu.Unlock()
+	sum := sha256.Sum256(blob)
+	serr, ok := ri.errs[d]
+	return ok && serr == nil && ri.committed[d] && ri.blobs[d] == hex.EncodeToString(sum[:])
 }
 
 // BlobMembers declines unless the test armed members: the recorder wants
@@ -95,21 +114,24 @@ func (s *reportingStore) PutStream(want digest.Digest, r io.Reader) (int64, erro
 	return n, err
 }
 
-// sniffingStore reads its sniffing allowance first, the way dedupstore
-// classifies a stream, and only then announces — or does not.
+// sniffingStore reads the whole stream first, the way dedupstore reads
+// into a blob before it knows what the blob is, and only then announces —
+// or does not.
 type sniffingStore struct {
 	blobstore.Store
 	announce bool
 }
 
 func (s *sniffingStore) PutStream(want digest.Digest, r io.Reader) (int64, error) {
-	br := bufio.NewReader(r)
-	br.Peek(blobstore.SniffLen)
+	body, err := io.ReadAll(r)
+	if err != nil {
+		return 0, err
+	}
 	var obs blobstore.MemberObserver
 	if s.announce {
 		obs = blobstore.ObserverOf(r)
 	}
-	n, err := s.Store.PutStream(want, br)
+	n, err := s.Store.PutStream(want, bytes.NewReader(body))
 	if obs != nil && err == nil {
 		obs.End(n)
 	}
@@ -139,56 +161,73 @@ func (ri *recordingIngest) TagDeleted(repo, tag string, d digest.Digest) {
 func ingestTestSetup(t *testing.T) (*Registry, *Client, *recordingIngest) {
 	t.Helper()
 	reg, c, _ := pushTestSetup(t)
-	ri := newRecordingIngest()
-	reg.SetIngest(ri)
-	return reg, c, ri
+	return reg, c, newRecordingIngest(reg)
 }
 
-// TestIngestTeeSeesExactBytes: the hook's stream carries exactly the
-// verified uploaded bytes, ending in a clean EOF.
-func TestIngestTeeSeesExactBytes(t *testing.T) {
+// TestIngestStreamSeesCommittedBytes: the hook's stream is the stored
+// blob, read back after the commit — exactly the uploaded bytes, ending in
+// a clean EOF — for blobs small and large.
+func TestIngestStreamSeesCommittedBytes(t *testing.T) {
 	_, c, ri := ingestTestSetup(t)
-	blob := []byte("the exact bytes crossing the wire")
-	d, err := c.PushBlobContext(context.Background(), "alice/app", blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ri.mu.Lock()
-	defer ri.mu.Unlock()
-	if serr, ok := ri.errs[d]; !ok || serr != nil {
-		t.Fatalf("hook stream for %s: present=%v err=%v", d.Short(), ok, serr)
-	}
-	sum := sha256.Sum256(blob)
-	if ri.blobs[d] != hex.EncodeToString(sum[:]) {
-		t.Fatal("hook saw different bytes than were uploaded")
+	for _, size := range []int{0, 33, 100_000} {
+		blob := make([]byte, size)
+		for i := range blob {
+			blob[i] = byte(i*7 + size)
+		}
+		d, err := c.PushBlobContext(context.Background(), "alice/app", blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ri.streamed(d, blob) {
+			ri.mu.Lock()
+			t.Errorf("%d-byte blob: stream err=%v committed=%v", size, ri.errs[d], ri.committed[d])
+			ri.mu.Unlock()
+		}
 	}
 }
 
-// TestIngestTeeRejectedUpload: a digest-mismatched upload errors the
-// hook's stream before clean EOF; the store keeps nothing and the hook
-// must not treat the bytes as verified.
-func TestIngestTeeRejectedUpload(t *testing.T) {
-	reg, c, ri := ingestTestSetup(t)
-	wrong := digest.FromBytes([]byte("not the content"))
-	u := c.Base + "/v2/alice/app/blobs/uploads/?digest=" + wrong.String()
-	resp, err := http.Post(u, "application/octet-stream", strings.NewReader("actual content"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("mismatched digest upload status %d, want 400", resp.StatusCode)
-	}
-	if _, _, err := reg.Blobs().Get(wrong); err == nil {
-		t.Fatal("rejected blob landed in the store")
-	}
-	ri.mu.Lock()
-	defer ri.mu.Unlock()
-	if _, ok := ri.blobs[wrong]; ok {
-		t.Fatal("hook recorded a rejected upload as verified")
-	}
-	if serr := ri.errs[wrong]; serr == nil {
-		t.Fatal("hook stream for rejected upload ended in clean EOF, want error")
+// TestIngestRejectedUploadNeverReachesHook: a digest-mismatched upload
+// leaves nothing in the store and nothing for the hook — no byte stream
+// over a plain store, no End over a reporting one.
+func TestIngestRejectedUploadNeverReachesHook(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		store blobstore.Store
+	}{
+		{"plain", blobstore.NewMemory()},
+		{"reporting", &reportingStore{blobstore.NewMemory()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := New(tc.store)
+			reg.CreateRepo("alice/app", false)
+			ri := newRecordingIngest(reg)
+			ri.members = make(map[digest.Digest][]string)
+			srv := httptest.NewServer(reg)
+			defer srv.Close()
+
+			wrong := digest.FromBytes([]byte("not the content"))
+			resp, err := http.Post(srv.URL+"/v2/alice/app/blobs/uploads/?digest="+wrong.String(), "application/octet-stream", strings.NewReader("actual content"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("mismatched digest upload status %d, want 400", resp.StatusCode)
+			}
+			if reg.Blobs().Has(wrong) {
+				t.Fatal("rejected blob landed in the store")
+			}
+			ri.mu.Lock()
+			defer ri.mu.Unlock()
+			if len(ri.errs) != 0 {
+				t.Fatalf("BlobStream ran %d times for a rejected upload", len(ri.errs))
+			}
+			for _, ev := range ri.members[wrong] {
+				if strings.HasPrefix(ev, "end") {
+					t.Fatalf("rejected upload reached End: member calls %q", ri.members[wrong])
+				}
+			}
+		})
 	}
 }
 
@@ -199,9 +238,8 @@ func TestIngestTeeRejectedUpload(t *testing.T) {
 func TestIngestMemberPath(t *testing.T) {
 	reg := New(&embeddingStore{&reportingStore{blobstore.NewMemory()}})
 	reg.CreateRepo("alice/app", false)
-	ri := newRecordingIngest()
+	ri := newRecordingIngest(reg)
 	ri.members = make(map[digest.Digest][]string)
-	reg.SetIngest(ri)
 	srv := httptest.NewServer(reg)
 	defer srv.Close()
 	c := &Client{Base: srv.URL}
@@ -234,14 +272,13 @@ func TestIngestMemberPath(t *testing.T) {
 	}
 }
 
-// TestIngestDeclinedMembersTakeByteTee: a hook that returns nil from
-// BlobMembers still sees every upload, as bytes, even over a store that
-// offered to report.
-func TestIngestDeclinedMembersTakeByteTee(t *testing.T) {
+// TestIngestDeclinedMembersTakeByteStream: a hook that returns nil from
+// BlobMembers still sees every upload, as the committed bytes, even over
+// a store that offered to report.
+func TestIngestDeclinedMembersTakeByteStream(t *testing.T) {
 	reg := New(&reportingStore{blobstore.NewMemory()})
 	reg.CreateRepo("alice/app", false)
-	ri := newRecordingIngest()
-	reg.SetIngest(ri)
+	ri := newRecordingIngest(reg)
 	srv := httptest.NewServer(reg)
 	defer srv.Close()
 
@@ -250,28 +287,24 @@ func TestIngestDeclinedMembersTakeByteTee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ri.mu.Lock()
-	defer ri.mu.Unlock()
-	sum := sha256.Sum256(blob)
-	if serr, ok := ri.errs[d]; !ok || serr != nil || ri.blobs[d] != hex.EncodeToString(sum[:]) {
-		t.Fatalf("declining hook: stream present=%v err=%v, bytes match=%v", ok, serr, ri.blobs[d] == hex.EncodeToString(sum[:]))
+	if !ri.streamed(d, blob) {
+		t.Fatal("declining hook: no clean stream of the committed bytes")
 	}
 }
 
-// TestIngestSniffThenDecide: a store may look at the head of the stream
-// before it announces. If it then announces, no byte stream starts; if it
-// does not, the tee starts late and must still carry every byte — for
-// blobs shorter than, exactly at, and beyond the sniffing allowance.
+// TestIngestSniffThenDecide: a store may read as much of the stream as it
+// likes — here all of it — before it announces. If it then announces, no
+// byte stream follows; if it does not, the hook reads the committed blob
+// back, whole.
 func TestIngestSniffThenDecide(t *testing.T) {
 	for _, announce := range []bool{true, false} {
 		reg := New(&embeddingStore{&sniffingStore{Store: blobstore.NewMemory(), announce: announce}})
 		reg.CreateRepo("alice/app", false)
-		ri := newRecordingIngest()
+		ri := newRecordingIngest(reg)
 		ri.members = make(map[digest.Digest][]string)
-		reg.SetIngest(ri)
 		srv := httptest.NewServer(reg)
 		c := &Client{Base: srv.URL}
-		for _, size := range []int{0, 10, blobstore.SniffLen, blobstore.SniffLen + 1, 100_000} {
+		for _, size := range []int{0, 10, 100_000} {
 			blob := make([]byte, size)
 			for i := range blob {
 				blob[i] = byte(i*13 + size)
@@ -280,18 +313,15 @@ func TestIngestSniffThenDecide(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			streamed := ri.streamed(d, blob)
 			ri.mu.Lock()
-			serr, streamed := ri.errs[d]
+			_, called := ri.errs[d]
 			if announce {
-				if want := []string{fmt.Sprint("end ", size), "close"}; streamed || !reflect.DeepEqual(ri.members[d], want) {
-					t.Errorf("announcing store, %d bytes: streamed=%v, member calls %q, want %q", size, streamed, ri.members[d], want)
+				if want := []string{fmt.Sprint("end ", size), "close"}; called || !reflect.DeepEqual(ri.members[d], want) {
+					t.Errorf("announcing store, %d bytes: streamed=%v, member calls %q, want %q", size, called, ri.members[d], want)
 				}
-			} else {
-				sum := sha256.Sum256(blob)
-				if !streamed || serr != nil || ri.blobs[d] != hex.EncodeToString(sum[:]) || len(ri.members[d]) != 0 {
-					t.Errorf("silent store, %d bytes: streamed=%v err=%v exact=%v member calls %q",
-						size, streamed, serr, ri.blobs[d] == hex.EncodeToString(sum[:]), ri.members[d])
-				}
+			} else if !streamed || len(ri.members[d]) != 0 {
+				t.Errorf("silent store, %d bytes: streamed whole after commit=%v, member calls %q", size, streamed, ri.members[d])
 			}
 			ri.mu.Unlock()
 		}

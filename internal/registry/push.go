@@ -77,16 +77,16 @@ func (r *Registry) serveBlobUpload(w http.ResponseWriter, req *http.Request, nam
 	// Stream the upload straight into the store: bytes hash on the way to
 	// disk and no full-blob buffer materializes server-side. Oversized
 	// bodies are truncated by the limit and then rejected by the digest.
-	// With an ingest hook installed the upload is analyzed in the same
-	// pass (see Ingest): a decomposing store reports the members it walks,
-	// any other store's bytes tee into the hook as they cross the wire.
-	// The hook learns of a committed layer only for verified uploads, and
-	// the response waits for it, so a client push is durable-and-analyzed.
+	// With an ingest hook installed the upload is analyzed (see Ingest): a
+	// decomposing store reports the members it walks, any other store's
+	// committed blob is read back into the hook. The hook learns of a
+	// committed layer only for verified uploads, and the response waits
+	// for it, so a client push is durable-and-analyzed.
 	src := io.Reader(io.LimitReader(req.Body, maxBlobSize))
 	if hook := r.ingestHook(); hook != nil {
-		up := &ingestUpload{hook: hook, d: want, src: src}
+		up := &ingestUpload{Reader: src, hook: hook, d: want}
 		_, err = r.blobs.PutStream(want, up)
-		up.finish(err)
+		up.finish(r.blobs, err)
 	} else {
 		_, err = r.blobs.PutStream(want, src)
 	}

@@ -22,8 +22,8 @@ import (
 )
 
 // pushWireImage uploads one synth image (all its layers, config,
-// manifest) to a node over HTTP, so the node's ingest tee sees every
-// byte. Layers are pushed unconditionally — concurrent duplicate uploads
+// manifest) to a node over HTTP, so the node's ingest hook sees every
+// blob. Layers are pushed unconditionally — concurrent duplicate uploads
 // of the same digest are part of what the e2e exercises.
 func pushWireImage(client *registry.Client, d *synth.Dataset, repo string, imgID synth.ImageID) (*manifest.Manifest, error) {
 	layers := d.ImageLayers(imgID)

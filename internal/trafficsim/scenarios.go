@@ -56,7 +56,7 @@ func tracePulls(env *Env, names []string, weights []int64, client *registry.Clie
 // path feeds the always-on analytics ingest hook: pulls follow the Zipf
 // trace while a fraction of arrivals push fresh images (new layer blob,
 // config, manifest) — the update traffic that invalidates nothing for
-// pullers but costs the tee its walk.
+// pullers but costs the ingest hook its walk.
 type MixedPushPull struct{}
 
 // pushFraction is MixedPushPull's share of arrivals that are pushes.
@@ -77,7 +77,7 @@ type pushJob struct {
 func (s *MixedPushPull) Setup(ctx context.Context, g *serve.Group, env *Env) (func(i int) Op, error) {
 	// Fresh push payloads: layers rendered from a sibling dataset at a
 	// different seed, so the bytes are valid gzipped layer tars (the
-	// ingest tee walks them) with digests the registry has never seen.
+	// ingest hook walks them) with digests the registry has never seen.
 	nPush := int(pushFraction * float64(env.Requests))
 	if nPush < 1 {
 		nPush = 1
