@@ -9,9 +9,9 @@ import (
 // The committed references: one fingerprint per figure group, and every
 // row's extras.
 const (
-	modelSum = "980af2f017b7ce1a58af5b9942e1e08568b94ef696a918c50cc248336e00a966"
-	wireSum  = "7d4f8b4a196cf45029e217a32aaebf97f89b77b2bf9fa6d43e262cb548742703"
-	liveSum  = "342bbf19514d2ff2c4349c6d65b2b19d1d06f2e8c1ca5166c9a3c4cf7a646d3d"
+	modelSum = "12038055eaf2126f7e13990cacb9ae210d615044a0cc7ce87d217f2a5f1a60da"
+	wireSum  = "7ed0b8896f42118165ecc79c5867e65656350af1862d809fa80e38fff6ab6457"
+	liveSum  = "9cbfb733ad84a1751882ca9b5edf5d0d1582d6ebd142941676454aeb28cd6f74"
 )
 
 var golden = strings.Join([]string{

@@ -16,15 +16,15 @@
 // The wire path walks first and folds after: layer walks run in parallel
 // (or arrive already walked, from the fused pipeline or a live snapshot),
 // then one goroutine folds them into the census and the profiles in layer
-// order. The Result is therefore the same at every worker count.
+// order. That order fixes the Result.Layers indices; the census reads the
+// same in any order. The Result is therefore the same at every worker
+// count.
 package analyzer
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -36,7 +36,6 @@ import (
 	"repro/internal/downloader"
 	"repro/internal/engine"
 	"repro/internal/filetype"
-	"repro/internal/stats"
 	"repro/internal/synth"
 	"repro/internal/tarutil"
 )
@@ -88,25 +87,16 @@ type Result struct {
 	Layers []LayerProfile
 	Images []ImageProfile
 	Index  *dedup.Index
-	// FileSizes streams instance file-size percentiles (p50/p90) in O(1)
-	// memory — at the paper's 5.28 B files an exact CDF cannot be stored.
-	FileSizes *stats.P2Digest
 }
 
-// newResult allocates the shared result skeleton. uniqueHint pre-sizes the
-// dedup census (exact in model mode, estimated in wire mode).
-func newResult(layers, images, uniqueHint int) *Result {
-	return &Result{
-		Layers:    make([]LayerProfile, layers),
-		Images:    make([]ImageProfile, images),
-		Index:     dedup.NewIndexSized(uniqueHint),
-		FileSizes: stats.NewP2Digest(0.5, 0.9),
-	}
-}
-
-// AnalyzeModel profiles a synthetic dataset in model mode.
+// AnalyzeModel profiles a synthetic dataset in model mode. The model
+// knows its unique files, so the census is sized exactly.
 func AnalyzeModel(d *synth.Dataset) (*Result, error) {
-	res := newResult(len(d.Layers), len(d.Images), len(d.Files))
+	res := &Result{
+		Layers: make([]LayerProfile, len(d.Layers)),
+		Images: make([]ImageProfile, len(d.Images)),
+		Index:  dedup.NewIndexSized(len(d.Files)),
+	}
 	var obs []dedup.FileObs // one layer's instances, reused across layers
 	for i := range d.Layers {
 		l := &d.Layers[i]
@@ -123,7 +113,6 @@ func AnalyzeModel(d *synth.Dataset) (*Result, error) {
 		for _, f := range d.LayerFiles(synth.LayerID(i)) {
 			uf := &d.Files[f]
 			obs = append(obs, dedup.FileObs{Key: uint64(f), Size: uf.Size, Type: uf.Type})
-			res.FileSizes.Add(float64(uf.Size))
 		}
 		res.Index.AddLayer(l.Refs, obs)
 	}
@@ -190,11 +179,9 @@ func fillCrossDup(res *Result, layerKeys func(int32) []uint64) error {
 
 // WalkedLayer is the analysis of one real layer blob, produced by
 // LayerAccumulator and consumed by AnalyzeWalkedContext/AnalyzeStore.
-// files is sorted by key (Finish sorts it once), so the file-size digest
-// is fed in an order that depends on the layer's contents alone, not on
-// the tar member order of whichever blob was walked. A finished walk is
-// never written again, so any number of analyses may share it
-// concurrently.
+// files is in tar member order; nothing downstream depends on that order.
+// A finished walk is never written again, so any number of analyses may
+// share it concurrently.
 type WalkedLayer struct {
 	profile LayerProfile
 	files   []dedup.FileObs
@@ -205,11 +192,6 @@ type WalkedLayer struct {
 // are assigned by whichever analysis consumes the walk.
 func (wl *WalkedLayer) Profile() LayerProfile { return wl.profile }
 
-// uniqueFilesPerLayerHint pre-sizes the wire-mode dedup census: at paper
-// scale 5.28 B instances over 1.79 M unique layers is ~2950 files per
-// layer, of which ~3.2% survive dedup — roughly 94 unique files per layer.
-const uniqueFilesPerLayerHint = 96
-
 // AnalyzeStore profiles downloaded images whose layer blobs live in store.
 // workers bounds concurrent layer walks (engine.Workers resolves ≤ 0).
 // Layer blobs may be gzip-compressed tarballs (the registry wire format)
@@ -217,10 +199,9 @@ const uniqueFilesPerLayerHint = 96
 // for small layers) — both are handled in a single fetch per blob.
 //
 // The analysis runs in two steps: workers walk the layers in parallel,
-// then one goroutine folds the finished walks into the census, the
-// profiles and the file-size digest in layer order, which is fixed up
-// front from manifest order. So the Result is identical for every worker
-// count.
+// then one goroutine folds the finished walks into the census and the
+// profiles in layer order, which is fixed up front from manifest order.
+// So the Result is identical for every worker count.
 func AnalyzeStore(store blobstore.Store, images []downloader.Image, workers int) (*Result, error) {
 	return analyze(context.Background(), store, images, nil, workers)
 }
@@ -264,25 +245,20 @@ func analyze(ctx context.Context, store blobstore.Store, images []downloader.Ima
 		return nil, err
 	}
 
-	// Every layer is walked, so the instance count is exact: it bounds the
-	// unique files and caps the per-layer estimate.
-	instances := 0
-	for _, wl := range walked {
-		instances += len(wl.files)
+	// The unique-file count is unknown until the fold, so the census
+	// grows from empty.
+	res := &Result{
+		Layers: make([]LayerProfile, len(layerDigests)),
+		Images: make([]ImageProfile, 0, len(sorted)),
+		Index:  dedup.NewIndexSized(0),
 	}
-	res := newResult(len(layerDigests), 0, min(len(layerDigests)*uniqueFilesPerLayerHint, instances))
-	res.Images = make([]ImageProfile, 0, len(sorted))
 
-	// Fold in layer order. The census numbers layers in call order and the
-	// P² digest is order-sensitive, so this fixed order is what keeps the
-	// Result bit-identical across worker counts.
+	// Fold in layer order: the census numbers layers in call order, and
+	// res.Layers follows the same numbering.
 	for i, wl := range walked {
 		res.Index.AddLayer(refs[i], wl.files)
 		res.Layers[i] = wl.profile
 		res.Layers[i].Refs = refs[i]
-		for _, f := range wl.files {
-			res.FileSizes.Add(float64(f.Size))
-		}
 	}
 
 	for _, img := range sorted {
@@ -491,10 +467,8 @@ func (a *LayerAccumulator) place(e tarutil.Entry) {
 }
 
 // Finish seals the layer with its compressed size (the wire bytes of the
-// whole blob), sorts its files by key and returns it. The accumulator must
-// not be used afterwards.
+// whole blob) and returns it. The accumulator must not be used afterwards.
 func (a *LayerAccumulator) Finish(cls int64) *WalkedLayer {
-	slices.SortFunc(a.wl.files, func(x, y dedup.FileObs) int { return cmp.Compare(x.Key, y.Key) })
 	a.wl.profile.CLS = cls
 	a.wl.profile.DirCount = int32(len(a.dirs))
 	a.wl.profile.MaxDepth = int32(a.maxDepth)

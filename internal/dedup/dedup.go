@@ -11,14 +11,18 @@
 //
 // The census is one map of inline (non-pointer) records, so a unique file
 // costs one map slot and no separate heap object. It is fed on one
-// goroutine: the analyzer walks layers in parallel and folds the finished
-// walks in layer order. Once feeding is done, every read method is safe
-// for concurrent use.
+// goroutine. Layers are numbered in call order, but no read depends on
+// that numbering: feeding the same layers in any order reads the same,
+// file-size quantiles included, so the census is the only file-size
+// distribution a study keeps. Once feeding is done, every read method is
+// safe for concurrent use.
 package dedup
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/filetype"
 	"repro/internal/stats"
@@ -165,6 +169,36 @@ func (x *Index) RepeatCDF() (cdf *stats.CDF, maxRepeat int64, maxIsEmpty bool) {
 	return cdf, maxRepeat, maxIsEmpty
 }
 
+// SizeQuantiles returns the instance-weighted q-quantile of file size for
+// each q (0 ≤ q ≤ 1), nearest-rank as stats.CDF.Quantile reads it: every
+// file instance counts once. It sorts one (size, instances) pair per
+// unique file, so its memory is O(unique) and its answer does not depend
+// on the order the census was fed in. An empty census answers 0.
+func (x *Index) SizeQuantiles(qs ...float64) []int64 {
+	out := make([]int64, len(qs))
+	if x.instances == 0 {
+		return out
+	}
+	type weighted struct{ size, n int64 }
+	sizes := make([]weighted, 0, len(x.files))
+	x.forEach(func(_ uint64, rec *fileRec) {
+		sizes = append(sizes, weighted{rec.size, rec.instances})
+	})
+	slices.SortFunc(sizes, func(a, b weighted) int { return cmp.Compare(a.size, b.size) })
+	for i, q := range qs {
+		// The nearest rank, 1-based: the smallest r ≥ q·N, within [1, N].
+		rank := min(max(int64(math.Ceil(q*float64(x.instances))), 1), x.instances)
+		var seen int64
+		for _, w := range sizes {
+			if seen += w.n; seen >= rank {
+				out[i] = w.size
+				break
+			}
+		}
+	}
+	return out
+}
+
 // MultiCopyFrac returns the fraction of unique files with more than one
 // copy ("over 99.4% of files have more than one copy").
 func (x *Index) MultiCopyFrac() float64 {
@@ -183,13 +217,10 @@ func (x *Index) MultiCopyFrac() float64 {
 
 // GroupDedup is the per-type-group view of Fig. 27.
 type GroupDedup struct {
-	Group         filetype.Group
-	TotalBytes    int64
-	UniqueBytes   int64
-	DedupSavings  float64 // fraction of the group's capacity removed
-	TotalFiles    int64
-	UniqueFiles   int64
-	CapacityShare float64 // of the whole dataset's instance capacity
+	Group        filetype.Group
+	TotalBytes   int64
+	UniqueBytes  int64
+	DedupSavings float64 // fraction of the group's capacity removed
 }
 
 // ByGroup computes dedup per level-2 type group, sorted by descending total
@@ -203,9 +234,7 @@ func (x *Index) ByGroup() []GroupDedup {
 			gd = &GroupDedup{Group: g}
 			agg[g] = gd
 		}
-		gd.UniqueFiles++
 		gd.UniqueBytes += rec.size
-		gd.TotalFiles += rec.instances
 		gd.TotalBytes += rec.size * rec.instances
 	})
 	out := make([]GroupDedup, 0, len(agg))
@@ -213,22 +242,19 @@ func (x *Index) ByGroup() []GroupDedup {
 		if gd.TotalBytes > 0 {
 			gd.DedupSavings = 1 - float64(gd.UniqueBytes)/float64(gd.TotalBytes)
 		}
-		if x.instBytes > 0 {
-			gd.CapacityShare = float64(gd.TotalBytes) / float64(x.instBytes)
-		}
 		out = append(out, *gd)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TotalBytes > out[j].TotalBytes })
+	slices.SortFunc(out, func(a, b GroupDedup) int {
+		return cmp.Or(cmp.Compare(b.TotalBytes, a.TotalBytes), cmp.Compare(a.Group, b.Group))
+	})
 	return out
 }
 
 // TypeDedup is the per-concrete-type view used by Figs. 28–29.
 type TypeDedup struct {
-	Type         filetype.Type
-	TotalBytes   int64
-	UniqueBytes  int64
-	DedupSavings float64
-	TotalFiles   int64
+	Type        filetype.Type
+	TotalBytes  int64
+	UniqueBytes int64
 }
 
 // ByTypeInGroup computes dedup per concrete type within one group, sorted
@@ -245,17 +271,15 @@ func (x *Index) ByTypeInGroup(g filetype.Group) []TypeDedup {
 			agg[rec.ftype] = td
 		}
 		td.UniqueBytes += rec.size
-		td.TotalFiles += rec.instances
 		td.TotalBytes += rec.size * rec.instances
 	})
 	out := make([]TypeDedup, 0, len(agg))
 	for _, td := range agg {
-		if td.TotalBytes > 0 {
-			td.DedupSavings = 1 - float64(td.UniqueBytes)/float64(td.TotalBytes)
-		}
 		out = append(out, *td)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TotalBytes > out[j].TotalBytes })
+	slices.SortFunc(out, func(a, b TypeDedup) int {
+		return cmp.Or(cmp.Compare(b.TotalBytes, a.TotalBytes), cmp.Compare(a.Type, b.Type))
+	})
 	return out
 }
 
@@ -276,7 +300,9 @@ func (x *Index) TypeUsage() []filetype.TypeUsage {
 	for _, tu := range agg {
 		out = append(out, *tu)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Capacity > out[j].Capacity })
+	slices.SortFunc(out, func(a, b filetype.TypeUsage) int {
+		return cmp.Or(cmp.Compare(b.Capacity, a.Capacity), cmp.Compare(a.Type, b.Type))
+	})
 	return out
 }
 

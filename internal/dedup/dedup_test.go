@@ -3,12 +3,14 @@ package dedup
 import (
 	"cmp"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/filetype"
+	"repro/internal/stats"
 )
 
 // feed populates an index from a layer plan: each layer is a list of
@@ -110,15 +112,11 @@ func TestByGroup(t *testing.T) {
 		t.Fatalf("EOL savings = %v", groups[0].DedupSavings)
 	}
 	scr := groups[1]
-	if scr.TotalFiles != 3 || scr.UniqueFiles != 1 {
-		t.Fatalf("script counts: %+v", scr)
+	if scr.TotalBytes != 30 || scr.UniqueBytes != 10 {
+		t.Fatalf("script bytes: %+v", scr)
 	}
 	if math.Abs(scr.DedupSavings-(1-10.0/30.0)) > 1e-12 {
 		t.Fatalf("script savings = %v", scr.DedupSavings)
-	}
-	wantShare := 2000.0 / 2030.0
-	if math.Abs(groups[0].CapacityShare-wantShare) > 1e-12 {
-		t.Fatalf("EOL share = %v", groups[0].CapacityShare)
 	}
 }
 
@@ -131,11 +129,8 @@ func TestByTypeInGroup(t *testing.T) {
 	if len(types) != 2 {
 		t.Fatalf("types = %d", len(types))
 	}
-	if types[0].Type != filetype.CSource || types[0].TotalBytes != 200 {
+	if types[0].Type != filetype.CSource || types[0].TotalBytes != 200 || types[0].UniqueBytes != 100 {
 		t.Fatalf("first type: %+v", types[0])
-	}
-	if math.Abs(types[0].DedupSavings-0.5) > 1e-12 {
-		t.Fatalf("C dedup = %v", types[0].DedupSavings)
 	}
 	if got := x.ByTypeInGroup(filetype.GroupMedia); len(got) != 0 {
 		t.Fatalf("media types = %d, want 0", len(got))
@@ -283,29 +278,152 @@ func snapshot(x *Index) map[uint64]recSnapshot {
 	return out
 }
 
-// TestAddLayerOrderWithinLayer feeds the same layer plan twice, once as
-// generated and once with every layer sorted by key, and requires
-// identical censuses: AddLayer does not depend on the order of one
-// layer's instances.
+// TestAddLayerOrderWithinLayer feeds the same layer plan three times: as
+// generated, with every layer sorted by key, and with the layers in
+// reverse order. All three censuses must read the same: AddLayer depends
+// neither on the order of one layer's instances nor on the layer order.
 func TestAddLayerOrderWithinLayer(t *testing.T) {
 	plan, refs := planLayers(40, 200)
-	asIs, sorted := NewIndexSized(0), NewIndexSized(512)
+	asIs, sorted, reversed := NewIndexSized(0), NewIndexSized(512), NewIndexSized(0)
 	for l, layer := range plan {
 		asIs.AddLayer(refs[l], layer)
 		layer = slices.Clone(layer)
 		slices.SortFunc(layer, func(a, b FileObs) int { return cmp.Compare(a.Key, b.Key) })
 		sorted.AddLayer(refs[l], layer)
 	}
-	if got, want := sorted.Ratios(), asIs.Ratios(); got != want {
-		t.Fatalf("ratios = %+v, want %+v", got, want)
+	for l := len(plan) - 1; l >= 0; l-- {
+		reversed.AddLayer(refs[l], plan[l])
 	}
-	if got, want := snapshot(sorted), snapshot(asIs); !reflect.DeepEqual(got, want) {
-		t.Fatalf("census records diverged: sorted %d records, as generated %d", len(got), len(want))
-	}
-	if !reflect.DeepEqual(sorted.ByGroup(), asIs.ByGroup()) {
-		t.Fatal("ByGroup diverged")
+	for _, c := range []struct {
+		name string
+		x    *Index
+	}{{"sorted", sorted}, {"reversed", reversed}} {
+		if got, want := c.x.Ratios(), asIs.Ratios(); got != want {
+			t.Fatalf("%s: ratios = %+v, want %+v", c.name, got, want)
+		}
+		if got, want := snapshot(c.x), snapshot(asIs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: census records diverged: %d records, as generated %d", c.name, len(got), len(want))
+		}
+		if !reflect.DeepEqual(c.x.ByGroup(), asIs.ByGroup()) {
+			t.Fatalf("%s: ByGroup diverged", c.name)
+		}
+		if !reflect.DeepEqual(c.x.TypeUsage(), asIs.TypeUsage()) {
+			t.Fatalf("%s: TypeUsage diverged", c.name)
+		}
+		_, gotMax, gotEmpty := c.x.RepeatCDF()
+		_, wantMax, wantEmpty := asIs.RepeatCDF()
+		if gotMax != wantMax || gotEmpty != wantEmpty {
+			t.Fatalf("%s: repeat max %d/%v, want %d/%v", c.name, gotMax, gotEmpty, wantMax, wantEmpty)
+		}
+		qs := []float64{0, 0.5, 0.9, 1}
+		if got, want := c.x.SizeQuantiles(qs...), asIs.SizeQuantiles(qs...); !slices.Equal(got, want) {
+			t.Fatalf("%s: SizeQuantiles = %v, want %v", c.name, got, want)
+		}
 	}
 }
+
+// TestSizeQuantiles checks the census quantiles against a stats.CDF fed
+// every instance size, on random censuses and on the edge cases.
+func TestSizeQuantiles(t *testing.T) {
+	qs := []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1}
+	rng := rand.New(rand.NewSource(11))
+	for trial := range 50 {
+		x := NewIndexSized(0)
+		exact := &stats.CDF{}
+		keys := 1 + rng.Intn(300)
+		for range 1 + rng.Intn(20) {
+			layer := make([]FileObs, rng.Intn(100))
+			for j := range layer {
+				// Skewed keys, so some files repeat far more than others;
+				// the size is a function of the key, and a few files share
+				// a size.
+				k := uint64(rng.ExpFloat64()*float64(keys)) % uint64(keys)
+				layer[j] = FileObs{Key: k, Size: int64(k*k%997) * 13, Type: filetype.ASCIIText}
+				exact.AddInt(layer[j].Size)
+			}
+			x.AddLayer(1, layer)
+		}
+		got := x.SizeQuantiles(qs...)
+		for i, q := range qs {
+			if want := int64(exact.Quantile(q)); got[i] != want {
+				t.Fatalf("trial %d (%d instances): q=%v got %d, want %d", trial, exact.N(), q, got[i], want)
+			}
+		}
+	}
+
+	if got := NewIndexSized(0).SizeQuantiles(0.5, 0.9); !slices.Equal(got, []int64{0, 0}) {
+		t.Errorf("empty census: %v, want zeros", got)
+	}
+	one := feed(t, [][]obs{{{5, 42, filetype.ASCIIText}, {5, 42, filetype.ASCIIText}}, {{5, 42, filetype.ASCIIText}}}, nil)
+	if got := one.SizeQuantiles(qs...); slices.ContainsFunc(got, func(v int64) bool { return v != 42 }) {
+		t.Errorf("single record: %v, want 42 throughout", got)
+	}
+	// One instance of a large file among many small ones: only q = 1
+	// reaches it.
+	maxed := feed(t, [][]obs{
+		{{1, 10, filetype.ASCIIText}, {1, 10, filetype.ASCIIText}, {1, 10, filetype.ASCIIText}},
+		{{2, 1 << 30, filetype.ElfExecutable}},
+	}, nil)
+	if got := maxed.SizeQuantiles(0.5, 0.75, 1); !slices.Equal(got, []int64{10, 10, 1 << 30}) {
+		t.Errorf("q=1: %v, want [10 10 %d]", got, 1<<30)
+	}
+	empty := feed(t, [][]obs{{{1, 0, filetype.EmptyFile}, {1, 0, filetype.EmptyFile}}, {{1, 0, filetype.EmptyFile}}}, nil)
+	if got := empty.SizeQuantiles(qs...); slices.ContainsFunc(got, func(v int64) bool { return v != 0 }) {
+		t.Errorf("all files empty: %v, want zeros", got)
+	}
+}
+
+// TestAggregatesTotalOrder builds a census whose groups and types tie on
+// bytes and requires every aggregate to list them in one order on every
+// call: the aggregation runs over a map, so a tie broken by iteration
+// order would reorder fig13/fig27 rows from run to run.
+func TestAggregatesTotalOrder(t *testing.T) {
+	// EOL and script groups hold 100 bytes each; within EOL, two types
+	// hold 50 each.
+	x := feed(t, [][]obs{{
+		{1, 50, filetype.ElfExecutable}, {2, 50, filetype.ElfSharedObject},
+		{3, 100, filetype.PythonScript},
+	}}, nil)
+	groups, types, usage := x.ByGroup(), x.ByTypeInGroup(filetype.GroupEOL), x.TypeUsage()
+	if groups[0].Group > groups[1].Group || types[0].Type > types[1].Type {
+		t.Fatalf("ties not broken by group/type: %+v, %+v", groups, types)
+	}
+	for range 20 {
+		if got := x.ByGroup(); !reflect.DeepEqual(got, groups) {
+			t.Fatalf("ByGroup order changed: %+v, then %+v", groups, got)
+		}
+		if got := x.ByTypeInGroup(filetype.GroupEOL); !reflect.DeepEqual(got, types) {
+			t.Fatalf("ByTypeInGroup order changed: %+v, then %+v", types, got)
+		}
+		if got := x.TypeUsage(); !reflect.DeepEqual(got, usage) {
+			t.Fatalf("TypeUsage order changed: %+v, then %+v", usage, got)
+		}
+	}
+}
+
+// BenchmarkSizeQuantiles reads p50 and p90 off a census of 100,000 unique
+// files and 3,000,000 instances, fed in layers of 1,024.
+func BenchmarkSizeQuantiles(b *testing.B) {
+	const unique, instances = 100_000, 3_000_000
+	x := NewIndexSized(unique)
+	layer := make([]FileObs, 1024)
+	for i := 0; i < instances; i += len(layer) {
+		layer = layer[:min(len(layer), instances-i)]
+		for j := range layer {
+			k := uint64((i + j) * 7919 % unique)
+			layer[j] = FileObs{Key: k, Size: int64(k * 37 % 65_536), Type: filetype.ASCIIText}
+		}
+		x.AddLayer(1, layer)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		quantileSink = x.SizeQuantiles(0.5, 0.9)
+	}
+}
+
+// quantileSink keeps BenchmarkSizeQuantiles' call from being optimized away.
+var quantileSink []int64
 
 // TestObserveLayerDuplicatesWithinLayer checks the in-layer duplicate
 // collapse on unsorted input: two instances in one layer count one

@@ -15,8 +15,9 @@
 package filetype
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Group is the level-2 taxonomy category.
@@ -303,7 +304,9 @@ type TypeUsage struct {
 // 7 GB on the full dataset; callers scale it with their dataset).
 func BuildTaxonomy(usage []TypeUsage, threshold float64) Taxonomy {
 	sorted := append([]TypeUsage(nil), usage...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Capacity > sorted[j].Capacity })
+	slices.SortFunc(sorted, func(a, b TypeUsage) int {
+		return cmp.Or(cmp.Compare(b.Capacity, a.Capacity), cmp.Compare(a.Type, b.Type))
+	})
 	tax := Taxonomy{TotalTypes: len(sorted)}
 	var commonCap float64
 	for _, u := range sorted {

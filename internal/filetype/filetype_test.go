@@ -103,6 +103,21 @@ func TestBuildTaxonomy(t *testing.T) {
 	}
 }
 
+// TestBuildTaxonomyTies requires types of equal capacity to come out in
+// type order whatever order they came in.
+func TestBuildTaxonomyTies(t *testing.T) {
+	usage := []TypeUsage{
+		{Type: ASCIIText, Count: 1, Capacity: 500},
+		{Type: ElfExecutable, Count: 2, Capacity: 500},
+		{Type: UncommonType(9), Count: 1, Capacity: 5},
+		{Type: UncommonType(3), Count: 1, Capacity: 5},
+	}
+	tax := BuildTaxonomy(usage, 100)
+	if tax.Common[0].Type != ElfExecutable || tax.Uncommon[0].Type != UncommonType(3) {
+		t.Fatalf("ties not in type order: common %+v, uncommon %+v", tax.Common, tax.Uncommon)
+	}
+}
+
 func TestBuildTaxonomyEmpty(t *testing.T) {
 	tax := BuildTaxonomy(nil, 7e9)
 	if tax.CommonShare != 0 || tax.TotalTypes != 0 {

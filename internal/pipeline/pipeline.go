@@ -8,8 +8,8 @@
 //
 // Results are bit-identical to the two-phase download-then-analyze path:
 // the walker reads the same verified bytes back from the store, and the
-// assembly phase is the analyzer's own serial fold of the walks in layer
-// order.
+// assembly phase is the analyzer's own serial fold of the walks, which
+// does not care in which order the transfer workers finished them.
 package pipeline
 
 import (

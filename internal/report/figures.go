@@ -348,9 +348,10 @@ func Fig14(src *Source) (Figure, bool) {
 func Fig15(src *Source) (Figure, bool) {
 	tab := groupShares(src)
 	body := renderShares(tab, "type groups")
-	if fs := src.Analysis.FileSizes; fs != nil && fs.Summary().N() > 0 {
-		body += fmt.Sprintf("  streamed instance file sizes: mean=%s p50~%s p90~%s (P² estimators)\n",
-			FormatBytes(fs.Summary().Mean()), FormatBytes(fs.Quantile(0.5)), FormatBytes(fs.Quantile(0.9)))
+	if x := src.Analysis.Index; x.Instances() > 0 {
+		r, q := x.Ratios(), x.SizeQuantiles(0.5, 0.9)
+		body += fmt.Sprintf("  instance file sizes: mean=%s p50=%s p90=%s\n",
+			FormatBytes(float64(r.TotalBytes)/float64(r.TotalFiles)), FormatBytes(float64(q[0])), FormatBytes(float64(q[1])))
 	}
 	return Figure{
 		ID:    "fig15",

@@ -1,6 +1,6 @@
 // Package stats provides the distribution machinery used to characterize
-// the Docker Hub dataset: empirical CDFs with exact quantiles, linear and
-// logarithmic histograms, and streaming summary statistics.
+// the Docker Hub dataset: empirical CDFs with exact quantiles, and linear
+// and logarithmic histograms.
 //
 // All figure reproductions in this repository reduce to one of three
 // artifacts from this package: a CDF evaluated at paper-reported knees, a
@@ -234,31 +234,6 @@ func (h *Histogram) ModeBucket() Bucket {
 type Bucket struct {
 	High  float64
 	Count int64
-}
-
-// Summary accumulates a streaming count and mean without storing samples,
-// for totals like "5,278,465,130 files, 167 TB" where storing every sample
-// would be wasteful.
-type Summary struct {
-	n    int64
-	mean float64
-}
-
-// Add records one observation.
-func (s *Summary) Add(v float64) {
-	s.n++
-	s.mean += (v - s.mean) / float64(s.n)
-}
-
-// N returns the observation count.
-func (s *Summary) N() int64 { return s.n }
-
-// Mean returns the average observation (0 if none).
-func (s *Summary) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.mean
 }
 
 // Gini returns the Gini coefficient of the sample (0 = perfectly even,

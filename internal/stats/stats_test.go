@@ -208,19 +208,6 @@ func TestLinearBounds(t *testing.T) {
 	}
 }
 
-func TestSummary(t *testing.T) {
-	var s Summary
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	if s.N() != 8 {
-		t.Errorf("N = %d", s.N())
-	}
-	if s.Mean() != 5 {
-		t.Errorf("Mean = %v", s.Mean())
-	}
-}
-
 func TestGini(t *testing.T) {
 	// Perfect equality.
 	even := newCDF([]float64{5, 5, 5, 5})
