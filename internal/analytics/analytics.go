@@ -17,8 +17,8 @@
 //
 // # Bit-identical figures
 //
-// A snapshot's Result is analyzer.AnalyzeWalkedContext over the snapshot's
-// tagged images, in (repo, tag) order, and the cached walks: the batch
+// A snapshot's Result is analyzer.AnalyzeWalks over the snapshot's tagged
+// images, in (repo, tag) order, taking each walk from the cache: the batch
 // assembly itself, not a copy of it. Figures therefore equal a batch
 // AnalyzeStore pass over the same surviving images whenever the walks do,
 // and they do: the walker reads the very bytes the store committed, and a
@@ -327,15 +327,20 @@ type Snapshot struct {
 	figures []report.Figure
 }
 
-// Result is the batch analysis of this epoch: AnalyzeWalkedContext over
-// the snapshot's images and cached walks, hence bit-identical to
-// AnalyzeStore over the same images. It fails when a tagged layer was
-// never walked (IngestStats.SkippedLayers counts those). The analysis
-// runs without a caller's context: it is memoized for every reader of
-// the snapshot, not owned by whichever one asks first.
+// Result is the batch analysis of this epoch: AnalyzeWalks over the
+// snapshot's images, each walk looked up in the cache, hence
+// bit-identical to AnalyzeStore over the same images. It fails when a
+// tagged layer was never walked (IngestStats.SkippedLayers counts those).
+// The analysis runs without a caller's context: it is memoized for every
+// reader of the snapshot, not owned by whichever one asks first.
 func (s *Snapshot) Result() (*analyzer.Result, error) {
 	s.resultOnce.Do(func() {
-		s.result, s.resultErr = analyzer.AnalyzeWalkedContext(context.Background(), nil, s.images, s.walks, 0)
+		s.result, s.resultErr = analyzer.AnalyzeWalks(context.Background(), s.images, func(d digest.Digest) (*analyzer.WalkedLayer, error) {
+			if wl := s.walks[d]; wl != nil {
+				return wl, nil
+			}
+			return nil, errors.New("never walked")
+		}, 1)
 	})
 	return s.result, s.resultErr
 }

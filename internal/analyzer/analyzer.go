@@ -13,9 +13,10 @@
 // directory counts, maximum depth, image references), per-image profiles
 // (CIS, FIS, aggregate counts), and a dedup.Index over all file instances.
 //
-// The wire path walks first and folds after: layer walks run in parallel
-// (or arrive already walked, from the fused pipeline or a live snapshot),
-// then one goroutine folds them into the census and the profiles in layer
+// The wire path (AnalyzeWalks) walks first and folds after: it takes each
+// unique layer's walk from one function, in parallel — a store walk, or
+// one made earlier by the fused pipeline or the live service — then one
+// goroutine folds the walks into the census and the profiles in layer
 // order. That order fixes the Result.Layers indices; the census reads the
 // same in any order. The Result is therefore the same at every worker
 // count.
@@ -28,7 +29,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/blobstore"
 	"repro/internal/dedup"
@@ -178,7 +178,7 @@ func fillCrossDup(res *Result, layerKeys func(int32) []uint64) error {
 }
 
 // WalkedLayer is the analysis of one real layer blob, produced by
-// LayerAccumulator and consumed by AnalyzeWalkedContext/AnalyzeStore.
+// LayerAccumulator and consumed by AnalyzeWalks.
 // files is in tar member order; nothing downstream depends on that order.
 // A finished walk is never written again, so any number of analyses may
 // share it concurrently.
@@ -198,27 +198,28 @@ func (wl *WalkedLayer) Profile() LayerProfile { return wl.profile }
 // or plain tarballs (the uncompressed storage policy the paper proposes
 // for small layers) — both are handled in a single fetch per blob.
 //
-// The analysis runs in two steps: workers walk the layers in parallel,
-// then one goroutine folds the finished walks into the census and the
-// profiles in layer order, which is fixed up front from manifest order.
-// So the Result is identical for every worker count.
+// It is AnalyzeWalks with every layer walked from store, so the Result is
+// identical for every worker count.
 func AnalyzeStore(store blobstore.Store, images []downloader.Image, workers int) (*Result, error) {
-	return analyze(context.Background(), store, images, nil, workers)
+	return AnalyzeWalks(context.Background(), images, func(ld digest.Digest) (*WalkedLayer, error) {
+		return WalkStored(store, ld)
+	}, workers)
 }
 
-// AnalyzeWalkedContext is AnalyzeStore for layers that were already
-// walked (the fused pipeline walks each as soon as it is stored): a layer
-// present in walked skips the store fetch and re-walk entirely; anything
-// missing falls back to walking the store blob. The walks are only read, so
-// one map may serve any number of calls, concurrently ones included. The
-// result is bit-identical to AnalyzeStore over the same store. When ctx is
-// done, in-flight layer walks wind down and the analysis returns ctx's
-// error.
-func AnalyzeWalkedContext(ctx context.Context, store blobstore.Store, images []downloader.Image, walked map[digest.Digest]*WalkedLayer, workers int) (*Result, error) {
-	return analyze(ctx, store, images, walked, workers)
-}
-
-func analyze(ctx context.Context, store blobstore.Store, images []downloader.Image, prewalked map[digest.Digest]*WalkedLayer, workers int) (*Result, error) {
+// AnalyzeWalks is the wire-path assembly. It numbers the unique layers of
+// images in first-seen order, calls walk once per unique layer, workers
+// at a time (engine.ForEach), then folds the walks into the census and
+// the profiles in layer order on one goroutine. That order is fixed up
+// front from manifest order, so the Result does not depend on which walk
+// finished first.
+//
+// walk may read a layer from a store (AnalyzeStore), hand back a walk
+// made earlier (the fused pipeline, a live snapshot), or both; it must be
+// safe for concurrent use. A walk is only read, so one walk may serve any
+// number of analyses, concurrent ones included. The first walk error ends
+// the analysis. When ctx is done, in-flight walks wind down and the
+// analysis returns ctx's error.
+func AnalyzeWalks(ctx context.Context, images []downloader.Image, walk func(digest.Digest) (*WalkedLayer, error), workers int) (*Result, error) {
 	// Deterministic image order regardless of download completion order;
 	// stable, so the order of a repo's several tags is the caller's.
 	sorted := append([]downloader.Image(nil), images...)
@@ -240,7 +241,16 @@ func analyze(ctx context.Context, store blobstore.Store, images []downloader.Ima
 		}
 	}
 
-	walked, err := walkMissing(ctx, store, layerDigests, prewalked, workers)
+	// walked[i] is written by the one call that walks layer i.
+	walked := make([]*WalkedLayer, len(layerDigests))
+	err := engine.ForEach(ctx, workers, len(layerDigests), func(_ context.Context, i int) error {
+		wl, err := walk(layerDigests[i])
+		if err != nil {
+			return fmt.Errorf("analyzer: layer %s: %w", layerDigests[i].Short(), err)
+		}
+		walked[i] = wl
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -287,63 +297,6 @@ func analyze(ctx context.Context, store blobstore.Store, images []downloader.Ima
 	return res, nil
 }
 
-// walkMissing returns the walk of every layer in layerDigests, in order:
-// prewalked ones as given, the rest walked out of store, workers at a
-// time. The first error stops the walks not yet started; when ctx is done
-// its error is returned.
-func walkMissing(ctx context.Context, store blobstore.Store, layerDigests []digest.Digest, prewalked map[digest.Digest]*WalkedLayer, workers int) ([]*WalkedLayer, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	walked := make([]*WalkedLayer, len(layerDigests))
-	var missing []int
-	for i, ld := range layerDigests {
-		if walked[i] = prewalked[ld]; walked[i] == nil {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) > 0 && store == nil {
-		return nil, fmt.Errorf("analyzer: layer %s: not pre-walked and no store to fall back to", layerDigests[missing[0]].Short())
-	}
-	var (
-		wg     sync.WaitGroup
-		next   atomic.Int64
-		failed atomic.Bool
-		errs   = make([]error, len(missing))
-	)
-	for range min(engine.Workers(workers), len(missing)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				k := int(next.Add(1)) - 1
-				if k >= len(missing) {
-					return
-				}
-				i := missing[k]
-				err := ctx.Err()
-				if err == nil {
-					walked[i], err = walkLayer(store, layerDigests[i])
-					if err != nil {
-						err = fmt.Errorf("analyzer: layer %s: %w", layerDigests[i].Short(), err)
-					}
-				}
-				if err != nil {
-					errs[k] = err
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return walked, nil
-}
-
 // walkScratch is the per-walk working memory of a byte walk: the
 // classification prefix, the hashing copy buffer and a SHA-256 state.
 // Pooled as one unit — as locals the two arrays escape to the heap through
@@ -360,10 +313,10 @@ var scratchPool = sync.Pool{New: func() any { return &walkScratch{h: digest.NewH
 // every magic offset is below 4 KiB.
 const classifyPrefix = 4096
 
-// walkLayer decompresses and walks one layer blob from the store. The blob
-// is fetched exactly once: tarutil.OpenLayer sniffs its framing through a
-// buffered reader, so plain-tar blobs need no re-fetch.
-func walkLayer(store blobstore.Store, ld digest.Digest) (*WalkedLayer, error) {
+// WalkStored decompresses and walks one layer blob from the store. The
+// blob is fetched exactly once: tarutil.OpenLayer sniffs its framing
+// through a buffered reader, so plain-tar blobs need no re-fetch.
+func WalkStored(store blobstore.Store, ld digest.Digest) (*WalkedLayer, error) {
 	rc, _, err := store.Get(ld)
 	if err != nil {
 		return nil, err

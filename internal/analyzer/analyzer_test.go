@@ -374,8 +374,8 @@ func TestAnalyzeStoreWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestAnalyzeWalkedSharesWalks runs two analyses at once over one map of
-// walks, as two live snapshots do: both must equal AnalyzeStore, and the
+// TestAnalyzeWalkedSharesWalks runs two analyses at once whose walks are
+// looked up in one map, as two live snapshots do: both must equal AnalyzeStore, and the
 // walks must come out byte-for-byte as they went in (the race detector
 // catches a write; the comparison catches an in-place sort).
 func TestAnalyzeWalkedSharesWalks(t *testing.T) {
@@ -391,7 +391,7 @@ func TestAnalyzeWalkedSharesWalks(t *testing.T) {
 			if walked[ld] != nil {
 				continue
 			}
-			wl, err := walkLayer(store, ld)
+			wl, err := WalkStored(store, ld)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -406,7 +406,9 @@ func TestAnalyzeWalkedSharesWalks(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := AnalyzeWalkedContext(context.Background(), nil, images, walked, 4)
+			res, err := AnalyzeWalks(context.Background(), images, func(ld digest.Digest) (*WalkedLayer, error) {
+				return walked[ld], nil
+			}, 4)
 			if err != nil {
 				t.Error(err)
 			}

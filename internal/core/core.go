@@ -47,10 +47,6 @@ type Study struct {
 	// Workers bounds pipeline parallelism (crawler pages, downloads,
 	// layer walks). Non-positive resolves to engine.DefaultWorkers.
 	Workers int
-	// GrowthSamples is the number of nested layer samples for the Fig. 25
-	// dedup-growth curve (default 4 plus the full dataset, like the
-	// paper). 0 keeps the default; negative disables the growth analysis.
-	GrowthSamples int
 	// Topology is the registry the study stands up and how it acquires
 	// its bytes from it; nil runs the model study, which has no registry.
 	Topology *topology.Topology
@@ -99,13 +95,7 @@ func (s *Study) Run(ctx context.Context) (*Result, error) {
 		if res.Analysis, err = analyzer.AnalyzeModel(d); err != nil {
 			return nil, fmt.Errorf("core: analyzing model: %w", err)
 		}
-		if s.GrowthSamples >= 0 {
-			n := s.GrowthSamples
-			if n == 0 {
-				n = 4
-			}
-			src.Growth = DedupGrowth(d, n)
-		}
+		src.Growth = DedupGrowth(d)
 	} else {
 		g := &serve.Group{}
 		search, err := s.provision(g, res, src.Repos)
@@ -195,8 +185,9 @@ func (s *Study) pull(ctx context.Context, res *Result, search *hubapi.Client) er
 // DedupGrowth reproduces Fig. 25: dedup ratios over nested random layer
 // samples of growing size ("the x-axis values correspond to the sizes of 4
 // random samples drawn from the whole dataset and the size of the whole
-// dataset"). samples is the number of sub-samples before the full dataset.
-func DedupGrowth(d *synth.Dataset, samples int) []report.GrowthPoint {
+// dataset").
+func DedupGrowth(d *synth.Dataset) []report.GrowthPoint {
+	const samples = 4 // sub-samples before the full dataset
 	total := len(d.Layers)
 	if total == 0 {
 		return nil

@@ -65,18 +65,6 @@ func TestRunModelProducesAllFigures(t *testing.T) {
 	}
 }
 
-func TestRunModelGrowthDisabled(t *testing.T) {
-	res := run(t, &Study{Spec: synth.DefaultSpec(0.0002), GrowthSamples: -1})
-	if len(res.Source.Growth) != 0 {
-		t.Fatal("growth computed despite being disabled")
-	}
-	for _, f := range res.Figures {
-		if f.ID == "fig25" {
-			t.Fatal("fig25 present without growth samples")
-		}
-	}
-}
-
 func TestRunWireFullPipeline(t *testing.T) {
 	res := run(t, study(synth.MaterializeSpec(0.0001), wire()))
 	if res.Crawl == nil || res.Download == nil {
@@ -111,7 +99,7 @@ func TestRunWireFullPipeline(t *testing.T) {
 
 func TestWireAndModelAgreeOnDedup(t *testing.T) {
 	spec := synth.MaterializeSpec(0.0001)
-	model := run(t, &Study{Spec: spec, GrowthSamples: -1})
+	model := run(t, &Study{Spec: spec})
 	wired := run(t, study(spec, wire()))
 	mr := model.Analysis.Index.Ratios()
 	wr := wired.Analysis.Index.Ratios()
@@ -129,7 +117,7 @@ func TestDedupGrowthMonotonicSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	growth := DedupGrowth(d, 4)
+	growth := DedupGrowth(d)
 	if len(growth) < 2 {
 		t.Fatalf("growth points = %d", len(growth))
 	}
@@ -149,7 +137,7 @@ func TestDedupGrowthMonotonicSamples(t *testing.T) {
 
 func TestDedupGrowthEmptyDataset(t *testing.T) {
 	d := &synth.Dataset{}
-	if growth := DedupGrowth(d, 4); growth != nil {
+	if growth := DedupGrowth(d); growth != nil {
 		t.Fatalf("empty dataset: %v", growth)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/analytics"
 	"repro/internal/analyzer"
@@ -58,7 +57,6 @@ func (s *Study) live(ctx context.Context, res *Result) error {
 // order images by (repo, tag), not by arrival.
 func (s *Study) livePush(ctx context.Context, res *Result, client *registry.Client) error {
 	d := res.Dataset
-	workers := engine.Workers(s.Workers)
 
 	// Repositories are an administrative registration, not a wire write.
 	type repoPush struct {
@@ -92,7 +90,7 @@ func (s *Study) livePush(ctx context.Context, res *Result, client *registry.Clie
 	// descs[l] is written by the one worker that pushes layer l and read
 	// after the barrier.
 	descs := make([]manifest.Descriptor, len(d.Layers))
-	err := runParallel(ctx, workers, len(layers), func(ctx context.Context, i int) error {
+	err := engine.ForEach(ctx, s.Workers, len(layers), func(ctx context.Context, i int) error {
 		lp := layers[i]
 		blob, err := synth.RenderLayer(d, lp.id)
 		if err != nil {
@@ -110,7 +108,7 @@ func (s *Study) livePush(ctx context.Context, res *Result, client *registry.Clie
 
 	// Phase 2: configs and manifests; synth.BuildImage makes the live
 	// registry content-identical to a materialized one.
-	return runParallel(ctx, workers, len(repos), func(ctx context.Context, i int) error {
+	return engine.ForEach(ctx, s.Workers, len(repos), func(ctx context.Context, i int) error {
 		rp := repos[i]
 		ids := d.ImageLayers(rp.imgID)
 		layers := make([]manifest.Descriptor, len(ids)) // never nil: [] and null marshal differently
@@ -184,57 +182,4 @@ func LiveBatchFigures(res *Result, workers int) ([]report.Figure, error) {
 		Analysis: ana,
 		Repos:    synth.Repositories(res.Dataset),
 	}), nil
-}
-
-// runParallel fans fn over n indices across the given workers, stopping
-// at the first error (remaining work is cancelled, in-flight calls get a
-// cancelled context).
-func runParallel(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-		mu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if err := fn(ctx, i); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
 }

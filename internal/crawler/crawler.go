@@ -12,8 +12,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/hubapi"
 )
 
@@ -33,19 +33,17 @@ type Result struct {
 // Crawler pages through a hubapi search service.
 type Crawler struct {
 	Client *hubapi.Client
-	// Workers bounds concurrent page fetches (4 if 0). The first page is
-	// always fetched alone to learn the total count.
+	// Workers bounds concurrent page fetches (engine.Workers resolves
+	// ≤ 0). The first page is always fetched alone to learn the total
+	// count.
 	Workers int
 }
 
-// RunContext performs the crawl. When ctx is done, in-flight page fetches
-// abort and the crawl returns ctx's error.
+// RunContext performs the crawl. The first page that fails ends it: the
+// fetches in flight are cancelled and no further page is requested. When
+// ctx is done, the crawl returns ctx's error.
 func (c *Crawler) RunContext(ctx context.Context) (*Result, error) {
 	const pageSize = hubapi.DefaultPageSize
-	workers := c.Workers
-	if workers <= 0 {
-		workers = 4
-	}
 
 	// First page reveals the total entry count.
 	first, err := c.Client.SearchPageContext(ctx, "/", 1, pageSize)
@@ -59,40 +57,21 @@ func (c *Crawler) RunContext(ctx context.Context) (*Result, error) {
 		pages[0] = first.Results
 	}
 
-	// Remaining pages in parallel.
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		fetchErr error
-	)
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pageNum := range work {
-				p, err := c.Client.SearchPageContext(ctx, "/", pageNum, pageSize)
-				mu.Lock()
-				if err != nil && fetchErr == nil {
-					fetchErr = fmt.Errorf("crawler: page %d: %w", pageNum, err)
-				}
-				if err == nil {
-					pages[pageNum-1] = p.Results
-				}
-				mu.Unlock()
-			}
-		}()
+	// Remaining pages in parallel; pages[i] is written by the one call
+	// that fetches page i+1.
+	err = engine.ForEach(ctx, c.Workers, max(totalPages-1, 0), func(ctx context.Context, i int) error {
+		p, err := c.Client.SearchPageContext(ctx, "/", i+2, pageSize)
+		if err != nil {
+			return fmt.Errorf("crawler: page %d: %w", i+2, err)
+		}
+		pages[i+1] = p.Results
+		return nil
+	})
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, cerr
 	}
-	for pageNum := 2; pageNum <= totalPages; pageNum++ {
-		work <- pageNum
-	}
-	close(work)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if fetchErr != nil {
-		return nil, fetchErr
 	}
 
 	// Parse and deduplicate.

@@ -2,13 +2,17 @@ package crawler
 
 import (
 	"context"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/blobstore"
 	"repro/internal/hubapi"
+	"repro/internal/manifest"
 	"repro/internal/registry"
 	"repro/internal/synth"
 )
@@ -158,5 +162,35 @@ func TestCrawlerServerDown(t *testing.T) {
 	c := &Crawler{Client: &hubapi.Client{Base: "http://127.0.0.1:1"}}
 	if _, err := c.RunContext(context.Background()); err == nil {
 		t.Fatal("crawl against dead server succeeded")
+	}
+}
+
+// TestCrawlStopsAtFirstFailedPage: a page that fails ends the crawl; no
+// later page is requested.
+func TestCrawlStopsAtFirstFailedPage(t *testing.T) {
+	repos := make([]manifest.Repository, 5*hubapi.DefaultPageSize)
+	for i := range repos {
+		repos[i].Name = fmt.Sprintf("user%d/app", i)
+	}
+	hub := hubapi.NewServer(repos, 1, 1, 0)
+	var pageRequests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v2/search/repositories" {
+			pageRequests.Add(1)
+			if r.URL.Query().Get("page") == "2" {
+				http.Error(w, "search backend down", http.StatusInternalServerError)
+				return
+			}
+		}
+		hub.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	c := &Crawler{Client: &hubapi.Client{Base: srv.URL}, Workers: 1}
+	if _, err := c.RunContext(context.Background()); err == nil {
+		t.Fatal("crawl with a failed page succeeded")
+	}
+	if n := pageRequests.Load(); n != 2 {
+		t.Fatalf("crawl requested %d of 5 pages, want 2 (it must stop at the failed page 2)", n)
 	}
 }

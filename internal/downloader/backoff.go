@@ -1,10 +1,6 @@
 package downloader
 
-import (
-	"time"
-
-	"repro/internal/engine"
-)
+import "time"
 
 // The retry backoff: jittered exponential delays from backoffBase,
 // doubling per attempt up to backoffMax, each scaled uniformly down by up
@@ -30,8 +26,3 @@ func backoffDelay(attempt int, rnd func() float64) time.Duration {
 	// Uniform in [(1-jitter)·d, d].
 	return time.Duration(float64(d) * (1 - backoffJitter*rnd()))
 }
-
-// sleepCtx pauses for d or until ctx is done, whichever comes first. It
-// is a variable so tests can substitute a fake clock; the real
-// implementation is the engine's sanctioned sleep seam.
-var sleepCtx = engine.SleepContext

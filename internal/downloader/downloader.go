@@ -24,7 +24,6 @@ package downloader
 import (
 	"context"
 	"errors"
-	"io"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -73,8 +72,7 @@ type Downloader struct {
 	// transfer memory; a blob larger than the whole budget is clamped to
 	// it rather than rejected.
 	ByteBudget int64
-	// Store receives verified layer blobs; when nil, layer bytes are
-	// verified and discarded (pure measurement mode).
+	// Store receives verified layer blobs (required).
 	Store blobstore.Store
 	// Retries is the number of extra attempts for transient failures
 	// (network errors, integrity mismatches). Auth and not-found errors
@@ -91,8 +89,7 @@ type Downloader struct {
 	// transfer or a layer some earlier transfer stored. It runs on the
 	// transfer worker that stored the layer, which takes no other transfer
 	// until it returns, and every call has returned when RunContext does:
-	// the hook the fused download→analyze pipeline walks layers in. It
-	// needs a Store to read the layer back from.
+	// the hook the fused download→analyze pipeline walks layers in.
 	LayerStored func(d digest.Digest)
 
 	// sleep and rnd are test seams for the backoff schedule.
@@ -193,10 +190,14 @@ func (st *runState) fill(s *Stats) {
 // RunContext downloads all repositories. Per-repository failures are
 // classified and counted, not fatal; only systemic errors abort. When ctx
 // is done, in-flight transfers abort and the run returns with whatever
-// completed.
+// completed. A Downloader without a Client or a Store is refused before
+// any request.
 func (d *Downloader) RunContext(ctx context.Context, repos []string) (*Result, error) {
 	if d.Client == nil {
 		return nil, errors.New("downloader: nil registry client")
+	}
+	if d.Store == nil {
+		return nil, errors.New("downloader: nil store")
 	}
 	var (
 		mu     sync.Mutex
@@ -398,19 +399,15 @@ func (d *Downloader) fetchBlob(st *runState, repo string, desc manifest.Descript
 }
 
 // fetchOnce performs a single transfer attempt: the blob streams through
-// client-side digest verification into the store (or io.Discard in
-// measurement mode) — no full-blob buffer materializes anywhere on this
-// path.
+// client-side digest verification into the store — no full-blob buffer
+// materializes anywhere on this path.
 func (d *Downloader) fetchOnce(ctx context.Context, repo string, dg digest.Digest) (int64, error) {
 	vr, _, err := d.Client.BlobStreamVerifiedContext(ctx, repo, dg)
 	if err != nil {
 		return 0, err
 	}
 	defer vr.Close()
-	if d.Store != nil {
-		return d.Store.PutStream(dg, vr)
-	}
-	return io.Copy(io.Discard, vr)
+	return d.Store.PutStream(dg, vr)
 }
 
 // manifestWithRetry fetches the repository's latest-tag manifest, the
@@ -434,7 +431,7 @@ func (d *Downloader) manifestWithRetry(ctx context.Context, repo string) (*manif
 func (d *Downloader) backoffSleep(ctx context.Context, attempt int, lastErr error) error {
 	sleep := d.sleep
 	if sleep == nil {
-		sleep = sleepCtx
+		sleep = engine.SleepContext
 	}
 	delay := backoffDelay(attempt, d.jitter())
 	if hint := registry.RetryAfterHint(lastErr); hint > delay {

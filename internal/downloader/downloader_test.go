@@ -2,7 +2,9 @@ package downloader
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/blobstore"
@@ -106,20 +108,6 @@ func TestDownloadAll(t *testing.T) {
 	}
 }
 
-func TestDownloadWithoutStore(t *testing.T) {
-	d, _, reg, repos := materializedHub(t)
-	srv := httptest.NewServer(reg)
-	defer srv.Close()
-	dl := &Downloader{Client: &registry.Client{Base: srv.URL}}
-	res, err := dl.RunContext(context.Background(), repos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Downloaded != len(d.Images) {
-		t.Fatalf("Downloaded = %d, want %d", res.Stats.Downloaded, len(d.Images))
-	}
-}
-
 func TestDownloadAuthorizedClientGetsPrivate(t *testing.T) {
 	d, _, reg, repos := materializedHub(t)
 	// Give the private repos a manifest so an authorized client can
@@ -128,7 +116,7 @@ func TestDownloadAuthorizedClientGetsPrivate(t *testing.T) {
 	srv := httptest.NewServer(reg)
 	defer srv.Close()
 
-	dl := &Downloader{Client: &registry.Client{Base: srv.URL, Token: "tok"}}
+	dl := &Downloader{Client: &registry.Client{Base: srv.URL, Token: "tok"}, Store: blobstore.NewMemory()}
 	res, err := dl.RunContext(context.Background(), repos)
 	if err != nil {
 		t.Fatal(err)
@@ -149,10 +137,30 @@ func TestDownloadAuthorizedClientGetsPrivate(t *testing.T) {
 	}
 }
 
-func TestDownloadNilClient(t *testing.T) {
-	dl := &Downloader{}
-	if _, err := dl.RunContext(context.Background(), []string{"x"}); err == nil {
-		t.Fatal("nil client accepted")
+// TestDownloadRefuses: a Downloader without a Client or a Store is
+// refused before it sends a single request.
+func TestDownloadRefuses(t *testing.T) {
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.NotFound(w, r)
+	}))
+	defer srv.Close()
+	for _, tc := range []struct {
+		name string
+		dl   *Downloader
+	}{
+		{"nil-client", &Downloader{Store: blobstore.NewMemory()}},
+		{"nil-store", &Downloader{Client: &registry.Client{Base: srv.URL}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := tc.dl.RunContext(context.Background(), []string{"x"}); err == nil {
+				t.Fatal("incomplete downloader accepted")
+			}
+			if n := requests.Load(); n != 0 {
+				t.Fatalf("%d requests sent before refusing", n)
+			}
+		})
 	}
 }
 
@@ -160,7 +168,7 @@ func TestDownloadEmptyRepoList(t *testing.T) {
 	_, _, reg, _ := materializedHub(t)
 	srv := httptest.NewServer(reg)
 	defer srv.Close()
-	dl := &Downloader{Client: &registry.Client{Base: srv.URL}}
+	dl := &Downloader{Client: &registry.Client{Base: srv.URL}, Store: blobstore.NewMemory()}
 	res, err := dl.RunContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)

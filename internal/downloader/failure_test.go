@@ -132,7 +132,7 @@ func TestDownloadRetriesTransientFailures(t *testing.T) {
 	}
 
 	// Without retries, the first-read failures surface.
-	noRetry := &Downloader{Client: &registry.Client{Base: srv.URL}, Workers: 4}
+	noRetry := &Downloader{Client: &registry.Client{Base: srv.URL}, Workers: 4, Store: blobstore.NewMemory()}
 	res, err := noRetry.RunContext(context.Background(), repos)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestDownloadRetriesTransientFailures(t *testing.T) {
 	}
 	srv2 := httptest.NewServer(reg2)
 	defer srv2.Close()
-	withRetry := &Downloader{Client: &registry.Client{Base: srv2.URL}, Workers: 4, Retries: 2}
+	withRetry := &Downloader{Client: &registry.Client{Base: srv2.URL}, Workers: 4, Retries: 2, Store: blobstore.NewMemory()}
 	res2, err := withRetry.RunContext(context.Background(), repos)
 	if err != nil {
 		t.Fatal(err)

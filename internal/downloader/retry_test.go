@@ -131,6 +131,7 @@ func TestRetryAfterFloorsBackoff(t *testing.T) {
 	var slept []time.Duration
 	dl := &Downloader{
 		Client:  &registry.Client{Base: srv.URL},
+		Store:   blobstore.NewMemory(),
 		Workers: 1,
 		Retries: 3,
 		sleep: func(ctx context.Context, d time.Duration) error {
@@ -181,6 +182,7 @@ func TestRetryAfterBelowBackoffKeepsSchedule(t *testing.T) {
 			var slept []time.Duration
 			dl := &Downloader{
 				Client:  &registry.Client{Base: srv.URL},
+				Store:   blobstore.NewMemory(),
 				Workers: 1,
 				Retries: len(c.want),
 				sleep: func(ctx context.Context, d time.Duration) error {
@@ -259,6 +261,7 @@ func TestThrottledBlobRecoversAfterHint(t *testing.T) {
 	var mu sync.Mutex
 	dl := &Downloader{
 		Client:  &registry.Client{Base: gate.URL},
+		Store:   blobstore.NewMemory(),
 		Workers: 1,
 		Retries: 4,
 		sleep: func(ctx context.Context, d time.Duration) error {

@@ -1,18 +1,22 @@
-// Package engine holds the run-wide defaults the study's packages share
-// instead of re-defining them: the worker-count default, and the one
-// sanctioned wall clock and sleep for the deterministic packages (the
-// noadhocclock lint rule forbids bare time.Now and timers there).
+// Package engine holds what the study's packages share instead of
+// re-defining it: the worker-count default; the one bounded fan-out,
+// ForEach, that the crawl, the live push, the layer walks and the
+// closed-loop load generator run on; and the one sanctioned wall clock and
+// sleep for the deterministic packages (the noadhocclock lint rule forbids
+// bare time.Now and timers there).
 package engine
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // DefaultWorkers is the run-wide parallelism default. Every component that
-// accepts a worker count (study orchestration, image downloads, fused
-// assembly walks) resolves 0 to this value through Workers, so the default
-// lives in exactly one place.
+// accepts a worker count (study orchestration, crawls, image downloads,
+// fused assembly walks) resolves 0 to this value through Workers, so the
+// default lives in exactly one place.
 const DefaultWorkers = 8
 
 // Workers resolves a configured worker count: non-positive means
@@ -22,6 +26,50 @@ func Workers(n int) int {
 		return DefaultWorkers
 	}
 	return n
+}
+
+// ForEach calls fn once for each index in [0, n) on at most
+// min(Workers(workers), n) goroutines. Indices are handed out in
+// increasing order. The first error cancels the context every call
+// receives and stops the hand-out; a done ctx stops it too. ForEach
+// returns the error of the lowest index that failed, or, when none did,
+// ctx's error.
+func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg       sync.WaitGroup
+		next     atomic.Int64
+		mu       sync.Mutex
+		firstErr error
+		firstIdx = n
+	)
+	for range min(Workers(workers), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if err := fn(ctx, i); err != nil {
+					mu.Lock()
+					if i < firstIdx {
+						firstIdx, firstErr = i, err
+					}
+					mu.Unlock()
+					cancel()
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return firstErr
+	}
+	return ctx.Err()
 }
 
 // SystemNow is the one sanctioned wall-clock read in the deterministic

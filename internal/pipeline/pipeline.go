@@ -14,8 +14,8 @@ package pipeline
 
 import (
 	"context"
-	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/analyzer"
@@ -39,24 +39,17 @@ type Result struct {
 }
 
 // Run downloads repos with dl while walking every unique layer as soon as
-// it is stored, then assembles the analysis from the pre-walked layers.
+// it is stored, then assembles the analysis from those walks; a layer
+// without one (its inline walk failed) is walked from the store again.
 // dl.Store is required: the walks read it. dl.LayerStored is owned by the
 // pipeline for the duration of the call. dl.Workers bounds the
 // assembly-phase walk workers as well.
 func Run(ctx context.Context, dl *downloader.Downloader, repos []string) (*Result, error) {
-	if dl.Store == nil {
-		return nil, errors.New("pipeline: nil store: stored layers are walked from it")
-	}
 	var mu sync.Mutex
 	walked := make(map[digest.Digest]*analyzer.WalkedLayer)
 
 	dl.LayerStored = func(d digest.Digest) {
-		rc, _, err := dl.Store.Get(d)
-		if err != nil {
-			return
-		}
-		wl, err := analyzer.WalkLayerReader(d, rc)
-		rc.Close()
+		wl, err := analyzer.WalkStored(dl.Store, d)
 		if err != nil {
 			// Not a walkable layer: the assembly walks it again from the
 			// store and reports why.
@@ -79,28 +72,22 @@ func Run(ctx context.Context, dl *downloader.Downloader, repos []string) (*Resul
 		return nil, err
 	}
 
+	// Every hook call has returned, so walked is only read from here on.
 	res := &Result{Download: dres, WalkedInline: len(walked)}
-
-	// Count the layers the assembly phase will have to re-walk from the
-	// store (referenced by a downloaded image but not walked inline).
-	seen := make(map[digest.Digest]bool)
-	for _, img := range dres.Images {
-		for _, ld := range img.Manifest.LayerDigests() {
-			if !seen[ld] {
-				seen[ld] = true
-				if walked[ld] == nil {
-					res.ReWalked++
-				}
-			}
-		}
-	}
-
+	var reWalked atomic.Int64
 	start := engine.SystemNow()
-	ares, err := analyzer.AnalyzeWalkedContext(ctx, dl.Store, dres.Images, walked, engine.Workers(dl.Workers))
+	ares, err := analyzer.AnalyzeWalks(ctx, dres.Images, func(d digest.Digest) (*analyzer.WalkedLayer, error) {
+		if wl := walked[d]; wl != nil {
+			return wl, nil
+		}
+		reWalked.Add(1)
+		return analyzer.WalkStored(dl.Store, d)
+	}, dl.Workers)
 	if err != nil {
 		return nil, err
 	}
 	res.AssembleWall = engine.SystemNow().Sub(start)
 	res.Analysis = ares
+	res.ReWalked = int(reWalked.Load())
 	return res, nil
 }

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/sema"
 	"repro/internal/stats"
 )
@@ -233,28 +235,11 @@ func RunClosed(ctx context.Context, workers int, cfg Config) (*Result, error) {
 	start := clk.Now()
 	rec := &recorder{last: start}
 
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				rec.runOp(ctx, clk, cfg.Timeout, time.Time{}, cfg.Op(i))
-			}
-		}()
-	}
-	dispatched := 0
-dispatch:
-	for i := 0; i < cfg.Requests; i++ {
-		select {
-		case work <- i:
-			dispatched++
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(work)
-	wg.Wait()
-	return rec.result(clk, start, cfg.Requests, dispatched), ctx.Err()
+	var dispatched atomic.Int64
+	err := engine.ForEach(ctx, workers, cfg.Requests, func(ctx context.Context, i int) error {
+		dispatched.Add(1)
+		rec.runOp(ctx, clk, cfg.Timeout, time.Time{}, cfg.Op(i))
+		return nil
+	})
+	return rec.result(clk, start, cfg.Requests, int(dispatched.Load())), err
 }

@@ -56,9 +56,6 @@ type Options struct {
 	Seed int64
 	// Workers bounds pipeline parallelism (default 8).
 	Workers int
-	// GrowthSamples controls the Fig. 25 dedup-growth curve: 0 = default
-	// (4 nested samples plus the full dataset), negative = skip.
-	GrowthSamples int
 	// Topology is the registry stack the study stands up and how it
 	// acquires its bytes from it: &Topology{} is the plain wire pipeline,
 	// &Topology{Acquire: LivePush, Ingest: true} the live service. Nil
@@ -109,10 +106,9 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 		spec.Seed = opts.Seed
 	}
 	study := &core.Study{
-		Spec:          spec,
-		Workers:       opts.Workers,
-		GrowthSamples: opts.GrowthSamples,
-		Topology:      opts.Topology,
+		Spec:     spec,
+		Workers:  opts.Workers,
+		Topology: opts.Topology,
 	}
 	return study.Run(ctx)
 }

@@ -101,18 +101,18 @@ func TestRunContextCancelMidRun(t *testing.T) {
 }
 
 func TestRunSeedOverride(t *testing.T) {
-	a, err := repro.Run(repro.Options{Scale: 0.0002, Seed: 1, GrowthSamples: -1})
+	a, err := repro.Run(repro.Options{Scale: 0.0002, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := repro.Run(repro.Options{Scale: 0.0002, Seed: 2, GrowthSamples: -1})
+	b, err := repro.Run(repro.Options{Scale: 0.0002, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Dataset.TotalFLS() == b.Dataset.TotalFLS() {
 		t.Fatal("different seeds produced identical datasets")
 	}
-	c, err := repro.Run(repro.Options{Scale: 0.0002, Seed: 1, GrowthSamples: -1})
+	c, err := repro.Run(repro.Options{Scale: 0.0002, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
