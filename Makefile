@@ -64,7 +64,7 @@ bench-scaling:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'DownloadStreaming|FusedPipeline' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'CacheHitServe|CacheHitParallel|CacheMissFill|CacheScan' -benchtime=1x -benchmem ./internal/cache
-	$(GO) test -run '^$$' -bench 'DedupPutStream$$|DedupGet(Sink)?$$' -benchtime=1x -benchmem ./internal/dedupstore
+	$(GO) test -run '^$$' -bench 'DedupPutStream(Packed)?$$|DedupGet(Sink|Packed)?$$' -benchtime=1x -benchmem ./internal/dedupstore
 	$(GO) test -run '^$$' -bench 'SizeQuantiles$$' -benchtime=1x -benchmem ./internal/dedup
 	$(GO) test -run '^$$' -bench 'BuildLayer$$|WalkLayer$$' -benchtime=1x -benchmem ./internal/tarutil
 	$(GO) test -run '^$$' -bench 'HTTPPull$$|HTTPPush$$' -benchtime=1x -benchmem ./internal/registry

@@ -21,10 +21,10 @@ var golden = strings.Join([]string{
 	"mirror-warm workers=1 figures=27 sha256=" + wireSum + " cache-hit=0.500",
 	"cluster-n1  workers=1 figures=27 sha256=" + wireSum + " nodes=1 node-blob-gets=258",
 	"cluster-n4  workers=1 figures=27 sha256=" + wireSum + " nodes=4 node-blob-gets=258",
-	"dedup       workers=1 figures=27 sha256=" + wireSum + " dedup-savings=2.00x",
+	"dedup       workers=1 figures=27 sha256=" + wireSum + " dedup-savings=2.03x",
 	"live        workers=1 figures=26 sha256=" + liveSum + " walked=228 deletes=0",
 	"live-churn  workers=1 figures=26 sha256=" + liveSum + " walked=228 deletes=11",
-	"live-dedup  workers=1 figures=26 sha256=" + liveSum + " dedup-savings=2.00x walked=228 deletes=0",
+	"live-dedup  workers=1 figures=26 sha256=" + liveSum + " dedup-savings=2.03x walked=228 deletes=0",
 }, "\n") + "\n"
 
 // TestGoldenFingerprints pins every row of the matrix to the committed

@@ -34,11 +34,28 @@ func benchLayer(b *testing.B) []byte {
 	return buf.Bytes()
 }
 
+// benchProseLayer is benchLayer's shape with compressible text for
+// contents: every file packs, so ingest pays the deflater and reads the
+// inflater.
+func benchProseLayer(b *testing.B) []byte {
+	b.Helper()
+	files := make([][]byte, 256)
+	for i := range files {
+		files[i] = tapeProse(i, 16<<10)
+	}
+	return tapeLayer(files)
+}
+
 // BenchmarkDedupPutStream measures first-copy streaming ingest: decompose,
 // pool, verify. B/op must stay O(largest member file), not O(layer) — the
 // whole blob never lands in one buffer.
-func BenchmarkDedupPutStream(b *testing.B) {
-	blob := benchLayer(b)
+func BenchmarkDedupPutStream(b *testing.B) { benchDedupPutStream(b, benchLayer(b)) }
+
+// BenchmarkDedupPutStreamPacked is DedupPutStream over a layer whose every
+// file is packed on its way into the pool.
+func BenchmarkDedupPutStreamPacked(b *testing.B) { benchDedupPutStream(b, benchProseLayer(b)) }
+
+func benchDedupPutStream(b *testing.B, blob []byte) {
 	d := digest.FromBytes(blob)
 	b.SetBytes(int64(len(blob)))
 	b.ReportAllocs()
@@ -72,16 +89,19 @@ func BenchmarkDedupPutStreamDuplicate(b *testing.B) {
 
 // BenchmarkDedupGet measures reconstruct-on-read with no cache: reassemble
 // the tar from the pool and re-gzip, streaming.
-func BenchmarkDedupGet(b *testing.B) { benchDedupGet(b, io.Discard) }
+func BenchmarkDedupGet(b *testing.B) { benchDedupGet(b, benchLayer(b), io.Discard) }
 
 // BenchmarkDedupGetSink is DedupGet drained the way a response is: io.Copy
 // into a writer that is nothing but a Writer, so no ReaderFrom with a pool
 // of its own (io.Discard has one) can stand in for a copy buffer the read
 // path would otherwise have to allocate.
-func BenchmarkDedupGetSink(b *testing.B) { benchDedupGet(b, plainSink{}) }
+func BenchmarkDedupGetSink(b *testing.B) { benchDedupGet(b, benchLayer(b), plainSink{}) }
 
-func benchDedupGet(b *testing.B, sink io.Writer) {
-	blob := benchLayer(b)
+// BenchmarkDedupGetPacked is DedupGet of a layer whose every file is held
+// packed: each member inflates on its way into the tar.
+func BenchmarkDedupGetPacked(b *testing.B) { benchDedupGet(b, benchProseLayer(b), io.Discard) }
+
+func benchDedupGet(b *testing.B, blob []byte, sink io.Writer) {
 	d := digest.FromBytes(blob)
 	s := NewWithConfig(NewMemoryPool(0), Config{})
 	if _, err := s.PutStream(d, bytes.NewReader(blob)); err != nil {

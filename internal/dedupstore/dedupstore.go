@@ -7,8 +7,11 @@
 // digests).
 //
 // Because only ~3% of files across Docker Hub are unique (§V-B), the pool
-// holds a fraction of the logical bytes. The backend is streaming and
-// concurrent end to end:
+// holds a fraction of the logical bytes. Dedup alone gives back about half
+// of what the wire's gzip had saved, so the pool keeps each compressible
+// file packed: a file of at least 4 KiB whose flate encoding is at most
+// half its size is held in that form, in a namespace of its own (see
+// Pool). The backend is streaming and concurrent end to end:
 //
 //   - PutStream decomposes the layer tar as the bytes cross the wire —
 //     hash-as-you-go through the same tee plumbing as the plain backends,
@@ -26,7 +29,7 @@
 //     pooled buffer and walked in place, and the tar is reassembled from
 //     pooled file contents (re-gzipped when the original was gzip-framed)
 //     and pushed straight into the consumer — each file streams from the
-//     pool through the tar builder, and the reader is an io.WriterTo that
+//     pool, a packed one through a pooled inflater, into the tar builder, and the reader is an io.WriterTo that
 //     runs the reassembly on the caller's goroutine, through one pooled
 //     write buffer; Read is an adapter over the same routine for consumers
 //     that must pull. Beyond each file's pool lookup, a cold Get allocates
@@ -44,7 +47,8 @@
 // reassembled (and recompressed) from that encoding through a hasher and
 // compared with the wire digest, and only then is the encoding deflated
 // for storage, so the proof runs over exactly the bytes every later Get
-// reads. Layers built by tarutil always pass: their metadata is fixed, and
+// reads — packed members included, each inflated back from the pool before
+// its layer commits. Layers built by tarutil always pass: their metadata is fixed, and
 // a tarutil.Builder deflates at one level, so the reassembly's gzip bytes
 // are the original's. A foreign blob that does not reproduce is stored
 // verbatim by Put/PutVerified, while PutStream — whose input is already
@@ -113,9 +117,12 @@ type Stats struct {
 	// WireBytes is the sum of blob wire sizes — what a plain blob store
 	// backend would hold for the same population.
 	WireBytes int64
-	// FileBytes is the bytes held in the shared content-addressed pool
-	// (deduplicated file contents plus raw blobs).
+	// FileBytes is the content bytes of the shared content-addressed pool
+	// (deduplicated file contents plus raw blobs), as if none were packed.
 	FileBytes int64
+	// PoolBytes is what the pool's backings hold: FileBytes with the
+	// packed files counted at their packed size.
+	PoolBytes int64
 	// RecipeBytes is the metadata overhead of all recipes as held at
 	// rest (flate-compressed binary encodings).
 	RecipeBytes int64
@@ -127,11 +134,12 @@ type Stats struct {
 }
 
 // PhysicalBytes is the store's total footprint (pool + recipes).
-func (s Stats) PhysicalBytes() int64 { return s.FileBytes + s.RecipeBytes }
+func (s Stats) PhysicalBytes() int64 { return s.PoolBytes + s.RecipeBytes }
 
-// SavingsRatio is logical/physical — the realized dedup factor. An empty
-// store has saved nothing yet stores everything it holds, so the ratio is
-// 1.0, not 0: ratio plots start at the identity, not a bogus origin dip.
+// SavingsRatio is logical/physical — the realized savings of dedup and
+// packing together. An empty store has saved nothing yet stores everything
+// it holds, so the ratio is 1.0, not 0: ratio plots start at the identity,
+// not a bogus origin dip.
 func (s Stats) SavingsRatio() float64 {
 	p := s.PhysicalBytes()
 	if p <= 0 {
@@ -224,7 +232,8 @@ var (
 
 // writeScratch is the working memory of one reassembly, pooled as one value
 // so a blob costs one pool round trip: the tar builder, with its deflater,
-// and the buffer between the tar/gzip stream and the sink.
+// the buffer between the tar/gzip stream and the sink, and the inflater
+// packed members are read through.
 //
 // The buffer is why the sink sees few large writes: compress/flate hands
 // its output on in ~240-byte pieces, and unbuffered every piece of a cold
@@ -233,6 +242,7 @@ var (
 type writeScratch struct {
 	tb *tarutil.Builder
 	bw *bufio.Writer
+	in inflater
 }
 
 var writeScratchPool = sync.Pool{New: func() any {
@@ -247,12 +257,14 @@ type recipeBuf struct {
 	enc bytes.Buffer
 }
 
-// putScratch is the working memory of one put's recipe: its encoding,
-// written member by member as the walk pools them, and the deflater's
-// output before the exact-size copy the store keeps.
+// putScratch is the working memory of one put: its recipe's encoding,
+// written member by member as the walk pools them, the deflater's output
+// before the exact-size copy the store keeps, and the packer for the new
+// files the put pools.
 type putScratch struct {
 	enc recipeEncoder
 	z   bytes.Buffer
+	pk  packer
 }
 
 // Put implements blobstore.Store. Blobs that decompose but do not
@@ -400,7 +412,7 @@ func (s *Store) ingestTar(want digest.Digest, l *tarutil.Layer, h *digest.Hasher
 			return fmt.Errorf("short read of %s: %d of %d bytes", e.Name, fbuf.Len(), e.Size)
 		}
 		fd := digest.FromBytes(fbuf.Bytes())
-		if err := s.pool.add(fd, fbuf.Bytes()); err != nil {
+		if err := s.pool.add(fd, fbuf.Bytes(), &ps.pk); err != nil {
 			return err
 		}
 		enc.file(e.Name, e.Size, fd)
@@ -526,7 +538,7 @@ func (s *Store) writeBlob(rec []byte, w io.Writer) error {
 			}
 			continue
 		}
-		rc, size, err := s.pool.open(c.digest())
+		rc, size, err := s.pool.open(c.digest(), &sc.in)
 		if err != nil {
 			return fmt.Errorf("dedupstore: pool lookup for %s: %w", c.name, err)
 		}
@@ -562,7 +574,7 @@ func (s *Store) Get(d digest.Digest) (io.ReadCloser, int64, error) {
 		return nil, 0, &UnknownBlobError{Digest: d}
 	}
 	if !isRecipe {
-		return s.pool.open(d)
+		return s.pool.open(d, nil)
 	}
 	if s.cache != nil {
 		rc, size, _, err := s.cache.GetOrFill(context.Background(), d,
@@ -586,7 +598,7 @@ func (s *Store) openReconstruct(d digest.Digest) (io.ReadCloser, int64, error) {
 	}
 	if e.recipeZ == nil {
 		s.mu.Unlock()
-		return s.pool.open(d)
+		return s.pool.open(d, nil)
 	}
 	e.readers++
 	z, size := e.recipeZ, e.size
@@ -819,7 +831,8 @@ func (s *Store) Stats() Stats {
 		RawBlobs:     s.raw,
 		LogicalBytes: s.logical,
 		WireBytes:    s.wire,
-		FileBytes:    s.pool.TotalBytes(),
+		FileBytes:    s.pool.contentBytes(),
+		PoolBytes:    s.pool.TotalBytes(),
 		RecipeBytes:  s.recipeBytes,
 		UniqueFiles:  s.pool.Len(),
 		TotalFiles:   s.instances,

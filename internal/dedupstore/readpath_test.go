@@ -2,6 +2,7 @@ package dedupstore
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -33,6 +34,24 @@ func noisyLayer(t testing.TB, nFiles, fileSize int, gz bool) []byte {
 			content[j] = byte(seed >> 56)
 		}
 		if err := b.File(fmt.Sprintf("data/f%03d.bin", i), content); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// proseLayer builds a plain tar layer of nFiles distinct files of
+// fileSize bytes that the pool packs. Plain, because re-gzipping text is
+// the slow part of its reassembly and tells nothing about the inflater.
+func proseLayer(t testing.TB, nFiles, fileSize int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	b := tarutil.NewBuilder(&buf)
+	for i := 0; i < nFiles; i++ {
+		if err := b.File(fmt.Sprintf("doc/f%03d.txt", i), tapeProse(1000+i, fileSize)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,7 +218,7 @@ func TestDeleteDuringWriteTo(t *testing.T) {
 	// One extra, test-owned reference on one of the blob's files: a second
 	// release by the reader would take it away.
 	shared := s.Recipe(d).Entries[0].Content
-	if err := s.pool.add(shared, nil); err != nil {
+	if err := s.pool.add(shared, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -305,7 +324,8 @@ func bytesPerCall(calls int, f func()) uint64 {
 // from the pool into the tar, and no pipe or copy buffer stands between
 // the reassembly and the consumer. So a cold Get costs a few small values
 // per blob whatever its files hold, and per member only the pool lookup:
-// the content digest's string and the pool backing's reader.
+// the content digest's string and the pool backing's reader. A packed
+// member inflates through the scratch's one decompressor.
 func TestColdGetAllocationIndependentOfLayerSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -313,11 +333,15 @@ func TestColdGetAllocationIndependentOfLayerSize(t *testing.T) {
 	// One P: a sync.Pool keeps the last Put private to the P that made it,
 	// so a goroutine that moved would miss its own scratch.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	// measure returns the bytes and allocations of one cold Get of a layer
-	// of nFiles files of fileSize bytes, the least of three measurements.
-	measure := func(nFiles, fileSize int) (uint64, float64) {
+	// measure returns the bytes and allocations of one cold Get of blob,
+	// the least of three measurements, how many members it packed, and the
+	// allocations of inflating those packed forms once through one reused
+	// decompressor: compress/flate builds link tables for every dynamic
+	// Huffman code longer than 9 bits, per block, and that cost is the
+	// data's, not the read path's.
+	measure := func(blob []byte) (uint64, float64, int, float64) {
 		s := NewWithConfig(NewMemoryPool(0), Config{})
-		d := putStream(t, s, noisyLayer(t, nFiles, fileSize, true))
+		d := putStream(t, s, blob)
 		get := func() {
 			rc, _, err := s.Get(d)
 			if err != nil {
@@ -328,16 +352,37 @@ func TestColdGetAllocationIndependentOfLayerSize(t *testing.T) {
 			}
 			rc.Close()
 		}
-		bytes, allocs := uint64(math.MaxUint64), math.Inf(1)
+		perGet, allocs := uint64(math.MaxUint64), math.Inf(1)
 		for range 3 {
-			bytes = min(bytes, bytesPerCall(20, get))
+			perGet = min(perGet, bytesPerCall(20, get))
 			runtime.GC()
 			allocs = min(allocs, testing.AllocsPerRun(20, get))
 		}
-		return bytes, allocs
+		var forms [][]byte
+		for _, sh := range s.pool.shards {
+			for _, pf := range sh.packs {
+				rc, _, err := sh.packed.Get(pf.key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				z, _ := io.ReadAll(rc)
+				rc.Close()
+				forms = append(forms, z)
+			}
+		}
+		var src bytes.Reader
+		fr := flate.NewReader(&src)
+		inflate := testing.AllocsPerRun(20, func() {
+			for _, z := range forms {
+				src.Reset(z)
+				fr.(flate.Resetter).Reset(&src, nil)
+				io.Copy(io.Discard, fr)
+			}
+		})
+		return perGet, allocs, len(forms), inflate
 	}
-	small, _ := measure(1, 64<<10)
-	large, one := measure(1, 1<<20)
+	small, _, _, _ := measure(noisyLayer(t, 1, 64<<10, true))
+	large, one, _, _ := measure(noisyLayer(t, 1, 1<<20, true))
 	t.Logf("one 64 KiB file: %d B/get; one 1 MiB file: %d B/get in %.0f allocations", small, large, one)
 	if large > small+256 {
 		t.Errorf("a cold Get of a 1 MiB-file layer allocates %d B, of a 64 KiB-file layer %d B: want within 256 B", large, small)
@@ -352,11 +397,20 @@ func TestColdGetAllocationIndependentOfLayerSize(t *testing.T) {
 	// recipe's dynamic Huffman codes (none to a dozen).
 	const perBlob = 16
 	for _, n := range []int{32, 256} {
-		_, allocs := measure(n, 1<<10)
+		_, allocs, _, _ := measure(noisyLayer(t, n, 1<<10, true))
 		t.Logf("%d files: %.0f allocations/get", n, allocs)
 		if allocs > float64(2*n+perBlob) {
 			t.Errorf("a cold Get of %d files allocates %.0f times, want at most 2 per member (the digest string and the pool reader) + %d",
 				n, allocs, perBlob)
+		}
+		_, allocs, packed, inflate := measure(proseLayer(t, n, 8<<10))
+		t.Logf("%d packed files: %.0f allocations/get, %.0f of them flate's Huffman tables", n, allocs, inflate)
+		if packed != n {
+			t.Fatalf("%d of %d compressible files packed", packed, n)
+		}
+		if allocs > float64(3*n+perBlob)+inflate {
+			t.Errorf("a cold Get of %d packed files allocates %.0f times, want at most 3 per member (no decompressor per member) + %d + the %.0f of flate's Huffman tables",
+				n, allocs, perBlob, inflate)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -19,9 +20,11 @@ import (
 
 // checkStore proves the store's invariants at quiescence: no put or pool
 // write in flight, every pool reference accounted for by a recipe member
-// or a raw blob, the pool's backings holding exactly the referenced
-// digests, every recipe member resolvable at its size, and the Stats
-// accounting equal to a recount over the stored blobs.
+// or a raw blob, every referenced digest held exactly once — raw in its
+// shard's backing, or packed, its packed bytes present and inflating to
+// the digest's content — and nothing else in the backings, every recipe
+// member resolvable at its size, and the Stats accounting equal to a
+// recount over the stored blobs and the backings' entries.
 func checkStore(s *Store) error {
 	st := s.Stats()
 	s.mu.RLock()
@@ -35,6 +38,7 @@ func checkStore(s *Store) error {
 		}
 	}
 
+	var in inflater
 	want := make(map[digest.Digest]int64)
 	var re Stats
 	for d, e := range s.blobs {
@@ -63,7 +67,7 @@ func checkStore(s *Store) error {
 			want[fd]++
 			logical += c.size
 			files++
-			rc, size, oerr := s.pool.open(fd)
+			rc, size, oerr := s.pool.open(fd, &in)
 			if oerr != nil {
 				err = fmt.Errorf("member %s: %w", c.name, oerr)
 				break
@@ -89,22 +93,61 @@ func checkStore(s *Store) error {
 	for i, sh := range s.pool.shards {
 		sh.mu.Lock()
 		flights := len(sh.flights)
-		for d, n := range sh.refs {
-			got[d] = n
-		}
-		backed := sh.backing.Digests()
-		refs := len(sh.refs)
+		refs := maps.Clone(sh.refs)
+		packs := maps.Clone(sh.packs)
 		sh.mu.Unlock()
 		if flights != 0 {
 			return fmt.Errorf("pool shard %d: %d writes still in flight", i, flights)
 		}
-		if len(backed) != refs {
-			return fmt.Errorf("pool shard %d backs %d digests, refcounts %d", i, len(backed), refs)
+		raw := make(map[digest.Digest]bool)
+		for _, d := range sh.backing.Digests() {
+			raw[d] = true
+			n, _ := sh.backing.Stat(d)
+			re.FileBytes += n
+			re.PoolBytes += n
 		}
-		for _, d := range backed {
-			if got[d] == 0 {
+		keys := make(map[digest.Digest]bool)
+		for _, k := range sh.packed.Digests() {
+			keys[k] = true
+			n, _ := sh.packed.Stat(k)
+			re.PoolBytes += n
+		}
+		var packedContent int64
+		for d, pf := range packs {
+			if refs[d] == 0 {
+				return fmt.Errorf("pool shard %d: packed entry %s has no reference", i, d.Short())
+			}
+			if !keys[pf.key] {
+				return fmt.Errorf("pool shard %d: packed bytes of %s are missing", i, d.Short())
+			}
+			delete(keys, pf.key)
+			packedContent += pf.size
+			// Inflate it: the content must be exactly the digest's.
+			rc, size, err := s.pool.open(d, &in)
+			if err != nil {
+				return fmt.Errorf("pool shard %d: opening packed %s: %w", i, d.Short(), err)
+			}
+			h := digest.NewHasher()
+			n, err := io.Copy(h, rc)
+			rc.Close()
+			if err != nil || n != size || size != pf.size || h.Digest() != d {
+				return fmt.Errorf("pool shard %d: packed %s inflates to %d of %d bytes (%v), digest %s", i, d.Short(), n, pf.size, err, h.Digest().Short())
+			}
+		}
+		if len(keys) != 0 {
+			return fmt.Errorf("pool shard %d holds %d packed forms no entry owns", i, len(keys))
+		}
+		re.FileBytes += packedContent
+		for d := range raw {
+			if refs[d] == 0 {
 				return fmt.Errorf("pool shard %d backs unreferenced %s", i, d.Short())
 			}
+		}
+		for d, n := range refs {
+			if _, packed := packs[d]; raw[d] == packed {
+				return fmt.Errorf("pool shard %d holds %s raw=%v packed=%v, want exactly one", i, d.Short(), raw[d], packed)
+			}
+			got[d] = n
 		}
 	}
 	for d, n := range want {
@@ -118,7 +161,6 @@ func checkStore(s *Store) error {
 		}
 	}
 
-	re.FileBytes = s.pool.TotalBytes()
 	re.UniqueFiles = len(got)
 	if st != re {
 		return fmt.Errorf("Stats %+v, recount %+v", st, re)
@@ -132,6 +174,9 @@ func checkStore(s *Store) error {
 // Layers share member files across goroutines, so pool claims contend,
 // and the first two raw blobs of a goroutine are byte-equal to members of
 // its layers (and of others'), so a raw put can find its digest pooled.
+// One shared member and every goroutine's second raw blob are tapeProse,
+// which the pool packs: contention, failed streams, deletes under readers
+// and a raw blob equal to a member all reach packed entries too.
 const (
 	tapeGoroutines = 4 // most a tape runs
 	tapeLayers     = 3
@@ -170,6 +215,19 @@ func tapeText(seed, size int) []byte {
 	return b
 }
 
+// tapeProse is deterministic text the pool packs: words from a small
+// vocabulary, far under half its size at BestSpeed.
+func tapeProse(seed, size int) []byte {
+	words := []string{"layer", "image", "file", "pull", "push", "tag", "hub", "pool"}
+	rng := rand.New(rand.NewSource(int64(seed)))
+	b := make([]byte, 0, size+8)
+	for len(b) < size {
+		b = append(b, words[rng.Intn(len(words))]...)
+		b = append(b, ' ')
+	}
+	return b[:size]
+}
+
 func tapeLayer(files [][]byte) []byte {
 	var buf bytes.Buffer
 	b := tarutil.NewGzipBuilder(&buf)
@@ -187,11 +245,11 @@ func storeTapeBlobs() *[tapeGoroutines][tapeBlobs][]byte {
 		for i := range shared {
 			shared[i] = tapeText(100+i, 300+400*i)
 		}
+		shared[1] = tapeProse(101, 6<<10)
 		var owned [tapeGoroutines][2][]byte
 		for g := range owned {
-			for j := range owned[g] {
-				owned[g][j] = tapeText(200+10*g+j, 500+200*j)
-			}
+			owned[g][0] = tapeText(200+10*g, 500)
+			owned[g][1] = tapeProse(201+10*g, 5<<10)
 		}
 		var sharedLayers [tapeShared][]byte
 		for m := range sharedLayers {
@@ -461,6 +519,36 @@ var storeTapeSeeds = map[string][]byte{
 		0 + 3*opPut, 0, 0,
 		0 + 3*opGet, 0, 5,
 		0 + 3*opGet, 0, 0},
+	// A raw blob is put before the layer carrying the same bytes, so the
+	// file stays raw; another goroutine's raw blob finds its bytes pooled
+	// packed by a shared layer, is read back whole and through a held
+	// reader, and is deleted under that reader.
+	"raw-blob-equals-packed-member": {0x00,
+		0 + 2*opPutStream, tapeLayers + 1, 0,
+		0 + 2*opPutStream, 0, 0,
+		1 + 2*opPutStream, tapeLayers + tapeRaws, 0,
+		1 + 2*opPut, tapeLayers + 1, 0,
+		1 + 2*opGet, tapeLayers + 1, 0,
+		1 + 2*opGet, tapeLayers + 1, 1,
+		1 + 2*opDelete, tapeLayers + 1, 0,
+		0 + 2*opDelete, tapeLayers + 1, 0,
+		0 + 2*opGet, 0, 0},
+	// Four goroutines claim the packed shared member at once through
+	// layers 0 and 1, one stream breaking after it and one corrupt; held
+	// readers through the cache see their layers deleted.
+	"packed-claims-contend": {0x74,
+		0 + 4*opPutStream, 0, 0,
+		1 + 4*opPutFailing, 0, 200,
+		2 + 4*opPutStream, 1, 0,
+		3 + 4*opPutCorrupt, 1, 128,
+		1 + 4*opPutStream, 0, 0,
+		3 + 4*opPut, 1, 0,
+		0 + 4*opGet, 0, 5,
+		2 + 4*opGet, 1, 0,
+		0 + 4*opDelete, 0, 0,
+		1 + 4*opDelete, 0, 0,
+		2 + 4*opDelete, 1, 0,
+		3 + 4*opGet, 1, 9},
 	// A reader pins a layer that its own goroutine then deletes.
 	"delete-while-read": {0x01,
 		0 + 3*opPutStream, 1, 0,

@@ -210,10 +210,11 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	if r.handlePush(w, req) {
 		return
 	}
-	// The catalog endpoint modern registries expose. Docker Hub did NOT
+	// The catalog endpoint modern registries expose, served for Registry
+	// v2 clients that enumerate repositories by it. Docker Hub did NOT
 	// offer it at crawl time — which is why the paper had to scrape the
-	// web search (§III-A); serving it here lets the crawler demonstrate
-	// both enumeration strategies.
+	// web search (§III-A), and why the crawler enumerates through the
+	// search API only.
 	if path == "_catalog" {
 		r.serveCatalog(w, req)
 		return
