@@ -33,7 +33,7 @@ test:
 # Race-check the packages with concurrent machinery. Kept narrower than
 # ./... so the gate stays fast enough to run on every change.
 race:
-	$(GO) test -race ./internal/core ./internal/crawler ./internal/analyzer ./internal/tarutil ./internal/stats ./internal/blobstore ./internal/sema ./internal/httpx ./internal/downloader ./internal/registry ./internal/pipeline ./internal/engine ./internal/serve ./internal/cache ./internal/mirror ./internal/cluster ./internal/topology ./internal/dedupstore ./internal/analytics ./internal/trafficsim
+	$(GO) test -race ./internal/core ./internal/crawler ./internal/analyzer ./internal/tarutil ./internal/stats ./internal/blobstore ./internal/httpx ./internal/downloader ./internal/registry ./internal/pipeline ./internal/engine ./internal/serve ./internal/cache ./internal/mirror ./internal/cluster ./internal/topology ./internal/dedupstore ./internal/analytics ./internal/trafficsim
 
 # Race-check everything, including the root package's streaming
 # benchmarks' fixtures (slower; not part of `make ci`).

@@ -48,7 +48,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	out := fs.String("out", "", "output directory; blobs land in <out>/blobs (required)")
 	workers := fs.Int("workers", 8, "concurrent page fetches, image downloads and layer walks")
 	layerWorkers := fs.Int("layer-workers", 0, "concurrent layer transfers across all images (0 = 2x workers)")
-	byteBudget := fs.Int64("byte-budget", 0, "max manifest-declared bytes in flight at once (0 = unlimited)")
 	token := fs.String("token", "", "bearer token for private repositories")
 	retries := fs.Int("retries", 1, "extra attempts for transient failures")
 	if err := fs.Parse(args); err != nil {
@@ -77,7 +76,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Client:       &registry.Client{Base: *regURL, Token: *token},
 		Workers:      *workers,
 		LayerWorkers: *layerWorkers,
-		ByteBudget:   *byteBudget,
 		Store:        store,
 		Retries:      *retries,
 	}

@@ -125,9 +125,14 @@ const packMinSize = 4 << 10
 // per-entry setup (Writer.Reset plus a final Huffman block). A file that
 // does not halve would make every cold read inflate all of its bytes while
 // saving less than half of them. The rule reads only the file's own bytes,
-// so the same files pack the same way in any push order, and stored bytes
-// repeat exactly from run to run. The packed bytes are a view of pk's
-// buffer, valid until its next use.
+// so the same files pack the same way in any push order, with one
+// exception: addStream never packs, so a raw blob put before a layer
+// holding the same bytes keeps that entry raw (the tape seed
+// raw-blob-equals-packed-member). No bench corpus meets it: its raw blobs
+// are configs and manifests, JSON that ends in '}', while every
+// synthesized file of 16 bytes or more ends in its hex id, so stored
+// bytes repeat exactly from run to run. The packed bytes are a view of
+// pk's buffer, valid until its next use.
 func pack(content []byte, pk *packer) []byte {
 	if len(content) < packMinSize {
 		return nil

@@ -10,10 +10,10 @@
 // transfer workers that live as long as the run: an image worker claims
 // its config and layers, hands the ones it wins to the pool and waits for
 // the rest itself, so no goroutine is started per image, blob or layer,
-// and a transfer worker never waits on another transfer's flight. An
-// optional in-flight byte budget bounds memory independently of how layers
-// are distributed across images, and every blob streams through
-// verification into the store without ever materializing as a full []byte.
+// and a transfer worker never waits on another transfer's flight. Every
+// blob streams through verification into the store without ever
+// materializing as a full []byte, so LayerWorkers is also the bound on
+// transfer memory.
 // A layer that reached the store can be handed to LayerStored on the same
 // worker right after the commit — the fused pipeline walks it there.
 //
@@ -34,7 +34,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/manifest"
 	"repro/internal/registry"
-	"repro/internal/sema"
 )
 
 // Image is one successfully downloaded image.
@@ -67,11 +66,6 @@ type Downloader struct {
 	// (2×Workers if 0). Layers of one image download in parallel, and a
 	// repository with many layers cannot monopolize the wire.
 	LayerWorkers int
-	// ByteBudget bounds the manifest-declared bytes in flight at once
-	// (0 = unlimited). With a streaming store the budget approximates peak
-	// transfer memory; a blob larger than the whole budget is clamped to
-	// it rather than rejected.
-	ByteBudget int64
 	// Store receives verified layer blobs (required).
 	Store blobstore.Store
 	// Retries is the number of extra attempts for transient failures
@@ -146,15 +140,13 @@ type Result struct {
 }
 
 // runState carries the shared machinery of one Run: the blobs fetched and
-// being fetched, the transfer pool's queue, the byte budget, the counters.
+// being fetched, the transfer pool's queue, the counters.
 type runState struct {
 	ctx       context.Context
 	mu        sync.Mutex // guards fetched and flights
 	fetched   map[digest.Digest]bool
 	flights   blobstore.Flights
 	transfers chan claim
-	budget    *sema.Weighted
-	budgetCap int64
 
 	bytes       atomic.Int64
 	configBytes atomic.Int64
@@ -171,15 +163,6 @@ func (d *Downloader) layerWorkers() int {
 	return 2 * d.imageWorkers()
 }
 
-func (d *Downloader) newRunState(ctx context.Context) *runState {
-	st := &runState{ctx: ctx, fetched: make(map[digest.Digest]bool), flights: make(blobstore.Flights), transfers: make(chan claim)}
-	if d.ByteBudget > 0 {
-		st.budget = sema.NewWeighted(d.ByteBudget)
-		st.budgetCap = d.ByteBudget
-	}
-	return st
-}
-
 func (st *runState) fill(s *Stats) {
 	s.Bytes = st.bytes.Load()
 	s.ConfigBytes = st.configBytes.Load()
@@ -189,9 +172,10 @@ func (st *runState) fill(s *Stats) {
 
 // RunContext downloads all repositories. Per-repository failures are
 // classified and counted, not fatal; only systemic errors abort. When ctx
-// is done, in-flight transfers abort and the run returns with whatever
-// completed. A Downloader without a Client or a Store is refused before
-// any request.
+// is done, in-flight transfers abort, no further repository is handed to
+// an image worker, and the run returns with whatever completed: a
+// repository never handed out counts in Attempted and in no outcome. A
+// Downloader without a Client or a Store is refused before any request.
 func (d *Downloader) RunContext(ctx context.Context, repos []string) (*Result, error) {
 	if d.Client == nil {
 		return nil, errors.New("downloader: nil registry client")
@@ -205,7 +189,7 @@ func (d *Downloader) RunContext(ctx context.Context, repos []string) (*Result, e
 		stats  Stats
 	)
 	stats.Attempted = len(repos)
-	st := d.newRunState(ctx)
+	st := &runState{ctx: ctx, fetched: make(map[digest.Digest]bool), flights: make(blobstore.Flights), transfers: make(chan claim)}
 
 	var transferring sync.WaitGroup
 	for w := 0; w < d.layerWorkers(); w++ {
@@ -218,36 +202,27 @@ func (d *Downloader) RunContext(ctx context.Context, repos []string) (*Result, e
 		}()
 	}
 
-	work := make(chan string)
-	var wg sync.WaitGroup
-	for w := 0; w < d.imageWorkers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for repo := range work {
-				img, layerErrs, err := d.downloadOne(st, repo)
-				mu.Lock()
-				switch {
-				case errors.Is(err, registry.ErrUnauthorized):
-					stats.AuthFailures++
-				case errors.Is(err, registry.ErrNotFound):
-					stats.NoLatest++
-				case err != nil:
-					stats.OtherFailures++
-				default:
-					stats.Downloaded++
-					images = append(images, *img)
-				}
-				stats.OtherFailures += layerErrs
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, repo := range repos {
-		work <- repo
-	}
-	close(work)
-	wg.Wait()
+	// Every repository's outcome is classified here, so the function never
+	// fails and ForEach's error can only be ctx's, which a cancelled run
+	// shows through what it counted.
+	engine.ForEach(ctx, d.imageWorkers(), len(repos), func(_ context.Context, i int) error {
+		img, layerErrs, err := d.downloadOne(st, repos[i])
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case errors.Is(err, registry.ErrUnauthorized):
+			stats.AuthFailures++
+		case errors.Is(err, registry.ErrNotFound):
+			stats.NoLatest++
+		case err != nil:
+			stats.OtherFailures++
+		default:
+			stats.Downloaded++
+			images = append(images, *img)
+		}
+		stats.OtherFailures += layerErrs
+		return nil
+	})
 	close(st.transfers)
 	transferring.Wait()
 
@@ -357,24 +332,9 @@ func (d *Downloader) transfer(st *runState, c claim) {
 	}
 }
 
-// fetchBlob transfers one blob within the byte budget, retrying transient
-// failures with jittered backoff, and records the outcome in the run
-// counters.
+// fetchBlob transfers one blob, retrying transient failures with jittered
+// backoff, and records the outcome in the run counters.
 func (d *Downloader) fetchBlob(st *runState, repo string, desc manifest.Descriptor, isConfig bool) error {
-	if st.budget != nil {
-		weight := desc.Size
-		if weight > st.budgetCap {
-			weight = st.budgetCap
-		}
-		if weight < 1 {
-			weight = 1
-		}
-		if err := st.budget.Acquire(st.ctx, weight); err != nil {
-			return err
-		}
-		defer st.budget.Release(weight)
-	}
-
 	var n int64
 	var err error
 	for attempt := 0; ; attempt++ {

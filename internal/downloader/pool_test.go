@@ -7,6 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -105,5 +108,92 @@ func TestTransferPoolGoroutines(t *testing.T) {
 		if n := runtime.NumGoroutine(); n > base {
 			t.Fatalf("workers %d/%d: %d goroutines left running after RunContext returned", c.workers, c.layerWorkers, n-base)
 		}
+	}
+}
+
+// TestCancelStopsHandingOutRepos: a run cancelled while its one image
+// worker waits on the second manifest returns at once, requests no
+// repository after the cancel, counts no repository twice and leaves no
+// goroutine behind.
+func TestCancelStopsHandingOutRepos(t *testing.T) {
+	reg := registry.New(blobstore.NewMemory())
+	repos := make([]string, 5)
+	for i := range repos {
+		b := []byte(fmt.Sprintf("layer of repository %d", i))
+		dg, err := reg.PushBlob(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := []byte(fmt.Sprintf(`{"architecture":"amd64","os":"linux","n":%d}`, i))
+		cfgDg, err := reg.PushBlob(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := manifest.New(manifest.Descriptor{MediaType: manifest.MediaTypeConfig, Size: int64(len(cfg)), Digest: cfgDg},
+			[]manifest.Descriptor{{MediaType: manifest.MediaTypeLayer, Size: int64(len(b)), Digest: dg}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		repos[i] = fmt.Sprintf("cancel/repo%d", i)
+		reg.CreateRepo(repos[i], false)
+		if _, err := reg.PushManifest(repos[i], "latest", m); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var (
+		mu        sync.Mutex
+		requested []string
+	)
+	h := http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if !strings.Contains(req.URL.Path, "/manifests/") {
+			reg.ServeHTTP(w, req)
+			return
+		}
+		if ctx.Err() != nil {
+			t.Errorf("manifest %s requested after the cancel", req.URL.Path)
+		}
+		mu.Lock()
+		requested = append(requested, req.URL.Path)
+		second := len(requested) == 2
+		mu.Unlock()
+		if second {
+			cancel()
+			<-req.Context().Done()
+			return
+		}
+		reg.ServeHTTP(w, req)
+	})
+	dl := &Downloader{
+		Client:       &registry.Client{Base: "http://registry.invalid", HTTP: &http.Client{Transport: handlerTransport{h}}},
+		Workers:      1,
+		LayerWorkers: 2,
+		Store:        blobstore.NewMemory(),
+	}
+	base := runtime.NumGoroutine()
+	start := time.Now()
+	res, err := dl.RunContext(ctx, repos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("RunContext took %v after the cancel", took)
+	}
+	want := []string{"/v2/cancel/repo0/manifests/latest", "/v2/cancel/repo1/manifests/latest"}
+	if !slices.Equal(requested, want) {
+		t.Fatalf("manifests requested %v, want %v", requested, want)
+	}
+	s := res.Stats
+	if s.Downloaded != 1 || s.Downloaded+s.AuthFailures+s.NoLatest+s.OtherFailures > s.Attempted {
+		t.Fatalf("stats %+v: want 1 downloaded and no more outcomes than the %d attempted", s, s.Attempted)
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines left running after RunContext returned", n-base)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -115,22 +116,35 @@ func (c *Client) httpClient() *http.Client {
 	return httpx.DefaultClient
 }
 
-func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
+// do sends one request to target (the registry's base URL plus the
+// request path) and returns the response when its status is one of ok;
+// every other status goes through statusErr. It is the one place a request
+// is built and given the bearer token, so every entry point maps statuses,
+// throttles included, the same way.
+func (c *Client) do(ctx context.Context, method, target string, body io.Reader, header http.Header, ok ...int) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, target, body)
 	if err != nil {
 		return nil, fmt.Errorf("registry client: building request: %w", err)
+	}
+	for k, v := range header {
+		req.Header[k] = v
 	}
 	if c.Token != "" {
 		req.Header.Set("Authorization", "Bearer "+c.Token)
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("registry client: %s: %w", path, err)
+		return nil, fmt.Errorf("registry client: %s: %w", target, err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusErr(resp, path)
+	if !slices.Contains(ok, resp.StatusCode) {
+		return nil, statusErr(resp, target)
 	}
 	return resp, nil
+}
+
+// get is a GET of a path under Base that succeeds with 200.
+func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
+	return c.do(ctx, http.MethodGet, c.Base+path, nil, nil, http.StatusOK)
 }
 
 // Ping checks the /v2/ endpoint.
@@ -241,52 +255,29 @@ func (c *Client) BlobContext(ctx context.Context, name string, d digest.Digest) 
 // ignores the range (plain 200), the offset is skipped client-side so the
 // caller always reads from the requested position.
 func (c *Client) BlobRangeContext(ctx context.Context, name string, d digest.Digest, offset int64) (io.ReadCloser, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/v2/"+name+"/blobs/"+d.String(), nil)
-	if err != nil {
-		return nil, fmt.Errorf("registry client: building range request: %w", err)
-	}
-	if c.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.Token)
-	}
+	var header http.Header
 	if offset > 0 {
-		req.Header.Set("Range", fmt.Sprintf("bytes=%d-", offset))
+		header = http.Header{"Range": {fmt.Sprintf("bytes=%d-", offset)}}
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.do(ctx, http.MethodGet, c.Base+"/v2/"+name+"/blobs/"+d.String(), nil, header, http.StatusPartialContent, http.StatusOK)
 	if err != nil {
-		return nil, fmt.Errorf("registry client: range request: %w", err)
+		return nil, err
 	}
-	switch resp.StatusCode {
-	case http.StatusPartialContent:
-		return resp.Body, nil
-	case http.StatusOK:
-		if offset > 0 {
-			if _, err := io.CopyN(io.Discard, resp.Body, offset); err != nil {
-				resp.Body.Close()
-				return nil, fmt.Errorf("registry client: skipping to offset: %w", err)
-			}
+	if resp.StatusCode == http.StatusOK && offset > 0 {
+		if _, err := io.CopyN(io.Discard, resp.Body, offset); err != nil {
+			resp.Body.Close()
+			return nil, fmt.Errorf("registry client: skipping to offset: %w", err)
 		}
-		return resp.Body, nil
-	default:
-		return nil, statusErr(resp, "blob "+d.Short())
 	}
+	return resp.Body, nil
 }
 
 // BlobStatContext checks a blob's existence and size with a HEAD request —
 // what a mirror answers HEAD probes with without pulling the blob through.
 func (c *Client) BlobStatContext(ctx context.Context, name string, d digest.Digest) (int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead, c.Base+"/v2/"+name+"/blobs/"+d.String(), nil)
+	resp, err := c.do(ctx, http.MethodHead, c.Base+"/v2/"+name+"/blobs/"+d.String(), nil, nil, http.StatusOK)
 	if err != nil {
-		return 0, fmt.Errorf("registry client: building stat request: %w", err)
-	}
-	if c.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.Token)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return 0, fmt.Errorf("registry client: stat request: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, statusErr(resp, "blob "+d.Short())
+		return 0, err
 	}
 	resp.Body.Close()
 	return resp.ContentLength, nil

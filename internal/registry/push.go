@@ -148,29 +148,13 @@ func (r *Registry) serveManifestPut(w http.ResponseWriter, req *http.Request, na
 // PushBlobContext uploads a blob via the wire API (client side).
 func (c *Client) PushBlobContext(ctx context.Context, name string, content []byte) (digest.Digest, error) {
 	d := digest.FromBytes(content)
-	u := fmt.Sprintf("%s/v2/%s/blobs/uploads/?digest=%s", c.Base, name, url.QueryEscape(d.String()))
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(content))
+	resp, err := c.do(ctx, http.MethodPost, c.Base+"/v2/"+name+"/blobs/uploads/?digest="+url.QueryEscape(d.String()),
+		bytes.NewReader(content), nil, http.StatusCreated)
 	if err != nil {
-		return "", fmt.Errorf("registry client: building upload: %w", err)
+		return "", err
 	}
-	if c.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.Token)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return "", fmt.Errorf("registry client: uploading blob: %w", err)
-	}
-	defer httpx.DrainClose(resp.Body)
-	switch resp.StatusCode {
-	case http.StatusCreated:
-		return d, nil
-	case http.StatusUnauthorized:
-		return "", fmt.Errorf("%w: push %s", ErrUnauthorized, name)
-	case http.StatusNotFound:
-		return "", fmt.Errorf("%w: push %s", ErrNotFound, name)
-	default:
-		return "", fmt.Errorf("registry client: blob upload status %d", resp.StatusCode)
-	}
+	httpx.DrainClose(resp.Body)
+	return d, nil
 }
 
 // PushManifestContext uploads and tags a manifest via the wire API
@@ -180,56 +164,22 @@ func (c *Client) PushManifestContext(ctx context.Context, name, tag string, m *m
 	if err != nil {
 		return "", err
 	}
-	u := fmt.Sprintf("%s/v2/%s/manifests/%s", c.Base, name, url.PathEscape(tag))
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, u, bytes.NewReader(raw))
+	resp, err := c.do(ctx, http.MethodPut, c.Base+"/v2/"+name+"/manifests/"+url.PathEscape(tag),
+		bytes.NewReader(raw), http.Header{"Content-Type": {manifest.MediaTypeManifest}}, http.StatusCreated)
 	if err != nil {
-		return "", fmt.Errorf("registry client: building manifest put: %w", err)
+		return "", err
 	}
-	req.Header.Set("Content-Type", manifest.MediaTypeManifest)
-	if c.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.Token)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return "", fmt.Errorf("registry client: pushing manifest: %w", err)
-	}
-	defer httpx.DrainClose(resp.Body)
-	switch resp.StatusCode {
-	case http.StatusCreated:
-		return digest.FromBytes(raw), nil
-	case http.StatusUnauthorized:
-		return "", fmt.Errorf("%w: push %s:%s", ErrUnauthorized, name, tag)
-	case http.StatusNotFound:
-		return "", fmt.Errorf("%w: push %s:%s", ErrNotFound, name, tag)
-	default:
-		return "", fmt.Errorf("registry client: manifest push status %d", resp.StatusCode)
-	}
+	httpx.DrainClose(resp.Body)
+	return digest.FromBytes(raw), nil
 }
 
 // DeleteManifestContext removes a tag (or, given a digest ref, every tag
 // pointing at that manifest) via the wire API (client side).
 func (c *Client) DeleteManifestContext(ctx context.Context, name, ref string) error {
-	u := fmt.Sprintf("%s/v2/%s/manifests/%s", c.Base, name, url.PathEscape(ref))
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, u, nil)
+	resp, err := c.do(ctx, http.MethodDelete, c.Base+"/v2/"+name+"/manifests/"+url.PathEscape(ref), nil, nil, http.StatusAccepted)
 	if err != nil {
-		return fmt.Errorf("registry client: building manifest delete: %w", err)
+		return err
 	}
-	if c.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.Token)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return fmt.Errorf("registry client: deleting manifest: %w", err)
-	}
-	defer httpx.DrainClose(resp.Body)
-	switch resp.StatusCode {
-	case http.StatusAccepted:
-		return nil
-	case http.StatusUnauthorized:
-		return fmt.Errorf("%w: delete %s:%s", ErrUnauthorized, name, ref)
-	case http.StatusNotFound:
-		return fmt.Errorf("%w: delete %s:%s", ErrNotFound, name, ref)
-	default:
-		return fmt.Errorf("registry client: manifest delete status %d", resp.StatusCode)
-	}
+	httpx.DrainClose(resp.Body)
+	return nil
 }

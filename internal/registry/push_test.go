@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/blobstore"
 	"repro/internal/digest"
@@ -174,6 +175,22 @@ func TestPushToUnknownRepo(t *testing.T) {
 	_, c, _ := pushTestSetup(t)
 	if _, err := c.PushBlobContext(context.Background(), "ghost/repo", []byte("data")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("push to unknown repo = %v, want ErrNotFound", err)
+	}
+}
+
+// TestPushThrottleKeepsRetryAfter: a push shed with 503 and a Retry-After
+// hint comes back as a ThrottleError carrying the hint, as a pull does.
+func TestPushThrottleKeepsRetryAfter(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		w.Header().Set("Retry-After", "2")
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+	c := &Client{Base: srv.URL}
+	_, err := c.PushBlobContext(context.Background(), "alice/app", []byte("data"))
+	var te *ThrottleError
+	if !errors.As(err, &te) || te.Status != http.StatusServiceUnavailable || te.RetryAfter != 2*time.Second {
+		t.Fatalf("throttled push = %v, want a 503 ThrottleError with RetryAfter 2s", err)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/sema"
 	"repro/internal/stats"
 )
 
@@ -181,13 +180,14 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if clk == nil {
 		clk = SystemClock
 	}
-	slots := sema.NewWeighted(maxOutstanding)
+	slots := make(chan struct{}, maxOutstanding)
 	start := clk.Now()
 	rec := &recorder{last: start}
 
 	var wg sync.WaitGroup
 	dispatched := 0
 	var runErr error
+dispatch:
 	for i := 0; i < cfg.Requests; i++ {
 		scheduled := start.Add(cfg.Arrivals.Next())
 		if d := scheduled.Sub(clk.Now()); d > 0 {
@@ -196,16 +196,18 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				break
 			}
 		}
-		if err := slots.Acquire(ctx, 1); err != nil {
-			runErr = err
-			break
+		select {
+		case slots <- struct{}{}:
+		case <-ctx.Done():
+			runErr = ctx.Err()
+			break dispatch
 		}
 		op := cfg.Op(i)
 		dispatched++
 		wg.Add(1)
 		go func(scheduled time.Time, op Op) {
 			defer wg.Done()
-			defer slots.Release(1)
+			defer func() { <-slots }()
 			rec.runOp(ctx, clk, cfg.Timeout, scheduled, op)
 		}(scheduled, op)
 	}

@@ -3,6 +3,8 @@ package trafficsim
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -283,4 +285,110 @@ func TestVirtualClockSleep(t *testing.T) {
 	if got := clk.Now(); !got.Equal(time.Unix(503, 0)) {
 		t.Fatalf("cancelled sleep advanced the clock to %v", got)
 	}
+}
+
+// parkedOps builds ops that each count themselves in flight and park on
+// release (goroutines blocked on a channel, not OS threads), recording the
+// most ever in flight at once and how many ops the dispatcher built.
+type parkedOps struct {
+	release         chan struct{}
+	built, in, peak atomic.Int64
+}
+
+func (p *parkedOps) op(int) Op {
+	p.built.Add(1)
+	return func(context.Context) (int64, error) {
+		n := p.in.Add(1)
+		for {
+			old := p.peak.Load()
+			if n <= old || p.peak.CompareAndSwap(old, n) {
+				break
+			}
+		}
+		<-p.release
+		p.in.Add(-1)
+		return 1, nil
+	}
+}
+
+// waitFor polls cond for up to 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// burst schedules every arrival at the start, so the dispatcher never
+// sleeps and only a slot can hold it back.
+type burst struct{}
+
+func (burst) Next() time.Duration { return 0 }
+
+// runParked starts an open-loop burst of maxOutstanding+extra parked ops
+// on a virtual clock and returns once every slot is held.
+func runParked(t *testing.T, ctx context.Context, extra int) (*parkedOps, <-chan *Result, <-chan error) {
+	t.Helper()
+	p := &parkedOps{release: make(chan struct{})}
+	resc, errc := make(chan *Result, 1), make(chan error, 1)
+	go func() {
+		res, err := Run(ctx, Config{Arrivals: burst{}, Requests: maxOutstanding + extra, Clock: NewVirtualClock(time.Unix(0, 0)), Op: p.op})
+		resc <- res
+		errc <- err
+	}()
+	waitFor(t, "every slot to be held", func() bool { return p.in.Load() >= maxOutstanding })
+	return p, resc, errc
+}
+
+// TestRunBoundsOutstanding: with every op parked, the dispatcher stops at
+// maxOutstanding in flight and goes on once the ops are released.
+func TestRunBoundsOutstanding(t *testing.T) {
+	const extra = 50
+	p, resc, errc := runParked(t, context.Background(), extra)
+	// A bound is seen to hold only over a window: give the dispatcher
+	// time to overrun it.
+	time.Sleep(20 * time.Millisecond)
+	if n := p.built.Load(); n != maxOutstanding {
+		t.Fatalf("dispatcher built %d ops with %d slots held, want %d", n, maxOutstanding, maxOutstanding)
+	}
+	close(p.release)
+	res, err := <-resc, <-errc
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Dispatched != maxOutstanding+extra || res.Completed != maxOutstanding+extra {
+		t.Fatalf("dispatched %d, completed %d, want %d", res.Dispatched, res.Completed, maxOutstanding+extra)
+	}
+	if peak := p.peak.Load(); peak > maxOutstanding {
+		t.Fatalf("%d ops in flight at once, want at most %d", peak, maxOutstanding)
+	}
+}
+
+// TestRunCancelWhileSlotsFull: a cancel while the dispatcher waits for a
+// slot stops dispatching; once the launched ops are released Run returns
+// ctx's error and leaves no goroutine behind.
+func TestRunCancelWhileSlotsFull(t *testing.T) {
+	const extra = 50
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	p, resc, errc := runParked(t, ctx, extra)
+	cancel()
+	close(p.release)
+	var res *Result
+	select {
+	case res = <-resc:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return after the cancel and the release")
+	}
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	if res.Dispatched >= maxOutstanding+extra {
+		t.Fatalf("cancelled run dispatched all %d requests", res.Dispatched)
+	}
+	waitFor(t, "the run's goroutines to exit", func() bool { return runtime.NumGoroutine() <= base })
 }
