@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	trafficsim [-scenarios pull-storm,mixed,flash-crowd,slow-clients,hierarchy,replay] \
-//	           [-rates 60,120,240] [-arrivals poisson|constant|burst|closed] [-workers 8] \
+//	trafficsim [-scenarios pull-storm,mixed,flash-crowd,slow-clients,replay] \
+//	           [-rates 60,120,240] [-arrivals poisson|closed] [-workers 8] \
 //	           [-n 400] [-scale 0.003] [-seed 1] [-timeout 30s] \
 //	           [-slo-p99 500ms] [-slo-errors 0.01] \
 //	           [-search pull-storm] [-search-lo 40] [-search-hi 600] [-search-iters 5] \
@@ -17,9 +17,9 @@
 //	           [-json BENCH_traffic.json]
 //
 // Each scenario × rate cell provisions a fresh stack (cluster, registry,
-// mirror tree — per the scenario), runs -n requests on the chosen arrival
-// process, and reports two latency views: Latency (scheduled arrival →
-// completion, the coordinated-omission-safe figure) and Service
+// mirror — per the scenario), runs -n requests on Poisson arrivals at the
+// cell's mean rate, and reports two latency views: Latency (scheduled
+// arrival → completion, the coordinated-omission-safe figure) and Service
 // (dispatch → completion, what a closed-loop generator would claim). The
 // SLO verdict binds the Latency view.
 //
@@ -40,6 +40,11 @@
 // named scenario closed-loop (-workers clients) and open-loop at
 // -compare-rate (1.5x the searched capacity when 0) to put a number on
 // what coordinated omission hides at overload.
+//
+// Every flag is checked before anything is provisioned: an unknown
+// scenario or arrival process, a bad -rates entry or -search bracket, a
+// non-positive -n or -workers, or a -compare with no way to pick its rate
+// exits 2 without running.
 package main
 
 import (
@@ -66,13 +71,10 @@ func main() {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("trafficsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	scenarios := fs.String("scenarios", "pull-storm,mixed,flash-crowd,slow-clients", "comma-separated scenario sweep (pull-storm, mixed, flash-crowd, slow-clients, hierarchy, replay)")
+	scenarios := fs.String("scenarios", "pull-storm,mixed,flash-crowd,slow-clients", "comma-separated scenario sweep (pull-storm, mixed, flash-crowd, slow-clients, replay)")
 	rates := fs.String("rates", "60,120,240", "comma-separated mean offered rates (requests/s) per scenario")
-	arrivals := fs.String("arrivals", "poisson", "arrival process: poisson, constant, burst, or closed (-workers clients, no schedule)")
+	arrivals := fs.String("arrivals", "poisson", "arrival process: poisson or closed (-workers clients, no schedule)")
 	workers := fs.Int("workers", 8, "closed-loop client count for -arrivals closed and -compare")
-	burstRatio := fs.Float64("burst-ratio", 8, "burst-to-base rate ratio for -arrivals burst")
-	burstPeriod := fs.Duration("burst-period", 10*time.Second, "square-wave period for -arrivals burst")
-	burstDuty := fs.Float64("burst-duty", 0.2, "burst fraction of each period for -arrivals burst")
 	n := fs.Int("n", 400, "requests per run")
 	scale := fs.Float64("scale", 0.003, "synthetic population scale")
 	seed := fs.Int64("seed", 1, "base RNG seed (trace, arrivals, payloads derive offset streams)")
@@ -104,37 +106,48 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	slo := trafficsim.SLO{Latency: *sloP99, MaxErrorRate: *sloErrors}
-	spec := trafficsim.ArrivalSpec{
-		Kind:       *arrivals,
-		Workers:    *workers,
-		BurstRatio: *burstRatio,
-		Period:     *burstPeriod,
-		Duty:       *burstDuty,
-	}
+	spec := trafficsim.ArrivalSpec{Kind: *arrivals, Workers: *workers}
 	baseOpt := trafficsim.Options{
 		Env:     trafficsim.Env{Scale: *scale, Seed: *seed, Requests: *n},
 		Timeout: *timeout,
 	}
-	// Scenario knobs from the cluster-shaped flags; the factory covers the
-	// rest.
+	// byName builds a scenario by its Name, with the knobs its flags set.
 	byName := func(name string) (trafficsim.Scenario, error) {
 		switch name {
 		case "pull-storm":
 			return &trafficsim.PullStorm{Nodes: *nodes, Replicas: *replicas}, nil
+		case "mixed":
+			return &trafficsim.MixedPushPull{}, nil
+		case "flash-crowd":
+			return &trafficsim.FlashCrowd{}, nil
 		case "slow-clients":
 			return &trafficsim.SlowClients{Nodes: 1, ReadBytesPerS: *slowReadBPS}, nil
 		case "replay":
 			return &trafficsim.Replay{Registry: *regURL, Search: *searchURL}, nil
 		default:
-			return trafficsim.NewScenario(name)
+			return nil, fmt.Errorf("unknown scenario %q (want pull-storm, mixed, flash-crowd, slow-clients, or replay)", name)
 		}
 	}
 
-	out := trafficsim.BenchReport{Scale: *scale, Seed: *seed, Requests: *n, SLO: slo.String()}
-
+	// Resolve every name and check every number before the first stack
+	// is provisioned: a bad flag costs no run.
+	if *n < 1 || *workers < 1 {
+		return usage(fmt.Errorf("-n and -workers must be positive (got %d, %d)", *n, *workers))
+	}
+	var sweep []trafficsim.Scenario
+	if *scenarios != "" {
+		for _, name := range strings.Split(*scenarios, ",") {
+			sc, err := byName(strings.TrimSpace(name))
+			if err != nil {
+				return usage(err)
+			}
+			sweep = append(sweep, sc)
+		}
+	}
 	// Closed loop has no schedule to sweep: each scenario runs once.
 	rateList := []float64{0}
-	if spec.Kind != "closed" {
+	switch spec.Kind {
+	case "", "poisson":
 		rateList = nil
 		for _, tok := range strings.Split(*rates, ",") {
 			r, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
@@ -143,42 +156,54 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			}
 			rateList = append(rateList, r)
 		}
-	} else if *search != "" || *compare != "" {
-		return usage(fmt.Errorf("-search and -compare need an open-loop -arrivals process"))
-	}
-
-	if *scenarios != "" {
-		for _, name := range strings.Split(*scenarios, ",") {
-			name = strings.TrimSpace(name)
-			sc, err := byName(name)
-			if err != nil {
-				return fail(err)
-			}
-			for _, rate := range rateList {
-				opt := baseOpt
-				opt.Arrivals = spec.WithRate(rate)
-				res, err := trafficsim.Execute(ctx, sc, opt)
-				if err != nil {
-					return fail(fmt.Errorf("%s @ %g/s: %w", name, rate, err))
-				}
-				rep := trafficsim.NewRunReport(name, opt.Arrivals, res, &slo)
-				out.Runs = append(out.Runs, rep)
-				printRun(stdout, rep)
-			}
+	case "closed":
+		if *search != "" || *compare != "" {
+			return usage(fmt.Errorf("-search and -compare need an open-loop -arrivals process"))
 		}
+	default:
+		return usage(fmt.Errorf("unknown -arrivals %q (want poisson or closed)", spec.Kind))
 	}
-
+	var searchSc, compareSc trafficsim.Scenario
+	var err error
 	if *search != "" {
-		sc, err := byName(*search)
-		if err != nil {
-			return fail(err)
+		if *searchLo <= 0 || *searchHi <= *searchLo {
+			return usage(fmt.Errorf("-search bracket [%g, %g] must satisfy 0 < -search-lo < -search-hi", *searchLo, *searchHi))
 		}
+		if searchSc, err = byName(*search); err != nil {
+			return usage(err)
+		}
+	}
+	if *compare != "" {
+		if *compareRate <= 0 && *search == "" {
+			return usage(fmt.Errorf("-compare needs -compare-rate or a -search to pick the overload rate"))
+		}
+		if compareSc, err = byName(*compare); err != nil {
+			return usage(err)
+		}
+	}
+
+	out := trafficsim.BenchReport{Scale: *scale, Seed: *seed, Requests: *n, SLO: slo.String()}
+	for _, sc := range sweep {
+		for _, rate := range rateList {
+			opt := baseOpt
+			opt.Arrivals = spec.WithRate(rate)
+			res, err := trafficsim.Execute(ctx, sc, opt)
+			if err != nil {
+				return fail(fmt.Errorf("%s @ %g/s: %w", sc.Name(), rate, err))
+			}
+			rep := trafficsim.NewRunReport(sc.Name(), opt.Arrivals, res, &slo)
+			out.Runs = append(out.Runs, rep)
+			printRun(stdout, rep)
+		}
+	}
+
+	if searchSc != nil {
 		fmt.Fprintf(stdout, "searching %s for max rate under %v in [%g, %g]...\n", *search, slo, *searchLo, *searchHi)
 		sr, err := trafficsim.SearchMaxRate(ctx, *searchLo, *searchHi, *searchIters, slo,
 			func(ctx context.Context, rate float64) (*trafficsim.Result, error) {
 				opt := baseOpt
 				opt.Arrivals = spec.WithRate(rate)
-				res, err := trafficsim.Execute(ctx, sc, opt)
+				res, err := trafficsim.Execute(ctx, searchSc, opt)
 				if err == nil {
 					fmt.Fprintf(stdout, "  probe %7.1f/s: p99=%.1fms err=%.3f\n", rate,
 						float64(res.Latency.P(99))/float64(time.Millisecond), res.ErrorRate())
@@ -194,21 +219,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			*search, slo, sr.MaxRatePerS, len(sr.Probes))
 	}
 
-	if *compare != "" {
-		sc, err := byName(*compare)
-		if err != nil {
-			return fail(err)
-		}
+	if compareSc != nil {
 		rate := *compareRate
 		if rate <= 0 {
-			if out.Search == nil || out.Search.MaxRatePerS <= 0 {
+			if out.Search.MaxRatePerS <= 0 {
 				return fail(fmt.Errorf("-compare needs -compare-rate or a successful -search to pick the overload rate"))
 			}
 			rate = 1.5 * out.Search.MaxRatePerS
 		}
 		opt := baseOpt
 		opt.Arrivals = spec
-		cmp, closed, open, err := trafficsim.CompareClosedOpen(ctx, sc, opt, *workers, rate)
+		cmp, closed, open, err := trafficsim.CompareClosedOpen(ctx, compareSc, opt, *workers, rate)
 		if err != nil {
 			return fail(err)
 		}

@@ -41,16 +41,27 @@ func TestFlashCrowdWritesBenchJSON(t *testing.T) {
 	}
 }
 
-// Removed flags and an impossible combination are usage errors.
+// Removed flags, unknown names, bad numbers and impossible combinations
+// are usage errors, found before any stack is provisioned: nothing runs.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-node-bw", "262144"},
 		{"-slo-percentile", "99.9"},
+		{"-burst-ratio", "8"},
 		{"-arrivals", "closed", "-search", "pull-storm"},
+		{"-arrivals", "burst"},
+		{"-scenarios", "pull-storm,nosuch"},
+		{"-compare", "pull-storm"},
+		{"-search", "pull-storm", "-search-lo", "50", "-search-hi", "10"},
+		{"-n", "0"},
+		{"-arrivals", "closed", "-workers", "0"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(context.Background(), args, &stdout, &stderr); code != 2 {
 			t.Errorf("%v: exit %d, want 2 (stderr %q)", args, code, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: ran before refusing: %q", args, stdout.String())
 		}
 	}
 }

@@ -1,9 +1,13 @@
 package trafficsim
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // Arrival schedules must be pure functions of their seeds — no wall clock
@@ -59,79 +63,6 @@ func TestPoissonEmpiricalRate(t *testing.T) {
 	}
 }
 
-func TestConstantSpacing(t *testing.T) {
-	c, err := NewConstant(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := schedule(c, 100)
-	if sched[0] != 0 {
-		t.Fatalf("first constant arrival at %v, want 0", sched[0])
-	}
-	want := 20 * time.Millisecond
-	for i := 1; i < len(sched); i++ {
-		gap := sched[i] - sched[i-1]
-		if diff := gap - want; diff < -time.Microsecond || diff > time.Microsecond {
-			t.Fatalf("gap %d is %v, want %v", i, gap, want)
-		}
-	}
-}
-
-func TestSquareWaveDutyCycle(t *testing.T) {
-	const (
-		base, burst = 20.0, 400.0
-		duty        = 0.25
-		n           = 30000
-	)
-	period := 2 * time.Second
-	s, err := NewSquareWave(base, burst, period, duty, rand.New(rand.NewSource(11)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := schedule(s, n)
-
-	// Bucket arrivals by phase-of-period; the burst window [0, duty*T)
-	// must hold roughly duty*burst/(duty*burst + (1-duty)*base) of them.
-	inBurst := 0
-	for _, at := range sched {
-		phase := at.Seconds() - float64(int64(at.Seconds()/period.Seconds()))*period.Seconds()
-		if phase < duty*period.Seconds() {
-			inBurst++
-		}
-	}
-	wantFrac := duty * burst / (duty*burst + (1-duty)*base)
-	gotFrac := float64(inBurst) / n
-	if gotFrac < wantFrac-0.03 || gotFrac > wantFrac+0.03 {
-		t.Fatalf("burst-window arrival fraction %.3f, want %.3f ± 0.03", gotFrac, wantFrac)
-	}
-
-	// Empirical rates inside each phase should track the configured ones.
-	last := sched[n-1].Seconds()
-	fullPeriods := float64(int64(last / period.Seconds()))
-	if fullPeriods < 3 {
-		t.Fatalf("schedule too short to cover phases: %v", sched[n-1])
-	}
-	burstTime := fullPeriods * duty * period.Seconds()
-	gotBurstRate := float64(inBurst) / burstTime
-	if gotBurstRate < burst*0.9 || gotBurstRate > burst*1.1 {
-		t.Fatalf("burst-phase empirical rate %.1f/s outside 10%% of %g/s", gotBurstRate, burst)
-	}
-}
-
-func TestSquareWaveZeroBase(t *testing.T) {
-	period := time.Second
-	s, err := NewSquareWave(0, 100, period, 0.1, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, at := range schedule(s, 2000) {
-		phase := at.Seconds() - float64(int64(at.Seconds()/period.Seconds()))*period.Seconds()
-		if phase >= 0.1*period.Seconds() {
-			t.Fatalf("arrival %d at %v falls in the zero-rate quiet phase (offset %.3fs)", i, at, phase)
-		}
-	}
-}
-
 func TestArrivalValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if _, err := NewPoisson(0, rng); err == nil {
@@ -140,40 +71,40 @@ func TestArrivalValidation(t *testing.T) {
 	if _, err := NewPoisson(10, nil); err == nil {
 		t.Error("NewPoisson accepted nil rng")
 	}
-	if _, err := NewConstant(-1); err == nil {
-		t.Error("NewConstant accepted negative rate")
+}
+
+// TestArrivalSpecMeanRate: a spec's Rate is the mean rate Execute
+// dispatches at, the empty kind is Poisson, and an unknown kind is
+// refused before the scenario is set up.
+func TestArrivalSpecMeanRate(t *testing.T) {
+	const n = 5000
+	opt := Options{Env: Env{Seed: 99, Requests: n, Clock: NewVirtualClock(time.Unix(0, 0))}}
+	for _, kind := range []string{"", "poisson"} {
+		opt.Arrivals = ArrivalSpec{Kind: kind, Rate: 150}
+		res, err := Execute(context.Background(), fixedOps{}, opt)
+		if err != nil {
+			t.Fatalf("%q: %v", kind, err)
+		}
+		// On the virtual clock the run ends at its last arrival.
+		got := float64(n) / res.Wall.Seconds()
+		if got < 150*0.93 || got > 150*1.07 {
+			t.Errorf("%q: mean rate %.1f/s outside 7%% of 150/s", kind, got)
+		}
 	}
-	if _, err := NewSquareWave(10, 5, time.Second, 0.5, rng); err == nil {
-		t.Error("NewSquareWave accepted burst <= base")
-	}
-	if _, err := NewSquareWave(1, 10, time.Second, 1.5, rng); err == nil {
-		t.Error("NewSquareWave accepted duty >= 1")
-	}
-	if _, err := NewSquareWave(1, 10, 0, 0.5, rng); err == nil {
-		t.Error("NewSquareWave accepted zero period")
+	opt.Arrivals = ArrivalSpec{Kind: "sawtooth", Rate: 1}
+	if _, err := Execute(context.Background(), setupForbidden{t}, opt); err == nil {
+		t.Error("Execute accepted unknown arrival kind")
 	}
 }
 
-// TestArrivalSpecMeanRate pins the burst normalization: whatever the
-// shape, the spec's Rate is the schedule's time-average rate.
-func TestArrivalSpecMeanRate(t *testing.T) {
-	env := &Env{Seed: 99, Requests: 1}
-	for _, kind := range []string{"poisson", "constant", "burst"} {
-		spec := ArrivalSpec{Kind: kind, Rate: 150}
-		a, err := spec.Build(env)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		const n = 30000
-		sched := schedule(a, n)
-		got := float64(n) / sched[n-1].Seconds()
-		if got < 150*0.93 || got > 150*1.07 {
-			t.Errorf("%s: mean rate %.1f/s outside 7%% of 150/s", kind, got)
-		}
-	}
-	if _, err := (ArrivalSpec{Kind: "sawtooth", Rate: 1}).Build(env); err == nil {
-		t.Error("Build accepted unknown arrival kind")
-	}
+// setupForbidden is a scenario whose Setup must not be reached.
+type setupForbidden struct{ t *testing.T }
+
+func (setupForbidden) Name() string { return "setup-forbidden" }
+
+func (s setupForbidden) Setup(context.Context, *serve.Group, *Env) (func(i int) Op, error) {
+	s.t.Error("Setup ran for a run that was refused")
+	return nil, errors.New("setup-forbidden")
 }
 
 // schedule materializes the first n arrivals of a process.

@@ -1,21 +1,20 @@
 // Package trafficsim is the repo's one load engine, open-loop first:
-// requests are dispatched on a pre-committed arrival schedule (Poisson,
-// constant-rate, square-wave bursts) instead of waiting for the previous
-// response, so queueing delay under overload is measured rather than
-// silently absorbed — the coordinated-omission correction a closed-loop
-// generator cannot make. (Closed loop is kept as one more arrival mode,
-// for comparison and for "how fast can N clients go".) Per-request
-// latency is recorded from the *intended* start time to completion into a
-// mergeable log-bucketed histogram (internal/stats), and declared SLOs
-// (p99 ≤ target, bounded error rate) turn each run into a pass/fail
-// verdict; a bisection search finds the maximum sustainable throughput
-// under an SLO.
+// requests are dispatched on a pre-committed Poisson arrival schedule
+// instead of waiting for the previous response, so queueing delay under
+// overload is measured rather than silently absorbed — the
+// coordinated-omission correction a closed-loop generator cannot make.
+// (Closed loop is kept as the one other dispatch mode, for comparison and
+// for "how fast can N clients go".) Per-request latency is recorded from
+// the *intended* start time to completion into a mergeable log-bucketed
+// histogram (internal/stats), and declared SLOs (p99 ≤ target, bounded
+// error rate) turn each run into a pass/fail verdict; a bisection search
+// finds the maximum sustainable throughput under an SLO.
 //
 // The paper's dataset-scale findings motivate the scenario set: Zipf
-// popularity skew makes pull storms and cache hierarchies the interesting
-// serving cases (§IV-B), and bursty image updates (PAPERS.md, Revisiting
-// Dockerfiles over Time) make the flash crowd on a freshly pushed tag the
-// canonical stress on the mirror tier.
+// popularity skew makes pull storms against a sharded cluster the
+// interesting serving case (§IV-B), and bursty image updates (PAPERS.md,
+// Revisiting Dockerfiles over Time) make the flash crowd on a freshly
+// pushed tag the canonical stress on the mirror tier.
 package trafficsim
 
 import (

@@ -95,17 +95,18 @@ func TestSlowClientDrainE2E(t *testing.T) {
 	}
 }
 
-// TestScenarioSmoke provisions each non-cluster scenario once at tiny
-// scale and runs a short open-loop burst through Execute — the full
-// provision → run → drain cycle per scenario.
+// TestScenarioSmoke provisions pull-storm's cluster, mixed's registry and
+// flash-crowd's mirror once each at tiny scale and runs a short open-loop
+// burst through Execute — the full provision → run → drain cycle per
+// scenario. slow-clients has its own drain e2e above.
 func TestScenarioSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e: real servers")
 	}
 	scenarios := []Scenario{
+		&PullStorm{},
 		&MixedPushPull{},
 		&FlashCrowd{},
-		&Hierarchy{},
 	}
 	for _, sc := range scenarios {
 		sc := sc

@@ -48,13 +48,9 @@ func TestRecorderAttribution(t *testing.T) {
 
 func TestRunOpenLoopVirtualClock(t *testing.T) {
 	clk := NewVirtualClock(time.Unix(0, 0))
-	arr, err := NewConstant(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 200
 	res, err := Run(context.Background(), Config{
-		Arrivals: arr,
+		Arrivals: &even{gap: time.Millisecond},
 		Requests: n,
 		Clock:    clk,
 		Op: func(i int) Op {
@@ -85,10 +81,9 @@ func TestRunOpenLoopVirtualClock(t *testing.T) {
 
 func TestRunPropagatesOpErrors(t *testing.T) {
 	clk := NewVirtualClock(time.Unix(0, 0))
-	arr, _ := NewConstant(1000)
 	boom := errors.New("boom")
 	res, err := Run(context.Background(), Config{
-		Arrivals: arr,
+		Arrivals: &even{gap: time.Millisecond},
 		Requests: 10,
 		Clock:    clk,
 		Op: func(i int) Op {
@@ -113,9 +108,8 @@ func TestRunPropagatesOpErrors(t *testing.T) {
 
 func TestRunTimeoutClassification(t *testing.T) {
 	clk := NewVirtualClock(time.Unix(0, 0))
-	arr, _ := NewConstant(100)
 	res, err := Run(context.Background(), Config{
-		Arrivals: arr,
+		Arrivals: &even{gap: 10 * time.Millisecond},
 		Requests: 5,
 		Clock:    clk,
 		Timeout:  time.Millisecond,
@@ -136,11 +130,10 @@ func TestRunTimeoutClassification(t *testing.T) {
 
 func TestRunCancelledContext(t *testing.T) {
 	clk := NewVirtualClock(time.Unix(0, 0))
-	arr, _ := NewConstant(1000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := Run(ctx, Config{
-		Arrivals: arr,
+		Arrivals: &even{gap: time.Millisecond},
 		Requests: 100,
 		Clock:    clk,
 		Op: func(i int) Op {
@@ -159,7 +152,7 @@ func TestRunCancelledContext(t *testing.T) {
 }
 
 func TestRunConfigValidation(t *testing.T) {
-	arr, _ := NewConstant(1)
+	arr := &even{gap: time.Second}
 	op := func(i int) Op { return func(ctx context.Context) (int64, error) { return 0, nil } }
 	cases := []Config{
 		{Requests: 1, Op: op},        // no arrivals
@@ -224,9 +217,9 @@ func (fixedOps) Setup(ctx context.Context, g *serve.Group, env *Env) (func(i int
 
 // TestExecuteClosedArrivals: closed loop is an arrival mode. Execute with
 // ArrivalSpec{Kind: "closed"} is RunClosed over the scenario's ops — the
-// counts the removed Options.Closed path produced — and the open-loop
-// kinds account for the same ops identically, so CompareClosedOpen's two
-// legs differ in nothing but when requests are sent.
+// counts the removed Options.Closed path produced — and the Poisson kind
+// accounts for the same ops identically, so CompareClosedOpen's two legs
+// differ in nothing but when requests are sent.
 func TestExecuteClosedArrivals(t *testing.T) {
 	const n = 80
 	opt := Options{
@@ -244,7 +237,7 @@ func TestExecuteClosedArrivals(t *testing.T) {
 
 	for _, spec := range []ArrivalSpec{
 		{Kind: "closed", Workers: 4},
-		{Kind: "constant", Rate: 1000},
+		{Kind: "poisson", Rate: 1000},
 	} {
 		opt.Arrivals = spec
 		got, err := Execute(context.Background(), fixedOps{}, opt)
@@ -328,6 +321,19 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 type burst struct{}
 
 func (burst) Next() time.Duration { return 0 }
+
+// even schedules an arrival every gap from offset zero: the deterministic
+// schedule the engine tests run on.
+type even struct {
+	gap  time.Duration
+	sent int64
+}
+
+func (e *even) Next() time.Duration {
+	d := time.Duration(e.sent) * e.gap
+	e.sent++
+	return d
+}
 
 // runParked starts an open-loop burst of maxOutstanding+extra parked ops
 // on a virtual clock and returns once every slot is held.

@@ -11,25 +11,15 @@ import (
 
 // ArrivalSpec names an arrival process and its knobs, decoupled from the
 // seeded stream so one spec can be instantiated per run. Kind is
-// "poisson", "constant", "burst", or "closed". Rate is the *mean* offered
-// rate of the three open-loop kinds — for "burst" the base and burst
-// rates are derived so the square wave's time-average equals Rate,
-// keeping rate sweeps comparable across arrival shapes. "closed" has no
-// schedule: Workers clients each send their next request when the
-// previous one returns, and Rate is unused.
+// "poisson" (the default) or "closed". "closed" has no schedule: Workers
+// clients each send their next request when the previous one returns, and
+// Rate is unused.
 type ArrivalSpec struct {
 	Kind string
 	// Rate is the mean offered arrivals per second.
 	Rate float64
 	// Workers is the client count for Kind "closed".
 	Workers int
-	// BurstRatio is burst-to-base rate ratio for Kind "burst" (default 8).
-	BurstRatio float64
-	// Period is the square-wave period for Kind "burst" (default 10s).
-	Period time.Duration
-	// Duty is the burst fraction of each period for Kind "burst"
-	// (default 0.2).
-	Duty float64
 }
 
 // WithRate returns a copy of the spec at a different mean rate — the
@@ -37,35 +27,6 @@ type ArrivalSpec struct {
 func (s ArrivalSpec) WithRate(rate float64) ArrivalSpec {
 	s.Rate = rate
 	return s
-}
-
-// Build instantiates an open-loop process over the given seeded stream.
-func (s ArrivalSpec) Build(env *Env) (Arrivals, error) {
-	switch s.Kind {
-	case "", "poisson":
-		return NewPoisson(s.Rate, env.rng(seedArrive))
-	case "constant":
-		return NewConstant(s.Rate)
-	case "burst":
-		ratio := s.BurstRatio
-		if ratio <= 1 {
-			ratio = 8
-		}
-		period := s.Period
-		if period <= 0 {
-			period = 10 * time.Second
-		}
-		duty := s.Duty
-		if duty <= 0 || duty >= 1 {
-			duty = 0.2
-		}
-		// Solve mean = duty*burst + (1-duty)*base with burst = ratio*base
-		// so the wave's time-average offered rate equals s.Rate.
-		base := s.Rate / (duty*ratio + 1 - duty)
-		return NewSquareWave(base, ratio*base, period, duty, env.rng(seedArrive))
-	default:
-		return nil, fmt.Errorf("trafficsim: unknown arrival kind %q (want poisson, constant, or burst; closed has no schedule to build)", s.Kind)
-	}
 }
 
 // Options configures one Execute call.
@@ -82,8 +43,26 @@ type Options struct {
 // Execute provisions the scenario on a fresh serve.Group, runs the
 // workload, and tears the stack down — one hermetic measurement. Every
 // probe of a rate search goes through here, so no cache warmth or
-// connection state leaks between probes.
+// connection state leaks between probes. An unknown arrival kind or a
+// non-positive Poisson rate is refused before anything is provisioned.
 func Execute(ctx context.Context, sc Scenario, opt Options) (*Result, error) {
+	cfg := Config{
+		Requests: opt.Env.Requests,
+		Clock:    opt.Env.Clock,
+		Timeout:  opt.Timeout,
+	}
+	switch opt.Arrivals.Kind {
+	case "closed":
+	case "", "poisson":
+		arr, err := NewPoisson(opt.Arrivals.Rate, opt.Env.rng(seedArrive))
+		if err != nil {
+			return nil, err
+		}
+		cfg.Arrivals = arr
+	default:
+		return nil, fmt.Errorf("trafficsim: unknown arrival kind %q (want poisson or closed)", opt.Arrivals.Kind)
+	}
+
 	g := &serve.Group{}
 	// Drain must run even when the workload ctx was cancelled mid-run —
 	// detach from cancellation, keep the caller's values — and is bounded
@@ -99,18 +78,13 @@ func Execute(ctx context.Context, sc Scenario, opt Options) (*Result, error) {
 		_ = shutdown()
 		return nil, fmt.Errorf("trafficsim: %s setup: %w", sc.Name(), err)
 	}
+	cfg.Op = opFor
 
-	cfg := Config{
-		Requests: opt.Env.Requests,
-		Op:       opFor,
-		Clock:    opt.Env.Clock,
-		Timeout:  opt.Timeout,
-	}
 	var res *Result
 	var runErr error
-	if opt.Arrivals.Kind == "closed" {
+	if cfg.Arrivals == nil {
 		res, runErr = RunClosed(ctx, opt.Arrivals.Workers, cfg)
-	} else if cfg.Arrivals, runErr = opt.Arrivals.Build(&opt.Env); runErr == nil {
+	} else {
 		res, runErr = Run(ctx, cfg)
 	}
 	if err := shutdown(); err != nil && runErr == nil {
@@ -139,7 +113,6 @@ type RunReport struct {
 
 // NewRunReport flattens a result; slo may be nil.
 func NewRunReport(scenario string, spec ArrivalSpec, r *Result, slo *SLO) RunReport {
-	lat, svc := summaries(r)
 	rep := RunReport{
 		Scenario:    scenario,
 		Arrivals:    spec.Kind,
@@ -152,8 +125,8 @@ func NewRunReport(scenario string, spec ArrivalSpec, r *Result, slo *SLO) RunRep
 		WallS:       r.Wall.Seconds(),
 		GoodputPerS: r.Goodput(),
 		MBPerS:      r.BytesPerS() / (1 << 20),
-		Latency:     lat,
-		Service:     svc,
+		Latency:     r.Latency.Summary(),
+		Service:     r.Service.Summary(),
 	}
 	if rep.Arrivals == "" {
 		rep.Arrivals = "poisson"
@@ -163,26 +136,6 @@ func NewRunReport(scenario string, spec ArrivalSpec, r *Result, slo *SLO) RunRep
 		rep.SLO = &v
 	}
 	return rep
-}
-
-// NewScenario returns a self-provisioning scenario by its Name with
-// default knobs — what cmd/trafficsim resolves -scenarios entries
-// against. Replay is not listed: it needs deployment addresses.
-func NewScenario(name string) (Scenario, error) {
-	switch name {
-	case "pull-storm":
-		return &PullStorm{}, nil
-	case "mixed":
-		return &MixedPushPull{}, nil
-	case "flash-crowd":
-		return &FlashCrowd{}, nil
-	case "slow-clients":
-		return &SlowClients{}, nil
-	case "hierarchy":
-		return &Hierarchy{}, nil
-	default:
-		return nil, fmt.Errorf("trafficsim: unknown scenario %q (want pull-storm, mixed, flash-crowd, slow-clients, or hierarchy)", name)
-	}
 }
 
 // BenchReport is the BENCH_traffic.json document: the recorded

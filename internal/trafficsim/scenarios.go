@@ -306,56 +306,6 @@ func (s *SlowClients) Setup(ctx context.Context, g *serve.Group, env *Env) (func
 	return tracePulls(env, pop.names, pop.weights, s.Stack.Client, bps)
 }
 
-// Hierarchy is the two-level mirror tree: clients pull from edge mirrors,
-// edges fill from a shared regional mirror, the regional fills from the
-// origin — the geographic cache topology the paper's skew numbers argue
-// for. Edge caches are deliberately small next to the regional one, so
-// the Zipf head lives at the edge and the tail churns through the
-// regional tier.
-type Hierarchy struct{}
-
-// The tree's shape: the edge mirrors requests round-robin over, each
-// edge cache's budget, and the regional cache's.
-const (
-	edgeMirrors        = 2
-	edgeCacheBytes     = 16 << 20
-	regionalCacheBytes = 256 << 20
-)
-
-// Name implements Scenario.
-func (s *Hierarchy) Name() string { return "hierarchy" }
-
-// Setup implements Scenario.
-func (s *Hierarchy) Setup(ctx context.Context, g *serve.Group, env *Env) (func(i int) Op, error) {
-	// Origin behind the regional mirror is one stack; each edge is a
-	// mirror-only stack whose origin is the regional tier's URL.
-	pop, regional, err := provision(g, env, topology.Topology{MirrorBytes: regionalCacheBytes}, topology.Site{}, nil)
-	if err != nil {
-		return nil, err
-	}
-	clients := make([]*registry.Client, edgeMirrors)
-	for e := range clients {
-		edge, err := topology.Provision(g, topology.Topology{MirrorBytes: edgeCacheBytes}, topology.Site{Origin: regional.URL})
-		if err != nil {
-			return nil, err
-		}
-		clients[e] = edge.Client
-	}
-
-	trace, err := env.trace(pop.weights)
-	if err != nil {
-		return nil, err
-	}
-	clk := env.clock()
-	return func(i int) Op {
-		repo := pop.names[trace[i]]
-		client := clients[i%len(clients)]
-		return func(ctx context.Context) (int64, error) {
-			return pullImage(ctx, client, clk, repo, 0)
-		}
-	}, nil
-}
-
 // Replay drives the popularity trace at a deployment that is already
 // running — a registry, a pull-through mirror in front of one, or a
 // cluster router: anything that serves the Registry v2 pull API at

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"time"
-
-	"repro/internal/stats"
 )
 
 // SLO is a declared service-level objective over one run: the
@@ -115,10 +113,4 @@ func SearchMaxRate(ctx context.Context, lo, hi float64, iters int, slo SLO, run 
 	}
 	out.MaxRatePerS = lo
 	return out, nil
-}
-
-// summaries is a small helper shared by report writers: both latency
-// views of a result in the common JSON shape.
-func summaries(r *Result) (latency, service stats.LatencySummary) {
-	return r.Latency.Summary(), r.Service.Summary()
 }
