@@ -9,17 +9,17 @@
 // Because only ~3% of files across Docker Hub are unique (§V-B), the pool
 // holds a fraction of the logical bytes. Dedup alone gives back about half
 // of what the wire's gzip had saved, so the pool keeps each compressible
-// file packed: a file of at least 4 KiB whose flate encoding is at most
-// half its size is held in that form, in a namespace of its own (see
-// Pool). The backend is streaming and concurrent end to end:
+// entry packed: a file or raw blob of at least 4 KiB whose flate encoding
+// is at most ¾ of its size is held in that form, in a namespace of its
+// own (see Pool). The backend is streaming and concurrent end to end:
 //
 //   - PutStream decomposes the layer tar as the bytes cross the wire —
 //     hash-as-you-go through the same tee plumbing as the plain backends,
 //     buffering one file at a time (pooled), never the whole layer. What
 //     the blob is, and how it is framed, is tarutil's to say: the store
 //     reads it through a tarutil.Layer, decomposes a Gzip or Plain one and
-//     keeps a NotTar one (manifests, configs) verbatim. Concurrent pushes
-//     of the same blob coalesce (singleflight), and
+//     pools a NotTar one (manifests, configs) whole, as one entry.
+//     Concurrent pushes of the same blob coalesce (singleflight), and
 //     duplicate files across concurrent pushes coalesce again inside the
 //     lock-striped pool. The walk is observable: a reader that carries a
 //     blobstore.MemberObserver is told of every member and of the commit,
@@ -218,12 +218,11 @@ func NewWithConfig(pool *Pool, cfg Config) *Store {
 // front: the size field is the uploader's claim, not bytes in hand.
 const maxFilePrealloc = 1 << 20
 
-// Pooled scratch state for the streaming put/get paths: the
-// one-file-at-a-time content buffer of the put path and the recipe
-// codec's state. Recycling these is what makes per-blob allocation
+// Pooled scratch state for the streaming put/get paths: the working
+// memory of a put, with its one-file-at-a-time content buffer, and the
+// recipe codec's state. Recycling these is what makes per-blob allocation
 // O(largest file), not O(layer).
 var (
-	fileBufPool     = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 	flateWriterPool sync.Pool // *flate.Writer for at-rest recipe compression
 	flateReaderPool sync.Pool // flate.Resetter readers for recipe inflation
 	recipeBufPool   = sync.Pool{New: func() any { return new(recipeBuf) }}
@@ -257,14 +256,16 @@ type recipeBuf struct {
 	enc bytes.Buffer
 }
 
-// putScratch is the working memory of one put: its recipe's encoding,
-// written member by member as the walk pools them, the deflater's output
-// before the exact-size copy the store keeps, and the packer for the new
-// files the put pools.
+// putScratch is the working memory of one put: the buffer each member
+// file, or a raw blob, is read into, the recipe's encoding, written member
+// by member as the walk pools them, the deflater's output before the
+// exact-size copy the store keeps, and the packer for the new entries the
+// put pools.
 type putScratch struct {
-	enc recipeEncoder
-	z   bytes.Buffer
-	pk  packer
+	file bytes.Buffer
+	enc  recipeEncoder
+	z    bytes.Buffer
+	pk   packer
 }
 
 // Put implements blobstore.Store. Blobs that decompose but do not
@@ -322,10 +323,12 @@ func (s *Store) put(want digest.Digest, r io.Reader, fallback []byte) (int64, er
 			f.Wait(context.Background())
 			continue
 		}
-		n, err := s.ingest(want, r)
+		ps := putScratchPool.Get().(*putScratch)
+		n, err := s.ingest(want, r, ps)
 		if err != nil && fallback != nil {
-			n, err = s.ingestRaw(want, bytes.NewReader(fallback))
+			n, err = s.ingestRaw(want, fallback, &ps.pk)
 		}
+		putScratchPool.Put(ps)
 		s.mu.Lock()
 		s.flights.Land(want, f, err)
 		s.mu.Unlock()
@@ -335,25 +338,33 @@ func (s *Store) put(want digest.Digest, r io.Reader, fallback []byte) (int64, er
 
 // ingest stores the blob down the path its framing (tarutil.OpenLayer)
 // picks: a tar, gzip-framed or plain, is decomposed; anything else
-// (manifests, configs) is raw. A tar is announced to the stream's
-// observer; a raw blob leaves it unclaimed, and the registry hands the
-// committed bytes to its ingest hook instead.
-func (s *Store) ingest(want digest.Digest, r io.Reader) (int64, error) {
+// (manifests, configs) is read whole, verified and pooled raw. A tar is
+// announced to the stream's observer; a raw blob leaves it unclaimed, and
+// the registry hands the committed bytes to its ingest hook instead.
+func (s *Store) ingest(want digest.Digest, r io.Reader, ps *putScratch) (int64, error) {
 	h := digest.NewHasher()
 	l := tarutil.OpenLayer(io.TeeReader(r, h))
 	defer l.Close()
-	if l.Framing() == tarutil.NotTar {
-		return s.ingestRaw(want, l)
+	if l.Framing() != tarutil.NotTar {
+		return s.ingestTar(want, l, h, blobstore.ObserverOf(r), ps)
 	}
-	return s.ingestTar(want, l, h, blobstore.ObserverOf(r))
+	ps.file.Reset()
+	if n, err := ps.file.ReadFrom(l); err != nil {
+		return n, fmt.Errorf("dedupstore: reading %s: %w", want.Short(), err)
+	}
+	if !h.Matches(want) {
+		return l.WireBytes(), fmt.Errorf("%w: want %s, got %s", blobstore.ErrDigestMismatch, want.Short(), h.Digest().Short())
+	}
+	return s.ingestRaw(want, ps.file.Bytes(), &ps.pk)
 }
 
-// ingestRaw streams a blob verbatim into the pool under its own digest.
-func (s *Store) ingestRaw(want digest.Digest, r io.Reader) (int64, error) {
-	n, err := s.pool.addStream(want, r)
-	if err != nil {
-		return n, err
+// ingestRaw pools a blob verbatim under its own digest, content the caller
+// has verified: one pool entry, packed by the same rule as a member file.
+func (s *Store) ingestRaw(want digest.Digest, content []byte, pk *packer) (int64, error) {
+	if err := s.pool.add(want, content, pk); err != nil {
+		return 0, err
 	}
+	n := int64(len(content))
 	s.mu.Lock()
 	s.blobs[want] = &blobEntry{size: n}
 	s.raw++
@@ -372,9 +383,7 @@ func (s *Store) ingestRaw(want digest.Digest, r io.Reader) (int64, error) {
 // after the archive, the gzip trailer included. Any failure releases the
 // references the walk took — one per file in the encoding so far. obs,
 // when non-nil, is told of every member as it is pooled and of the commit.
-func (s *Store) ingestTar(want digest.Digest, l *tarutil.Layer, h *digest.Hasher, obs blobstore.MemberObserver) (int64, error) {
-	ps := putScratchPool.Get().(*putScratch)
-	defer putScratchPool.Put(ps)
+func (s *Store) ingestTar(want digest.Digest, l *tarutil.Layer, h *digest.Hasher, obs blobstore.MemberObserver, ps *putScratch) (int64, error) {
 	enc := &ps.enc
 	enc.reset()
 	fail := func(err error) (int64, error) {
@@ -383,11 +392,7 @@ func (s *Store) ingestTar(want digest.Digest, l *tarutil.Layer, h *digest.Hasher
 	}
 
 	var logical, files int64
-	fbuf := fileBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		fbuf.Reset()
-		fileBufPool.Put(fbuf)
-	}()
+	fbuf := &ps.file
 	walkErr := l.Walk(func(e tarutil.Entry, content io.Reader) error {
 		if e.IsDir {
 			enc.dir(e.Name)

@@ -220,6 +220,20 @@ func TestPutStreamDigestMismatch(t *testing.T) {
 	if s.Stats().PhysicalBytes() != 0 {
 		t.Fatal("failed put leaked pool bytes")
 	}
+
+	// A raw blob whose digest a layer's member already pooled: an imposter
+	// stream is refused and takes no reference.
+	putStream(t, s, blob)
+	d := digest.FromBytes([]byte("content"))
+	if _, err := s.PutStream(d, bytes.NewReader([]byte("imposter"))); !errors.Is(err, blobstore.ErrDigestMismatch) {
+		t.Fatalf("imposter raw blob for a pooled digest = %v, want ErrDigestMismatch", err)
+	}
+	if s.Has(d) {
+		t.Fatal("imposter raw blob stored")
+	}
+	if err := checkStore(s); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCorruptGzipStream(t *testing.T) {

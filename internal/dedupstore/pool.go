@@ -28,7 +28,7 @@ const DefaultPoolShards = 16
 // are deleted from the backing exactly when its last reference is
 // released.
 //
-// A file the packing rule (pack) takes is held in its packed form instead,
+// An entry the packing rule (pack) takes is held in its packed form instead,
 // in a second backing per shard keyed by the digest of the packed bytes.
 // The two namespaces never mix: a pushed file can be byte-equal to another
 // file's packed form, and one key would then have two owners. Readers
@@ -118,21 +118,13 @@ func (p *Pool) shardFor(d digest.Digest) *poolShard {
 // packMinSize and pack are the packing rule; see pack.
 const packMinSize = 4 << 10
 
-// pack returns the packed form of a file's content, or nil when the file
-// stays raw. A file is packed when it is at least packMinSize bytes and
-// its compress/flate BestSpeed encoding is at most half its size. Below
-// 4 KiB a file saves less than a disk block, and it pays the codec's
-// per-entry setup (Writer.Reset plus a final Huffman block). A file that
-// does not halve would make every cold read inflate all of its bytes while
-// saving less than half of them. The rule reads only the file's own bytes,
-// so the same files pack the same way in any push order, with one
-// exception: addStream never packs, so a raw blob put before a layer
-// holding the same bytes keeps that entry raw (the tape seed
-// raw-blob-equals-packed-member). No bench corpus meets it: its raw blobs
-// are configs and manifests, JSON that ends in '}', while every
-// synthesized file of 16 bytes or more ends in its hex id, so stored
-// bytes repeat exactly from run to run. The packed bytes are a view of
-// pk's buffer, valid until its next use.
+// pack returns the packed form of a pool entry's content, or nil when it
+// stays raw: an entry, member file or raw blob alike, packs when it is at
+// least packMinSize bytes and its compress/flate BestSpeed encoding is at
+// most ¾ of its size (EXPERIMENTS.md, "packed pool entries"). The rule
+// reads only the entry's own bytes, so contents pack alike in any push
+// order. The packed bytes are a view of pk's buffer, valid until its next
+// use.
 func pack(content []byte, pk *packer) []byte {
 	if len(content) < packMinSize {
 		return nil
@@ -146,7 +138,7 @@ func pack(content []byte, pk *packer) []byte {
 	// Writes to a bytes.Buffer cannot fail.
 	pk.fw.Write(content)
 	pk.fw.Close()
-	if pk.z.Len() > len(content)/2 {
+	if pk.z.Len() > len(content)*3/4 {
 		return nil
 	}
 	return pk.z.Bytes()
@@ -160,56 +152,17 @@ type packer struct {
 }
 
 // add stores content under d (the caller has already hashed it), packed
-// when the rule says so, and counts one reference. Only the winning put of
-// a new digest packs; a duplicate is a refcount bump.
+// when the rule says so, and counts one reference. Concurrent adds of one
+// digest coalesce onto one put, the only one that packs; the rest take a
+// reference, or retry as the winner if that put fails.
 func (p *Pool) add(d digest.Digest, content []byte, pk *packer) error {
-	put := func(sh *poolShard) (int64, packedFile, error) {
-		z := pack(content, pk)
-		if z == nil {
-			return 0, packedFile{}, sh.backing.PutVerified(d, content)
-		}
-		key, err := sh.packed.Put(z)
-		return 0, packedFile{key: key, size: int64(len(content))}, err
-	}
-	if _, err := p.claim(d, put, nil); err != nil {
-		return fmt.Errorf("dedupstore: pooling %s: %w", d.Short(), err)
-	}
-	return nil
-}
-
-// addStream is add for content that only exists as a stream (raw blobs on
-// the put path), always stored raw. The stream is always consumed to EOF
-// and digest-verified, even when the digest is already pooled; a stream
-// that fails to verify takes no reference.
-func (p *Pool) addStream(d digest.Digest, r io.Reader) (int64, error) {
-	put := func(sh *poolShard) (int64, packedFile, error) {
-		n, err := sh.backing.PutStream(d, r)
-		return n, packedFile{}, err
-	}
-	return p.claim(d, put, func() (int64, error) { return blobstore.DrainVerify(d, r) })
-}
-
-// claim is the singleflight under add and addStream. Concurrent claims of
-// one digest coalesce onto a single put into the shard's backings;
-// everyone else takes a reference and runs held (when non-nil), releasing
-// the reference again if held fails. A failed put lets the next waiter
-// retry as the new winner. The put reports where a packed entry went,
-// recorded under the lock that publishes the first reference.
-func (p *Pool) claim(d digest.Digest, put func(*poolShard) (int64, packedFile, error), held func() (int64, error)) (int64, error) {
 	sh := p.shardFor(d)
 	for {
 		sh.mu.Lock()
 		if sh.refs[d] > 0 {
 			sh.refs[d]++
 			sh.mu.Unlock()
-			if held == nil {
-				return 0, nil
-			}
-			n, err := held()
-			if err != nil {
-				p.unref(d)
-			}
-			return n, err
+			return nil
 		}
 		f, won := sh.flights.Claim(d)
 		sh.mu.Unlock()
@@ -219,7 +172,13 @@ func (p *Pool) claim(d digest.Digest, put func(*poolShard) (int64, packedFile, e
 			f.Wait(context.Background())
 			continue
 		}
-		n, pf, err := put(sh)
+		pf := packedFile{size: int64(len(content))}
+		var err error
+		if z := pack(content, pk); z == nil {
+			err = sh.backing.PutVerified(d, content)
+		} else {
+			pf.key, err = sh.packed.Put(z)
+		}
 		sh.mu.Lock()
 		if err == nil {
 			sh.refs[d] = 1
@@ -229,7 +188,10 @@ func (p *Pool) claim(d digest.Digest, put func(*poolShard) (int64, packedFile, e
 		}
 		sh.flights.Land(d, f, err)
 		sh.mu.Unlock()
-		return n, err
+		if err != nil {
+			return fmt.Errorf("dedupstore: pooling %s: %w", d.Short(), err)
+		}
+		return nil
 	}
 }
 
@@ -269,20 +231,31 @@ type inflater struct {
 	pr packedReader
 }
 
-// packedReader reads a packed entry's content.
+// inflaterPool lends inflaters to reads that bring none (a raw blob's Get).
+var inflaterPool = sync.Pool{New: func() any { return new(inflater) }}
+
+// packedReader reads a packed entry's content. One over a borrowed
+// inflater is its own value, so a second Close cannot reach another read.
 type packedReader struct {
-	fr io.Reader
-	rc io.Closer // the packed backing's reader
+	fr     io.Reader
+	rc     io.Closer // the packed backing's reader
+	pooled *inflater // borrowed from inflaterPool, returned by Close
 }
 
 func (r *packedReader) Read(p []byte) (int, error) { return r.fr.Read(p) }
 
-func (r *packedReader) Close() error { return r.rc.Close() }
+func (r *packedReader) Close() error {
+	if r.pooled != nil {
+		inflaterPool.Put(r.pooled)
+		r.pooled = nil
+	}
+	return r.rc.Close()
+}
 
 // open returns a reader over a pooled digest's content and the content
 // size, whichever form the pool holds it in. A packed entry inflates
 // through in, which must then not serve another entry until this reader
-// is closed; a nil in builds a decompressor for this one reader.
+// is closed; with a nil in, it borrows one from inflaterPool until Close.
 func (p *Pool) open(d digest.Digest, in *inflater) (io.ReadCloser, int64, error) {
 	sh := p.shardFor(d)
 	sh.mu.Lock()
@@ -295,8 +268,9 @@ func (p *Pool) open(d digest.Digest, in *inflater) (io.ReadCloser, int64, error)
 	if err != nil {
 		return nil, 0, err
 	}
-	if in == nil {
-		in = new(inflater)
+	pooled := in == nil
+	if pooled {
+		in = inflaterPool.Get().(*inflater)
 	}
 	src, ok := rc.(flate.Reader)
 	if !ok {
@@ -312,6 +286,9 @@ func (p *Pool) open(d digest.Digest, in *inflater) (io.ReadCloser, int64, error)
 	} else if err := in.fr.(flate.Resetter).Reset(src, nil); err != nil {
 		rc.Close()
 		return nil, 0, err
+	}
+	if pooled {
+		return &packedReader{fr: in.fr, rc: rc, pooled: in}, pf.size, nil
 	}
 	in.pr = packedReader{fr: in.fr, rc: rc}
 	return &in.pr, pf.size, nil

@@ -2,15 +2,17 @@ package dedupstore
 
 import (
 	"bytes"
+	"compress/flate"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/blobstore"
 	"repro/internal/digest"
 )
 
-// failFirstPut fails its first PutStream once release closes; later puts
+// failFirstPut fails its first PutVerified once release closes; later puts
 // go through.
 type failFirstPut struct {
 	blobstore.Store
@@ -18,30 +20,31 @@ type failFirstPut struct {
 	failed           bool
 }
 
-func (f *failFirstPut) PutStream(d digest.Digest, r io.Reader) (int64, error) {
+func (f *failFirstPut) PutVerified(d digest.Digest, content []byte) error {
 	if !f.failed {
 		f.failed = true
 		close(f.started)
 		<-f.release
-		return 0, errors.New("backing down")
+		return errors.New("backing down")
 	}
-	return f.Store.PutStream(d, r)
+	return f.Store.PutVerified(d, content)
 }
 
-// TestPoolClaim: a failed winner takes no reference and leaves the put to
-// the next claim; a claim that finds the digest pooled still verifies its
-// stream to EOF, and takes no reference when that fails.
+// TestPoolClaim: concurrent adds of one digest claim one put; a failed
+// winner takes no reference and leaves the put to the next add, an add
+// that finds the digest pooled takes a reference, and the bytes go with
+// the last one.
 func TestPoolClaim(t *testing.T) {
 	content := []byte("pooled content")
 	d := digest.FromBytes(content)
 	backing := &failFirstPut{Store: blobstore.NewMemory(), started: make(chan struct{}), release: make(chan struct{})}
 	p := NewPool([]blobstore.Store{backing}, []blobstore.Store{blobstore.NewMemory()})
 
+	var pk1, pk2, pk3 packer
 	errs := make(chan error, 2)
-	add := func() { _, err := p.addStream(d, bytes.NewReader(content)); errs <- err }
-	go add()
+	go func() { errs <- p.add(d, content, &pk1) }()
 	<-backing.started
-	go add()
+	go func() { errs <- p.add(d, content, &pk2) }()
 	close(backing.release)
 	if first, second := <-errs, <-errs; first == nil || second != nil {
 		t.Fatalf("failed winner then retry: errors %v, %v; want the first only", first, second)
@@ -49,16 +52,8 @@ func TestPoolClaim(t *testing.T) {
 	if p.Len() != 1 || !p.has(d) {
 		t.Fatalf("pool holds %d digests after the retried put, want 1", p.Len())
 	}
-
-	bad := bytes.NewReader([]byte("imposter bytes"))
-	if _, err := p.addStream(d, bad); !errors.Is(err, blobstore.ErrDigestMismatch) {
-		t.Fatalf("imposter stream for a pooled digest = %v, want ErrDigestMismatch", err)
-	}
-	if bad.Len() != 0 {
-		t.Fatalf("imposter stream left %d bytes unread", bad.Len())
-	}
-	if n, err := p.addStream(d, bytes.NewReader(content)); err != nil || n != int64(len(content)) {
-		t.Fatalf("second reference: n=%d err=%v", n, err)
+	if err := p.add(d, content, &pk3); err != nil {
+		t.Fatalf("second reference: %v", err)
 	}
 	// Two references: the bytes survive one release and go with the second.
 	p.unref(d)
@@ -79,8 +74,8 @@ func (p *Pool) has(d digest.Digest) bool {
 	return sh.refs[d] > 0
 }
 
-// TestPackRule: files pack on their own bytes alone — at least 4 KiB and
-// halving at BestSpeed — and everything else stays raw.
+// TestPackRule: entries pack on their own bytes alone — at least 4 KiB
+// and shrinking to ¾ or less at BestSpeed — and everything else stays raw.
 func TestPackRule(t *testing.T) {
 	var pk packer
 	for _, c := range []struct {
@@ -90,16 +85,79 @@ func TestPackRule(t *testing.T) {
 	}{
 		{"compressible 4 KiB", tapeProse(1, packMinSize), true},
 		{"compressible, one byte short of 4 KiB", tapeProse(1, packMinSize-1), false},
-		{"letters that do not halve", tapeText(1, 16<<10), false},
+		{"letters, packed to ⅗ of their size", tapeText(1, 16<<10), true},
 		{"random bytes", noisyLayer(t, 1, 16<<10, true), false},
 	} {
 		z := pack(c.content, &pk)
 		if (z != nil) != c.packed {
 			t.Errorf("%s: packed=%v, want %v", c.name, z != nil, c.packed)
 		}
-		if z != nil && len(z) > len(c.content)/2 {
+		if z != nil && len(z) > len(c.content)*3/4 {
 			t.Errorf("%s: packed to %d of %d bytes", c.name, len(z), len(c.content))
 		}
+	}
+}
+
+// TestRawBlobPacksInEitherOrder: a raw blob and a layer member with the
+// same bytes are one pool entry, packed by one rule whichever is put
+// first, so both orders hold the same bytes.
+func TestRawBlobPacksInEitherOrder(t *testing.T) {
+	x := tapeProse(3, 8<<10)
+	layer := tapeLayer([][]byte{x, tapeText(4, 700)})
+	var poolBytes [2]int64
+	for i, order := range [][2][]byte{{x, layer}, {layer, x}} {
+		pool := NewMemoryPool(1)
+		s := NewWithConfig(pool, Config{})
+		for _, blob := range order {
+			putStream(t, s, blob)
+		}
+		if _, packed := pool.shards[0].packs[digest.FromBytes(x)]; !packed {
+			t.Errorf("order %d: the raw blob's entry is not packed", i)
+		}
+		if !bytes.Equal(readBlob(t, s, digest.FromBytes(x)), x) {
+			t.Errorf("order %d: the raw blob reads back wrong bytes", i)
+		}
+		if err := checkStore(s); err != nil {
+			t.Errorf("order %d: %v", i, err)
+		}
+		poolBytes[i] = s.Stats().PoolBytes
+	}
+	if poolBytes[0] != poolBytes[1] {
+		t.Errorf("PoolBytes %d with the raw blob first, %d with the layer first", poolBytes[0], poolBytes[1])
+	}
+}
+
+// TestPackedRawGetAllocation: a Get of a packed raw blob brings no
+// inflater, and borrows a pooled one instead of building a decompressor
+// per read.
+func TestPackedRawGetAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	// One P: a sync.Pool keeps the last Put private to the P that made it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	x := tapeProse(5, 16<<10)
+	s := NewWithConfig(NewMemoryPool(1), Config{})
+	d := putStream(t, s, x)
+	if _, packed := s.pool.shards[0].packs[d]; !packed {
+		t.Fatal("the test's raw blob does not pack")
+	}
+	buf := make([]byte, 32<<10)
+	get := bytesPerCall(20, func() {
+		rc, _, err := s.Get(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := io.CopyBuffer(plainSink{}, rc, buf); err != nil || n != int64(len(x)) {
+			t.Fatalf("read %d of %d bytes: %v", n, len(x), err)
+		}
+		rc.Close()
+	})
+	var src bytes.Reader
+	decompressor := bytesPerCall(20, func() { flate.NewReader(&src) })
+	t.Logf("Get of a packed raw blob: %d B; one flate decompressor: %d B", get, decompressor)
+	if get > decompressor/8 {
+		t.Errorf("a Get of a packed raw blob allocates %d B, a flate decompressor is %d B: want under an eighth of it", get, decompressor)
 	}
 }
 

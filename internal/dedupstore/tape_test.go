@@ -490,8 +490,8 @@ func runStoreTape(t *testing.T, tape []byte) {
 // committed fuzz corpus holds the same tapes.
 var storeTapeSeeds = map[string][]byte{
 	// A raw blob whose bytes a layer already pooled is put with a stream
-	// that breaks: the claim finds the digest held and must drop the
-	// reference it took.
+	// that breaks: the blob is read whole before the pool sees it, so the
+	// failed put must take no reference.
 	"raw-held-fails": {0x00,
 		0 + 2*opPutStream, 0, 0,
 		0 + 2*opPutFailing, tapeLayers, 128,
@@ -519,10 +519,10 @@ var storeTapeSeeds = map[string][]byte{
 		0 + 3*opPut, 0, 0,
 		0 + 3*opGet, 0, 5,
 		0 + 3*opGet, 0, 0},
-	// A raw blob is put before the layer carrying the same bytes, so the
-	// file stays raw; another goroutine's raw blob finds its bytes pooled
-	// packed by a shared layer, is read back whole and through a held
-	// reader, and is deleted under that reader.
+	// A raw blob is put before the layer carrying the same bytes, and
+	// packs as the member would have; another goroutine's raw blob finds
+	// its bytes pooled packed by a shared layer, is read back whole and
+	// through a held reader, and is deleted under that reader.
 	"raw-blob-equals-packed-member": {0x00,
 		0 + 2*opPutStream, tapeLayers + 1, 0,
 		0 + 2*opPutStream, 0, 0,

@@ -76,6 +76,17 @@ func parseRetryAfter(resp *http.Response) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
+// classError is a sentinel class and its target, formatted only when
+// asked: a probe that expects a 404 drops the error unread.
+type classError struct {
+	class error
+	what  string
+}
+
+func (e *classError) Error() string { return e.class.Error() + ": " + e.what }
+
+func (e *classError) Unwrap() error { return e.class }
+
 // statusErr maps a non-2xx response to the typed error vocabulary shared by
 // every client entry point. The response body is drained and closed, so
 // the connection goes back to the idle pool (httpx.DrainClose).
@@ -83,11 +94,11 @@ func statusErr(resp *http.Response, what string) error {
 	httpx.DrainClose(resp.Body)
 	switch resp.StatusCode {
 	case http.StatusUnauthorized:
-		return fmt.Errorf("%w: %s", ErrUnauthorized, what)
+		return &classError{ErrUnauthorized, what}
 	case http.StatusNotFound:
-		return fmt.Errorf("%w: %s", ErrNotFound, what)
+		return &classError{ErrNotFound, what}
 	case http.StatusRequestedRangeNotSatisfiable:
-		return fmt.Errorf("%w: %s", ErrRangeUnsatisfiable, what)
+		return &classError{ErrRangeUnsatisfiable, what}
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		return &ThrottleError{Status: resp.StatusCode, RetryAfter: parseRetryAfter(resp)}
 	default:

@@ -165,6 +165,30 @@ func TestMissingTagAndRepo(t *testing.T) {
 	}
 }
 
+// TestStatusErrorText: a 401, 404 or 416 reads as its sentinel's text and
+// the target, matches the sentinel under errors.Is, and costs one small
+// value, no formatting, when nobody reads it.
+func TestStatusErrorText(t *testing.T) {
+	const target = "http://registry/v2/alice/app/blobs/sha256:00"
+	for status, class := range map[int]error{
+		http.StatusUnauthorized:                 ErrUnauthorized,
+		http.StatusNotFound:                     ErrNotFound,
+		http.StatusRequestedRangeNotSatisfiable: ErrRangeUnsatisfiable,
+	} {
+		resp := &http.Response{StatusCode: status, Body: http.NoBody}
+		err := statusErr(resp, target)
+		if want := fmt.Errorf("%w: %s", class, target); err.Error() != want.Error() || !errors.Is(err, class) {
+			t.Errorf("status %d: %q (errors.Is %v), want %q", status, err, errors.Is(err, class), want)
+		}
+		if raceEnabled {
+			continue
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = statusErr(resp, target) }); n > 1 {
+			t.Errorf("status %d: statusErr allocates %.0f times, want 1", status, n)
+		}
+	}
+}
+
 // TestErrorRepliesKeepTheConnection: 50 404s and 50 401s (plus missing-blob
 // HEAD probes and anonymous pushes to a private repo) through one client on
 // the shared transport ride one keep-alive connection. Closing an error

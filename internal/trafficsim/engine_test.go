@@ -215,6 +215,46 @@ func (fixedOps) Setup(ctx context.Context, g *serve.Group, env *Env) (func(i int
 	}, nil
 }
 
+// countingSetup is fixedOps counting its Setup calls.
+type countingSetup struct {
+	fixedOps
+	setups *int
+}
+
+func (c countingSetup) Setup(ctx context.Context, g *serve.Group, env *Env) (func(i int) Op, error) {
+	*c.setups++
+	return c.fixedOps.Setup(ctx, g, env)
+}
+
+// TestExecuteRefusesBeforeSetup: a closed loop without workers and a run
+// of no requests fail before the scenario provisions anything, through
+// Execute and through CompareClosedOpen.
+func TestExecuteRefusesBeforeSetup(t *testing.T) {
+	good := Env{Requests: 10, Clock: NewVirtualClock(time.Unix(0, 0))}
+	for _, c := range []struct {
+		name    string
+		env     Env
+		workers int
+	}{
+		{"closed loop without workers", good, 0},
+		{"no requests", Env{Clock: good.Clock}, 4},
+	} {
+		var setups int
+		sc := countingSetup{setups: &setups}
+		opt := Options{Env: c.env, Arrivals: ArrivalSpec{Kind: "closed", Workers: c.workers}}
+		if _, err := Execute(context.Background(), sc, opt); err == nil {
+			t.Errorf("%s: Execute accepted the spec", c.name)
+		}
+		opt.Arrivals = ArrivalSpec{Kind: "poisson", Rate: 100}
+		if _, _, _, err := CompareClosedOpen(context.Background(), sc, opt, c.workers, 100); err == nil {
+			t.Errorf("%s: CompareClosedOpen accepted the spec", c.name)
+		}
+		if setups != 0 {
+			t.Errorf("%s: the scenario was set up %d times before the refusal", c.name, setups)
+		}
+	}
+}
+
 // TestExecuteClosedArrivals: closed loop is an arrival mode. Execute with
 // ArrivalSpec{Kind: "closed"} is RunClosed over the scenario's ops — the
 // counts the removed Options.Closed path produced — and the Poisson kind

@@ -43,16 +43,23 @@ type Options struct {
 // Execute provisions the scenario on a fresh serve.Group, runs the
 // workload, and tears the stack down — one hermetic measurement. Every
 // probe of a rate search goes through here, so no cache warmth or
-// connection state leaks between probes. An unknown arrival kind or a
-// non-positive Poisson rate is refused before anything is provisioned.
+// connection state leaks between probes. A run of no requests, an
+// unknown arrival kind, a non-positive Poisson rate or a closed loop
+// without workers is refused before anything is provisioned.
 func Execute(ctx context.Context, sc Scenario, opt Options) (*Result, error) {
 	cfg := Config{
 		Requests: opt.Env.Requests,
 		Clock:    opt.Env.Clock,
 		Timeout:  opt.Timeout,
 	}
+	if cfg.Requests < 1 {
+		return nil, fmt.Errorf("trafficsim: a run needs at least one request, got %d", cfg.Requests)
+	}
 	switch opt.Arrivals.Kind {
 	case "closed":
+		if opt.Arrivals.Workers < 1 {
+			return nil, fmt.Errorf("trafficsim: a closed loop needs at least one worker, got %d", opt.Arrivals.Workers)
+		}
 	case "", "poisson":
 		arr, err := NewPoisson(opt.Arrivals.Rate, opt.Env.rng(seedArrive))
 		if err != nil {
