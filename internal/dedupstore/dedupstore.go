@@ -25,15 +25,16 @@
 //     blobstore.MemberObserver is told of every member and of the commit,
 //     so the live analytics walk is fed from this pass instead of
 //     gunzipping and hashing the layer again.
-//   - Get reconstructs the wire blob on read: the recipe is inflated into a
-//     pooled buffer and walked in place, and the tar is reassembled from
-//     pooled file contents (re-gzipped when the original was gzip-framed)
-//     and pushed straight into the consumer — each file streams from the
-//     pool, a packed one through a pooled inflater, into the tar builder, and the reader is an io.WriterTo that
-//     runs the reassembly on the caller's goroutine, through one pooled
-//     write buffer; Read is an adapter over the same routine for consumers
-//     that must pull. Beyond each file's pool lookup, a cold Get allocates
-//     per blob, not per member. An optional reconstruction cache
+//   - Get reconstructs the wire blob on read: the recipe is inflated and
+//     walked in place, and each file streams from the pool (a packed one
+//     through an inflater) into the tar builder, re-gzipped when the
+//     original was gzip-framed, straight into the consumer: the reader is
+//     an io.WriterTo that runs the reassembly on the caller's goroutine,
+//     and Read is an adapter over it for consumers that must pull. Its
+//     buffers and codecs come from free lists that outlive garbage
+//     collections, and each member's pool entry is found by the recipe's
+//     raw digest, so a cold Get allocates per blob, not per member, beyond
+//     each file's pool reader. An optional reconstruction cache
 //     (internal/cache) absorbs the recompression cost of
 //     popularity-skewed pull traffic.
 //   - Delete is reference counted and safe under concurrent pulls: a
@@ -70,6 +71,7 @@ import (
 	"repro/internal/blobstore"
 	"repro/internal/cache"
 	"repro/internal/digest"
+	"repro/internal/engine"
 	"repro/internal/tarutil"
 )
 
@@ -218,21 +220,23 @@ func NewWithConfig(pool *Pool, cfg Config) *Store {
 // front: the size field is the uploader's claim, not bytes in hand.
 const maxFilePrealloc = 1 << 20
 
-// Pooled scratch state for the streaming put/get paths: the working
-// memory of a put, with its one-file-at-a-time content buffer, and the
-// recipe codec's state. Recycling these is what makes per-blob allocation
-// O(largest file), not O(layer).
+// Free lists of scratch state for the streaming put/get paths: the working
+// memory of a put, with its one-file-at-a-time content buffer, of a
+// reassembly, and of an inflated recipe, each with the codec state it
+// needs. Recycling these is what makes per-blob allocation O(largest
+// file), not O(layer); keeping them across garbage collections is what
+// keeps a cold Get from rebuilding a deflater.
 var (
-	flateWriterPool sync.Pool // *flate.Writer for at-rest recipe compression
-	flateReaderPool sync.Pool // flate.Resetter readers for recipe inflation
-	recipeBufPool   = sync.Pool{New: func() any { return new(recipeBuf) }}
-	putScratchPool  = sync.Pool{New: func() any { return new(putScratch) }}
+	putScratches   = engine.NewFreeList[putScratch]()
+	writeScratches = engine.NewFreeList[writeScratch]()
+	recipeBufs     = engine.NewFreeList[recipeBuf]()
 )
 
-// writeScratch is the working memory of one reassembly, pooled as one value
-// so a blob costs one pool round trip: the tar builder, with its deflater,
-// the buffer between the tar/gzip stream and the sink, and the inflater
-// packed members are read through.
+// writeScratch is the working memory of one reassembly, kept as one value
+// so a blob costs one free-list round trip: the tar builder, with its
+// deflater, the buffer between the tar/gzip stream and the sink, and the
+// inflater packed members are read through. The builder and the buffer are
+// made on first use.
 //
 // The buffer is why the sink sees few large writes: compress/flate hands
 // its output on in ~240-byte pieces, and unbuffered every piece of a cold
@@ -244,28 +248,46 @@ type writeScratch struct {
 	in inflater
 }
 
-var writeScratchPool = sync.Pool{New: func() any {
-	return &writeScratch{tb: tarutil.NewBuilder(nil), bw: bufio.NewWriterSize(nil, 32<<10)}
-}}
-
-// recipeBuf holds one inflated recipe: the encoding, and the reader the
-// inflater drains the at-rest bytes from. Whoever holds it owns it until
-// it goes back to recipeBufPool.
+// recipeBuf holds one inflated recipe: the encoding, the reader the
+// inflater drains the at-rest bytes from, and the inflater, made on first
+// use. Whoever holds it owns it until it goes back to recipeBufs.
 type recipeBuf struct {
 	src bytes.Reader
 	enc bytes.Buffer
+	fr  io.ReadCloser // a flate.Resetter
 }
 
 // putScratch is the working memory of one put: the buffer each member
 // file, or a raw blob, is read into, the recipe's encoding, written member
-// by member as the walk pools them, the deflater's output before the
-// exact-size copy the store keeps, and the packer for the new entries the
-// put pools.
+// by member as the walk pools them, the recipe's deflater, made on first
+// use, and its output before the exact-size copy the store keeps, and the
+// packer for the new entries the put pools.
 type putScratch struct {
 	file bytes.Buffer
 	enc  recipeEncoder
+	fw   *flate.Writer
 	z    bytes.Buffer
 	pk   packer
+}
+
+// release bounds ps's buffers and returns it to putScratches: the list
+// outlives garbage collections, so it keeps no buffer a large file, raw
+// blob or recipe grew past maxFilePrealloc.
+func (ps *putScratch) release() {
+	bound(&ps.file)
+	bound(&ps.z)
+	bound(&ps.pk.z)
+	if cap(ps.enc.buf) > maxFilePrealloc {
+		ps.enc.buf = nil
+	}
+	putScratches.Put(ps)
+}
+
+// bound drops b's storage if it has grown past maxFilePrealloc.
+func bound(b *bytes.Buffer) {
+	if b.Cap() > maxFilePrealloc {
+		*b = bytes.Buffer{}
+	}
 }
 
 // Put implements blobstore.Store. Blobs that decompose but do not
@@ -323,12 +345,12 @@ func (s *Store) put(want digest.Digest, r io.Reader, fallback []byte) (int64, er
 			f.Wait(context.Background())
 			continue
 		}
-		ps := putScratchPool.Get().(*putScratch)
+		ps := putScratches.Get()
 		n, err := s.ingest(want, r, ps)
 		if err != nil && fallback != nil {
 			n, err = s.ingestRaw(want, fallback, &ps.pk)
 		}
-		putScratchPool.Put(ps)
+		ps.release()
 		s.mu.Lock()
 		s.flights.Land(want, f, err)
 		s.mu.Unlock()
@@ -447,7 +469,7 @@ func (s *Store) ingestTar(want digest.Digest, l *tarutil.Layer, h *digest.Hasher
 		return fail(fmt.Errorf("%w: %s reassembles to %s", ErrNotReproducible, want.Short(), got.Short()))
 	}
 
-	z := compressRecipe(rec, &ps.z)
+	z := compressRecipe(rec, ps)
 	n := l.WireBytes()
 	s.mu.Lock()
 	s.blobs[want] = &blobEntry{size: n, recipeZ: z, logical: logical, files: files}
@@ -464,43 +486,39 @@ func (s *Store) ingestTar(want digest.Digest, l *tarutil.Layer, h *digest.Hasher
 }
 
 // compressRecipe flate-compresses a recipe's encoding for at-rest storage,
-// through scratch, and returns an exact-size copy: the bytes the store
-// holds are the bytes Stats.RecipeBytes counts.
-func compressRecipe(enc []byte, scratch *bytes.Buffer) []byte {
-	scratch.Reset()
-	fw, _ := flateWriterPool.Get().(*flate.Writer)
-	if fw == nil {
-		fw, _ = flate.NewWriter(scratch, flate.DefaultCompression)
+// through the put's scratch, and returns an exact-size copy: the bytes the
+// store holds are the bytes Stats.RecipeBytes counts.
+func compressRecipe(enc []byte, ps *putScratch) []byte {
+	ps.z.Reset()
+	if ps.fw == nil {
+		ps.fw, _ = flate.NewWriter(&ps.z, flate.DefaultCompression)
 	} else {
-		fw.Reset(scratch)
+		ps.fw.Reset(&ps.z)
 	}
 	// Writes to a bytes.Buffer cannot fail.
-	fw.Write(enc)
-	fw.Close()
-	flateWriterPool.Put(fw)
-	z := make([]byte, scratch.Len())
-	copy(z, scratch.Bytes())
+	ps.fw.Write(enc)
+	ps.fw.Close()
+	z := make([]byte, ps.z.Len())
+	copy(z, ps.z.Bytes())
 	return z
 }
 
-// inflateRecipe inflates an at-rest recipe into a pooled buffer, which the
-// caller owns and hands back with putRecipeBuf.
+// inflateRecipe inflates an at-rest recipe into a buffer from recipeBufs,
+// which the caller owns and hands back with putRecipeBuf.
 func inflateRecipe(z []byte) (*recipeBuf, error) {
-	rb := recipeBufPool.Get().(*recipeBuf)
+	rb := recipeBufs.Get()
 	rb.src.Reset(z)
 	rb.enc.Reset()
-	fr, _ := flateReaderPool.Get().(io.ReadCloser)
-	if fr == nil {
-		fr = flate.NewReader(&rb.src)
-	} else if err := fr.(flate.Resetter).Reset(&rb.src, nil); err != nil {
+	if rb.fr == nil {
+		rb.fr = flate.NewReader(&rb.src)
+	} else if err := rb.fr.(flate.Resetter).Reset(&rb.src, nil); err != nil {
 		putRecipeBuf(rb)
 		return nil, err
 	}
-	_, err := rb.enc.ReadFrom(fr)
-	if cerr := fr.Close(); err == nil {
+	_, err := rb.enc.ReadFrom(rb.fr)
+	if cerr := rb.fr.Close(); err == nil {
 		err = cerr
 	}
-	flateReaderPool.Put(fr)
 	if err != nil {
 		putRecipeBuf(rb)
 		return nil, fmt.Errorf("dedupstore: inflating recipe: %w", err)
@@ -510,7 +528,8 @@ func inflateRecipe(z []byte) (*recipeBuf, error) {
 
 func putRecipeBuf(rb *recipeBuf) {
 	rb.src.Reset(nil)
-	recipeBufPool.Put(rb)
+	bound(&rb.enc)
+	recipeBufs.Put(rb)
 }
 
 // writeBlob streams the wire bytes of a recipe, given as its encoding, to
@@ -524,11 +543,14 @@ func (s *Store) writeBlob(rec []byte, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sc := writeScratchPool.Get().(*writeScratch)
+	sc := writeScratches.Get()
+	if sc.tb == nil {
+		sc.tb, sc.bw = tarutil.NewBuilder(nil), bufio.NewWriterSize(nil, 32<<10)
+	}
 	sc.bw.Reset(w)
 	defer func() {
 		sc.bw.Reset(nil)
-		writeScratchPool.Put(sc)
+		writeScratches.Put(sc)
 	}()
 	framing := tarutil.Plain
 	if c.gzip {
@@ -536,6 +558,7 @@ func (s *Store) writeBlob(rec []byte, w io.Writer) error {
 	}
 	b := sc.tb
 	b.Reset(sc.bw, framing)
+	var k spelled
 	for c.next() {
 		if c.dir {
 			if err := b.Member(c.name, true, 0, nil); err != nil {
@@ -543,7 +566,8 @@ func (s *Store) writeBlob(rec []byte, w io.Writer) error {
 			}
 			continue
 		}
-		rc, size, err := s.pool.open(c.digest(), &sc.in)
+		c.spell(&k)
+		rc, size, err := s.pool.open(&k, &sc.in)
 		if err != nil {
 			return fmt.Errorf("dedupstore: pool lookup for %s: %w", c.name, err)
 		}
@@ -579,7 +603,8 @@ func (s *Store) Get(d digest.Digest) (io.ReadCloser, int64, error) {
 		return nil, 0, &UnknownBlobError{Digest: d}
 	}
 	if !isRecipe {
-		return s.pool.open(d, nil)
+		k := spell(d)
+		return s.pool.open(&k, nil)
 	}
 	if s.cache != nil {
 		rc, size, _, err := s.cache.GetOrFill(context.Background(), d,
@@ -603,7 +628,8 @@ func (s *Store) openReconstruct(d digest.Digest) (io.ReadCloser, int64, error) {
 	}
 	if e.recipeZ == nil {
 		s.mu.Unlock()
-		return s.pool.open(d, nil)
+		k := spell(d)
+		return s.pool.open(&k, nil)
 	}
 	e.readers++
 	z, size := e.recipeZ, e.size
@@ -729,9 +755,11 @@ func (s *Store) releaseEntry(e *blobEntry) {
 
 // unrefFiles releases the pool reference of every file c walks.
 func (s *Store) unrefFiles(c recipeCursor) {
+	var k spelled
 	for c.next() {
 		if !c.dir {
-			s.pool.unref(c.digest())
+			c.spell(&k)
+			s.pool.unref(&k)
 		}
 	}
 }
@@ -821,7 +849,8 @@ func (s *Store) Delete(d digest.Digest) error {
 		if e.recipeZ != nil {
 			s.releaseEntry(e)
 		} else {
-			s.pool.unref(d)
+			k := spell(d)
+			s.pool.unref(&k)
 		}
 	}
 	return nil
@@ -831,15 +860,16 @@ func (s *Store) Delete(d digest.Digest) error {
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	files, content := s.pool.census()
 	return Stats{
 		Layers:       s.layers,
 		RawBlobs:     s.raw,
 		LogicalBytes: s.logical,
 		WireBytes:    s.wire,
-		FileBytes:    s.pool.contentBytes(),
+		FileBytes:    content,
 		PoolBytes:    s.pool.TotalBytes(),
 		RecipeBytes:  s.recipeBytes,
-		UniqueFiles:  s.pool.Len(),
+		UniqueFiles:  files,
 		TotalFiles:   s.instances,
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/analyzer"
 	"repro/internal/blobstore"
 	"repro/internal/digest"
+	"repro/internal/engine"
 	"repro/internal/registry"
 	"repro/internal/synth"
 	"repro/internal/tarutil"
@@ -289,8 +291,7 @@ func TestHugeMemberClaimAllocatesUnderCap(t *testing.T) {
 	d := digest.FromBytes(blob)
 
 	s := NewWithConfig(NewMemoryPool(0), Config{})
-	runtime.GC() // two cycles empty the pools: the file buffer starts from nothing
-	runtime.GC()
+	putScratches = engine.NewFreeList[putScratch]() // the file buffer starts from nothing
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := s.PutStream(d, bytes.NewReader(blob))
@@ -306,6 +307,50 @@ func TestHugeMemberClaimAllocatesUnderCap(t *testing.T) {
 	if got > maxFilePrealloc+256<<10 {
 		t.Errorf("put allocated %d B for a %d-byte upload, want at most the %d B cap + 256 KiB", got, len(blob), maxFilePrealloc)
 	}
+}
+
+// TestFreeListsKeepNoOutsizedBuffer: the free lists outlive garbage
+// collections, so a put of a large incompressible blob, and any put or
+// recipe scratch grown past maxFilePrealloc, goes back holding no buffer
+// above it.
+func TestFreeListsKeepNoOutsizedBuffer(t *testing.T) {
+	big := make([]byte, 2*maxFilePrealloc)
+	rand.New(rand.NewSource(1)).Read(big)
+	check := func(what string, caps map[string]int) {
+		t.Helper()
+		for name, c := range caps {
+			if c > maxFilePrealloc {
+				t.Errorf("%s: the %s buffer went back on the list at %d B, above the %d B bound", what, name, c, maxFilePrealloc)
+			}
+		}
+	}
+	putCaps := func(ps *putScratch) map[string]int {
+		return map[string]int{"file": ps.file.Cap(), "recipe deflate": ps.z.Cap(), "packer": ps.pk.z.Cap(), "recipe encoding": cap(ps.enc.buf)}
+	}
+
+	s := NewWithConfig(NewMemoryPool(0), Config{})
+	putScratches = engine.NewFreeList[putScratch]()
+	if _, err := s.Put(big); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put(buildLayer(t, map[string]string{"big.bin": string(big[1:])})); err != nil {
+		t.Fatal(err)
+	}
+	ps := putScratches.Get()
+	check("a put of 2 MiB of random bytes", putCaps(ps))
+
+	ps.file.Grow(len(big))
+	ps.z.Grow(len(big))
+	ps.pk.z.Grow(len(big))
+	ps.enc.buf = make([]byte, 0, len(big))
+	ps.release()
+	check("a grown put scratch", putCaps(putScratches.Get()))
+
+	recipeBufs = engine.NewFreeList[recipeBuf]()
+	rb := recipeBufs.Get()
+	rb.enc.Grow(len(big))
+	putRecipeBuf(rb)
+	check("a grown recipe buffer", map[string]int{"recipe": recipeBufs.Get().enc.Cap()})
 }
 
 // foreignLayer builds a gzip tar whose metadata tarutil's builder cannot

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/blobstore"
 	"repro/internal/digest"
+	"repro/internal/engine"
 )
 
 // DefaultPoolShards is the stripe count NewMemoryPool/NewDiskPool use when
@@ -39,23 +40,34 @@ type Pool struct {
 	shards []*poolShard
 }
 
-// poolShard is one stripe: its two backing stores, refcounts, the packed
-// entries' locations, and the flights of its in-progress backing writes.
+// poolShard is one stripe: its two backing stores, its entries, and the
+// flights of its in-progress backing writes.
 type poolShard struct {
 	backing blobstore.Store // raw contents, keyed by their own digest
 	packed  blobstore.Store // packed contents, keyed by the packed bytes' digest
 
 	mu      sync.Mutex
-	refs    map[digest.Digest]int64
-	packs   map[digest.Digest]packedFile // file digest → its packed form
+	entries map[digest.Digest]poolEntry
 	flights blobstore.Flights
 }
 
-// packedFile locates a packed pool entry: the key of its bytes in the
-// shard's packed backing, and the content size they inflate to.
-type packedFile struct {
-	key  digest.Digest
-	size int64
+// poolEntry is one pooled digest, d, the copy of it the map keeps: a lookup
+// by a spelled key builds no string, and writes back and deletes under d.
+type poolEntry struct {
+	d    digest.Digest
+	refs int64
+	size int64         // content bytes
+	key  digest.Digest // the packed form's key in the packed backing; "" for a raw entry
+}
+
+// spelled is a pool digest written out in an array: m[digest.Digest(k[:])]
+// builds no string, so a recipe's raw digest finds its entry unallocated.
+type spelled [len(digestPrefix) + 2*rawDigestLen]byte
+
+// spell returns d written out as a lookup key.
+func spell(d digest.Digest) (k spelled) {
+	copy(k[:], d)
+	return k
 }
 
 // NewPool builds a pool striped over the given backing stores: shard i
@@ -68,8 +80,7 @@ func NewPool(raw, packed []blobstore.Store) *Pool {
 		p.shards[i] = &poolShard{
 			backing: raw[i],
 			packed:  packed[i],
-			refs:    make(map[digest.Digest]int64),
-			packs:   make(map[digest.Digest]packedFile),
+			entries: make(map[digest.Digest]poolEntry),
 			flights: make(blobstore.Flights),
 		}
 	}
@@ -111,8 +122,9 @@ func NewDiskPool(dir string, shards int) (*Pool, error) {
 	return NewPool(raw, packed), nil
 }
 
-func (p *Pool) shardFor(d digest.Digest) *poolShard {
-	return p.shards[d.Key64()%uint64(len(p.shards))]
+// shardFor returns k's shard, placed by the digest's Key64.
+func (p *Pool) shardFor(k *spelled) *poolShard {
+	return p.shards[digest.Key64Hex(k[len(digestPrefix):])%uint64(len(p.shards))]
 }
 
 // packMinSize and pack are the packing rule; see pack.
@@ -156,11 +168,13 @@ type packer struct {
 // digest coalesce onto one put, the only one that packs; the rest take a
 // reference, or retry as the winner if that put fails.
 func (p *Pool) add(d digest.Digest, content []byte, pk *packer) error {
-	sh := p.shardFor(d)
+	k := spell(d)
+	sh := p.shardFor(&k)
 	for {
 		sh.mu.Lock()
-		if sh.refs[d] > 0 {
-			sh.refs[d]++
+		if e, ok := sh.entries[d]; ok {
+			e.refs++
+			sh.entries[e.d] = e
 			sh.mu.Unlock()
 			return nil
 		}
@@ -172,19 +186,16 @@ func (p *Pool) add(d digest.Digest, content []byte, pk *packer) error {
 			f.Wait(context.Background())
 			continue
 		}
-		pf := packedFile{size: int64(len(content))}
+		e := poolEntry{d: d, refs: 1, size: int64(len(content))}
 		var err error
 		if z := pack(content, pk); z == nil {
 			err = sh.backing.PutVerified(d, content)
 		} else {
-			pf.key, err = sh.packed.Put(z)
+			e.key, err = sh.packed.Put(z)
 		}
 		sh.mu.Lock()
 		if err == nil {
-			sh.refs[d] = 1
-			if pf.key != "" {
-				sh.packs[d] = pf
-			}
+			sh.entries[d] = e
 		}
 		sh.flights.Land(d, f, err)
 		sh.mu.Unlock()
@@ -202,22 +213,22 @@ func (p *Pool) add(d digest.Digest, content []byte, pk *packer) error {
 // which is never granted while references exist). Readers already
 // streaming the digest are safe: both backing store kinds keep open
 // readers valid after Delete.
-func (p *Pool) unref(d digest.Digest) {
-	sh := p.shardFor(d)
+func (p *Pool) unref(k *spelled) {
+	sh := p.shardFor(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	n := sh.refs[d]
+	e, ok := sh.entries[digest.Digest(k[:])]
 	switch {
-	case n > 1:
-		sh.refs[d] = n - 1
-	case n == 1:
-		delete(sh.refs, d)
-		if pf, ok := sh.packs[d]; ok {
-			delete(sh.packs, d)
-			sh.packed.Delete(pf.key)
-		} else {
-			sh.backing.Delete(d)
-		}
+	case !ok:
+	case e.refs > 1:
+		e.refs--
+		sh.entries[e.d] = e
+	case e.key != "":
+		delete(sh.entries, e.d)
+		sh.packed.Delete(e.key)
+	default:
+		delete(sh.entries, e.d)
+		sh.backing.Delete(e.d)
 	}
 }
 
@@ -231,22 +242,22 @@ type inflater struct {
 	pr packedReader
 }
 
-// inflaterPool lends inflaters to reads that bring none (a raw blob's Get).
-var inflaterPool = sync.Pool{New: func() any { return new(inflater) }}
+// inflaters lends inflaters to reads that bring none (a raw blob's Get).
+var inflaters = engine.NewFreeList[inflater]()
 
 // packedReader reads a packed entry's content. One over a borrowed
 // inflater is its own value, so a second Close cannot reach another read.
 type packedReader struct {
 	fr     io.Reader
 	rc     io.Closer // the packed backing's reader
-	pooled *inflater // borrowed from inflaterPool, returned by Close
+	pooled *inflater // borrowed from inflaters, returned by Close
 }
 
 func (r *packedReader) Read(p []byte) (int, error) { return r.fr.Read(p) }
 
 func (r *packedReader) Close() error {
 	if r.pooled != nil {
-		inflaterPool.Put(r.pooled)
+		inflaters.Put(r.pooled)
 		r.pooled = nil
 	}
 	return r.rc.Close()
@@ -255,22 +266,25 @@ func (r *packedReader) Close() error {
 // open returns a reader over a pooled digest's content and the content
 // size, whichever form the pool holds it in. A packed entry inflates
 // through in, which must then not serve another entry until this reader
-// is closed; with a nil in, it borrows one from inflaterPool until Close.
-func (p *Pool) open(d digest.Digest, in *inflater) (io.ReadCloser, int64, error) {
-	sh := p.shardFor(d)
+// is closed; with a nil in, it borrows one from inflaters until Close.
+func (p *Pool) open(k *spelled, in *inflater) (io.ReadCloser, int64, error) {
+	sh := p.shardFor(k)
 	sh.mu.Lock()
-	pf, packed := sh.packs[d]
+	e, ok := sh.entries[digest.Digest(k[:])]
 	sh.mu.Unlock()
-	if !packed {
-		return sh.backing.Get(d)
+	switch {
+	case !ok:
+		return nil, 0, fmt.Errorf("%w: pool holds no %s", blobstore.ErrNotFound, digest.Digest(k[:]).Short())
+	case e.key == "":
+		return sh.backing.Get(e.d)
 	}
-	rc, _, err := sh.packed.Get(pf.key)
+	rc, _, err := sh.packed.Get(e.key)
 	if err != nil {
 		return nil, 0, err
 	}
 	pooled := in == nil
 	if pooled {
-		in = inflaterPool.Get().(*inflater)
+		in = inflaters.Get()
 	}
 	src, ok := rc.(flate.Reader)
 	if !ok {
@@ -288,21 +302,10 @@ func (p *Pool) open(d digest.Digest, in *inflater) (io.ReadCloser, int64, error)
 		return nil, 0, err
 	}
 	if pooled {
-		return &packedReader{fr: in.fr, rc: rc, pooled: in}, pf.size, nil
+		return &packedReader{fr: in.fr, rc: rc, pooled: in}, e.size, nil
 	}
 	in.pr = packedReader{fr: in.fr, rc: rc}
-	return &in.pr, pf.size, nil
-}
-
-// Len returns the number of pooled digests.
-func (p *Pool) Len() int {
-	n := 0
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		n += len(sh.refs)
-		sh.mu.Unlock()
-	}
-	return n
+	return &in.pr, e.size, nil
 }
 
 // TotalBytes returns the bytes the backings hold: raw contents plus
@@ -315,17 +318,16 @@ func (p *Pool) TotalBytes() int64 {
 	return n
 }
 
-// contentBytes returns the content bytes the pool holds: what TotalBytes
-// would be with nothing packed.
-func (p *Pool) contentBytes() int64 {
-	var n int64
+// census returns the number of pooled digests and the content bytes they
+// hold: what TotalBytes would be with nothing packed.
+func (p *Pool) census() (n int, content int64) {
 	for _, sh := range p.shards {
 		sh.mu.Lock()
-		n += sh.backing.TotalBytes()
-		for _, pf := range sh.packs {
-			n += pf.size
+		n += len(sh.entries)
+		for _, e := range sh.entries {
+			content += e.size
 		}
 		sh.mu.Unlock()
 	}
-	return n
+	return n, content
 }

@@ -5,7 +5,6 @@ import (
 	"compress/flate"
 	"errors"
 	"io"
-	"runtime"
 	"testing"
 
 	"repro/internal/blobstore"
@@ -34,33 +33,53 @@ func (f *failFirstPut) PutVerified(d digest.Digest, content []byte) error {
 // winner takes no reference and leaves the put to the next add, an add
 // that finds the digest pooled takes a reference, and the bytes go with
 // the last one.
-func TestPoolClaim(t *testing.T) {
+func TestPoolClaim(t *testing.T) { testPoolClaim(t, false) }
+
+// TestPoolClaimRetryFirst is TestPoolClaim with the retry's result
+// delivered before the failed winner's: which add returns first is the
+// scheduler's choice, and the outcome of each must not depend on it.
+func TestPoolClaimRetryFirst(t *testing.T) { testPoolClaim(t, true) }
+
+func testPoolClaim(t *testing.T, retryFirst bool) {
 	content := []byte("pooled content")
 	d := digest.FromBytes(content)
 	backing := &failFirstPut{Store: blobstore.NewMemory(), started: make(chan struct{}), release: make(chan struct{})}
 	p := NewPool([]blobstore.Store{backing}, []blobstore.Store{blobstore.NewMemory()})
 
 	var pk1, pk2, pk3 packer
-	errs := make(chan error, 2)
-	go func() { errs <- p.add(d, content, &pk1) }()
+	// One result channel per add: the winner is the add that reached the
+	// backing first, whichever of the two returns first.
+	winner, retry := make(chan error, 1), make(chan error, 1)
+	retried := make(chan struct{})
+	go func() {
+		err := p.add(d, content, &pk1)
+		if retryFirst {
+			<-retried
+		}
+		winner <- err
+	}()
 	<-backing.started
-	go func() { errs <- p.add(d, content, &pk2) }()
+	go func() {
+		retry <- p.add(d, content, &pk2)
+		close(retried)
+	}()
 	close(backing.release)
-	if first, second := <-errs, <-errs; first == nil || second != nil {
-		t.Fatalf("failed winner then retry: errors %v, %v; want the first only", first, second)
+	if werr, rerr := <-winner, <-retry; werr == nil || rerr != nil {
+		t.Fatalf("failed winner then retry: errors %v, %v; want the winner's only", werr, rerr)
 	}
-	if p.Len() != 1 || !p.has(d) {
-		t.Fatalf("pool holds %d digests after the retried put, want 1", p.Len())
+	if n, _ := p.census(); n != 1 || !p.has(d) {
+		t.Fatalf("pool holds %d digests after the retried put, want 1", n)
 	}
 	if err := p.add(d, content, &pk3); err != nil {
 		t.Fatalf("second reference: %v", err)
 	}
 	// Two references: the bytes survive one release and go with the second.
-	p.unref(d)
+	k := spell(d)
+	p.unref(&k)
 	if !p.has(d) {
 		t.Fatal("digest released with a reference outstanding")
 	}
-	p.unref(d)
+	p.unref(&k)
 	if p.has(d) || backing.TotalBytes() != 0 {
 		t.Fatalf("digest still pooled (%d backing bytes) after its last release", backing.TotalBytes())
 	}
@@ -68,10 +87,18 @@ func TestPoolClaim(t *testing.T) {
 
 // has reports whether d is pooled with a live reference.
 func (p *Pool) has(d digest.Digest) bool {
-	sh := p.shardFor(d)
+	_, ok := p.entry(d)
+	return ok
+}
+
+// entry returns d's pool entry.
+func (p *Pool) entry(d digest.Digest) (poolEntry, bool) {
+	k := spell(d)
+	sh := p.shardFor(&k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.refs[d] > 0
+	e, ok := sh.entries[d]
+	return e, ok
 }
 
 // TestPackRule: entries pack on their own bytes alone — at least 4 KiB
@@ -111,7 +138,7 @@ func TestRawBlobPacksInEitherOrder(t *testing.T) {
 		for _, blob := range order {
 			putStream(t, s, blob)
 		}
-		if _, packed := pool.shards[0].packs[digest.FromBytes(x)]; !packed {
+		if e, _ := pool.entry(digest.FromBytes(x)); e.key == "" {
 			t.Errorf("order %d: the raw blob's entry is not packed", i)
 		}
 		if !bytes.Equal(readBlob(t, s, digest.FromBytes(x)), x) {
@@ -128,18 +155,13 @@ func TestRawBlobPacksInEitherOrder(t *testing.T) {
 }
 
 // TestPackedRawGetAllocation: a Get of a packed raw blob brings no
-// inflater, and borrows a pooled one instead of building a decompressor
-// per read.
+// inflater, and borrows one from the free list instead of building a
+// decompressor per read.
 func TestPackedRawGetAllocation(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
-	// One P: a sync.Pool keeps the last Put private to the P that made it.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	x := tapeProse(5, 16<<10)
 	s := NewWithConfig(NewMemoryPool(1), Config{})
 	d := putStream(t, s, x)
-	if _, packed := s.pool.shards[0].packs[d]; !packed {
+	if e, _ := s.pool.entry(d); e.key == "" {
 		t.Fatal("the test's raw blob does not pack")
 	}
 	buf := make([]byte, 32<<10)
@@ -191,8 +213,8 @@ func TestPackedFormCollidesWithAFile(t *testing.T) {
 					t.Fatalf("%s pool: layer %s does not reassemble", kind, d.Short())
 				}
 			}
-			if key := pool.shards[0].packs[digest.FromBytes(y)].key; key != digest.FromBytes(x) {
-				t.Fatalf("%s pool: Y's packed key is %s, want the digest of X's bytes", kind, key.Short())
+			if e, _ := pool.entry(digest.FromBytes(y)); e.key != digest.FromBytes(x) {
+				t.Fatalf("%s pool: Y's packed key is %s, want the digest of X's bytes", kind, e.key.Short())
 			}
 			// Delete the layer put first, then the other.
 			if err := s.Delete(digest.FromBytes(order[0])); err != nil {
@@ -210,8 +232,8 @@ func TestPackedFormCollidesWithAFile(t *testing.T) {
 			if err := checkStore(s); err != nil {
 				t.Fatalf("%s pool: %v", kind, err)
 			}
-			if pool.Len() != 0 || pool.TotalBytes() != 0 {
-				t.Fatalf("%s pool: %d digests, %d bytes pooled after deleting both layers", kind, pool.Len(), pool.TotalBytes())
+			if n, _ := pool.census(); n != 0 || pool.TotalBytes() != 0 {
+				t.Fatalf("%s pool: %d digests, %d bytes pooled after deleting both layers", kind, n, pool.TotalBytes())
 			}
 		}
 	}

@@ -100,11 +100,10 @@ func (e *recipeEncoder) members() recipeCursor {
 
 // recipeCursor reads an encoding one member at a time, in place: the
 // current member's name and digest are views of the encoding, so a walk
-// allocates nothing but the digests its caller asks for. It is the one
-// parser of the format, under reassembly (writeBlob) and reference
-// release (releaseEntry). It refuses every byte string that
-// recipeEncoder could not have written, so an encoding it accepts
-// re-encodes to itself.
+// allocates nothing. It is the one parser of the format, under reassembly
+// (writeBlob) and reference release (releaseEntry). It refuses every byte
+// string that recipeEncoder could not have written, so an encoding it
+// accepts re-encodes to itself.
 type recipeCursor struct {
 	gzip bool
 	rest []byte // the encoding after the current member
@@ -194,13 +193,10 @@ func (c *recipeCursor) fail(what string) bool {
 	return false
 }
 
-// digest returns the current file's content digest: the one allocation of
-// a member.
-func (c *recipeCursor) digest() digest.Digest {
-	var buf [len(digestPrefix) + 2*rawDigestLen]byte
-	copy(buf[:], digestPrefix)
-	hex.Encode(buf[len(digestPrefix):], c.sum)
-	return digest.Digest(buf[:])
+// spell writes the current file's content digest into k.
+func (c *recipeCursor) spell(k *spelled) {
+	copy(k[:], digestPrefix)
+	hex.Encode(k[len(digestPrefix):], c.sum)
 }
 
 // uvarint reads a varint as binary.Uvarint does, but refuses the padded

@@ -53,7 +53,7 @@ func DecodeRecipe(data []byte) (*Recipe, error) {
 	for c.next() {
 		e := RecipeEntry{Name: string(c.name), Dir: c.dir, Size: c.size}
 		if !c.dir {
-			e.Content = c.digest()
+			e.Content = memberDigest(&c)
 		}
 		r.Entries = append(r.Entries, e)
 	}
@@ -61,6 +61,13 @@ func DecodeRecipe(data []byte) (*Recipe, error) {
 		return nil, c.err
 	}
 	return r, nil
+}
+
+// memberDigest returns the cursor's current file's content digest.
+func memberDigest(c *recipeCursor) digest.Digest {
+	var k spelled
+	c.spell(&k)
+	return digest.Digest(k[:])
 }
 
 // Recipe returns the stored recipe for a decomposed blob (nil for raw
@@ -112,7 +119,7 @@ func checkRecipe(t *testing.T, data []byte) {
 		for c.next() {
 			e := RecipeEntry{Name: string(c.name), Dir: c.dir, Size: c.size}
 			if !c.dir {
-				e.Content = c.digest()
+				e.Content = memberDigest(&c)
 			}
 			walked = append(walked, e)
 		}

@@ -63,11 +63,12 @@ func checkStore(s *Store) error {
 			if c.dir {
 				continue
 			}
-			fd := c.digest()
-			want[fd]++
+			var k spelled
+			c.spell(&k)
+			want[digest.Digest(k[:])]++
 			logical += c.size
 			files++
-			rc, size, oerr := s.pool.open(fd, &in)
+			rc, size, oerr := s.pool.open(&k, &in)
 			if oerr != nil {
 				err = fmt.Errorf("member %s: %w", c.name, oerr)
 				break
@@ -93,8 +94,7 @@ func checkStore(s *Store) error {
 	for i, sh := range s.pool.shards {
 		sh.mu.Lock()
 		flights := len(sh.flights)
-		refs := maps.Clone(sh.refs)
-		packs := maps.Clone(sh.packs)
+		entries := maps.Clone(sh.entries)
 		sh.mu.Unlock()
 		if flights != 0 {
 			return fmt.Errorf("pool shard %d: %d writes still in flight", i, flights)
@@ -113,25 +113,29 @@ func checkStore(s *Store) error {
 			re.PoolBytes += n
 		}
 		var packedContent int64
-		for d, pf := range packs {
-			if refs[d] == 0 {
-				return fmt.Errorf("pool shard %d: packed entry %s has no reference", i, d.Short())
+		for d, e := range entries {
+			if e.d != d || e.refs <= 0 {
+				return fmt.Errorf("pool shard %d: entry %s holds digest %s and %d references", i, d.Short(), e.d.Short(), e.refs)
 			}
-			if !keys[pf.key] {
+			if e.key == "" {
+				continue
+			}
+			if !keys[e.key] {
 				return fmt.Errorf("pool shard %d: packed bytes of %s are missing", i, d.Short())
 			}
-			delete(keys, pf.key)
-			packedContent += pf.size
+			delete(keys, e.key)
+			packedContent += e.size
 			// Inflate it: the content must be exactly the digest's.
-			rc, size, err := s.pool.open(d, &in)
+			k := spell(d)
+			rc, size, err := s.pool.open(&k, &in)
 			if err != nil {
 				return fmt.Errorf("pool shard %d: opening packed %s: %w", i, d.Short(), err)
 			}
 			h := digest.NewHasher()
 			n, err := io.Copy(h, rc)
 			rc.Close()
-			if err != nil || n != size || size != pf.size || h.Digest() != d {
-				return fmt.Errorf("pool shard %d: packed %s inflates to %d of %d bytes (%v), digest %s", i, d.Short(), n, pf.size, err, h.Digest().Short())
+			if err != nil || n != size || size != e.size || h.Digest() != d {
+				return fmt.Errorf("pool shard %d: packed %s inflates to %d of %d bytes (%v), digest %s", i, d.Short(), n, e.size, err, h.Digest().Short())
 			}
 		}
 		if len(keys) != 0 {
@@ -139,15 +143,15 @@ func checkStore(s *Store) error {
 		}
 		re.FileBytes += packedContent
 		for d := range raw {
-			if refs[d] == 0 {
+			if _, ok := entries[d]; !ok {
 				return fmt.Errorf("pool shard %d backs unreferenced %s", i, d.Short())
 			}
 		}
-		for d, n := range refs {
-			if _, packed := packs[d]; raw[d] == packed {
+		for d, e := range entries {
+			if packed := e.key != ""; raw[d] == packed {
 				return fmt.Errorf("pool shard %d holds %s raw=%v packed=%v, want exactly one", i, d.Short(), raw[d], packed)
 			}
-			got[d] = n
+			got[d] = e.refs
 		}
 	}
 	for d, n := range want {
@@ -481,8 +485,8 @@ func runStoreTape(t *testing.T, tape []byte) {
 	if err := checkStore(s); err != nil {
 		t.Fatalf("tape %x: after deleting everything: %v", tape, err)
 	}
-	if s.pool.Len() != 0 || s.pool.TotalBytes() != 0 {
-		t.Fatalf("tape %x: %d digests, %d bytes pooled after deleting everything", tape, s.pool.Len(), s.pool.TotalBytes())
+	if n, _ := s.pool.census(); n != 0 || s.pool.TotalBytes() != 0 {
+		t.Fatalf("tape %x: %d digests, %d bytes pooled after deleting everything", tape, n, s.pool.TotalBytes())
 	}
 }
 

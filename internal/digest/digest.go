@@ -121,8 +121,11 @@ func (d Digest) String() string { return string(d) }
 // dedup-index key. Truncating SHA-256 to 64 bits preserves the equality
 // structure for any realistic file population (collision odds ~2^-32 at a
 // billion files). Returns 0 for malformed digests.
-func (d Digest) Key64() uint64 {
-	h := d.Hex()
+func (d Digest) Key64() uint64 { return Key64Hex(d.Hex()) }
+
+// Key64Hex is Key64 of a digest's hex portion, given as a string or as
+// bytes, so a caller holding the hex in a buffer builds no Digest.
+func Key64Hex[H string | []byte](h H) uint64 {
 	if len(h) < 16 {
 		return 0
 	}

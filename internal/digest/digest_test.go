@@ -89,6 +89,9 @@ func TestKey64(t *testing.T) {
 	if got := d.Key64(); got != 0x0123456789abcdef {
 		t.Fatalf("Key64 = %#x", got)
 	}
+	if got := Key64Hex([]byte(d.Hex())); got != 0x0123456789abcdef {
+		t.Fatalf("Key64Hex over bytes = %#x", got)
+	}
 	if Digest("bogus").Key64() != 0 {
 		t.Error("malformed digest Key64 should be 0")
 	}

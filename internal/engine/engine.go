@@ -1,13 +1,15 @@
 // Package engine holds what the study's packages share instead of
 // re-defining it: the worker-count default; the one bounded fan-out,
 // ForEach, that the crawl, the live push, the layer walks and the
-// closed-loop load generator run on; and the one sanctioned wall clock and
-// sleep for the deterministic packages (the noadhocclock lint rule forbids
-// bare time.Now and timers there).
+// closed-loop load generator run on; the free list that keeps codec state
+// across garbage collections; and the one sanctioned wall clock and sleep
+// for the deterministic packages (the noadhocclock lint rule forbids bare
+// time.Now and timers there).
 package engine
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,6 +72,44 @@ func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 		return firstErr
 	}
 	return ctx.Err()
+}
+
+// FreeList is a bounded stock of reusable values, safe for concurrent use.
+// Unlike a sync.Pool it keeps up to GOMAXPROCS values across garbage
+// collections, so costly state (a deflater is ≈1 MB) is not rebuilt after
+// every GC. Values put past that go to a sync.Pool: a burst of more users
+// is served as a sync.Pool would serve it, and leaves nothing behind.
+type FreeList[T any] struct {
+	free  chan *T
+	spill sync.Pool
+}
+
+// NewFreeList returns an empty FreeList.
+func NewFreeList[T any]() *FreeList[T] {
+	return &FreeList[T]{free: make(chan *T, runtime.GOMAXPROCS(0))}
+}
+
+// Get takes a kept value, or a spilled one, or returns new(T).
+func (l *FreeList[T]) Get() *T {
+	select {
+	case x := <-l.free:
+		return x
+	default:
+	}
+	if x, ok := l.spill.Get().(*T); ok {
+		return x
+	}
+	return new(T)
+}
+
+// Put keeps x for a later Get, or spills it when the list is full; the
+// caller must not use x afterwards.
+func (l *FreeList[T]) Put(x *T) {
+	select {
+	case l.free <- x:
+	default:
+		l.spill.Put(x)
+	}
 }
 
 // SystemNow is the one sanctioned wall-clock read in the deterministic

@@ -3,6 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -139,5 +142,85 @@ func TestSleepContextCancel(t *testing.T) {
 	}
 	if time.Since(start) > time.Second {
 		t.Fatal("sleep did not abort on cancellation")
+	}
+}
+
+// TestFreeList: the list keeps GOMAXPROCS values across garbage
+// collections; a value put past that spills to a sync.Pool, which Get
+// draws from before it makes a new value and which collections empty.
+func TestFreeList(t *testing.T) {
+	l := NewFreeList[[64]byte]()
+	n := runtime.GOMAXPROCS(0)
+	held := make([]*[64]byte, n+3)
+	for i := range held {
+		held[i] = l.Get()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, x := range held {
+		l.Put(x)
+	}
+	if len(l.free) != n {
+		t.Fatalf("list keeps %d values after %d puts, want GOMAXPROCS = %d", len(l.free), len(held), n)
+	}
+	kept, spilled := make(map[*[64]byte]bool), make(map[*[64]byte]bool)
+	for i, x := range held {
+		if i < n {
+			kept[x] = true
+		} else {
+			spilled[x] = true
+		}
+	}
+	var back []*[64]byte
+	for range n {
+		if x := l.Get(); kept[x] {
+			back = append(back, x)
+		} else {
+			t.Fatal("Get returned a value the list was not keeping while it kept some")
+		}
+	}
+	// The race detector's sync.Pool drops puts at random.
+	if x := l.Get(); !raceEnabled && !spilled[x] {
+		t.Fatal("Get on an empty list made a new value while the spill held three")
+	}
+	for _, x := range back {
+		l.Put(x)
+	}
+	runtime.GC()
+	runtime.GC()
+	for range n {
+		if x := l.Get(); !kept[x] {
+			t.Fatal("Get after two collections returned a value the list was not keeping")
+		}
+	}
+	if x := l.Get(); kept[x] || spilled[x] {
+		t.Fatal("the spill kept a value across two collections")
+	}
+}
+
+// TestFreeListConcurrent: concurrent users never share a value, and once
+// they are done the list keeps as many as it can before spilling any.
+// Under the race detector a value handed to two users at once is a
+// reported race.
+func TestFreeListConcurrent(t *testing.T) {
+	l := NewFreeList[int]()
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 1000 {
+				x := l.Get()
+				*x = g
+				runtime.Gosched()
+				if *x != g {
+					t.Error("a value was handed to two users at once")
+				}
+				l.Put(x)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(l.free); n != min(8, cap(l.free)) {
+		t.Fatalf("list keeps %d values after 8 users put theirs back, capacity %d", n, cap(l.free))
 	}
 }

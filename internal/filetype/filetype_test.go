@@ -160,6 +160,26 @@ func TestClassifyGenerateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMinSize: MinSize is the length of the shortest content Generate
+// makes for every type, and reading it allocates nothing (synth calls it
+// once per unique file of a dataset).
+func TestMinSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for ft := range NamedTypes + MaxUncommon {
+		if got, want := MinSize(ft), int64(len(Generate(ft, 0, 0, rng))); got != want {
+			t.Errorf("MinSize(%s) = %d, Generate's shortest content is %d bytes", ft, got, want)
+		}
+	}
+	types := []Type{ElfExecutable, ShellScript, TarArchive, EmptyFile, UncommonType(7)}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, ft := range types {
+			MinSize(ft)
+		}
+	}); n != 0 {
+		t.Errorf("MinSize allocates %v times per %d calls, want 0", n, len(types))
+	}
+}
+
 func TestClassifyEmpty(t *testing.T) {
 	if got := Classify("anything", nil); got != EmptyFile {
 		t.Fatalf("empty content classified as %s", got)

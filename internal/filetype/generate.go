@@ -25,7 +25,7 @@ func Generate(t Type, size int64, entropy float64, rng *rand.Rand) []byte {
 	if entropy > 1 {
 		entropy = 1
 	}
-	header, textual := header(t, rng)
+	header, textual := header(t)
 	if min := int64(len(header)); size < min {
 		size = min
 	}
@@ -41,20 +41,25 @@ func Generate(t Type, size int64, entropy float64, rng *rand.Rand) []byte {
 }
 
 // MinSize returns the smallest content length Generate can produce for t
-// while keeping it classifiable.
-func MinSize(t Type) int64 {
-	if t == EmptyFile {
-		return 0
+// while keeping it classifiable: its header's length, read from a table.
+func MinSize(t Type) int64 { return headerLens[t] }
+
+// headerLens holds every type's header length, built once: synth sizes
+// each unique file of a dataset by it.
+var headerLens = func() (n [NamedTypes + MaxUncommon]int64) {
+	for t := range Type(len(n)) {
+		if t != EmptyFile {
+			h, _ := header(t)
+			n[t] = int64(len(h))
+		}
 	}
-	// Deterministic header length: use a throwaway RNG; headers have fixed
-	// length per type.
-	h, _ := header(t, rand.New(rand.NewSource(0)))
-	return int64(len(h))
-}
+	return n
+}()
 
 // header returns the magic header for t and whether the body filler must be
-// textual for the classification to hold.
-func header(t Type, rng *rand.Rand) ([]byte, bool) {
+// textual for the classification to hold. It draws nothing: a type's
+// header is fixed.
+func header(t Type) ([]byte, bool) {
 	switch t {
 	case ElfExecutable:
 		return elfHeader(2), false

@@ -51,10 +51,12 @@ func MaterializeWithPolicy(d *Dataset, reg *registry.Registry, uncompressedUnder
 		ManifestDigests: make([]digest.Digest, len(d.Images)),
 	}
 
-	// Render and push every unique layer once.
+	// Render and push every unique layer once, through one builder: its
+	// deflater is ≈1 MB to build.
+	b := tarutil.NewGzipBuilder(nil)
 	for i := range d.Layers {
 		compress := uncompressedUnder <= 0 || d.Layers[i].FLS >= uncompressedUnder
-		blob, err := RenderLayerTar(d, LayerID(i), compress)
+		blob, err := renderLayer(d, LayerID(i), compress, b)
 		if err != nil {
 			return nil, fmt.Errorf("synth: rendering layer %d: %w", i, err)
 		}
@@ -141,14 +143,18 @@ func RenderLayer(d *Dataset, l LayerID) ([]byte, error) {
 // RenderLayerTar renders one layer as a tarball, gzip-compressed or plain
 // (the uncompressed small-layer storage policy).
 func RenderLayerTar(d *Dataset, l LayerID, compress bool) ([]byte, error) {
+	return renderLayer(d, l, compress, new(tarutil.Builder))
+}
+
+// renderLayer is RenderLayerTar through b, which it resets.
+func renderLayer(d *Dataset, l LayerID, compress bool, b *tarutil.Builder) ([]byte, error) {
 	lay := &d.Layers[l]
 	var buf bytes.Buffer
-	var b *tarutil.Builder
+	framing := tarutil.Plain
 	if compress {
-		b = tarutil.NewGzipBuilder(&buf)
-	} else {
-		b = tarutil.NewBuilder(&buf)
+		framing = tarutil.Gzip
 	}
+	b.Reset(&buf, framing)
 
 	// Directory skeleton: a chain realizing MaxDepth, then siblings
 	// attached round-robin at every chain level.

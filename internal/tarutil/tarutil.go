@@ -73,7 +73,8 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
-	"sync"
+
+	"repro/internal/engine"
 )
 
 // Entry describes one member of a layer tarball as seen by the walker.
@@ -116,7 +117,8 @@ const gzipMagic = "\x1f\x8b"
 // walks its archive, and counts its wire bytes. A NotTar blob is read
 // through Read, from its first byte. A Layer's buffers — a 32 KiB read
 // buffer, the gzip inflater, the dominant cost of a short walk, and the
-// walker's state — are pooled across layers; Close returns them.
+// walker's state — are made on first use and kept on a free list across
+// layers; Close returns them.
 type Layer struct {
 	br      *bufio.Reader
 	wire    countReader
@@ -126,15 +128,16 @@ type Layer struct {
 	w       walker
 }
 
-var layerPool = sync.Pool{New: func() any {
-	return &Layer{br: bufio.NewReaderSize(nil, 32<<10)}
-}}
+var layers = engine.NewFreeList[Layer]()
 
 // OpenLayer starts reading the blob r and decides its framing, reading no
 // further than its first 512 bytes need.
 func OpenLayer(r io.Reader) *Layer {
-	l := layerPool.Get().(*Layer)
+	l := layers.Get()
 	l.wire = countReader{r: r}
+	if l.br == nil {
+		l.br = bufio.NewReaderSize(nil, 32<<10)
+	}
 	l.br.Reset(&l.wire)
 	l.framing, l.err = NotTar, nil
 	head, err := l.br.Peek(blockSize)
@@ -197,13 +200,13 @@ func (l *Layer) walk(fn WalkFunc) error {
 // WireBytes returns how many bytes of the blob have been read.
 func (l *Layer) WireBytes() int64 { return l.wire.n }
 
-// Close returns the Layer's buffers to the pool; l must not be used
+// Close returns the Layer's buffers to the free list; l must not be used
 // afterwards. It does not close the blob.
 func (l *Layer) Close() {
 	l.br.Reset(nil)
 	l.wire = countReader{}
 	l.w = walker{}
-	layerPool.Put(l)
+	layers.Put(l)
 }
 
 // countReader counts the bytes read through it.

@@ -81,7 +81,10 @@ func TestNodeLiveConcurrentChurnMatchesBatch(t *testing.T) {
 	if live == nil {
 		t.Fatal("live analytics not wired onto node")
 	}
-	client := &registry.Client{Base: c.Nodes[0].URL, Token: "cluster-live"}
+	// The node's own client: its idle connections close when the node
+	// shuts down, so a connection the pushers dialed but never used does
+	// not hold the drain for the server's five-second grace.
+	client := &registry.Client{Base: c.Nodes[0].URL, HTTP: c.Nodes[0].srv.Client(), Token: "cluster-live"}
 
 	type push struct {
 		name  string
