@@ -1,25 +1,23 @@
 // Package analyzer builds the paper's layer and image profiles (§III-C).
 //
-// Two input paths share all downstream analysis code:
+// Two sources feed one fold:
 //
-//   - AnalyzeModel profiles a synthetic dataset directly from its model —
-//     the fast path used for statistics at large scale.
-//   - AnalyzeStore decompresses and walks real layer tarballs from a blob
-//     store, classifying every file by magic number and digesting its
-//     content — the full wire path ("the analyzer extracts the downloaded
-//     layers and analyzes them along with the image manifests").
+//   - AnalyzeModel reads layer profiles, image layer lists and file
+//     instances straight from a synthetic dataset's model — the fast path
+//     used for statistics at large scale.
+//   - AnalyzeWalks takes each unique layer's walk from one function, in
+//     parallel: a store walk (AnalyzeStore decompresses and walks real
+//     layer tarballs, classifying every file by magic number and
+//     digesting its content — "the analyzer extracts the downloaded
+//     layers and analyzes them along with the image manifests"), or one
+//     made earlier by the fused pipeline or the live service.
 //
-// Both produce a Result: per-layer profiles (digest, FLS, CLS, file and
-// directory counts, maximum depth, image references), per-image profiles
-// (CIS, FIS, aggregate counts), and a dedup.Index over all file instances.
-//
-// The wire path (AnalyzeWalks) walks first and folds after: it takes each
-// unique layer's walk from one function, in parallel — a store walk, or
-// one made earlier by the fused pipeline or the live service — then one
-// goroutine folds the walks into the census and the profiles in layer
-// order. That order fixes the Result.Layers indices; the census reads the
-// same in any order. The Result is therefore the same at every worker
-// count.
+// fold turns either into a Result: per-layer profiles (digest, FLS, CLS,
+// file and directory counts, maximum depth, image references), per-image
+// profiles (CIS, FIS, aggregate counts), and a dedup.Index over all file
+// instances. It runs on one goroutine and feeds the census in layer
+// order, which fixes the Result.Layers indices; the census reads the same
+// in any order. The Result is therefore the same at every worker count.
 package analyzer
 
 import (
@@ -89,18 +87,14 @@ type Result struct {
 	Index  *dedup.Index
 }
 
-// AnalyzeModel profiles a synthetic dataset in model mode. The model
-// knows its unique files, so the census is sized exactly.
+// AnalyzeModel profiles a synthetic dataset in model mode: the model is a
+// source of layer profiles, image layer lists and file instances for fold.
+// The model knows its unique files, so the census is sized exactly.
 func AnalyzeModel(d *synth.Dataset) (*Result, error) {
-	res := &Result{
-		Layers: make([]LayerProfile, len(d.Layers)),
-		Images: make([]ImageProfile, len(d.Images)),
-		Index:  dedup.NewIndexSized(len(d.Files)),
-	}
-	var obs []dedup.FileObs // one layer's instances, reused across layers
+	layers := make([]LayerProfile, len(d.Layers))
 	for i := range d.Layers {
 		l := &d.Layers[i]
-		res.Layers[i] = LayerProfile{
+		layers[i] = LayerProfile{
 			Digest:    d.LayerDigest(synth.LayerID(i)),
 			FLS:       l.FLS,
 			CLS:       l.CLS,
@@ -109,72 +103,77 @@ func AnalyzeModel(d *synth.Dataset) (*Result, error) {
 			MaxDepth:  l.MaxDepth,
 			Refs:      l.Refs,
 		}
+	}
+	images := make([][]int32, len(d.Images))
+	for i := range d.Images {
+		for _, l := range d.ImageLayers(synth.ImageID(i)) {
+			images[i] = append(images[i], int32(l))
+		}
+	}
+	var obs []dedup.FileObs // one layer's instances, reused across layers
+	return fold(layers, images, len(d.Files), func(i int) []dedup.FileObs {
 		obs = obs[:0]
 		for _, f := range d.LayerFiles(synth.LayerID(i)) {
 			uf := &d.Files[f]
 			obs = append(obs, dedup.FileObs{Key: uint64(f), Size: uf.Size, Type: uf.Type})
 		}
-		res.Index.AddLayer(l.Refs, obs)
-	}
-
-	for i := range d.Images {
-		im := &res.Images[i]
-		for _, l := range d.ImageLayers(synth.ImageID(i)) {
-			im.Layers = append(im.Layers, int32(l))
-			im.CIS += res.Layers[l].CLS
-			im.FIS += res.Layers[l].FLS
-			im.FileCount += int64(res.Layers[l].FileCount)
-			im.DirCount += int64(res.Layers[l].DirCount)
-		}
-	}
-
-	if err := fillCrossDup(res, func(layerIdx int32) []uint64 {
-		files := d.LayerFiles(synth.LayerID(layerIdx))
-		keys := make([]uint64, len(files))
-		for j, f := range files {
-			keys[j] = uint64(f)
-		}
-		return keys
-	}); err != nil {
-		return nil, err
-	}
-	return res, nil
+		return obs
+	})
 }
 
-// fillCrossDup computes per-layer and per-image duplicate fractions from
-// the finished census, given a function returning each layer's file keys.
-func fillCrossDup(res *Result, layerKeys func(int32) []uint64) error {
-	layerDup := make([]int64, len(res.Layers))    // cross-layer dup instances
-	imageDupCnt := make([]int64, len(res.Layers)) // cross-image dup instances
-	for i := range res.Layers {
-		keys := layerKeys(int32(i))
-		for _, k := range keys {
-			cl, ci, err := res.Index.CrossDup(k)
+// fold assembles a Result. layers carry their Refs; images holds each
+// image's layer indexes in manifest order; files(i) returns layer i's
+// file instances and may reuse one buffer across calls. The census is fed
+// in layer order, so its layer numbering is Result.Layers'. Each layer's
+// instances are then read once more against the finished census for the
+// duplicate fractions of Fig. 26. uniqueHint pre-sizes the census.
+func fold(layers []LayerProfile, images [][]int32, uniqueHint int, files func(i int) []dedup.FileObs) (*Result, error) {
+	res := &Result{
+		Layers: layers,
+		Images: make([]ImageProfile, len(images)),
+		Index:  dedup.NewIndexSized(uniqueHint),
+	}
+	for i := range layers {
+		res.Index.AddLayer(layers[i].Refs, files(i))
+	}
+
+	imageDup := make([]int64, len(layers)) // each layer's cross-image dup instances
+	for i := range layers {
+		var layerDup int64
+		for _, o := range files(i) {
+			cl, ci, err := res.Index.CrossDup(o.Key)
 			if err != nil {
-				return fmt.Errorf("analyzer: cross-dup: %w", err)
+				return nil, fmt.Errorf("analyzer: cross-dup: %w", err)
 			}
 			if cl {
-				layerDup[i]++
+				layerDup++
 			}
 			if ci {
-				imageDupCnt[i]++
+				imageDup[i]++
 			}
 		}
-		if n := int64(res.Layers[i].FileCount); n > 0 {
-			res.Layers[i].CrossLayerDupFrac = float64(layerDup[i]) / float64(n)
+		if n := int64(layers[i].FileCount); n > 0 {
+			layers[i].CrossLayerDupFrac = float64(layerDup) / float64(n)
 		}
 	}
-	for i := range res.Images {
+
+	for i, idxs := range images {
 		im := &res.Images[i]
+		im.Layers = idxs
 		var dup int64
-		for _, l := range im.Layers {
-			dup += imageDupCnt[l]
+		for _, l := range idxs {
+			lp := &layers[l]
+			im.CIS += lp.CLS
+			im.FIS += lp.FLS
+			im.FileCount += int64(lp.FileCount)
+			im.DirCount += int64(lp.DirCount)
+			dup += imageDup[l]
 		}
 		if im.FileCount > 0 {
 			im.CrossImageDupFrac = float64(dup) / float64(im.FileCount)
 		}
 	}
-	return nil
+	return res, nil
 }
 
 // WalkedLayer is the analysis of one real layer blob, produced by
@@ -208,10 +207,9 @@ func AnalyzeStore(store blobstore.Store, images []downloader.Image, workers int)
 
 // AnalyzeWalks is the wire-path assembly. It numbers the unique layers of
 // images in first-seen order, calls walk once per unique layer, workers
-// at a time (engine.ForEach), then folds the walks into the census and
-// the profiles in layer order on one goroutine. That order is fixed up
-// front from manifest order, so the Result does not depend on which walk
-// finished first.
+// at a time (engine.ForEach), then folds the walks in layer order on one
+// goroutine. That order is fixed up front from manifest order, so the
+// Result does not depend on which walk finished first.
 //
 // walk may read a layer from a store (AnalyzeStore), hand back a walk
 // made earlier (the fused pipeline, a live snapshot), or both; it must be
@@ -225,76 +223,45 @@ func AnalyzeWalks(ctx context.Context, images []downloader.Image, walk func(dige
 	sorted := append([]downloader.Image(nil), images...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Repo < sorted[j].Repo })
 
-	// Unique layers, first-seen order; count image references. This
-	// numbering is the deterministic layer order of the Result.
+	// Unique layers, first-seen order, with their image reference counts.
+	// This numbering is the deterministic layer order of the Result.
 	layerIdx := make(map[digest.Digest]int32)
-	var layerDigests []digest.Digest
-	refs := []int32{}
-	for _, img := range sorted {
+	var layers []LayerProfile
+	imageLayers := make([][]int32, len(sorted))
+	for i, img := range sorted {
 		for _, ld := range img.Manifest.LayerDigests() {
-			if _, ok := layerIdx[ld]; !ok {
-				layerIdx[ld] = int32(len(layerDigests))
-				layerDigests = append(layerDigests, ld)
-				refs = append(refs, 0)
+			idx, ok := layerIdx[ld]
+			if !ok {
+				idx = int32(len(layers))
+				layerIdx[ld] = idx
+				layers = append(layers, LayerProfile{Digest: ld})
 			}
-			refs[layerIdx[ld]]++
+			layers[idx].Refs++
+			imageLayers[i] = append(imageLayers[i], idx)
 		}
 	}
 
-	// walked[i] is written by the one call that walks layer i.
-	walked := make([]*WalkedLayer, len(layerDigests))
-	err := engine.ForEach(ctx, workers, len(layerDigests), func(_ context.Context, i int) error {
-		wl, err := walk(layerDigests[i])
+	// walked[i] and layers[i] are written by the one call that walks
+	// layer i.
+	walked := make([]*WalkedLayer, len(layers))
+	err := engine.ForEach(ctx, workers, len(layers), func(_ context.Context, i int) error {
+		lp := &layers[i]
+		wl, err := walk(lp.Digest)
 		if err != nil {
-			return fmt.Errorf("analyzer: layer %s: %w", layerDigests[i].Short(), err)
+			return fmt.Errorf("analyzer: layer %s: %w", lp.Digest.Short(), err)
 		}
 		walked[i] = wl
+		refs := lp.Refs
+		*lp = wl.profile
+		lp.Refs = refs
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
 	// The unique-file count is unknown until the fold, so the census
 	// grows from empty.
-	res := &Result{
-		Layers: make([]LayerProfile, len(layerDigests)),
-		Images: make([]ImageProfile, 0, len(sorted)),
-		Index:  dedup.NewIndexSized(0),
-	}
-
-	// Fold in layer order: the census numbers layers in call order, and
-	// res.Layers follows the same numbering.
-	for i, wl := range walked {
-		res.Index.AddLayer(refs[i], wl.files)
-		res.Layers[i] = wl.profile
-		res.Layers[i].Refs = refs[i]
-	}
-
-	for _, img := range sorted {
-		var im ImageProfile
-		for _, ld := range img.Manifest.LayerDigests() {
-			idx := layerIdx[ld]
-			im.Layers = append(im.Layers, idx)
-			lp := &res.Layers[idx]
-			im.CIS += lp.CLS
-			im.FIS += lp.FLS
-			im.FileCount += int64(lp.FileCount)
-			im.DirCount += int64(lp.DirCount)
-		}
-		res.Images = append(res.Images, im)
-	}
-
-	if err := fillCrossDup(res, func(layerIdx int32) []uint64 {
-		keys := make([]uint64, len(walked[layerIdx].files))
-		for j, f := range walked[layerIdx].files {
-			keys[j] = f.Key
-		}
-		return keys
-	}); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return fold(layers, imageLayers, 0, func(i int) []dedup.FileObs { return walked[i].files })
 }
 
 // walkScratch is the per-walk working memory of a byte walk: the

@@ -2,8 +2,9 @@
 // acquire its bytes, and assemble the figure source every table and figure
 // of the paper derives from. Study.Topology picks the path:
 //
-//   - nil (model): the synthetic Hub is profiled from its metadata and the
-//     Fig. 25 dedup-growth curve sampled from it — the statistical
+//   - nil (model): the synthetic Hub is profiled from its metadata
+//     (analyzer.AnalyzeModel) and the Fig. 25 dedup-growth curve read off
+//     one walk of a layer permutation (DedupGrowth) — the statistical
 //     reproduction path used at scale.
 //   - a Topology acquired by Pull (wire): the dataset's images are served
 //     as real gzip-compressed layer tarballs from the provisioned stack,
@@ -26,7 +27,6 @@ import (
 	"repro/internal/analyzer"
 	"repro/internal/blobstore"
 	"repro/internal/crawler"
-	"repro/internal/dedup"
 	"repro/internal/downloader"
 	"repro/internal/engine"
 	"repro/internal/hubapi"
@@ -185,7 +185,11 @@ func (s *Study) pull(ctx context.Context, res *Result, search *hubapi.Client) er
 // DedupGrowth reproduces Fig. 25: dedup ratios over nested random layer
 // samples of growing size ("the x-axis values correspond to the sizes of 4
 // random samples drawn from the whole dataset and the size of the whole
-// dataset").
+// dataset"). The samples are prefixes of one permutation, so one walk of
+// it, marking each unique file the first time it appears, yields every
+// sample's instance, byte, unique and unique-byte counts at its boundary.
+// The ratios are those dedup.Index.Ratios computes from the same counts.
+// A sample with no file instance has no dedup ratio and gets no point.
 func DedupGrowth(d *synth.Dataset) []report.GrowthPoint {
 	const samples = 4 // sub-samples before the full dataset
 	total := len(d.Layers)
@@ -207,38 +211,38 @@ func DedupGrowth(d *synth.Dataset) []report.GrowthPoint {
 	}
 	sizes = append(sizes, total)
 
-	// One random permutation gives nested samples: sample k is the first
-	// sizes[k] layers of the permutation.
 	rng := rand.New(rand.NewSource(d.Spec.Seed + 25))
 	perm := rng.Perm(total)
 
 	var out []report.GrowthPoint
-	var obs []dedup.FileObs // one layer's instances, reused across layers
-	prev := -1
+	seen := make([]bool, len(d.Files))
+	var files, bytes, unique, uniqueBytes int64
+	walked := 0
 	for _, n := range sizes {
-		if n == prev {
+		if n == walked {
 			continue
 		}
-		prev = n
-		// Pre-size each sample's census proportionally to its share of the
-		// dataset's unique files (exact for the full-dataset sample).
-		idx := dedup.NewIndexSized(len(d.Files) * n / total)
-		var files int64
-		for _, li := range perm[:n] {
-			obs = obs[:0]
+		for _, li := range perm[walked:n] {
 			for _, f := range d.LayerFiles(synth.LayerID(li)) {
-				obs = append(obs, dedup.FileObs{Key: uint64(f), Size: d.Files[f].Size, Type: d.Files[f].Type})
+				size := d.Files[f].Size
+				files++
+				bytes += size
+				if !seen[f] {
+					seen[f] = true
+					unique++
+					uniqueBytes += size
+				}
 			}
-			idx.AddLayer(d.Layers[li].Refs, obs)
-			files += int64(len(obs))
 		}
-		r := idx.Ratios()
-		out = append(out, report.GrowthPoint{
-			Layers:        n,
-			Files:         files,
-			CountRatio:    r.CountRatio,
-			CapacityRatio: r.CapacityRatio,
-		})
+		walked = n
+		if files == 0 {
+			continue
+		}
+		p := report.GrowthPoint{Layers: n, Files: files, CountRatio: float64(files) / float64(unique)}
+		if uniqueBytes > 0 {
+			p.CapacityRatio = float64(bytes) / float64(uniqueBytes)
+		}
+		out = append(out, p)
 	}
 	return out
 }

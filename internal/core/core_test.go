@@ -3,10 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/analyzer"
+	"repro/internal/dedup"
+	"repro/internal/report"
 	"repro/internal/serve"
 	"repro/internal/synth"
 	"repro/internal/topology"
@@ -112,26 +118,110 @@ func TestWireAndModelAgreeOnDedup(t *testing.T) {
 	}
 }
 
+// TestDedupGrowthMonotonicSamples: the curve's samples grow, its last is
+// the whole dataset, and every point has files, so both spans are finite.
+// At scale 0.0001 and seed 3 the first nested sample is one empty layer.
 func TestDedupGrowthMonotonicSamples(t *testing.T) {
-	d, err := synth.Generate(synth.DefaultSpec(0.0005))
-	if err != nil {
-		t.Fatal(err)
-	}
-	growth := DedupGrowth(d)
-	if len(growth) < 2 {
-		t.Fatalf("growth points = %d", len(growth))
-	}
-	for i := 1; i < len(growth); i++ {
-		if growth[i].Layers <= growth[i-1].Layers {
-			t.Fatalf("sample sizes not increasing: %+v", growth)
+	tiny := synth.DefaultSpec(0.0001)
+	tiny.Seed = 3
+	for _, spec := range []synth.Spec{synth.DefaultSpec(0.0005), tiny} {
+		d, err := synth.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		growth := DedupGrowth(d)
+		if len(growth) < 2 {
+			t.Fatalf("scale %v seed %d: growth points = %d", spec.Scale, spec.Seed, len(growth))
+		}
+		for i, g := range growth {
+			if g.Files <= 0 {
+				t.Errorf("scale %v seed %d: point %d has no files: %+v", spec.Scale, spec.Seed, i, g)
+			}
+			if i > 0 && g.Layers <= growth[i-1].Layers {
+				t.Fatalf("scale %v seed %d: sample sizes not increasing: %+v", spec.Scale, spec.Seed, growth)
+			}
+		}
+		first, last := growth[0], growth[len(growth)-1]
+		if last.CountRatio <= first.CountRatio {
+			t.Errorf("scale %v seed %d: count dedup ratio did not grow: %v -> %v", spec.Scale, spec.Seed, first.CountRatio, last.CountRatio)
+		}
+		for _, span := range []float64{last.CountRatio / first.CountRatio, last.CapacityRatio / first.CapacityRatio} {
+			if math.IsInf(span, 0) || math.IsNaN(span) {
+				t.Errorf("scale %v seed %d: ratio span %v: %+v", spec.Scale, spec.Seed, span, growth)
+			}
+		}
+		if last.Layers != len(d.Layers) {
+			t.Errorf("scale %v seed %d: final sample %d != all layers %d", spec.Scale, spec.Seed, last.Layers, len(d.Layers))
 		}
 	}
-	first, last := growth[0], growth[len(growth)-1]
-	if last.CountRatio <= first.CountRatio {
-		t.Errorf("count dedup ratio did not grow: %v -> %v", first.CountRatio, last.CountRatio)
+}
+
+// censusGrowth is the reference Fig. 25 curve: one fresh census per
+// nested sample, with a point for every sample, empty ones included.
+func censusGrowth(d *synth.Dataset) []report.GrowthPoint {
+	const samples = 4
+	total := len(d.Layers)
+	sizes := make([]int, 0, samples+1)
+	for i := samples; i > 0; i-- {
+		n := total
+		for j := 0; j < i; j++ {
+			n = n * 22 / 100
+		}
+		sizes = append(sizes, max(n, 1))
 	}
-	if last.Layers != len(d.Layers) {
-		t.Errorf("final sample %d != all layers %d", last.Layers, len(d.Layers))
+	sizes = append(sizes, total)
+	perm := rand.New(rand.NewSource(d.Spec.Seed + 25)).Perm(total)
+
+	var out []report.GrowthPoint
+	var obs []dedup.FileObs
+	prev := -1
+	for _, n := range sizes {
+		if n == prev {
+			continue
+		}
+		prev = n
+		idx := dedup.NewIndexSized(0)
+		var files int64
+		for _, li := range perm[:n] {
+			obs = obs[:0]
+			for _, f := range d.LayerFiles(synth.LayerID(li)) {
+				obs = append(obs, dedup.FileObs{Key: uint64(f), Size: d.Files[f].Size, Type: d.Files[f].Type})
+			}
+			idx.AddLayer(d.Layers[li].Refs, obs)
+			files += int64(len(obs))
+		}
+		r := idx.Ratios()
+		out = append(out, report.GrowthPoint{Layers: n, Files: files, CountRatio: r.CountRatio, CapacityRatio: r.CapacityRatio})
+	}
+	return out
+}
+
+// TestDedupGrowthMatchesCensuses: the one-pass curve equals, bit for bit,
+// a census built per sample, and its last point equals the model
+// analysis's own census. Seed 0 is the default spec's seed.
+func TestDedupGrowthMatchesCensuses(t *testing.T) {
+	for _, seed := range []int64{0, 1, 7} {
+		spec := synth.DefaultSpec(0.0005)
+		if seed != 0 {
+			spec.Seed = seed
+		}
+		d, err := synth.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		growth := DedupGrowth(d)
+		want := slices.DeleteFunc(censusGrowth(d), func(g report.GrowthPoint) bool { return g.Files == 0 })
+		if !slices.Equal(growth, want) {
+			t.Errorf("seed %d: one pass %+v, censuses %+v", seed, growth, want)
+		}
+		a, err := analyzer.AnalyzeModel(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, last := a.Index.Ratios(), growth[len(growth)-1]
+		if last.Files != r.TotalFiles || last.CountRatio != r.CountRatio || last.CapacityRatio != r.CapacityRatio {
+			t.Errorf("seed %d: last point %+v, model census %d files %vx %vx", seed, last, r.TotalFiles, r.CountRatio, r.CapacityRatio)
+		}
 	}
 }
 
@@ -232,3 +322,23 @@ func TestRunWireContextPreCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// BenchmarkModelAnalysis times model mode's census work, the model
+// analysis and the Fig. 25 curve, over one dataset generated outside the
+// timer.
+func BenchmarkModelAnalysis(b *testing.B) {
+	d, err := synth.Generate(synth.DefaultSpec(0.0005))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := analyzer.AnalyzeModel(d); err != nil {
+			b.Fatal(err)
+		}
+		benchGrowth = DedupGrowth(d)
+	}
+}
+
+var benchGrowth []report.GrowthPoint
