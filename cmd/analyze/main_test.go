@@ -12,7 +12,6 @@ import (
 	"repro/internal/blobstore"
 	"repro/internal/crawler"
 	"repro/internal/downloader"
-	"repro/internal/httpx"
 	"repro/internal/hubapi"
 	"repro/internal/registry"
 	"repro/internal/report"
@@ -31,13 +30,7 @@ func hub(t *testing.T) (registryURL, searchURL string) {
 	}
 	repos := synth.Repositories(d)
 	g := &serve.Group{}
-	t.Cleanup(func() {
-		// analyze and the reference pull go through the shared client: a
-		// connection it dialed but never used would hold the drain for the
-		// server's five-second grace.
-		httpx.DefaultClient.CloseIdleConnections()
-		g.Shutdown(context.Background())
-	})
+	t.Cleanup(func() { g.Shutdown(context.Background()) })
 	stack, err := topology.Provision(g, topology.Topology{}, topology.Site{
 		Repos: repos,
 		Fill: func(reg *registry.Registry) error {

@@ -92,8 +92,10 @@ type Result struct {
 // The model knows its unique files, so the census is sized exactly.
 func AnalyzeModel(d *synth.Dataset) (*Result, error) {
 	layers := make([]LayerProfile, len(d.Layers))
+	widest := 0 // the most file instances in one layer
 	for i := range d.Layers {
 		l := &d.Layers[i]
+		widest = max(widest, l.FileCount())
 		layers[i] = LayerProfile{
 			Digest:    d.LayerDigest(synth.LayerID(i)),
 			FLS:       l.FLS,
@@ -110,7 +112,7 @@ func AnalyzeModel(d *synth.Dataset) (*Result, error) {
 			images[i] = append(images[i], int32(l))
 		}
 	}
-	var obs []dedup.FileObs // one layer's instances, reused across layers
+	obs := make([]dedup.FileObs, 0, widest) // one layer's instances, reused across layers
 	return fold(layers, images, len(d.Files), func(i int) []dedup.FileObs {
 		obs = obs[:0]
 		for _, f := range d.LayerFiles(synth.LayerID(i)) {

@@ -225,79 +225,6 @@ func TestWireMatchesModel(t *testing.T) {
 	}
 }
 
-// TestWireUncompressedPolicy runs the wire analysis over a registry
-// materialized with the small-layer-uncompressed policy (§IV-A(a)): file
-// structure must match the model exactly, while small layers' CLS equals
-// their plain-tar blob size.
-func TestWireUncompressedPolicy(t *testing.T) {
-	d, err := synth.Generate(synth.MaterializeSpec(0.0001))
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := AnalyzeModel(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := registry.New(blobstore.NewMemory())
-	const threshold = 4 << 10
-	mat, err := synth.MaterializeWithPolicy(d, reg, threshold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var images []downloader.Image
-	for i := range d.Repos {
-		r := &d.Repos[i]
-		if !r.Downloadable() {
-			continue
-		}
-		rc, _, err := reg.Blobs().Get(mat.ManifestDigests[r.Image])
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := io.ReadAll(rc)
-		rc.Close()
-		m, err := manifest.Unmarshal(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		images = append(images, downloader.Image{Repo: r.Name, Digest: mat.ManifestDigests[r.Image], Manifest: m})
-	}
-	wire, err := AnalyzeStore(reg.Blobs(), images, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wireByDigest := map[string]*LayerProfile{}
-	for i := range wire.Layers {
-		wireByDigest[wire.Layers[i].Digest.String()] = &wire.Layers[i]
-	}
-	uncompressed := 0
-	for i := range d.Layers {
-		wp := wireByDigest[mat.LayerDigests[i].String()]
-		if wp == nil {
-			t.Fatalf("layer %d missing from policy-wire analysis", i)
-		}
-		mp := &model.Layers[i]
-		if wp.FileCount != mp.FileCount || wp.FLS != mp.FLS {
-			t.Fatalf("layer %d structure diverged under the policy", i)
-		}
-		if d.Layers[i].FLS < threshold {
-			uncompressed++
-			// A plain tar is at least as large as its content plus
-			// headers, so CLS >= FLS for these layers.
-			if wp.CLS < wp.FLS {
-				t.Fatalf("layer %d stored uncompressed but CLS %d < FLS %d", i, wp.CLS, wp.FLS)
-			}
-		}
-	}
-	if uncompressed == 0 {
-		t.Fatal("policy threshold matched no layers; test is vacuous")
-	}
-	mr, wr := model.Index.Ratios(), wire.Index.Ratios()
-	if mr.TotalFiles != wr.TotalFiles || mr.UniqueFiles != wr.UniqueFiles {
-		t.Fatal("dedup census diverged under the storage policy")
-	}
-}
-
 // wireImages materializes a synthetic registry and returns its blob store
 // plus the downloaded-image list, as a two-phase download would produce
 // them.

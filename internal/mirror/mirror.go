@@ -32,12 +32,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
 	"repro/internal/blobstore"
 	"repro/internal/cache"
 	"repro/internal/digest"
-	"repro/internal/manifest"
 	"repro/internal/registry"
 )
 
@@ -68,51 +66,28 @@ func New(origin Origin, c *cache.Cache) *Mirror {
 	return &Mirror{Origin: origin, Cache: c}
 }
 
-// ServeHTTP routes the v2 API surface plus a /stats introspection
-// endpoint exposing cache counters as JSON.
+// ServeHTTP answers registry.Route's read endpoints, plus a /stats
+// introspection endpoint exposing cache counters as JSON.
 func (m *Mirror) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	if req.URL.Path == "/stats" {
 		m.serveStats(w)
 		return
 	}
-	if req.URL.Path == "/v2/" || req.URL.Path == "/v2" {
-		w.Header().Set("Docker-Distribution-API-Version", "registry/2.0")
-		fmt.Fprint(w, "{}")
+	name, kind, ref, ok := registry.Route(w, req)
+	if !ok {
 		return
 	}
 	if req.Method != http.MethodGet && req.Method != http.MethodHead {
 		registry.WriteError(w, http.StatusMethodNotAllowed, "UNSUPPORTED", "mirror is read-only")
 		return
 	}
-	path := strings.TrimPrefix(req.URL.Path, "/v2/")
-
-	// Routes: <name>/tags/list | <name>/manifests/<ref> | <name>/blobs/<dg>
-	// where <name> may contain one slash (user/repo).
-	if strings.HasSuffix(path, "/tags/list") {
-		m.serveTags(w, req, strings.TrimSuffix(path, "/tags/list"))
-		return
-	}
-	i := strings.LastIndex(path, "/")
-	if i < 0 {
-		registry.WriteError(w, http.StatusNotFound, "UNSUPPORTED", "unrecognized registry path")
-		return
-	}
-	ref := path[i+1:]
-	rest := path[:i]
-	j := strings.LastIndex(rest, "/")
-	if j < 0 {
-		registry.WriteError(w, http.StatusNotFound, "UNSUPPORTED", "unrecognized registry path")
-		return
-	}
-	name, kind := rest[:j], rest[j+1:]
-
 	switch kind {
+	case "tags":
+		m.serveTags(w, req, name)
 	case "manifests":
 		m.serveManifest(w, req, name, ref)
 	case "blobs":
 		m.serveBlob(w, req, name, ref)
-	default:
-		registry.WriteError(w, http.StatusNotFound, "UNSUPPORTED", "unrecognized registry path")
 	}
 }
 
@@ -156,7 +131,8 @@ func (m *Mirror) serveManifest(w http.ResponseWriter, req *http.Request, name, r
 			m.writeUpstreamError(w, err, "MANIFEST_UNKNOWN")
 			return
 		}
-		m.writeManifest(w, req, d, size, rc)
+		defer drainClose(rc)
+		registry.WriteManifest(w, req, d, size, rc)
 		return
 	}
 
@@ -168,25 +144,11 @@ func (m *Mirror) serveManifest(w http.ResponseWriter, req *http.Request, name, r
 	// Best-effort admission: a full cache may decline it, which only costs
 	// a later origin round-trip.
 	m.Cache.Admit(d, raw)
-	m.writeManifest(w, req, d, int64(len(raw)), io.NopCloser(bytes.NewReader(raw)))
+	registry.WriteManifest(w, req, d, int64(len(raw)), bytes.NewReader(raw))
 }
 
-// writeManifest emits manifest headers and, for GET, streams the body
-// verbatim — byte-identical to the origin response so digests verify.
-func (m *Mirror) writeManifest(w http.ResponseWriter, req *http.Request, d digest.Digest, size int64, rc io.ReadCloser) {
-	defer drainClose(rc)
-	w.Header().Set("Content-Type", manifest.MediaTypeManifest)
-	w.Header().Set("Docker-Content-Digest", d.String())
-	w.Header().Set("Content-Length", fmt.Sprint(size))
-	if req.Method == http.MethodHead {
-		return
-	}
-	blobstore.CopyBody(w, rc)
-}
-
-// serveBlob handles GET/HEAD <name>/blobs/<digest> with single-range
-// support, serving hits from the cache and filling misses from the origin
-// while the client streams.
+// serveBlob handles GET/HEAD <name>/blobs/<digest>, serving hits from
+// the cache and filling misses from the origin while the client streams.
 //
 // Contract: admission of a ranged miss is asynchronous to the response.
 // The client receives its full Content-Length as soon as the range has
@@ -212,9 +174,7 @@ func (m *Mirror) serveBlob(w http.ResponseWriter, req *http.Request, name, ref s
 			m.writeUpstreamError(w, err, "BLOB_UNKNOWN")
 			return
 		}
-		w.Header().Set("Docker-Content-Digest", d.String())
-		w.Header().Set("Accept-Ranges", "bytes")
-		w.Header().Set("Content-Length", fmt.Sprint(size))
+		registry.WriteBlob(w, req, d, size, nil)
 		return
 	}
 
@@ -225,50 +185,19 @@ func (m *Mirror) serveBlob(w http.ResponseWriter, req *http.Request, name, ref s
 		}
 		return rc, size, nil
 	}
+	// A cold fill from an origin that sent no Content-Length (chunked) has
+	// an unknown size, and the blob goes out whole without a length. On a
+	// miss the reader is a tee feeding the cache, so WriteBlob reads the
+	// skipped prefix of a range, and drainClose the tail past it.
 	rc, size, _, err := m.Cache.GetOrFill(req.Context(), d, fill)
 	if err != nil {
 		m.writeUpstreamError(w, err, "BLOB_UNKNOWN")
 		return
 	}
 	defer drainClose(rc)
-
-	w.Header().Set("Docker-Content-Digest", d.String())
-	w.Header().Set("Accept-Ranges", "bytes")
-
-	start, length, ok := registry.ParseRange(req.Header.Get("Range"), size)
-	if !ok {
-		w.Header().Set("Content-Range", fmt.Sprintf("bytes */%d", size))
-		registry.WriteError(w, http.StatusRequestedRangeNotSatisfiable, "RANGE_INVALID", "unsatisfiable range")
-		return
+	if body := registry.WriteBlob(w, req, d, size, rc); body != nil {
+		blobstore.CopyBody(w, body)
 	}
-	partial := start != 0 || length != size
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if length >= 0 {
-		// A cold fill from an origin that sent no Content-Length (chunked)
-		// has an unknown size: ParseRange answers with the whole blob, and
-		// the response goes out without a length of its own.
-		w.Header().Set("Content-Length", fmt.Sprint(length))
-	}
-	if partial {
-		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", start, start+length-1, size))
-		w.WriteHeader(http.StatusPartialContent)
-	}
-	// On a miss the reader is a tee feeding the cache, so the skipped
-	// prefix and the tail past the range must still be read, not seeked:
-	// drainClose consumes the tail after the response is complete.
-	if start > 0 {
-		if _, err := io.CopyN(io.Discard, rc, start); err != nil {
-			return
-		}
-	}
-	// Full bodies copy through EOF, not to the byte count: a hit pushes
-	// itself to the client in one Write, and a miss-fill tee completes
-	// admission before the handler returns.
-	var body io.Reader = rc
-	if partial {
-		body = io.LimitReader(rc, length)
-	}
-	blobstore.CopyBody(w, body)
 }
 
 // drainClose consumes whatever is left of a cache reader before closing

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strings"
 
 	"repro/internal/blobstore"
 	"repro/internal/digest"
@@ -23,51 +22,15 @@ import (
 //	POST /v2/<name>/blobs/uploads/?digest=<dg>   body = blob bytes → 201
 //	PUT  /v2/<name>/manifests/<tag>              body = manifest   → 201
 //
-// Manifest pushes validate the document and require every referenced blob
-// (config and layers) to be present, like a real registry.
-
-// handlePush routes push requests; returns false if the request is not a
-// push operation.
-func (r *Registry) handlePush(w http.ResponseWriter, req *http.Request) bool {
-	path := strings.TrimPrefix(req.URL.Path, "/v2/")
-	switch {
-	case req.Method == http.MethodPost && strings.HasSuffix(path, "/blobs/uploads/"):
-		name := strings.TrimSuffix(path, "/blobs/uploads/")
-		r.serveBlobUpload(w, req, name)
-		return true
-	case req.Method == http.MethodPut && strings.Contains(path, "/manifests/"):
-		i := strings.LastIndex(path, "/manifests/")
-		name, tag := path[:i], path[i+len("/manifests/"):]
-		r.serveManifestPut(w, req, name, tag)
-		return true
-	}
-	return false
-}
-
-func (r *Registry) authorizePush(w http.ResponseWriter, req *http.Request, name string) bool {
-	r.mu.RLock()
-	rp, ok := r.repos[name]
-	r.mu.RUnlock()
-	if !ok {
-		WriteError(w, http.StatusNotFound, "NAME_UNKNOWN", "repository name not known to registry")
-		return false
-	}
-	if rp.private && !authorized(req) {
-		r.authDenied.Add(1)
-		w.Header().Set("WWW-Authenticate", `Bearer realm="synthetic",service="registry"`)
-		WriteError(w, http.StatusUnauthorized, "UNAUTHORIZED", "authentication required")
-		return false
-	}
-	return true
-}
+// Both arrive through Route and ServeHTTP's one repository lookup and
+// authorization, like every read. Manifest pushes validate the document
+// and require every referenced blob (config and layers) to be present,
+// like a real registry.
 
 // maxBlobSize bounds uploads; a guard against runaway requests.
 const maxBlobSize = 1 << 31
 
 func (r *Registry) serveBlobUpload(w http.ResponseWriter, req *http.Request, name string) {
-	if !r.authorizePush(w, req, name) {
-		return
-	}
 	want, err := digest.Parse(req.URL.Query().Get("digest"))
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "DIGEST_INVALID",
@@ -104,10 +67,7 @@ func (r *Registry) serveBlobUpload(w http.ResponseWriter, req *http.Request, nam
 	w.WriteHeader(http.StatusCreated)
 }
 
-func (r *Registry) serveManifestPut(w http.ResponseWriter, req *http.Request, name, tag string) {
-	if !r.authorizePush(w, req, name) {
-		return
-	}
+func (r *Registry) serveManifestPut(w http.ResponseWriter, req *http.Request, name string, rp *repo, tag string) {
 	raw, err := readManifest(req.Body, req.ContentLength)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "MANIFEST_INVALID", "reading manifest body: "+err.Error())
@@ -137,7 +97,7 @@ func (r *Registry) serveManifestPut(w http.ResponseWriter, req *http.Request, na
 		return
 	}
 	r.mu.Lock()
-	r.repos[name].tags[tag] = d
+	rp.tags[tag] = d
 	r.mu.Unlock()
 	r.manifestPushes.Add(1)
 	r.notifyManifestTagged(name, tag, d, m)

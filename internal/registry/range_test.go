@@ -130,27 +130,27 @@ func TestParseRangeTable(t *testing.T) {
 		{"", 0, 0, 0, true},
 	}
 	for _, c := range cases {
-		start, length, ok := ParseRange(c.h, c.size)
+		start, length, ok := parseRange(c.h, c.size)
 		if start != c.start || length != c.length || ok != c.ok {
-			t.Errorf("ParseRange(%q, %d) = (%d, %d, %v), want (%d, %d, %v)",
+			t.Errorf("parseRange(%q, %d) = (%d, %d, %v), want (%d, %d, %v)",
 				c.h, c.size, start, length, ok, c.start, c.length, c.ok)
 		}
 	}
 }
 
-// FuzzParseRange: whatever the header and size, ParseRange does not panic,
+// FuzzParseRange: whatever the header and size, parseRange does not panic,
 // and a range it accepts is either the whole blob — which is how it
 // answers an absent or unsupported header, an empty blob, or an unknown
 // (negative) size — or a non-empty slice inside the blob. The seed corpus
 // is in testdata/fuzz/FuzzParseRange.
 func FuzzParseRange(f *testing.F) {
 	f.Fuzz(func(t *testing.T, h string, size int64) {
-		start, length, ok := ParseRange(h, size)
+		start, length, ok := parseRange(h, size)
 		if !ok || start == 0 && length == size {
 			return
 		}
 		if start < 0 || length < 1 || start > size-length {
-			t.Fatalf("ParseRange(%q, %d) = (%d, %d, true): not a slice of the blob", h, size, start, length)
+			t.Fatalf("parseRange(%q, %d) = (%d, %d, true): not a slice of the blob", h, size, start, length)
 		}
 	})
 }

@@ -10,6 +10,11 @@
 //	GET  /v2/<name>/manifests/<ref>    manifest by tag or digest (+HEAD)
 //	GET  /v2/<name>/blobs/<digest>     layer/config blobs (+HEAD)
 //
+// and the push and delete endpoints in push.go. Route, WriteManifest and
+// WriteBlob are the read dialect itself: the pull-through mirror (and the
+// cluster router, which is one) answers through them too, so every tier
+// a client may reach answers a request the same way.
+//
 // Repositories can be marked private, in which case requests without a
 // bearer token receive 401 + WWW-Authenticate, reproducing the 13% of the
 // paper's download failures that were auth-gated.
@@ -198,49 +203,23 @@ func (r *Registry) Stats() Stats {
 	}
 }
 
-// ServeHTTP implements the Registry HTTP API v2 surface.
+// ServeHTTP implements the Registry HTTP API v2 surface: Route's read
+// and push endpoints behind one repository lookup and one authorization,
+// plus the catalog.
 func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	path := strings.TrimPrefix(req.URL.Path, "/v2/")
-	if req.URL.Path == "/v2/" || req.URL.Path == "/v2" {
-		w.Header().Set("Docker-Distribution-API-Version", "registry/2.0")
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprint(w, "{}")
-		return
-	}
-	if r.handlePush(w, req) {
-		return
-	}
 	// The catalog endpoint modern registries expose, served for Registry
 	// v2 clients that enumerate repositories by it. Docker Hub did NOT
 	// offer it at crawl time — which is why the paper had to scrape the
 	// web search (§III-A), and why the crawler enumerates through the
 	// search API only.
-	if path == "_catalog" {
+	if req.URL.Path == "/v2/_catalog" {
 		r.serveCatalog(w, req)
 		return
 	}
-	// Routes: <name>/tags/list | <name>/manifests/<ref> | <name>/blobs/<dg>
-	// where <name> may contain one slash (user/repo).
-	var name, kind, ref string
-	switch {
-	case strings.HasSuffix(path, "/tags/list"):
-		name, kind = strings.TrimSuffix(path, "/tags/list"), "tags"
-	default:
-		i := strings.LastIndex(path, "/")
-		if i < 0 {
-			WriteError(w, http.StatusNotFound, "UNSUPPORTED", "unrecognized registry path")
-			return
-		}
-		ref = path[i+1:]
-		rest := path[:i]
-		j := strings.LastIndex(rest, "/")
-		if j < 0 {
-			WriteError(w, http.StatusNotFound, "UNSUPPORTED", "unrecognized registry path")
-			return
-		}
-		name, kind = rest[:j], rest[j+1:]
+	name, kind, ref, ok := Route(w, req)
+	if !ok {
+		return
 	}
-
 	r.mu.RLock()
 	rp, ok := r.repos[name]
 	r.mu.RUnlock()
@@ -255,20 +234,54 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	switch kind {
-	case "tags":
+	switch {
+	case kind == "tags":
 		r.serveTags(w, name, rp)
-	case "manifests":
-		if req.Method == http.MethodDelete {
-			r.serveManifestDelete(w, name, rp, ref)
-			return
-		}
+	case kind == "uploads":
+		r.serveBlobUpload(w, req, name)
+	case kind == "manifests" && req.Method == http.MethodPut:
+		r.serveManifestPut(w, req, name, rp, ref)
+	case kind == "manifests" && req.Method == http.MethodDelete:
+		r.serveManifestDelete(w, name, rp, ref)
+	case kind == "manifests":
 		r.serveManifest(w, req, rp, ref)
-	case "blobs":
+	case kind == "blobs":
 		r.serveBlob(w, req, ref)
-	default:
-		WriteError(w, http.StatusNotFound, "UNSUPPORTED", "unrecognized registry path")
 	}
+}
+
+// Route is the Registry v2 path split every front shares. It answers the
+// /v2/ ping itself and splits the rest into name, kind and ref:
+//
+//	<name>/tags/list           kind "tags"
+//	<name>/blobs/uploads/      kind "uploads" (POST only)
+//	<name>/manifests/<ref>     kind "manifests"
+//	<name>/blobs/<ref>         kind "blobs"
+//
+// where <name> may contain slashes (user/repo). It reports false once it
+// has answered the request itself: the ping, or 404 for any other path.
+func Route(w http.ResponseWriter, req *http.Request) (name, kind, ref string, ok bool) {
+	if req.URL.Path == "/v2/" || req.URL.Path == "/v2" {
+		w.Header().Set("Docker-Distribution-API-Version", "registry/2.0")
+		fmt.Fprint(w, "{}")
+		return "", "", "", false
+	}
+	path := strings.TrimPrefix(req.URL.Path, "/v2/")
+	if name, ok := strings.CutSuffix(path, "/tags/list"); ok {
+		return name, "tags", "", true
+	}
+	if name, ok := strings.CutSuffix(path, "/blobs/uploads/"); ok && req.Method == http.MethodPost {
+		return name, "uploads", "", true
+	}
+	if i := strings.LastIndexByte(path, '/'); i >= 0 {
+		if j := strings.LastIndexByte(path[:i], '/'); j >= 0 {
+			if kind := path[j+1 : i]; kind == "manifests" || kind == "blobs" {
+				return path[:j], kind, path[i+1:], true
+			}
+		}
+	}
+	WriteError(w, http.StatusNotFound, "UNSUPPORTED", "unrecognized registry path")
+	return "", "", "", false
 }
 
 // serveCatalog implements GET /v2/_catalog with the standard n/last
@@ -343,14 +356,22 @@ func (r *Registry) serveManifest(w http.ResponseWriter, req *http.Request, rp *r
 		return
 	}
 	defer rc.Close()
+	if req.Method != http.MethodHead {
+		r.manifestGets.Add(1)
+	}
+	WriteManifest(w, req, d, size, rc)
+}
+
+// WriteManifest answers a manifest GET or HEAD for d, size bytes long:
+// its headers and, for a GET, the stored bytes verbatim, so the client's
+// digest check holds whichever front answers.
+func WriteManifest(w http.ResponseWriter, req *http.Request, d digest.Digest, size int64, body io.Reader) {
 	w.Header().Set("Content-Type", manifest.MediaTypeManifest)
 	w.Header().Set("Docker-Content-Digest", d.String())
 	w.Header().Set("Content-Length", fmt.Sprint(size))
-	if req.Method == http.MethodHead {
-		return
+	if req.Method != http.MethodHead {
+		blobstore.CopyBody(w, body)
 	}
-	r.manifestGets.Add(1)
-	blobstore.CopyBody(w, rc)
 }
 
 // serveManifestDelete implements DELETE /v2/<name>/manifests/<ref>. A
@@ -401,10 +422,9 @@ func (r *Registry) serveBlob(w http.ResponseWriter, req *http.Request, ref strin
 	// HEAD is answered from Stat: opening the blob is not free on every
 	// backend (dedupstore starts reconstructing it), and a push probes
 	// every blob of the image this way first.
-	head := req.Method == http.MethodHead
 	var rc io.ReadCloser
 	var size int64
-	if head {
+	if req.Method == http.MethodHead {
 		size, err = r.blobs.Stat(d)
 	} else {
 		rc, size, err = r.blobs.Get(d)
@@ -417,54 +437,61 @@ func (r *Registry) serveBlob(w http.ResponseWriter, req *http.Request, ref strin
 		WriteError(w, http.StatusInternalServerError, "UNKNOWN", "storage backend error")
 		return
 	}
-	if !head {
+	if rc != nil {
 		defer rc.Close()
 	}
+	if body := WriteBlob(w, req, d, size, rc); body != nil {
+		r.blobGets.Add(1)
+		n, _ := blobstore.CopyBody(w, body)
+		r.blobBytes.Add(n)
+	}
+}
+
+// WriteBlob answers a blob GET or HEAD for d, a blob of size bytes (-1
+// when unknown), and returns the reader the caller copies the response
+// body from, or nil when the response has none. body is the blob from its
+// first byte (nil for HEAD). Every front answers the same way: Accept-
+// Ranges, a single range as 206 or 416 (range support lets interrupted
+// pulls resume — over a month-long crawl re-transferring multi-GB layers
+// from zero is real money), a blob of unknown size served whole without a
+// length, and a HEAD answering the headers its GET would. A range's
+// skipped prefix is seeked when body can seek and read otherwise, so a
+// reader that tees into a cache still sees every byte. A whole blob is
+// returned as body itself, to be copied through EOF rather than to the
+// byte count: stores that tee the stream into a cache (the mirror's fill,
+// the dedup backend's reconstruction cache) only complete admission when
+// the consumer observes end-of-stream.
+func WriteBlob(w http.ResponseWriter, req *http.Request, d digest.Digest, size int64, body io.Reader) io.Reader {
 	w.Header().Set("Docker-Content-Digest", d.String())
 	w.Header().Set("Accept-Ranges", "bytes")
-
-	// Range support lets interrupted pulls resume — over a month-long
-	// crawl re-transferring multi-GB layers from zero is real money.
-	start, length, ok := ParseRange(req.Header.Get("Range"), size)
+	start, length, ok := parseRange(req.Header.Get("Range"), size)
 	if !ok {
 		w.Header().Set("Content-Range", fmt.Sprintf("bytes */%d", size))
 		WriteError(w, http.StatusRequestedRangeNotSatisfiable, "RANGE_INVALID", "unsatisfiable range")
-		return
+		return nil
 	}
 	partial := start != 0 || length != size
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(length))
+	if length >= 0 {
+		w.Header().Set("Content-Length", fmt.Sprint(length))
+	}
 	if partial {
 		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", start, start+length-1, size))
 		w.WriteHeader(http.StatusPartialContent)
 	}
-	if head {
-		return
+	if req.Method == http.MethodHead || start > 0 && discard(body, start) != nil {
+		return nil
 	}
-	if start > 0 {
-		if err := discard(rc, start); err != nil {
-			return
-		}
-	}
-	r.blobGets.Add(1)
-	var n int64
 	if partial {
-		n, _ = blobstore.CopyBody(w, io.LimitReader(rc, length))
-	} else {
-		// Full-body reads copy through EOF rather than stopping at the
-		// byte count: stores that tee the stream into a cache (the dedup
-		// backend's reconstruction cache) only complete admission when the
-		// consumer observes end-of-stream.
-		n, _ = blobstore.CopyBody(w, rc)
+		return io.LimitReader(body, length)
 	}
-	r.blobBytes.Add(n)
+	return body
 }
 
-// ParseRange handles the single-range form "bytes=start-[end]"; an absent
+// parseRange handles the single-range form "bytes=start-[end]"; an absent
 // header means the whole blob, and so does a negative (unknown) size: a
-// server may ignore Range. Returns ok=false for unsatisfiable ranges. It is
-// exported for the mirror, which answers the same Range dialect.
-func ParseRange(h string, size int64) (start, length int64, ok bool) {
+// server may ignore Range. Returns ok=false for unsatisfiable ranges.
+func parseRange(h string, size int64) (start, length int64, ok bool) {
 	if h == "" || size < 0 {
 		return 0, size, true
 	}

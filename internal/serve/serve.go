@@ -15,6 +15,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/httpx"
@@ -49,6 +50,8 @@ type Server struct {
 	srv        *http.Server
 	done       chan struct{} // closed when Serve returns
 	onShutdown []func()
+	fresh      map[net.Conn]struct{} // connections yet to send a request
+	nfresh     atomic.Int32          // len(fresh), read without mu
 }
 
 // OnShutdown registers f to run when Shutdown begins, before the drain
@@ -88,7 +91,9 @@ func (s *Server) Start() error {
 	}
 	h = Recovered(h)
 	s.ln = ln
-	s.srv = &http.Server{Handler: h}
+	s.fresh = make(map[net.Conn]struct{})
+	s.srv = &http.Server{Handler: h, ConnState: s.track}
+	s.srv.RegisterOnShutdown(s.closeFresh)
 	for _, f := range s.onShutdown {
 		s.srv.RegisterOnShutdown(f)
 	}
@@ -99,6 +104,36 @@ func (s *Server) Start() error {
 		_ = srv.Serve(ln)
 	}(s.srv, ln, s.done)
 	return nil
+}
+
+// track is the ConnState hook that keeps the table of connections that
+// have sent no request yet. net/http's Shutdown counts such a connection
+// as in flight for five seconds, so a client that dialed one and never
+// used it (a dial race leaves one in a client's pool) would hold the
+// drain that long; closeFresh closes them when the drain begins. The
+// table is only looked at while it holds a connection, so a request on a
+// connection already out of it takes no lock.
+func (s *Server) track(c net.Conn, state http.ConnState) {
+	if state != http.StateNew && s.nfresh.Load() == 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if state == http.StateNew {
+		s.fresh[c] = struct{}{}
+	} else {
+		delete(s.fresh, c)
+	}
+	s.nfresh.Store(int32(len(s.fresh)))
+}
+
+// closeFresh closes every connection that has sent no request yet.
+func (s *Server) closeFresh() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for c := range s.fresh {
+		c.Close()
+	}
 }
 
 func (s *Server) name() string {
@@ -121,10 +156,8 @@ func (s *Server) URL() string {
 
 // Client returns a new HTTP client with a dedicated transport (tuned like
 // httpx.NewTransport) whose idle keep-alive connections are discarded
-// when the service begins shutting down. Connections a client dialed but
-// never used (dial races leave some in its pool) look in-flight to the
-// server for a grace of seconds and would otherwise hold the drain that
-// long.
+// when the service begins shutting down, so the client keeps no pooled
+// connection to a server that is going away.
 func (s *Server) Client() *http.Client {
 	c := &http.Client{Transport: httpx.NewTransport()}
 	s.OnShutdown(c.CloseIdleConnections)

@@ -230,9 +230,10 @@ func TestStartErrors(t *testing.T) {
 
 // TestClientIdleConnectionsDoNotDelayShutdown: a connection the client
 // dialed but never sent a request on sits in its idle pool and looks
-// brand-new (not idle) to the server, which grants such connections
-// seconds of grace before a drain may close them. The client Server hands
-// out drops its pool when the shutdown begins, so the drain is immediate.
+// brand-new (not idle) to the server, which net/http grants seconds of
+// grace before a drain may close them. The server closes it when the
+// drain begins, and the client Server hands out drops its pool, so the
+// drain is immediate.
 func TestClientIdleConnectionsDoNotDelayShutdown(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -297,5 +298,42 @@ func TestClientIdleConnectionsDoNotDelayShutdown(t *testing.T) {
 	}
 	if el := time.Since(start); el > 2*time.Second {
 		t.Fatalf("shutdown took %v with one never-used client connection pooled", el)
+	}
+}
+
+// TestUnusedConnectionDoesNotDelayShutdown: a connection an outside
+// client dialed and never used, which net/http counts as in flight for
+// five seconds, is closed as soon as the drain begins; a connection that
+// has served a request leaves the table of such connections.
+func TestUnusedConnectionDoesNotDelayShutdown(t *testing.T) {
+	srv := &Server{Name: "unused-conn", Handler: http.NotFoundHandler()}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	resp, err := client.Get(srv.URL() + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if n := srv.nfresh.Load(); n != 0 {
+		t.Fatalf("%d connections still counted as unused after serving a request", n)
+	}
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(srv.URL(), "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for srv.nfresh.Load() == 0 { // until the server has accepted it
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("shutdown took %v with one unused connection open", el)
 	}
 }

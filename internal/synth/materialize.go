@@ -36,15 +36,6 @@ type Materialized struct {
 // Use specs from MaterializeSpec: materializing a DefaultSpec dataset at
 // non-trivial scale would write the full multi-GB byte volume.
 func Materialize(d *Dataset, reg *registry.Registry) (*Materialized, error) {
-	return MaterializeWithPolicy(d, reg, 0)
-}
-
-// MaterializeWithPolicy is Materialize with the paper's §IV-A(a) storage
-// policy knob: layers whose uncompressed content (FLS) is below
-// uncompressedUnder bytes are stored as plain tarballs instead of gzip —
-// "it can be beneficial to store small layers uncompressed in the registry
-// to reduce pull latencies". Zero disables the policy.
-func MaterializeWithPolicy(d *Dataset, reg *registry.Registry, uncompressedUnder int64) (*Materialized, error) {
 	mat := &Materialized{
 		LayerDigests:    make([]digest.Digest, len(d.Layers)),
 		LayerSizes:      make([]int64, len(d.Layers)),
@@ -55,8 +46,7 @@ func MaterializeWithPolicy(d *Dataset, reg *registry.Registry, uncompressedUnder
 	// deflater is ≈1 MB to build.
 	b := tarutil.NewGzipBuilder(nil)
 	for i := range d.Layers {
-		compress := uncompressedUnder <= 0 || d.Layers[i].FLS >= uncompressedUnder
-		blob, err := renderLayer(d, LayerID(i), compress, b)
+		blob, err := renderLayer(d, LayerID(i), b)
 		if err != nil {
 			return nil, fmt.Errorf("synth: rendering layer %d: %w", i, err)
 		}
@@ -137,24 +127,14 @@ func LayerDescriptor(blob []byte) manifest.Descriptor {
 // of a unique file renders identical bytes (FileContent), so real content
 // digests reproduce the model's duplicate structure exactly.
 func RenderLayer(d *Dataset, l LayerID) ([]byte, error) {
-	return RenderLayerTar(d, l, true)
+	return renderLayer(d, l, new(tarutil.Builder))
 }
 
-// RenderLayerTar renders one layer as a tarball, gzip-compressed or plain
-// (the uncompressed small-layer storage policy).
-func RenderLayerTar(d *Dataset, l LayerID, compress bool) ([]byte, error) {
-	return renderLayer(d, l, compress, new(tarutil.Builder))
-}
-
-// renderLayer is RenderLayerTar through b, which it resets.
-func renderLayer(d *Dataset, l LayerID, compress bool, b *tarutil.Builder) ([]byte, error) {
+// renderLayer is RenderLayer through b, which it resets.
+func renderLayer(d *Dataset, l LayerID, b *tarutil.Builder) ([]byte, error) {
 	lay := &d.Layers[l]
 	var buf bytes.Buffer
-	framing := tarutil.Plain
-	if compress {
-		framing = tarutil.Gzip
-	}
-	b.Reset(&buf, framing)
+	b.Reset(&buf, tarutil.Gzip)
 
 	// Directory skeleton: a chain realizing MaxDepth, then siblings
 	// attached round-robin at every chain level.

@@ -48,45 +48,6 @@ func TestMaterializePopulatesRegistry(t *testing.T) {
 	}
 }
 
-func TestMaterializePolicyStoresPlainTar(t *testing.T) {
-	d, err := Generate(MaterializeSpec(0.0001))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := registry.New(blobstore.NewMemory())
-	const threshold = 4 << 10
-	mat, err := MaterializeWithPolicy(d, reg, threshold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, compressed := 0, 0
-	for i := range d.Layers {
-		rc, _, err := reg.Blobs().Get(mat.LayerDigests[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		head := make([]byte, 2)
-		rc.Read(head)
-		rc.Close()
-		isGzip := head[0] == 0x1F && head[1] == 0x8B
-		if d.Layers[i].FLS < threshold {
-			if isGzip {
-				t.Fatalf("small layer %d stored gzip under policy", i)
-			}
-			plain++
-		} else {
-			if !isGzip {
-				t.Fatalf("large layer %d stored plain under policy", i)
-			}
-			compressed++
-		}
-	}
-	if plain == 0 {
-		t.Fatal("policy matched no layers")
-	}
-	_ = compressed
-}
-
 func TestRepositoriesMetadata(t *testing.T) {
 	d, err := Generate(DefaultSpec(0.0002))
 	if err != nil {

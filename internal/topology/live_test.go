@@ -82,8 +82,7 @@ func TestNodeLiveConcurrentChurnMatchesBatch(t *testing.T) {
 		t.Fatal("live analytics not wired onto node")
 	}
 	// The node's own client: its idle connections close when the node
-	// shuts down, so a connection the pushers dialed but never used does
-	// not hold the drain for the server's five-second grace.
+	// shuts down.
 	client := &registry.Client{Base: c.Nodes[0].URL, HTTP: c.Nodes[0].srv.Client(), Token: "cluster-live"}
 
 	type push struct {

@@ -329,7 +329,7 @@ func Provision(g *serve.Group, t Topology, site Site) (*Stack, error) {
 			s.Nodes = append(s.Nodes, n)
 			regs[n.URL] = n.Registry
 			// The node's own client: its idle connections go when the node
-			// drains, so the router's dial races cannot stall that drain.
+			// drains, so the router keeps none to a stopped node.
 			clients[n.URL] = &registry.Client{Base: n.URL, HTTP: srv.Client()}
 		}
 		ring := cluster.NewRing(cluster.DefaultVirtualNodes)

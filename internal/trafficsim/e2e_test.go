@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/httpx"
 	"repro/internal/hubapi"
 	"repro/internal/registry"
 	"repro/internal/serve"
@@ -148,10 +147,6 @@ func TestReplayExternalDeployment(t *testing.T) {
 	env := Env{Scale: 0.001, Seed: 5, Requests: 120}
 	g := &serve.Group{}
 	defer func() {
-		// Replay pulls through the shared client: a connection it dialed
-		// but never used would hold the drain for the server's five-second
-		// grace.
-		httpx.DefaultClient.CloseIdleConnections()
 		if err := g.Shutdown(ctx); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
