@@ -19,7 +19,6 @@ import (
 
 	"repro"
 	"repro/internal/report"
-	"repro/internal/stats"
 )
 
 func main() {
@@ -29,7 +28,6 @@ func main() {
 	workers := flag.Int("workers", 8, "pipeline parallelism")
 	markdown := flag.Bool("markdown", false, "emit EXPERIMENTS.md-style markdown")
 	csvDir := flag.String("csv", "", "also write plot-ready CDF series as CSV into this directory")
-	plots := flag.Bool("plots", false, "render ASCII CDF plots for the headline distributions")
 	flag.Parse()
 
 	opts := repro.Options{Scale: *scale, Seed: *seed, Workers: *workers}
@@ -60,10 +58,6 @@ func main() {
 		}
 	}
 
-	if *plots {
-		runPlots(res)
-	}
-
 	fmt.Println(report.RenderScoreboard(res.Figures, 0.35))
 
 	if *csvDir != "" {
@@ -73,33 +67,6 @@ func main() {
 		}
 		fmt.Printf("wrote plot series to %s\n", *csvDir)
 	}
-}
-
-// runPlots renders the headline CDFs as ASCII curves, the terminal
-// rendition of the paper's figure panels.
-func runPlots(res *repro.Result) {
-	cls, files, refs, repeats := &stats.CDF{}, &stats.CDF{}, &stats.CDF{}, &stats.CDF{}
-	for i := range res.Analysis.Layers {
-		l := &res.Analysis.Layers[i]
-		if l.CLS > 0 {
-			cls.AddInt(l.CLS)
-		}
-		files.AddInt(int64(l.FileCount) + 1) // +1 keeps the log axis usable
-		refs.AddInt(int64(l.Refs))
-	}
-	rc, _, _ := res.Analysis.Index.RepeatCDF()
-	repeats = rc
-	pulls := &stats.CDF{}
-	for i := range res.Source.Repos {
-		pulls.AddInt(res.Source.Repos[i].PullCount + 1)
-	}
-	fmt.Println("=== plots ===")
-	fmt.Print(report.PlotCDF(cls, "fig3(a): compressed layer size", "B", 64, 12))
-	fmt.Print(report.PlotCDF(files, "fig5: files per layer (+1)", "", 64, 12))
-	fmt.Print(report.PlotCDF(pulls, "fig8: pulls per repository (+1)", "", 64, 12))
-	fmt.Print(report.PlotCDF(refs, "fig23: references per layer", "", 64, 12))
-	fmt.Print(report.PlotCDF(repeats, "fig24: copies per unique file", "", 64, 12))
-	fmt.Println()
 }
 
 // printMarkdown renders a figure as a markdown section with a comparison

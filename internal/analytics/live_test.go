@@ -19,6 +19,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/report"
 	"repro/internal/synth"
+	"repro/internal/tarutil"
 )
 
 // env is one live registry + analytics stack over a real HTTP listener.
@@ -140,7 +141,7 @@ func (e *env) pushImage(t *testing.T, repo string, imgID synth.ImageID, pushed m
 	layers := e.ds.ImageLayers(imgID)
 	descs := make([]manifest.Descriptor, len(layers))
 	for j, l := range layers {
-		blob, err := synth.RenderLayer(e.ds, l)
+		blob, err := synth.RenderLayer(e.ds, l, new(tarutil.Builder))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,8 @@ type MemberObserver interface {
 	// content's leading bytes — all of it when the store has the member in
 	// hand — and is valid only during the call.
 	File(e tarutil.Entry, sum digest.Digest, head []byte)
-	// End reports that the blob committed as a decomposed layer.
+	// End reports that the blob committed: as a decomposed layer, or
+	// verbatim when its decomposition does not reassemble it.
 	End(wireBytes int64)
 }
 

@@ -12,6 +12,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/report"
 	"repro/internal/synth"
+	"repro/internal/tarutil"
 )
 
 // Live mode: the study's registry runs as a resident service with the
@@ -90,9 +91,13 @@ func (s *Study) livePush(ctx context.Context, res *Result, client *registry.Clie
 	// descs[l] is written by the one worker that pushes layer l and read
 	// after the barrier.
 	descs := make([]manifest.Descriptor, len(d.Layers))
+	// The push's own builders, one per worker at a time, go with it.
+	builders := engine.NewFreeList[tarutil.Builder]()
 	err := engine.ForEach(ctx, s.Workers, len(layers), func(ctx context.Context, i int) error {
 		lp := layers[i]
-		blob, err := synth.RenderLayer(d, lp.id)
+		b := builders.Get()
+		blob, err := synth.RenderLayer(d, lp.id, b)
+		builders.Put(b)
 		if err != nil {
 			return fmt.Errorf("rendering layer %d: %w", lp.id, err)
 		}

@@ -6,7 +6,10 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/blobstore"
 	"repro/internal/digest"
+	"repro/internal/registry"
+	"repro/internal/synth"
 	"repro/internal/tarutil"
 )
 
@@ -66,6 +69,53 @@ func benchDedupPutStream(b *testing.B, blob []byte) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDedupIngestSequential measures ingest the way hubregistry's
+// re-ingest and the benchmark's seeding do it: one goroutine streams every
+// blob of a small synthetic hub (dedup-sweep spec, layers, configs and
+// manifests) into a fresh store, one PutStream after another, and the op
+// ends when the last background proof has. Its wall time falls when the
+// proofs run on an otherwise idle processor.
+func BenchmarkDedupIngestSequential(b *testing.B) {
+	ds, err := synth.Generate(synth.DedupSweepSpec(0.0001))
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := registry.New(blobstore.NewMemory())
+	if _, err := synth.Materialize(ds, src); err != nil {
+		b.Fatal(err)
+	}
+	digests := src.Blobs().Digests()
+	blobs := make([][]byte, len(digests))
+	var total int64
+	for i, d := range digests {
+		rc, _, err := src.Blobs().Get(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		blobs[i], err = io.ReadAll(rc)
+		rc.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		total += int64(len(blobs[i]))
+	}
+	b.SetBytes(total)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewWithConfig(NewMemoryPool(0), Config{})
+		for j, d := range digests {
+			if _, err := s.PutStream(d, bytes.NewReader(blobs[j])); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := awaitIdle(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(digests)), "blobs/op")
 }
 
 // BenchmarkDedupPutStreamDuplicate measures the duplicate-push path: the

@@ -43,18 +43,22 @@
 //     the last reader closes.
 //
 // Reassembly must be bit-exact — registry clients verify blobs against
-// their digests — so every put proves round-trip fidelity before
-// committing: the recipe is encoded first, the decomposed blob is
-// reassembled (and recompressed) from that encoding through a hasher and
-// compared with the wire digest, and only then is the encoding deflated
-// for storage, so the proof runs over exactly the bytes every later Get
-// reads — packed members included, each inflated back from the pool before
-// its layer commits. Layers built by tarutil always pass: their metadata is fixed, and
-// a tarutil.Builder deflates at one level, so the reassembly's gzip bytes
-// are the original's. A foreign blob that does not reproduce is stored
-// verbatim by Put/PutVerified, while PutStream — whose input is already
-// consumed — reports ErrNotReproducible rather than serve bytes that would
-// fail client-side verification.
+// their digests — so no Get serves a recipe before a round-trip proof has
+// passed: the decomposed blob is reassembled (and recompressed) from the
+// recipe through a hasher and compared with the wire digest, over exactly
+// the bytes every later Get reads — packed members included, each inflated
+// back from the pool. Layers built by tarutil always pass: their metadata
+// is fixed, and a tarutil.Builder deflates at one level, so the
+// reassembly's gzip bytes are the original's. A put tees its wire bytes
+// into a spool of up to 1 MiB (a Put's spool is the caller's bytes), and
+// when a processor would otherwise sit idle it commits the layer as
+// pending and leaves the proof to a background prover: a pending blob
+// answers Stat and Has at once, while Get and Delete wait for its proof.
+// Otherwise the put proves inline. A spooled blob whose proof fails,
+// inline or in the background, is committed verbatim from its spool, so
+// an acknowledged push is never lost; only a foreign layer too large to
+// spool is refused, with ErrNotReproducible, rather than served as bytes
+// that would fail client-side verification.
 package dedupstore
 
 import (
@@ -65,6 +69,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -84,8 +89,9 @@ var ErrUnknownLayer = errors.New("dedupstore: unknown blob")
 
 // ErrNotReproducible is returned by PutStream for blobs that decompose but
 // do not reassemble bit-identically (foreign tar metadata the recipe
-// cannot carry, or non-deterministic compression framing). Put and
-// PutVerified fall back to storing such blobs verbatim instead.
+// cannot carry, or non-deterministic compression framing) and are too
+// large for its spool. Smaller ones, and every blob Put and PutVerified
+// are handed, are stored verbatim instead.
 var ErrNotReproducible = errors.New("dedupstore: blob does not reassemble bit-identically")
 
 // UnknownBlobError is the typed not-found error for this backend.
@@ -179,6 +185,10 @@ type blobEntry struct {
 	// references the last reader releases.
 	readers   int
 	condemned bool
+
+	// proof, while not nil, is closed when the entry's background proof
+	// ends: the entry is pending, and no reader is let at its recipe.
+	proof chan struct{}
 }
 
 // Store is a file-level deduplicating blobstore.Store. Safe for concurrent
@@ -190,6 +200,7 @@ type Store struct {
 	mu      sync.RWMutex
 	blobs   map[digest.Digest]*blobEntry
 	flights blobstore.Flights // blob puts in progress
+	busy    int               // ingests and background proofs running
 
 	layers      int
 	raw         int
@@ -230,6 +241,7 @@ var (
 	putScratches   = engine.NewFreeList[putScratch]()
 	writeScratches = engine.NewFreeList[writeScratch]()
 	recipeBufs     = engine.NewFreeList[recipeBuf]()
+	spools         = engine.NewFreeList[spool]()
 )
 
 // writeScratch is the working memory of one reassembly, kept as one value
@@ -270,6 +282,49 @@ type putScratch struct {
 	pk   packer
 }
 
+// spool is a put's copy of its wire bytes, for the verbatim commit of a
+// layer whose recipe does not reproduce them. A Put's bytes are held by
+// its caller; a PutStream's are copied as they are read, up to
+// maxFilePrealloc of them (over: the blob outgrew the spool). It grows to
+// at most that capacity, so the free list, which outlives garbage
+// collections, keeps no spool above it.
+type spool struct {
+	b, held []byte
+	over    bool
+}
+
+func (sp *spool) Write(p []byte) (int, error) {
+	n := len(sp.b) + len(p)
+	switch {
+	case sp.held != nil || sp.over:
+	case n > maxFilePrealloc:
+		sp.over = true
+	default:
+		if n > cap(sp.b) {
+			sp.b = append(make([]byte, 0, min(max(2*cap(sp.b), n), maxFilePrealloc)), sp.b...)
+		}
+		sp.b = append(sp.b, p...)
+	}
+	return len(p), nil
+}
+
+// bytes returns the spooled blob, whole once the put has read it to the
+// end, or nil when it outgrew the spool.
+func (sp *spool) bytes() []byte {
+	switch {
+	case sp.held != nil:
+		return sp.held
+	case sp.over:
+		return nil
+	}
+	return sp.b
+}
+
+func (sp *spool) release() {
+	sp.b, sp.held, sp.over = sp.b[:0], nil, false
+	spools.Put(sp)
+}
+
 // release bounds ps's buffers and returns it to putScratches: the list
 // outlives garbage collections, so it keeps no buffer a large file, raw
 // blob or recipe grew past maxFilePrealloc.
@@ -290,9 +345,9 @@ func bound(b *bytes.Buffer) {
 	}
 }
 
-// Put implements blobstore.Store. Blobs that decompose but do not
-// reassemble bit-identically are stored verbatim (the bytes are in hand,
-// so unlike PutStream no fidelity is lost by falling back).
+// Put implements blobstore.Store. A blob that does not decompose, or does
+// not reassemble bit-identically, is stored verbatim: the bytes are in
+// hand, so no fidelity is lost by falling back.
 func (s *Store) Put(content []byte) (digest.Digest, error) {
 	d := digest.FromBytes(content)
 	_, err := s.put(d, bytes.NewReader(content), content)
@@ -309,25 +364,25 @@ func (s *Store) PutVerified(want digest.Digest, content []byte) error {
 }
 
 // PutStream implements blobstore.Store: the blob is decomposed into the
-// pool as it is read — one pooled file buffer of look-back, never the
-// whole layer. Concurrent puts of the same digest coalesce: one writer
-// decomposes, the rest drain-and-verify their own streams.
+// pool as it is read — one pooled file buffer of look-back and the spool,
+// never more than 1 MiB of the layer. Concurrent puts of the same digest
+// coalesce: one writer decomposes, the rest drain-and-verify their own
+// streams.
 //
 // When r carries a blobstore.MemberObserver the decomposition reports each
 // member to it, so a second consumer of the layer's contents (the live
 // analytics walk) rides this walk instead of inflating the blob again.
-// Only the put that commits the blob as a recipe reaches End; a rejected
-// upload reports members but no End, a put that finds the blob stored or
-// coalesces onto another flight claims the observer and reports nothing,
-// and a raw blob never asks for it.
+// Only the put that commits the blob, as a recipe or verbatim from its
+// spool, reaches End; a rejected upload reports members but no End, a put
+// that finds the blob stored or coalesces onto another flight claims the
+// observer and reports nothing, and a raw blob never asks for it.
 func (s *Store) PutStream(want digest.Digest, r io.Reader) (int64, error) {
 	return s.put(want, r, nil)
 }
 
-// put is the singleflight shell around ingest. fallback, when non-nil,
-// holds the full blob bytes so a failed decomposition can store the blob
-// verbatim instead.
-func (s *Store) put(want digest.Digest, r io.Reader, fallback []byte) (int64, error) {
+// put is the singleflight shell around ingest. held, when non-nil, is the
+// whole blob, which the caller holds: it serves as the put's spool.
+func (s *Store) put(want digest.Digest, r io.Reader, held []byte) (int64, error) {
 	for {
 		s.mu.Lock()
 		if _, ok := s.blobs[want]; ok {
@@ -338,6 +393,9 @@ func (s *Store) put(want digest.Digest, r io.Reader, fallback []byte) (int64, er
 			return blobstore.DrainVerify(want, r)
 		}
 		f, won := s.flights.Claim(want)
+		if won {
+			s.busy++
+		}
 		s.mu.Unlock()
 		if !won {
 			// Success: loop to drain against the stored blob. Failure: loop
@@ -346,12 +404,10 @@ func (s *Store) put(want digest.Digest, r io.Reader, fallback []byte) (int64, er
 			continue
 		}
 		ps := putScratches.Get()
-		n, err := s.ingest(want, r, ps)
-		if err != nil && fallback != nil {
-			n, err = s.ingestRaw(want, fallback, &ps.pk)
-		}
+		n, err := s.ingest(want, r, held, ps)
 		ps.release()
 		s.mu.Lock()
+		s.busy--
 		s.flights.Land(want, f, err)
 		s.mu.Unlock()
 		return n, err
@@ -362,50 +418,80 @@ func (s *Store) put(want digest.Digest, r io.Reader, fallback []byte) (int64, er
 // picks: a tar, gzip-framed or plain, is decomposed; anything else
 // (manifests, configs) is read whole, verified and pooled raw. A tar is
 // announced to the stream's observer; a raw blob leaves it unclaimed, and
-// the registry hands the committed bytes to its ingest hook instead.
-func (s *Store) ingest(want digest.Digest, r io.Reader, ps *putScratch) (int64, error) {
+// the registry hands the committed bytes to its ingest hook instead. A tar
+// whose proof fails, and a Put's blob that does not decompose, is
+// committed verbatim from the put's spool when it holds the whole blob.
+func (s *Store) ingest(want digest.Digest, r io.Reader, held []byte, ps *putScratch) (int64, error) {
 	h := digest.NewHasher()
-	l := tarutil.OpenLayer(io.TeeReader(r, h))
+	sp := spools.Get()
+	defer sp.release()
+	sp.held = held
+	l := tarutil.OpenLayer(io.TeeReader(r, io.MultiWriter(h, sp)))
 	defer l.Close()
-	if l.Framing() != tarutil.NotTar {
-		return s.ingestTar(want, l, h, blobstore.ObserverOf(r), ps)
+	if l.Framing() == tarutil.NotTar {
+		ps.file.Reset()
+		if n, err := ps.file.ReadFrom(l); err != nil {
+			return n, fmt.Errorf("dedupstore: reading %s: %w", want.Short(), err)
+		}
+		if !h.Matches(want) {
+			return l.WireBytes(), fmt.Errorf("%w: want %s, got %s", blobstore.ErrDigestMismatch, want.Short(), h.Digest().Short())
+		}
+		return s.ingestRaw(want, ps.file.Bytes(), &ps.pk)
 	}
-	ps.file.Reset()
-	if n, err := ps.file.ReadFrom(l); err != nil {
-		return n, fmt.Errorf("dedupstore: reading %s: %w", want.Short(), err)
+	obs := blobstore.ObserverOf(r)
+	n, err := s.ingestTar(want, l, h, sp, obs, ps)
+	if b := sp.bytes(); b != nil && err != nil && (held != nil || errors.Is(err, ErrNotReproducible)) {
+		if n, err = s.ingestRaw(want, b, &ps.pk); err == nil && obs != nil {
+			obs.End(n)
+		}
 	}
-	if !h.Matches(want) {
-		return l.WireBytes(), fmt.Errorf("%w: want %s, got %s", blobstore.ErrDigestMismatch, want.Short(), h.Digest().Short())
-	}
-	return s.ingestRaw(want, ps.file.Bytes(), &ps.pk)
+	return n, err
 }
 
 // ingestRaw pools a blob verbatim under its own digest, content the caller
 // has verified: one pool entry, packed by the same rule as a member file.
+// It is the one verbatim commit: of raw blobs, and of layers whose
+// recipe does not reproduce them.
 func (s *Store) ingestRaw(want digest.Digest, content []byte, pk *packer) (int64, error) {
 	if err := s.pool.add(want, content, pk); err != nil {
 		return 0, err
 	}
-	n := int64(len(content))
+	e := &blobEntry{size: int64(len(content))}
 	s.mu.Lock()
-	s.blobs[want] = &blobEntry{size: n}
-	s.raw++
-	s.wire += n
-	s.logical += n
+	s.blobs[want] = e
+	s.count(e, 1)
 	s.mu.Unlock()
-	return n, nil
+	return e.size, nil
+}
+
+// count adds e's accounting to the store's (sign 1) or takes it out (sign
+// -1). s.mu must be held.
+func (s *Store) count(e *blobEntry, sign int) {
+	s.wire += int64(sign) * e.size
+	if e.recipeZ == nil {
+		s.raw += sign
+		s.logical += int64(sign) * e.size
+		return
+	}
+	s.layers += sign
+	s.logical += int64(sign) * e.logical
+	s.recipeBytes += int64(sign * len(e.recipeZ))
+	s.instances += int64(sign) * e.files
 }
 
 // ingestTar decomposes a tar blob, gzip-framed or plain, read through l
-// while h hashes its wire bytes: every member file is buffered once
-// (pooled), hashed, pooled, and appended to the recipe's encoding; the
-// recipe commits only after the wire digest checks out and a reassembly
-// from the encoding through a hasher proves it reproduces the exact wire
-// bytes — which is also what vouches for whatever l.Walk drained unread
-// after the archive, the gzip trailer included. Any failure releases the
-// references the walk took — one per file in the encoding so far. obs,
-// when non-nil, is told of every member as it is pooled and of the commit.
-func (s *Store) ingestTar(want digest.Digest, l *tarutil.Layer, h *digest.Hasher, obs blobstore.MemberObserver, ps *putScratch) (int64, error) {
+// while h hashes its wire bytes and sp spools them: every member file is
+// buffered once (pooled), hashed, pooled, and appended to the recipe's
+// encoding. Once the wire digest checks out, the recipe is proved: a
+// reassembly from it through a hasher must reproduce the exact wire bytes
+// — which is also what vouches for whatever l.Walk drained unread after
+// the archive, the gzip trailer included. When the blob is spooled and
+// fewer puts and proofs run than there are processors, the recipe commits
+// at once as pending and a prover goroutine takes the proof; otherwise the
+// proof runs here and the recipe commits after it. Any failure releases the
+// references the walk took — one per file in the encoding so far. obs, when
+// non-nil, is told of every member as it is pooled and of the commit.
+func (s *Store) ingestTar(want digest.Digest, l *tarutil.Layer, h *digest.Hasher, sp *spool, obs blobstore.MemberObserver, ps *putScratch) (int64, error) {
 	enc := &ps.enc
 	enc.reset()
 	fail := func(err error) (int64, error) {
@@ -457,32 +543,90 @@ func (s *Store) ingestTar(want digest.Digest, l *tarutil.Layer, h *digest.Hasher
 		return fail(fmt.Errorf("%w: want %s, got %s", blobstore.ErrDigestMismatch, want.Short(), got.Short()))
 	}
 
-	// Round-trip proof, over the encoding every later Get will read: the
-	// recipe must reproduce the wire bytes exactly, or clients verifying
-	// their pulls would reject what Get serves.
 	rec := enc.finish(l.Framing() == tarutil.Gzip)
+	e := &blobEntry{size: l.WireBytes(), recipeZ: compressRecipe(rec, ps), logical: logical, files: files}
+	b := sp.bytes()
+	s.mu.Lock()
+	if b != nil && len(b) <= maxFilePrealloc && s.busy < runtime.GOMAXPROCS(0) {
+		// A processor would sit idle: the returning put hands it the proof.
+		e.proof = make(chan struct{})
+		s.busy++
+	}
+	s.mu.Unlock()
+	if e.proof == nil {
+		if err := s.prove(want, rec); err != nil {
+			return fail(err)
+		}
+	}
+	s.mu.Lock()
+	s.blobs[want] = e
+	s.count(e, 1)
+	s.mu.Unlock()
+	if e.proof != nil {
+		cp := spools.Get() // the prover's own copy of the spooled bytes
+		cp.Write(b)
+		go s.proveLater(want, e, cp)
+	}
+	if obs != nil {
+		obs.End(e.size)
+	}
+	return e.size, nil
+}
+
+// prove reassembles a recipe, given as its encoding, through a hasher, and
+// fails with ErrNotReproducible unless that yields exactly want's bytes:
+// clients verifying their pulls would reject anything else Get served.
+func (s *Store) prove(want digest.Digest, rec []byte) error {
 	vh := digest.NewHasher()
 	if err := s.writeBlob(rec, vh); err != nil {
-		return fail(fmt.Errorf("dedupstore: verifying reassembly of %s: %w", want.Short(), err))
+		return fmt.Errorf("%w: reassembling %s: %w", ErrNotReproducible, want.Short(), err)
 	}
 	if got := vh.Digest(); got != want {
-		return fail(fmt.Errorf("%w: %s reassembles to %s", ErrNotReproducible, want.Short(), got.Short()))
+		return fmt.Errorf("%w: %s reassembles to %s", ErrNotReproducible, want.Short(), got.Short())
 	}
+	return nil
+}
 
-	z := compressRecipe(rec, ps)
-	n := l.WireBytes()
-	s.mu.Lock()
-	s.blobs[want] = &blobEntry{size: n, recipeZ: z, logical: logical, files: files}
-	s.layers++
-	s.wire += n
-	s.logical += logical
-	s.recipeBytes += int64(len(z))
-	s.instances += files
-	s.mu.Unlock()
-	if obs != nil {
-		obs.End(n)
+// proveLater runs a pending entry's proof on a prover goroutine, from the
+// at-rest recipe every later Get reads. If it fails, the spooled bytes are
+// committed verbatim in the entry's place and the recipe's references are
+// released; only a failing pool write loses the blob. The store is settled
+// by the time the entry leaves the pending state, and closing its proof
+// channel, which lets waiting readers on, is the last thing the prover does.
+func (s *Store) proveLater(want digest.Digest, e *blobEntry, sp *spool) {
+	rb, err := inflateRecipe(e.recipeZ)
+	if err == nil {
+		err = s.prove(want, rb.enc.Bytes())
 	}
-	return n, nil
+	var raw *blobEntry
+	if err != nil {
+		ps := putScratches.Get()
+		if s.pool.add(want, sp.b, &ps.pk) == nil {
+			raw = &blobEntry{size: e.size}
+		}
+		ps.release()
+	}
+	if rb != nil {
+		if c, cerr := openRecipe(rb.enc.Bytes()); err != nil && cerr == nil {
+			s.unrefFiles(c)
+		}
+		putRecipeBuf(rb)
+	}
+	sp.release()
+	s.mu.Lock()
+	if err != nil {
+		s.count(e, -1)
+		delete(s.blobs, want)
+		if raw != nil {
+			s.blobs[want] = raw
+			s.count(raw, 1)
+		}
+	}
+	proof := e.proof
+	e.proof = nil
+	s.busy--
+	s.mu.Unlock()
+	close(proof)
 }
 
 // compressRecipe flate-compresses a recipe's encoding for at-rest storage,
@@ -593,16 +737,23 @@ func (s *Store) writeBlob(rec []byte, w io.Writer) error {
 // Get implements blobstore.Store. Raw blobs stream straight from the
 // pool; recipe blobs are reconstructed on the fly (or served from the
 // reconstruction cache when configured). The returned size is the wire
-// size.
+// size. A pending blob is served once its proof has ended.
 func (s *Store) Get(d digest.Digest) (io.ReadCloser, int64, error) {
 	s.mu.RLock()
 	e, ok := s.blobs[d]
+	var proof chan struct{}
+	if ok {
+		proof = e.proof
+	}
 	isRecipe := ok && e.recipeZ != nil
 	s.mu.RUnlock()
-	if !ok {
+	switch {
+	case !ok:
 		return nil, 0, &UnknownBlobError{Digest: d}
-	}
-	if !isRecipe {
+	case proof != nil:
+		<-proof
+		return s.Get(d)
+	case !isRecipe:
 		k := spell(d)
 		return s.pool.open(&k, nil)
 	}
@@ -625,6 +776,11 @@ func (s *Store) openReconstruct(d digest.Digest) (io.ReadCloser, int64, error) {
 	if !ok {
 		s.mu.Unlock()
 		return nil, 0, &UnknownBlobError{Digest: d}
+	}
+	if proof := e.proof; proof != nil {
+		s.mu.Unlock()
+		<-proof
+		return s.openReconstruct(d)
 	}
 	if e.recipeZ == nil {
 		s.mu.Unlock()
@@ -817,7 +973,7 @@ func (s *Store) Digests() []digest.Digest {
 // reconstructing reads survive until the last such reader closes
 // (condemned entries). Raw blobs release their pool reference at once;
 // their already-open readers stay valid by the backing stores' unlink
-// semantics.
+// semantics. A pending blob is deleted once its proof has ended.
 func (s *Store) Delete(d digest.Digest) error {
 	s.mu.Lock()
 	e, ok := s.blobs[d]
@@ -825,17 +981,13 @@ func (s *Store) Delete(d digest.Digest) error {
 		s.mu.Unlock()
 		return &UnknownBlobError{Digest: d}
 	}
-	delete(s.blobs, d)
-	s.wire -= e.size
-	if e.recipeZ != nil {
-		s.layers--
-		s.logical -= e.logical
-		s.recipeBytes -= int64(len(e.recipeZ))
-		s.instances -= e.files
-	} else {
-		s.raw--
-		s.logical -= e.size
+	if proof := e.proof; proof != nil {
+		s.mu.Unlock()
+		<-proof
+		return s.Delete(d)
 	}
+	delete(s.blobs, d)
+	s.count(e, -1)
 	pinned := e.recipeZ != nil && e.readers > 0
 	if pinned {
 		e.condemned = true

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -58,8 +59,9 @@ func buildLayer(t *testing.T, files map[string]string) []byte {
 	return buf.Bytes()
 }
 
-// putStream pushes blob through the streaming path and fails the test on
-// error.
+// putStream pushes blob through the streaming path, fails the test on
+// error, and waits out the store's background proofs, so that the test goes
+// on from a settled store with no prover goroutine running.
 func putStream(t *testing.T, s *Store, blob []byte) digest.Digest {
 	t.Helper()
 	d := digest.FromBytes(blob)
@@ -70,6 +72,7 @@ func putStream(t *testing.T, s *Store, blob []byte) digest.Digest {
 	if n != int64(len(blob)) {
 		t.Fatalf("PutStream consumed %d of %d bytes", n, len(blob))
 	}
+	settle(t, s)
 	return d
 }
 
@@ -310,9 +313,9 @@ func TestHugeMemberClaimAllocatesUnderCap(t *testing.T) {
 }
 
 // TestFreeListsKeepNoOutsizedBuffer: the free lists outlive garbage
-// collections, so a put of a large incompressible blob, and any put or
-// recipe scratch grown past maxFilePrealloc, goes back holding no buffer
-// above it.
+// collections, so a put of a large incompressible blob, its spool, and any
+// put or recipe scratch grown past maxFilePrealloc, goes back holding no
+// buffer above it.
 func TestFreeListsKeepNoOutsizedBuffer(t *testing.T) {
 	big := make([]byte, 2*maxFilePrealloc)
 	rand.New(rand.NewSource(1)).Read(big)
@@ -346,6 +349,12 @@ func TestFreeListsKeepNoOutsizedBuffer(t *testing.T) {
 	ps.release()
 	check("a grown put scratch", putCaps(putScratches.Get()))
 
+	spools = engine.NewFreeList[spool]()
+	if _, err := s.PutStream(digest.FromBytes(big[2:]), bytes.NewReader(big[2:])); err != nil {
+		t.Fatal(err)
+	}
+	check("a PutStream of 2 MiB of random bytes", map[string]int{"spool": cap(spools.Get().b)})
+
 	recipeBufs = engine.NewFreeList[recipeBuf]()
 	rb := recipeBufs.Get()
 	rb.enc.Grow(len(big))
@@ -357,22 +366,35 @@ func TestFreeListsKeepNoOutsizedBuffer(t *testing.T) {
 // reproduce (nonzero mod time, odd mode), so it decomposes but fails the
 // put-time reassembly proof.
 func foreignLayer(t *testing.T) []byte {
+	return foreignTar(t, map[string][]byte{"etc/passwd": []byte("root:x:0:0\n")})
+}
+
+// foreignTar is a gzip tar of files, in name order, written by archive/tar
+// with a mod time, an owner name and a mode tarutil's builder never writes.
+func foreignTar(t testing.TB, files map[string][]byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
 	tw := tar.NewWriter(zw)
-	hdr := &tar.Header{
-		Name:    "etc/passwd",
-		Mode:    0o600,
-		Size:    int64(len("root:x:0:0\n")),
-		ModTime: time.Date(2019, 9, 24, 12, 0, 0, 0, time.UTC),
-		Uname:   "builder",
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
 	}
-	if err := tw.WriteHeader(hdr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tw.Write([]byte("root:x:0:0\n")); err != nil {
-		t.Fatal(err)
+	sort.Strings(names)
+	for _, name := range names {
+		hdr := &tar.Header{
+			Name:    name,
+			Mode:    0o600,
+			Size:    int64(len(files[name])),
+			ModTime: time.Date(2019, 9, 24, 12, 0, 0, 0, time.UTC),
+			Uname:   "builder",
+		}
+		if err := tw.WriteHeader(hdr); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tw.Write(files[name]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
@@ -383,24 +405,71 @@ func foreignLayer(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// checkVerbatim checks that s holds blob, and only blob, as one raw pool
+// entry: Get serves it byte-exact, no member of its failed recipe is left
+// pooled, and checkStore is clean.
+func checkVerbatim(t *testing.T, s *Store, blob []byte) {
+	t.Helper()
+	d := digest.FromBytes(blob)
+	if got := readBlob(t, s, d); !bytes.Equal(got, blob) {
+		t.Fatal("blob did not round-trip verbatim")
+	}
+	st := s.Stats()
+	if st.RawBlobs != 1 || st.Layers != 0 || st.TotalFiles != 0 || st.RecipeBytes != 0 {
+		t.Fatalf("stats %+v, want one raw blob and no layer", st)
+	}
+	if st.UniqueFiles != 1 || st.FileBytes != int64(len(blob)) {
+		t.Fatalf("pool holds %d entries of %d content bytes, want the %d-byte blob alone", st.UniqueFiles, st.FileBytes, len(blob))
+	}
+	if err := checkStore(s); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNotReproducibleBlob: a foreign layer decomposes but does not
+// reassemble bit-identically, so PutStream and Put alike commit it
+// verbatim, PutStream from its spool, and drop the recipe's members.
 func TestNotReproducibleBlob(t *testing.T) {
 	blob := foreignLayer(t)
 	d := digest.FromBytes(blob)
 
 	s := NewWithConfig(NewMemoryPool(0), Config{})
-	if _, err := s.PutStream(d, bytes.NewReader(blob)); !errors.Is(err, ErrNotReproducible) {
+	if _, err := s.PutStream(d, bytes.NewReader(blob)); err != nil {
+		t.Fatalf("PutStream: %v", err)
+	}
+	checkVerbatim(t, s, blob)
+
+	s = NewWithConfig(NewMemoryPool(0), Config{})
+	if _, err := s.Put(blob); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	checkVerbatim(t, s, blob)
+}
+
+// TestForeignLayerOverSpoolCap: a foreign layer larger than the spool is
+// the one push PutStream still refuses, with ErrNotReproducible and
+// nothing left pooled; Put, which holds the bytes, stores it verbatim.
+func TestForeignLayerOverSpoolCap(t *testing.T) {
+	big := make([]byte, maxFilePrealloc+1<<10)
+	rand.New(rand.NewSource(3)).Read(big)
+	blob := foreignTar(t, map[string][]byte{"big.bin": big})
+	if len(blob) <= maxFilePrealloc {
+		t.Fatalf("the layer is %d bytes, not over the %d-byte spool", len(blob), maxFilePrealloc)
+	}
+	s := NewWithConfig(NewMemoryPool(0), Config{})
+	if _, err := s.PutStream(digest.FromBytes(blob), bytes.NewReader(blob)); !errors.Is(err, ErrNotReproducible) {
 		t.Fatalf("error = %v, want ErrNotReproducible", err)
 	}
-	if s.Stats().PhysicalBytes() != 0 {
-		t.Fatal("failed put leaked pool bytes")
+	if s.Has(digest.FromBytes(blob)) || s.Stats().PhysicalBytes() != 0 {
+		t.Fatal("refused put left state behind")
 	}
-	// Put falls back to verbatim storage and serves the exact bytes.
+	if err := checkStore(s); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := s.Put(blob); err != nil {
-		t.Fatalf("Put fallback: %v", err)
+		t.Fatalf("Put: %v", err)
 	}
-	if got := readBlob(t, s, d); !bytes.Equal(got, blob) {
-		t.Fatal("foreign blob did not round-trip verbatim")
-	}
+	checkVerbatim(t, s, blob)
 }
 
 // walkSeed returns an archive of tarutil's FuzzWalk seed corpus, the blobs
@@ -437,34 +506,31 @@ func TestBadHeaderBlobStoredRaw(t *testing.T) {
 
 // TestSignedChecksumTarNotReproducible: a tar whose checksum is a signed
 // byte sum is a tar to the walker, so the store decomposes it like any
-// foreign tar, and the round-trip proof refuses it (the Builder writes
-// unsigned sums) without leaving anything pooled.
+// foreign tar, and the round-trip proof fails (the Builder writes unsigned
+// sums): the store keeps the spooled bytes verbatim and pools none of the
+// recipe's members.
 func TestSignedChecksumTarNotReproducible(t *testing.T) {
 	blob := walkSeed(t, "signed-checksum")
 	s := NewWithConfig(NewMemoryPool(0), Config{})
-	if _, err := s.PutStream(digest.FromBytes(blob), bytes.NewReader(blob)); !errors.Is(err, ErrNotReproducible) {
-		t.Fatalf("error = %v, want ErrNotReproducible", err)
+	if _, err := s.PutStream(digest.FromBytes(blob), bytes.NewReader(blob)); err != nil {
+		t.Fatalf("PutStream: %v", err)
 	}
-	if s.Stats().PhysicalBytes() != 0 {
-		t.Fatal("failed put leaked pool bytes")
-	}
+	checkVerbatim(t, s, blob)
 }
 
 // TestGzipTrailingBytesNotReproducible: bytes after a layer's gzip member
 // are wire bytes the walk drains without inflating them, so the store
-// refuses the blob through its round-trip proof rather than with a gzip
-// read error, and the analyzer profiles it exactly as the layer without
-// them, but for its compressed size.
+// finds the blob out through its round-trip proof rather than with a gzip
+// read error and keeps it verbatim, and the analyzer profiles it exactly as
+// the layer without them, but for its compressed size.
 func TestGzipTrailingBytesNotReproducible(t *testing.T) {
 	layer := buildLayer(t, map[string]string{"a.txt": "alpha", "b.txt": "beta"})
 	blob := append(bytes.Clone(layer), "trailing"...)
 	s := NewWithConfig(NewMemoryPool(0), Config{})
-	if _, err := s.PutStream(digest.FromBytes(blob), bytes.NewReader(blob)); !errors.Is(err, ErrNotReproducible) {
-		t.Fatalf("error = %v, want ErrNotReproducible", err)
+	if _, err := s.PutStream(digest.FromBytes(blob), bytes.NewReader(blob)); err != nil {
+		t.Fatalf("PutStream: %v", err)
 	}
-	if s.Stats().PhysicalBytes() != 0 {
-		t.Fatal("failed put leaked pool bytes")
-	}
+	checkVerbatim(t, s, blob)
 
 	d := digest.FromBytes(layer)
 	clean, err := analyzer.WalkLayerReader(d, bytes.NewReader(layer))
@@ -742,7 +808,7 @@ func TestSavingsMatchDedupAnalysis(t *testing.T) {
 
 	s := NewWithConfig(NewMemoryPool(0), Config{})
 	for i := range d.Layers {
-		blob, err := synth.RenderLayer(d, synth.LayerID(i))
+		blob, err := synth.RenderLayer(d, synth.LayerID(i), new(tarutil.Builder))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -799,7 +865,7 @@ func TestRoundTripMaterializedLayers(t *testing.T) {
 	}
 	s := NewWithConfig(NewMemoryPool(0), Config{})
 	for i := 0; i < len(d.Layers) && i < 50; i++ {
-		blob, err := synth.RenderLayer(d, synth.LayerID(i))
+		blob, err := synth.RenderLayer(d, synth.LayerID(i), new(tarutil.Builder))
 		if err != nil {
 			t.Fatal(err)
 		}

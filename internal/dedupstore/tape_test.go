@@ -18,14 +18,18 @@ import (
 	"repro/internal/tarutil"
 )
 
-// checkStore proves the store's invariants at quiescence: no put or pool
-// write in flight, every pool reference accounted for by a recipe member
+// checkStore proves the store's invariants at quiescence, once every
+// background proof has ended: no put, proof or pool write in flight, no
+// entry pending, every pool reference accounted for by a recipe member
 // or a raw blob, every referenced digest held exactly once — raw in its
 // shard's backing, or packed, its packed bytes present and inflating to
 // the digest's content — and nothing else in the backings, every recipe
 // member resolvable at its size, and the Stats accounting equal to a
 // recount over the stored blobs and the backings' entries.
 func checkStore(s *Store) error {
+	if err := awaitIdle(s); err != nil {
+		return err
+	}
 	st := s.Stats()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -42,6 +46,9 @@ func checkStore(s *Store) error {
 	want := make(map[digest.Digest]int64)
 	var re Stats
 	for d, e := range s.blobs {
+		if e.proof != nil {
+			return fmt.Errorf("%s is still pending", d.Short())
+		}
 		re.WireBytes += e.size
 		if e.recipeZ == nil {
 			re.RawBlobs++
@@ -180,15 +187,22 @@ func checkStore(s *Store) error {
 // its layers (and of others'), so a raw put can find its digest pooled.
 // One shared member and every goroutine's second raw blob are tapeProse,
 // which the pool packs: contention, failed streams, deletes under readers
-// and a raw blob equal to a member all reach packed entries too.
+// and a raw blob equal to a member all reach packed entries too. Each
+// goroutine's last blob is a foreign layer, sharing a member with its
+// layers, that does not reassemble bit-identically: every put of it is
+// committed verbatim, by the put or by a background prover.
 const (
 	tapeGoroutines = 4 // most a tape runs
 	tapeLayers     = 3
 	tapeRaws       = 3
 	tapeShared     = 2
-	tapeBlobs      = tapeLayers + tapeRaws + tapeShared
+	tapeForeign    = tapeLayers + tapeRaws + tapeShared // the foreign layer's index
+	tapeBlobs      = tapeForeign + 1
 	tapeMaxOps     = 96
 )
+
+// tapeIsShared reports whether blob i is one of the shared layers.
+func tapeIsShared(i int) bool { return i >= tapeLayers+tapeRaws && i < tapeForeign }
 
 // The store tape's operations.
 const (
@@ -243,7 +257,7 @@ func tapeLayer(files [][]byte) []byte {
 	return buf.Bytes()
 }
 
-func storeTapeBlobs() *[tapeGoroutines][tapeBlobs][]byte {
+func storeTapeBlobs(tb testing.TB) *[tapeGoroutines][tapeBlobs][]byte {
 	tapeBlobsOnce.Do(func() {
 		var shared [4][]byte
 		for i := range shared {
@@ -272,6 +286,9 @@ func storeTapeBlobs() *[tapeGoroutines][tapeBlobs][]byte {
 			for m := 0; m < tapeShared; m++ {
 				tapeBlobSet[g][tapeLayers+tapeRaws+m] = sharedLayers[m]
 			}
+			tapeBlobSet[g][tapeForeign] = foreignTar(tb, map[string][]byte{
+				"etc/shared": shared[0], "etc/owned": owned[g][0], "etc/own": tapeText(500+g, 400),
+			})
 		}
 	})
 	return &tapeBlobSet
@@ -297,7 +314,7 @@ func runStoreTape(t *testing.T, tape []byte) {
 	if len(tape) == 0 {
 		return
 	}
-	blobs := storeTapeBlobs()
+	blobs := storeTapeBlobs(t)
 	n := 2 + int(tape[0])%(tapeGoroutines-1)
 	cfg := Config{}
 	if tape[0]&0x10 != 0 {
@@ -349,7 +366,7 @@ func runStoreTape(t *testing.T, tape []byte) {
 				code, i, param := op[0], int(op[1]), int(op[2])
 				blob := blobs[g][i]
 				d := digest.FromBytes(blob)
-				shared := i >= tapeLayers+tapeRaws
+				shared := tapeIsShared(i)
 				if shared && code == opDelete {
 					code = opGet
 				}
@@ -361,7 +378,7 @@ func runStoreTape(t *testing.T, tape []byte) {
 				// two goroutines could each wait on the other's fill. A
 				// server serves each request on its own goroutine, so it
 				// never does either; finish the held reader first.
-				heldShared := heldIdx >= tapeLayers+tapeRaws
+				heldShared := tapeIsShared(heldIdx)
 				if held != nil && (step > heldAt+1 || code == opGet && (i == heldIdx || shared && heldShared)) {
 					finish(what)
 				}
@@ -460,8 +477,8 @@ func runStoreTape(t *testing.T, tape []byte) {
 	for g := 0; g < n; g++ {
 		for i, blob := range blobs[g] {
 			want := present[g][i]
-			if j := i - tapeLayers - tapeRaws; j >= 0 {
-				want = stored[j]
+			if tapeIsShared(i) {
+				want = stored[i-tapeLayers-tapeRaws]
 			}
 			d := digest.FromBytes(blob)
 			if s.Has(d) != want {
@@ -470,6 +487,11 @@ func runStoreTape(t *testing.T, tape []byte) {
 			if want {
 				if got := readBlob(t, s, d); !bytes.Equal(got, blob) {
 					t.Fatalf("tape %x: goroutine %d blob %d reads back wrong bytes", tape, g, i)
+				}
+				// Layers that reproduce are recipes; raw blobs and the
+				// foreign layer are held verbatim.
+				if recipe := s.Recipe(d) != nil; recipe != (i < tapeLayers || tapeIsShared(i)) {
+					t.Fatalf("tape %x: goroutine %d blob %d stored as a recipe: %v", tape, g, i, recipe)
 				}
 			}
 		}
@@ -561,6 +583,25 @@ var storeTapeSeeds = map[string][]byte{
 		0 + 3*opDelete, 1, 0,
 		1 + 3*opPutFailing, tapeLayers + 1, 255,
 		1 + 3*opDelete, tapeLayers + 1, 0},
+
+	// Two goroutines push their foreign layers, one streaming and one
+	// whole, and read them back through a held reader; a layer sharing
+	// the foreign layers' members is deleted and pushed again around
+	// them, and one foreign layer is deleted while a prover may still
+	// hold it.
+	"foreign-layer": {0x01,
+		0 + 3*opPutStream, 0, 0,
+		0 + 3*opPutStream, tapeForeign, 0,
+		1 + 3*opPut, tapeForeign, 0,
+		1 + 3*opPutStream, 1, 0,
+		0 + 3*opGet, tapeForeign, 1,
+		0 + 3*opDelete, 0, 0,
+		1 + 3*opDelete, tapeForeign, 0,
+		0 + 3*opPutStream, 0, 0,
+		1 + 3*opPutStream, tapeForeign, 0,
+		0 + 3*opGet, tapeForeign, 0,
+		1 + 3*opPutCorrupt, tapeForeign, 9,
+		1 + 3*opGet, tapeForeign, 0},
 }
 
 // TestStoreTape runs the hand-written tapes and a fixed set of random ones.

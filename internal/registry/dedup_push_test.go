@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -70,11 +71,33 @@ func TestDedupPushAcceptsBadHeaderBlob(t *testing.T) {
 	}
 }
 
-// TestDedupPushRefusalSaysWhy: a gzip layer written by archive/tar with
-// metadata the store's tar builder cannot reproduce is refused with
-// BLOB_UPLOAD_INVALID and the store's reason, not a generic message.
+// TestDedupPushForeignLayerVerbatim: a gzip layer written by archive/tar
+// with metadata the store's tar builder cannot reproduce is taken (201) and
+// pulled back byte-exact: the store commits its spooled wire bytes
+// verbatim when the recipe's proof fails.
+func TestDedupPushForeignLayerVerbatim(t *testing.T) {
+	blob := foreignLayer(t, []byte("root:x:0:0\n"))
+	srv, status, code, msg := dedupPush(t, blob)
+	if status != http.StatusCreated {
+		t.Fatalf("push: %d %s %q, want 201", status, code, msg)
+	}
+	got, err := blobVerified(&Client{Base: srv.URL}, "r/push", digest.FromBytes(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, blob) {
+		t.Fatal("pulled blob differs from the pushed one")
+	}
+}
+
+// TestDedupPushRefusalSaysWhy: a foreign layer too large for the store's
+// spool cannot be committed verbatim once its proof fails, so it is
+// refused with BLOB_UPLOAD_INVALID and the store's reason, not a generic
+// message.
 func TestDedupPushRefusalSaysWhy(t *testing.T) {
-	_, status, code, msg := dedupPush(t, foreignLayer(t))
+	big := make([]byte, 1<<20+1<<10)
+	rand.New(rand.NewSource(3)).Read(big)
+	_, status, code, msg := dedupPush(t, foreignLayer(t, big))
 	if status != http.StatusBadRequest || code != "BLOB_UPLOAD_INVALID" {
 		t.Fatalf("push: %d %s, want 400 BLOB_UPLOAD_INVALID", status, code)
 	}
@@ -83,20 +106,20 @@ func TestDedupPushRefusalSaysWhy(t *testing.T) {
 	}
 }
 
-// foreignLayer is a gzip layer written by archive/tar with a mod time, an
-// owner name and a mode the store's tar builder never writes.
-func foreignLayer(t *testing.T) []byte {
+// foreignLayer is a gzip layer of one file, content, written by archive/tar
+// with a mod time, an owner name and a mode the store's tar builder never
+// writes.
+func foreignLayer(t *testing.T, content []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
 	tw := tar.NewWriter(zw)
-	content := "root:x:0:0\n"
 	hdr := &tar.Header{Name: "etc/passwd", Mode: 0o600, Size: int64(len(content)),
 		ModTime: time.Date(2019, 9, 24, 12, 0, 0, 0, time.UTC), Uname: "builder"}
 	if err := tw.WriteHeader(hdr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tw.Write([]byte(content)); err != nil {
+	if _, err := tw.Write(content); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {

@@ -105,3 +105,11 @@ func TestRenderShares(t *testing.T) {
 		t.Fatal("shares not sorted by capacity")
 	}
 }
+
+func cdfOf(samples []float64) *stats.CDF {
+	c := &stats.CDF{}
+	for _, v := range samples {
+		c.Add(v)
+	}
+	return c
+}

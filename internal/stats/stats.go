@@ -89,18 +89,6 @@ func (c *CDF) Median() float64 { return c.Quantile(0.5) }
 // P returns Quantile(p/100): P(90) is the 90th percentile.
 func (c *CDF) P(p float64) float64 { return c.Quantile(p / 100) }
 
-// FractionBelow returns the fraction of samples ≤ x, i.e. the CDF evaluated
-// at x.
-func (c *CDF) FractionBelow(x float64) float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	c.sort()
-	// Upper bound: first index with sample > x.
-	i := sort.Search(len(c.samples), func(i int) bool { return c.samples[i] > x })
-	return float64(i) / float64(len(c.samples))
-}
-
 // FractionEqual returns the fraction of samples exactly equal to x, useful
 // for point masses ("27% of the layers only have a single file").
 func (c *CDF) FractionEqual(x float64) float64 {

@@ -41,26 +41,8 @@ func TestCDFEmpty(t *testing.T) {
 	if c.Median() != 0 || c.Min() != 0 || c.Max() != 0 || c.Mean() != 0 {
 		t.Error("empty CDF should return zeros")
 	}
-	if c.FractionBelow(10) != 0 {
-		t.Error("empty CDF FractionBelow should be 0")
-	}
 	if pts := c.Points(5); pts != nil {
 		t.Error("empty CDF Points should be nil")
-	}
-}
-
-func TestCDFFractionBelow(t *testing.T) {
-	c := newCDF([]float64{1, 2, 2, 3, 10})
-	cases := []struct {
-		x    float64
-		want float64
-	}{
-		{0, 0}, {1, 0.2}, {2, 0.6}, {2.5, 0.6}, {3, 0.8}, {10, 1}, {100, 1},
-	}
-	for _, tc := range cases {
-		if got := c.FractionBelow(tc.x); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("FractionBelow(%v) = %v, want %v", tc.x, got, tc.want)
-		}
 	}
 }
 
@@ -111,7 +93,13 @@ func TestQuickQuantileMonotone(t *testing.T) {
 			if v < prev {
 				return false
 			}
-			if c.FractionBelow(v) < q-1e-9 {
+			below := 0
+			for _, r := range raw {
+				if float64(r) <= v {
+					below++
+				}
+			}
+			if float64(below)/float64(len(raw)) < q-1e-9 {
 				return false
 			}
 			prev = v

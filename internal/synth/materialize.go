@@ -46,7 +46,7 @@ func Materialize(d *Dataset, reg *registry.Registry) (*Materialized, error) {
 	// deflater is ≈1 MB to build.
 	b := tarutil.NewGzipBuilder(nil)
 	for i := range d.Layers {
-		blob, err := renderLayer(d, LayerID(i), b)
+		blob, err := RenderLayer(d, LayerID(i), b)
 		if err != nil {
 			return nil, fmt.Errorf("synth: rendering layer %d: %w", i, err)
 		}
@@ -122,16 +122,13 @@ func LayerDescriptor(blob []byte) manifest.Descriptor {
 	return manifest.Descriptor{MediaType: manifest.MediaTypeLayer, Size: int64(len(blob)), Digest: digest.FromBytes(blob)}
 }
 
-// RenderLayer builds the gzip-compressed tarball for one layer. The byte
-// stream is deterministic in the dataset seed and layer id; every instance
-// of a unique file renders identical bytes (FileContent), so real content
+// RenderLayer builds the gzip-compressed tarball for one layer through b,
+// which it resets: a caller rendering many layers keeps one builder per
+// goroutine, since its deflater is ≈1 MB to build. The byte stream is
+// deterministic in the dataset seed and layer id; every instance of a
+// unique file renders identical bytes (FileContent), so real content
 // digests reproduce the model's duplicate structure exactly.
-func RenderLayer(d *Dataset, l LayerID) ([]byte, error) {
-	return renderLayer(d, l, new(tarutil.Builder))
-}
-
-// renderLayer is RenderLayer through b, which it resets.
-func renderLayer(d *Dataset, l LayerID, b *tarutil.Builder) ([]byte, error) {
+func RenderLayer(d *Dataset, l LayerID, b *tarutil.Builder) ([]byte, error) {
 	lay := &d.Layers[l]
 	var buf bytes.Buffer
 	b.Reset(&buf, tarutil.Gzip)

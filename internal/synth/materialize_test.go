@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/blobstore"
 	"repro/internal/registry"
+	"repro/internal/tarutil"
 )
 
 func TestMaterializePopulatesRegistry(t *testing.T) {
@@ -92,7 +93,7 @@ func TestEmptyLayerBlobIsEmptyGzipTar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := RenderLayer(d, d.EmptyLayer)
+	blob, err := RenderLayer(d, d.EmptyLayer, new(tarutil.Builder))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -508,7 +508,7 @@ func TestRenderLayerMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 40; trial++ {
 		li := LayerID(rng.Intn(len(d.Layers)))
-		blob, err := RenderLayer(d, li)
+		blob, err := RenderLayer(d, li, new(tarutil.Builder))
 		if err != nil {
 			t.Fatal(err)
 		}

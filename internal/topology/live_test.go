@@ -19,6 +19,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/serve"
 	"repro/internal/synth"
+	"repro/internal/tarutil"
 )
 
 // pushWireImage uploads one synth image (all its layers, config,
@@ -29,7 +30,7 @@ func pushWireImage(client *registry.Client, d *synth.Dataset, repo string, imgID
 	layers := d.ImageLayers(imgID)
 	descs := make([]manifest.Descriptor, len(layers))
 	for j, l := range layers {
-		blob, err := synth.RenderLayer(d, l)
+		blob, err := synth.RenderLayer(d, l, new(tarutil.Builder))
 		if err != nil {
 			return nil, err
 		}

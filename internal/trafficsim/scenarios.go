@@ -11,6 +11,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/serve"
 	"repro/internal/synth"
+	"repro/internal/tarutil"
 	"repro/internal/topology"
 )
 
@@ -166,8 +167,9 @@ func renderPushJobs(env *Env, n int) ([]pushJob, []manifest.Repository, error) {
 	}
 	jobs := make([]pushJob, n)
 	repos := make([]manifest.Repository, n)
+	b := new(tarutil.Builder)
 	for k := 0; k < n; k++ {
-		layer, err := synth.RenderLayer(ds, synth.LayerID(k%len(ds.Layers)))
+		layer, err := synth.RenderLayer(ds, synth.LayerID(k%len(ds.Layers)), b)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -245,8 +247,9 @@ func pushHotImage(reg *registry.Registry, env *Env, repo string, layers int) err
 	}
 	layers = min(layers, len(ds.Layers))
 	descs := make([]manifest.Descriptor, layers)
+	b := new(tarutil.Builder)
 	for j := 0; j < layers; j++ {
-		blob, err := synth.RenderLayer(ds, synth.LayerID(j))
+		blob, err := synth.RenderLayer(ds, synth.LayerID(j), b)
 		if err != nil {
 			return err
 		}
