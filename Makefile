@@ -81,15 +81,17 @@ bench-smoke:
 # Five seconds of native fuzzing per target, starting from the seed
 # corpus committed under the package's testdata/fuzz/<target>/. A failing
 # input is written there too, so it becomes a regression test. Go fuzzes
-# one target per run, so each target has its own line.
+# one target per run, so each target has its own line. Each new
+# interesting input is minimized for at most 10 executions: Go's default
+# of 60 s per input spends the whole budget minimizing the first one.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzParseRange$$' -fuzztime 5s ./internal/registry
-	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime 5s ./internal/manifest
-	$(GO) test -run '^$$' -fuzz '^FuzzWalk$$' -fuzztime 5s ./internal/tarutil
-	$(GO) test -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime 5s ./internal/tarutil
-	$(GO) test -run '^$$' -fuzz '^FuzzRecipe$$' -fuzztime 5s ./internal/dedupstore
-	$(GO) test -run '^$$' -fuzz '^FuzzStoreTape$$' -fuzztime 5s ./internal/dedupstore
-	$(GO) test -run '^$$' -fuzz '^FuzzCacheTape$$' -fuzztime 5s ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRange$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/registry
+	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/manifest
+	$(GO) test -run '^$$' -fuzz '^FuzzWalk$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/tarutil
+	$(GO) test -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/tarutil
+	$(GO) test -run '^$$' -fuzz '^FuzzRecipe$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/dedupstore
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreTape$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/dedupstore
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheTape$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/cache
 
 # Regenerate the committed open-loop tail-latency record
 # (BENCH_traffic.json): the scenario × rate sweep with

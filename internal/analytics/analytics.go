@@ -64,7 +64,7 @@ type tagKey struct{ repo, tag string }
 // IngestStats counts write-path activity the service observed.
 type IngestStats struct {
 	BlobsWalked    int64 `json:"blobs_walked"`    // committed uploads walked at upload time (store-reported members or the stored blob read back)
-	WalkErrors     int64 `json:"walk_errors"`     // uploads that yielded no walk: non-layer blobs (configs, manifests); over a decomposing store also rejected uploads and re-uploads it drained
+	WalkErrors     int64 `json:"walk_errors"`     // uploads that yielded no walk: non-layer blobs (configs, manifests); over a decomposing store also rejected uploads, re-uploads it drained, and uploads it stored verbatim after a failed walk
 	FallbackWalks  int64 `json:"fallback_walks"`  // layers walked from the store (not seen on the wire)
 	ManifestEvents int64 `json:"manifest_events"` // tag creations/moves applied
 	TagDeletes     int64 `json:"tag_deletes"`     // tag removals applied
@@ -128,7 +128,8 @@ func (l *Live) BlobMembers(d digest.Digest) registry.UploadObserver {
 // memberWalk is one upload watched through the store's walk. What it
 // accumulates stays provisional until End; an upload that never gets
 // there (a rejected body, a blob the store drained because it already had
-// it) is dropped and counted like a failed byte walk.
+// it, a blob it stored verbatim after its walk failed) is dropped and
+// counted like a failed byte walk.
 type memberWalk struct {
 	live  *Live
 	acc   *analyzer.LayerAccumulator

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/digest"
@@ -39,7 +40,8 @@ type Store interface {
 	// incrementally from r: no backend buffers the whole blob beyond what
 	// storage itself requires (Memory keeps one copy because that IS the
 	// storage; Disk streams through the hasher into a temp file and renames
-	// into place on digest match). The stream is always consumed to EOF and
+	// into place on digest match, the one commit path behind its Put and
+	// PutVerified too). The stream is always consumed to EOF and
 	// verified, even when the blob is already present, so callers can hand
 	// over live network bodies. Returns the number of bytes read.
 	PutStream(want digest.Digest, r io.Reader) (int64, error)
@@ -291,8 +293,8 @@ type Disk struct {
 	bytes int64
 }
 
-// NewDisk opens (creating if needed) a disk store rooted at dir and indexes
-// any existing blobs.
+// NewDisk opens (creating if needed) a disk store rooted at dir, indexes
+// any existing blobs and removes what temp files of crashed puts it can.
 func NewDisk(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("blobstore: creating root: %w", err)
@@ -318,9 +320,16 @@ func (d *Disk) index() error {
 			return fmt.Errorf("blobstore: indexing shard %s: %w", shard.Name(), err)
 		}
 		for _, e := range entries {
-			dg, err := digest.Parse(digest.Algorithm + ":" + e.Name())
-			if err != nil {
+			// A put's temp file is <hex>.tmp-<random>, or <hex>.tmp as earlier
+			// versions of the store named it.
+			hex, rest, temp := strings.Cut(e.Name(), ".tmp")
+			dg, err := digest.Parse(digest.Algorithm + ":" + hex)
+			switch {
+			case err != nil || temp && rest != "" && rest[0] != '-':
 				continue // foreign file; ignore
+			case temp: // a crash's leftover; never indexed, so kept if it must be
+				os.Remove(filepath.Join(d.root, shard.Name(), e.Name()))
+				continue
 			}
 			info, err := e.Info()
 			if err != nil {
@@ -338,45 +347,21 @@ func (d *Disk) path(dg digest.Digest) string {
 	return filepath.Join(d.root, hex[:2], hex)
 }
 
-// Put implements Store.
+// Put implements Store, through PutStream's commit: the bytes in hand are
+// hashed once, here, and written in one call.
 func (d *Disk) Put(content []byte) (digest.Digest, error) {
 	dg := digest.FromBytes(content)
-	if err := d.put(dg, content); err != nil {
-		return "", err
-	}
-	return dg, nil
+	_, err := d.commit(dg, bytes.NewReader(content), nil)
+	return dg, err
 }
 
-// PutVerified implements Store.
+// PutVerified implements Store, as Put does.
 func (d *Disk) PutVerified(want digest.Digest, content []byte) error {
 	if digest.FromBytes(content) != want {
 		return fmt.Errorf("%w: want %s", ErrDigestMismatch, want)
 	}
-	return d.put(want, content)
-}
-
-// put writes content under dg, which the caller has computed from it: each
-// exported entry point hashes exactly once.
-func (d *Disk) put(dg digest.Digest, content []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.sizes[dg]; ok {
-		return nil
-	}
-	p := d.path(dg)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return fmt.Errorf("blobstore: creating shard: %w", err)
-	}
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, content, 0o644); err != nil {
-		return fmt.Errorf("blobstore: writing blob: %w", err)
-	}
-	if err := os.Rename(tmp, p); err != nil {
-		return fmt.Errorf("blobstore: committing blob: %w", err)
-	}
-	d.sizes[dg] = int64(len(content))
-	d.bytes += int64(len(content))
-	return nil
+	_, err := d.commit(want, bytes.NewReader(content), nil)
+	return err
 }
 
 // PutStream implements Store: bytes stream through the SHA-256 hasher into
@@ -385,7 +370,19 @@ func (d *Disk) put(dg digest.Digest, content []byte) error {
 // publish a half-written or corrupt blob. Concurrent ingests of the same
 // digest are safe: each writes its own temp file and the rename is atomic.
 func (d *Disk) PutStream(want digest.Digest, r io.Reader) (int64, error) {
+	h := getHasher()
+	defer putHasher(h)
+	return d.commit(want, r, h)
+}
+
+// commit is the one write path: r into a temp file of its own, renamed to
+// want's path. h checks r against want; nil means the caller hashed want
+// from r's very bytes.
+func (d *Disk) commit(want digest.Digest, r io.Reader, h *digest.Hasher) (int64, error) {
 	if d.Has(want) {
+		if h == nil {
+			return 0, nil
+		}
 		return DrainVerify(want, r)
 	}
 	p := d.path(want)
@@ -397,18 +394,20 @@ func (d *Disk) PutStream(want digest.Digest, r io.Reader) (int64, error) {
 		return 0, fmt.Errorf("blobstore: creating temp blob: %w", err)
 	}
 	tmp := f.Name()
-	h := getHasher()
-	defer putHasher(h)
+	if h != nil {
+		r = io.TeeReader(r, h)
+	}
 	bp := copyBufPool.Get().(*[]byte)
-	n, err := io.CopyBuffer(onlyWriter{f}, io.TeeReader(r, h), *bp)
+	n, err := io.CopyBuffer(onlyWriter{f}, r, *bp)
 	copyBufPool.Put(bp)
 	if err == nil {
-		err = f.Close()
+		// Readable as a file written with mode 0644, not CreateTemp's 0600.
+		err = errors.Join(f.Chmod(0o644), f.Close())
 	} else {
 		f.Close()
 		err = fmt.Errorf("blobstore: streaming blob: %w", err)
 	}
-	if err == nil {
+	if err == nil && h != nil {
 		err = verify(want, h)
 	}
 	if err != nil {

@@ -3,8 +3,10 @@ package blobstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -492,5 +494,129 @@ func TestCopyBody(t *testing.T) {
 		if c.wantWrites != 0 && dst.writes != c.wantWrites {
 			t.Errorf("%s: %d writes, want %d", c.name, dst.writes, c.wantWrites)
 		}
+	}
+}
+
+// TestNewDiskRemovesTempFiles: opening a store removes the temp files a
+// crash leaves in its shards — a PutStream's <hex>.tmp-<random> and an
+// earlier store's <hex>.tmp — and nothing else.
+func TestNewDiskRemovesTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	hex := digest.FromBytes([]byte("cut short")).Hex()
+	shard := filepath.Join(dir, hex[:2])
+	if err := os.MkdirAll(shard, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	keep := map[string]bool{
+		hex + ".tmp-2961830405": false,
+		hex + ".tmp":            false,
+		"notes.tmp":             true,
+		hex + ".tmpfile":        true,
+	}
+	for name := range keep {
+		if err := os.WriteFile(filepath.Join(shard, name), []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range keep {
+		_, err := os.Stat(filepath.Join(shard, name))
+		if got := err == nil; got != want {
+			t.Errorf("%s: present after open = %v, want %v", name, got, want)
+		}
+	}
+	if d.Len() != 0 || d.TotalBytes() != 0 {
+		t.Fatalf("store indexed %d blobs / %d bytes, want none", d.Len(), d.TotalBytes())
+	}
+}
+
+// TestDiskOneCommitPath: Put, PutVerified and PutStream commit through one
+// temp-file-and-rename, so goroutines mixing them over one shared blob and
+// blobs of their own leave one file per digest, of mode 0644, exact
+// accounting and no temp file, and a PutVerified under the wrong digest
+// leaves nothing.
+func TestDiskOneCommitPath(t *testing.T) {
+	dir := t.TempDir()
+	d, err := NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 6
+	shared := bytes.Repeat([]byte("shared blob "), 4_000)
+	want := map[digest.Digest]int64{digest.FromBytes(shared): int64(len(shared))}
+	own := make([][]byte, workers)
+	for g := range own {
+		own[g] = bytes.Repeat([]byte{byte('a' + g)}, 1_000*(g+1))
+		want[digest.FromBytes(own[g])] = int64(len(own[g]))
+	}
+	wrong := digest.FromBytes([]byte("never stored"))
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, b := range [][]byte{shared, own[g], shared} {
+				var err error
+				switch g % 3 {
+				case 0:
+					_, err = d.Put(b)
+				case 1:
+					err = d.PutVerified(digest.FromBytes(b), b)
+				default:
+					_, err = d.PutStream(digest.FromBytes(b), bytes.NewReader(b))
+				}
+				if err != nil {
+					errs[g] = err
+					return
+				}
+			}
+			if err := d.PutVerified(wrong, own[g]); !errors.Is(err, ErrDigestMismatch) {
+				errs[g] = fmt.Errorf("PutVerified under the wrong digest: %v, want ErrDigestMismatch", err)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d.Has(wrong) {
+		t.Fatal("a PutVerified under the wrong digest was stored")
+	}
+	files := make(map[string]int64)
+	err = filepath.WalkDir(dir, func(path string, de fs.DirEntry, err error) error {
+		if err != nil || de.IsDir() {
+			return err
+		}
+		info, err := de.Info()
+		if err == nil {
+			files[de.Name()] = info.Size()
+			if info.Mode() != 0o644 {
+				t.Errorf("%s: mode %v, want -rw-r--r--", de.Name(), info.Mode())
+			}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for dg, size := range want {
+		if got, ok := files[dg.Hex()]; !ok || got != size {
+			t.Errorf("%s: file of %d bytes (present %v), want %d", dg.Short(), got, ok, size)
+		}
+		delete(files, dg.Hex())
+		total += size
+	}
+	for name := range files {
+		t.Errorf("stray file %s", name)
+	}
+	if d.Len() != len(want) || d.TotalBytes() != total {
+		t.Fatalf("Len %d, TotalBytes %d; want %d, %d", d.Len(), d.TotalBytes(), len(want), total)
 	}
 }

@@ -14,8 +14,9 @@ import (
 //
 // Calls arrive on the goroutine running PutStream, in archive order.
 // Everything reported before End is provisional: the upload may still fail
-// its digest check, and then End never comes. End is called exactly once,
-// after the blob committed, with the blob's wire size.
+// its digest check, and then End never comes. End is called at most once,
+// with the blob's wire size, once the blob committed after a complete
+// walk; a blob whose walk failed may still commit verbatim, without End.
 type MemberObserver interface {
 	// Dir reports a directory entry.
 	Dir(e tarutil.Entry)

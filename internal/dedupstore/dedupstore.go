@@ -50,14 +50,14 @@
 // back from the pool. Layers built by tarutil always pass: their metadata
 // is fixed, and a tarutil.Builder deflates at one level, so the
 // reassembly's gzip bytes are the original's. A put tees its wire bytes
-// into a spool of up to 1 MiB (a Put's spool is the caller's bytes), and
-// when a processor would otherwise sit idle it commits the layer as
-// pending and leaves the proof to a background prover: a pending blob
-// answers Stat and Has at once, while Get and Delete wait for its proof.
-// Otherwise the put proves inline. A spooled blob whose proof fails,
-// inline or in the background, is committed verbatim from its spool, so
-// an acknowledged push is never lost; only a foreign layer too large to
-// spool is refused, with ErrNotReproducible, rather than served as bytes
+// into a spool, up to 1 MiB of a layer's (a larger Put lends its own,
+// uncopied), and when a processor would otherwise sit idle it commits the
+// layer as pending and hands the proof, and the spool, to a background
+// prover: a pending blob answers Stat and Has at once, while Get and
+// Delete wait for its proof. Otherwise the put proves inline. A blob that
+// fails to decompose or to reproduce is committed verbatim from a spool
+// that holds all of it, so an acknowledged push is never lost; only a
+// foreign layer too large to spool is refused, rather than served as bytes
 // that would fail client-side verification.
 package dedupstore
 
@@ -69,6 +69,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -227,8 +228,8 @@ func NewWithConfig(pool *Pool, cfg Config) *Store {
 	return s
 }
 
-// maxFilePrealloc bounds the file buffer a member's tar header may size up
-// front: the size field is the uploader's claim, not bytes in hand.
+// maxFilePrealloc bounds a stream's spool and the file buffer a member's
+// tar header may size up front: the size field is the uploader's claim.
 const maxFilePrealloc = 1 << 20
 
 // Free lists of scratch state for the streaming put/get paths: the working
@@ -269,11 +270,11 @@ type recipeBuf struct {
 	fr  io.ReadCloser // a flate.Resetter
 }
 
-// putScratch is the working memory of one put: the buffer each member
-// file, or a raw blob, is read into, the recipe's encoding, written member
-// by member as the walk pools them, the recipe's deflater, made on first
-// use, and its output before the exact-size copy the store keeps, and the
-// packer for the new entries the put pools.
+// putScratch is the working memory of one put: the buffer each member file
+// is read into, the recipe's encoding, written member by member as the
+// walk pools them, the recipe's deflater, made on first use, and its
+// output before the exact-size copy the store keeps, and the packer for
+// the new entries the put pools.
 type putScratch struct {
 	file bytes.Buffer
 	enc  recipeEncoder
@@ -282,46 +283,49 @@ type putScratch struct {
 	pk   packer
 }
 
-// spool is a put's copy of its wire bytes, for the verbatim commit of a
-// layer whose recipe does not reproduce them. A Put's bytes are held by
-// its caller; a PutStream's are copied as they are read, up to
-// maxFilePrealloc of them (over: the blob outgrew the spool). It grows to
-// at most that capacity, so the free list, which outlives garbage
-// collections, keeps no spool above it.
+// spool holds a put's wire bytes: a raw blob's content, the background
+// prover's input, and the source of every verbatim commit. The tee fills
+// it with up to limit bytes (over: the blob outgrew it). A Put of more
+// than maxFilePrealloc bytes lends it the caller's bytes instead, which no
+// prover gets: a blob that large proves inline. release drops a buffer
+// above maxFilePrealloc, a lent one included, so the free list keeps none.
 type spool struct {
-	b, held []byte
-	over    bool
+	b     []byte
+	limit int
+	over  bool
+	lent  bool
+}
+
+// getSpool returns the spool of a Put of content, or of a stream (nil).
+func getSpool(content []byte) *spool {
+	if len(content) > maxFilePrealloc {
+		return &spool{b: content, lent: true}
+	}
+	sp := spools.Get()
+	sp.limit = maxFilePrealloc
+	return sp
 }
 
 func (sp *spool) Write(p []byte) (int, error) {
 	n := len(sp.b) + len(p)
 	switch {
-	case sp.held != nil || sp.over:
-	case n > maxFilePrealloc:
+	case sp.lent || sp.over:
+	case n > sp.limit:
 		sp.over = true
 	default:
 		if n > cap(sp.b) {
-			sp.b = append(make([]byte, 0, min(max(2*cap(sp.b), n), maxFilePrealloc)), sp.b...)
+			sp.b = append(make([]byte, 0, min(max(2*cap(sp.b), n), sp.limit)), sp.b...)
 		}
 		sp.b = append(sp.b, p...)
 	}
 	return len(p), nil
 }
 
-// bytes returns the spooled blob, whole once the put has read it to the
-// end, or nil when it outgrew the spool.
-func (sp *spool) bytes() []byte {
-	switch {
-	case sp.held != nil:
-		return sp.held
-	case sp.over:
-		return nil
-	}
-	return sp.b
-}
-
 func (sp *spool) release() {
-	sp.b, sp.held, sp.over = sp.b[:0], nil, false
+	if cap(sp.b) > maxFilePrealloc {
+		sp.b = nil
+	}
+	sp.b, sp.over, sp.lent = sp.b[:0], false, false
 	spools.Put(sp)
 }
 
@@ -345,20 +349,16 @@ func bound(b *bytes.Buffer) {
 	}
 }
 
-// Put implements blobstore.Store. A blob that does not decompose, or does
-// not reassemble bit-identically, is stored verbatim: the bytes are in
-// hand, so no fidelity is lost by falling back.
+// Put implements blobstore.Store: a PutStream of the bytes in hand, whose
+// spool holds them all.
 func (s *Store) Put(content []byte) (digest.Digest, error) {
 	d := digest.FromBytes(content)
 	_, err := s.put(d, bytes.NewReader(content), content)
 	return d, err
 }
 
-// PutVerified implements blobstore.Store.
+// PutVerified implements blobstore.Store, as Put does.
 func (s *Store) PutVerified(want digest.Digest, content []byte) error {
-	if digest.FromBytes(content) != want {
-		return fmt.Errorf("%w: want %s", blobstore.ErrDigestMismatch, want)
-	}
 	_, err := s.put(want, bytes.NewReader(content), content)
 	return err
 }
@@ -372,17 +372,16 @@ func (s *Store) PutVerified(want digest.Digest, content []byte) error {
 // When r carries a blobstore.MemberObserver the decomposition reports each
 // member to it, so a second consumer of the layer's contents (the live
 // analytics walk) rides this walk instead of inflating the blob again.
-// Only the put that commits the blob, as a recipe or verbatim from its
-// spool, reaches End; a rejected upload reports members but no End, a put
-// that finds the blob stored or coalesces onto another flight claims the
-// observer and reports nothing, and a raw blob never asks for it.
+// Only a put that walks the whole blob and commits it, as a recipe or
+// verbatim, reaches End; one whose walk fails reports members but no End, a
+// put that finds the blob stored or coalesces onto another flight claims
+// the observer and reports nothing, and a raw blob never asks for it.
 func (s *Store) PutStream(want digest.Digest, r io.Reader) (int64, error) {
 	return s.put(want, r, nil)
 }
 
-// put is the singleflight shell around ingest. held, when non-nil, is the
-// whole blob, which the caller holds: it serves as the put's spool.
-func (s *Store) put(want digest.Digest, r io.Reader, held []byte) (int64, error) {
+// put is the singleflight shell around ingest; content is getSpool's.
+func (s *Store) put(want digest.Digest, r io.Reader, content []byte) (int64, error) {
 	for {
 		s.mu.Lock()
 		if _, ok := s.blobs[want]; ok {
@@ -404,7 +403,7 @@ func (s *Store) put(want digest.Digest, r io.Reader, held []byte) (int64, error)
 			continue
 		}
 		ps := putScratches.Get()
-		n, err := s.ingest(want, r, held, ps)
+		n, err := s.ingest(want, r, getSpool(content), ps)
 		ps.release()
 		s.mu.Lock()
 		s.busy--
@@ -415,43 +414,33 @@ func (s *Store) put(want digest.Digest, r io.Reader, held []byte) (int64, error)
 }
 
 // ingest stores the blob down the path its framing (tarutil.OpenLayer)
-// picks: a tar, gzip-framed or plain, is decomposed; anything else
-// (manifests, configs) is read whole, verified and pooled raw. A tar is
-// announced to the stream's observer; a raw blob leaves it unclaimed, and
-// the registry hands the committed bytes to its ingest hook instead. A tar
-// whose proof fails, and a Put's blob that does not decompose, is
-// committed verbatim from the put's spool when it holds the whole blob.
-func (s *Store) ingest(want digest.Digest, r io.Reader, held []byte, ps *putScratch) (int64, error) {
+// picks, teeing its wire bytes into sp, which it owns: a tar, gzip-framed
+// or plain, is decomposed; anything else (manifests, configs) is spooled
+// whole, verified and pooled raw. A tar is announced to the stream's
+// observer; a raw blob leaves it unclaimed, and the registry hands the
+// committed bytes to its ingest hook instead.
+func (s *Store) ingest(want digest.Digest, r io.Reader, sp *spool, ps *putScratch) (int64, error) {
 	h := digest.NewHasher()
-	sp := spools.Get()
-	defer sp.release()
-	sp.held = held
 	l := tarutil.OpenLayer(io.TeeReader(r, io.MultiWriter(h, sp)))
 	defer l.Close()
-	if l.Framing() == tarutil.NotTar {
-		ps.file.Reset()
-		if n, err := ps.file.ReadFrom(l); err != nil {
-			return n, fmt.Errorf("dedupstore: reading %s: %w", want.Short(), err)
-		}
-		if !h.Matches(want) {
-			return l.WireBytes(), fmt.Errorf("%w: want %s, got %s", blobstore.ErrDigestMismatch, want.Short(), h.Digest().Short())
-		}
-		return s.ingestRaw(want, ps.file.Bytes(), &ps.pk)
+	if l.Framing() != tarutil.NotTar {
+		return s.ingestTar(want, l, h, sp, blobstore.ObserverOf(r), ps)
 	}
-	obs := blobstore.ObserverOf(r)
-	n, err := s.ingestTar(want, l, h, sp, obs, ps)
-	if b := sp.bytes(); b != nil && err != nil && (held != nil || errors.Is(err, ErrNotReproducible)) {
-		if n, err = s.ingestRaw(want, b, &ps.pk); err == nil && obs != nil {
-			obs.End(n)
-		}
+	defer sp.release()
+	sp.limit = math.MaxInt // a raw blob's content is its spool
+	if n, err := io.Copy(io.Discard, l); err != nil {
+		return n, fmt.Errorf("dedupstore: reading %s: %w", want.Short(), err)
 	}
-	return n, err
+	if !h.Matches(want) {
+		return l.WireBytes(), fmt.Errorf("%w: want %s, got %s", blobstore.ErrDigestMismatch, want.Short(), h.Digest().Short())
+	}
+	return s.ingestRaw(want, sp.b, &ps.pk)
 }
 
 // ingestRaw pools a blob verbatim under its own digest, content the caller
 // has verified: one pool entry, packed by the same rule as a member file.
-// It is the one verbatim commit: of raw blobs, and of layers whose
-// recipe does not reproduce them.
+// It is the one verbatim commit: of raw blobs, and of tar blobs that do
+// not decompose or whose recipe does not reproduce them.
 func (s *Store) ingestRaw(want digest.Digest, content []byte, pk *packer) (int64, error) {
 	if err := s.pool.add(want, content, pk); err != nil {
 		return 0, err
@@ -487,18 +476,15 @@ func (s *Store) count(e *blobEntry, sign int) {
 // — which is also what vouches for whatever l.Walk drained unread after
 // the archive, the gzip trailer included. When the blob is spooled and
 // fewer puts and proofs run than there are processors, the recipe commits
-// at once as pending and a prover goroutine takes the proof; otherwise the
-// proof runs here and the recipe commits after it. Any failure releases the
-// references the walk took — one per file in the encoding so far. obs, when
-// non-nil, is told of every member as it is pooled and of the commit.
+// at once as pending and a prover goroutine takes the proof and sp;
+// otherwise the proof runs here and the recipe commits after it. Any
+// failure releases the references the walk took — one per file in the
+// encoding so far — and, the one verbatim rule, commits the blob verbatim
+// if sp holds all of it and its digest checks out. obs, when non-nil, is
+// told of every member as it is pooled and of a commit after a whole walk.
 func (s *Store) ingestTar(want digest.Digest, l *tarutil.Layer, h *digest.Hasher, sp *spool, obs blobstore.MemberObserver, ps *putScratch) (int64, error) {
 	enc := &ps.enc
 	enc.reset()
-	fail := func(err error) (int64, error) {
-		s.unrefFiles(enc.members())
-		return l.WireBytes(), err
-	}
-
 	var logical, files int64
 	fbuf := &ps.file
 	walkErr := l.Walk(func(e tarutil.Entry, content io.Reader) error {
@@ -536,6 +522,18 @@ func (s *Store) ingestTar(want digest.Digest, l *tarutil.Layer, h *digest.Hasher
 		}
 		return nil
 	})
+	fail := func(err error) (int64, error) {
+		defer sp.release()
+		s.unrefFiles(enc.members())
+		if sp.over || !h.Matches(want) {
+			return l.WireBytes(), err
+		}
+		n, err := s.ingestRaw(want, sp.b, &ps.pk)
+		if err == nil && walkErr == nil && obs != nil {
+			obs.End(n)
+		}
+		return n, err
+	}
 	if walkErr != nil {
 		return fail(fmt.Errorf("dedupstore: decomposing %s: %w", want.Short(), walkErr))
 	}
@@ -545,9 +543,8 @@ func (s *Store) ingestTar(want digest.Digest, l *tarutil.Layer, h *digest.Hasher
 
 	rec := enc.finish(l.Framing() == tarutil.Gzip)
 	e := &blobEntry{size: l.WireBytes(), recipeZ: compressRecipe(rec, ps), logical: logical, files: files}
-	b := sp.bytes()
 	s.mu.Lock()
-	if b != nil && len(b) <= maxFilePrealloc && s.busy < runtime.GOMAXPROCS(0) {
+	if !sp.over && len(sp.b) <= maxFilePrealloc && s.busy < runtime.GOMAXPROCS(0) {
 		// A processor would sit idle: the returning put hands it the proof.
 		e.proof = make(chan struct{})
 		s.busy++
@@ -563,9 +560,9 @@ func (s *Store) ingestTar(want digest.Digest, l *tarutil.Layer, h *digest.Hasher
 	s.count(e, 1)
 	s.mu.Unlock()
 	if e.proof != nil {
-		cp := spools.Get() // the prover's own copy of the spooled bytes
-		cp.Write(b)
-		go s.proveLater(want, e, cp)
+		go s.proveLater(want, e, sp)
+	} else {
+		sp.release()
 	}
 	if obs != nil {
 		obs.End(e.size)
@@ -588,11 +585,12 @@ func (s *Store) prove(want digest.Digest, rec []byte) error {
 }
 
 // proveLater runs a pending entry's proof on a prover goroutine, from the
-// at-rest recipe every later Get reads. If it fails, the spooled bytes are
-// committed verbatim in the entry's place and the recipe's references are
-// released; only a failing pool write loses the blob. The store is settled
-// by the time the entry leaves the pending state, and closing its proof
-// channel, which lets waiting readers on, is the last thing the prover does.
+// at-rest recipe every later Get reads. If it fails, the bytes of the put's
+// spool, sp, are committed verbatim in the entry's place and the recipe's
+// references are released; only a failing pool write loses the blob. The
+// store is settled by the time the entry leaves the pending state, and
+// closing its proof channel, which lets waiting readers on, is the last
+// thing the prover does.
 func (s *Store) proveLater(want digest.Digest, e *blobEntry, sp *spool) {
 	rb, err := inflateRecipe(e.recipeZ)
 	if err == nil {

@@ -241,6 +241,9 @@ func TestPutStreamDigestMismatch(t *testing.T) {
 	}
 }
 
+// TestCorruptGzipStream: a gzip blob with no tar inside does not
+// decompose, and its digest checks out, so PutStream and Put alike commit
+// it verbatim from their spools.
 func TestCorruptGzipStream(t *testing.T) {
 	// Valid gzip framing, invalid tar inside.
 	var buf bytes.Buffer
@@ -250,31 +253,28 @@ func TestCorruptGzipStream(t *testing.T) {
 	blob := buf.Bytes()
 	d := digest.FromBytes(blob)
 
-	// PutStream has consumed the bytes and cannot fall back: it errors.
 	s := NewWithConfig(NewMemoryPool(0), Config{})
-	if _, err := s.PutStream(d, bytes.NewReader(blob)); err == nil {
-		t.Fatal("corrupt layer accepted by PutStream")
+	if _, err := s.PutStream(d, bytes.NewReader(blob)); err != nil {
+		t.Fatalf("PutStream: %v", err)
 	}
-	// Put holds the bytes and stores them verbatim instead.
+	checkVerbatim(t, s, blob)
+
+	s = NewWithConfig(NewMemoryPool(0), Config{})
 	key, err := s.Put(blob)
 	if err != nil {
-		t.Fatalf("Put fallback failed: %v", err)
+		t.Fatalf("Put: %v", err)
 	}
 	if key != d {
-		t.Fatalf("fallback key %s != digest %s", key.Short(), d.Short())
+		t.Fatalf("Put key %s != digest %s", key.Short(), d.Short())
 	}
-	if s.Recipe(key) != nil {
-		t.Fatal("undecomposable blob got a recipe")
-	}
-	if got := readBlob(t, s, key); !bytes.Equal(got, blob) {
-		t.Fatal("fallback blob did not round-trip")
-	}
+	checkVerbatim(t, s, blob)
 }
 
 // TestHugeMemberClaimAllocatesUnderCap pushes a small upload whose one
 // member claims 64 MiB: the file buffer is sized from the tar header only
-// up to maxFilePrealloc, so the claim costs at most that, and the upload
-// is refused when the bytes run out.
+// up to maxFilePrealloc, so the claim costs at most that, and when the
+// bytes run out the walk fails and the upload, whose digest checks out, is
+// stored verbatim from its spool.
 func TestHugeMemberClaimAllocatesUnderCap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is skewed under the race detector")
@@ -299,12 +299,10 @@ func TestHugeMemberClaimAllocatesUnderCap(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	_, err := s.PutStream(d, bytes.NewReader(blob))
 	runtime.ReadMemStats(&after)
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("upload claiming %d bytes with 4 KiB present: err = %v, want unexpected EOF", claim, err)
+	if err != nil {
+		t.Fatalf("upload claiming %d bytes with 4 KiB present: %v", claim, err)
 	}
-	if s.Has(d) || s.Stats().PhysicalBytes() != 0 {
-		t.Fatal("refused upload left state behind")
-	}
+	checkVerbatim(t, s, blob)
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("%d-byte upload claiming %d bytes: %d B allocated", len(blob), claim, got)
 	if got > maxFilePrealloc+256<<10 {
@@ -461,6 +459,54 @@ func TestForeignLayerOverSpoolCap(t *testing.T) {
 		t.Fatalf("error = %v, want ErrNotReproducible", err)
 	}
 	if s.Has(digest.FromBytes(blob)) || s.Stats().PhysicalBytes() != 0 {
+		t.Fatal("refused put left state behind")
+	}
+	if err := checkStore(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put(blob); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	checkVerbatim(t, s, blob)
+}
+
+// TestTruncatedLayerOverSpoolCap: a gzip tar too large for a stream's
+// spool whose walk pools one whole member before the tar is cut short
+// cannot be committed verbatim, so PutStream refuses it, releases the
+// member the walk pooled and leaves nothing; Put, whose spool holds all of
+// it, stores it verbatim.
+func TestTruncatedLayerOverSpoolCap(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	var tb bytes.Buffer
+	tw := tar.NewWriter(&tb)
+	for _, name := range []string{"a.bin", "b.bin"} {
+		content := make([]byte, 640<<10)
+		rng.Read(content)
+		if err := tw.WriteHeader(&tar.Header{Name: name, Mode: 0o644, Size: int64(len(content))}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tw.Write(content); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Write(tb.Bytes()[:tb.Len()-100<<10]) // b.bin cut short
+	zw.Close()
+	blob := buf.Bytes()
+	if len(blob) <= maxFilePrealloc {
+		t.Fatalf("the layer is %d bytes, not over the %d-byte spool", len(blob), maxFilePrealloc)
+	}
+	d := digest.FromBytes(blob)
+	s := NewWithConfig(NewMemoryPool(0), Config{})
+	obs := &observedReader{Reader: bytes.NewReader(blob)}
+	if _, err := s.PutStream(d, obs); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("error = %v, want unexpected EOF", err)
+	}
+	if len(obs.calls) != 1 || !strings.HasPrefix(obs.calls[0], "file a.bin ") {
+		t.Fatalf("the walk reported %d calls, want a.bin's member alone", len(obs.calls))
+	}
+	if s.Has(d) || s.Stats().PhysicalBytes() != 0 {
 		t.Fatal("refused put left state behind")
 	}
 	if err := checkStore(s); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -273,4 +274,56 @@ func TestOneProverOnTwoProcessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkNoProvers(t)
+}
+
+// TestPutLeavesTheCallerItsBytes: a Put's bytes are the caller's again
+// when it returns. A foreign layer of up to 1 MiB goes pending with a copy
+// of them in its spool; one over 1 MiB, whose spool is the caller's bytes,
+// proves inline. Scribbling over either after Put returns does not reach
+// the verbatim commit.
+func TestPutLeavesTheCallerItsBytes(t *testing.T) {
+	onProcessors(t, 2)
+	big := make([]byte, maxFilePrealloc+1<<10)
+	rand.New(rand.NewSource(6)).Read(big)
+	for name, blob := range map[string][]byte{
+		"small": foreignLayer(t),
+		"large": foreignTar(t, map[string][]byte{"big.bin": big}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if large := len(blob) > maxFilePrealloc; large != (name == "large") {
+				t.Fatalf("the %s layer is %d bytes", name, len(blob))
+			}
+			want := bytes.Clone(blob)
+			var gate sync.RWMutex
+			s := NewWithConfig(gatedPool(&gate), Config{})
+			gate.Lock()
+			results := make(chan error, 1)
+			go func() {
+				_, err := s.Put(blob)
+				results <- err
+			}()
+			var err error
+			if name == "small" {
+				err = <-results // pending, its proof held at the gate
+			} else {
+				select {
+				case <-results:
+					gate.Unlock()
+					t.Fatal("a Put over 1 MiB returned before its proof")
+				case <-time.After(20 * time.Millisecond):
+				}
+				gate.Unlock()
+				err = <-results
+			}
+			clear(blob)
+			if name == "small" {
+				gate.Unlock()
+			}
+			if err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+			checkVerbatim(t, s, want)
+			checkNoProvers(t)
+		})
+	}
 }

@@ -90,6 +90,38 @@ func TestDedupPushForeignLayerVerbatim(t *testing.T) {
 	}
 }
 
+// TestDedupPushTruncatedTarLayer: a gzip layer whose tar is cut short
+// inside its one member does not decompose, but its digest checks out and
+// it fits the store's spool, so a registry on dedup storage takes it (201)
+// and serves it back byte-exact, as one on plain storage does.
+func TestDedupPushTruncatedTarLayer(t *testing.T) {
+	var tb bytes.Buffer
+	tw := tar.NewWriter(&tb)
+	content := bytes.Repeat([]byte("truncated "), 1_000)
+	if err := tw.WriteHeader(&tar.Header{Name: "etc/motd", Mode: 0o644, Size: int64(len(content))}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tw.Write(content); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Write(tb.Bytes()[:512+len(content)/2]) // the header and half the member
+	zw.Close()
+	blob := buf.Bytes()
+	srv, status, code, msg := dedupPush(t, blob)
+	if status != http.StatusCreated {
+		t.Fatalf("push: %d %s %q, want 201", status, code, msg)
+	}
+	got, err := blobVerified(&Client{Base: srv.URL}, "r/push", digest.FromBytes(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, blob) {
+		t.Fatal("pulled blob differs from the pushed one")
+	}
+}
+
 // TestDedupPushRefusalSaysWhy: a foreign layer too large for the store's
 // spool cannot be committed verbatim once its proof fails, so it is
 // refused with BLOB_UPLOAD_INVALID and the store's reason, not a generic
