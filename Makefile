@@ -69,7 +69,7 @@ bench-scaling:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'DownloadStreaming|FusedPipeline' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'CacheHitServe|CacheHitParallel|CacheMissFill|CacheScan' -benchtime=1x -benchmem ./internal/cache
-	$(GO) test -run '^$$' -bench 'DedupPutStream(Packed)?$$|DedupGet(Sink|Packed)?$$|DedupIngestSequential$$' -benchtime=1x -benchmem ./internal/dedupstore
+	$(GO) test -run '^$$' -bench 'DedupPutStream(Packed|PackedSmall)?$$|DedupGet(Sink|Packed|PackedSmall)?$$|DedupIngestSequential$$' -benchtime=1x -benchmem ./internal/dedupstore
 	$(GO) test -run '^$$' -bench 'SizeQuantiles$$' -benchtime=1x -benchmem ./internal/dedup
 	$(GO) test -run '^$$' -bench 'ModelAnalysis$$' -benchtime=1x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BuildLayer$$|WalkLayer$$' -benchtime=1x -benchmem ./internal/tarutil

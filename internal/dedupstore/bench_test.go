@@ -37,14 +37,14 @@ func benchLayer(b *testing.B) []byte {
 	return buf.Bytes()
 }
 
-// benchProseLayer is benchLayer's shape with compressible text for
-// contents: every file packs, so ingest pays the deflater and reads the
-// inflater.
-func benchProseLayer(b *testing.B) []byte {
+// benchProseLayer is benchLayer's shape, 256 files of the given size, with
+// compressible text for contents: every file packs, so ingest pays the
+// deflater and reads the inflater.
+func benchProseLayer(b *testing.B, fileSize int) []byte {
 	b.Helper()
 	files := make([][]byte, 256)
 	for i := range files {
-		files[i] = tapeProse(i, 16<<10)
+		files[i] = tapeProse(i, fileSize)
 	}
 	return tapeLayer(files)
 }
@@ -56,7 +56,13 @@ func BenchmarkDedupPutStream(b *testing.B) { benchDedupPutStream(b, benchLayer(b
 
 // BenchmarkDedupPutStreamPacked is DedupPutStream over a layer whose every
 // file is packed on its way into the pool.
-func BenchmarkDedupPutStreamPacked(b *testing.B) { benchDedupPutStream(b, benchProseLayer(b)) }
+func BenchmarkDedupPutStreamPacked(b *testing.B) { benchDedupPutStream(b, benchProseLayer(b, 16<<10)) }
+
+// BenchmarkDedupPutStreamPackedSmall is DedupPutStreamPacked over 1 KiB
+// files, just over the packing floor: per-member costs dominate.
+func BenchmarkDedupPutStreamPackedSmall(b *testing.B) {
+	benchDedupPutStream(b, benchProseLayer(b, 1<<10))
+}
 
 func benchDedupPutStream(b *testing.B, blob []byte) {
 	d := digest.FromBytes(blob)
@@ -149,7 +155,13 @@ func BenchmarkDedupGetSink(b *testing.B) { benchDedupGet(b, benchLayer(b), plain
 
 // BenchmarkDedupGetPacked is DedupGet of a layer whose every file is held
 // packed: each member inflates on its way into the tar.
-func BenchmarkDedupGetPacked(b *testing.B) { benchDedupGet(b, benchProseLayer(b), io.Discard) }
+func BenchmarkDedupGetPacked(b *testing.B) { benchDedupGet(b, benchProseLayer(b, 16<<10), io.Discard) }
+
+// BenchmarkDedupGetPackedSmall is DedupGetPacked over 1 KiB files: each
+// member inflates a short stream through the read's one decompressor.
+func BenchmarkDedupGetPackedSmall(b *testing.B) {
+	benchDedupGet(b, benchProseLayer(b, 1<<10), io.Discard)
+}
 
 func benchDedupGet(b *testing.B, blob []byte, sink io.Writer) {
 	d := digest.FromBytes(blob)

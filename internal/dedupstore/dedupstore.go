@@ -9,7 +9,7 @@
 // Because only ~3% of files across Docker Hub are unique (§V-B), the pool
 // holds a fraction of the logical bytes. Dedup alone gives back about half
 // of what the wire's gzip had saved, so the pool keeps each compressible
-// entry packed: a file or raw blob of at least 4 KiB whose flate encoding
+// entry packed: a file or raw blob of at least 256 B whose flate encoding
 // is at most ¾ of its size is held in that form, in a namespace of its
 // own (see Pool). The backend is streaming and concurrent end to end:
 //

@@ -7,8 +7,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"repro/internal/blobstore"
@@ -30,14 +30,15 @@ const DefaultPoolShards = 16
 // released.
 //
 // An entry the packing rule (pack) takes is held in its packed form instead,
-// in a second backing per shard keyed by the digest of the packed bytes.
-// The two namespaces never mix: a pushed file can be byte-equal to another
-// file's packed form, and one key would then have two owners. Readers
-// never see the difference — open returns the content either way.
+// in a second backing keyed by the digest of the packed bytes. The two
+// namespaces never mix: a pushed file can be byte-equal to another file's
+// packed form, and one key would then have two owners. Readers never see
+// the difference — open returns the content either way.
 //
 // Safe for concurrent use.
 type Pool struct {
 	shards []*poolShard
+	stores []blobstore.Store // every distinct backing once, for TotalBytes
 }
 
 // poolShard is one stripe: its two backing stores, its entries, and the
@@ -72,8 +73,9 @@ func spell(d digest.Digest) (k spelled) {
 
 // NewPool builds a pool striped over the given backing stores: shard i
 // keeps raw contents in raw[i] and packed ones in packed[i], so the slices
-// must be equally long. The pool owns the backings: it deletes unreferenced
-// entries from them, so they must not be shared with other writers.
+// must be equally long; shards may share a store, but never as both. The
+// pool owns the backings: it deletes unreferenced entries from them, so
+// they must not be shared with other writers.
 func NewPool(raw, packed []blobstore.Store) *Pool {
 	p := &Pool{shards: make([]*poolShard, len(raw))}
 	for i := range raw {
@@ -82,6 +84,11 @@ func NewPool(raw, packed []blobstore.Store) *Pool {
 			packed:  packed[i],
 			entries: make(map[digest.Digest]poolEntry),
 			flights: make(blobstore.Flights),
+		}
+		for _, b := range [...]blobstore.Store{raw[i], packed[i]} {
+			if !slices.Contains(p.stores, b) {
+				p.stores = append(p.stores, b)
+			}
 		}
 	}
 	return p
@@ -100,24 +107,23 @@ func NewMemoryPool(shards int) *Pool {
 	return NewPool(raw, packed)
 }
 
-// NewDiskPool returns a pool over disk shards rooted at dir/sNN, with
-// their packed namespaces at dir/pNN (DefaultPoolShards when shards <= 0).
+// NewDiskPool returns a pool of shards (DefaultPoolShards when shards <= 0)
+// that share two disk stores, raw contents in dir/raw, packed in dir/packed.
 func NewDiskPool(dir string, shards int) (*Pool, error) {
 	if shards <= 0 {
 		shards = DefaultPoolShards
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("dedupstore: creating pool root: %w", err)
+	rawDisk, err := blobstore.NewDisk(filepath.Join(dir, "raw"))
+	if err != nil {
+		return nil, err
+	}
+	packedDisk, err := blobstore.NewDisk(filepath.Join(dir, "packed"))
+	if err != nil {
+		return nil, err
 	}
 	raw, packed := make([]blobstore.Store, shards), make([]blobstore.Store, shards)
 	for i := range raw {
-		var err error
-		if raw[i], err = blobstore.NewDisk(filepath.Join(dir, fmt.Sprintf("s%02d", i))); err != nil {
-			return nil, err
-		}
-		if packed[i], err = blobstore.NewDisk(filepath.Join(dir, fmt.Sprintf("p%02d", i))); err != nil {
-			return nil, err
-		}
+		raw[i], packed[i] = rawDisk, packedDisk
 	}
 	return NewPool(raw, packed), nil
 }
@@ -128,7 +134,7 @@ func (p *Pool) shardFor(k *spelled) *poolShard {
 }
 
 // packMinSize and pack are the packing rule; see pack.
-const packMinSize = 4 << 10
+const packMinSize = 256
 
 // pack returns the packed form of a pool entry's content, or nil when it
 // stays raw: an entry, member file or raw blob alike, packs when it is at
@@ -312,8 +318,8 @@ func (p *Pool) open(k *spelled, in *inflater) (io.ReadCloser, int64, error) {
 // packed forms, each digest counted once.
 func (p *Pool) TotalBytes() int64 {
 	var n int64
-	for _, sh := range p.shards {
-		n += sh.backing.TotalBytes() + sh.packed.TotalBytes()
+	for _, b := range p.stores {
+		n += b.TotalBytes()
 	}
 	return n
 }

@@ -5,6 +5,8 @@ import (
 	"compress/flate"
 	"errors"
 	"io"
+	"io/fs"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/blobstore"
@@ -101,8 +103,9 @@ func (p *Pool) entry(d digest.Digest) (poolEntry, bool) {
 	return e, ok
 }
 
-// TestPackRule: entries pack on their own bytes alone — at least 4 KiB
-// and shrinking to ¾ or less at BestSpeed — and everything else stays raw.
+// TestPackRule: entries pack on their own bytes alone — at least
+// packMinSize bytes and shrinking to ¾ or less at BestSpeed — and
+// everything else stays raw.
 func TestPackRule(t *testing.T) {
 	var pk packer
 	for _, c := range []struct {
@@ -110,8 +113,9 @@ func TestPackRule(t *testing.T) {
 		content []byte
 		packed  bool
 	}{
-		{"compressible 4 KiB", tapeProse(1, packMinSize), true},
-		{"compressible, one byte short of 4 KiB", tapeProse(1, packMinSize-1), false},
+		{"compressible, at the floor", tapeProse(1, packMinSize), true},
+		{"compressible, one byte short of the floor", tapeProse(1, packMinSize-1), false},
+		{"compressible 1 KiB", tapeProse(2, 1<<10), true},
 		{"letters, packed to ⅗ of their size", tapeText(1, 16<<10), true},
 		{"random bytes", noisyLayer(t, 1, 16<<10, true), false},
 	} {
@@ -236,5 +240,65 @@ func TestPackedFormCollidesWithAFile(t *testing.T) {
 				t.Fatalf("%s pool: %d digests, %d bytes pooled after deleting both layers", kind, n, pool.TotalBytes())
 			}
 		}
+	}
+}
+
+// TestDiskPoolLayout: a disk pool's shards share one raw and one packed
+// store, so a pool of hundreds of entries makes at most 2×256 fan-out
+// directories under its two roots, and a pool opened again over the same
+// directory, with its blobs put again as hubregistry's re-ingest does,
+// finds the bytes in place and serves them byte-exact.
+func TestDiskPoolLayout(t *testing.T) {
+	dir := t.TempDir()
+	blobs := make([][]byte, 640)
+	for i := range blobs {
+		blobs[i] = tapeProse(2000+i, 1<<10) // packs
+		if i%2 == 1 {
+			blobs[i] = tapeText(2000+i, packMinSize-56) // under the floor: raw
+		}
+	}
+	var poolBytes int64
+	for run := range 2 {
+		pool, err := NewDiskPool(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 1 && pool.TotalBytes() != poolBytes {
+			t.Fatalf("reopened pool holds %d bytes, the first held %d", pool.TotalBytes(), poolBytes)
+		}
+		s := NewWithConfig(pool, Config{})
+		for _, b := range blobs {
+			if _, err := s.Put(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, b := range blobs {
+			if !bytes.Equal(readBlob(t, s, digest.FromBytes(b)), b) {
+				t.Fatalf("run %d: a blob reads back wrong bytes", run)
+			}
+		}
+		if err := checkStore(s); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if n, _ := pool.census(); n != len(blobs) {
+			t.Fatalf("run %d: pool holds %d entries, want %d", run, n, len(blobs))
+		}
+		if run == 1 && pool.TotalBytes() != poolBytes {
+			t.Fatalf("re-ingested pool holds %d bytes, the first held %d", pool.TotalBytes(), poolBytes)
+		}
+		poolBytes = pool.TotalBytes()
+	}
+	dirs := 0
+	err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err == nil && e.IsDir() && path != dir {
+			dirs++
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dirs > 2+2*256 {
+		t.Errorf("%d entries made %d directories, want at most 2 + 2×256", len(blobs), dirs)
 	}
 }

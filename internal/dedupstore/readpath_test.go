@@ -405,14 +405,18 @@ func TestColdGetAllocationIndependentOfLayerSize(t *testing.T) {
 			t.Errorf("a cold Get of %d files allocates %.0f times, want at most 1 per member (the pool reader) + %d",
 				n, allocs, perBlob)
 		}
-		_, allocs, packed, inflate := measure(proseLayer(t, n, 8<<10))
-		t.Logf("%d packed files: %.0f allocations/get, %.0f of them flate's Huffman tables", n, allocs, inflate)
-		if packed != n {
-			t.Fatalf("%d of %d compressible files packed", packed, n)
+	}
+	// Packed members of 8 KiB, and of 1 KiB, just over the packing floor:
+	// a small member inflates through the same decompressor.
+	for _, c := range []struct{ n, size int }{{32, 8 << 10}, {256, 8 << 10}, {64, 1 << 10}} {
+		_, allocs, packed, inflate := measure(proseLayer(t, c.n, c.size))
+		t.Logf("%d packed files of %d B: %.0f allocations/get, %.0f of them flate's Huffman tables", c.n, c.size, allocs, inflate)
+		if packed != c.n {
+			t.Fatalf("%d of %d compressible files of %d B packed", packed, c.n, c.size)
 		}
-		if allocs > float64(2*n+perBlob)+inflate {
-			t.Errorf("a cold Get of %d packed files allocates %.0f times, want at most 2 per member (no decompressor per member) + %d + the %.0f of flate's Huffman tables",
-				n, allocs, perBlob, inflate)
+		if allocs > float64(2*c.n+perBlob)+inflate {
+			t.Errorf("a cold Get of %d packed files of %d B allocates %.0f times, want at most 2 per member (no decompressor per member) + %d + the %.0f of flate's Huffman tables",
+				c.n, c.size, allocs, perBlob, inflate)
 		}
 	}
 }

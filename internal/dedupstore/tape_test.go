@@ -8,6 +8,7 @@ import (
 	"io"
 	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/iotest"
@@ -21,11 +22,12 @@ import (
 // checkStore proves the store's invariants at quiescence, once every
 // background proof has ended: no put, proof or pool write in flight, no
 // entry pending, every pool reference accounted for by a recipe member
-// or a raw blob, every referenced digest held exactly once — raw in its
-// shard's backing, or packed, its packed bytes present and inflating to
-// the digest's content — and nothing else in the backings, every recipe
-// member resolvable at its size, and the Stats accounting equal to a
-// recount over the stored blobs and the backings' entries.
+// or a raw blob, every referenced digest held exactly once — raw in the
+// raw backing, or packed, its packed bytes present and inflating to the
+// digest's content — in the form pack chooses for that content, and
+// nothing else in the backings, every recipe member resolvable at its
+// size, and the Stats accounting equal to a recount over the stored blobs
+// and the backings' entries.
 func checkStore(s *Store) error {
 	if err := awaitIdle(s); err != nil {
 		return err
@@ -97,68 +99,89 @@ func checkStore(s *Store) error {
 		}
 	}
 
-	got := make(map[digest.Digest]int64)
+	// The pool's entries from every shard, and its distinct backings:
+	// shards may share them, as NewDiskPool's do.
+	entries := make(map[digest.Digest]poolEntry)
+	var raws, packs []blobstore.Store
 	for i, sh := range s.pool.shards {
 		sh.mu.Lock()
 		flights := len(sh.flights)
-		entries := maps.Clone(sh.entries)
+		shard := maps.Clone(sh.entries)
 		sh.mu.Unlock()
 		if flights != 0 {
 			return fmt.Errorf("pool shard %d: %d writes still in flight", i, flights)
 		}
-		raw := make(map[digest.Digest]bool)
-		for _, d := range sh.backing.Digests() {
+		for d, e := range shard {
+			if k := spell(d); e.d != d || e.refs <= 0 || s.pool.shardFor(&k) != sh {
+				return fmt.Errorf("pool shard %d: entry %s holds digest %s and %d references", i, d.Short(), e.d.Short(), e.refs)
+			}
+			entries[d] = e
+		}
+		if !slices.Contains(raws, sh.backing) {
+			raws = append(raws, sh.backing)
+		}
+		if !slices.Contains(packs, sh.packed) {
+			packs = append(packs, sh.packed)
+		}
+	}
+	raw := make(map[digest.Digest]bool)
+	for _, b := range raws {
+		for _, d := range b.Digests() {
 			raw[d] = true
-			n, _ := sh.backing.Stat(d)
+			n, _ := b.Stat(d)
 			re.FileBytes += n
 			re.PoolBytes += n
 		}
-		keys := make(map[digest.Digest]bool)
-		for _, k := range sh.packed.Digests() {
+	}
+	keys := make(map[digest.Digest]bool)
+	for _, b := range packs {
+		for _, k := range b.Digests() {
 			keys[k] = true
-			n, _ := sh.packed.Stat(k)
+			n, _ := b.Stat(k)
 			re.PoolBytes += n
 		}
-		var packedContent int64
-		for d, e := range entries {
-			if e.d != d || e.refs <= 0 {
-				return fmt.Errorf("pool shard %d: entry %s holds digest %s and %d references", i, d.Short(), e.d.Short(), e.refs)
-			}
-			if e.key == "" {
-				continue
-			}
-			if !keys[e.key] {
-				return fmt.Errorf("pool shard %d: packed bytes of %s are missing", i, d.Short())
-			}
+	}
+	got := make(map[digest.Digest]int64)
+	var pk packer
+	for d, e := range entries {
+		if packed := e.key != ""; raw[d] == packed {
+			return fmt.Errorf("pool holds %s raw=%v packed=%v, want exactly one", d.Short(), raw[d], packed)
+		}
+		if e.key != "" && !keys[e.key] {
+			return fmt.Errorf("pool: packed bytes of %s are missing", d.Short())
+		}
+		// Read it back, whichever form holds it: the content must be
+		// exactly the digest's, and held in the form pack chooses for it.
+		k := spell(d)
+		rc, size, err := s.pool.open(&k, &in)
+		if err != nil {
+			return fmt.Errorf("pool: opening %s: %w", d.Short(), err)
+		}
+		content, err := io.ReadAll(rc)
+		rc.Close()
+		if n := int64(len(content)); err != nil || n != size || size != e.size || digest.FromBytes(content) != d {
+			return fmt.Errorf("pool: %s reads back %d of %d bytes (%v), digest %s", d.Short(), n, e.size, err, digest.FromBytes(content).Short())
+		}
+		switch z := pack(content, &pk); {
+		case z == nil && e.key != "":
+			return fmt.Errorf("pool holds %s packed, but the rule keeps its %d bytes raw", d.Short(), size)
+		case z != nil && e.key == "":
+			return fmt.Errorf("pool holds %s raw, but the rule packs its %d bytes to %d", d.Short(), size, len(z))
+		case z != nil && digest.FromBytes(z) != e.key:
+			return fmt.Errorf("pool holds %s packed as %s, not as the rule packs it", d.Short(), e.key.Short())
+		}
+		if e.key != "" {
 			delete(keys, e.key)
-			packedContent += e.size
-			// Inflate it: the content must be exactly the digest's.
-			k := spell(d)
-			rc, size, err := s.pool.open(&k, &in)
-			if err != nil {
-				return fmt.Errorf("pool shard %d: opening packed %s: %w", i, d.Short(), err)
-			}
-			h := digest.NewHasher()
-			n, err := io.Copy(h, rc)
-			rc.Close()
-			if err != nil || n != size || size != e.size || h.Digest() != d {
-				return fmt.Errorf("pool shard %d: packed %s inflates to %d of %d bytes (%v), digest %s", i, d.Short(), n, e.size, err, h.Digest().Short())
-			}
+			re.FileBytes += e.size
 		}
-		if len(keys) != 0 {
-			return fmt.Errorf("pool shard %d holds %d packed forms no entry owns", i, len(keys))
-		}
-		re.FileBytes += packedContent
-		for d := range raw {
-			if _, ok := entries[d]; !ok {
-				return fmt.Errorf("pool shard %d backs unreferenced %s", i, d.Short())
-			}
-		}
-		for d, e := range entries {
-			if packed := e.key != ""; raw[d] == packed {
-				return fmt.Errorf("pool shard %d holds %s raw=%v packed=%v, want exactly one", i, d.Short(), raw[d], packed)
-			}
-			got[d] = e.refs
+		got[d] = e.refs
+	}
+	if len(keys) != 0 {
+		return fmt.Errorf("pool holds %d packed forms no entry owns", len(keys))
+	}
+	for d := range raw {
+		if _, ok := entries[d]; !ok {
+			return fmt.Errorf("pool backs unreferenced %s", d.Short())
 		}
 	}
 	for d, n := range want {
@@ -188,16 +211,19 @@ func checkStore(s *Store) error {
 // One shared member and every goroutine's second raw blob are tapeProse,
 // which the pool packs: contention, failed streams, deletes under readers
 // and a raw blob equal to a member all reach packed entries too. Each
-// goroutine's last blob is a foreign layer, sharing a member with its
-// layers, that does not reassemble bit-identically: every put of it is
-// committed verbatim, by the put or by a background prover.
+// goroutine's foreign layer, sharing a member with its layers, does not
+// reassemble bit-identically: every put of it is committed verbatim, by
+// the put or by a background prover. Its last blob is a layer of small
+// tapeProse files, 256 B to 4 KiB, on both sides of the packing floor,
+// one of them in every goroutine's small layer.
 const (
 	tapeGoroutines = 4 // most a tape runs
 	tapeLayers     = 3
 	tapeRaws       = 3
 	tapeShared     = 2
 	tapeForeign    = tapeLayers + tapeRaws + tapeShared // the foreign layer's index
-	tapeBlobs      = tapeForeign + 1
+	tapeSmall      = tapeForeign + 1                    // the small files' layer's index
+	tapeBlobs      = tapeSmall + 1
 	tapeMaxOps     = 96
 )
 
@@ -289,6 +315,11 @@ func storeTapeBlobs(tb testing.TB) *[tapeGoroutines][tapeBlobs][]byte {
 			tapeBlobSet[g][tapeForeign] = foreignTar(tb, map[string][]byte{
 				"etc/shared": shared[0], "etc/owned": owned[g][0], "etc/own": tapeText(500+g, 400),
 			})
+			small := [][]byte{tapeProse(700, 1<<10)}
+			for j, size := range []int{packMinSize - 1, packMinSize, 700, 2 << 10, 4<<10 - 1} {
+				small = append(small, tapeProse(710+10*g+j, size))
+			}
+			tapeBlobSet[g][tapeSmall] = tapeLayer(small)
 		}
 	})
 	return &tapeBlobSet
@@ -490,7 +521,7 @@ func runStoreTape(t *testing.T, tape []byte) {
 				}
 				// Layers that reproduce are recipes; raw blobs and the
 				// foreign layer are held verbatim.
-				if recipe := s.Recipe(d) != nil; recipe != (i < tapeLayers || tapeIsShared(i)) {
+				if recipe := s.Recipe(d) != nil; recipe != (i < tapeLayers || tapeIsShared(i) || i == tapeSmall) {
 					t.Fatalf("tape %x: goroutine %d blob %d stored as a recipe: %v", tape, g, i, recipe)
 				}
 			}
@@ -602,6 +633,24 @@ var storeTapeSeeds = map[string][]byte{
 		0 + 3*opGet, tapeForeign, 0,
 		1 + 3*opPutCorrupt, tapeForeign, 9,
 		1 + 3*opGet, tapeForeign, 0},
+
+	// Four goroutines push their small layers at once, claiming the
+	// packed member they share, one stream breaking after it and one
+	// corrupt; a held reader sees its layer deleted, and the layers are
+	// pushed again over what the deletes left pooled.
+	"small-packed-members": {0x32,
+		0 + 4*opPutStream, tapeSmall, 0,
+		1 + 4*opPut, tapeSmall, 0,
+		2 + 4*opPutFailing, tapeSmall, 180,
+		3 + 4*opPutCorrupt, tapeSmall, 60,
+		2 + 4*opPutStream, tapeSmall, 0,
+		0 + 4*opGet, tapeSmall, 1,
+		1 + 4*opDelete, tapeSmall, 0,
+		0 + 4*opDelete, tapeSmall, 0,
+		3 + 4*opPutStream, tapeSmall, 0,
+		2 + 4*opGet, tapeSmall, 0,
+		1 + 4*opPutStream, tapeSmall, 0,
+		0 + 4*opPutStream, tapeSmall, 0},
 }
 
 // TestStoreTape runs the hand-written tapes and a fixed set of random ones.
